@@ -25,11 +25,12 @@ from .engine import HiddenParams, SimConfig, SimulationTrace, simulate
 from .errors import (
     FspmError,
     InfeasibleInit,
+    MissingPA,
     SimulationFailed,
     ValidationError,
 )
 from .ingest import CumEntry, TargetEntry, TargetSeries
-from .topology import TreeTopology, organ_census
+from .topology import TreeTopology
 
 WEIGHT_FLOOR = 1e-3
 
@@ -87,9 +88,10 @@ class FitProblem:
                     f"target {ts.tree_id!r} paired with topology {topo.tree_id!r}"
                 )
             born: set[tuple[int, int]] = set()
-            for cycle in range(1, topo.age + 1):
-                for (pa, kind) in organ_census(topo, cycle):
-                    born.add((pa, cycle))
+            for axis, gu in topo.iter_gus():
+                if axis.pa is None:
+                    raise MissingPA(f"axis {axis.id!r} has no PA; classify first")
+                born.add((axis.pa, gu.ca))
             for key in ts.entries:
                 if key not in born:
                     raise ValidationError(

@@ -7,25 +7,34 @@ the sink reference (1 per blade); internode sinks depend on physiological
 age; the ring compartment competes once internodes from earlier cycles exist
 to thicken.  New foliage then fixes the biomass that funds the next cycle.
 
-Two simulation modes produce identical numbers for repeated structures:
+All organs of one physiological age born in one cycle are interchangeable
+(the substructure factorization of Cournede et al. 2006), so the recursion
+runs once, on internode counts per (PA, birth cycle) cohort.  The counts
+come from one of two census sources:
 
 * :func:`simulate` walks an explicit :class:`~fspm.topology.TreeTopology`
-  and tracks every internode (required for the pipe ring distribution and
-  geometry export).
-* :func:`simulate_factored` never materializes organs: cohort counts per
-  (PA, birth cycle) follow a linear recurrence over generative branching
-  rules, so trees with millions of organs cost O(p_max * age^2).
+  and expands the cohort results to one row per internode, as geometry
+  export needs.
+* :func:`simulate_factored` takes them from a linear recurrence over
+  generative branching rules, so trees with millions of organs cost
+  O(p_max * age^2).
+
+The pipe ring distribution is the only per-organ physics.  A cycle's ring
+pool depends only on pc and the number of functioning blades, never on how
+earlier pools were spread, so :func:`simulate` spreads each cycle's pool
+over the internodes after the recursion has run.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .direct_estim import DirectParams
 from .errors import (
+    InvalidParameter,
     InvalidTopology,
     UnsupportedRingMode,
     ZeroDemandWithBiomass,
@@ -54,12 +63,12 @@ class HiddenParams:
     pc: float
 
     def __post_init__(self) -> None:
-        if self.q0 < 0:
-            raise ValueError(f"q0 must be >= 0, got {self.q0}")
-        if self.rp <= 0:
-            raise ValueError(f"rp must be > 0, got {self.rp}")
-        if self.pc < 0:
-            raise ValueError(f"pc must be >= 0, got {self.pc}")
+        if not (math.isfinite(self.q0) and self.q0 >= 0):
+            raise InvalidParameter(f"q0 must be finite and >= 0, got {self.q0}")
+        if not (math.isfinite(self.rp) and self.rp > 0):
+            raise InvalidParameter(f"rp must be finite and > 0, got {self.rp}")
+        if not (math.isfinite(self.pc) and self.pc >= 0):
+            raise InvalidParameter(f"pc must be finite and >= 0, got {self.pc}")
 
 
 @dataclass(frozen=True)
@@ -88,14 +97,18 @@ class SimConfig:
     ring_demand: str = RING_DEMAND_PER_BLADE
 
     def __post_init__(self) -> None:
-        if self.e <= 0 or self.sp <= 0 or self.rho <= 0:
-            raise ValueError("e, sp and rho must be positive")
-        if self.t_f < 1 or self.t_exp < 1:
-            raise ValueError("t_f and t_exp must be >= 1")
+        for name in ("e", "sp", "rho"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidParameter(f"{name} must be finite and > 0, got {value}")
+        for name in ("t_f", "t_exp"):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and value >= 1):
+                raise InvalidParameter(f"{name} must be an integer >= 1, got {value!r}")
         if self.ring_mode not in (RING_UNIFORM, RING_PIPE):
-            raise ValueError(f"unknown ring_mode {self.ring_mode!r}")
+            raise UnsupportedRingMode(f"unknown ring_mode {self.ring_mode!r}")
         if self.ring_demand not in (RING_DEMAND_PER_BLADE, RING_DEMAND_CONSTANT):
-            raise ValueError(f"unknown ring_demand {self.ring_demand!r}")
+            raise InvalidParameter(f"unknown ring_demand {self.ring_demand!r}")
 
 
 def production(leaf_surface: float, cfg: SimConfig, hp: HiddenParams) -> float:
@@ -107,6 +120,38 @@ def production(leaf_surface: float, cfg: SimConfig, hp: HiddenParams) -> float:
     if leaf_surface < 0:
         raise ValueError("leaf surface must be >= 0")
     return cfg.e * (cfg.sp / hp.rp) * (1.0 - math.exp(-leaf_surface / cfg.sp))
+
+
+_RINGS = "rings"
+
+
+def _components(
+    organs: Iterable[tuple[object, int, str, int]],
+    dp: DirectParams,
+    hp: HiddenParams,
+    cfg: SimConfig,
+    n_functioning_blades: int,
+    rings_active: bool,
+) -> list[tuple[object, float]]:
+    """Sink of each expanding organ group and of the ring compartment.
+
+    ``organs`` yields (key, PA, kind, count) per group in its expansion
+    window; each organ contributes its sink divided by t_exp.  The ring
+    compartment, keyed ``"rings"``, joins last while there are completed
+    internodes to thicken and its sink is positive.
+    """
+    comps: list[tuple[object, float]] = []
+    for key, pa, kind, count in organs:
+        if count < 0:
+            raise ValueError("organ counts must be >= 0")
+        sink = 1.0 if kind == BLADE else dp.sink(pa)
+        comps.append((key, count * sink / cfg.t_exp))
+    if rings_active:
+        per_blade = cfg.ring_demand == RING_DEMAND_PER_BLADE
+        ring_sink = hp.pc * n_functioning_blades if per_blade else hp.pc
+        if ring_sink > 0:
+            comps.append((_RINGS, ring_sink))
+    return comps
 
 
 def demand(
@@ -121,20 +166,12 @@ def demand(
 
     ``expanding`` counts organs currently in their expansion window, keyed by
     (PA, kind); each contributes its sink divided by t_exp.  The ring term is
-    added only while there are completed internodes to thicken.
+    added only while there are completed internodes to thicken.  This is the
+    sum of the components the recursion allocates over.
     """
-    d = 0.0
-    for (pa, kind), count in sorted(expanding.items()):
-        if count < 0:
-            raise ValueError("organ counts must be >= 0")
-        sink = 1.0 if kind == BLADE else dp.sink(pa)
-        d += count * sink / cfg.t_exp
-    if rings_active:
-        if cfg.ring_demand == RING_DEMAND_PER_BLADE:
-            d += hp.pc * n_functioning_blades
-        else:
-            d += hp.pc
-    return d
+    organs = [(key, key[0], key[1], count) for key, count in sorted(expanding.items())]
+    comps = _components(organs, dp, hp, cfg, n_functioning_blades, rings_active)
+    return sum((sink for _, sink in comps), 0.0)
 
 
 def allocate(
@@ -284,42 +321,95 @@ class SimulationTrace:
         return float(self.cum_internode_mass[-1] + self.cum_blade_mass[-1])
 
 
-def _ring_sink(
-    hp: HiddenParams, cfg: SimConfig, n_functioning_blades: int, rings_active: bool
-) -> float:
-    if not rings_active:
-        return 0.0
-    if cfg.ring_demand == RING_DEMAND_PER_BLADE:
-        return hp.pc * n_functioning_blades
-    return hp.pc
-
-
-def _expanding_counts(
-    census: Mapping[int, Mapping[tuple[int, str], int]], cycle: int, t_exp: int
-) -> dict[tuple[int, str], int]:
-    out: dict[tuple[int, str], int] = {}
-    for b in range(max(1, cycle - t_exp + 1), cycle + 1):
-        for key, count in census.get(b, {}).items():
-            out[key] = out.get(key, 0) + count
-    return out
-
-
-def _components(
-    census: Mapping[int, Mapping[tuple[int, str], int]],
-    cycle: int,
+def _run_cohorts(
+    hp: HiddenParams,
     dp: DirectParams,
+    counts: Mapping[tuple[int, int], int],
     cfg: SimConfig,
-    ring_sink: float,
-) -> list[tuple[object, float]]:
-    """Canonical per-cohort sink components for one cycle's allocation."""
-    comps: list[tuple[object, float]] = []
-    for b in range(max(1, cycle - cfg.t_exp + 1), cycle + 1):
-        for (pa, kind), count in sorted(census.get(b, {}).items()):
-            sink = 1.0 if kind == BLADE else dp.sink(pa)
-            comps.append(((pa, kind, b), count * sink / cfg.t_exp))
-    if ring_sink > 0:
-        comps.append(("rings", ring_sink))
-    return comps
+    n: int,
+    tree_id: str,
+) -> SimulationTrace:
+    """Run ``n`` cycles on internode counts per (PA, birth cycle) cohort.
+
+    Every internode bears one blade, and all organs of a cohort receive the
+    same primary and blade mass; the ring pool is spread evenly over the
+    internodes old enough to thicken.  The cohort summaries are therefore
+    exact per-organ values in uniform ring mode, and ``ring_pool`` records
+    each cycle's pool for a per-organ distribution afterwards.
+    """
+    keys = sorted(counts, key=lambda k: (k[1], k[0]))
+    primary = dict.fromkeys(keys, 0.0)
+    blade = dict.fromkeys(keys, 0.0)
+    ring = dict.fromkeys(keys, 0.0)
+    q_funded, q_prod, dem, surf, pools, cum_int, cum_blade = np.zeros((7, n))
+
+    for i in range(1, n + 1):
+        funded = hp.q0 if i == 1 else float(q_prod[i - 2])
+        expanding = [k for k in keys if i - cfg.t_exp < k[1] <= i]
+        eligible = [k for k in keys if k[1] <= i - cfg.t_exp]
+        functioning = [k for k in keys if i - cfg.t_f < k[1] <= i]
+        n_eligible = sum(counts[k] for k in eligible)
+        n_func = sum(counts[k] for k in functioning)
+        organs = [
+            ((k, kind), k[0], kind, counts[k])
+            for k in expanding
+            for kind in (BLADE, INTERNODE)
+        ]
+        comps = _components(organs, dp, hp, cfg, n_func, n_eligible > 0)
+        d = sum((sink for _, sink in comps), 0.0)
+        if funded > 0 and d <= 0:
+            raise ZeroDemandWithBiomass(
+                f"cycle {i}: {funded} g to allocate but no demand"
+            )
+
+        pool = 0.0
+        if funded > 0:
+            for key, mass in allocate(funded, comps).items():
+                if key == _RINGS:
+                    pool = mass
+                    continue
+                k, kind = key
+                per_organ = mass / counts[k]
+                if kind == BLADE:
+                    blade[k] += per_organ
+                else:
+                    primary[k] += per_organ
+            if pool > 0:
+                per_organ = pool / n_eligible
+                for k in eligible:
+                    ring[k] += per_organ
+
+        s = sum(blade[k] * counts[k] for k in functioning) / dp.slw
+        q_funded[i - 1] = funded
+        q_prod[i - 1] = production(s, cfg, hp)
+        dem[i - 1] = d
+        surf[i - 1] = s
+        pools[i - 1] = pool
+        cum_int[i - 1] = sum((primary[k] + ring[k]) * counts[k] for k in keys)
+        cum_blade[i - 1] = sum(blade[k] * counts[k] for k in keys)
+
+    cohorts: dict[tuple[int, int], CohortSummary] = {}
+    for k in keys:
+        pa, b = k
+        length, diameter = internode_geometry(
+            primary[k], primary[k] + ring[k], *dp.shape(pa), cfg.rho
+        )
+        cohorts[k] = CohortSummary(
+            pa=pa, birth=b,
+            n_internodes=counts[k], n_blades=counts[k],
+            blade_mass=blade[k],
+            internode_primary=primary[k],
+            internode_ring=ring[k],
+            internode_mass=primary[k] + ring[k],
+            length_cm=length, diameter_cm=diameter,
+        )
+    return SimulationTrace(
+        tree_id=tree_id, cycles=n,
+        q_funded=q_funded, q_prod=q_prod, demand=dem,
+        leaf_surface=surf, ring_pool=pools,
+        cum_internode_mass=cum_int, cum_blade_mass=cum_blade,
+        cohorts=cohorts,
+    )
 
 
 def simulate(
@@ -332,7 +422,10 @@ def simulate(
     """Run the recursion over an explicit, PA-classified topology.
 
     Cycle 1 is funded by the seed mass, cycle i by the production of cycle
-    i - 1.  The trace carries per-internode masses and geometry.
+    i - 1.  The trace carries per-internode masses and geometry.  In pipe
+    mode each cycle's ring pool goes to the internodes in proportion to the
+    functioning blades at or above them, and the cohort summaries become
+    means over their internodes.
     """
     n = topology.age if cycles is None else int(cycles)
     if not 1 <= n <= topology.age:
@@ -342,142 +435,75 @@ def simulate(
 
     # Walk the structure once: one entry per internode, canonical order.
     positions: list[tuple[str, int, int]] = []
-    pa_list: list[int] = []
-    birth_list: list[int] = []
-    census: dict[int, dict[tuple[int, str], int]] = {}
+    gu_keys: list[tuple[int, int]] = []
+    gu_sizes: list[int] = []
+    counts: dict[tuple[int, int], int] = {}
     for axis, gu in topology.iter_gus():
         if axis.pa is None:
             raise InvalidTopology(f"axis {axis.id!r} lacks a PA; classify first")
         if gu.ca > n:
             continue
-        for rank in range(1, gu.internode_count + 1):
-            positions.append((axis.id, gu.ca, rank))
-            pa_list.append(axis.pa)
-            birth_list.append(gu.ca)
-        cyc = census.setdefault(gu.ca, {})
-        cyc[(axis.pa, INTERNODE)] = cyc.get((axis.pa, INTERNODE), 0) + gu.internode_count
-        cyc[(axis.pa, BLADE)] = cyc.get((axis.pa, BLADE), 0) + gu.internode_count
-
-    pa_arr = np.array(pa_list, dtype=int)
-    birth_arr = np.array(birth_list, dtype=int)
-    n_org = len(positions)
-    primary = np.zeros(n_org)
-    ring = np.zeros(n_org)
-    cohort_idx: dict[tuple[int, int], np.ndarray] = {}
-    for b, cyc in census.items():
-        for (pa, kind) in cyc:
-            if kind == INTERNODE:
-                cohort_idx[(pa, b)] = np.flatnonzero((pa_arr == pa) & (birth_arr == b))
-
-    blade_mass: dict[tuple[int, int], float] = {}  # (pa, birth) -> g per blade
-
-    q_funded = np.zeros(n + 1)
-    q_prod = np.zeros(n + 1)
-    dem = np.zeros(n + 1)
-    surf = np.zeros(n + 1)
-    pool_arr = np.zeros(n + 1)
-    cum_int = np.zeros(n + 1)
-    cum_blade = np.zeros(n + 1)
-
-    pipe_ctx = _PipeContext(topology, positions) if cfg.ring_mode == RING_PIPE else None
-
-    for i in range(1, n + 1):
-        funded = hp.q0 if i == 1 else float(q_prod[i - 1])
-        eligible = birth_arr <= i - cfg.t_exp
-        n_eligible = int(eligible.sum())
-        rings_active = n_eligible > 0
-        n_func = sum(
-            count
-            for b in range(max(1, i - cfg.t_f + 1), i + 1)
-            for (pa, kind), count in census.get(b, {}).items()
-            if kind == BLADE
+        key = (axis.pa, gu.ca)
+        positions.extend(
+            (axis.id, gu.ca, rank) for rank in range(1, gu.internode_count + 1)
         )
-        expanding = _expanding_counts(census, i, cfg.t_exp)
-        ring_sink = _ring_sink(hp, cfg, n_func, rings_active)
-        d = demand(expanding, dp, hp, cfg, n_func, rings_active)
-        if funded > 0 and d <= 0:
-            raise ZeroDemandWithBiomass(
-                f"cycle {i}: {funded} g to allocate but no demand"
-            )
+        gu_keys.append(key)
+        gu_sizes.append(gu.internode_count)
+        counts[key] = counts.get(key, 0) + gu.internode_count
 
-        pool = 0.0
-        if funded > 0:
-            alloc = allocate(funded, _components(census, i, dp, cfg, ring_sink))
-            for key, mass in alloc.items():
-                if key == "rings":
-                    pool = mass
-                    continue
-                pa, kind, b = key
-                count = census[b][(pa, kind)]
-                if kind == BLADE:
-                    blade_mass[(pa, b)] = blade_mass.get((pa, b), 0.0) + mass / count
-                else:
-                    primary[cohort_idx[(pa, b)]] += mass / count
-            if pool > 0:
-                if cfg.ring_mode == RING_UNIFORM:
-                    shares = distribute_rings(pool, n_eligible, RING_UNIFORM)
-                else:
-                    weights = pipe_ctx.distal_functioning(i, cfg.t_f)
-                    shares = distribute_rings(
-                        pool, n_eligible, RING_PIPE, weights[eligible]
-                    )
-                ring[np.flatnonzero(eligible)] += shares
+    trace = _run_cohorts(hp, dp, counts, cfg, n, topology.tree_id)
 
-        functioning_mass = sum(
-            blade_mass.get((pa, b), 0.0) * count
-            for b in range(max(1, i - cfg.t_f + 1), i + 1)
-            for (pa, kind), count in census.get(b, {}).items()
-            if kind == BLADE
+    column = {key: j for j, key in enumerate(trace.cohorts)}
+    cohort = np.repeat(np.array([column[k] for k in gu_keys], dtype=int), gu_sizes)
+    summaries = list(trace.cohorts.values())
+
+    def per_organ(attr: str) -> np.ndarray:
+        return np.array([getattr(c, attr) for c in summaries])[cohort]
+
+    pa = per_organ("pa")
+    birth = per_organ("birth")
+    primary = per_organ("internode_primary")
+    if cfg.ring_mode == RING_UNIFORM:
+        trace.organs = OrganTable(
+            positions=positions, pa=pa, birth=birth, primary=primary,
+            ring=per_organ("internode_ring"),
+            length_cm=per_organ("length_cm"), diameter_cm=per_organ("diameter_cm"),
         )
-        s = functioning_mass / dp.slw
-        q_funded[i] = funded
-        q_prod[i] = production(s, cfg, hp)
-        dem[i] = d
-        surf[i] = s
-        pool_arr[i] = pool
-        cum_int[i] = primary.sum() + ring.sum()
-        cum_blade[i] = sum(
-            per * census[b][(pa, BLADE)] for (pa, b), per in blade_mass.items()
-        )
+        return trace
 
-    length = np.zeros(n_org)
-    diameter = np.zeros(n_org)
-    for (pa, b), idx in cohort_idx.items():
-        coef_b, coef_beta = dp.shape(pa)
-        for j in idx:
-            length[j], diameter[j] = internode_geometry(
-                primary[j], primary[j] + ring[j], coef_b, coef_beta, cfg.rho
-            )
-
-    organs = OrganTable(
-        positions=positions, pa=pa_arr, birth=birth_arr,
-        primary=primary, ring=ring, length_cm=length, diameter_cm=diameter,
+    ring = _PipeContext(topology, positions).spread(trace.ring_pool, birth, cfg)
+    geometry = np.array([
+        internode_geometry(p, p + r, *dp.shape(a), cfg.rho)
+        for p, r, a in zip(primary, ring, pa)
+    ]).reshape(-1, 2)
+    trace.organs = OrganTable(
+        positions=positions, pa=pa, birth=birth, primary=primary, ring=ring,
+        length_cm=geometry[:, 0], diameter_cm=geometry[:, 1],
     )
-    cohorts: dict[tuple[int, int], CohortSummary] = {}
-    for (pa, b), idx in sorted(cohort_idx.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-        count = len(idx)
-        cohorts[(pa, b)] = CohortSummary(
-            pa=pa, birth=b,
-            n_internodes=count, n_blades=census[b][(pa, BLADE)],
-            blade_mass=blade_mass.get((pa, b), 0.0),
-            internode_primary=float(primary[idx].mean()),
-            internode_ring=float(ring[idx].mean()),
-            internode_mass=float((primary[idx] + ring[idx]).mean()),
-            length_cm=float(length[idx].mean()),
-            diameter_cm=float(diameter[idx].mean()),
-        )
+    size = np.bincount(cohort, minlength=len(summaries))
 
-    return SimulationTrace(
-        tree_id=topology.tree_id, cycles=n,
-        q_funded=q_funded[1:], q_prod=q_prod[1:], demand=dem[1:],
-        leaf_surface=surf[1:], ring_pool=pool_arr[1:],
-        cum_internode_mass=cum_int[1:], cum_blade_mass=cum_blade[1:],
-        cohorts=cohorts, organs=organs,
-    )
+    def mean(values: np.ndarray) -> np.ndarray:
+        return np.bincount(cohort, weights=values, minlength=len(summaries)) / size
+
+    rings, masses = mean(ring), mean(primary + ring)
+    lengths, diameters = mean(geometry[:, 0]), mean(geometry[:, 1])
+    trace.cohorts = {
+        key: replace(
+            c,
+            internode_ring=float(rings[j]), internode_mass=float(masses[j]),
+            length_cm=float(lengths[j]), diameter_cm=float(diameters[j]),
+        )
+        for j, (key, c) in enumerate(trace.cohorts.items())
+    }
+    return trace
 
 
 class _PipeContext:
-    """Distal functioning-blade counts per internode, recomputed per cycle."""
+    """Pipe-model ring distribution over the internodes of one topology.
+
+    Weights are the distal functioning-blade counts per internode,
+    recomputed per cycle.
+    """
 
     def __init__(self, topology: TreeTopology, positions: list[tuple[str, int, int]]):
         self.topology = topology
@@ -515,8 +541,21 @@ class _PipeContext:
         visit(self.topology.root)
         return weights
 
+    def spread(self, pools: np.ndarray, birth: np.ndarray, cfg: SimConfig) -> np.ndarray:
+        """Per-internode ring mass from each cycle's pool, weighted by
+        :meth:`distal_functioning` over the internodes old enough to thicken."""
+        ring = np.zeros(self.n)
+        for i, pool in enumerate(pools, start=1):
+            if pool > 0:
+                eligible = birth <= i - cfg.t_exp
+                weights = self.distal_functioning(i, cfg.t_f)
+                ring[eligible] += distribute_rings(
+                    pool, int(eligible.sum()), RING_PIPE, weights[eligible]
+                )
+        return ring
 
-# -- factorized mode ----------------------------------------------------------
+
+# -- census from branching rules ----------------------------------------------
 
 def cohort_counts(rules: GrowthRules, age: int) -> dict[tuple[int, int], int]:
     """Internode count per (PA, birth cycle) from the branching recurrence.
@@ -560,99 +599,4 @@ def simulate_factored(
     """Run the recursion on cohort counts alone (uniform ring mode only)."""
     if cfg.ring_mode != RING_UNIFORM:
         raise UnsupportedRingMode("pipe ring distribution requires explicit mode")
-    counts = cohort_counts(rules, age)
-    census: dict[int, dict[tuple[int, str], int]] = {}
-    for (pa, b), cnt in counts.items():
-        cyc = census.setdefault(b, {})
-        cyc[(pa, INTERNODE)] = cnt
-        cyc[(pa, BLADE)] = cnt
-
-    prim: dict[tuple[int, int], float] = {k: 0.0 for k in counts}
-    ring_per: dict[tuple[int, int], float] = {k: 0.0 for k in counts}
-    blade_mass: dict[tuple[int, int], float] = {}
-
-    q_funded = np.zeros(age + 1)
-    q_prod = np.zeros(age + 1)
-    dem = np.zeros(age + 1)
-    surf = np.zeros(age + 1)
-    pool_arr = np.zeros(age + 1)
-    cum_int = np.zeros(age + 1)
-    cum_blade = np.zeros(age + 1)
-
-    for i in range(1, age + 1):
-        funded = hp.q0 if i == 1 else float(q_prod[i - 1])
-        eligible = [(pa, b) for (pa, b) in counts if b <= i - cfg.t_exp]
-        n_eligible = sum(counts[k] for k in eligible)
-        rings_active = n_eligible > 0
-        n_func = sum(
-            count
-            for b in range(max(1, i - cfg.t_f + 1), i + 1)
-            for (pa, kind), count in census.get(b, {}).items()
-            if kind == BLADE
-        )
-        expanding = _expanding_counts(census, i, cfg.t_exp)
-        d = demand(expanding, dp, hp, cfg, n_func, rings_active)
-        if funded > 0 and d <= 0:
-            raise ZeroDemandWithBiomass(
-                f"cycle {i}: {funded} g to allocate but no demand"
-            )
-
-        pool = 0.0
-        if funded > 0:
-            ring_sink = d - demand(expanding, dp, hp, cfg, 0, False)
-            alloc = allocate(funded, _components(census, i, dp, cfg, ring_sink))
-            for key, mass in alloc.items():
-                if key == "rings":
-                    pool = mass
-                    continue
-                pa, kind, b = key
-                count = census[b][(pa, kind)]
-                if kind == BLADE:
-                    blade_mass[(pa, b)] = blade_mass.get((pa, b), 0.0) + mass / count
-                else:
-                    prim[(pa, b)] += mass / count
-            if pool > 0:
-                per_organ = pool / n_eligible
-                for k in eligible:
-                    ring_per[k] += per_organ
-
-        functioning_mass = sum(
-            blade_mass.get((pa, b), 0.0) * count
-            for b in range(max(1, i - cfg.t_f + 1), i + 1)
-            for (pa, kind), count in census.get(b, {}).items()
-            if kind == BLADE
-        )
-        s = functioning_mass / dp.slw
-        q_funded[i] = funded
-        q_prod[i] = production(s, cfg, hp)
-        dem[i] = d
-        surf[i] = s
-        pool_arr[i] = pool
-        cum_int[i] = sum((prim[k] + ring_per[k]) * counts[k] for k in sorted(counts))
-        cum_blade[i] = sum(
-            per * census[b][(pa, BLADE)] for (pa, b), per in blade_mass.items()
-        )
-
-    cohorts: dict[tuple[int, int], CohortSummary] = {}
-    for (pa, b) in sorted(counts, key=lambda k: (k[1], k[0])):
-        coef_b, coef_beta = dp.shape(pa)
-        length, diameter = internode_geometry(
-            prim[(pa, b)], prim[(pa, b)] + ring_per[(pa, b)], coef_b, coef_beta, cfg.rho
-        )
-        cohorts[(pa, b)] = CohortSummary(
-            pa=pa, birth=b,
-            n_internodes=counts[(pa, b)], n_blades=counts[(pa, b)],
-            blade_mass=blade_mass.get((pa, b), 0.0),
-            internode_primary=prim[(pa, b)],
-            internode_ring=ring_per[(pa, b)],
-            internode_mass=prim[(pa, b)] + ring_per[(pa, b)],
-            length_cm=length, diameter_cm=diameter,
-        )
-
-    return SimulationTrace(
-        tree_id=tree_id, cycles=age,
-        q_funded=q_funded[1:], q_prod=q_prod[1:], demand=dem[1:],
-        leaf_surface=surf[1:], ring_pool=pool_arr[1:],
-        cum_internode_mass=cum_int[1:], cum_blade_mass=cum_blade[1:],
-        cohorts=cohorts, organs=None,
-    )
+    return _run_cohorts(hp, dp, cohort_counts(rules, age), cfg, age, tree_id)

@@ -84,6 +84,10 @@ class DegenerateSpread(ValidationError):
 
 # -- engine -------------------------------------------------------------------
 
+class InvalidParameter(ValidationError):
+    """Model parameter that is not finite or lies outside its range."""
+
+
 class ZeroDemandWithBiomass(FspmError):
     """Biomass available to allocate but total sink demand is zero."""
 

@@ -119,12 +119,9 @@ def build_skeleton(
     branch_counter = 0
 
     # Parents before children: walk from the root in insertion order.
-    order: list = []
-    stack = [topology.root]
-    while stack:
-        axis = stack.pop(0)
-        order.append(axis)
-        stack.extend(topology.children_of(axis.id))
+    order = [topology.root]
+    for axis in order:
+        order.extend(topology.children_of(axis.id))
 
     axis_dir: dict[str, np.ndarray] = {}
     axis_start: dict[str, np.ndarray] = {}

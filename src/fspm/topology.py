@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -126,8 +127,17 @@ class TreeTopology:
     def total_internodes(self) -> int:
         return sum(gu.internode_count for _, gu in self.iter_gus())
 
+    @cached_property
+    def _children(self) -> dict[str, list[Axis]]:
+        index: dict[str, list[Axis]] = {}
+        for axis in self.axes_sorted():
+            if axis.parent_id is not None:
+                index.setdefault(axis.parent_id, []).append(axis)
+        return index
+
     def children_of(self, axis_id: str) -> list[Axis]:
-        return [a for a in self.axes_sorted() if a.parent_id == axis_id]
+        """Axes borne by ``axis_id``, in canonical (id-sorted) order."""
+        return list(self._children.get(axis_id, ()))
 
 
 def build_topology(

@@ -1,6 +1,9 @@
 """Shared fixtures: small hand-checkable trees and default parameter sets."""
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
@@ -15,6 +18,14 @@ from fspm import (
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
+
+
+@pytest.fixture
+def src_env() -> dict[str, str]:
+    """Environment for child Python processes that import the package from src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 @pytest.fixture

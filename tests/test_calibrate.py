@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from fspm import (
     GrowthRules,
     HiddenParams,
     SimConfig,
+    TreeTopology,
     fd_jacobian,
     fit_hidden,
     generate_topology,
@@ -17,7 +20,7 @@ from fspm import (
     targets_from_trace,
 )
 from fspm.calibrate import central_jacobian
-from fspm.errors import InfeasibleInit
+from fspm.errors import InfeasibleInit, MissingPA, ValidationError
 from fspm.ingest import TargetSeries
 
 
@@ -40,6 +43,25 @@ def synthetic_problem(dp, hp_by_tree, ages, rules=None, cfg=SimConfig()):
         topologies.append(t)
         targets.append(targets_from_trace(trace, dp))
     return FitProblem(targets=targets, topologies=topologies, dp=dp, cfg=cfg)
+
+
+class TestFitProblem:
+    def test_unclassified_topology_raises_missing_pa(self, dp2):
+        problem = synthetic_problem(dp2, {"t1": HiddenParams(5.0, 4.0, 0.1)}, [3])
+        t = problem.topologies[0]
+        axes = {k: replace(a, pa=None) for k, a in t.axes.items()}
+        bare = TreeTopology(t.tree_id, t.age, axes)
+        with pytest.raises(MissingPA):
+            FitProblem(targets=problem.targets, topologies=[bare], dp=dp2)
+
+    def test_target_group_absent_from_topology(self, dp2):
+        problem = synthetic_problem(dp2, {"t1": HiddenParams(5.0, 4.0, 0.1)}, [3])
+        ts = problem.targets[0]
+        entries = dict(ts.entries)
+        entries[(2, 1)] = entries[(1, 1)]  # no PA-2 organ is born at cycle 1
+        with pytest.raises(ValidationError, match="PA2/CA1"):
+            FitProblem(targets=[replace(ts, entries=entries)],
+                       topologies=problem.topologies, dp=dp2)
 
 
 class TestResiduals:

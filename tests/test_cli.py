@@ -208,6 +208,31 @@ class TestFitExitCodes:
         assert doc["converged"] is False
 
 
+class TestInvalidParameters:
+    @pytest.mark.parametrize("flag, value", [
+        ("--rp", "-1"), ("--q0", "nan"), ("--rp", "inf"), ("--pc", "-inf"),
+    ])
+    def test_simulate_exits_1_with_one_line(self, grove_pipeline, tmp_path, capsys,
+                                            flag, value):
+        base, trees, params = grove_pipeline
+        tree, pa_map, _ = trees["P2"]
+        hidden = {"--q0": "12.0", "--rp": "6.4", "--pc": "0.14", flag: value}
+        argv = ["simulate", "--tree", tree, "--pa-map", pa_map, "--params", params,
+                "--out", tmp_path / "sim"]
+        argv += [f"{name}={text}" for name, text in hidden.items()]
+        capsys.readouterr()
+        assert run(*argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"fspm simulate: {flag[2:]} must be finite")
+        assert not (tmp_path / "sim").exists()
+
+    def test_bench_rejects_nan_seed_mass(self, tmp_path, capsys):
+        assert run("bench-substructure", "--cycles", 3, "--q0", "nan",
+                   "--out", tmp_path / "bench") == 1
+        assert "q0 must be finite" in capsys.readouterr().err
+
+
 class TestSimulateCycles:
     def test_truncated_horizon(self, grove_pipeline):
         base, trees, params = grove_pipeline
@@ -266,21 +291,16 @@ class TestBench:
 
 
 class TestConsoleScript:
-    def test_fspm_log_env_controls_verbosity(self, tmp_path):
-        import os
-        import shutil
+    def test_fspm_log_env_controls_verbosity(self, tmp_path, src_env):
         import subprocess
+        import sys
 
-        exe = shutil.which("fspm")
-        if exe is None:
-            pytest.skip("console script not installed")
         tree = tmp_path / "tree.json"
         assert run(*ingest_args(SINGLE, tree)) == 0
-        env = dict(os.environ, FSPM_LOG="info")
         proc = subprocess.run(
-            [exe, "classify-pa", "--tree", str(tree), "--k", "3",
-             "--out", str(tmp_path / "cls")],
-            capture_output=True, text=True, env=env,
+            [sys.executable, "-m", "fspm.cli", "classify-pa", "--tree", str(tree),
+             "--k", "3", "--out", str(tmp_path / "cls")],
+            capture_output=True, text=True, env=dict(src_env, FSPM_LOG="info"),
         )
         assert proc.returncode == 0
         assert "cluster means" in proc.stderr

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fspm import (
+    AxisRecord,
     DirectParams,
+    GURecord,
     GrowthRules,
     HiddenParams,
     SimConfig,
     allocate,
     analytic_organ_count,
+    build_topology,
     cohort_counts,
     demand,
     distribute_rings,
@@ -20,8 +23,9 @@ from fspm import (
     production,
     simulate,
     simulate_factored,
+    with_physio_ages,
 )
-from fspm.errors import UnsupportedRingMode, ZeroDemandWithBiomass
+from fspm.errors import UnsupportedRingMode, ValidationError, ZeroDemandWithBiomass
 
 
 def assert_conserved(trace, hp, tol=1e-9):
@@ -42,6 +46,29 @@ def chain_topology(cycles=3, internodes=1):
     return generate_topology(
         GrowthRules(p_max=1, internodes_per_gu=internodes), cycles, "chain"
     )
+
+
+def uneven_topology():
+    """Sibling subtrees of different depth on one root.
+
+    A1 (PA1) grows cycles 1-4.  A2 (PA2) inserts on A1's cycle-1 GU and
+    starts that same cycle, then grows to cycle 4 and bears A3 (PA3) from
+    cycle 3.  A4 (PA2) inserts on the same GU but stops after one GU at
+    cycle 2, so it shares cohort (PA2, 2) with A2 while carrying nothing
+    above it.
+    """
+    axes = [
+        AxisRecord("U", "A1", None, None),
+        AxisRecord("U", "A2", "A1", 1),
+        AxisRecord("U", "A3", "A2", 2),
+        AxisRecord("U", "A4", "A1", 1),
+    ]
+    gus = [GURecord("U", "A1", ca, n) for ca, n in ((1, 2), (2, 2), (3, 1), (4, 1))]
+    gus += [GURecord("U", "A2", ca, 1) for ca in (1, 2, 3, 4)]
+    gus += [GURecord("U", "A3", ca, 2) for ca in (3, 4)]
+    gus += [GURecord("U", "A4", 2, 2)]
+    t = build_topology(axes, gus)
+    return with_physio_ages(t, {"A1": 1, "A2": 2, "A3": 3, "A4": 2})
 
 
 @pytest.fixture
@@ -368,3 +395,79 @@ class TestFactored:
         rules = GrowthRules(p_max=3, internodes_per_gu=2, branches_per_gu=2)
         trace = simulate_factored(hp, dp3, rules, 10)
         assert_conserved(trace, hp)
+
+
+class TestParameterValidation:
+    @pytest.mark.parametrize("kwargs", [
+        {"q0": -1.0}, {"q0": math.nan}, {"q0": math.inf},
+        {"rp": 0.0}, {"rp": -1.0}, {"rp": math.nan}, {"rp": math.inf},
+        {"pc": -0.1}, {"pc": math.nan}, {"pc": math.inf},
+    ])
+    def test_hidden_params(self, kwargs):
+        values = {"q0": 1.0, "rp": 2.0, "pc": 0.1, **kwargs}
+        with pytest.raises(ValidationError, match=next(iter(kwargs))):
+            HiddenParams(**values)
+
+    def test_hidden_params_bounds_accepted(self):
+        HiddenParams(q0=0.0, rp=1e-300, pc=0.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"e": math.nan}, {"e": 0.0}, {"sp": math.inf}, {"sp": -1.0},
+        {"rho": math.nan}, {"t_f": 0}, {"t_exp": 1.5}, {"t_f": math.nan},
+        {"ring_mode": "spiral"}, {"ring_demand": "never"},
+    ])
+    def test_sim_config(self, kwargs):
+        with pytest.raises(ValidationError, match=next(iter(kwargs))):
+            SimConfig(**kwargs)
+
+
+class TestUnevenTree:
+    """Per-organ pipe weights on a tree that generate_topology cannot make."""
+
+    @pytest.fixture
+    def hp(self):
+        return HiddenParams(q0=6.0, rp=3.0, pc=0.3)
+
+    @pytest.mark.parametrize("mode", ["uniform", "pipe"])
+    def test_conservation_and_ring_total(self, dp3, hp, mode):
+        trace = simulate(hp, dp3, uneven_topology(), SimConfig(ring_mode=mode))
+        assert_conserved(trace, hp, tol=1e-9)
+        assert trace.ring_pool[1:].min() > 0
+        assert trace.organs.ring.sum() == pytest.approx(trace.ring_pool.sum(), rel=1e-12)
+
+    def test_uniform_zero_spread_within_cohorts(self, dp3, hp):
+        organs = simulate(hp, dp3, uneven_topology()).organs
+        for pa, b in set(zip(organs.pa, organs.birth)):
+            idx = (organs.pa == pa) & (organs.birth == b)
+            for values in (organs.primary, organs.ring, organs.diameter_cm):
+                assert np.ptp(values[idx]) == 0.0
+
+    def test_pipe_weights_differ_within_cohort(self, dp3, hp):
+        t = uneven_topology()
+        uniform = simulate(hp, dp3, t)
+        pipe = simulate(hp, dp3, t, SimConfig(ring_mode="pipe"))
+        for name in ("q_prod", "demand", "ring_pool", "cum_internode_mass",
+                     "cum_blade_mass"):
+            assert np.array_equal(getattr(pipe, name), getattr(uniform, name))
+        organs = pipe.organs
+        ring = dict(zip(organs.positions, organs.ring))
+        # Same (PA2, cycle 2) cohort: A2 carries A3 and its own later GUs,
+        # A4 ends there, so nothing functions above it once it can thicken.
+        assert ring[("A2", 2, 1)] > 0.0
+        assert ring[("A4", 2, 1)] == 0.0
+        assert ring[("A4", 2, 2)] == 0.0
+        cohort = pipe.cohorts[(2, 2)]
+        assert cohort.internode_ring == pytest.approx(ring[("A2", 2, 1)] / 3, rel=1e-12)
+
+    def test_pipe_first_pool_by_hand(self, dp3, hp):
+        # Cycle 2: the five blades born that cycle function.  Both cycle-1
+        # internodes of A1 carry all five (A1 GU2 and the GUs of A2 and A4
+        # borne at cycle 1); A2's cycle-1 internode carries one.
+        cfg = SimConfig(ring_mode="pipe")
+        trace = simulate(hp, dp3, uneven_topology(), cfg, cycles=2)
+        pool = trace.ring_pool[1]
+        ring = dict(zip(trace.organs.positions, trace.organs.ring))
+        assert ring[("A1", 1, 1)] == pytest.approx(pool * 5 / 11, rel=1e-12)
+        assert ring[("A1", 1, 2)] == pytest.approx(pool * 5 / 11, rel=1e-12)
+        assert ring[("A2", 1, 1)] == pytest.approx(pool * 1 / 11, rel=1e-12)
+        assert sum(ring.values()) == pytest.approx(pool, rel=1e-12)
