@@ -8,7 +8,8 @@ the directly measurable parameters, ``simulate`` runs the growth engine,
 ``export-skeleton`` writes 3-D geometry, and ``bench-substructure`` compares
 the factorized engine against explicit expansion.
 
-Exit codes: 0 success, 1 validation/usage error, 2 convergence failure.
+Exit codes: 0 success, 1 validation/usage error (bad input file, parameter
+or option), 2 convergence failure.
 Every output directory receives exactly one ``run_manifest.json``; outputs
 are written atomically (temp file + rename) so failures leave nothing
 partial.
@@ -37,7 +38,7 @@ from .engine import (
     simulate,
     simulate_factored,
 )
-from .errors import ValidationError
+from .errors import SchemaError, ValidationError
 from .export import (
     export_fit_csv,
     export_organs_csv,
@@ -168,8 +169,17 @@ def _sim_config(args) -> SimConfig:
 
 def _hidden_from_args(args) -> HiddenParams:
     if args.hidden:
-        doc = json.loads(Path(args.hidden).read_text(encoding="utf-8"))
-        tree_q0 = doc["q0"]
+        text = Path(args.hidden).read_text(encoding="utf-8")
+        try:
+            doc = json.loads(text)
+            tree_q0 = {tid: float(v) for tid, v in doc["q0"].items()}
+            rp, pc = float(doc["rp"]), float(doc["pc"])
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{args.hidden}: not valid JSON ({exc})") from None
+        except KeyError as exc:
+            raise SchemaError(f"{args.hidden}: missing key {exc}") from None
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise SchemaError(f"{args.hidden}: {exc}") from None
         if args.q0 is not None:
             q0 = args.q0
         elif len(tree_q0) == 1:
@@ -178,7 +188,7 @@ def _hidden_from_args(args) -> HiddenParams:
             raise ValidationError(
                 f"fit result holds q0 for trees {sorted(tree_q0)}; pass --q0"
             )
-        return HiddenParams(q0=float(q0), rp=float(doc["rp"]), pc=float(doc["pc"]))
+        return HiddenParams(q0=q0, rp=rp, pc=pc)
     if args.q0 is None or args.rp is None or args.pc is None:
         raise ValidationError("give --hidden fit_result.json or all of --q0/--rp/--pc")
     return HiddenParams(q0=args.q0, rp=args.rp, pc=args.pc)

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateSpread, InsufficientData, ValidationError
+from .errors import DegenerateSpread, InsufficientData, SchemaError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -81,20 +81,34 @@ class DirectParams:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "DirectParams":
-        doc = json.loads(text)
-        return cls(
-            p_int={int(k): float(v) for k, v in doc["p_int"].items()},
-            allometry={
-                int(k): (float(v["b"]), float(v["beta"]))
-                for k, v in doc["allometry"].items()
-            },
-            slw=float(doc["slw"]),
-        )
+    def from_json(cls, text: str, source: str = "direct parameters") -> "DirectParams":
+        """Parse :meth:`to_json` output; ``source`` names the input in errors.
+
+        Raises:
+            SchemaError: the text is not JSON, lacks a key, or holds a value
+                of the wrong type or range.
+        """
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{source}: not valid JSON ({exc})") from None
+        try:
+            return cls(
+                p_int={int(k): float(v) for k, v in doc["p_int"].items()},
+                allometry={
+                    int(k): (float(v["b"]), float(v["beta"]))
+                    for k, v in doc["allometry"].items()
+                },
+                slw=float(doc["slw"]),
+            )
+        except KeyError as exc:
+            raise SchemaError(f"{source}: missing key {exc}") from None
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise SchemaError(f"{source}: {exc}") from None
 
     @classmethod
     def load(cls, path: str | Path) -> "DirectParams":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        return cls.from_json(Path(path).read_text(encoding="utf-8"), str(path))
 
 
 def fit_sink_ratio(pairs: Sequence[tuple[float, float]]) -> SinkFit:

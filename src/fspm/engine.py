@@ -12,9 +12,10 @@ All organs of one physiological age born in one cycle are interchangeable
 runs once, on internode counts per (PA, birth cycle) cohort.  The counts
 come from one of two census sources:
 
-* :func:`simulate` walks an explicit :class:`~fspm.topology.TreeTopology`
-  and expands the cohort results to one row per internode, as geometry
-  export needs.
+* :func:`simulate` reads the census of an explicit
+  :class:`~fspm.topology.TreeTopology`, built once per topology, and
+  expands the cohort results to one row per internode, as geometry export
+  needs.
 * :func:`simulate_factored` takes them from a linear recurrence over
   generative branching rules, so trees with millions of organs cost
   O(p_max * age^2).
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -36,6 +38,7 @@ from .direct_estim import DirectParams
 from .errors import (
     InvalidParameter,
     InvalidTopology,
+    MissingPA,
     UnsupportedRingMode,
     ZeroDemandWithBiomass,
 )
@@ -432,29 +435,21 @@ def simulate(
         raise InvalidTopology(
             f"cycles must be in 1..{topology.age}, got {n}"
         )
+    try:
+        census = topology.census
+    except MissingPA as exc:
+        raise InvalidTopology(str(exc)) from None
 
-    # Walk the structure once: one entry per internode, canonical order.
-    positions: list[tuple[str, int, int]] = []
-    gu_keys: list[tuple[int, int]] = []
-    gu_sizes: list[int] = []
-    counts: dict[tuple[int, int], int] = {}
-    for axis, gu in topology.iter_gus():
-        if axis.pa is None:
-            raise InvalidTopology(f"axis {axis.id!r} lacks a PA; classify first")
-        if gu.ca > n:
-            continue
-        key = (axis.pa, gu.ca)
-        positions.extend(
-            (axis.id, gu.ca, rank) for rank in range(1, gu.internode_count + 1)
-        )
-        gu_keys.append(key)
-        gu_sizes.append(gu.internode_count)
-        counts[key] = counts.get(key, 0) + gu.internode_count
+    # Cohorts sort by birth first, so those born by cycle n keep their index.
+    counts, positions, cohort = census.counts, census.positions, census.cohort
+    if n < topology.age:
+        born = np.array([ca for _, ca in census.keys])[cohort] <= n
+        counts = {key: c for key, c in counts.items() if key[1] <= n}
+        positions = compress(positions, born)
+        cohort = cohort[born]
+    positions = list(positions)  # the trace's own copy
 
     trace = _run_cohorts(hp, dp, counts, cfg, n, topology.tree_id)
-
-    column = {key: j for j, key in enumerate(trace.cohorts)}
-    cohort = np.repeat(np.array([column[k] for k in gu_keys], dtype=int), gu_sizes)
     summaries = list(trace.cohorts.values())
 
     def per_organ(attr: str) -> np.ndarray:

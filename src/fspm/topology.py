@@ -12,7 +12,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     BadInsertion,
@@ -101,6 +104,22 @@ class Axis:
         return None
 
 
+class Census(NamedTuple):
+    """Internode layout of a classified topology, in canonical order.
+
+    ``keys`` lists the (PA, CA) cohorts sorted by (CA, PA), the order the
+    growth recursion summarises them in; ``counts`` gives each cohort's
+    internodes.  ``positions`` holds (axis_id, gu_ca, rank) per internode in
+    :meth:`TreeTopology.iter_gus` order and ``cohort`` (read-only) the index
+    into ``keys`` of each of those internodes.
+    """
+
+    keys: tuple[tuple[int, int], ...]
+    counts: Mapping[tuple[int, int], int]
+    positions: tuple[tuple[str, int, int], ...]
+    cohort: np.ndarray
+
+
 @dataclass(frozen=True)
 class TreeTopology:
     """Validated whole-tree structure, axes keyed by id in canonical order."""
@@ -138,6 +157,33 @@ class TreeTopology:
     def children_of(self, axis_id: str) -> list[Axis]:
         """Axes borne by ``axis_id``, in canonical (id-sorted) order."""
         return list(self._children.get(axis_id, ()))
+
+    @cached_property
+    def census(self) -> Census:
+        """Internodes per (PA, CA) cohort, built once per topology.
+
+        Raises MissingPA on every access while an axis is unclassified.
+        """
+        positions: list[tuple[str, int, int]] = []
+        gu_keys: list[tuple[int, int]] = []
+        gu_sizes: list[int] = []
+        counts: dict[tuple[int, int], int] = {}
+        for axis in self.axes_sorted():
+            if axis.pa is None:
+                raise MissingPA(f"axis {axis.id!r} has no PA; classify first")
+            for gu in axis.gus:
+                key = (axis.pa, gu.ca)
+                size = gu.internode_count
+                positions += [(axis.id, gu.ca, rank) for rank in range(1, size + 1)]
+                gu_keys.append(key)
+                gu_sizes.append(size)
+                counts[key] = counts.get(key, 0) + size
+        keys = tuple(sorted(counts, key=lambda k: (k[1], k[0])))
+        column = {key: j for j, key in enumerate(keys)}
+        cohort = np.repeat(np.array([column[k] for k in gu_keys], dtype=int), gu_sizes)
+        cohort.flags.writeable = False
+        return Census(keys=keys, counts=MappingProxyType(counts),
+                      positions=tuple(positions), cohort=cohort)
 
 
 def build_topology(

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from fspm import (
     targets_from_trace,
 )
 from fspm.calibrate import central_jacobian
-from fspm.errors import InfeasibleInit, MissingPA, ValidationError
+from fspm.errors import InfeasibleInit, InvalidParameter, MissingPA, ValidationError
 from fspm.ingest import TargetSeries
 
 
@@ -198,3 +199,121 @@ class TestFitHidden:
         problem = synthetic_problem(dp2, {"t1": hp}, [3])
         with pytest.raises(InfeasibleInit):
             fit_hidden(problem, FreeParams(q0={"t1": 1e9}, rp=4.0, pc=0.1))
+
+
+ACCEPTANCE_Q0 = {"tree1": 14.23, "tree2": 0.97, "tree3": 47.23, "tree4": 10.94}
+ACCEPTANCE_AGES = (3, 4, 5, 6)
+
+
+def acceptance_problem(dp3, n_trees=4, cfg=SimConfig(), weighted=False):
+    """The 4-tree round-trip problem of the acceptance suite (first n trees)."""
+    hp = {tid: HiddenParams(q0, 6.4319, 0.13882)
+          for tid, q0 in list(ACCEPTANCE_Q0.items())[:n_trees]}
+    rules = GrowthRules(p_max=3, internodes_per_gu=2, branches_per_gu=1)
+    problem = synthetic_problem(dp3, hp, ACCEPTANCE_AGES, rules, cfg)
+    if weighted:
+        n_obs = problem.jacobian_pattern.shape[0]
+        problem = replace(problem, weights=np.linspace(0.5, 2.0, n_obs))
+    return problem
+
+
+def doubled_init(problem):
+    return FreeParams(q0={tid: 2 * ACCEPTANCE_Q0[tid] for tid in problem.tree_ids},
+                      rp=2 * 6.4319, pc=2 * 0.13882)
+
+
+class TestGroupedJacobian:
+    @pytest.mark.parametrize("ring_mode", ["uniform", "pipe"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bitwise_equal_to_dense(self, dp3, ring_mode, weighted):
+        problem = acceptance_problem(dp3, cfg=SimConfig(ring_mode=ring_mode),
+                                     weighted=weighted)
+        x = problem.pack(doubled_init(problem))
+
+        def fn(v):
+            return residuals(problem.unpack(v), problem)
+
+        dense = central_jacobian(fn, x, 1e-5)
+        grouped = central_jacobian(fn, x, 1e-5, problem.jacobian_pattern)
+        assert np.array_equal(grouped, dense)
+        assert np.array_equal(fd_jacobian(doubled_init(problem), problem), dense)
+        outside = ~problem.jacobian_pattern
+        assert np.all(dense[outside] == 0.0) and np.all(grouped[outside] == 0.0)
+        assert np.all(np.any(grouped != 0.0, axis=0))  # every column informative
+
+    def test_pattern_blocks(self, dp3):
+        problem = acceptance_problem(dp3)
+        pattern = problem.jacobian_pattern
+        assert pattern.shape == (len(residuals(doubled_init(problem), problem)), 6)
+        assert pattern[:, 4:].all()
+        assert np.array_equal(pattern[:, :4].sum(axis=1), np.ones(len(pattern)))
+        assert not pattern.flags.writeable
+
+    @pytest.mark.parametrize("n_trees", [1, 2, 4])
+    def test_fd_jacobian_makes_6_simulations_per_tree(self, dp3, monkeypatch, n_trees):
+        import fspm.calibrate as calibrate
+
+        problem = acceptance_problem(dp3, n_trees)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2].tree_id)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(calibrate, "simulate", counting)
+        fd_jacobian(doubled_init(problem), problem)
+        assert len(calls) == 6 * n_trees
+        assert sorted(set(calls)) == problem.tree_ids
+
+    def test_block_diagonal_toy(self):
+        # Rows 0-1 move with x0, row 2 with x1, rows 3-4 with x2; x3 moves all.
+        def fn(x):
+            calls.append(1)
+            return np.array([
+                np.sin(x[0]) + x[3], x[0] ** 2 * x[3],
+                np.exp(x[1]) - x[3],
+                x[2] ** 3 + x[3] ** 2, np.cos(x[2] * x[3]),
+            ])
+
+        pattern = np.array([
+            [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 1, 1],
+        ], dtype=bool)
+        x = np.array([0.3, -0.4, 0.7, 1.1])
+        calls = []
+        dense = central_jacobian(fn, x, 1e-6)
+        assert len(calls) == 8
+        calls.clear()
+        grouped = central_jacobian(fn, x, 1e-6, pattern)
+        assert len(calls) == 4  # {x0, x1, x2} share one pair, x3 has its own
+        assert np.array_equal(grouped, dense)
+
+    def test_overlapping_columns_stay_apart(self):
+        def fn(x):
+            return np.array([x[0] * x[1], x[1] + x[2], x[2] ** 2])
+
+        pattern = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=bool)
+        x = np.array([0.5, 2.0, -1.5])
+        np.testing.assert_array_equal(central_jacobian(fn, x, 1e-6, pattern),
+                                      central_jacobian(fn, x, 1e-6))
+
+    def test_pattern_shape_checked(self):
+        with pytest.raises(ValueError, match="pattern shape"):
+            central_jacobian(lambda x: x * 2.0, np.ones(3), 1e-6, np.ones((2, 3), bool))
+
+
+class TestFitOptions:
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": -1}, {"n_starts": -1}, {"max_iter": 0}, {"stall_iters": 0},
+        {"seed": 1.5}, {"max_iter": 2.0},
+        {"fd_step": 0.0}, {"fd_step": -1e-5}, {"fd_step": math.nan},
+        {"lambda0": 0.0}, {"lambda0": math.inf},
+        {"rel_tol": -1e-10}, {"rel_tol": math.nan},
+        {"sse_floor": -1.0}, {"sse_floor": math.inf},
+    ])
+    def test_rejected(self, kwargs):
+        with pytest.raises(InvalidParameter, match=next(iter(kwargs))):
+            FitOptions(**kwargs)
+
+    def test_edges_accepted(self):
+        FitOptions(seed=np.int64(0), n_starts=0, max_iter=1, stall_iters=1,
+                   rel_tol=0.0, sse_floor=0.0, fd_step=1e-12, lambda0=1e-12)

@@ -233,6 +233,72 @@ class TestInvalidParameters:
         assert "q0 must be finite" in capsys.readouterr().err
 
 
+class TestBadInputFiles:
+    """Malformed parameter files and fit options end in exit 1 and one line."""
+
+    def simulate_args(self, grove_pipeline, tmp_path, params=None, hidden=None):
+        _, trees, good_params = grove_pipeline
+        tree, pa_map, _ = trees["P2"]
+        argv = ["simulate", "--tree", tree, "--pa-map", pa_map,
+                "--params", params or good_params, "--out", tmp_path / "sim"]
+        if hidden is None:
+            return argv + ["--q0", 12.0, "--rp", 6.4, "--pc", 0.14]
+        return argv + ["--hidden", hidden]
+
+    def one_error_line(self, capsys, argv):
+        capsys.readouterr()
+        assert run(*argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        return err[0]
+
+    @pytest.mark.parametrize("mangle, message", [
+        (lambda text: text[: len(text) // 2], "not valid JSON"),
+        (lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                  if k != "allometry"}), "missing key 'allometry'"),
+        (lambda text: json.dumps({**json.loads(text), "p_int": [1, 2]}), "'items'"),
+        (lambda text: "[]", "list indices"),
+    ])
+    def test_bad_params_file(self, grove_pipeline, tmp_path, capsys, mangle, message):
+        _, _, params = grove_pipeline
+        bad = tmp_path / "direct_params.json"
+        bad.write_text(mangle(params.read_text()))
+        err = self.one_error_line(capsys, self.simulate_args(grove_pipeline, tmp_path, bad))
+        assert err.startswith(f"fspm simulate: {bad}: ")
+        assert message in err
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        ('{"q0": {"P2": 12.0}, "pc": 0.14', "not valid JSON"),
+        ('{"q0": {"P2": 12.0}, "pc": 0.14}', "missing key 'rp'"),
+        ('{"rp": 6.4, "pc": 0.14}', "missing key 'q0'"),
+        ('{"q0": {"P2": 12.0}, "rp": 6.4}', "missing key 'pc'"),
+        ('{"q0": 12.0, "rp": 6.4, "pc": 0.14}', "items"),
+        ('{"q0": {"P2": 12.0}, "rp": "fast", "pc": 0.14}', "fast"),
+    ])
+    def test_bad_fit_result(self, grove_pipeline, tmp_path, capsys, doc, message):
+        hidden = tmp_path / "fit_result.json"
+        hidden.write_text(doc)
+        argv = self.simulate_args(grove_pipeline, tmp_path, hidden=hidden)
+        err = self.one_error_line(capsys, argv)
+        assert err.startswith(f"fspm simulate: {hidden}: ")
+        assert message in err
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--seed", -1, "seed"), ("--n-starts", -1, "n_starts"),
+    ])
+    def test_fit_rejects_bad_option(self, grove_pipeline, tmp_path, capsys,
+                                    flag, value, name):
+        _, trees, params = grove_pipeline
+        tree, pa_map, _ = trees["P2"]
+        argv = ["fit", "--tree", tree, "--pa-map", pa_map, "--params", params,
+                flag, value, "--out", tmp_path / "fit"]
+        err = self.one_error_line(capsys, argv)
+        assert err.startswith(f"fspm fit: {name} must be an integer >= 0")
+        assert not (tmp_path / "fit").exists()
+
+
 class TestSimulateCycles:
     def test_truncated_horizon(self, grove_pipeline):
         base, trees, params = grove_pipeline

@@ -12,7 +12,7 @@ from fspm import (
     fit_allometry,
     fit_sink_ratio,
 )
-from fspm.errors import DegenerateSpread, InsufficientData
+from fspm.errors import DegenerateSpread, InsufficientData, SchemaError
 
 
 def leaf(weight, area, axis="A", ca=1, idx=1):
@@ -183,3 +183,21 @@ class TestEstimateDirectParams:
         )
         again = DirectParams.from_json(dp.to_json())
         assert again == dp
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"p_int": {"1": 0.5}', "dp.json: not valid JSON"),
+        ('{"p_int": {"1": 0.5}, "slw": 0.03}', "dp.json: missing key 'allometry'"),
+        ('{"p_int": {"1": 0.5}, "allometry": {"1": {"b": 5.0}}, "slw": 0.03}',
+         "dp.json: missing key 'beta'"),
+        ('{"p_int": {"1": "heavy"}, "allometry": {}, "slw": 0.03}', "dp.json: "),
+        ('{"p_int": {}, "allometry": {}, "slw": -1}', "dp.json: slw must be > 0"),
+    ])
+    def test_malformed_json_raises_schema_error(self, text, message):
+        with pytest.raises(SchemaError, match=message):
+            DirectParams.from_json(text, "dp.json")
+
+    def test_load_names_the_file(self, tmp_path):
+        path = tmp_path / "direct_params.json"
+        path.write_text("{}")
+        with pytest.raises(SchemaError, match=f"{path}: missing key 'p_int'"):
+            DirectParams.load(path)

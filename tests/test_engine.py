@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fspm import (
     GrowthRules,
     HiddenParams,
     SimConfig,
+    TreeTopology,
     allocate,
     analytic_organ_count,
     build_topology,
@@ -25,7 +27,12 @@ from fspm import (
     simulate_factored,
     with_physio_ages,
 )
-from fspm.errors import UnsupportedRingMode, ValidationError, ZeroDemandWithBiomass
+from fspm.errors import (
+    InvalidTopology,
+    UnsupportedRingMode,
+    ValidationError,
+    ZeroDemandWithBiomass,
+)
 
 
 def assert_conserved(trace, hp, tol=1e-9):
@@ -395,6 +402,74 @@ class TestFactored:
         rules = GrowthRules(p_max=3, internodes_per_gu=2, branches_per_gu=2)
         trace = simulate_factored(hp, dp3, rules, 10)
         assert_conserved(trace, hp)
+
+
+def assert_same_trace(a, b):
+    """Every series, cohort and per-internode array equal, float for float."""
+    assert (a.tree_id, a.cycles) == (b.tree_id, b.cycles)
+    for name in ("q_funded", "q_prod", "demand", "leaf_surface", "ring_pool",
+                 "cum_internode_mass", "cum_blade_mass"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.cohorts == b.cohorts
+    assert list(a.organs.positions) == list(b.organs.positions)
+    for name in ("pa", "birth", "primary", "ring", "length_cm", "diameter_cm"):
+        assert np.array_equal(getattr(a.organs, name), getattr(b.organs, name)), name
+
+
+class TestCensusCache:
+    """simulate reads a census built once per topology."""
+
+    HP = HiddenParams(q0=6.0, rp=3.0, pc=0.3)
+
+    @pytest.fixture(params=["uniform", "pipe"])
+    def cfg(self, request):
+        return SimConfig(ring_mode=request.param)
+
+    @staticmethod
+    def fresh(t):
+        return TreeTopology(t.tree_id, t.age, t.axes)
+
+    @pytest.mark.parametrize("make", [uneven_topology, lambda: chain_topology(4, 2)])
+    def test_repeated_calls_identical(self, dp3, cfg, make):
+        t = make()
+        first = simulate(self.HP, dp3, t, cfg)
+        assert_same_trace(first, simulate(self.HP, dp3, t, cfg))
+        assert_same_trace(first, simulate(self.HP, dp3, self.fresh(t), cfg))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_truncated_after_full_matches_fresh(self, dp3, cfg, k):
+        t = uneven_topology()
+        simulate(self.HP, dp3, t, cfg)
+        assert_same_trace(simulate(self.HP, dp3, t, cfg, cycles=k),
+                          simulate(self.HP, dp3, self.fresh(t), cfg, cycles=k))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_full_after_truncated_matches_fresh(self, dp3, cfg, k):
+        t = uneven_topology()
+        short = simulate(self.HP, dp3, t, cfg, cycles=k)
+        assert short.cycles == k
+        assert all(birth <= k for _, birth in short.cohorts)
+        assert all(ca <= k for _, ca, _ in short.organs.positions)
+        assert_same_trace(simulate(self.HP, dp3, t, cfg),
+                          simulate(self.HP, dp3, self.fresh(t), cfg))
+
+    def test_mutating_positions_leaves_next_trace_alone(self, dp3):
+        t = uneven_topology()
+        first = simulate(self.HP, dp3, t)
+        expected = list(first.organs.positions)
+        first.organs.positions.reverse()
+        first.organs.positions.append(("X", 9, 9))
+        assert simulate(self.HP, dp3, t).organs.positions == expected
+        assert list(t.census.positions) == expected
+
+    def test_unclassified_topology_raises_every_call(self, dp3):
+        t = uneven_topology()
+        bare = TreeTopology(t.tree_id, t.age,
+                            {k: replace(a, pa=None) for k, a in t.axes.items()})
+        for _ in range(2):
+            with pytest.raises(InvalidTopology, match="classify first"):
+                simulate(self.HP, dp3, bare)
+        assert "census" not in vars(bare)
 
 
 class TestParameterValidation:
