@@ -38,7 +38,7 @@ from .engine import (
     simulate,
     simulate_factored,
 )
-from .errors import SchemaError, ValidationError
+from .errors import ValidationError, schema_errors
 from .export import (
     export_fit_csv,
     export_organs_csv,
@@ -97,7 +97,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_tree(path: str):
-    return tree_from_json(Path(path).read_text(encoding="utf-8"))
+    return tree_from_json(Path(path).read_text(encoding="utf-8"), str(path))
+
+
+def _load_pa_map(path: str) -> dict[str, int]:
+    return pa_map_from_json(Path(path).read_text(encoding="utf-8"), str(path))
 
 
 def _cmd_ingest(args) -> int:
@@ -145,7 +149,7 @@ def _cmd_estimate(args) -> int:
     leaves = []
     for tree_path, pa_path in zip(args.tree, args.pa_map):
         topology, ms = _load_tree(tree_path)
-        pa_map = pa_map_from_json(Path(pa_path).read_text(encoding="utf-8"))
+        pa_map = _load_pa_map(pa_path)
         trees.append((topology, pa_map))
         internodes.extend(ms.internodes)
         leaves.extend(ms.leaves)
@@ -170,16 +174,10 @@ def _sim_config(args) -> SimConfig:
 def _hidden_from_args(args) -> HiddenParams:
     if args.hidden:
         text = Path(args.hidden).read_text(encoding="utf-8")
-        try:
+        with schema_errors(args.hidden):
             doc = json.loads(text)
             tree_q0 = {tid: float(v) for tid, v in doc["q0"].items()}
             rp, pc = float(doc["rp"]), float(doc["pc"])
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{args.hidden}: not valid JSON ({exc})") from None
-        except KeyError as exc:
-            raise SchemaError(f"{args.hidden}: missing key {exc}") from None
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise SchemaError(f"{args.hidden}: {exc}") from None
         if args.q0 is not None:
             q0 = args.q0
         elif len(tree_q0) == 1:
@@ -196,7 +194,7 @@ def _hidden_from_args(args) -> HiddenParams:
 
 def _cmd_simulate(args) -> int:
     topology, _ = _load_tree(args.tree)
-    pa_map = pa_map_from_json(Path(args.pa_map).read_text(encoding="utf-8"))
+    pa_map = _load_pa_map(args.pa_map)
     classified = with_physio_ages(topology, pa_map)
     dp = DirectParams.load(args.params)
     hp = _hidden_from_args(args)
@@ -228,7 +226,7 @@ def _cmd_fit(args) -> int:
     targets = []
     for i, tree_path in enumerate(args.tree):
         topology, ms = _load_tree(tree_path)
-        pa_map = pa_map_from_json(Path(args.pa_map[i]).read_text(encoding="utf-8"))
+        pa_map = _load_pa_map(args.pa_map[i])
         classified = with_physio_ages(topology, pa_map)
         topologies.append(classified)
         if args.targets:
@@ -260,7 +258,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_export_skeleton(args) -> int:
     topology, _ = _load_tree(args.tree)
-    pa_map = pa_map_from_json(Path(args.pa_map).read_text(encoding="utf-8"))
+    pa_map = _load_pa_map(args.pa_map)
     classified = with_physio_ages(topology, pa_map)
     dp = DirectParams.load(args.params)
     hp = _hidden_from_args(args)

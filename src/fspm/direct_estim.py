@@ -21,7 +21,13 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateSpread, InsufficientData, SchemaError, ValidationError
+from .errors import (
+    DegenerateSpread,
+    InsufficientData,
+    InvalidParameter,
+    ValidationError,
+    schema_errors,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -48,14 +54,19 @@ class DirectParams:
     slw: float
 
     def __post_init__(self) -> None:
-        if self.slw <= 0:
-            raise ValueError(f"slw must be > 0, got {self.slw}")
+        def positive(name: str, value: float) -> None:
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidParameter(f"{name} must be > 0 and finite, got {value}")
+
+        positive("slw", self.slw)
         for pa, p in self.p_int.items():
-            if p <= 0:
-                raise ValueError(f"sink for PA {pa} must be > 0, got {p}")
-        for pa, (b, _) in self.allometry.items():
-            if b <= 0:
-                raise ValueError(f"allometry b for PA {pa} must be > 0, got {b}")
+            positive(f"sink for PA {pa}", p)
+        for pa, (b, beta) in self.allometry.items():
+            positive(f"allometry b for PA {pa}", b)
+            if not math.isfinite(beta):
+                raise InvalidParameter(
+                    f"allometry beta for PA {pa} must be finite, got {beta}"
+                )
 
     def sink(self, pa: int) -> float:
         try:
@@ -88,11 +99,8 @@ class DirectParams:
             SchemaError: the text is not JSON, lacks a key, or holds a value
                 of the wrong type or range.
         """
-        try:
+        with schema_errors(source):
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{source}: not valid JSON ({exc})") from None
-        try:
             return cls(
                 p_int={int(k): float(v) for k, v in doc["p_int"].items()},
                 allometry={
@@ -101,10 +109,6 @@ class DirectParams:
                 },
                 slw=float(doc["slw"]),
             )
-        except KeyError as exc:
-            raise SchemaError(f"{source}: missing key {exc}") from None
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise SchemaError(f"{source}: {exc}") from None
 
     @classmethod
     def load(cls, path: str | Path) -> "DirectParams":

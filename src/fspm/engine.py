@@ -23,7 +23,11 @@ come from one of two census sources:
 The pipe ring distribution is the only per-organ physics.  A cycle's ring
 pool depends only on pc and the number of functioning blades, never on how
 earlier pools were spread, so :func:`simulate` spreads each cycle's pool
-over the internodes after the recursion has run.
+over the internodes after the recursion has run.  Its weights are the
+functioning blades at or above each internode.  The topology numbers its
+internodes in pre-order once, so the internodes at or above any one form a
+contiguous range, and a cycle's weights are differences of one cumulative
+count: exact integers in O(internodes), with no walk of the tree.
 """
 from __future__ import annotations
 
@@ -442,6 +446,7 @@ def simulate(
 
     # Cohorts sort by birth first, so those born by cycle n keep their index.
     counts, positions, cohort = census.counts, census.positions, census.cohort
+    born = None
     if n < topology.age:
         born = np.array([ca for _, ca in census.keys])[cohort] <= n
         counts = {key: c for key, c in counts.items() if key[1] <= n}
@@ -466,7 +471,7 @@ def simulate(
         )
         return trace
 
-    ring = _PipeContext(topology, positions).spread(trace.ring_pool, birth, cfg)
+    ring = _PipeContext(topology, born).spread(trace.ring_pool, birth, cfg)
     geometry = np.array([
         internode_geometry(p, p + r, *dp.shape(a), cfg.rho)
         for p, r, a in zip(primary, ring, pa)
@@ -496,45 +501,27 @@ def simulate(
 class _PipeContext:
     """Pipe-model ring distribution over the internodes of one topology.
 
-    Weights are the distal functioning-blade counts per internode,
-    recomputed per cycle.
+    Weights are the functioning blades at or above each internode.  The
+    topology numbers its internodes in pre-order once
+    (:attr:`~fspm.topology.TreeTopology.subtree_ranges`), so each cycle's
+    weights are differences of one cumulative count: exact integers,
+    O(internodes) per cycle.
     """
 
-    def __init__(self, topology: TreeTopology, positions: list[tuple[str, int, int]]):
-        self.topology = topology
-        self.index_of = {pos: j for j, pos in enumerate(positions)}
-        self.n = len(positions)
+    def __init__(self, topology: TreeTopology, born: np.ndarray | None = None):
+        ranges = topology.subtree_ranges
+        self.ca = ranges.ca
+        self.start, self.stop = ranges.start, ranges.stop
+        if born is not None:  # the internodes a shortened run simulates
+            self.start, self.stop = self.start[born], self.stop[born]
+        self.n = len(self.start)
 
     def distal_functioning(self, cycle: int, t_f: int) -> np.ndarray:
         """Functioning blades at or above each internode at ``cycle``."""
-
-        def functioning(ca: int) -> bool:
-            return cycle - t_f < ca <= cycle
-
-        weights = np.zeros(self.n)
-
-        def visit(axis) -> int:
-            child_from_ca: dict[int, int] = {}
-            for child in self.topology.children_of(axis.id):
-                sub = visit(child)
-                child_from_ca[child.insertion_ca] = (
-                    child_from_ca.get(child.insertion_ca, 0) + sub
-                )
-            suffix = 0
-            child_acc = 0
-            for gu in reversed(axis.gus):
-                if gu.ca > cycle:
-                    child_acc += child_from_ca.pop(gu.ca, 0)
-                    continue
-                child_acc += child_from_ca.pop(gu.ca, 0)
-                own = 1 if functioning(gu.ca) else 0
-                for rank in range(gu.internode_count, 0, -1):
-                    suffix += own
-                    weights[self.index_of[(axis.id, gu.ca, rank)]] = suffix + child_acc
-            return suffix + child_acc
-
-        visit(self.topology.root)
-        return weights
+        functioning = (self.ca > cycle - t_f) & (self.ca <= cycle)
+        counts = np.zeros(len(functioning) + 1, dtype=int)
+        np.cumsum(functioning, out=counts[1:])
+        return counts[self.stop] - counts[self.start]
 
     def spread(self, pools: np.ndarray, birth: np.ndarray, cfg: SimConfig) -> np.ndarray:
         """Per-internode ring mass from each cycle's pool, weighted by

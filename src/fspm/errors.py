@@ -4,6 +4,11 @@
 to exit code 1 in the command line front end; runtime model failures derive
 from ``FspmError`` directly.
 """
+from __future__ import annotations
+
+import contextlib
+import json
+from typing import Iterator
 
 
 class FspmError(Exception):
@@ -43,7 +48,8 @@ class CycleOutOfRange(ValidationError):
 # -- ingest -----------------------------------------------------------------
 
 class SchemaError(ValidationError):
-    """Missing or malformed column in a measurement file."""
+    """Missing or malformed column in a measurement file, or a malformed
+    JSON document."""
 
 
 class UnitError(ValidationError):
@@ -110,3 +116,21 @@ class InfeasibleInit(ValidationError):
 
 class TreeMismatch(ValidationError):
     """Trace and target series belong to different trees."""
+
+
+@contextlib.contextmanager
+def schema_errors(source: str) -> Iterator[None]:
+    """Report a malformed JSON document as one SchemaError naming ``source``.
+
+    Covers invalid JSON, a missing key, and a value of the wrong type, form
+    or range (``TypeError``, ``ValueError``, ``AttributeError``,
+    ``InvalidParameter``).
+    """
+    try:
+        yield
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{source}: not valid JSON ({exc})") from None
+    except KeyError as exc:
+        raise SchemaError(f"{source}: missing key {exc}") from None
+    except (TypeError, ValueError, AttributeError, InvalidParameter) as exc:
+        raise SchemaError(f"{source}: {exc}") from None

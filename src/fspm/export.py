@@ -86,14 +86,23 @@ class Segment:
     radius_cm: float
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product of two 3-vectors, term for term as ``np.cross`` forms it."""
+    return np.array([
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    ])
+
+
 def _basis(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two unit vectors orthogonal to ``direction``."""
     ref = np.array([0.0, 0.0, 1.0])
     if abs(float(direction @ ref)) > 0.99:
         ref = np.array([1.0, 0.0, 0.0])
-    u = np.cross(direction, ref)
+    u = _cross(direction, ref)
     u /= np.linalg.norm(u)
-    v = np.cross(direction, u)
+    v = _cross(direction, u)
     return u, v
 
 
@@ -104,15 +113,15 @@ def build_skeleton(
 
     The root axis grows vertically from the origin; each branch tilts a
     fixed angle off its parent's direction at an azimuth that advances by
-    the golden angle per insertion, plus seeded jitter.
+    the golden angle per insertion, plus seeded jitter.  An axis's segment
+    ends are one running sum of its internode vectors from its start.
     """
     if trace.organs is None:
         raise ValidationError("skeleton export needs an explicit-mode trace")
 
-    geo = {
-        pos: (float(trace.organs.length_cm[j]), float(trace.organs.diameter_cm[j]))
-        for j, pos in enumerate(trace.organs.positions)
-    }
+    organs = trace.organs
+    geo = dict(zip(organs.positions,
+                   zip(organs.length_cm.tolist(), organs.diameter_cm.tolist())))
     rng = np.random.default_rng(seed)
     segments: list[Segment] = []
     seg_id_of: dict[tuple[str, int, int], int] = {}
@@ -124,15 +133,15 @@ def build_skeleton(
         order.extend(topology.children_of(axis.id))
 
     axis_dir: dict[str, np.ndarray] = {}
-    axis_start: dict[str, np.ndarray] = {}
     for axis in order:
         if (axis.id, axis.first_ca, 1) not in geo or (
             not axis.is_root and axis.parent_id not in axis_dir
         ):
             continue  # beyond the simulated horizon
         if axis.is_root:
-            axis_dir[axis.id] = np.array([0.0, 0.0, 1.0])
-            axis_start[axis.id] = np.zeros(3)
+            direction = np.array([0.0, 0.0, 1.0])
+            start = np.zeros(3)
+            parent_seg = None
         else:
             parent_dir = axis_dir[axis.parent_id]
             azimuth = math.radians(
@@ -145,42 +154,31 @@ def build_skeleton(
                 math.cos(tilt) * parent_dir
                 + math.sin(tilt) * (math.cos(azimuth) * u + math.sin(azimuth) * v)
             )
-            axis_dir[axis.id] = direction / np.linalg.norm(direction)
+            direction = direction / np.linalg.norm(direction)
             bearing = topology.axes[axis.parent_id].gu_at(axis.insertion_ca)
-            anchor_key = (axis.parent_id, axis.insertion_ca, bearing.internode_count)
-            anchor = segments[seg_id_of[anchor_key] - 1]
-            axis_start[axis.id] = np.asarray(anchor.end)
+            parent_seg = seg_id_of[
+                (axis.parent_id, axis.insertion_ca, bearing.internode_count)
+            ]
+            start = np.asarray(segments[parent_seg - 1].end)
+        axis_dir[axis.id] = direction
 
-        pos = axis_start[axis.id].copy()
-        prev_key: tuple[str, int, int] | None = None
-        for gu in axis.gus:
-            for rank in range(1, gu.internode_count + 1):
-                key = (axis.id, gu.ca, rank)
-                if key not in geo:
-                    continue
-                length, diameter = geo[key]
-                end = pos + axis_dir[axis.id] * length
-                if prev_key is not None:
-                    parent_seg = seg_id_of[prev_key]
-                elif axis.is_root:
-                    parent_seg = None
-                else:
-                    bearing = topology.axes[axis.parent_id].gu_at(axis.insertion_ca)
-                    parent_seg = seg_id_of[
-                        (axis.parent_id, axis.insertion_ca, bearing.internode_count)
-                    ]
-                segments.append(
-                    Segment(
-                        segment_id=len(segments) + 1,
-                        parent_id=parent_seg,
-                        start=(float(pos[0]), float(pos[1]), float(pos[2])),
-                        end=(float(end[0]), float(end[1]), float(end[2])),
-                        radius_cm=diameter / 2.0,
-                    )
+        keys = [(axis.id, gu.ca, rank)
+                for gu in axis.gus for rank in range(1, gu.internode_count + 1)]
+        keys = [key for key in keys if key in geo]
+        lengths = np.array([geo[key][0] for key in keys])
+        ends = np.cumsum(np.vstack([start, lengths[:, None] * direction]), axis=0)
+        points = [tuple(p) for p in ends.tolist()]
+        for key, a, b in zip(keys, points, points[1:]):
+            segments.append(
+                Segment(
+                    segment_id=len(segments) + 1,
+                    parent_id=parent_seg,
+                    start=a,
+                    end=b,
+                    radius_cm=geo[key][1] / 2.0,
                 )
-                seg_id_of[key] = len(segments)
-                prev_key = key
-                pos = end
+            )
+            parent_seg = seg_id_of[key] = len(segments)
 
     return segments
 

@@ -27,6 +27,7 @@ from .errors import (
     SchemaError,
     UnitError,
     ValidationError,
+    schema_errors,
 )
 from .topology import AxisRecord, GURecord, TreeTopology, build_topology
 
@@ -292,18 +293,25 @@ class TargetSeries:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "TargetSeries":
-        doc = json.loads(text)
-        entries = {}
-        for key, val in doc["entries"].items():
-            pa, ca = key.split(",")
-            entries[(int(pa), int(ca))] = TargetEntry(**val)
-        cumulated = {int(k): CumEntry(**v) for k, v in doc["cumulated"].items()}
-        return cls(tree_id=doc["tree_id"], entries=entries, cumulated=cumulated)
+    def from_json(cls, text: str, source: str = "targets") -> "TargetSeries":
+        """Parse :meth:`to_json` output; ``source`` names the input in errors.
+
+        Raises:
+            SchemaError: the text is not JSON, lacks a key, or holds a value
+                of the wrong type.
+        """
+        with schema_errors(source):
+            doc = json.loads(text)
+            entries = {}
+            for key, val in doc["entries"].items():
+                pa, ca = key.split(",")
+                entries[(int(pa), int(ca))] = TargetEntry(**val)
+            cumulated = {int(k): CumEntry(**v) for k, v in doc["cumulated"].items()}
+            return cls(tree_id=doc["tree_id"], entries=entries, cumulated=cumulated)
 
     @classmethod
     def load(cls, path: str | Path) -> "TargetSeries":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        return cls.from_json(Path(path).read_text(encoding="utf-8"), str(path))
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -491,25 +499,35 @@ def tree_to_json(topology: TreeTopology, ms: MeasurementSet) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def tree_from_json(text: str) -> tuple[TreeTopology, MeasurementSet]:
-    doc = json.loads(text)
-    tree_id = doc["tree_id"]
-    axes = []
-    gus = []
-    for ax in doc["axes"]:
-        axes.append(AxisRecord(tree_id, ax["axis_id"], ax["parent_axis_id"], ax["insertion_ca"]))
-        for gu in ax["gus"]:
-            gus.append(GURecord(tree_id, ax["axis_id"], gu["ca"],
-                                gu["internode_count"], gu["leaf_scar_count"]))
-    internodes = [
-        InternodeRecord(tree_id, r["axis_id"], r["gu_ca"], r["rank_in_gu"],
-                        r["fresh_weight_g"], r["length_cm"], r["diameter_mm"])
-        for r in doc["measurements"]["internodes"]
-    ]
-    leaves = [
-        LeafRecord(tree_id, r["axis_id"], r["gu_ca"], r["sample_index"],
-                   r["fresh_weight_g"], r["area_cm2"])
-        for r in doc["measurements"]["leaves"]
-    ]
-    ms = MeasurementSet(axes=axes, gus=gus, internodes=internodes, leaves=leaves)
-    return ms.topology(), ms
+def tree_from_json(
+    text: str, source: str = "tree document"
+) -> tuple[TreeTopology, MeasurementSet]:
+    """Parse :func:`tree_to_json` output; ``source`` names the input in errors.
+
+    Raises:
+        SchemaError: the text is not JSON, lacks a key, or holds a value of
+            the wrong type.
+        ValidationError: the rows do not form a valid tree.
+    """
+    with schema_errors(source):
+        doc = json.loads(text)
+        tree_id = doc["tree_id"]
+        axes = []
+        gus = []
+        for ax in doc["axes"]:
+            axes.append(AxisRecord(tree_id, ax["axis_id"], ax["parent_axis_id"], ax["insertion_ca"]))
+            for gu in ax["gus"]:
+                gus.append(GURecord(tree_id, ax["axis_id"], gu["ca"],
+                                    gu["internode_count"], gu["leaf_scar_count"]))
+        internodes = [
+            InternodeRecord(tree_id, r["axis_id"], r["gu_ca"], r["rank_in_gu"],
+                            r["fresh_weight_g"], r["length_cm"], r["diameter_mm"])
+            for r in doc["measurements"]["internodes"]
+        ]
+        leaves = [
+            LeafRecord(tree_id, r["axis_id"], r["gu_ca"], r["sample_index"],
+                       r["fresh_weight_g"], r["area_cm2"])
+            for r in doc["measurements"]["leaves"]
+        ]
+        ms = MeasurementSet(axes=axes, gus=gus, internodes=internodes, leaves=leaves)
+        return ms.topology(), ms

@@ -14,7 +14,15 @@ import logging
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import KTooLarge, MainAxisNotHeaviest, NoTerminalData, ValidationError
+import numpy as np
+
+from .errors import (
+    KTooLarge,
+    MainAxisNotHeaviest,
+    NoTerminalData,
+    ValidationError,
+    schema_errors,
+)
 from .topology import TreeTopology
 
 logger = logging.getLogger(__name__)
@@ -69,7 +77,15 @@ def cluster_1d(
 
     Accepts a mapping id -> weight or a plain sequence (ids are positions).
     Ties between equally optimal partitions break toward the smallest
-    leading cluster.  Requires k <= number of distinct values.
+    leading cluster.  Requires finite values and k <= number of distinct
+    values.
+
+    The exact O(k * n^2) dynamic program of Ckmeans.1d.dp (Wang & Song
+    2011) over suffixes of the sorted values: each (clusters, start) cell
+    takes the minimum over every end of its leading cluster.  One array
+    expression covers all ends of a cell, with the float operations of a
+    scalar loop in the same order, so ties resolve exactly as they would
+    cell by cell.
     """
     if isinstance(values, Mapping):
         items = sorted(values.items(), key=lambda kv: (kv[1], str(kv[0])))
@@ -81,43 +97,39 @@ def cluster_1d(
     if k < 1:
         raise KTooLarge(f"k must be >= 1, got {k}")
     xs = [w for _, w in items]
+    x = np.asarray(xs, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValidationError("values to cluster must be finite")
     if k > len(set(xs)):
         raise KTooLarge(f"k={k} exceeds {len(set(xs))} distinct values")
 
-    # Prefix sums make interval costs O(1) inside the DP.
-    ps = [0.0] * (n + 1)
-    pq = [0.0] * (n + 1)
-    for i, x in enumerate(xs):
-        ps[i + 1] = ps[i] + x
-        pq[i + 1] = pq[i] + x * x
+    # Prefix sums make interval costs O(1); cumsum adds in sequence from 0.0.
+    ps = np.cumsum(np.concatenate(([0.0], x)))
+    pq = np.cumsum(np.concatenate(([0.0], x * x)))
+    sizes = np.arange(1, n + 1)
+    # suffix[j, i]: optimal cost of splitting xs[i:] into j clusters.
+    suffix = np.full((k + 1, n + 1), np.inf)
+    suffix[0, n] = 0.0
 
-    def cost(i: int, j: int) -> float:
-        s = ps[j + 1] - ps[i]
-        m = j - i + 1
-        return pq[j + 1] - pq[i] - s * s / m
+    def split_costs(j: int, i: int) -> np.ndarray:
+        """Cost of xs[i:end+1] plus the best j-1 clusters after it, for every
+        feasible end = i..n-j."""
+        stop = n - j + 2
+        s = ps[i + 1 : stop] - ps[i]
+        cost = pq[i + 1 : stop] - pq[i] - s * s / sizes[: stop - i - 1]
+        return cost + suffix[j - 1, i + 1 : stop]
 
-    inf = float("inf")
-    # suffix[j][i]: optimal cost of splitting xs[i:] into j clusters.
-    suffix = [[inf] * (n + 1) for _ in range(k + 1)]
-    suffix[0][n] = 0.0
     for j in range(1, k + 1):
-        for i in range(n - j, -1, -1):
-            best = inf
-            for end in range(i, n - j + 1):
-                c = cost(i, end) + suffix[j - 1][end + 1]
-                if c < best:
-                    best = c
-            suffix[j][i] = best
+        for i in range(n - j + 1):
+            suffix[j, i] = split_costs(j, i).min()
 
     # Walk forward taking the shortest leading cluster that stays optimal.
     segments: list[tuple[int, int]] = []
     i = 0
     for j in range(k, 0, -1):
-        for end in range(i, n - j + 1):
-            if cost(i, end) + suffix[j - 1][end + 1] == suffix[j][i]:
-                segments.append((i, end))
-                i = end + 1
-                break
+        end = i + int(np.argmax(split_costs(j, i) == suffix[j, i]))
+        segments.append((i, end))
+        i = end + 1
 
     assignments = {}
     means = []
@@ -189,5 +201,7 @@ def pa_map_to_json(pa_map: Mapping[str, int]) -> str:
     return json.dumps(dict(sorted(pa_map.items())), indent=2) + "\n"
 
 
-def pa_map_from_json(text: str) -> dict[str, int]:
-    return {str(k): int(v) for k, v in json.loads(text).items()}
+def pa_map_from_json(text: str, source: str = "PA map") -> dict[str, int]:
+    """Parse :func:`pa_map_to_json` output; SchemaError names ``source``."""
+    with schema_errors(source):
+        return {str(k): int(v) for k, v in json.loads(text).items()}

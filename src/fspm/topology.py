@@ -120,6 +120,23 @@ class Census(NamedTuple):
     cohort: np.ndarray
 
 
+class SubtreeRanges(NamedTuple):
+    """The internodes at or above each internode, as ranges of a pre-order.
+
+    Internodes form a tree: each carries the next one up its axis, and the
+    top internode of a GU also carries the first internode of every axis
+    the GU bears.  Numbered in pre-order, the internodes at or above one
+    internode (itself, the rest of its axis and every axis borne from its
+    GU upward) are the range ``start[j]:stop[j]``, where j indexes
+    internodes in :attr:`TreeTopology.census` position order.  ``ca`` gives
+    the GU cycle of each internode in pre-order.  All arrays are read-only.
+    """
+
+    ca: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+
+
 @dataclass(frozen=True)
 class TreeTopology:
     """Validated whole-tree structure, axes keyed by id in canonical order."""
@@ -185,6 +202,42 @@ class TreeTopology:
         return Census(keys=keys, counts=MappingProxyType(counts),
                       positions=tuple(positions), cohort=cohort)
 
+    @cached_property
+    def subtree_ranges(self) -> SubtreeRanges:
+        """Pre-order ranges of the internodes above each one, built once."""
+        first: dict[str, int] = {}
+        size = 0
+        for axis in self.axes_sorted():
+            first[axis.id] = size
+            size += sum(gu.internode_count for gu in axis.gus)
+        ca: list[int] = []
+        start = np.empty(size, dtype=np.intp)
+        stop = np.empty(size, dtype=np.intp)
+
+        def visit(axis: Axis) -> None:
+            base, top = first[axis.id], len(ca)
+            for gu in axis.gus:
+                ca.extend([gu.ca] * gu.internode_count)
+            length = len(ca) - top
+            start[base : base + length] = np.arange(top, top + length)
+            # Borne axes follow the axis, highest insertion first, so the
+            # axes borne from any GU upward end where the lower ones begin.
+            stop_at: dict[int, int] = {}
+            for child in sorted(self.children_of(axis.id), key=lambda c: -c.insertion_ca):
+                visit(child)
+                stop_at[child.insertion_ca] = len(ca)
+            end, j = top + length, base + length
+            for gu in reversed(axis.gus):
+                end = stop_at.get(gu.ca, end)
+                stop[j - gu.internode_count : j] = end
+                j -= gu.internode_count
+
+        visit(self.root)
+        ranges = SubtreeRanges(ca=np.array(ca, dtype=int), start=start, stop=stop)
+        for array in ranges:
+            array.flags.writeable = False
+        return ranges
+
 
 def build_topology(
     axis_records: Sequence[AxisRecord], gu_records: Sequence[GURecord]
@@ -249,6 +302,14 @@ def build_topology(
             )
         gus_by_axis[rec.axis_id].append(rec)
 
+    # Axes borne by each (axis, GU cycle), recorded on the bearing GU.
+    borne: dict[tuple[str, int], tuple[str, ...]] = {}
+    for axis_id in sorted(by_id):
+        rec = by_id[axis_id]
+        if rec.parent_axis_id is not None:
+            key = (rec.parent_axis_id, rec.insertion_ca)
+            borne[key] = borne.get(key, ()) + (axis_id,)
+
     axes: dict[str, Axis] = {}
     for axis_id in sorted(by_id):
         rec = by_id[axis_id]
@@ -272,7 +333,8 @@ def build_topology(
                 )
         gus = tuple(
             GrowthUnit(ca=g.gu_ca, internode_count=g.internode_count,
-                       leaf_scar_count=g.leaf_scar_count)
+                       leaf_scar_count=g.leaf_scar_count,
+                       borne_axis_ids=borne.get((axis_id, g.gu_ca), ()))
             for g in rows
         )
         axes[axis_id] = Axis(
@@ -300,18 +362,6 @@ def build_topology(
                 f"axis {axis.id!r}: first GU ca {axis.first_ca} not at insertion "
                 f"ca {axis.insertion_ca} or one cycle later"
             )
-
-    # Record borne axes on their bearing GU.
-    children: dict[tuple[str, int], list[str]] = {}
-    for axis in axes.values():
-        if not axis.is_root:
-            children.setdefault((axis.parent_id, axis.insertion_ca), []).append(axis.id)
-    for axis_id, axis in axes.items():
-        new_gus = tuple(
-            replace(gu, borne_axis_ids=tuple(sorted(children.get((axis_id, gu.ca), ()))))
-            for gu in axis.gus
-        )
-        axes[axis_id] = replace(axis, gus=new_gus)
 
     age = max(axis.last_ca for axis in axes.values())
     return TreeTopology(tree_id=tree_id, age=age, axes=axes)

@@ -285,6 +285,37 @@ class TestBadInputFiles:
         assert message in err
         assert not (tmp_path / "sim").exists()
 
+    def test_nan_slw_in_params_file(self, grove_pipeline, tmp_path, capsys):
+        _, _, params = grove_pipeline
+        bad = tmp_path / "direct_params.json"
+        bad.write_text(json.dumps({**json.loads(params.read_text()), "slw": float("nan")}))
+        err = self.one_error_line(capsys, self.simulate_args(grove_pipeline, tmp_path, bad))
+        assert err == f"fspm simulate: {bad}: slw must be > 0 and finite, got nan"
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("which, mangle, message", [
+        *[(which, lambda text: text[:200], "not valid JSON")
+          for which in ("tree", "pa_map", "targets")],
+        ("tree", lambda text: "{}", "missing key 'tree_id'"),
+        ("targets", lambda text: "{}", "missing key 'entries'"),
+        ("tree", lambda text: "[]", "list indices"),
+        ("targets", lambda text: "[]", "list indices"),
+        ("pa_map", lambda text: "[]", "'list' object has no attribute 'items'"),
+        ("pa_map", lambda text: '{"a000001": "main"}', "invalid literal"),
+    ])
+    def test_bad_json_input(self, grove_pipeline, tmp_path, capsys, which, mangle, message):
+        _, trees, params = grove_pipeline
+        files = dict(zip(("tree", "pa_map", "targets"), trees["P2"]))
+        bad = tmp_path / files[which].name
+        bad.write_text(mangle(files[which].read_text()))
+        files[which] = bad
+        argv = ["simulate", "--tree", files["tree"], "--pa-map", files["pa_map"],
+                "--params", params, "--q0", 12.0, "--rp", 6.4, "--pc", 0.14,
+                "--targets", files["targets"], "--out", tmp_path / "sim"]
+        err = self.one_error_line(capsys, argv)
+        assert err.startswith(f"fspm simulate: {bad}: {message}")
+        assert not (tmp_path / "sim" / "run_manifest.json").exists()
+
     @pytest.mark.parametrize("flag, value, name", [
         ("--seed", -1, "seed"), ("--n-starts", -1, "n_starts"),
     ])

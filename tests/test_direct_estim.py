@@ -12,7 +12,7 @@ from fspm import (
     fit_allometry,
     fit_sink_ratio,
 )
-from fspm.errors import DegenerateSpread, InsufficientData, SchemaError
+from fspm.errors import DegenerateSpread, InsufficientData, InvalidParameter, SchemaError
 
 
 def leaf(weight, area, axis="A", ca=1, idx=1):
@@ -194,6 +194,27 @@ class TestEstimateDirectParams:
     ])
     def test_malformed_json_raises_schema_error(self, text, message):
         with pytest.raises(SchemaError, match=message):
+            DirectParams.from_json(text, "dp.json")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, 0.0])
+    @pytest.mark.parametrize("field, make", [
+        ("slw", lambda v: dict(slw=v)),
+        ("sink for PA 1", lambda v: dict(p_int={1: v})),
+        ("allometry b for PA 1", lambda v: dict(allometry={1: (v, 0.3)})),
+    ])
+    def test_non_finite_or_non_positive_rejected(self, field, make, bad):
+        kwargs = dict(p_int={1: 0.5}, allometry={1: (5.0, 0.3)}, slw=0.03)
+        with pytest.raises(InvalidParameter, match=f"{field} must be > 0 and finite"):
+            DirectParams(**{**kwargs, **make(bad)})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_beta_rejected(self, bad):
+        with pytest.raises(InvalidParameter, match="beta for PA 2 must be finite"):
+            DirectParams(p_int={}, allometry={2: (5.0, bad)}, slw=0.03)
+
+    def test_nan_slw_in_file_raises_schema_error(self):
+        text = '{"p_int": {"1": 0.5}, "allometry": {"1": {"b": 5.0, "beta": 0.3}}, "slw": NaN}'
+        with pytest.raises(SchemaError, match="dp.json: slw must be > 0 and finite, got nan"):
             DirectParams.from_json(text, "dp.json")
 
     def test_load_names_the_file(self, tmp_path):

@@ -27,6 +27,7 @@ from fspm import (
     simulate_factored,
     with_physio_ages,
 )
+from fspm.engine import _PipeContext
 from fspm.errors import (
     InvalidTopology,
     UnsupportedRingMode,
@@ -76,6 +77,65 @@ def uneven_topology():
     gus += [GURecord("U", "A4", 2, 2)]
     t = build_topology(axes, gus)
     return with_physio_ages(t, {"A1": 1, "A2": 2, "A3": 3, "A4": 2})
+
+
+@st.composite
+def uneven_trees(draw):
+    """Classified trees with uneven structure, up to about 20 axes.
+
+    The root's first GU bears a PA2 axis that starts that same cycle and
+    runs to the last one, and a sibling that starts a cycle later and stops
+    early.  Every GU of a PA1 or PA2 axis may bear up to two more axes of
+    the next PA, each starting at its insertion cycle or one later and
+    stopping at a drawn cycle, so sibling subtrees reach different depths.
+    """
+    age = draw(st.integers(3, 6))
+    axes, gus, pa_map, queue = [], [], {}, []
+
+    def add(parent, insertion, first, last, pa):
+        axis_id = f"x{len(axes):02d}"
+        axes.append(AxisRecord("H", axis_id, parent, insertion))
+        pa_map[axis_id] = pa
+        queue.append((axis_id, first, last, pa))
+
+    add(None, None, 1, age, 1)
+    add("x00", 1, 1, age, 2)
+    add("x00", 1, 2, draw(st.integers(2, age - 1)), 2)
+    for axis_id, first, last, pa in queue:  # grows while it is walked
+        for ca in range(first, last + 1):
+            gus.append(GURecord("H", axis_id, ca, draw(st.integers(1, 3))))
+            room = 2 if pa < 3 and len(axes) < 20 else 0
+            for _ in range(draw(st.integers(0, room))):
+                start = draw(st.integers(ca, min(ca + 1, age)))
+                add(axis_id, ca, start, draw(st.integers(start, age)), pa + 1)
+    return with_physio_ages(build_topology(axes, gus), pa_map)
+
+
+def recursive_distal_functioning(topology, positions, cycle, t_f):
+    """Independent oracle: functioning blades at or above each internode,
+    by a recursive walk of the axes (the pipe weights' former form)."""
+    index_of = {pos: j for j, pos in enumerate(positions)}
+    weights = np.zeros(len(positions))
+
+    def visit(axis):
+        from_child = {}
+        for child in topology.children_of(axis.id):
+            from_child[child.insertion_ca] = (
+                from_child.get(child.insertion_ca, 0) + visit(child)
+            )
+        above = 0
+        for gu in reversed(axis.gus):
+            above += from_child.pop(gu.ca, 0)
+            if gu.ca > cycle:
+                continue
+            own = 1 if cycle - t_f < gu.ca <= cycle else 0
+            for rank in range(gu.internode_count, 0, -1):
+                above += own
+                weights[index_of[(axis.id, gu.ca, rank)]] = above
+        return above
+
+    visit(topology.root)
+    return weights
 
 
 @pytest.fixture
@@ -546,3 +606,43 @@ class TestUnevenTree:
         assert ring[("A1", 1, 2)] == pytest.approx(pool * 5 / 11, rel=1e-12)
         assert ring[("A2", 1, 1)] == pytest.approx(pool * 1 / 11, rel=1e-12)
         assert sum(ring.values()) == pytest.approx(pool, rel=1e-12)
+
+
+class TestUnevenTreeProperties:
+    """Pipe weights and conservation on drawn uneven trees."""
+
+    DP = DirectParams(
+        p_int={1: 0.561, 2: 0.726, 3: 0.858},
+        allometry={1: (5.0, 0.3), 2: (7.0, 0.35), 3: (9.0, 0.4)},
+        slw=0.0287,
+    )
+
+    @given(uneven_trees(), st.integers(1, 3))
+    def test_subtree_range_weights_equal_recursive_walk(self, t, t_f):
+        positions = t.census.positions
+        births = np.array([ca for _, ca, _ in positions])
+        for n in range(1, t.age + 1):  # full and shortened runs
+            born = None if n == t.age else births <= n
+            context = _PipeContext(t, born)
+            kept = [pos for pos, b in zip(positions, births) if b <= n]
+            for cycle in range(1, n + 1):
+                expected = recursive_distal_functioning(t, kept, cycle, t_f)
+                got = context.distal_functioning(cycle, t_f)
+                assert np.array_equal(got, expected)
+
+    @given(uneven_trees(), st.sampled_from(["uniform", "pipe"]), st.integers(1, 2))
+    def test_conservation_in_both_ring_modes(self, t, mode, t_f):
+        hp = HiddenParams(q0=6.0, rp=3.0, pc=0.3)
+        trace = simulate(hp, self.DP, t, SimConfig(ring_mode=mode, t_f=t_f))
+        assert_conserved(trace, hp, tol=1e-9)
+        assert trace.organs.ring.sum() == pytest.approx(trace.ring_pool.sum(), rel=1e-9)
+
+    @given(uneven_trees())
+    def test_uniform_organs_equal_their_cohort(self, t):
+        trace = simulate(HiddenParams(q0=6.0, rp=3.0, pc=0.3), self.DP, t)
+        organs = trace.organs
+        for j, key in enumerate(zip(organs.pa.tolist(), organs.birth.tolist())):
+            cohort = trace.cohorts[key]
+            assert organs.primary[j] == cohort.internode_primary
+            assert organs.ring[j] == cohort.internode_ring
+            assert organs.diameter_cm[j] == cohort.diameter_cm

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 
+import numpy as np
 import pytest
 
 from fspm import (
@@ -17,7 +18,7 @@ from fspm import (
     targets_from_trace,
 )
 from fspm.errors import TreeMismatch
-from fspm.export import build_skeleton
+from fspm.export import _cross, build_skeleton
 
 
 @pytest.fixture
@@ -122,6 +123,19 @@ class TestSkeleton:
         for row in rows:  # every numeric field must parse as a plain float
             for col in ("x0", "y0", "z0", "x1", "y1", "z1", "radius_cm"):
                 float(row[col])
+
+    def test_cross_bitwise_equals_numpy(self):
+        rng = np.random.default_rng(11)
+        for a, b in rng.normal(size=(500, 2, 3)) * rng.lognormal(size=(500, 2, 1)):
+            assert _cross(a, b).tobytes() == np.cross(a, b).tobytes()
+
+    def test_shortened_trace_skips_unborn_internodes(self, run, dp3, hp_default):
+        t, _ = run
+        trace = simulate(hp_default, dp3, t, cycles=2)
+        segments = build_skeleton(trace, t, seed=5)
+        assert len(segments) == len(trace.organs)
+        for seg in segments:
+            assert seg.parent_id is None or seg.parent_id < seg.segment_id
 
     def test_deterministic_under_seed(self, run):
         t, trace = run

@@ -213,6 +213,20 @@ class TestBuildTargetSeries:
         again = TargetSeries.from_json(ts.to_json())
         assert again == ts
 
+    @pytest.mark.parametrize("cut, message", [
+        (lambda text: text[:40], "not valid JSON"),
+        (lambda text: text.replace('"cumulated"', '"cum"'), "missing key 'cumulated'"),
+        (lambda text: text.replace('"n_internodes"', '"count"'), ".*unexpected keyword"),
+    ])
+    def test_malformed_json_names_the_file(self, tmp_path, cut, message):
+        topo, ms = simple_tree([1.0, 2.0])
+        path = tmp_path / "targets.json"
+        path.write_text(cut(build_target_series(ms, topo, {"A": 1}).to_json()))
+        with pytest.raises(SchemaError, match=f"^{path}: {message}"):
+            TargetSeries.load(path)
+        with pytest.raises(SchemaError, match=f"^targets: {message}"):
+            TargetSeries.from_json(path.read_text())
+
 
 class TestSingleFixtureHandValues:
     """The committed single-tree fixture against hand-computed aggregates."""
@@ -266,3 +280,16 @@ class TestTreeJson:
         assert ms2.internodes == ms.internodes
         assert ms2.leaves == ms.leaves
         assert tree_to_json(topo2, ms2) == text
+
+    @pytest.mark.parametrize("cut, message", [
+        (lambda text: text[: len(text) // 2], "not valid JSON"),
+        (lambda text: text.replace('"measurements"', '"rows"'), "missing key 'measurements'"),
+        (lambda text: text.replace('"ca": 1', '"ca": "1"', 1), "'<' not supported"),
+    ])
+    def test_malformed_json_names_the_source(self, cut, message):
+        d = DATA / "single"
+        ms = parse_measurements(d / "axes.csv", d / "gus.csv",
+                                d / "internodes.csv", d / "leaves.csv")
+        text = cut(tree_to_json(ms.topology(), ms))
+        with pytest.raises(SchemaError, match=f"^tree.json: {message}"):
+            tree_from_json(text, "tree.json")

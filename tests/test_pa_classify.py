@@ -13,7 +13,7 @@ from fspm import (
     cluster_1d,
     top_internode_weight,
 )
-from fspm.errors import KTooLarge, MainAxisNotHeaviest, NoTerminalData
+from fspm.errors import KTooLarge, MainAxisNotHeaviest, NoTerminalData, ValidationError
 
 
 def brute_force_wcss(values, k):
@@ -29,6 +29,67 @@ def brute_force_wcss(values, k):
             cost += sum((x - mean) ** 2 for x in seg)
         best = min(best, cost)
     return best
+
+
+def scalar_dp_partition(values, k):
+    """Independent oracle: the O(k*n^2) suffix DP in scalar Python.
+
+    The cell-by-cell form cluster_1d computed before its rows became array
+    expressions; the tie rule and the order of every float operation are the
+    same, so the two must agree exactly.
+    """
+    items = sorted(enumerate(values), key=lambda kv: (kv[1], kv[0]))
+    n = len(items)
+    xs = [w for _, w in items]
+    ps = [0.0] * (n + 1)
+    pq = [0.0] * (n + 1)
+    for i, x in enumerate(xs):
+        ps[i + 1] = ps[i] + x
+        pq[i + 1] = pq[i] + x * x
+
+    def cost(i, j):
+        s = ps[j + 1] - ps[i]
+        return pq[j + 1] - pq[i] - s * s / (j - i + 1)
+
+    inf = float("inf")
+    suffix = [[inf] * (n + 1) for _ in range(k + 1)]
+    suffix[0][n] = 0.0
+    for j in range(1, k + 1):
+        for i in range(n - j, -1, -1):
+            best = inf
+            for end in range(i, n - j + 1):
+                c = cost(i, end) + suffix[j - 1][end + 1]
+                if c < best:
+                    best = c
+            suffix[j][i] = best
+    segments = []
+    i = 0
+    for j in range(k, 0, -1):
+        for end in range(i, n - j + 1):
+            if cost(i, end) + suffix[j - 1][end + 1] == suffix[j][i]:
+                segments.append((i, end))
+                i = end + 1
+                break
+    assignments, means, boundaries, wcss = {}, [], [], 0.0
+    for c, (lo, hi) in enumerate(segments):
+        seg = xs[lo : hi + 1]
+        for key, _ in items[lo : hi + 1]:
+            assignments[key] = c
+        mean = sum(seg) / len(seg)
+        means.append(mean)
+        wcss += sum((x - mean) ** 2 for x in seg)
+        if c + 1 < len(segments):
+            boundaries.append((xs[hi] + xs[hi + 1]) / 2.0)
+    return assignments, tuple(boundaries), tuple(means), wcss
+
+
+def assert_same_partition(values, k):
+    part = cluster_1d(values, k)
+    assignments, boundaries, means, wcss = scalar_dp_partition(values, k)
+    assert part.assignments == assignments
+    assert part.boundaries == boundaries
+    assert part.means == means
+    assert part.wcss == wcss
 
 
 def internode(axis_id, ca, rank, weight):
@@ -122,6 +183,30 @@ class TestCluster1D:
             xs = [rng.uniform(0.1, 10.0) for _ in range(n)]
             for k in range(1, min(4, n) + 1):
                 assert cluster_1d(xs, k).wcss == brute_force_wcss(xs, k)
+
+    def test_equals_scalar_dp_on_tied_integers(self):
+        # Integers, and integers times 0.1, whose float sums make near-ties
+        # that any change in the order of operations decides differently.
+        import random
+
+        rng = random.Random(7)
+        for _ in range(400):
+            n = rng.randint(1, 40)
+            top, scale = rng.choice((3, 8, 40)), rng.choice((1, 0.1))
+            xs = [rng.randint(0, top) * scale for _ in range(n)]
+            assert_same_partition(xs, rng.randint(1, min(6, len(set(xs)))))
+
+    def test_equals_scalar_dp_at_measured_scale(self):
+        import random
+
+        rng = random.Random(835)
+        xs = [rng.lognormvariate(0.0, 1.0) for _ in range(835)]
+        assert_same_partition(xs, 4)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            cluster_1d([1.0, bad, 3.0], 2)
 
     @given(
         st.lists(st.floats(0.01, 100.0), min_size=2, max_size=10, unique=True),

@@ -126,7 +126,22 @@ class TestBuildTopology:
             shuffled_gus = gus[:]
             rng.shuffle(shuffled_axes)
             rng.shuffle(shuffled_gus)
-            assert build_topology(shuffled_axes, shuffled_gus) == reference
+            again = build_topology(shuffled_axes, shuffled_gus)
+            assert again == reference
+            assert again.axes == reference.axes
+
+    def test_borne_axes_recorded_on_bearing_gu(self):
+        axes = [axis("T", "A"), axis("T", "D", "A", 1), axis("T", "B", "A", 1),
+                axis("T", "C", "A", 2), axis("T", "E", "B", 2)]
+        gus = [gu("T", "A", ca, 1) for ca in (1, 2, 3)]
+        gus += [gu("T", "B", 1, 1), gu("T", "B", 2, 1), gu("T", "C", 3, 1),
+                gu("T", "D", 2, 1), gu("T", "E", 3, 1)]
+        t = build_topology(axes, gus)
+        borne = {(a.id, g.ca): g.borne_axis_ids for a in t.axes.values() for g in a.gus}
+        assert borne == {
+            ("A", 1): ("B", "D"), ("A", 2): ("C",), ("A", 3): (),
+            ("B", 1): (), ("B", 2): ("E",), ("C", 3): (), ("D", 2): (), ("E", 3): (),
+        }
 
 
 class TestOrganCensus:
