@@ -9,7 +9,9 @@ the directly measurable parameters, ``simulate`` runs the growth engine,
 the factorized engine against explicit expansion.
 
 Exit codes: 0 success, 1 validation/usage error (bad input file, parameter
-or option), 2 convergence failure.
+or option), 2 convergence failure, 3 runtime model failure (such as biomass
+to allocate with no sink to take it, or a simulation failing inside the
+fit), each error reported in one line.
 Every output directory receives exactly one ``run_manifest.json``; outputs
 are written atomically (temp file + rename) so failures leave nothing
 partial.
@@ -38,7 +40,7 @@ from .engine import (
     simulate,
     simulate_factored,
 )
-from .errors import ValidationError, schema_errors
+from .errors import FspmError, ValidationError, schema_errors
 from .export import (
     export_fit_csv,
     export_organs_csv,
@@ -416,6 +418,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"fspm {args.command}: {exc}", file=sys.stderr)
         return 1
+    except FspmError as exc:  # a model failure at run time, not bad input
+        print(f"fspm {args.command}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -20,6 +20,13 @@ come from one of two census sources:
   generative branching rules, so trees with millions of organs cost
   O(p_max * age^2).
 
+Calibration calls the recursion thousands of times, so a call does little
+beyond the float work that depends on the hidden parameters.  Cohorts are
+kept sorted by birth, which makes each cycle's expanding and functioning
+cohorts contiguous slices found by bisection; the organ sinks are computed
+once per call; cohort summaries are named tuples.  The float operations
+keep one fixed order, so a trace is reproducible bit for bit.
+
 The pipe ring distribution is the only per-organ physics.  A cycle's ring
 pool depends only on pc and the number of functioning blades, never on how
 earlier pools were spread, so :func:`simulate` spreads each cycle's pool
@@ -27,14 +34,17 @@ over the internodes after the recursion has run.  Its weights are the
 functioning blades at or above each internode.  The topology numbers its
 internodes in pre-order once, so the internodes at or above any one form a
 contiguous range, and a cycle's weights are differences of one cumulative
-count: exact integers in O(internodes), with no walk of the tree.
+count: exact integers in O(internodes), with no walk of the tree.  An
+internode's length follows its primary mass alone, so it is its cohort's;
+its diameter closes the cylinder on its own ring mass, in one array pass.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from itertools import compress
-from typing import Iterable, Mapping, Sequence
+from bisect import bisect_right
+from dataclasses import dataclass
+from itertools import accumulate, compress
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -129,36 +139,41 @@ def production(leaf_surface: float, cfg: SimConfig, hp: HiddenParams) -> float:
     return cfg.e * (cfg.sp / hp.rp) * (1.0 - math.exp(-leaf_surface / cfg.sp))
 
 
-_RINGS = "rings"
+def _organ_sinks(
+    organs: Iterable[tuple[int, str, int]], dp: DirectParams, cfg: SimConfig
+) -> list[float]:
+    """Sink of each expanding organ group, given as (PA, kind, count).
+
+    A blade weighs 1 and an internode its PA's sink; each organ contributes
+    its sink divided by t_exp, the cycles its expansion is spread over.
+    """
+    sinks = []
+    for pa, kind, count in organs:
+        if count < 0:
+            raise ValueError("organ counts must be >= 0")
+        sink = 1.0 if kind == BLADE else dp.sink(pa)
+        sinks.append(count * sink / cfg.t_exp)
+    return sinks
 
 
-def _components(
-    organs: Iterable[tuple[object, int, str, int]],
-    dp: DirectParams,
+def _with_ring_sink(
+    sinks: list[float],
     hp: HiddenParams,
     cfg: SimConfig,
     n_functioning_blades: int,
     rings_active: bool,
-) -> list[tuple[object, float]]:
-    """Sink of each expanding organ group and of the ring compartment.
+) -> list[float]:
+    """Append the ring compartment's sink to ``sinks`` and return them.
 
-    ``organs`` yields (key, PA, kind, count) per group in its expansion
-    window; each organ contributes its sink divided by t_exp.  The ring
-    compartment, keyed ``"rings"``, joins last while there are completed
+    The ring compartment competes, last, while there are completed
     internodes to thicken and its sink is positive.
     """
-    comps: list[tuple[object, float]] = []
-    for key, pa, kind, count in organs:
-        if count < 0:
-            raise ValueError("organ counts must be >= 0")
-        sink = 1.0 if kind == BLADE else dp.sink(pa)
-        comps.append((key, count * sink / cfg.t_exp))
     if rings_active:
         per_blade = cfg.ring_demand == RING_DEMAND_PER_BLADE
         ring_sink = hp.pc * n_functioning_blades if per_blade else hp.pc
         if ring_sink > 0:
-            comps.append((_RINGS, ring_sink))
-    return comps
+            sinks.append(ring_sink)
+    return sinks
 
 
 def demand(
@@ -176,9 +191,22 @@ def demand(
     added only while there are completed internodes to thicken.  This is the
     sum of the components the recursion allocates over.
     """
-    organs = [(key, key[0], key[1], count) for key, count in sorted(expanding.items())]
-    comps = _components(organs, dp, hp, cfg, n_functioning_blades, rings_active)
-    return sum((sink for _, sink in comps), 0.0)
+    organs = [(pa, kind, count) for (pa, kind), count in sorted(expanding.items())]
+    sinks = _organ_sinks(organs, dp, cfg)
+    return sum(_with_ring_sink(sinks, hp, cfg, n_functioning_blades, rings_active), 0.0)
+
+
+def _shares(q_prev: float, sinks: Sequence[float], total: float) -> list[float]:
+    """``q_prev * sink / total`` per sink, the last share taken as the
+    remainder so the shares sum to ``q_prev`` exactly."""
+    shares = []
+    acc = 0.0
+    for sink in sinks[:-1]:
+        share = q_prev * sink / total
+        shares.append(share)
+        acc += share
+    shares.append(q_prev - acc)
+    return shares
 
 
 def allocate(
@@ -191,8 +219,9 @@ def allocate(
     """
     if q_prev < 0:
         raise ValueError("biomass to allocate must be >= 0")
-    total = sum(s for _, s in components)
-    if any(s < 0 for _, s in components):
+    sinks = [s for _, s in components]
+    total = sum(sinks)
+    if any(s < 0 for s in sinks):
         raise ValueError("sink weights must be >= 0")
     if q_prev == 0:
         return {key: 0.0 for key, _ in components}
@@ -200,14 +229,7 @@ def allocate(
         raise ZeroDemandWithBiomass(
             f"{q_prev} g available but total sink demand is zero"
         )
-    out: dict[object, float] = {}
-    acc = 0.0
-    for key, sink in components[:-1]:
-        share = q_prev * sink / total
-        out[key] = share
-        acc += share
-    out[components[-1][0]] = q_prev - acc
-    return out
+    return dict(zip((key for key, _ in components), _shares(q_prev, sinks, total)))
 
 
 def distribute_rings(
@@ -276,8 +298,7 @@ def internode_geometry(
 
 # -- traces -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CohortSummary:
+class CohortSummary(NamedTuple):
     """Per-organ state of one (PA, birth cycle) cohort at the end of a run."""
 
     pa: int
@@ -343,27 +364,37 @@ def _run_cohorts(
     internodes old enough to thicken.  The cohort summaries are therefore
     exact per-organ values in uniform ring mode, and ``ring_pool`` records
     each cycle's pool for a per-organ distribution afterwards.
+
+    Cohorts are kept sorted by (birth, PA), so each cycle's expanding and
+    functioning cohorts are contiguous slices and the cohorts old enough to
+    thicken a prefix, found by bisection on the births.  The organ sinks do
+    not depend on the hidden parameters and are computed once per call, a
+    blade and an internode entry per cohort; a cycle slices them and appends
+    the ring term.
     """
     keys = sorted(counts, key=lambda k: (k[1], k[0]))
-    primary = dict.fromkeys(keys, 0.0)
-    blade = dict.fromkeys(keys, 0.0)
-    ring = dict.fromkeys(keys, 0.0)
-    q_funded, q_prod, dem, surf, pools, cum_int, cum_blade = np.zeros((7, n))
+    births = [b for _, b in keys]
+    sizes = [counts[k] for k in keys]
+    before = list(accumulate(sizes, initial=0))  # internodes of cohorts [0, j)
+    sinks = _organ_sinks(
+        [(pa, kind, size) for (pa, _), size in zip(keys, sizes) for kind in (BLADE, INTERNODE)],
+        dp, cfg,
+    )
+    primary = [0.0] * len(keys)
+    blade = [0.0] * len(keys)
+    ring = [0.0] * len(keys)
+    q_funded, q_prod, dem, surf, pools, cum_int, cum_blade = ([] for _ in range(7))
 
+    funded = hp.q0
     for i in range(1, n + 1):
-        funded = hp.q0 if i == 1 else float(q_prod[i - 2])
-        expanding = [k for k in keys if i - cfg.t_exp < k[1] <= i]
-        eligible = [k for k in keys if k[1] <= i - cfg.t_exp]
-        functioning = [k for k in keys if i - cfg.t_f < k[1] <= i]
-        n_eligible = sum(counts[k] for k in eligible)
-        n_func = sum(counts[k] for k in functioning)
-        organs = [
-            ((k, kind), k[0], kind, counts[k])
-            for k in expanding
-            for kind in (BLADE, INTERNODE)
-        ]
-        comps = _components(organs, dp, hp, cfg, n_func, n_eligible > 0)
-        d = sum((sink for _, sink in comps), 0.0)
+        born = bisect_right(births, i)
+        grown = bisect_right(births, i - cfg.t_exp)  # expanding: [grown, born)
+        young = bisect_right(births, i - cfg.t_f)  # functioning: [young, born)
+        n_eligible = before[grown]
+        comps = _with_ring_sink(
+            sinks[2 * grown : 2 * born], hp, cfg, before[born] - before[young], n_eligible > 0
+        )
+        d = sum(comps, 0.0)
         if funded > 0 and d <= 0:
             raise ZeroDemandWithBiomass(
                 f"cycle {i}: {funded} g to allocate but no demand"
@@ -371,50 +402,44 @@ def _run_cohorts(
 
         pool = 0.0
         if funded > 0:
-            for key, mass in allocate(funded, comps).items():
-                if key == _RINGS:
-                    pool = mass
-                    continue
-                k, kind = key
-                per_organ = mass / counts[k]
-                if kind == BLADE:
-                    blade[k] += per_organ
-                else:
-                    primary[k] += per_organ
+            shares = _shares(funded, comps, d)
+            for j, to_blade, to_primary in zip(range(grown, born), shares[::2], shares[1::2]):
+                blade[j] += to_blade / sizes[j]
+                primary[j] += to_primary / sizes[j]
+            if len(shares) > 2 * (born - grown):  # the ring compartment's share
+                pool = shares[-1]
             if pool > 0:
                 per_organ = pool / n_eligible
-                for k in eligible:
-                    ring[k] += per_organ
+                ring[:grown] = [r + per_organ for r in ring[:grown]]
 
-        s = sum(blade[k] * counts[k] for k in functioning) / dp.slw
-        q_funded[i - 1] = funded
-        q_prod[i - 1] = production(s, cfg, hp)
-        dem[i - 1] = d
-        surf[i - 1] = s
-        pools[i - 1] = pool
-        cum_int[i - 1] = sum((primary[k] + ring[k]) * counts[k] for k in keys)
-        cum_blade[i - 1] = sum(blade[k] * counts[k] for k in keys)
+        blade_mass = [m * size for m, size in zip(blade[:born], sizes)]
+        s = sum(blade_mass[young:]) / dp.slw
+        q_funded.append(funded)
+        dem.append(d)
+        surf.append(s)
+        pools.append(pool)
+        cum_int.append(sum([(p + r) * size for p, r, size in zip(primary[:born], ring, sizes)]))
+        cum_blade.append(sum(blade_mass))
+        # A plain float even for numpy-typed parameters: sum() adds exact
+        # floats and float subclasses differently on newer Pythons.
+        funded = float(production(s, cfg, hp))
+        q_prod.append(funded)
 
     cohorts: dict[tuple[int, int], CohortSummary] = {}
-    for k in keys:
-        pa, b = k
-        length, diameter = internode_geometry(
-            primary[k], primary[k] + ring[k], *dp.shape(pa), cfg.rho
+    for (pa, b), size, p, r, m in zip(keys, sizes, primary, ring, blade):
+        length, diameter = internode_geometry(p, p + r, *dp.shape(pa), cfg.rho)
+        cohorts[(pa, b)] = CohortSummary(
+            pa, b, size, size, m, p, r, p + r, length, diameter
         )
-        cohorts[k] = CohortSummary(
-            pa=pa, birth=b,
-            n_internodes=counts[k], n_blades=counts[k],
-            blade_mass=blade[k],
-            internode_primary=primary[k],
-            internode_ring=ring[k],
-            internode_mass=primary[k] + ring[k],
-            length_cm=length, diameter_cm=diameter,
-        )
+
+    def series(values: list[float]) -> np.ndarray:
+        return np.array(values, dtype=float)
+
     return SimulationTrace(
         tree_id=tree_id, cycles=n,
-        q_funded=q_funded, q_prod=q_prod, demand=dem,
-        leaf_surface=surf, ring_pool=pools,
-        cum_internode_mass=cum_int, cum_blade_mass=cum_blade,
+        q_funded=series(q_funded), q_prod=series(q_prod), demand=series(dem),
+        leaf_surface=series(surf), ring_pool=series(pools),
+        cum_internode_mass=series(cum_int), cum_blade_mass=series(cum_blade),
         cohorts=cohorts,
     )
 
@@ -463,33 +488,35 @@ def simulate(
     pa = per_organ("pa")
     birth = per_organ("birth")
     primary = per_organ("internode_primary")
+    length = per_organ("length_cm")
     if cfg.ring_mode == RING_UNIFORM:
         trace.organs = OrganTable(
             positions=positions, pa=pa, birth=birth, primary=primary,
             ring=per_organ("internode_ring"),
-            length_cm=per_organ("length_cm"), diameter_cm=per_organ("diameter_cm"),
+            length_cm=length, diameter_cm=per_organ("diameter_cm"),
         )
         return trace
 
+    # Length follows primary mass alone, so each internode keeps its
+    # cohort's; the diameter closes the cylinder on its own ring mass.
     ring = _PipeContext(topology, born).spread(trace.ring_pool, birth, cfg)
-    geometry = np.array([
-        internode_geometry(p, p + r, *dp.shape(a), cfg.rho)
-        for p, r, a in zip(primary, ring, pa)
-    ]).reshape(-1, 2)
+    total = primary + ring
+    diameter = np.zeros(len(total))
+    thick = (primary > 0) & (total > 0) & (length > 0)
+    diameter[thick] = np.sqrt(4.0 * total[thick] / (math.pi * cfg.rho * length[thick]))
     trace.organs = OrganTable(
         positions=positions, pa=pa, birth=birth, primary=primary, ring=ring,
-        length_cm=geometry[:, 0], diameter_cm=geometry[:, 1],
+        length_cm=length, diameter_cm=diameter,
     )
     size = np.bincount(cohort, minlength=len(summaries))
 
     def mean(values: np.ndarray) -> np.ndarray:
         return np.bincount(cohort, weights=values, minlength=len(summaries)) / size
 
-    rings, masses = mean(ring), mean(primary + ring)
-    lengths, diameters = mean(geometry[:, 0]), mean(geometry[:, 1])
+    rings, masses = mean(ring), mean(total)
+    lengths, diameters = mean(length), mean(diameter)
     trace.cohorts = {
-        key: replace(
-            c,
+        key: c._replace(
             internode_ring=float(rings[j]), internode_mass=float(masses[j]),
             length_cm=float(lengths[j]), diameter_cm=float(diameters[j]),
         )

@@ -2,7 +2,7 @@
 
 ``ValidationError`` subclasses signal bad input data or configuration and map
 to exit code 1 in the command line front end; runtime model failures derive
-from ``FspmError`` directly.
+from ``FspmError`` directly and map to exit code 3.
 """
 from __future__ import annotations
 

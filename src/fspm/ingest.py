@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -108,9 +109,10 @@ def _to_positive_float(path, lineno, col, raw) -> float:
         value = float(raw)
     except (TypeError, ValueError):
         raise SchemaError(f"{path}:{lineno}: column {col!r}: not a number: {raw!r}")
-    if value <= 0:
+    if not (math.isfinite(value) and value > 0):
         raise UnitError(
-            f"{path}:{lineno}: column {col!r}: measurement must be > 0, got {raw}"
+            f"{path}:{lineno}: column {col!r}: measurement must be finite and > 0, "
+            f"got {raw}"
         )
     return value
 
@@ -124,8 +126,8 @@ def parse_measurements(
     """Parse and validate the four measurement files.
 
     Raises SchemaError for missing columns or malformed cells, UnitError for
-    nonpositive measurements, DuplicateKey for repeated identities, each with
-    the offending file and line.
+    non-finite or nonpositive measurements, DuplicateKey for repeated
+    identities, each with the offending file and line.
     """
     ms = MeasurementSet()
 

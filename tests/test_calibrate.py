@@ -265,6 +265,28 @@ class TestGroupedJacobian:
         assert len(calls) == 6 * n_trees
         assert sorted(set(calls)) == problem.tree_ids
 
+    def test_acceptance_fit_makes_5104_simulations(self, dp3, monkeypatch):
+        # The seed-0 round trip of the acceptance suite: a change to the
+        # solver's work shows here as a different count.
+        import fspm.calibrate as calibrate
+
+        problem = acceptance_problem(dp3)
+        calls = 0
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(calibrate, "simulate", counting)
+        result = fit_hidden(problem, doubled_init(problem), FitOptions(seed=0, n_starts=8))
+        assert calls == 5104
+        assert result.converged
+        assert result.params.rp == pytest.approx(6.4319, rel=0.01)
+        assert result.params.pc == pytest.approx(0.13882, rel=0.01)
+        for tid, q0 in ACCEPTANCE_Q0.items():
+            assert result.params.q0[tid] == pytest.approx(q0, rel=0.02)
+
     def test_block_diagonal_toy(self):
         # Rows 0-1 move with x0, row 2 with x1, rows 3-4 with x2; x3 moves all.
         def fn(x):

@@ -13,6 +13,7 @@ from fspm import (
     tree_to_json,
 )
 from fspm.cli import main
+from fspm.errors import SimulationFailed, ZeroDemandWithBiomass
 from fspm.ingest import MeasurementSet
 from fspm.pa_classify import pa_map_to_json
 
@@ -328,6 +329,54 @@ class TestBadInputFiles:
         err = self.one_error_line(capsys, argv)
         assert err.startswith(f"fspm fit: {name} must be an integer >= 0")
         assert not (tmp_path / "fit").exists()
+
+    @pytest.mark.parametrize("name, line, column, raw", [
+        ("internodes.csv", 3, "diameter_mm", "nan"),
+        ("internodes.csv", 2, "fresh_weight_g", "inf"),
+        ("leaves.csv", 2, "area_cm2", "NaN"),
+    ])
+    def test_non_finite_measurement(self, tmp_path, capsys, name, line, column, raw):
+        src = tmp_path / "grove"
+        src.mkdir()
+        for csv_file in GROVE.iterdir():
+            (src / csv_file.name).write_text(csv_file.read_text())
+        rows = (src / name).read_text().splitlines(keepends=True)
+        header = rows[0].strip().split(",")
+        cells = rows[line - 1].rstrip("\n").split(",")
+        cells[header.index(column)] = raw
+        rows[line - 1] = ",".join(cells) + "\n"
+        (src / name).write_text("".join(rows))
+        out = tmp_path / "tree.json"
+        err = self.one_error_line(capsys, ingest_args(src, out, tree_id="P1"))
+        assert err == (f"fspm ingest: {src / name}:{line}: column {column!r}: "
+                       f"measurement must be finite and > 0, got {raw}")
+        assert not out.exists()
+
+
+class TestRuntimeErrors:
+    """A model failure at run time exits 3 with one line, not a traceback."""
+
+    @pytest.mark.parametrize("error", [
+        ZeroDemandWithBiomass("cycle 2: 5.0 g to allocate but no demand"),
+        SimulationFailed("tree 'P2': cycle 2: 5.0 g to allocate but no demand"),
+    ])
+    @pytest.mark.parametrize("command", ["simulate", "export-skeleton"])
+    def test_exit_3_with_one_line(self, grove_pipeline, tmp_path, capsys, monkeypatch,
+                                  error, command):
+        import fspm.cli
+
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(fspm.cli, "simulate", failing)
+        _, trees, params = grove_pipeline
+        tree, pa_map, _ = trees["P2"]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(command, "--tree", tree, "--pa-map", pa_map, "--params", params,
+                   "--q0", 12.0, "--rp", 6.4, "--pc", 0.14, "--out", out) == 3
+        assert capsys.readouterr().err.splitlines() == [f"fspm {command}: {error}"]
+        assert not out.exists()
 
 
 class TestSimulateCycles:

@@ -464,11 +464,14 @@ class TestFactored:
         assert_conserved(trace, hp)
 
 
+SERIES = ("q_funded", "q_prod", "demand", "leaf_surface", "ring_pool",
+          "cum_internode_mass", "cum_blade_mass")
+
+
 def assert_same_trace(a, b):
     """Every series, cohort and per-internode array equal, float for float."""
     assert (a.tree_id, a.cycles) == (b.tree_id, b.cycles)
-    for name in ("q_funded", "q_prod", "demand", "leaf_surface", "ring_pool",
-                 "cum_internode_mass", "cum_blade_mass"):
+    for name in SERIES:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert a.cohorts == b.cohorts
     assert list(a.organs.positions) == list(b.organs.positions)
@@ -646,3 +649,203 @@ class TestUnevenTreeProperties:
             assert organs.primary[j] == cohort.internode_primary
             assert organs.ring[j] == cohort.internode_ring
             assert organs.diameter_cm[j] == cohort.diameter_cm
+
+
+def legacy_run_cohorts(hp, dp, counts, cfg, n):
+    """Independent oracle: the cohort loop in its former form, which scanned
+    every cohort on every cycle and built its sink components and shares as
+    dicts.  Returns the per-cycle series, one row per name in ``SERIES``,
+    and each cohort's summary fields in (birth, PA) order."""
+    keys = sorted(counts, key=lambda k: (k[1], k[0]))
+    primary = dict.fromkeys(keys, 0.0)
+    blade = dict.fromkeys(keys, 0.0)
+    ring = dict.fromkeys(keys, 0.0)
+    series = np.zeros((7, n))
+    q_funded, q_prod, dem, surf, pools, cum_int, cum_blade = series
+
+    for i in range(1, n + 1):
+        funded = hp.q0 if i == 1 else float(q_prod[i - 2])
+        expanding = [k for k in keys if i - cfg.t_exp < k[1] <= i]
+        eligible = [k for k in keys if k[1] <= i - cfg.t_exp]
+        functioning = [k for k in keys if i - cfg.t_f < k[1] <= i]
+        n_eligible = sum(counts[k] for k in eligible)
+        n_func = sum(counts[k] for k in functioning)
+        comps = []
+        for k in expanding:
+            for kind in ("blade", "internode"):
+                sink = 1.0 if kind == "blade" else dp.sink(k[0])
+                comps.append(((k, kind), counts[k] * sink / cfg.t_exp))
+        if n_eligible > 0:
+            per_blade = cfg.ring_demand == "per-blade"
+            ring_sink = hp.pc * n_func if per_blade else hp.pc
+            if ring_sink > 0:
+                comps.append(("rings", ring_sink))
+        d = sum((sink for _, sink in comps), 0.0)
+
+        pool = 0.0
+        if funded > 0:
+            total = sum(s for _, s in comps)
+            shares, acc = {}, 0.0
+            for key, sink in comps[:-1]:
+                shares[key] = funded * sink / total
+                acc += shares[key]
+            shares[comps[-1][0]] = funded - acc
+            for key, mass in shares.items():
+                if key == "rings":
+                    pool = mass
+                elif key[1] == "blade":
+                    blade[key[0]] += mass / counts[key[0]]
+                else:
+                    primary[key[0]] += mass / counts[key[0]]
+            if pool > 0:
+                per_organ = pool / n_eligible
+                for k in eligible:
+                    ring[k] += per_organ
+
+        s = sum(blade[k] * counts[k] for k in functioning) / dp.slw
+        q_funded[i - 1] = funded
+        q_prod[i - 1] = production(s, cfg, hp)
+        dem[i - 1] = d
+        surf[i - 1] = s
+        pools[i - 1] = pool
+        cum_int[i - 1] = sum((primary[k] + ring[k]) * counts[k] for k in keys)
+        cum_blade[i - 1] = sum(blade[k] * counts[k] for k in keys)
+
+    cohorts = {}
+    for k in keys:
+        length, diameter = internode_geometry(
+            primary[k], primary[k] + ring[k], *dp.shape(k[0]), cfg.rho
+        )
+        cohorts[k] = (k[0], k[1], counts[k], counts[k], blade[k], primary[k],
+                      ring[k], primary[k] + ring[k], length, diameter)
+    return series, cohorts
+
+
+def assert_matches_legacy(trace, hp, dp, counts, cfg, n):
+    """Series, cohort summaries and, in uniform mode, every internode equal
+    to the former loop's, bit for bit."""
+    series, cohorts = legacy_run_cohorts(hp, dp, counts, cfg, n)
+    for name, expected in zip(SERIES, series):
+        got = getattr(trace, name)
+        assert got.dtype == np.float64 and got.tobytes() == expected.tobytes(), name
+    if cfg.ring_mode != "uniform":
+        return
+    assert list(trace.cohorts) == list(cohorts)
+    for key, fields in cohorts.items():  # repr tells every bit and int from float
+        assert repr(tuple(trace.cohorts[key])) == repr(fields), key
+    if trace.organs is not None:
+        organs = trace.organs
+        per_organ = [cohorts[key] for key in zip(organs.pa.tolist(), organs.birth.tolist())]
+        for name, field in (("primary", 5), ("ring", 6), ("length_cm", 8), ("diameter_cm", 9)):
+            expected = np.array([fields[field] for fields in per_organ], dtype=float)
+            assert getattr(organs, name).tobytes() == expected.tobytes(), name
+
+
+def census_counts(t, n):
+    return {key: c for key, c in t.census.counts.items() if key[1] <= n}
+
+
+def legacy_pipe_geometry(trace, dp, cfg):
+    """Independent oracle: one ``internode_geometry`` call per internode, the
+    pipe-mode geometry's former form."""
+    organs = trace.organs
+    return np.array([
+        internode_geometry(p, p + r, *dp.shape(a), cfg.rho)
+        for p, r, a in zip(organs.primary, organs.ring, organs.pa)
+    ]).reshape(-1, 2)
+
+
+class TestLegacyLoopEquality:
+    """The slice-based cohort loop reproduces the former loop bit for bit."""
+
+    DP = TestUnevenTreeProperties.DP
+    HPS = (HiddenParams(q0=10.0, rp=6.4319, pc=0.13882),
+           HiddenParams(q0=47.23, rp=1.5, pc=0.0),
+           # numpy-typed, as the fit passes them; repr tells the types apart
+           HiddenParams(q0=np.float64(10.94), rp=np.float64(6.4319),
+                        pc=np.float64(0.13882)))
+
+    @pytest.mark.parametrize("age", range(1, 9))
+    @pytest.mark.parametrize("t_exp", [1, 2, 3])
+    @pytest.mark.parametrize("t_f", [1, 2, 3])
+    def test_generated_trees(self, age, t_exp, t_f):
+        for branching in (1, 2):
+            rules = GrowthRules(p_max=3, internodes_per_gu=2, branches_per_gu=branching)
+            t = generate_topology(rules, age)
+            for ring_demand in ("per-blade", "constant"):
+                cfg = SimConfig(t_exp=t_exp, t_f=t_f, ring_demand=ring_demand)
+                for hp in self.HPS:
+                    trace = simulate(hp, self.DP, t, cfg)
+                    assert_matches_legacy(trace, hp, self.DP, t.census.counts, cfg, age)
+
+    @given(uneven_trees(), st.integers(1, 3), st.integers(1, 3),
+           st.sampled_from(["per-blade", "constant"]), st.integers(0, 5))
+    def test_uneven_trees(self, t, t_exp, t_f, ring_demand, cut):
+        n = max(1, t.age - cut)
+        hp = self.HPS[0]
+        for mode in ("uniform", "pipe"):
+            cfg = SimConfig(t_exp=t_exp, t_f=t_f, ring_demand=ring_demand, ring_mode=mode)
+            trace = simulate(hp, self.DP, t, cfg, cycles=n)
+            assert_matches_legacy(trace, hp, self.DP, census_counts(t, n), cfg, n)
+
+    @pytest.mark.parametrize("mode", ["uniform", "pipe"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_shortened_runs(self, mode, n):
+        t = generate_topology(GrowthRules(p_max=3, internodes_per_gu=2, branches_per_gu=1), 6)
+        cfg = SimConfig(t_exp=2, t_f=2, ring_mode=mode)
+        trace = simulate(self.HPS[0], self.DP, t, cfg, cycles=n)
+        assert_matches_legacy(trace, self.HPS[0], self.DP, census_counts(t, n), cfg, n)
+
+    @pytest.mark.parametrize("q0, n", [(0.0, 4), (0, 4), (0, 1), (5, 1), (5, 4)])
+    def test_zero_and_integer_seed(self, q0, n):
+        t = uneven_topology()
+        hp = HiddenParams(q0=q0, rp=3.0, pc=0.3)
+        for mode in ("uniform", "pipe"):
+            cfg = SimConfig(ring_mode=mode)
+            trace = simulate(hp, self.DP, t, cfg, cycles=n)
+            assert_matches_legacy(trace, hp, self.DP, census_counts(t, n), cfg, n)
+
+    @pytest.mark.parametrize("p_max, branching", [(1, 0), (2, 2), (3, 1), (3, 3)])
+    @pytest.mark.parametrize("age", [1, 3, 7, 12])
+    def test_factored(self, p_max, branching, age):
+        rules = GrowthRules(p_max=p_max, internodes_per_gu=2, branches_per_gu=branching)
+        counts = cohort_counts(rules, age)
+        for t_exp in (1, 2, 3):
+            for ring_demand in ("per-blade", "constant"):
+                cfg = SimConfig(t_exp=t_exp, t_f=2, ring_demand=ring_demand)
+                for hp in self.HPS + (HiddenParams(q0=3, rp=2.0, pc=0.5),):
+                    trace = simulate_factored(hp, self.DP, rules, age, cfg)
+                    assert_matches_legacy(trace, hp, self.DP, counts, cfg, age)
+
+
+class TestPipeGeometry:
+    """Pipe-mode length and diameter equal a per-internode geometry call."""
+
+    DP = TestUnevenTreeProperties.DP
+
+    @staticmethod
+    def check(trace, dp, cfg):
+        expected = legacy_pipe_geometry(trace, dp, cfg)
+        assert trace.organs.length_cm.tobytes() == expected[:, 0].tobytes()
+        assert trace.organs.diameter_cm.tobytes() == expected[:, 1].tobytes()
+
+    @pytest.mark.parametrize("rho", [1.0, 0.83])
+    @pytest.mark.parametrize("age", [1, 4, 8])
+    def test_generated_tree(self, rho, age):
+        t = generate_topology(GrowthRules(p_max=3, internodes_per_gu=2, branches_per_gu=2), age)
+        cfg = SimConfig(ring_mode="pipe", rho=rho, t_f=2)
+        self.check(simulate(HiddenParams(12.0, 6.4, 0.14), self.DP, t, cfg), self.DP, cfg)
+
+    @given(uneven_trees(), st.integers(1, 3), st.integers(0, 5))
+    def test_uneven_trees(self, t, t_exp, cut):
+        cfg = SimConfig(ring_mode="pipe", t_exp=t_exp)
+        trace = simulate(HiddenParams(6.0, 3.0, 0.3), self.DP, t, cfg,
+                         cycles=max(1, t.age - cut))
+        self.check(trace, self.DP, cfg)
+
+    def test_bare_internodes_have_zero_diameter(self, dp3):
+        # With q0 = 0 nothing grows: every length and diameter is 0.
+        cfg = SimConfig(ring_mode="pipe")
+        trace = simulate(HiddenParams(0.0, 3.0, 0.3), dp3, uneven_topology(), cfg)
+        self.check(trace, dp3, cfg)
+        assert not trace.organs.diameter_cm.any() and not trace.organs.length_cm.any()

@@ -63,6 +63,33 @@ class TestParseMeasurements:
             parse_measurements(paths["axes"], paths["gus"],
                                paths["internodes"], paths["leaves"])
 
+    @pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf", "Infinity"])
+    @pytest.mark.parametrize("column", [4, 5, 6])
+    def test_non_finite_internode_measurement_unit_error(self, tmp_path, raw, column):
+        cells = ["T", "A", "1", "2", "2.2", "3.1", "4.1"]
+        name = ("fresh_weight_g", "length_cm", "diameter_mm")[column - 4]
+        cells[column] = raw
+        bad = (
+            "tree_id,axis_id,gu_ca,rank_in_gu,fresh_weight_g,length_cm,diameter_mm\n"
+            "T,A,1,1,2.0,3.0,4.0\n" + ",".join(cells) + "\n"
+        )
+        paths = write_files(tmp_path, internodes=bad)
+        with pytest.raises(UnitError, match=f"internodes.csv:3: column '{name}': "
+                                            f"measurement must be finite and > 0, got {raw}"):
+            parse_measurements(paths["axes"], paths["gus"],
+                               paths["internodes"], paths["leaves"])
+
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    def test_non_finite_leaf_measurement_unit_error(self, tmp_path, raw):
+        bad = (
+            "tree_id,axis_id,gu_ca,sample_index,fresh_weight_g,area_cm2\n"
+            f"T,A,1,1,1.0,{raw}\n"
+        )
+        paths = write_files(tmp_path, leaves=bad)
+        with pytest.raises(UnitError, match="leaves.csv:2: column 'area_cm2'"):
+            parse_measurements(paths["axes"], paths["gus"],
+                               paths["internodes"], paths["leaves"])
+
     def test_missing_column_schema_error(self, tmp_path):
         bad = (
             "tree_id,axis_id,gu_ca,rank_in_gu,fresh_weight_g,length_cm\n"
