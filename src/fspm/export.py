@@ -11,6 +11,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -237,18 +238,15 @@ def export_organs_csv(trace: SimulationTrace) -> str:
     writer.writerow(("pa", "birth_cycle", "kind", "mass_g", "length_cm", "diameter_mm"))
     if trace.organs is not None:
         org = trace.organs
-        for j in range(len(org)):
-            writer.writerow(
-                (
-                    int(org.pa[j]), int(org.birth[j]), "internode",
-                    repr(float(org.primary[j] + org.ring[j])),
-                    repr(float(org.length_cm[j])),
-                    repr(float(org.diameter_cm[j] * 10.0)),
-                )
-            )
+        writer.writerows(zip(
+            org.pa.tolist(), org.birth.tolist(), repeat("internode"),
+            map(repr, (org.primary + org.ring).tolist()),
+            map(repr, org.length_cm.tolist()),
+            map(repr, (org.diameter_cm * 10.0).tolist()),
+        ))
         for (pa, birth), cohort in sorted(trace.cohorts.items()):
-            for _ in range(cohort.n_blades):
-                writer.writerow((pa, birth, "blade", repr(cohort.blade_mass), "", ""))
+            row = (pa, birth, "blade", repr(cohort.blade_mass), "", "")
+            writer.writerows(repeat(row, cohort.n_blades))
     else:
         for (pa, birth), cohort in sorted(trace.cohorts.items()):
             writer.writerow(

@@ -1,4 +1,4 @@
-"""Measurement file parsing and per-(PA, CA) target series assembly.
+"""Measurement file parsing, per-(PA, CA) target series and the tree document.
 
 Four CSV schemas (UTF-8, comma separated, header row mandatory, '.' decimal
 separator) describe a measured tree:
@@ -9,18 +9,32 @@ separator) describe a measured tree:
 * ``internodes.csv``: tree_id,axis_id,gu_ca,rank_in_gu,fresh_weight_g,length_cm,diameter_mm
 * ``leaves.csv``:     tree_id,axis_id,gu_ca,sample_index,fresh_weight_g,area_cm2
 
-Fresh weight is the mass variable throughout.  Row and column problems are
-reported with file and line numbers.
+Fresh weight is the mass variable throughout.  Columns are found by header
+name and may come in any order; blank lines are skipped.  Row and cell
+problems are reported with the file and the physical line the row ends on,
+so blank lines and quoted cells that span lines are counted.  Rows become
+``NamedTuple`` records.
+
+:func:`tree_to_json` writes the canonical tree document, byte for byte what
+``json.dumps(doc, indent=2, sort_keys=True)`` gives for it, from one template
+per row kind; :func:`tree_from_json` reads it back and checks its measurement
+cells with the same rules as the CSV files.
 """
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import math
 from dataclasses import dataclass, field, fields
+from itertools import islice
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     DuplicateKey,
@@ -35,8 +49,9 @@ from .topology import AxisRecord, GURecord, TreeTopology, build_topology
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class InternodeRecord:
+class InternodeRecord(NamedTuple):
+    """One row of an internodes file: measurements of one internode."""
+
     tree_id: str
     axis_id: str
     gu_ca: int
@@ -46,8 +61,9 @@ class InternodeRecord:
     diameter: float  # mm
 
 
-@dataclass(frozen=True)
-class LeafRecord:
+class LeafRecord(NamedTuple):
+    """One row of a leaves file: measurements of one sampled blade."""
+
     tree_id: str
     axis_id: str
     gu_ca: int
@@ -80,16 +96,38 @@ class MeasurementSet:
         return build_topology(self.axes, self.gus)
 
 
-def _rows(path: str | Path, required: Sequence[str]) -> list[tuple[int, dict]]:
+def _rows(path: str | Path, required: Sequence[str]) -> list[tuple[int, tuple]]:
+    """(line, cells) for each non-blank data row of a CSV file.
+
+    ``cells`` holds the row's ``required`` columns in that order.  ``line``
+    is the physical line the row ends on.  Extra columns are ignored.
+
+    Raises:
+        SchemaError: the file is empty, lacks a required column, or has a
+            row too short to hold one.
+    """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise SchemaError(f"{path}: empty file, header row required")
+        index = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
         for col in required:
-            if col not in reader.fieldnames:
+            if col not in index:
                 raise SchemaError(f"{path}: missing column {col!r}")
-        return [(lineno, row) for lineno, row in enumerate(reader, start=2)]
+        columns = [index[col] for col in required]
+        pick = itemgetter(*columns)
+        width = max(columns) + 1
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < width:
+                col = next(c for c, i in zip(required, columns) if i >= len(row))
+                raise SchemaError(f"{path}:{reader.line_num}: column {col!r}: missing cell")
+            rows.append((reader.line_num, pick(row)))
+        return rows
 
 
 def _to_int(path, lineno, col, raw, minimum=None, maximum=None) -> int:
@@ -132,62 +170,67 @@ def parse_measurements(
     ms = MeasurementSet()
 
     seen: set = set()
-    for lineno, row in _rows(axes_path, ("tree_id", "axis_id", "parent_axis_id", "insertion_ca")):
-        parent = row["parent_axis_id"].strip() or None
-        ins_raw = row["insertion_ca"].strip()
-        ins = _to_int(axes_path, lineno, "insertion_ca", ins_raw, 1) if ins_raw else None
-        rec = AxisRecord(row["tree_id"], row["axis_id"], parent, ins)
-        key = (rec.tree_id, rec.axis_id)
+    for lineno, (tree_id, axis_id, parent, ins) in _rows(
+        axes_path, ("tree_id", "axis_id", "parent_axis_id", "insertion_ca")
+    ):
+        ins = ins.strip()
+        rec = AxisRecord(
+            tree_id, axis_id, parent.strip() or None,
+            _to_int(axes_path, lineno, "insertion_ca", ins, 1) if ins else None,
+        )
+        key = (tree_id, axis_id)
         if key in seen:
             raise DuplicateKey(f"{axes_path}:{lineno}: axis {key} declared twice")
         seen.add(key)
         ms.axes.append(rec)
 
     seen = set()
-    for lineno, row in _rows(gus_path, ("tree_id", "axis_id", "gu_ca", "internode_count", "leaf_scar_count")):
+    for lineno, (tree_id, axis_id, ca, count, scars) in _rows(
+        gus_path, ("tree_id", "axis_id", "gu_ca", "internode_count", "leaf_scar_count")
+    ):
         rec = GURecord(
-            row["tree_id"], row["axis_id"],
-            _to_int(gus_path, lineno, "gu_ca", row["gu_ca"], 1),
-            _to_int(gus_path, lineno, "internode_count", row["internode_count"], 1),
-            _to_int(gus_path, lineno, "leaf_scar_count", row["leaf_scar_count"], 0),
+            tree_id, axis_id,
+            _to_int(gus_path, lineno, "gu_ca", ca, 1),
+            _to_int(gus_path, lineno, "internode_count", count, 1),
+            _to_int(gus_path, lineno, "leaf_scar_count", scars, 0),
         )
-        key = (rec.tree_id, rec.axis_id, rec.gu_ca)
+        key = (tree_id, axis_id, rec.gu_ca)
         if key in seen:
             raise DuplicateKey(f"{gus_path}:{lineno}: GU {key} declared twice")
         seen.add(key)
         ms.gus.append(rec)
 
     seen = set()
-    for lineno, row in _rows(
+    for lineno, (tree_id, axis_id, ca, rank, weight, length, diameter) in _rows(
         internodes_path,
         ("tree_id", "axis_id", "gu_ca", "rank_in_gu", "fresh_weight_g", "length_cm", "diameter_mm"),
     ):
         rec = InternodeRecord(
-            row["tree_id"], row["axis_id"],
-            _to_int(internodes_path, lineno, "gu_ca", row["gu_ca"], 1),
-            _to_int(internodes_path, lineno, "rank_in_gu", row["rank_in_gu"], 1),
-            _to_positive_float(internodes_path, lineno, "fresh_weight_g", row["fresh_weight_g"]),
-            _to_positive_float(internodes_path, lineno, "length_cm", row["length_cm"]),
-            _to_positive_float(internodes_path, lineno, "diameter_mm", row["diameter_mm"]),
+            tree_id, axis_id,
+            _to_int(internodes_path, lineno, "gu_ca", ca, 1),
+            _to_int(internodes_path, lineno, "rank_in_gu", rank, 1),
+            _to_positive_float(internodes_path, lineno, "fresh_weight_g", weight),
+            _to_positive_float(internodes_path, lineno, "length_cm", length),
+            _to_positive_float(internodes_path, lineno, "diameter_mm", diameter),
         )
-        key = (rec.tree_id, rec.axis_id, rec.gu_ca, rec.rank_in_gu)
+        key = (tree_id, axis_id, rec.gu_ca, rec.rank_in_gu)
         if key in seen:
             raise DuplicateKey(f"{internodes_path}:{lineno}: internode {key} measured twice")
         seen.add(key)
         ms.internodes.append(rec)
 
     seen = set()
-    for lineno, row in _rows(
+    for lineno, (tree_id, axis_id, ca, sample, weight, area) in _rows(
         leaves_path, ("tree_id", "axis_id", "gu_ca", "sample_index", "fresh_weight_g", "area_cm2")
     ):
         rec = LeafRecord(
-            row["tree_id"], row["axis_id"],
-            _to_int(leaves_path, lineno, "gu_ca", row["gu_ca"], 1),
-            _to_int(leaves_path, lineno, "sample_index", row["sample_index"], 1, 3),
-            _to_positive_float(leaves_path, lineno, "fresh_weight_g", row["fresh_weight_g"]),
-            _to_positive_float(leaves_path, lineno, "area_cm2", row["area_cm2"]),
+            tree_id, axis_id,
+            _to_int(leaves_path, lineno, "gu_ca", ca, 1),
+            _to_int(leaves_path, lineno, "sample_index", sample, 1, 3),
+            _to_positive_float(leaves_path, lineno, "fresh_weight_g", weight),
+            _to_positive_float(leaves_path, lineno, "area_cm2", area),
         )
-        key = (rec.tree_id, rec.axis_id, rec.gu_ca, rec.sample_index)
+        key = (tree_id, axis_id, rec.gu_ca, rec.sample_index)
         if key in seen:
             raise DuplicateKey(f"{leaves_path}:{lineno}: leaf sample {key} measured twice")
         seen.add(key)
@@ -197,13 +240,21 @@ def parse_measurements(
 
 
 def serialize_measurements(ms: MeasurementSet) -> dict[str, str]:
-    """Render records back to the four CSV texts, losslessly."""
+    """Render records back to the four CSV texts, losslessly.
+
+    Cells holding a comma, a quote or a line break are quoted.  A row with a
+    carriage return is quoted whole, since ``csv.writer`` leaves a lone
+    ``\\r`` unquoted when the line terminator is ``\\n``.
+    """
 
     def table(name, header, rows, sort_key):
-        lines = [",".join(header)]
+        buf = io.StringIO()
+        plain = csv.writer(buf, lineterminator="\n")
+        quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        plain.writerow(header)
         for r in sorted(rows, key=sort_key):
-            lines.append(",".join(r))
-        return "\n".join(lines) + "\n"
+            (quoted if any("\r" in cell for cell in r) else plain).writerow(r)
+        return buf.getvalue()
 
     return {
         "axes": table(
@@ -459,46 +510,180 @@ def build_target_series(
 
 # -- canonical tree document --------------------------------------------------
 
+# One template per row kind, keys in sorted order, indented as
+# json.dumps(indent=2) indents them; "%s" slots take rendered JSON values.
+_TREE = """\
+{
+  "age": %s,
+  "axes": %s,
+  "measurements": {
+    "internodes": %s,
+    "leaves": %s
+  },
+  "tree_id": %s
+}
+"""
+_AXIS = """\
+    {
+      "axis_id": %s,
+      "gus": %s,
+      "insertion_ca": %s,
+      "parent_axis_id": %s
+    }"""
+_GU = """\
+        {
+          "ca": %s,
+          "internode_count": %s,
+          "leaf_scar_count": %s
+        }"""
+_INTERNODE = """\
+      {
+        "axis_id": %s,
+        "diameter_mm": %s,
+        "fresh_weight_g": %s,
+        "gu_ca": %s,
+        "length_cm": %s,
+        "rank_in_gu": %s
+      }"""
+_LEAF = """\
+      {
+        "area_cm2": %s,
+        "axis_id": %s,
+        "fresh_weight_g": %s,
+        "gu_ca": %s,
+        "sample_index": %s
+      }"""
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_scalar(value) -> str:
+    """One scalar as ``json.dumps`` writes it (``ensure_ascii``, ``allow_nan``)."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_column(values: Sequence) -> list[str]:
+    """:func:`_json_scalar` of each value; a column of one plain type maps at C speed."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds == {float}:
+        texts = list(map(float.__repr__, values))
+        if _NON_FINITE.keys().isdisjoint(texts):
+            return texts
+    return list(map(_json_scalar, values))
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """Rendered items as a JSON list whose closing bracket is at ``indent``."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+
+
+def _json_rows(template: str, records: Sequence, names: Sequence[str]) -> list[str]:
+    """``template`` filled once per record with its ``names`` fields, rendered."""
+    columns = [_json_column(list(map(attrgetter(name), records))) for name in names]
+    return list(map(template.__mod__, zip(*columns)))
+
+
 def tree_to_json(topology: TreeTopology, ms: MeasurementSet) -> str:
-    """Canonical single-tree document: structure plus measurement rows."""
-    doc = {
-        "tree_id": topology.tree_id,
-        "age": topology.age,
-        "axes": [
-            {
-                "axis_id": axis.id,
-                "parent_axis_id": axis.parent_id,
-                "insertion_ca": axis.insertion_ca,
-                "gus": [
-                    {
-                        "ca": gu.ca,
-                        "internode_count": gu.internode_count,
-                        "leaf_scar_count": gu.leaf_scar_count,
-                    }
-                    for gu in axis.gus
-                ],
-            }
-            for axis in topology.axes_sorted()
-        ],
-        "measurements": {
-            "internodes": [
-                {
-                    "axis_id": r.axis_id, "gu_ca": r.gu_ca, "rank_in_gu": r.rank_in_gu,
-                    "fresh_weight_g": r.fresh_weight, "length_cm": r.length,
-                    "diameter_mm": r.diameter,
-                }
-                for r in sorted(ms.internodes, key=lambda r: (r.axis_id, r.gu_ca, r.rank_in_gu))
-            ],
-            "leaves": [
-                {
-                    "axis_id": r.axis_id, "gu_ca": r.gu_ca, "sample_index": r.sample_index,
-                    "fresh_weight_g": r.fresh_weight, "area_cm2": r.area,
-                }
-                for r in sorted(ms.leaves, key=lambda r: (r.axis_id, r.gu_ca, r.sample_index))
-            ],
-        },
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Canonical single-tree document: structure plus measurement rows.
+
+    The text is ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` of the
+    document ``{"age", "axes": [{"axis_id", "gus": [{"ca", "internode_count",
+    "leaf_scar_count"}], "insertion_ca", "parent_axis_id"}], "measurements":
+    {"internodes": [...], "leaves": [...]}, "tree_id"}``, with measurement
+    rows sorted by axis, cycle and rank or sample index.  It is written from
+    one template per row kind and rendered column by column; a value that
+    is no JSON scalar raises ``TypeError``, as ``json.dumps`` does.
+    """
+    axes = topology.axes_sorted()
+    gu_texts = iter(_json_rows(
+        _GU, [gu for axis in axes for gu in axis.gus],
+        ("ca", "internode_count", "leaf_scar_count"),
+    ))
+    gus = [_json_list(list(islice(gu_texts, len(axis.gus))), "      ") for axis in axes]
+    axis_texts = list(map(_AXIS.__mod__, zip(
+        _json_column([axis.id for axis in axes]), gus,
+        _json_column([axis.insertion_ca for axis in axes]),
+        _json_column([axis.parent_id for axis in axes]),
+    )))
+    internodes = sorted(ms.internodes, key=attrgetter("axis_id", "gu_ca", "rank_in_gu"))
+    leaves = sorted(ms.leaves, key=attrgetter("axis_id", "gu_ca", "sample_index"))
+    return _TREE % (
+        _json_scalar(topology.age),
+        _json_list(axis_texts, "  "),
+        _json_list(_json_rows(_INTERNODE, internodes, (
+            "axis_id", "diameter", "fresh_weight", "gu_ca", "length", "rank_in_gu",
+        )), "    "),
+        _json_list(_json_rows(_LEAF, leaves, (
+            "area", "axis_id", "fresh_weight", "gu_ca", "sample_index",
+        )), "    "),
+        _json_scalar(topology.tree_id),
+    )
+
+
+# Cell rules of the measurement rows from their third field on:
+# (column, minimum, maximum) for integers, (column,) for measurements.
+_INTERNODE_CELLS = (
+    ("gu_ca", 1, None), ("rank_in_gu", 1, None),
+    ("fresh_weight_g",), ("length_cm",), ("diameter_mm",),
+)
+_LEAF_CELLS = (("gu_ca", 1, None), ("sample_index", 1, 3), ("fresh_weight_g",), ("area_cm2",))
+
+
+def _check_cells(source: str, table: str, column: str, values: Sequence,
+                 minimum: int | None = None, maximum: int | None = None) -> None:
+    """Check one non-empty measurement column of a tree document.
+
+    The rules are those of the CSV files: with ``minimum`` the cells must be
+    integers within bounds, otherwise finite numbers > 0.  The column is
+    tested whole; only a failing column is scanned cell by cell, for the
+    message, which names the row by its index in the table.
+
+    Raises:
+        SchemaError: a cell of the wrong JSON type.
+        UnitError: a value out of range.
+    """
+    kinds = set(map(type, values))
+    if minimum is not None:
+        if kinds <= {int} and min(values) >= minimum and (
+            maximum is None or max(values) <= maximum
+        ):
+            return
+    elif kinds <= {float}:
+        cells = np.array(values, dtype=float)
+        if np.all((cells > 0.0) & (cells < math.inf)):
+            return
+    for i, value in enumerate(values):
+        where = f"{source}: measurements.{table}[{i}]: column {column!r}"
+        if minimum is not None:
+            if type(value) is not int:
+                raise SchemaError(f"{where}: not an integer: {value!r}")
+            if value < minimum:
+                raise UnitError(f"{where}: {value} < {minimum}")
+            if maximum is not None and value > maximum:
+                raise UnitError(f"{where}: {value} > {maximum}")
+        elif type(value) not in (int, float):
+            raise SchemaError(f"{where}: not a number: {value!r}")
+        elif not 0 < value < math.inf:
+            raise UnitError(f"{where}: measurement must be finite and > 0, got {value!r}")
 
 
 def tree_from_json(
@@ -506,9 +691,13 @@ def tree_from_json(
 ) -> tuple[TreeTopology, MeasurementSet]:
     """Parse :func:`tree_to_json` output; ``source`` names the input in errors.
 
+    Measurement cells follow the CSV rules: integer cycles, ranks and sample
+    indices in range, finite positive measurements.
+
     Raises:
         SchemaError: the text is not JSON, lacks a key, or holds a value of
             the wrong type.
+        UnitError: a measurement cell is out of range.
         ValidationError: the rows do not form a valid tree.
     """
     with schema_errors(source):
@@ -531,5 +720,11 @@ def tree_from_json(
                        r["fresh_weight_g"], r["area_cm2"])
             for r in doc["measurements"]["leaves"]
         ]
+        for table, records, rules in (
+            ("internodes", internodes, _INTERNODE_CELLS), ("leaves", leaves, _LEAF_CELLS),
+        ):
+            if records:
+                for (column, *bounds), values in zip(rules, list(zip(*records))[2:]):
+                    _check_cells(source, table, column, values, *bounds)
         ms = MeasurementSet(axes=axes, gus=gus, internodes=internodes, leaves=leaves)
         return ms.topology(), ms

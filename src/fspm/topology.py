@@ -36,8 +36,7 @@ INTERNODE = "internode"
 BLADE = "blade"
 
 
-@dataclass(frozen=True)
-class AxisRecord:
+class AxisRecord(NamedTuple):
     """One row of an axes file: identity and attachment of an axis."""
 
     tree_id: str
@@ -46,8 +45,7 @@ class AxisRecord:
     insertion_ca: int | None
 
 
-@dataclass(frozen=True)
-class GURecord:
+class GURecord(NamedTuple):
     """One row of a GU file: organ counts of a single growth unit."""
 
     tree_id: str

@@ -317,6 +317,22 @@ class TestBadInputFiles:
         assert err.startswith(f"fspm simulate: {bad}: {message}")
         assert not (tmp_path / "sim" / "run_manifest.json").exists()
 
+    @pytest.mark.parametrize("column, value, message", [
+        ("fresh_weight_g", "abc", "not a number: 'abc'"),
+        ("length_cm", -1.0, "measurement must be finite and > 0, got -1.0"),
+    ])
+    def test_bad_measurement_cell_in_tree_json(self, tmp_path, capsys, column, value, message):
+        tree = tmp_path / "tree.json"
+        assert run(*ingest_args(SINGLE, tree)) == 0
+        doc = json.loads(tree.read_text())
+        doc["measurements"]["internodes"][1][column] = value
+        tree.write_text(json.dumps(doc))
+        err = self.one_error_line(capsys, ["classify-pa", "--tree", tree, "--k", 3,
+                                           "--out", tmp_path / "cls"])
+        assert err == (f"fspm classify-pa: {tree}: measurements.internodes[1]: "
+                       f"column {column!r}: {message}")
+        assert not (tmp_path / "cls").exists()
+
     @pytest.mark.parametrize("flag, value, name", [
         ("--seed", -1, "seed"), ("--n-starts", -1, "n_starts"),
     ])

@@ -8,6 +8,7 @@ import pytest
 from fspm import (
     GrowthRules,
     HiddenParams,
+    SimConfig,
     export_fit_csv,
     export_organs_csv,
     export_skeleton,
@@ -15,6 +16,7 @@ from fspm import (
     generate_topology,
     organ_census,
     simulate,
+    simulate_factored,
     targets_from_trace,
 )
 from fspm.errors import TreeMismatch
@@ -179,3 +181,44 @@ class TestTraceAndOrgansCsv:
         rows = parse(export_organs_csv(trace))
         total = sum(float(r["mass_g"]) for r in rows)
         assert total == pytest.approx(trace.total_mass(), rel=1e-9)
+
+
+def legacy_organs_csv(trace):
+    """export_organs_csv as it was, one row and one numpy scalar at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("pa", "birth_cycle", "kind", "mass_g", "length_cm", "diameter_mm"))
+    if trace.organs is not None:
+        org = trace.organs
+        for j in range(len(org)):
+            writer.writerow((
+                int(org.pa[j]), int(org.birth[j]), "internode",
+                repr(float(org.primary[j] + org.ring[j])),
+                repr(float(org.length_cm[j])),
+                repr(float(org.diameter_cm[j] * 10.0)),
+            ))
+        for (pa, birth), cohort in sorted(trace.cohorts.items()):
+            for _ in range(cohort.n_blades):
+                writer.writerow((pa, birth, "blade", repr(cohort.blade_mass), "", ""))
+    else:
+        for (pa, birth), cohort in sorted(trace.cohorts.items()):
+            writer.writerow((pa, birth, "internode", repr(cohort.internode_mass),
+                             repr(cohort.length_cm), repr(cohort.diameter_cm * 10.0)))
+            writer.writerow((pa, birth, "blade", repr(cohort.blade_mass), "", ""))
+    return buf.getvalue()
+
+
+class TestOrgansCsvBytes:
+    @pytest.mark.parametrize("ring_mode", ["uniform", "pipe"])
+    @pytest.mark.parametrize("age, cycles", [(1, None), (5, None), (6, 3)])
+    def test_explicit_trace_matches_row_by_row_writer(self, dp3, hp_default, ring_mode,
+                                                      age, cycles):
+        rules = GrowthRules(p_max=3, internodes_per_gu=2, branches_per_gu=2)
+        trace = simulate(hp_default, dp3, generate_topology(rules, age, "T"),
+                         SimConfig(ring_mode=ring_mode), cycles=cycles)
+        assert export_organs_csv(trace) == legacy_organs_csv(trace)
+
+    def test_factored_trace_matches_row_by_row_writer(self, dp3, hp_default):
+        rules = GrowthRules(p_max=3, internodes_per_gu=2, branches_per_gu=2)
+        trace = simulate_factored(hp_default, dp3, rules, 6)
+        assert export_organs_csv(trace) == legacy_organs_csv(trace)

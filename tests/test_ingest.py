@@ -1,7 +1,13 @@
+import json
+import math
 import random
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fspm import (
     AxisRecord,
@@ -20,6 +26,7 @@ from fspm import (
 )
 from fspm.errors import DuplicateKey, MissingPA, SchemaError, UnitError
 from fspm.ingest import serialize_measurements
+from fspm.topology import TreeTopology
 
 DATA = Path(__file__).parent / "data"
 
@@ -119,6 +126,52 @@ class TestParseMeasurements:
         with pytest.raises(SchemaError, match="fresh_weight_g"):
             parse_measurements(paths["axes"], paths["gus"],
                                paths["internodes"], paths["leaves"])
+
+    def test_blank_lines_count_in_line_numbers(self, tmp_path):
+        gus = ("tree_id,axis_id,gu_ca,internode_count,leaf_scar_count\n"
+               "T,A,1,3,3\n\nT,A,2,3,3\nT,A,3,0,0\n")
+        paths = write_files(tmp_path, gus=gus)
+        with pytest.raises(UnitError, match=r"gus.csv:5: column 'internode_count': 0 < 1$"):
+            parse_measurements(paths["axes"], paths["gus"],
+                               paths["internodes"], paths["leaves"])
+
+    def test_quoted_cell_spanning_lines_counts_its_lines(self, tmp_path):
+        leaves = ("tree_id,axis_id,gu_ca,sample_index,fresh_weight_g,area_cm2\n"
+                  'T,"A\nnote",1,1,1.0,30.0\nT,A,1,2,1.0,-30.0\n')
+        paths = write_files(tmp_path, leaves=leaves)
+        with pytest.raises(UnitError, match="leaves.csv:4: column 'area_cm2'"):
+            parse_measurements(paths["axes"], paths["gus"],
+                               paths["internodes"], paths["leaves"])
+        # A bad cell in the spanning row is reported on the line the row ends on.
+        paths = write_files(tmp_path, leaves=leaves.replace("30.0\n", "-1\n", 1))
+        with pytest.raises(UnitError, match="leaves.csv:3: column 'area_cm2'"):
+            parse_measurements(paths["axes"], paths["gus"],
+                               paths["internodes"], paths["leaves"])
+
+    @pytest.mark.parametrize("axes, message", [
+        ("tree_id,axis_id,parent_axis_id,insertion_ca\nT,A\n", "axes.csv:2: column 'parent_axis_id'"),
+        ("insertion_ca,axis_id,tree_id,parent_axis_id\n\n,A\n", "axes.csv:3: column 'tree_id'"),
+    ])
+    def test_short_row_schema_error(self, tmp_path, axes, message):
+        paths = write_files(tmp_path, axes=axes)
+        with pytest.raises(SchemaError, match=f"{message}: missing cell$"):
+            parse_measurements(paths["axes"], paths["gus"],
+                               paths["internodes"], paths["leaves"])
+
+    def test_columns_found_by_name_extra_columns_ignored(self, tmp_path):
+        axes = "note,axis_id,insertion_ca,parent_axis_id,tree_id\nroot,A,,,T\n"
+        paths = write_files(tmp_path, axes=axes)
+        ms = parse_measurements(paths["axes"], paths["gus"],
+                                paths["internodes"], paths["leaves"])
+        assert ms.axes == [AxisRecord("T", "A", None, None)]
+
+    @pytest.mark.parametrize("fixture", ["single", "grove"])
+    def test_serialize_reproduces_fixture_bytes(self, fixture):
+        d = DATA / fixture
+        ms = parse_measurements(d / "axes.csv", d / "gus.csv",
+                                d / "internodes.csv", d / "leaves.csv")
+        for name, text in serialize_measurements(ms).items():
+            assert text.encode() == (d / f"{name}.csv").read_bytes()
 
     def test_reserialize_roundtrip(self, tmp_path):
         paths = write_files(tmp_path)
@@ -320,3 +373,227 @@ class TestTreeJson:
         text = cut(tree_to_json(ms.topology(), ms))
         with pytest.raises(SchemaError, match=f"^tree.json: {message}"):
             tree_from_json(text, "tree.json")
+
+
+class TestTreeJsonCells:
+    """tree_from_json checks measurement cells with the CSV rules."""
+
+    def document(self):
+        d = DATA / "single"
+        ms = parse_measurements(d / "axes.csv", d / "gus.csv",
+                                d / "internodes.csv", d / "leaves.csv")
+        return json.loads(tree_to_json(ms.topology(), ms))
+
+    @pytest.mark.parametrize("table, row, column, value, error, message", [
+        ("internodes", 2, "fresh_weight_g", "abc", SchemaError, "not a number: 'abc'"),
+        ("internodes", 0, "length_cm", -1.0, UnitError,
+         "measurement must be finite and > 0, got -1.0"),
+        ("internodes", 1, "diameter_mm", math.nan, UnitError,
+         "measurement must be finite and > 0, got nan"),
+        ("internodes", 3, "diameter_mm", math.inf, UnitError,
+         "measurement must be finite and > 0, got inf"),
+        ("internodes", 1, "diameter_mm", None, SchemaError, "not a number: None"),
+        ("internodes", 1, "rank_in_gu", 0, UnitError, "0 < 1"),
+        ("internodes", 1, "gu_ca", "1", SchemaError, "not an integer: '1'"),
+        ("internodes", 1, "gu_ca", 1.0, SchemaError, "not an integer: 1.0"),
+        ("leaves", 0, "sample_index", 4, UnitError, "4 > 3"),
+        ("leaves", 2, "sample_index", True, SchemaError, "not an integer: True"),
+        ("leaves", 1, "area_cm2", 0, UnitError, "measurement must be finite and > 0, got 0"),
+        ("leaves", 1, "fresh_weight_g", False, SchemaError, "not a number: False"),
+    ])
+    def test_bad_cell_names_source_and_row(self, table, row, column, value, error, message):
+        doc = self.document()
+        doc["measurements"][table][row][column] = value
+        with pytest.raises(error) as info:
+            tree_from_json(json.dumps(doc), "tree.json")
+        assert str(info.value) == (
+            f"tree.json: measurements.{table}[{row}]: column {column!r}: {message}"
+        )
+
+    def test_ints_in_measurement_cells_pass_unchanged(self):
+        doc = self.document()
+        doc["measurements"]["internodes"][0]["length_cm"] = 5
+        _, ms = tree_from_json(json.dumps(doc))
+        assert ms.internodes[0].length == 5
+
+
+class TestRecords:
+    RECORDS = [
+        AxisRecord("T", "A", None, None),
+        GURecord("T", "A", 1, 3, 3),
+        InternodeRecord("T", "A", 1, 1, 2.0, 3.0, 4.0),
+        LeafRecord("T", "A", 1, 1, 1.0, 30.0),
+    ]
+
+    @pytest.mark.parametrize("record", RECORDS)
+    def test_immutable(self, record):
+        with pytest.raises(AttributeError):
+            record.tree_id = "U"
+
+    @pytest.mark.parametrize("record", RECORDS)
+    def test_keyword_construction(self, record):
+        assert type(record)(**record._asdict()) == record
+
+    def test_fields_in_order_and_gu_default(self):
+        assert AxisRecord._fields == ("tree_id", "axis_id", "parent_axis_id", "insertion_ca")
+        assert GURecord._fields == (
+            "tree_id", "axis_id", "gu_ca", "internode_count", "leaf_scar_count")
+        assert InternodeRecord._fields == (
+            "tree_id", "axis_id", "gu_ca", "rank_in_gu", "fresh_weight", "length", "diameter")
+        assert LeafRecord._fields == (
+            "tree_id", "axis_id", "gu_ca", "sample_index", "fresh_weight", "area")
+        gu = GURecord(tree_id="T", axis_id="A", gu_ca=2, internode_count=3)
+        assert gu.leaf_scar_count == 0
+        assert gu == GURecord("T", "A", 2, 3, 0)
+
+
+# -- the template tree.json writer against json.dumps ---------------------------
+
+def legacy_tree_json(topology, ms):
+    """The document tree_to_json used to build, written by json.dumps."""
+    doc = {
+        "tree_id": topology.tree_id,
+        "age": topology.age,
+        "axes": [
+            {
+                "axis_id": axis.id,
+                "parent_axis_id": axis.parent_id,
+                "insertion_ca": axis.insertion_ca,
+                "gus": [
+                    {"ca": gu.ca, "internode_count": gu.internode_count,
+                     "leaf_scar_count": gu.leaf_scar_count}
+                    for gu in axis.gus
+                ],
+            }
+            for axis in topology.axes_sorted()
+        ],
+        "measurements": {
+            "internodes": [
+                {"axis_id": r.axis_id, "gu_ca": r.gu_ca, "rank_in_gu": r.rank_in_gu,
+                 "fresh_weight_g": r.fresh_weight, "length_cm": r.length,
+                 "diameter_mm": r.diameter}
+                for r in sorted(ms.internodes, key=lambda r: (r.axis_id, r.gu_ca, r.rank_in_gu))
+            ],
+            "leaves": [
+                {"axis_id": r.axis_id, "gu_ca": r.gu_ca, "sample_index": r.sample_index,
+                 "fresh_weight_g": r.fresh_weight, "area_cm2": r.area}
+                for r in sorted(ms.leaves, key=lambda r: (r.axis_id, r.gu_ca, r.sample_index))
+            ],
+        },
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# Ids with non-ASCII text, quotes, backslashes and control characters.
+ANY_ID = st.text(max_size=5)
+# Measurement values as the writer may meet them: tiny to huge floats, ints,
+# non-finite floats, and the other JSON scalars.
+ANY_VALUE = st.one_of(
+    st.floats(min_value=5e-324, max_value=1e300),
+    st.integers(min_value=-10**20, max_value=10**20),
+    st.sampled_from([math.nan, math.inf, -math.inf, None, True, False]),
+)
+
+
+@st.composite
+def documented_trees(draw):
+    """A valid topology and measurement rows in any order, possibly none."""
+    tree_id = draw(ANY_ID)
+    age = draw(st.integers(1, 4))
+    ids = draw(st.lists(ANY_ID, min_size=1, max_size=5, unique=True))
+    axes = [AxisRecord(tree_id, ids[0], None, None)]
+    gus = [GURecord(tree_id, ids[0], ca, draw(st.integers(1, 3)), draw(st.integers(0, 3)))
+           for ca in range(1, age + 1)]
+    first = {ids[0]: 1}
+    for axis_id in ids[1:]:
+        parent = draw(st.sampled_from(sorted(first)))
+        ins = draw(st.integers(first[parent], age))
+        axes.append(AxisRecord(tree_id, axis_id, parent, ins))
+        gus += [GURecord(tree_id, axis_id, ca, 2, 2) for ca in range(ins, age + 1)]
+        first[axis_id] = ins
+    topo = build_topology(axes, gus)
+    keys = st.tuples(st.sampled_from(ids), st.integers(1, age), st.integers(1, 3))
+    internodes = [InternodeRecord(tree_id, a, ca, k, *draw(st.tuples(ANY_VALUE, ANY_VALUE, ANY_VALUE)))
+                  for a, ca, k in draw(st.lists(keys, max_size=6))]
+    leaves = [LeafRecord(tree_id, a, ca, k, *draw(st.tuples(ANY_VALUE, ANY_VALUE)))
+              for a, ca, k in draw(st.lists(keys, max_size=6))]
+    return topo, MeasurementSet(axes=axes, gus=gus, internodes=internodes, leaves=leaves)
+
+
+class TestTreeJsonWriter:
+    @given(documented_trees())
+    def test_equals_json_dumps(self, tree):
+        topo, ms = tree
+        assert tree_to_json(topo, ms) == legacy_tree_json(topo, ms)
+
+    @pytest.mark.parametrize("fixture", ["single", "grove"])
+    def test_fixtures_equal_json_dumps(self, fixture):
+        d = DATA / fixture
+        ms = parse_measurements(d / "axes.csv", d / "gus.csv",
+                                d / "internodes.csv", d / "leaves.csv")
+        for tree_id in ms.tree_ids():
+            sub = ms.for_tree(tree_id)
+            topo = sub.topology()
+            assert tree_to_json(topo, sub) == legacy_tree_json(topo, sub)
+
+    @pytest.mark.parametrize("value", [np.int64(3), np.float32(1.5), object(), b"1", 1j])
+    def test_non_json_value_raises_type_error(self, value):
+        topo, ms = simple_tree([1.0, 2.0])
+        ms.internodes[1] = ms.internodes[1]._replace(length=value)
+        with pytest.raises(TypeError):
+            legacy_tree_json(topo, ms)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            tree_to_json(topo, ms)
+
+    def test_numpy_float64_written_as_float(self):
+        topo, ms = simple_tree([1.0, 2.0])
+        ms.internodes[0] = ms.internodes[0]._replace(diameter=np.float64(0.1))
+        assert tree_to_json(topo, ms) == legacy_tree_json(topo, ms)
+
+
+# -- serialize_measurements round trip -------------------------------------------
+
+# Ids as a CSV cell can carry them: commas, quotes, line breaks, non-ASCII.
+CSV_ID = st.text(alphabet=st.sampled_from('aZ09 ,"\n\r\t\\é中'), max_size=5)
+# Parent ids are read stripped, with an empty cell meaning "no parent".
+PARENT_ID = CSV_ID.filter(lambda s: s == s.strip() and s)
+MEASURED = st.floats(min_value=5e-324, max_value=1e300)
+CYCLE = st.integers(1, 40)
+
+
+@st.composite
+def measurement_sets(draw):
+    """Records that parse_measurements accepts, in serialize_measurements's order."""
+    axes = draw(st.lists(
+        st.builds(AxisRecord, CSV_ID, CSV_ID, st.none() | PARENT_ID, st.none() | CYCLE),
+        unique_by=lambda r: r[:2], max_size=4))
+    gus = draw(st.lists(
+        st.builds(GURecord, CSV_ID, CSV_ID, CYCLE, CYCLE, st.integers(0, 40)),
+        unique_by=lambda r: r[:3], max_size=4))
+    internodes = draw(st.lists(
+        st.builds(InternodeRecord, CSV_ID, CSV_ID, CYCLE, CYCLE, MEASURED, MEASURED, MEASURED),
+        unique_by=lambda r: r[:4], max_size=4))
+    leaves = draw(st.lists(
+        st.builds(LeafRecord, CSV_ID, CSV_ID, CYCLE, st.integers(1, 3), MEASURED, MEASURED),
+        unique_by=lambda r: r[:4], max_size=4))
+    return MeasurementSet(axes=sorted(axes), gus=sorted(gus),
+                          internodes=sorted(internodes, key=lambda r: r[:4]),
+                          leaves=sorted(leaves, key=lambda r: r[:4]))
+
+
+class TestSerializeRoundTrip:
+    @given(measurement_sets())
+    def test_parse_of_serialize_is_identity(self, ms):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {}
+            for name, text in serialize_measurements(ms).items():
+                paths[name] = Path(tmp) / f"{name}.csv"
+                paths[name].write_text(text, encoding="utf-8", newline="")
+            again = parse_measurements(paths["axes"], paths["gus"],
+                                       paths["internodes"], paths["leaves"])
+        assert again == ms
+
+    def test_id_with_comma_survives(self, tmp_path):
+        ms = MeasurementSet(axes=[AxisRecord("T", "a,1", None, None)])
+        text = serialize_measurements(ms)["axes"]
+        assert text == 'tree_id,axis_id,parent_axis_id,insertion_ca\nT,"a,1",,\n'
