@@ -8,27 +8,52 @@ each observation weighted by the reciprocal of its measured magnitude.
 
 The solver is a damped Gauss-Newton iteration with adaptive Levenberg-style
 damping, run on log-transformed parameters so positivity holds by
-construction, with central finite-difference Jacobians and a seeded
-log-uniform multi-start.
+construction, with a seeded log-uniform multi-start.
 
-A tree's residuals depend only on its own seed mass and the shared pair, so
-the Jacobian is block-sparse: the seed-mass columns have disjoint rows and
-share one +/- step (grouped central differences, Curtis, Powell & Reid
-1974).  A Jacobian over T trees costs 3 pairs of residual evaluations, 6*T
-simulations, and is bitwise equal to the column-by-column one.
+In uniform ring mode every sink except the ring sink is fixed by the census,
+the direct parameters and the configuration, so the recursion collapses onto
+one scalar per cycle, the biomass per unit of sink a_i = q_i / (E_i + pc*G_i),
+and every observable is a fixed linear map of a and pc*a, closed by the
+allometry.  ``FitProblem`` builds these maps once per tree (a residual
+plan).  The solver evaluates residuals through the plans, and takes each
+tree's Jacobian block from one tangent-linear pass that carries
+d/d(log q0, log rp, log pc) through the same recursion (forward-mode
+differentiation, Griewank & Walther 2008, ch. 3): exact, and the price of
+about one simulation where central differences need six.
+
+Pipe ring mode spreads each pool over individual internodes, and its fits
+keep central finite-difference Jacobians.  A tree's residuals depend only
+on its own seed mass and the shared pair, so the Jacobian is block-sparse:
+the seed-mass columns have disjoint rows and share one +/- step (grouped
+central differences, Curtis, Powell & Reid 1974).  A Jacobian over T trees
+costs 3 pairs of residual evaluations, 6*T simulations, and is bitwise
+equal to the column-by-column one.
+
+:func:`residuals` and :func:`fd_jacobian` always run the simulator: they are
+the reference the plans are tested against, and the reported SSE of a fit is
+recomputed through :func:`residuals` at its optimum.
 """
 from __future__ import annotations
 
 import json
 import math
 import numbers
+import random
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .direct_estim import DirectParams
-from .engine import HiddenParams, SimConfig, SimulationTrace, simulate
+from .engine import (
+    RING_DEMAND_PER_BLADE,
+    RING_UNIFORM,
+    HiddenParams,
+    SimConfig,
+    SimulationTrace,
+    simulate,
+)
 from .errors import (
     FspmError,
     InfeasibleInit,
@@ -40,6 +65,8 @@ from .ingest import CumEntry, TargetEntry, TargetSeries
 from .topology import TreeTopology
 
 WEIGHT_FLOOR = 1e-3
+# A fitted log parameter this close to a log bound is reported as on it.
+BOUND_TOL = 1e-9
 
 DEFAULT_BOUNDS = {
     "q0": (1e-3, 1e5),
@@ -88,9 +115,10 @@ class FitProblem:
     """Targets, matching topologies, and everything fixed during the fit.
 
     Treat it as read-only once built: each tree's measured vector and
-    weights, the user weights as an array and ``jacobian_pattern`` (rows x
-    param_names, True where a residual can move with a parameter) are
-    derived once, in ``__post_init__``.
+    weights, the user weights as an array, ``jacobian_pattern`` (rows x
+    param_names, True where a residual can move with a parameter) and, in
+    uniform ring mode, each tree's residual plan are derived once, in
+    ``__post_init__``.
     """
 
     targets: list[TargetSeries]
@@ -104,6 +132,7 @@ class FitProblem:
     _observed: list[_Observed] = field(init=False, repr=False, compare=False)
     _weights: np.ndarray | None = field(init=False, repr=False, compare=False)
     jacobian_pattern: np.ndarray = field(init=False, repr=False, compare=False)
+    _plans: list[_TreePlan] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.targets) != len(self.topologies):
@@ -121,6 +150,12 @@ class FitProblem:
                     raise ValidationError(
                         f"tree {ts.tree_id!r}: target group PA{key[0]}/CA{key[1]} "
                         "never appears in the topology"
+                    )
+            for cycle in ts.cumulated:
+                if not 1 <= cycle <= topo.age:
+                    raise ValidationError(
+                        f"tree {ts.tree_id!r}: cumulated target for cycle {cycle} "
+                        f"outside the simulated cycles 1..{topo.age}"
                     )
         for name, (lo, hi) in self.bounds.items():
             if not 0 < lo < hi:
@@ -143,6 +178,18 @@ class FitProblem:
             self.jacobian_pattern[offset : offset + len(obs.measured), t] = True
             offset += len(obs.measured)
         self.jacobian_pattern.flags.writeable = False
+        self._plans = None
+        if self.cfg.ring_mode == RING_UNIFORM:
+            try:
+                self._plans = [
+                    _TreePlan(topo, self.dp, self.cfg, obs, ts.tree_id)
+                    for ts, topo, obs in zip(self.targets, self.topologies, self._observed)
+                ]
+            except FspmError:
+                # Direct parameters lacking a PA of the tree: simulate fails
+                # on them too, so the fit takes the simulate path and reports
+                # the failure as ``residuals`` does.
+                pass
 
     @property
     def tree_ids(self) -> list[str]:
@@ -217,6 +264,165 @@ class _Observed(NamedTuple):
             trace.cum_internode_mass[self.cycles],
             trace.cum_blade_mass[self.cycles],
         ])
+
+
+class _TreePlan:
+    """One tree's weighted residuals in uniform ring mode, as a function of
+    (q0, rp, pc) alone.
+
+    Everything that does not move with them is fixed once, per cycle i:
+    the organ sinks E_i, the ring weight G_i (the functioning blades, or 1
+    under constant ring demand, once there are internodes to thicken) and
+    the leaf-surface weights W, so that s_i = sum_k W[i, k] * a_k.  Two
+    matrices, ``fixed`` and ``ringed``, map a and pc*a onto each observed
+    cohort's internode mass and onto the observed cumulated internode and
+    blade masses; the cohort rows of ``fixed`` alone give its primary mass,
+    whose allometry fixes the length that closes the diameter.
+
+    ``FitProblem`` has checked that every observed cohort exists and every
+    cumulated cycle is simulated, so a pass fails only as the simulator
+    does on biomass with no sink to take it.
+    """
+
+    def __init__(
+        self, topology: TreeTopology, dp: DirectParams, cfg: SimConfig,
+        obs: _Observed, tree_id: str,
+    ) -> None:
+        census = topology.census
+        n = topology.age
+        birth = np.array([b for _, b in census.keys])
+        size = np.array([census.counts[k] for k in census.keys], dtype=float)
+        sink = np.array([dp.sink(pa) for pa, _ in census.keys])
+        cycle = np.arange(1, n + 1)[:, None]  # (cycles, cohorts) masks below
+        expanding = (birth > cycle - cfg.t_exp) & (birth <= cycle)
+        functioning = (birth > cycle - cfg.t_f) & (birth <= cycle)
+        eligible = birth <= cycle - cfg.t_exp
+        blade_sink = expanding * size / cfg.t_exp
+        e_blade = blade_sink.sum(axis=1)
+        e_internode = blade_sink @ sink
+        n_eligible = eligible @ size
+        per_blade = cfg.ring_demand == RING_DEMAND_PER_BLADE
+        g = np.where(n_eligible > 0, functioning @ size if per_blade else 1.0, 0.0)
+        ring_share = np.divide(g, n_eligible, out=np.zeros(n), where=n_eligible > 0)
+        w = (functioning * size) @ expanding.T / (cfg.t_exp * dp.slw)
+
+        column = {key: j for j, key in enumerate(census.keys)}
+        cols = [column[key] for key in obs.keys]
+        upto = np.tril(np.ones((n, n)))[obs.cycles]  # (cumulated cycles, cycles)
+        self.fixed = np.vstack([
+            (expanding[:, cols] * sink[cols]).T / cfg.t_exp, upto * e_internode, upto * e_blade,
+        ])
+        self.ringed = np.vstack([
+            (eligible[:, cols] * ring_share[:, None]).T, upto * g, np.zeros_like(upto),
+        ])
+        shapes = [dp.shape(pa) for pa, _ in obs.keys]
+        self.b = np.array([b for b, _ in shapes])
+        self.beta = np.array([beta for _, beta in shapes])
+        self.e_sinks = (e_blade + e_internode).tolist()
+        self.g = g.tolist()
+        # Leaf surface at i counts the blade mass laid down up to cycle i.
+        self.w_rows = [row[: i + 1].tolist() for i, row in enumerate(w)]
+        self.e, self.sp, self.rho = cfg.e, cfg.sp, cfg.rho
+        self.obs = obs
+        self.tree_id = tree_id
+
+    def _allocations(
+        self, q0: float, rp: float, pc: float, tangent: bool
+    ) -> tuple[list[float], list[list[float]]]:
+        """a_i for each cycle and, with ``tangent``, its derivatives with
+        respect to (log q0, log rp, log pc), one row per cycle."""
+        e, sp = self.e, self.sp
+        a: list[float] = []
+        da: list[list[float]] = []
+        funded, dfunded = q0, [q0, 0.0, 0.0]
+        last = len(self.g) - 1
+        for i, (e_sink, g, w_row) in enumerate(zip(self.e_sinks, self.g, self.w_rows)):
+            ring = pc * g
+            d = e_sink + ring
+            if funded > 0:
+                if d <= 0:
+                    raise SimulationFailed(
+                        f"tree {self.tree_id!r}: cycle {i + 1}: "
+                        f"{funded} g to allocate but no demand"
+                    )
+                ai = funded / d
+                if tangent:
+                    dq, dr, dp = dfunded
+                    da.append([dq / d, dr / d, (dp - ai * ring) / d])
+            else:
+                ai = 0.0
+                if tangent:
+                    da.append([0.0, 0.0, 0.0])
+            a.append(ai)
+            if i == last:
+                break
+            s = sum(map(mul, w_row, a))
+            decay = math.exp(-s / sp)
+            funded = e * (sp / rp) * (1.0 - decay)
+            if tangent:
+                slope = e / rp * decay
+                ds = [sum(map(mul, w_row, column)) for column in zip(*da)]
+                dfunded = [slope * ds[0], slope * ds[1] - funded, slope * ds[2]]
+        return a, da
+
+    def residuals(
+        self, q0: float, rp: float, pc: float, tangent: bool = False
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Weighted residuals and, with ``tangent``, their (rows x 3)
+        Jacobian with respect to (log q0, log rp, log pc)."""
+        a, da = self._allocations(q0, rp, pc, tangent)
+        fixed = self.fixed @ a
+        ringed = self.ringed @ a
+        mass = fixed + pc * ringed  # cohort masses, then the cumulated series
+        k = len(self.b)
+        primary, total = fixed[:k], mass[:k]
+        ok = (primary > 0) & (total > 0)  # a cohort given nothing has no diameter
+        if not ok.all():
+            primary, total = np.where(ok, primary, 1.0), np.where(ok, total, 1.0)
+        length = self.b * primary**self.beta
+        diameter = np.sqrt(4.0 * total / (math.pi * self.rho * length)) * 10.0 * ok
+        weight = self.obs.weight
+        res = (np.concatenate([diameter, mass]) - self.obs.measured) * weight
+        if not tangent:
+            return res, None
+        dfixed = self.fixed @ da
+        dmass = dfixed + pc * (self.ringed @ da)
+        dmass[:, 2] += pc * ringed
+        # d ln D = (d ln M - beta * d ln P) / 2, with the length L = b * P**beta.
+        ddiameter = (0.5 * diameter)[:, None] * (
+            dmass[:k] / total[:, None] - self.beta[:, None] * dfixed[:k] / primary[:, None]
+        )
+        return res, np.vstack([ddiameter, dmass]) * weight[:, None]
+
+
+def _planned(
+    problem: FitProblem, x: np.ndarray, tangent: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``residuals`` at log parameters x, evaluated through the trees'
+    plans, and with ``tangent`` the Jacobian in param_names order."""
+    vals = np.exp(x).tolist()
+    n = len(problem._plans)
+    rp, pc = vals[n], vals[n + 1]
+    parts, blocks = [], []
+    for plan, q0 in zip(problem._plans, vals):
+        res, block = plan.residuals(q0, rp, pc, tangent)
+        parts.append(res)
+        blocks.append(block)
+    res = np.concatenate(parts)
+    jac = None
+    if tangent:
+        jac = np.zeros((len(res), n + 2))
+        offset = 0
+        for t, block in enumerate(blocks):
+            rows = slice(offset, offset + len(block))
+            jac[rows, t] = block[:, 0]
+            jac[rows, n:] = block[:, 1:]
+            offset += len(block)
+    if problem._weights is not None:
+        res = res * problem._weights
+        if tangent:
+            jac *= problem._weights[:, None]
+    return res, jac
 
 
 def residuals(fp: FreeParams, problem: FitProblem) -> np.ndarray:
@@ -318,12 +524,24 @@ def fd_jacobian(
 
 @dataclass
 class FitResult:
+    """The best start's parameters and how the solver got there.
+
+    ``sse`` and ``per_tree_sse`` are recomputed through :func:`residuals` at
+    those parameters.  ``value_passes`` counts the solver's residual-vector
+    evaluations over all trees, finite-difference ones included;
+    ``tangent_passes`` counts its exact Jacobians (uniform ring mode).
+    ``at_bound`` names the parameters that ended on a bound.
+    """
+
     params: FreeParams
     sse: float
     per_tree_sse: dict[str, float]
     iterations: int
     converged: bool
     degenerate_params: list[str]
+    value_passes: int = 0
+    tangent_passes: int = 0
+    at_bound: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
         doc = {
@@ -335,14 +553,16 @@ class FitResult:
             "iterations": self.iterations,
             "per_tree_sse": dict(sorted(self.per_tree_sse.items())),
             "degenerate_params": self.degenerate_params,
+            "at_bound": self.at_bound,
+            "value_passes": self.value_passes,
+            "tangent_passes": self.tangent_passes,
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _per_tree_sse(fp: FreeParams, problem: FitProblem) -> dict[str, float]:
+def _per_tree_sse(res: np.ndarray, problem: FitProblem) -> dict[str, float]:
     out: dict[str, float] = {}
     offset = 0
-    res = residuals(fp, problem)
     for ts, obs in zip(problem.targets, problem._observed):
         n = len(obs.measured)
         out[ts.tree_id] = float(np.sum(res[offset : offset + n] ** 2))
@@ -350,13 +570,41 @@ def _per_tree_sse(fp: FreeParams, problem: FitProblem) -> dict[str, float]:
     return out
 
 
+class _Passes:
+    """The solver's residual and Jacobian evaluations, counted.
+
+    Through the trees' plans in uniform ring mode; otherwise through
+    :func:`residuals`, with grouped central-difference Jacobians.
+    """
+
+    def __init__(self, problem: FitProblem, fd_step: float) -> None:
+        self.problem = problem
+        self.fd_step = fd_step
+        self.value_passes = 0
+        self.tangent_passes = 0
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        self.value_passes += 1
+        if self.problem._plans is None:
+            return residuals(self.problem.unpack(x), self.problem)
+        return _planned(self.problem, x)[0]
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        if self.problem._plans is None:
+            return central_jacobian(
+                self.values, x, self.fd_step, self.problem.jacobian_pattern
+            )
+        self.tangent_passes += 1
+        return _planned(self.problem, x, tangent=True)[1]
+
+
 def _gauss_newton(
     fn: Callable[[np.ndarray], np.ndarray],
+    jacobian: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
     opts: FitOptions,
-    pattern: np.ndarray,
 ) -> tuple[np.ndarray, float, int, bool]:
     x = np.clip(x0, lo, hi)
     r = fn(x)
@@ -368,7 +616,7 @@ def _gauss_newton(
         if sse <= opts.sse_floor:
             return x, sse, it, True
         it += 1
-        jac = central_jacobian(fn, x, opts.fd_step, pattern)
+        jac = jacobian(x)
         a = jac.T @ jac
         g = jac.T @ r
         scale = np.maximum(np.diag(a), 1e-12)
@@ -411,6 +659,8 @@ def fit_hidden(
     log-uniform draws over the bounds (fixed seed, so results are exactly
     reproducible) and keeps the lowest weighted SSE.  A failure to reach the
     stall criterion is reported through ``converged=False``, never raised.
+    In uniform ring mode the solver runs on the trees' residual plans, with
+    exact Jacobians; the result's SSE is the simulator's, at the optimum.
     """
     lo, hi = problem.log_bounds()
     x_init = problem.pack(init)
@@ -422,36 +672,43 @@ def fit_hidden(
         ]
         raise InfeasibleInit(f"init outside bounds for {bad}")
 
-    def fn(x: np.ndarray) -> np.ndarray:
-        return residuals(problem.unpack(x), problem)
-
-    rng = np.random.default_rng(options.seed)
-    starts = [x_init]
-    for _ in range(options.n_starts):
-        starts.append(rng.uniform(lo, hi))
+    passes = _Passes(problem, options.fd_step)
+    # The standard library's seeded generator: a fit never loads
+    # numpy.random, about 15 ms and 3 MB of resident memory on first use.
+    rng = random.Random(options.seed)
+    bounds = list(zip(lo.tolist(), hi.tolist()))
+    starts = [x_init] + [
+        np.array([rng.uniform(a, b) for a, b in bounds]) for _ in range(options.n_starts)
+    ]
 
     best: tuple[np.ndarray, float, int, bool] | None = None
     for x0 in starts:
         x, sse, iters, converged = _gauss_newton(
-            fn, x0, lo, hi, options, problem.jacobian_pattern
+            passes.values, passes.jacobian, x0, lo, hi, options
         )
         if best is None or sse < best[1]:
             best = (x, sse, iters, converged)
 
-    x, sse, iters, converged = best
+    x, _, iters, converged = best
     fp = problem.unpack(x)
-    jac = central_jacobian(fn, x, options.fd_step, problem.jacobian_pattern)
-    norms = np.linalg.norm(jac, axis=0)
-    degenerate = [
-        problem.param_names[j] for j in range(len(norms)) if norms[j] < 1e-12
+    norms = np.linalg.norm(passes.jacobian(x), axis=0)
+    names = problem.param_names
+    degenerate = [names[j] for j in range(len(norms)) if norms[j] < 1e-12]
+    at_bound = [
+        names[j] for j in range(len(x))
+        if x[j] - lo[j] <= BOUND_TOL or hi[j] - x[j] <= BOUND_TOL
     ]
+    res = residuals(fp, problem)
     return FitResult(
         params=fp,
-        sse=sse,
-        per_tree_sse=_per_tree_sse(fp, problem),
+        sse=float(res @ res),
+        per_tree_sse=_per_tree_sse(res, problem),
         iterations=iters,
         converged=converged,
         degenerate_params=degenerate,
+        value_passes=passes.value_passes,
+        tangent_passes=passes.tangent_passes,
+        at_bound=at_bound,
     )
 
 

@@ -12,7 +12,9 @@ Exit codes: 0 success, 1 validation/usage error (bad input file, parameter
 or option), 2 convergence failure, 3 runtime model failure (such as biomass
 to allocate with no sink to take it, or a simulation failing inside the
 fit), each error reported in one line.
-Every output directory receives exactly one ``run_manifest.json``; outputs
+Every output directory receives exactly one ``run_manifest.json``, which
+records the command's inputs and configuration, its elapsed time, the
+process's peak resident memory and the Python and numpy versions; outputs
 are written atomically (temp file + rename) so failures leave nothing
 partial.
 """
@@ -23,11 +25,14 @@ import hashlib
 import json
 import logging
 import os
+import resource
 import sys
 import tempfile
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .calibrate import FitOptions, FitProblem, FreeParams, fit_hidden
@@ -40,7 +45,7 @@ from .engine import (
     simulate,
     simulate_factored,
 )
-from .errors import FspmError, ValidationError, schema_errors
+from .errors import FspmError, ValidationError, read_text, schema_errors
 from .export import (
     export_fit_csv,
     export_organs_csv,
@@ -76,15 +81,27 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _write_manifest(out_dir: Path, command: str, inputs: list[str], config: dict) -> None:
+def _peak_rss_mb() -> float:
+    """Peak resident set of this process so far (children not counted)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10  # bytes / KiB
+
+
+def _write_manifest(
+    out_dir: Path, args: argparse.Namespace, inputs: list[str], config: dict
+) -> None:
     normalized = json.dumps(config, sort_keys=True)
     manifest = {
-        "command": command,
+        "command": args.command,
         "inputs": sorted(inputs),
         "config_hash": hashlib.sha256(normalized.encode()).hexdigest(),
         "seed": config.get("seed"),
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        "elapsed_s": time.perf_counter() - args.started,
+        "peak_rss_mb": _peak_rss_mb(),
+        "python_version": "%d.%d.%d" % sys.version_info[:3],
+        "numpy_version": np.__version__,
     }
     _atomic_write(out_dir / "run_manifest.json",
                   json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -99,11 +116,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_tree(path: str):
-    return tree_from_json(Path(path).read_text(encoding="utf-8"), str(path))
+    return tree_from_json(read_text(path), str(path))
 
 
 def _load_pa_map(path: str) -> dict[str, int]:
-    return pa_map_from_json(Path(path).read_text(encoding="utf-8"), str(path))
+    return pa_map_from_json(read_text(path), str(path))
 
 
 def _cmd_ingest(args) -> int:
@@ -122,7 +139,7 @@ def _cmd_ingest(args) -> int:
     out = Path(args.out)
     _atomic_write(out, tree_to_json(topology, sub))
     _write_manifest(
-        out.parent, "ingest",
+        out.parent, args,
         [args.axes, args.gus, args.internodes, args.leaves],
         {"command": "ingest", "tree_id": ids[0], "out": out.name},
     )
@@ -138,7 +155,7 @@ def _cmd_classify_pa(args) -> int:
     out = Path(args.out)
     _atomic_write(out / "pa_map.json", pa_map_to_json(pa_map))
     _atomic_write(out / "targets.json", targets.to_json())
-    _write_manifest(out, "classify-pa", [args.tree],
+    _write_manifest(out, args, [args.tree],
                     {"command": "classify-pa", "k": args.k})
     return 0
 
@@ -158,7 +175,7 @@ def _cmd_estimate(args) -> int:
     dp, diagnostics = estimate_direct_params(trees, internodes, leaves)
     out = Path(args.out)
     _atomic_write(out / "direct_params.json", dp.to_json())
-    _write_manifest(out, "estimate", list(args.tree) + list(args.pa_map),
+    _write_manifest(out, args, list(args.tree) + list(args.pa_map),
                     {"command": "estimate"})
     for pa, diag in sorted(diagnostics.items()):
         logger.info(
@@ -175,7 +192,7 @@ def _sim_config(args) -> SimConfig:
 
 def _hidden_from_args(args) -> HiddenParams:
     if args.hidden:
-        text = Path(args.hidden).read_text(encoding="utf-8")
+        text = read_text(args.hidden)
         with schema_errors(args.hidden):
             doc = json.loads(text)
             tree_q0 = {tid: float(v) for tid, v in doc["q0"].items()}
@@ -200,17 +217,18 @@ def _cmd_simulate(args) -> int:
     classified = with_physio_ages(topology, pa_map)
     dp = DirectParams.load(args.params)
     hp = _hidden_from_args(args)
+    targets = TargetSeries.load(args.targets) if args.targets else None
     trace = simulate(hp, dp, classified, _sim_config(args), cycles=args.cycles)
+    fit_csvs = {} if targets is None else export_fit_csv(trace, targets)
     out = Path(args.out)
     _atomic_write(out / "trace.csv", export_trace_csv(trace))
     _atomic_write(out / "organs.csv", export_organs_csv(trace))
+    for name, text in fit_csvs.items():
+        _atomic_write(out / f"{name}.csv", text)
     inputs = [args.tree, args.pa_map, args.params]
-    if args.targets:
-        targets = TargetSeries.load(args.targets)
-        for name, text in export_fit_csv(trace, targets).items():
-            _atomic_write(out / f"{name}.csv", text)
+    if targets is not None:
         inputs.append(args.targets)
-    _write_manifest(out, "simulate", inputs, {
+    _write_manifest(out, args, inputs, {
         "command": "simulate", "ring_mode": args.ring_mode,
         "ring_demand": args.ring_demand, "cycles": args.cycles,
         "q0": hp.q0, "rp": hp.rp, "pc": hp.pc,
@@ -246,7 +264,7 @@ def _cmd_fit(args) -> int:
     result = fit_hidden(problem, init, options)
     out = Path(args.out)
     _atomic_write(out / "fit_result.json", result.to_json())
-    _write_manifest(out, "fit", list(args.tree) + list(args.pa_map) + [args.params], {
+    _write_manifest(out, args, list(args.tree) + list(args.pa_map) + [args.params], {
         "command": "fit", "seed": args.seed, "n_starts": args.n_starts,
         "init": [args.init_q0, args.init_rp, args.init_pc],
         "ring_mode": args.ring_mode, "ring_demand": args.ring_demand,
@@ -255,6 +273,8 @@ def _cmd_fit(args) -> int:
                 result.sse, result.converged, result.iterations)
     if result.degenerate_params:
         logger.warning("unidentifiable parameters: %s", result.degenerate_params)
+    if result.at_bound:
+        logger.warning("parameters on a bound: %s", result.at_bound)
     return 0 if result.converged else 2
 
 
@@ -267,7 +287,7 @@ def _cmd_export_skeleton(args) -> int:
     trace = simulate(hp, dp, classified, _sim_config(args))
     out = Path(args.out)
     _atomic_write(out, export_skeleton(trace, classified, args.seed))
-    _write_manifest(out.parent, "export-skeleton",
+    _write_manifest(out.parent, args,
                     [args.tree, args.pa_map, args.params],
                     {"command": "export-skeleton", "seed": args.seed})
     return 0
@@ -300,7 +320,7 @@ def _cmd_bench(args) -> int:
     }
     out = Path(args.out)
     _atomic_write(out / "bench.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out, "bench-substructure", [], {
+    _write_manifest(out, args, [], {
         "command": "bench-substructure", "cycles": args.cycles,
         "pmax": args.pmax, "branching": args.branching,
     })
@@ -410,6 +430,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    args.started = time.perf_counter()
     try:
         return args.func(args)
     except ValidationError as exc:

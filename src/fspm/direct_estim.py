@@ -26,6 +26,7 @@ from .errors import (
     InsufficientData,
     InvalidParameter,
     ValidationError,
+    read_text,
     schema_errors,
 )
 
@@ -112,7 +113,7 @@ class DirectParams:
 
     @classmethod
     def load(cls, path: str | Path) -> "DirectParams":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"), str(path))
+        return cls.from_json(read_text(path), str(path))
 
 
 def fit_sink_ratio(pairs: Sequence[tuple[float, float]]) -> SinkFit:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+from pathlib import Path
 from typing import Iterator
 
 
@@ -134,3 +135,22 @@ def schema_errors(source: str) -> Iterator[None]:
         raise SchemaError(f"{source}: missing key {exc}") from None
     except (TypeError, ValueError, AttributeError, InvalidParameter) as exc:
         raise SchemaError(f"{source}: {exc}") from None
+
+
+@contextlib.contextmanager
+def utf8_errors(source: str | Path) -> Iterator[None]:
+    """Report bytes that are not UTF-8 as one SchemaError naming ``source``.
+
+    Text files are decoded in chunks, so the position the decoder reports
+    is not one in the file; the message gives the file and the reason only.
+    """
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{source}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of ``path``; other bytes raise a SchemaError."""
+    with utf8_errors(path):
+        return Path(path).read_text(encoding="utf-8")

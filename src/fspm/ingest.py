@@ -42,7 +42,9 @@ from .errors import (
     SchemaError,
     UnitError,
     ValidationError,
+    read_text,
     schema_errors,
+    utf8_errors,
 )
 from .topology import AxisRecord, GURecord, TreeTopology, build_topology
 
@@ -103,11 +105,11 @@ def _rows(path: str | Path, required: Sequence[str]) -> list[tuple[int, tuple]]:
     is the physical line the row ends on.  Extra columns are ignored.
 
     Raises:
-        SchemaError: the file is empty, lacks a required column, or has a
-            row too short to hold one.
+        SchemaError: the file is empty, is not UTF-8, lacks a required
+            column, or has a row too short to hold one.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with utf8_errors(path), path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -364,7 +366,7 @@ class TargetSeries:
 
     @classmethod
     def load(cls, path: str | Path) -> "TargetSeries":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"), str(path))
+        return cls.from_json(read_text(path), str(path))
 
 
 def _mean(values: Sequence[float]) -> float:

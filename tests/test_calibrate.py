@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fspm import (
     DirectParams,
@@ -20,9 +21,16 @@ from fspm import (
     simulate,
     targets_from_trace,
 )
-from fspm.calibrate import central_jacobian
-from fspm.errors import InfeasibleInit, InvalidParameter, MissingPA, ValidationError
+from fspm.calibrate import _planned, central_jacobian
+from fspm.errors import (
+    InfeasibleInit,
+    InvalidParameter,
+    MissingPA,
+    SimulationFailed,
+    ValidationError,
+)
 from fspm.ingest import TargetSeries
+from test_engine import uneven_trees
 
 
 @pytest.fixture
@@ -265,9 +273,11 @@ class TestGroupedJacobian:
         assert len(calls) == 6 * n_trees
         assert sorted(set(calls)) == problem.tree_ids
 
-    def test_acceptance_fit_makes_5104_simulations(self, dp3, monkeypatch):
+    def test_acceptance_fit_makes_211_value_and_164_tangent_passes(self, dp3, monkeypatch):
         # The seed-0 round trip of the acceptance suite: a change to the
-        # solver's work shows here as a different count.
+        # solver's work shows here as a different count.  The solver runs
+        # on the residual plans; the simulator runs once per tree, for the
+        # reported SSE.
         import fspm.calibrate as calibrate
 
         problem = acceptance_problem(dp3)
@@ -280,8 +290,10 @@ class TestGroupedJacobian:
 
         monkeypatch.setattr(calibrate, "simulate", counting)
         result = fit_hidden(problem, doubled_init(problem), FitOptions(seed=0, n_starts=8))
-        assert calls == 5104
+        assert (result.value_passes, result.tangent_passes) == (211, 164)
+        assert calls == 4
         assert result.converged
+        assert result.at_bound == []
         assert result.params.rp == pytest.approx(6.4319, rel=0.01)
         assert result.params.pc == pytest.approx(0.13882, rel=0.01)
         for tid, q0 in ACCEPTANCE_Q0.items():
@@ -321,6 +333,112 @@ class TestGroupedJacobian:
     def test_pattern_shape_checked(self):
         with pytest.raises(ValueError, match="pattern shape"):
             central_jacobian(lambda x: x * 2.0, np.ones(3), 1e-6, np.ones((2, 3), bool))
+
+
+def assert_plan_matches_simulator(problem, fp):
+    """The plan's residuals and exact Jacobian against ``residuals`` and
+    ``fd_jacobian``, both of which run the simulator."""
+    reference = residuals(fp, problem)
+    values, jac = _planned(problem, problem.pack(fp), tangent=True)
+    assert np.max(np.abs(values - reference)) <= 1e-12 * np.max(np.abs(reference))
+    assert np.array_equal(_planned(problem, problem.pack(fp))[0], values)
+    fd = fd_jacobian(fp, problem)
+    assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(fd))
+    assert np.all(jac[~problem.jacobian_pattern] == 0.0)
+
+
+class TestResidualPlan:
+    """Uniform-mode residual plans against the simulator they replace."""
+
+    @pytest.mark.parametrize("ring_demand", ["per-blade", "constant"])
+    @pytest.mark.parametrize("t_exp", [1, 2, 3])
+    @pytest.mark.parametrize("t_f", [1, 2, 3])
+    def test_generated_trees(self, dp3, t_exp, t_f, ring_demand):
+        # Ages 1-8 at branching 1 and 2, fitted together as one problem, at
+        # a point away from the generating parameters.
+        cfg = SimConfig(t_exp=t_exp, t_f=t_f, ring_demand=ring_demand)
+        topologies, targets, q0 = [], [], {}
+        for branching in (1, 2):
+            rules = GrowthRules(p_max=3, internodes_per_gu=2, branches_per_gu=branching)
+            for age in range(1, 9):
+                tid = f"b{branching}a{age}"
+                topo = generate_topology(rules, age, tid)
+                trace = simulate(HiddenParams(4.0 + age, 6.4319, 0.13882), dp3, topo, cfg)
+                topologies.append(topo)
+                targets.append(targets_from_trace(trace, dp3))
+                q0[tid] = 2.0 + 1.5 * age
+        problem = FitProblem(targets=targets, topologies=topologies, dp=dp3, cfg=cfg)
+        assert_plan_matches_simulator(problem, FreeParams(q0=q0, rp=3.1, pc=0.31))
+
+    @given(
+        topo=uneven_trees(),
+        t_exp=st.integers(1, 3),
+        t_f=st.integers(1, 3),
+        ring_demand=st.sampled_from(["per-blade", "constant"]),
+    )
+    def test_uneven_trees(self, topo, t_exp, t_f, ring_demand):
+        dp = DirectParams(
+            p_int={1: 0.561, 2: 0.726, 3: 0.858},
+            allometry={1: (5.0, 0.3), 2: (7.0, 0.35), 3: (9.0, 0.4)},
+            slw=0.0287,
+        )
+        cfg = SimConfig(t_exp=t_exp, t_f=t_f, ring_demand=ring_demand)
+        trace = simulate(HiddenParams(14.23, 6.4319, 0.13882), dp, topo, cfg)
+        problem = FitProblem(targets=[targets_from_trace(trace, dp)], topologies=[topo],
+                             dp=dp, cfg=cfg)
+        assert_plan_matches_simulator(problem, FreeParams(q0={topo.tree_id: 9.0}, rp=4.0, pc=0.5))
+
+    def test_user_weights(self, dp3):
+        problem = acceptance_problem(dp3, weighted=True)
+        assert_plan_matches_simulator(problem, doubled_init(problem))
+
+    def test_pipe_mode_has_no_plan(self, dp3):
+        assert acceptance_problem(dp3, cfg=SimConfig(ring_mode="pipe"))._plans is None
+
+    def test_zero_demand_raises_as_residuals_does(self, dp2):
+        # Declared one cycle older than its growth: on the last cycle the
+        # foliage funds biomass and nothing takes it.
+        hp = HiddenParams(q0=5.0, rp=4.0, pc=0.1)
+        rules = GrowthRules(p_max=2, internodes_per_gu=2, branches_per_gu=1)
+        grown = generate_topology(rules, 3, "t1")
+        older = TreeTopology(grown.tree_id, 4, grown.axes)
+        targets = targets_from_trace(simulate(hp, dp2, grown), dp2)
+        problem = FitProblem(targets=[targets], topologies=[older], dp=dp2)
+        fp = FreeParams(q0={"t1": 5.0}, rp=4.0, pc=0.1)
+        with pytest.raises(SimulationFailed) as expected:
+            residuals(fp, problem)
+        assert "cycle 4" in str(expected.value)
+        for tangent in (False, True):
+            with pytest.raises(SimulationFailed) as got:
+                _planned(problem, problem.pack(fp), tangent)
+            assert str(got.value) == str(expected.value)
+        with pytest.raises(SimulationFailed, match="cycle 4"):
+            fit_hidden(problem, fp, FitOptions(n_starts=0))
+
+    def test_missing_sink_fails_in_the_fit_as_before(self, dp2):
+        # Direct parameters without PA 2: no plan can be built, and the fit
+        # reports simulate's error.
+        problem = synthetic_problem(dp2, {"t1": HiddenParams(5.0, 4.0, 0.1)}, [3])
+        bare = DirectParams(p_int={1: 0.561}, allometry={1: (5.0, 0.3)}, slw=0.0287)
+        problem = replace(problem, dp=bare)
+        assert problem._plans is None
+        with pytest.raises(SimulationFailed, match="no internode sink for PA 2"):
+            fit_hidden(problem, FreeParams(q0={"t1": 5.0}, rp=4.0, pc=0.1))
+
+    @pytest.mark.parametrize("cycle", [0, 4])
+    def test_cumulated_cycle_outside_the_run_rejected(self, dp2, cycle):
+        problem = synthetic_problem(dp2, {"t1": HiddenParams(5.0, 4.0, 0.1)}, [3])
+        ts = problem.targets[0]
+        bad = replace(ts, cumulated={**ts.cumulated, cycle: ts.cumulated[3]})
+        with pytest.raises(ValidationError, match=f"cycle {cycle} outside"):
+            FitProblem(targets=[bad], topologies=problem.topologies, dp=dp2)
+
+    def test_acceptance_fit_deterministic_per_seed(self, dp3):
+        problem = acceptance_problem(dp3)
+        runs = [fit_hidden(problem, doubled_init(problem), FitOptions(seed=seed, n_starts=2))
+                for seed in (3, 3, 4)]
+        assert runs[0].to_json() == runs[1].to_json()
+        assert runs[0].to_json() != runs[2].to_json()
 
 
 class TestFitOptions:

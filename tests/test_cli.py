@@ -1,4 +1,5 @@
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -76,8 +77,9 @@ class TestIngest:
         assert out1.read_bytes() == out2.read_bytes()
         m1 = json.loads((tmp_path / "a" / "run_manifest.json").read_text())
         m2 = json.loads((tmp_path / "b" / "run_manifest.json").read_text())
-        m1.pop("timestamp")
-        m2.pop("timestamp")
+        for run_dependent in ("timestamp", "elapsed_s", "peak_rss_mb"):
+            m1.pop(run_dependent)
+            m2.pop(run_dependent)
         assert m1 == m2
 
 
@@ -179,6 +181,36 @@ class TestFitCommand:
         assert doc["pc"] == pytest.approx(0.2, rel=0.01)
         assert doc["q0"]["s1"] == pytest.approx(6.0, rel=0.02)
         assert doc["q0"]["s2"] == pytest.approx(18.0, rel=0.02)
+
+
+class TestGroveFit:
+    def test_stops_at_max_iter_with_pc_on_its_bound(self, grove_pipeline, tmp_path, caplog):
+        # The grove targets are formula-made: the one-start fit runs its
+        # whole budget and ends with pc on its lower bound.
+        _, trees, params = grove_pipeline
+        out = tmp_path / "fit"
+        argv = ["fit", "--params", params, "--seed", 0, "--n-starts", 0, "--out", out]
+        for tree, pa_map, _ in trees.values():
+            argv += ["--tree", tree, "--pa-map", pa_map]
+        with caplog.at_level(logging.WARNING, logger="fspm.cli"):
+            assert run(*argv) == 2
+        doc = json.loads((out / "fit_result.json").read_text())
+        assert doc["iterations"] == 200 and doc["converged"] is False
+        assert doc["at_bound"] == ["pc"]
+        assert doc["pc"] == pytest.approx(1e-6, rel=1e-9)
+        assert doc["sse"] == pytest.approx(61.7055, rel=1e-3)
+        assert doc["tangent_passes"] > 0
+        assert "parameters on a bound: ['pc']" in caplog.text
+
+    def test_manifest_records_run_costs(self, grove_pipeline, tmp_path):
+        _, trees, params = grove_pipeline
+        tree, pa_map, _ = trees["P2"]
+        out = tmp_path / "fit"
+        assert run("fit", "--tree", tree, "--pa-map", pa_map, "--params", params,
+                   "--n-starts", 0, "--out", out) in (0, 2)
+        assert sorted(p.name for p in out.iterdir()) == ["fit_result.json", "run_manifest.json"]
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert {"elapsed_s", "peak_rss_mb", "python_version", "numpy_version"} <= set(manifest)
 
 
 class TestFitExitCodes:
@@ -317,6 +349,16 @@ class TestBadInputFiles:
         assert err.startswith(f"fspm simulate: {bad}: {message}")
         assert not (tmp_path / "sim" / "run_manifest.json").exists()
 
+    def test_targets_of_another_tree_write_nothing(self, grove_pipeline, tmp_path, capsys):
+        _, trees, params = grove_pipeline
+        tree, pa_map, _ = trees["P2"]
+        argv = ["simulate", "--tree", tree, "--pa-map", pa_map, "--params", params,
+                "--q0", 12.0, "--rp", 6.4, "--pc", 0.14,
+                "--targets", trees["P1"][2], "--out", tmp_path / "sim"]
+        err = self.one_error_line(capsys, argv)
+        assert err == "fspm simulate: trace is for 'P2', targets for 'P1'"
+        assert not (tmp_path / "sim").exists()
+
     @pytest.mark.parametrize("column, value, message", [
         ("fresh_weight_g", "abc", "not a number: 'abc'"),
         ("length_cm", -1.0, "measurement must be finite and > 0, got -1.0"),
@@ -367,6 +409,63 @@ class TestBadInputFiles:
         assert err == (f"fspm ingest: {src / name}:{line}: column {column!r}: "
                        f"measurement must be finite and > 0, got {raw}")
         assert not out.exists()
+
+
+class TestNotUtf8:
+    """An input file that is not UTF-8 ends in exit 1 and one line naming it,
+    with no position: the decoder reads in chunks."""
+
+    @staticmethod
+    def latin1(path, text):
+        path.write_bytes(text.encode("latin-1"))
+
+    def one_error_line(self, capsys, argv):
+        capsys.readouterr()
+        assert run(*argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        return err[0]
+
+    @pytest.mark.parametrize("name", ["axes.csv", "gus.csv", "internodes.csv", "leaves.csv"])
+    def test_measurement_csv(self, tmp_path, capsys, name):
+        src = tmp_path / "single"
+        src.mkdir()
+        for csv_file in SINGLE.iterdir():
+            (src / csv_file.name).write_bytes(csv_file.read_bytes())
+        rows = (src / name).read_text().splitlines(keepends=True)
+        rows.insert(1, "\n" * 50 + "# \xe9t\xe9\n")  # past the first line
+        self.latin1(src / name, "".join(rows))
+        out = tmp_path / "tree.json"
+        err = self.one_error_line(capsys, ingest_args(src, out))
+        assert err.startswith(f"fspm ingest: {src / name}: not UTF-8 text (")
+        assert "position" not in err and "line" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("which", ["tree", "pa_map", "targets", "params", "hidden"])
+    def test_json_input(self, grove_pipeline, tmp_path, capsys, which):
+        _, trees, params = grove_pipeline
+        files = dict(zip(("tree", "pa_map", "targets"), trees["P2"]), params=params)
+        files["hidden"] = tmp_path / "fit_result.json"
+        files["hidden"].write_text('{"q0": {"P2": 12.0}, "rp": 6.4, "pc": 0.14}')
+        bad = tmp_path / "bad" / files[which].name
+        bad.parent.mkdir()
+        self.latin1(bad, files[which].read_text().replace("{", '{"note": "\xe9", ', 1))
+        files[which] = bad
+        argv = ["simulate", "--tree", files["tree"], "--pa-map", files["pa_map"],
+                "--params", files["params"], "--hidden", files["hidden"],
+                "--targets", files["targets"], "--out", tmp_path / "sim"]
+        err = self.one_error_line(capsys, argv)
+        assert err == f"fspm simulate: {bad}: not UTF-8 text (invalid continuation byte)"
+        assert not (tmp_path / "sim").exists()
+
+    def test_tree_json_in_classify(self, tmp_path, capsys):
+        tree = tmp_path / "tree.json"
+        assert run(*ingest_args(SINGLE, tree)) == 0
+        self.latin1(tree, tree.read_text().replace('"T', '"\xe9T', 1))
+        err = self.one_error_line(capsys, ["classify-pa", "--tree", tree, "--k", 3,
+                                           "--out", tmp_path / "cls"])
+        assert err.startswith(f"fspm classify-pa: {tree}: not UTF-8 text")
+        assert not (tmp_path / "cls").exists()
 
 
 class TestRuntimeErrors:
