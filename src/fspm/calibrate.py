@@ -10,28 +10,29 @@ The solver is a damped Gauss-Newton iteration with adaptive Levenberg-style
 damping, run on log-transformed parameters so positivity holds by
 construction, with a seeded log-uniform multi-start.
 
-In uniform ring mode every sink except the ring sink is fixed by the census,
-the direct parameters and the configuration, so the recursion collapses onto
-one scalar per cycle, the biomass per unit of sink a_i = q_i / (E_i + pc*G_i),
+Every sink except the ring sink is fixed by the census, the direct
+parameters and the configuration, so the recursion collapses onto one
+scalar per cycle, the biomass per unit of sink a_i = q_i / (E_i + pc*G_i),
 and every observable is a fixed linear map of a and pc*a, closed by the
-allometry.  ``FitProblem`` builds these maps once per tree (a residual
-plan).  The solver evaluates residuals through the plans, and takes each
-tree's Jacobian block from one tangent-linear pass that carries
-d/d(log q0, log rp, log pc) through the same recursion (forward-mode
-differentiation, Griewank & Walther 2008, ch. 3): exact, and the price of
-about one simulation where central differences need six.
+allometry.  The ring mode only decides how each cycle's pool is spread:
+evenly over the internodes old enough to thicken, or in pipe mode in
+proportion to the functioning blades above them, so a cohort's internodes
+fall into ring classes of equal ring mass.  ``FitProblem`` builds these
+maps once per tree (a residual plan).  The solver evaluates residuals
+through the plans, and takes each tree's Jacobian block from one
+tangent-linear pass that carries d/d(log q0, log rp, log pc) through the
+same recursion (forward-mode differentiation, Griewank & Walther 2008,
+ch. 3): exact, and the price of about one simulation where central
+differences need six.
 
-Pipe ring mode spreads each pool over individual internodes, and its fits
-keep central finite-difference Jacobians.  A tree's residuals depend only
-on its own seed mass and the shared pair, so the Jacobian is block-sparse:
-the seed-mass columns have disjoint rows and share one +/- step (grouped
-central differences, Curtis, Powell & Reid 1974).  A Jacobian over T trees
-costs 3 pairs of residual evaluations, 6*T simulations, and is bitwise
-equal to the column-by-column one.
-
-:func:`residuals` and :func:`fd_jacobian` always run the simulator: they are
-the reference the plans are tested against, and the reported SSE of a fit is
-recomputed through :func:`residuals` at its optimum.
+FD is the test oracle.  :func:`residuals` and :func:`fd_jacobian` always
+run the simulator: they are the reference the plans are tested against,
+and the reported SSE of a fit is recomputed through :func:`residuals` at
+its optimum.  A tree's residuals depend only on its own seed mass and the
+shared pair, so :func:`fd_jacobian` steps the seed-mass columns, whose rows
+are disjoint, together (grouped central differences, Curtis, Powell & Reid
+1974): 3 pairs of residual evaluations whatever the number of trees,
+bitwise equal to the column-by-column Jacobian.
 """
 from __future__ import annotations
 
@@ -48,10 +49,11 @@ import numpy as np
 from .direct_estim import DirectParams
 from .engine import (
     RING_DEMAND_PER_BLADE,
-    RING_UNIFORM,
+    RING_PIPE,
     HiddenParams,
     SimConfig,
     SimulationTrace,
+    _PipeContext,
     simulate,
 )
 from .errors import (
@@ -91,7 +93,6 @@ class FitOptions:
     seed: int = 0
     rel_tol: float = 1e-10
     stall_iters: int = 3
-    fd_step: float = 1e-5
     lambda0: float = 1e-3
     # Weighted residuals are relative, so an SSE this small is an exact fit
     # up to float noise; stop without burning Jacobian evaluations.
@@ -102,8 +103,7 @@ class FitOptions:
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral) and value >= low):
                 raise InvalidParameter(f"{name} must be an integer >= {low}, got {value!r}")
-        for name, strict in (("fd_step", True), ("lambda0", True),
-                             ("rel_tol", False), ("sse_floor", False)):
+        for name, strict in (("lambda0", True), ("rel_tol", False), ("sse_floor", False)):
             value = getattr(self, name)
             if not (math.isfinite(value) and (value > 0 if strict else value >= 0)):
                 bound = "> 0" if strict else ">= 0"
@@ -116,9 +116,10 @@ class FitProblem:
 
     Treat it as read-only once built: each tree's measured vector and
     weights, the user weights as an array, ``jacobian_pattern`` (rows x
-    param_names, True where a residual can move with a parameter) and, in
-    uniform ring mode, each tree's residual plan are derived once, in
-    ``__post_init__``.
+    param_names, True where a residual can move with a parameter) and each
+    tree's residual plan are derived once, in ``__post_init__``.  Direct
+    parameters lacking a PA of a tree fail there, with the
+    :class:`SimulationFailed` that :func:`residuals` would raise.
     """
 
     targets: list[TargetSeries]
@@ -132,7 +133,7 @@ class FitProblem:
     _observed: list[_Observed] = field(init=False, repr=False, compare=False)
     _weights: np.ndarray | None = field(init=False, repr=False, compare=False)
     jacobian_pattern: np.ndarray = field(init=False, repr=False, compare=False)
-    _plans: list[_TreePlan] | None = field(init=False, repr=False, compare=False)
+    _plans: list[_TreePlan] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.targets) != len(self.topologies):
@@ -178,18 +179,12 @@ class FitProblem:
             self.jacobian_pattern[offset : offset + len(obs.measured), t] = True
             offset += len(obs.measured)
         self.jacobian_pattern.flags.writeable = False
-        self._plans = None
-        if self.cfg.ring_mode == RING_UNIFORM:
+        self._plans = []
+        for ts, topo, obs in zip(self.targets, self.topologies, self._observed):
             try:
-                self._plans = [
-                    _TreePlan(topo, self.dp, self.cfg, obs, ts.tree_id)
-                    for ts, topo, obs in zip(self.targets, self.topologies, self._observed)
-                ]
-            except FspmError:
-                # Direct parameters lacking a PA of the tree: simulate fails
-                # on them too, so the fit takes the simulate path and reports
-                # the failure as ``residuals`` does.
-                pass
+                self._plans.append(_TreePlan(topo, self.dp, self.cfg, obs, ts.tree_id))
+            except ValidationError as exc:  # direct parameters lacking a PA of the tree
+                raise SimulationFailed(f"tree {ts.tree_id!r}: {exc}") from exc
 
     @property
     def tree_ids(self) -> list[str]:
@@ -267,17 +262,23 @@ class _Observed(NamedTuple):
 
 
 class _TreePlan:
-    """One tree's weighted residuals in uniform ring mode, as a function of
-    (q0, rp, pc) alone.
+    """One tree's weighted residuals as a function of (q0, rp, pc) alone.
 
     Everything that does not move with them is fixed once, per cycle i:
     the organ sinks E_i, the ring weight G_i (the functioning blades, or 1
     under constant ring demand, once there are internodes to thicken) and
-    the leaf-surface weights W, so that s_i = sum_k W[i, k] * a_k.  Two
-    matrices, ``fixed`` and ``ringed``, map a and pc*a onto each observed
-    cohort's internode mass and onto the observed cumulated internode and
-    blade masses; the cohort rows of ``fixed`` alone give its primary mass,
-    whose allometry fixes the length that closes the diameter.
+    the leaf-surface weights W, so that s_i = sum_k W[i, k] * a_k.  Cycle
+    i's pool, pc * G_i * a_i, reaches internode k in proportion to its ring
+    weight w_ik: 1 for every internode old enough to thicken in uniform
+    mode, its distal functioning blades in pipe mode (all 1s again on a
+    cycle where those are all 0, as :func:`~fspm.engine.distribute_rings`
+    does).  The internodes of an observed cohort with equal share rows
+    G_i * w_ik / sum_k w_ik form one ring class.  Two matrices, ``fixed``
+    and ``ringed``, map a and pc*a onto each class's internode mass and onto
+    the observed cumulated internode and blade masses; the class rows of
+    ``fixed`` alone give its primary mass, whose allometry fixes the length
+    that closes the diameter.  Where a cohort has more than one class,
+    ``mean`` averages class diameters and masses into the cohort's.
 
     ``FitProblem`` has checked that every observed cohort exists and every
     cumulated cycle is simulated, so a pass fails only as the simulator
@@ -303,21 +304,45 @@ class _TreePlan:
         n_eligible = eligible @ size
         per_blade = cfg.ring_demand == RING_DEMAND_PER_BLADE
         g = np.where(n_eligible > 0, functioning @ size if per_blade else 1.0, 0.0)
-        ring_share = np.divide(g, n_eligible, out=np.zeros(n), where=n_eligible > 0)
         w = (functioning * size) @ expanding.T / (cfg.t_exp * dp.slw)
 
+        # Ring weights w_ik, (cycles, internodes) in census order.
+        ring_weight = eligible[:, census.cohort].astype(int)
+        if cfg.ring_mode == RING_PIPE:
+            pipe = _PipeContext(topology)
+            distal = ring_weight * np.array(
+                [pipe.distal_functioning(i, cfg.t_f) for i in range(1, n + 1)]
+            )
+            spread = distal.any(axis=1)  # otherwise all 1s, as distribute_rings does
+            ring_weight[spread] = distal[spread]
+        weight_sum = ring_weight.sum(axis=1)[:, None]
         column = {key: j for j, key in enumerate(census.keys)}
         cols = [column[key] for key in obs.keys]
+        observed = np.full(len(census.keys), -1)
+        observed[cols] = np.arange(len(cols))
+        member = observed[census.cohort]  # each internode's observed cohort, or -1
+        kept = member >= 0
+        weights = ring_weight[:, kept]
+        share = np.divide(g[:, None] * weights, weight_sum,
+                          out=np.zeros(weights.shape), where=weight_sum > 0)
+        classes, count = np.unique(
+            np.column_stack([member[kept], share.T]), axis=0, return_counts=True
+        )
+        owner = classes[:, 0].astype(int)  # the observed cohort of each class
+        self.mean = None
+        if len(classes) > len(cols):
+            self.mean = np.zeros((len(cols), len(classes)))
+            self.mean[owner, np.arange(len(classes))] = count / size[cols][owner]
+
         upto = np.tril(np.ones((n, n)))[obs.cycles]  # (cumulated cycles, cycles)
         self.fixed = np.vstack([
-            (expanding[:, cols] * sink[cols]).T / cfg.t_exp, upto * e_internode, upto * e_blade,
+            ((expanding[:, cols] * sink[cols]).T / cfg.t_exp)[owner],
+            upto * e_internode, upto * e_blade,
         ])
-        self.ringed = np.vstack([
-            (eligible[:, cols] * ring_share[:, None]).T, upto * g, np.zeros_like(upto),
-        ])
+        self.ringed = np.vstack([classes[:, 1:], upto * g, np.zeros_like(upto)])
         shapes = [dp.shape(pa) for pa, _ in obs.keys]
-        self.b = np.array([b for b, _ in shapes])
-        self.beta = np.array([beta for _, beta in shapes])
+        self.b = np.array([b for b, _ in shapes])[owner]
+        self.beta = np.array([beta for _, beta in shapes])[owner]
         self.e_sinks = (e_blade + e_internode).tolist()
         self.g = g.tolist()
         # Leaf surface at i counts the blade mass laid down up to cycle i.
@@ -373,16 +398,19 @@ class _TreePlan:
         a, da = self._allocations(q0, rp, pc, tangent)
         fixed = self.fixed @ a
         ringed = self.ringed @ a
-        mass = fixed + pc * ringed  # cohort masses, then the cumulated series
+        mass = fixed + pc * ringed  # class masses, then the cumulated series
         k = len(self.b)
         primary, total = fixed[:k], mass[:k]
-        ok = (primary > 0) & (total > 0)  # a cohort given nothing has no diameter
+        ok = (primary > 0) & (total > 0)  # a class given nothing has no diameter
         if not ok.all():
             primary, total = np.where(ok, primary, 1.0), np.where(ok, total, 1.0)
         length = self.b * primary**self.beta
         diameter = np.sqrt(4.0 * total / (math.pi * self.rho * length)) * 10.0 * ok
+        observed = [diameter, mass]
+        if self.mean is not None:  # class values -> observed cohort means
+            observed = [self.mean @ diameter, self.mean @ mass[:k], mass[k:]]
         weight = self.obs.weight
-        res = (np.concatenate([diameter, mass]) - self.obs.measured) * weight
+        res = (np.concatenate(observed) - self.obs.measured) * weight
         if not tangent:
             return res, None
         dfixed = self.fixed @ da
@@ -392,7 +420,10 @@ class _TreePlan:
         ddiameter = (0.5 * diameter)[:, None] * (
             dmass[:k] / total[:, None] - self.beta[:, None] * dfixed[:k] / primary[:, None]
         )
-        return res, np.vstack([ddiameter, dmass]) * weight[:, None]
+        dobserved = [ddiameter, dmass]
+        if self.mean is not None:
+            dobserved = [self.mean @ ddiameter, self.mean @ dmass[:k], dmass[k:]]
+        return res, np.vstack(dobserved) * weight[:, None]
 
 
 def _planned(
@@ -528,8 +559,7 @@ class FitResult:
 
     ``sse`` and ``per_tree_sse`` are recomputed through :func:`residuals` at
     those parameters.  ``value_passes`` counts the solver's residual-vector
-    evaluations over all trees, finite-difference ones included;
-    ``tangent_passes`` counts its exact Jacobians (uniform ring mode).
+    evaluations over all trees and ``tangent_passes`` its exact Jacobians.
     ``at_bound`` names the parameters that ended on a bound.
     """
 
@@ -571,29 +601,19 @@ def _per_tree_sse(res: np.ndarray, problem: FitProblem) -> dict[str, float]:
 
 
 class _Passes:
-    """The solver's residual and Jacobian evaluations, counted.
+    """The solver's residual and exact Jacobian evaluations through the
+    trees' plans, counted."""
 
-    Through the trees' plans in uniform ring mode; otherwise through
-    :func:`residuals`, with grouped central-difference Jacobians.
-    """
-
-    def __init__(self, problem: FitProblem, fd_step: float) -> None:
+    def __init__(self, problem: FitProblem) -> None:
         self.problem = problem
-        self.fd_step = fd_step
         self.value_passes = 0
         self.tangent_passes = 0
 
     def values(self, x: np.ndarray) -> np.ndarray:
         self.value_passes += 1
-        if self.problem._plans is None:
-            return residuals(self.problem.unpack(x), self.problem)
         return _planned(self.problem, x)[0]
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        if self.problem._plans is None:
-            return central_jacobian(
-                self.values, x, self.fd_step, self.problem.jacobian_pattern
-            )
         self.tangent_passes += 1
         return _planned(self.problem, x, tangent=True)[1]
 
@@ -659,8 +679,8 @@ def fit_hidden(
     log-uniform draws over the bounds (fixed seed, so results are exactly
     reproducible) and keeps the lowest weighted SSE.  A failure to reach the
     stall criterion is reported through ``converged=False``, never raised.
-    In uniform ring mode the solver runs on the trees' residual plans, with
-    exact Jacobians; the result's SSE is the simulator's, at the optimum.
+    The solver runs on the trees' residual plans, with exact Jacobians; the
+    result's SSE is the simulator's, at the optimum.
     """
     lo, hi = problem.log_bounds()
     x_init = problem.pack(init)
@@ -672,7 +692,7 @@ def fit_hidden(
         ]
         raise InfeasibleInit(f"init outside bounds for {bad}")
 
-    passes = _Passes(problem, options.fd_step)
+    passes = _Passes(problem)
     # The standard library's seeded generator: a fit never loads
     # numpy.random, about 15 ms and 3 MB of resident memory on first use.
     rng = random.Random(options.seed)

@@ -20,8 +20,10 @@ come from one of two census sources:
   generative branching rules, so trees with millions of organs cost
   O(p_max * age^2).
 
-Calibration calls the recursion thousands of times, so a call does little
-beyond the float work that depends on the hidden parameters.  Cohorts are
+A fit calls :func:`simulate` once per tree, for its reported SSE; its
+residuals run on plans of the same recursion (:mod:`fspm.calibrate`), which
+take this one as their reference.  A call does little beyond the float
+work that depends on the hidden parameters.  Cohorts are
 kept sorted by birth, which makes each cycle's expanding and functioning
 cohorts contiguous slices found by bisection; the organ sinks are computed
 once per call; cohort summaries are named tuples.  The float operations

@@ -67,7 +67,8 @@ def top_internode_weight(t: TreeTopology, records: Sequence) -> dict[str, float]
 def _segment_cost(xs: Sequence[float]) -> float:
     """Sum of squared deviations from the segment mean."""
     mean = sum(xs) / len(xs)
-    return sum((x - mean) ** 2 for x in xs)
+    # d * d is correctly rounded; d ** 2 calls libm pow, which need not be.
+    return sum(d * d for d in (x - mean for x in xs))
 
 
 def cluster_1d(

@@ -273,14 +273,18 @@ class TestGroupedJacobian:
         assert len(calls) == 6 * n_trees
         assert sorted(set(calls)) == problem.tree_ids
 
-    def test_acceptance_fit_makes_211_value_and_164_tangent_passes(self, dp3, monkeypatch):
+    @pytest.mark.parametrize("ring_mode, passes", [("uniform", (211, 164)),
+                                                   ("pipe", (208, 157))])
+    def test_acceptance_fit_makes_211_value_and_164_tangent_passes(
+        self, dp3, monkeypatch, ring_mode, passes
+    ):
         # The seed-0 round trip of the acceptance suite: a change to the
         # solver's work shows here as a different count.  The solver runs
-        # on the residual plans; the simulator runs once per tree, for the
-        # reported SSE.
+        # on the residual plans in both ring modes; the simulator runs once
+        # per tree, for the reported SSE.
         import fspm.calibrate as calibrate
 
-        problem = acceptance_problem(dp3)
+        problem = acceptance_problem(dp3, cfg=SimConfig(ring_mode=ring_mode))
         calls = 0
 
         def counting(*args, **kwargs):
@@ -290,7 +294,7 @@ class TestGroupedJacobian:
 
         monkeypatch.setattr(calibrate, "simulate", counting)
         result = fit_hidden(problem, doubled_init(problem), FitOptions(seed=0, n_starts=8))
-        assert (result.value_passes, result.tangent_passes) == (211, 164)
+        assert (result.value_passes, result.tangent_passes) == passes
         assert calls == 4
         assert result.converged
         assert result.at_bound == []
@@ -348,15 +352,16 @@ def assert_plan_matches_simulator(problem, fp):
 
 
 class TestResidualPlan:
-    """Uniform-mode residual plans against the simulator they replace."""
+    """Residual plans in both ring modes against the simulator they replace."""
 
+    @pytest.mark.parametrize("ring_mode", ["uniform", "pipe"])
     @pytest.mark.parametrize("ring_demand", ["per-blade", "constant"])
     @pytest.mark.parametrize("t_exp", [1, 2, 3])
     @pytest.mark.parametrize("t_f", [1, 2, 3])
-    def test_generated_trees(self, dp3, t_exp, t_f, ring_demand):
+    def test_generated_trees(self, dp3, t_exp, t_f, ring_demand, ring_mode):
         # Ages 1-8 at branching 1 and 2, fitted together as one problem, at
         # a point away from the generating parameters.
-        cfg = SimConfig(t_exp=t_exp, t_f=t_f, ring_demand=ring_demand)
+        cfg = SimConfig(t_exp=t_exp, t_f=t_f, ring_demand=ring_demand, ring_mode=ring_mode)
         topologies, targets, q0 = [], [], {}
         for branching in (1, 2):
             rules = GrowthRules(p_max=3, internodes_per_gu=2, branches_per_gu=branching)
@@ -369,31 +374,34 @@ class TestResidualPlan:
                 q0[tid] = 2.0 + 1.5 * age
         problem = FitProblem(targets=targets, topologies=topologies, dp=dp3, cfg=cfg)
         assert_plan_matches_simulator(problem, FreeParams(q0=q0, rp=3.1, pc=0.31))
+        # Uniform rings give each cohort one ring class.  On these trees pipe
+        # rings split cohorts once blades outlive expansion.
+        split = [plan.mean is not None for plan in problem._plans]
+        assert any(split) == (ring_mode == "pipe" and t_f > t_exp)
 
     @given(
         topo=uneven_trees(),
         t_exp=st.integers(1, 3),
         t_f=st.integers(1, 3),
         ring_demand=st.sampled_from(["per-blade", "constant"]),
+        ring_mode=st.sampled_from(["uniform", "pipe"]),
     )
-    def test_uneven_trees(self, topo, t_exp, t_f, ring_demand):
+    def test_uneven_trees(self, topo, t_exp, t_f, ring_demand, ring_mode):
         dp = DirectParams(
             p_int={1: 0.561, 2: 0.726, 3: 0.858},
             allometry={1: (5.0, 0.3), 2: (7.0, 0.35), 3: (9.0, 0.4)},
             slw=0.0287,
         )
-        cfg = SimConfig(t_exp=t_exp, t_f=t_f, ring_demand=ring_demand)
+        cfg = SimConfig(t_exp=t_exp, t_f=t_f, ring_demand=ring_demand, ring_mode=ring_mode)
         trace = simulate(HiddenParams(14.23, 6.4319, 0.13882), dp, topo, cfg)
         problem = FitProblem(targets=[targets_from_trace(trace, dp)], topologies=[topo],
                              dp=dp, cfg=cfg)
         assert_plan_matches_simulator(problem, FreeParams(q0={topo.tree_id: 9.0}, rp=4.0, pc=0.5))
 
-    def test_user_weights(self, dp3):
-        problem = acceptance_problem(dp3, weighted=True)
+    @pytest.mark.parametrize("ring_mode", ["uniform", "pipe"])
+    def test_user_weights(self, dp3, ring_mode):
+        problem = acceptance_problem(dp3, cfg=SimConfig(ring_mode=ring_mode), weighted=True)
         assert_plan_matches_simulator(problem, doubled_init(problem))
-
-    def test_pipe_mode_has_no_plan(self, dp3):
-        assert acceptance_problem(dp3, cfg=SimConfig(ring_mode="pipe"))._plans is None
 
     def test_zero_demand_raises_as_residuals_does(self, dp2):
         # Declared one cycle older than its growth: on the last cycle the
@@ -415,15 +423,14 @@ class TestResidualPlan:
         with pytest.raises(SimulationFailed, match="cycle 4"):
             fit_hidden(problem, fp, FitOptions(n_starts=0))
 
-    def test_missing_sink_fails_in_the_fit_as_before(self, dp2):
-        # Direct parameters without PA 2: no plan can be built, and the fit
-        # reports simulate's error.
+    def test_missing_sink_fails_in_the_problem(self, dp2):
+        # Direct parameters without PA 2: no plan can be built, and the
+        # problem reports the error ``residuals`` gives.
         problem = synthetic_problem(dp2, {"t1": HiddenParams(5.0, 4.0, 0.1)}, [3])
         bare = DirectParams(p_int={1: 0.561}, allometry={1: (5.0, 0.3)}, slw=0.0287)
-        problem = replace(problem, dp=bare)
-        assert problem._plans is None
-        with pytest.raises(SimulationFailed, match="no internode sink for PA 2"):
-            fit_hidden(problem, FreeParams(q0={"t1": 5.0}, rp=4.0, pc=0.1))
+        with pytest.raises(SimulationFailed, match="no internode sink for PA 2") as got:
+            replace(problem, dp=bare)
+        assert str(got.value) == "tree 't1': no internode sink for PA 2"
 
     @pytest.mark.parametrize("cycle", [0, 4])
     def test_cumulated_cycle_outside_the_run_rejected(self, dp2, cycle):
@@ -433,8 +440,9 @@ class TestResidualPlan:
         with pytest.raises(ValidationError, match=f"cycle {cycle} outside"):
             FitProblem(targets=[bad], topologies=problem.topologies, dp=dp2)
 
-    def test_acceptance_fit_deterministic_per_seed(self, dp3):
-        problem = acceptance_problem(dp3)
+    @pytest.mark.parametrize("ring_mode", ["uniform", "pipe"])
+    def test_acceptance_fit_deterministic_per_seed(self, dp3, ring_mode):
+        problem = acceptance_problem(dp3, cfg=SimConfig(ring_mode=ring_mode))
         runs = [fit_hidden(problem, doubled_init(problem), FitOptions(seed=seed, n_starts=2))
                 for seed in (3, 3, 4)]
         assert runs[0].to_json() == runs[1].to_json()
@@ -445,7 +453,6 @@ class TestFitOptions:
     @pytest.mark.parametrize("kwargs", [
         {"seed": -1}, {"n_starts": -1}, {"max_iter": 0}, {"stall_iters": 0},
         {"seed": 1.5}, {"max_iter": 2.0},
-        {"fd_step": 0.0}, {"fd_step": -1e-5}, {"fd_step": math.nan},
         {"lambda0": 0.0}, {"lambda0": math.inf},
         {"rel_tol": -1e-10}, {"rel_tol": math.nan},
         {"sse_floor": -1.0}, {"sse_floor": math.inf},
@@ -456,4 +463,4 @@ class TestFitOptions:
 
     def test_edges_accepted(self):
         FitOptions(seed=np.int64(0), n_starts=0, max_iter=1, stall_iters=1,
-                   rel_tol=0.0, sse_floor=0.0, fd_step=1e-12, lambda0=1e-12)
+                   rel_tol=0.0, sse_floor=0.0, lambda0=1e-12)

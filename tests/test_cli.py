@@ -184,12 +184,17 @@ class TestFitCommand:
 
 
 class TestGroveFit:
-    def test_stops_at_max_iter_with_pc_on_its_bound(self, grove_pipeline, tmp_path, caplog):
+    @pytest.mark.parametrize("ring_mode, sse", [("uniform", 61.7055), ("pipe", 61.6470)])
+    def test_stops_at_max_iter_with_pc_on_its_bound(
+        self, grove_pipeline, tmp_path, caplog, ring_mode, sse
+    ):
         # The grove targets are formula-made: the one-start fit runs its
-        # whole budget and ends with pc on its lower bound.
+        # whole budget and ends with pc on its lower bound, in both ring
+        # modes on the residual plans.
         _, trees, params = grove_pipeline
         out = tmp_path / "fit"
-        argv = ["fit", "--params", params, "--seed", 0, "--n-starts", 0, "--out", out]
+        argv = ["fit", "--params", params, "--seed", 0, "--n-starts", 0, "--out", out,
+                "--ring-mode", ring_mode]
         for tree, pa_map, _ in trees.values():
             argv += ["--tree", tree, "--pa-map", pa_map]
         with caplog.at_level(logging.WARNING, logger="fspm.cli"):
@@ -198,9 +203,27 @@ class TestGroveFit:
         assert doc["iterations"] == 200 and doc["converged"] is False
         assert doc["at_bound"] == ["pc"]
         assert doc["pc"] == pytest.approx(1e-6, rel=1e-9)
-        assert doc["sse"] == pytest.approx(61.7055, rel=1e-3)
+        assert doc["sse"] == pytest.approx(sse, rel=1e-3)
         assert doc["tangent_passes"] > 0
         assert "parameters on a bound: ['pc']" in caplog.text
+
+    def test_params_lacking_a_pa_exit_3_naming_tree_and_pa(self, grove_pipeline, tmp_path,
+                                                          capsys):
+        _, trees, params = grove_pipeline
+        doc = json.loads(Path(params).read_text())
+        del doc["p_int"]["3"], doc["allometry"]["3"]
+        stripped = tmp_path / "direct_params.json"
+        stripped.write_text(json.dumps(doc))
+        argv = ["fit", "--params", stripped, "--n-starts", 0, "--out", tmp_path / "fit"]
+        for tree, pa_map, _ in trees.values():
+            argv += ["--tree", tree, "--pa-map", pa_map]
+        capsys.readouterr()
+        assert run(*argv) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("fspm fit: tree 'P")
+        assert err[0].endswith("no internode sink for PA 3")
+        assert not (tmp_path / "fit").exists()
 
     def test_manifest_records_run_costs(self, grove_pipeline, tmp_path):
         _, trees, params = grove_pipeline
