@@ -18,12 +18,14 @@ allometry.  The ring mode only decides how each cycle's pool is spread:
 evenly over the internodes old enough to thicken, or in pipe mode in
 proportion to the functioning blades above them, so a cohort's internodes
 fall into ring classes of equal ring mass.  ``FitProblem`` builds these
-maps once per tree (a residual plan).  The solver evaluates residuals
-through the plans, and takes each tree's Jacobian block from one
-tangent-linear pass that carries d/d(log q0, log rp, log pc) through the
-same recursion (forward-mode differentiation, Griewank & Walther 2008,
-ch. 3): exact, and the price of about one simulation where central
-differences need six.
+maps once per tree (a residual plan) and stacks the trees' plans.  A pass
+runs each tree's scalar recursion and its own matrix products, then
+everything else (allometry, weights, Jacobian assembly) once on all trees'
+rows.  The solver evaluates residuals through that pass, and takes the
+Jacobian from one tangent-linear pass that carries d/d(log q0, log rp,
+log pc) through the same recursions (forward-mode differentiation,
+Griewank & Walther 2008, ch. 3): exact, and the price of about one
+simulation per tree where central differences need six.
 
 FD is the test oracle.  :func:`residuals` and :func:`fd_jacobian` always
 run the simulator: they are the reference the plans are tested against,
@@ -116,8 +118,10 @@ class FitProblem:
 
     Treat it as read-only once built: each tree's measured vector and
     weights, the user weights as an array, ``jacobian_pattern`` (rows x
-    param_names, True where a residual can move with a parameter) and each
-    tree's residual plan are derived once, in ``__post_init__``.  Direct
+    param_names, True where a residual can move with a parameter) and the
+    trees' residual plans, stacked into one pass, are derived once, in
+    ``__post_init__``.  Bounds must name exactly q0, rp and pc, finite with
+    0 < lo < hi, and user weights must be finite and >= 0.  Direct
     parameters lacking a PA of a tree fail there, with the
     :class:`SimulationFailed` that :func:`residuals` would raise.
     """
@@ -133,7 +137,7 @@ class FitProblem:
     _observed: list[_Observed] = field(init=False, repr=False, compare=False)
     _weights: np.ndarray | None = field(init=False, repr=False, compare=False)
     jacobian_pattern: np.ndarray = field(init=False, repr=False, compare=False)
-    _plans: list[_TreePlan] = field(init=False, repr=False, compare=False)
+    _plan: _StackedPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.targets) != len(self.topologies):
@@ -158,33 +162,40 @@ class FitProblem:
                         f"tree {ts.tree_id!r}: cumulated target for cycle {cycle} "
                         f"outside the simulated cycles 1..{topo.age}"
                     )
+        missing = [name for name in DEFAULT_BOUNDS if name not in self.bounds]
+        unknown = [name for name in self.bounds if name not in DEFAULT_BOUNDS]
+        if missing or unknown:
+            raise ValidationError(
+                f"bounds need exactly q0, rp and pc: missing {missing}, unknown {unknown}"
+            )
         for name, (lo, hi) in self.bounds.items():
-            if not 0 < lo < hi:
-                raise ValidationError(f"bounds for {name!r} must be 0 < lo < hi")
+            if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo < hi):
+                raise ValidationError(
+                    f"bounds for {name!r} must be finite with 0 < lo < hi, got ({lo}, {hi})"
+                )
         self._observed = [_Observed.of(ts) for ts in self.targets]
         n_obs = sum(len(obs.measured) for obs in self._observed)
-        if self.weights is not None and len(self.weights) != n_obs:
-            raise ValidationError(
-                f"{len(self.weights)} weights for {n_obs} observations"
-            )
-        self._weights = (
-            None if self.weights is None else np.asarray(self.weights, dtype=float)
-        )
-        # Tree t's rows depend on q0:t and the shared rp and pc only.
-        n_trees = len(self.targets)
-        self.jacobian_pattern = np.zeros((n_obs, n_trees + 2), dtype=bool)
-        self.jacobian_pattern[:, n_trees:] = True
-        offset = 0
-        for t, obs in enumerate(self._observed):
-            self.jacobian_pattern[offset : offset + len(obs.measured), t] = True
-            offset += len(obs.measured)
-        self.jacobian_pattern.flags.writeable = False
-        self._plans = []
+        self._weights = None
+        if self.weights is not None:
+            if len(self.weights) != n_obs:
+                raise ValidationError(f"{len(self.weights)} weights for {n_obs} observations")
+            self._weights = np.asarray(self.weights, dtype=float)
+            for i, w in enumerate(self._weights.tolist()):
+                if not (math.isfinite(w) and w >= 0):
+                    raise ValidationError(f"weights[{i}] must be finite and >= 0, got {w}")
+        plans = []
         for ts, topo, obs in zip(self.targets, self.topologies, self._observed):
             try:
-                self._plans.append(_TreePlan(topo, self.dp, self.cfg, obs, ts.tree_id))
+                plans.append(_TreePlan(topo, self.dp, self.cfg, obs, ts.tree_id))
             except ValidationError as exc:  # direct parameters lacking a PA of the tree
                 raise SimulationFailed(f"tree {ts.tree_id!r}: {exc}") from exc
+        self._plan = _StackedPlan(plans, self.cfg.rho)
+        # Tree t's rows depend on q0:t and the shared rp and pc only.
+        n_trees = len(plans)
+        self.jacobian_pattern = np.zeros((n_obs, n_trees + 2), dtype=bool)
+        self.jacobian_pattern[:, n_trees:] = True
+        self.jacobian_pattern[self._plan.rows, self._plan.tree] = True
+        self.jacobian_pattern.flags.writeable = False
 
     @property
     def tree_ids(self) -> list[str]:
@@ -347,7 +358,7 @@ class _TreePlan:
         self.g = g.tolist()
         # Leaf surface at i counts the blade mass laid down up to cycle i.
         self.w_rows = [row[: i + 1].tolist() for i, row in enumerate(w)]
-        self.e, self.sp, self.rho = cfg.e, cfg.sp, cfg.rho
+        self.e, self.sp = cfg.e, cfg.sp
         self.obs = obs
         self.tree_id = tree_id
 
@@ -390,65 +401,112 @@ class _TreePlan:
                 dfunded = [slope * ds[0], slope * ds[1] - funded, slope * ds[2]]
         return a, da
 
-    def residuals(
-        self, q0: float, rp: float, pc: float, tangent: bool = False
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Weighted residuals and, with ``tangent``, their (rows x 3)
-        Jacobian with respect to (log q0, log rp, log pc)."""
-        a, da = self._allocations(q0, rp, pc, tangent)
-        fixed = self.fixed @ a
-        ringed = self.ringed @ a
-        mass = fixed + pc * ringed  # class masses, then the cumulated series
-        k = len(self.b)
-        primary, total = fixed[:k], mass[:k]
-        ok = (primary > 0) & (total > 0)  # a class given nothing has no diameter
-        if not ok.all():
-            primary, total = np.where(ok, primary, 1.0), np.where(ok, total, 1.0)
-        length = self.b * primary**self.beta
-        diameter = np.sqrt(4.0 * total / (math.pi * self.rho * length)) * 10.0 * ok
-        observed = [diameter, mass]
-        if self.mean is not None:  # class values -> observed cohort means
-            observed = [self.mean @ diameter, self.mean @ mass[:k], mass[k:]]
-        weight = self.obs.weight
-        res = (np.concatenate(observed) - self.obs.measured) * weight
-        if not tangent:
-            return res, None
-        dfixed = self.fixed @ da
-        dmass = dfixed + pc * (self.ringed @ da)
-        dmass[:, 2] += pc * ringed
-        # d ln D = (d ln M - beta * d ln P) / 2, with the length L = b * P**beta.
-        ddiameter = (0.5 * diameter)[:, None] * (
-            dmass[:k] / total[:, None] - self.beta[:, None] * dfixed[:k] / primary[:, None]
+
+class _StackedPlan:
+    """Every tree's residual plan, evaluated as one pass.
+
+    A tree's scalar recursion and its products with ``fixed`` and
+    ``ringed`` stay its own: one block-diagonal product would sum in another
+    order and round differently.  Everything after them is elementwise or a
+    gather, so it runs once on the trees' rows laid end to end (each tree's
+    class rows, then its cumulated rows): the empty-class guard, the
+    allometry that closes the diameters, the observation weights and the
+    Jacobian's assembly.  ``classes`` picks the class rows out of the
+    stacked rows, ``order`` gathers the observed values (diameters, cohort
+    masses, stacked rows) into residual order, tree by tree, and ``tree``
+    names each residual row's tree, the one whose seed mass moves it.  A
+    tree whose cohorts split into ring classes applies its ``mean`` map to
+    its own slice.
+    """
+
+    def __init__(self, trees: list[_TreePlan], rho: float) -> None:
+        self.trees = trees
+        self.rho = rho
+        classes = [len(plan.b) for plan in trees]
+        rows = [len(plan.fixed) for plan in trees]
+        cohorts = [len(plan.obs.keys) for plan in trees]
+        first_row = np.cumsum([0] + rows[:-1])
+        first_cohort = np.cumsum([0] + cohorts[:-1])
+        self.classes = np.concatenate(
+            [first + np.arange(k) for first, k in zip(first_row, classes)]
         )
-        dobserved = [ddiameter, dmass]
-        if self.mean is not None:
-            dobserved = [self.mean @ ddiameter, self.mean @ dmass[:k], dmass[k:]]
-        return res, np.vstack(dobserved) * weight[:, None]
+        self.class_ends = np.cumsum(classes)[:-1]
+        self.split = any(plan.mean is not None for plan in trees)
+        n_cohorts = sum(cohorts)
+        self.order = np.concatenate([
+            np.concatenate([c + np.arange(m), n_cohorts + c + np.arange(m),
+                            2 * n_cohorts + r + np.arange(k, n)])
+            for r, c, k, m, n in zip(first_row, first_cohort, classes, cohorts, rows)
+        ])
+        self.rows = np.arange(len(self.order))
+        self.tree = np.repeat(np.arange(len(trees)), [len(plan.obs.measured) for plan in trees])
+        self.b = np.concatenate([plan.b for plan in trees])
+        self.beta = np.concatenate([plan.beta for plan in trees])
+        self.measured = np.concatenate([plan.obs.measured for plan in trees])
+        self.weight = np.concatenate([plan.obs.weight for plan in trees])
+
+    def means(self, values: np.ndarray) -> np.ndarray:
+        """Stacked class values -> stacked observed cohort values."""
+        parts = np.split(values, self.class_ends)
+        return np.concatenate([
+            part if plan.mean is None else plan.mean @ part
+            for plan, part in zip(self.trees, parts)
+        ])
 
 
 def _planned(
     problem: FitProblem, x: np.ndarray, tangent: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """``residuals`` at log parameters x, evaluated through the trees'
-    plans, and with ``tangent`` the Jacobian in param_names order."""
+    """``residuals`` at log parameters x, evaluated through the stacked
+    plan, and with ``tangent`` the Jacobian in param_names order."""
+    plan = problem._plan
     vals = np.exp(x).tolist()
-    n = len(problem._plans)
+    n = len(plan.trees)
     rp, pc = vals[n], vals[n + 1]
-    parts, blocks = [], []
-    for plan, q0 in zip(problem._plans, vals):
-        res, block = plan.residuals(q0, rp, pc, tangent)
-        parts.append(res)
-        blocks.append(block)
-    res = np.concatenate(parts)
+    fixed, ringed, dfixed, dringed = [], [], [], []
+    for tree, q0 in zip(plan.trees, vals):
+        a, da = tree._allocations(q0, rp, pc, tangent)
+        a = np.array(a)
+        fixed.append(tree.fixed @ a)
+        ringed.append(tree.ringed @ a)
+        if tangent:
+            da = np.array(da)
+            dfixed.append(tree.fixed @ da)
+            dringed.append(tree.ringed @ da)
+    fixed, ringed = np.concatenate(fixed), np.concatenate(ringed)
+    mass = fixed + pc * ringed  # per tree: class masses, then the cumulated series
+    primary = fixed[plan.classes]
+    masses = total = mass[plan.classes]
+    ok = (primary > 0.0) & (total > 0.0)  # a class given nothing has no diameter
+    empty = not ok.all()
+    if empty:
+        primary, total = np.where(ok, primary, 1.0), np.where(ok, total, 1.0)
+    length = plan.b * primary**plan.beta
+    diameter = np.sqrt(4.0 * total / (math.pi * plan.rho * length)) * 10.0
+    if empty:  # a mask of all True would change no bit
+        diameter *= ok
+    observed = [diameter, masses, mass]
+    if plan.split:  # class values -> observed cohort means
+        observed[:2] = plan.means(diameter), plan.means(masses)
+    res = (np.concatenate(observed)[plan.order] - plan.measured) * plan.weight
     jac = None
     if tangent:
+        dfixed = np.concatenate(dfixed)
+        dmass = dfixed + pc * np.concatenate(dringed)
+        dmass[:, 2] += pc * ringed
+        dmasses = dmass.take(plan.classes, 0)  # row gathers: take is the cheap form
+        # d ln D = (d ln M - beta * d ln P) / 2, with the length L = b * P**beta.
+        ddiameter = (0.5 * diameter)[:, None] * (
+            dmasses / total[:, None]
+            - plan.beta[:, None] * dfixed.take(plan.classes, 0) / primary[:, None]
+        )
+        dobserved = [ddiameter, dmasses, dmass]
+        if plan.split:
+            dobserved[:2] = plan.means(ddiameter), plan.means(dmasses)
+        block = np.concatenate(dobserved).take(plan.order, 0) * plan.weight[:, None]
         jac = np.zeros((len(res), n + 2))
-        offset = 0
-        for t, block in enumerate(blocks):
-            rows = slice(offset, offset + len(block))
-            jac[rows, t] = block[:, 0]
-            jac[rows, n:] = block[:, 1:]
-            offset += len(block)
+        jac[plan.rows, plan.tree] = block[:, 0]
+        jac[:, n:] = block[:, 1:]
     if problem._weights is not None:
         res = res * problem._weights
         if tangent:

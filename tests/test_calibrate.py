@@ -21,7 +21,7 @@ from fspm import (
     simulate,
     targets_from_trace,
 )
-from fspm.calibrate import _planned, central_jacobian
+from fspm.calibrate import DEFAULT_BOUNDS, _planned, central_jacobian
 from fspm.errors import (
     InfeasibleInit,
     InvalidParameter,
@@ -71,6 +71,36 @@ class TestFitProblem:
         with pytest.raises(ValidationError, match="PA2/CA1"):
             FitProblem(targets=[replace(ts, entries=entries)],
                        topologies=problem.topologies, dp=dp2)
+
+    @pytest.mark.parametrize("bad, index", [
+        (math.nan, 0), (math.inf, 3), (-math.inf, 1), (-1e-9, 2),
+    ])
+    def test_non_finite_or_negative_weight_rejected(self, dp2, bad, index):
+        # A NaN weight used to give a "converged" fit with sse=nan at the init point.
+        problem = synthetic_problem(dp2, {"t1": HiddenParams(5.0, 4.0, 0.1)}, [3])
+        weights = np.ones(problem.jacobian_pattern.shape[0])
+        weights[index] = bad
+        with pytest.raises(ValidationError, match=rf"weights\[{index}\] must be finite and >= 0"):
+            replace(problem, weights=weights)
+
+    def test_zero_weights_accepted(self, dp2):
+        problem = synthetic_problem(dp2, {"t1": HiddenParams(5.0, 4.0, 0.1)}, [3])
+        replace(problem, weights=[0.0] * problem.jacobian_pattern.shape[0])
+
+    @pytest.mark.parametrize("bounds, match", [
+        ({"rp": (1e-2, math.inf)}, "bounds for 'rp' must be finite"),
+        ({"pc": (math.nan, 1.0)}, "bounds for 'pc' must be finite"),
+        ({"q0": (-math.inf, 1.0)}, "bounds for 'q0' must be finite"),
+        ({"q0": (1.0, 1.0)}, "0 < lo < hi"),
+        ({"q0": None}, r"missing \['q0'\], unknown \[\]"),
+        ({"qo": (1e-3, 1e5)}, r"unknown \['qo'\]"),
+    ])
+    def test_bad_bounds_rejected(self, dp2, bounds, match):
+        problem = synthetic_problem(dp2, {"t1": HiddenParams(5.0, 4.0, 0.1)}, [3])
+        merged = {**DEFAULT_BOUNDS, **bounds}  # None drops the key
+        merged = {name: pair for name, pair in merged.items() if pair is not None}
+        with pytest.raises(ValidationError, match=match):
+            replace(problem, bounds=merged)
 
 
 class TestResiduals:
@@ -339,13 +369,85 @@ class TestGroupedJacobian:
             central_jacobian(lambda x: x * 2.0, np.ones(3), 1e-6, np.ones((2, 3), bool))
 
 
+def legacy_tree_residuals(plan, rho, q0, rp, pc, tangent):
+    """Oracle: one tree's weighted residuals and (rows x 3)
+    Jacobian block as the per-tree plans evaluated them before the trees
+    were stacked into one pass."""
+    a, da = plan._allocations(q0, rp, pc, tangent)
+    fixed = plan.fixed @ a
+    ringed = plan.ringed @ a
+    mass = fixed + pc * ringed
+    k = len(plan.b)
+    primary, total = fixed[:k], mass[:k]
+    ok = (primary > 0) & (total > 0)
+    if not ok.all():
+        primary, total = np.where(ok, primary, 1.0), np.where(ok, total, 1.0)
+    length = plan.b * primary**plan.beta
+    diameter = np.sqrt(4.0 * total / (math.pi * rho * length)) * 10.0 * ok
+    observed = [diameter, mass]
+    if plan.mean is not None:
+        observed = [plan.mean @ diameter, plan.mean @ mass[:k], mass[k:]]
+    weight = plan.obs.weight
+    res = (np.concatenate(observed) - plan.obs.measured) * weight
+    if not tangent:
+        return res, None
+    dfixed = plan.fixed @ da
+    dmass = dfixed + pc * (plan.ringed @ da)
+    dmass[:, 2] += pc * ringed
+    ddiameter = (0.5 * diameter)[:, None] * (
+        dmass[:k] / total[:, None] - plan.beta[:, None] * dfixed[:k] / primary[:, None]
+    )
+    dobserved = [ddiameter, dmass]
+    if plan.mean is not None:
+        dobserved = [plan.mean @ ddiameter, plan.mean @ dmass[:k], dmass[k:]]
+    return res, np.vstack(dobserved) * weight[:, None]
+
+
+def legacy_planned(problem, x, tangent):
+    """Oracle: every tree's block evaluated on its own, then
+    concatenated and scattered into the Jacobian block by block."""
+    vals = np.exp(x).tolist()
+    trees = problem._plan.trees
+    n = len(trees)
+    rp, pc = vals[n], vals[n + 1]
+    parts, blocks = [], []
+    for plan, q0 in zip(trees, vals):
+        res, block = legacy_tree_residuals(plan, problem.cfg.rho, q0, rp, pc, tangent)
+        parts.append(res)
+        blocks.append(block)
+    res = np.concatenate(parts)
+    jac = None
+    if tangent:
+        jac = np.zeros((len(res), n + 2))
+        offset = 0
+        for t, block in enumerate(blocks):
+            rows = slice(offset, offset + len(block))
+            jac[rows, t] = block[:, 0]
+            jac[rows, n:] = block[:, 1:]
+            offset += len(block)
+    if problem._weights is not None:
+        res = res * problem._weights
+        if tangent:
+            jac *= problem._weights[:, None]
+    return res, jac
+
+
+def assert_bitwise_equal(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
 def assert_plan_matches_simulator(problem, fp):
     """The plan's residuals and exact Jacobian against ``residuals`` and
-    ``fd_jacobian``, both of which run the simulator."""
+    ``fd_jacobian``, both of which run the simulator, and bit for bit
+    against the per-tree evaluation of ``legacy_planned``."""
     reference = residuals(fp, problem)
     values, jac = _planned(problem, problem.pack(fp), tangent=True)
+    legacy_values, legacy_jac = legacy_planned(problem, problem.pack(fp), tangent=True)
+    assert_bitwise_equal(values, legacy_values)
+    assert_bitwise_equal(jac, legacy_jac)
     assert np.max(np.abs(values - reference)) <= 1e-12 * np.max(np.abs(reference))
-    assert np.array_equal(_planned(problem, problem.pack(fp))[0], values)
+    assert_bitwise_equal(_planned(problem, problem.pack(fp))[0], values)
     fd = fd_jacobian(fp, problem)
     assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(fd))
     assert np.all(jac[~problem.jacobian_pattern] == 0.0)
@@ -376,7 +478,7 @@ class TestResidualPlan:
         assert_plan_matches_simulator(problem, FreeParams(q0=q0, rp=3.1, pc=0.31))
         # Uniform rings give each cohort one ring class.  On these trees pipe
         # rings split cohorts once blades outlive expansion.
-        split = [plan.mean is not None for plan in problem._plans]
+        split = [plan.mean is not None for plan in problem._plan.trees]
         assert any(split) == (ring_mode == "pipe" and t_f > t_exp)
 
     @given(
@@ -402,6 +504,24 @@ class TestResidualPlan:
     def test_user_weights(self, dp3, ring_mode):
         problem = acceptance_problem(dp3, cfg=SimConfig(ring_mode=ring_mode), weighted=True)
         assert_plan_matches_simulator(problem, doubled_init(problem))
+
+    @pytest.mark.parametrize("ring_mode", ["uniform", "pipe"])
+    def test_empty_classes_bitwise_equal_to_per_tree_passes(self, dp3, ring_mode):
+        # A seed mass of 1e-300 funds no leaf surface: every cohort of
+        # tree2 after the first gets nothing and has no diameter, so the
+        # empty-class guard runs for some rows of the stacked pass.
+        problem = acceptance_problem(dp3, cfg=SimConfig(ring_mode=ring_mode), weighted=True)
+        trace = simulate(HiddenParams(1e-300, 4.0, 0.5), dp3, problem.topologies[1],
+                         problem.cfg)
+        assert sum(c.diameter_cm == 0.0 for c in trace.cohorts.values()) > 1
+        q0 = {tid: 2 * v for tid, v in ACCEPTANCE_Q0.items()}
+        x = problem.pack(FreeParams(q0={**q0, "tree2": 1e-300}, rp=4.0, pc=0.5))
+        for tangent in (False, True):
+            values, jac = _planned(problem, x, tangent)
+            legacy_values, legacy_jac = legacy_planned(problem, x, tangent)
+            assert_bitwise_equal(values, legacy_values)
+            if tangent:
+                assert_bitwise_equal(jac, legacy_jac)
 
     def test_zero_demand_raises_as_residuals_does(self, dp2):
         # Declared one cycle older than its growth: on the last cycle the
