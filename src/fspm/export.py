@@ -60,6 +60,11 @@ def export_fit_csv(trace: SimulationTrace, targets: TargetSeries) -> dict[str, s
         mass_rows.append(
             (label, repr(entry.mean_internode_weight), repr(cohort.internode_mass))
         )
+    for cycle in targets.cumulated:
+        if not 1 <= cycle <= trace.cycles:
+            raise ValidationError(
+                f"cumulated target for cycle {cycle} outside the simulated cycles 1..{trace.cycles}"
+            )
     cum_int_rows = [
         (str(cycle), repr(targets.cumulated[cycle].cum_internode_mass),
          repr(float(trace.cum_internode_mass[cycle - 1])))

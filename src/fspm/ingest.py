@@ -1,24 +1,25 @@
 """Measurement file parsing, per-(PA, CA) target series and the tree document.
 
-Four CSV schemas (UTF-8, comma separated, header row mandatory, '.' decimal
-separator) describe a measured tree:
-
-* ``axes.csv``:       tree_id,axis_id,parent_axis_id,insertion_ca
-  (empty parent marks the root)
-* ``gus.csv``:        tree_id,axis_id,gu_ca,internode_count,leaf_scar_count
-* ``internodes.csv``: tree_id,axis_id,gu_ca,rank_in_gu,fresh_weight_g,length_cm,diameter_mm
-* ``leaves.csv``:     tree_id,axis_id,gu_ca,sample_index,fresh_weight_g,area_cm2
-
-Fresh weight is the mass variable throughout.  Columns are found by header
-name and may come in any order; blank lines are skipped.  Row and cell
-problems are reported with the file and the physical line the row ends on,
-so blank lines and quoted cells that span lines are counted.  Rows become
+Four CSV tables, ``axes``, ``gus``, ``internodes`` and ``leaves`` (UTF-8,
+comma separated, header row mandatory, '.' decimal separator), describe a
+measured tree; an empty ``parent_axis_id`` marks the root axis.  Fresh
+weight is the mass variable throughout.  Each table is declared once, in
+``_TABLES``: its columns in record-field order, each cell's rule (text, an
+integer within bounds, or a measurement that is finite and > 0) and the
+leading columns that identify a row.  Parsing, serializing and reading the
+tree document all follow that declaration.  Columns are found by header name
+and may come in any order; blank lines are skipped.  Row and cell problems
+are reported with the file and the physical line the row ends on, so blank
+lines and quoted cells that span lines are counted; of several, the first
+row's is reported, and in a row the first column's.  Rows become
 ``NamedTuple`` records.
 
 :func:`tree_to_json` writes the canonical tree document, byte for byte what
 ``json.dumps(doc, indent=2, sort_keys=True)`` gives for it, from one template
-per row kind; :func:`tree_from_json` reads it back and checks its measurement
-cells with the same rules as the CSV files.
+per row kind; :func:`tree_from_json` reads it back and checks every axis, GU
+and measurement cell by the rule of its CSV column.  A CSV cell is parsed
+and a JSON cell must already have the rule's type; both then go through the
+same column check.
 """
 from __future__ import annotations
 
@@ -27,25 +28,16 @@ import io
 import json
 import logging
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
-import numpy as np
-
-from .errors import (
-    DuplicateKey,
-    MissingPA,
-    SchemaError,
-    UnitError,
-    ValidationError,
-    read_text,
-    schema_errors,
-    utf8_errors,
-)
+from .errors import (DuplicateKey, InvalidParameter, MissingPA, SchemaError, UnitError,
+                     ValidationError, read_text, schema_errors, utf8_errors)
 from .topology import AxisRecord, GURecord, TreeTopology, build_topology
 
 logger = logging.getLogger(__name__)
@@ -84,30 +76,161 @@ class MeasurementSet:
     leaves: list[LeafRecord] = field(default_factory=list)
 
     def tree_ids(self) -> list[str]:
-        ids = {r.tree_id for r in self.axes}
-        return sorted(ids)
+        return sorted({r.tree_id for r in self.axes})
 
     def for_tree(self, tree_id: str) -> "MeasurementSet":
-        pick = lambda rows: [r for r in rows if r.tree_id == tree_id]
-        return MeasurementSet(
-            axes=pick(self.axes), gus=pick(self.gus),
-            internodes=pick(self.internodes), leaves=pick(self.leaves),
-        )
+        return MeasurementSet(**{
+            name: [r for r in getattr(self, name) if r.tree_id == tree_id] for name in _TABLES
+        })
 
     def topology(self) -> TreeTopology:
         return build_topology(self.axes, self.gus)
 
 
-def _rows(path: str | Path, required: Sequence[str]) -> list[tuple[int, tuple]]:
-    """(line, cells) for each non-blank data row of a CSV file.
+# Plain classes: a NamedTuple class costs more to create, at every import.
+class _Rule:
+    """How the cells of one column are read."""
 
-    ``cells`` holds the row's ``required`` columns in that order.  ``line``
-    is the physical line the row ends on.  Extra columns are ignored.
+    def __init__(self, kind: type, minimum: int | None = None, maximum: int | None = None,
+                 optional: bool = False) -> None:
+        self.kind = kind  # str: text; int: an integer within bounds; float: a measurement
+        self.minimum, self.maximum = minimum, maximum
+        self.optional = optional  # an empty CSV cell or a JSON null reads as None
 
-    Raises:
-        SchemaError: the file is empty, is not UTF-8, lacks a required
-            column, or has a row too short to hold one.
+
+class _Table:
+    """One measurement table, as CSV file and as rows of the tree document."""
+
+    def __init__(self, record: type, columns: Sequence[tuple[str, _Rule]], identity: int,
+                 duplicate: str, json_keys: tuple[str, ...] = ()) -> None:
+        self.record = record
+        self.names, self.rules = zip(*columns)  # CSV columns and rules, in record-field order
+        self.identity = identity  # leading columns that identify a row
+        self.duplicate = duplicate  # DuplicateKey text for a repeated identity
+        self.json_keys = json_keys or self.names[1:]  # tree.json keys of the non-implied columns
+
+
+_TEXT = _Rule(str)
+_COUNT = _Rule(int, 1)  # a cycle, a rank or an organ count
+_MEASURED = _Rule(float)
+
+# The four tables, in the order parse_measurements takes their files.
+_TABLES = {
+    "axes": _Table(AxisRecord, (
+        ("tree_id", _TEXT), ("axis_id", _TEXT), ("parent_axis_id", _Rule(str, optional=True)),
+        ("insertion_ca", _Rule(int, 1, optional=True)),
+    ), 2, "axis {} declared twice"),
+    "gus": _Table(GURecord, (
+        ("tree_id", _TEXT), ("axis_id", _TEXT), ("gu_ca", _COUNT), ("internode_count", _COUNT),
+        ("leaf_scar_count", _Rule(int, 0)),
+    ), 3, "GU {} declared twice", ("ca", "internode_count", "leaf_scar_count")),
+    "internodes": _Table(InternodeRecord, (
+        ("tree_id", _TEXT), ("axis_id", _TEXT), ("gu_ca", _COUNT), ("rank_in_gu", _COUNT),
+        ("fresh_weight_g", _MEASURED), ("length_cm", _MEASURED), ("diameter_mm", _MEASURED),
+    ), 4, "internode {} measured twice"),
+    "leaves": _Table(LeafRecord, (
+        ("tree_id", _TEXT), ("axis_id", _TEXT), ("gu_ca", _COUNT), ("sample_index", _Rule(int, 1, 3)),
+        ("fresh_weight_g", _MEASURED), ("area_cm2", _MEASURED),
+    ), 4, "leaf sample {} measured twice"),
+}
+
+_JSON_TYPES = {str: {str}, int: {int}, float: {int, float}}  # bool is neither
+_NOUN = {str: "text", int: "an integer", float: "a number"}
+
+
+def _cell(cell, rule: _Rule, text: bool):
+    """One cell read by ``rule``: parsed if ``text`` (a CSV cell), else type-checked.
+
+    Raises SchemaError for a cell of the wrong type or form, UnitError for a
+    value out of range.
     """
+    if cell is None and rule.optional:
+        return None
+    if text:
+        try:
+            value = rule.kind(cell)
+        except ValueError:
+            raise SchemaError(f"not {_NOUN[rule.kind]}: {cell!r}") from None
+    elif type(cell) in _JSON_TYPES[rule.kind]:
+        value = cell
+    else:
+        raise SchemaError(f"not {_NOUN[rule.kind]}: {cell!r}")
+    if rule.kind is float and not 0 < value < math.inf:
+        raise UnitError(f"measurement must be finite and > 0, got {cell}")
+    if rule.kind is int and value < rule.minimum:
+        raise UnitError(f"{value} < {rule.minimum}")
+    if rule.kind is int and value > (rule.maximum or math.inf):
+        raise UnitError(f"{value} > {rule.maximum}")
+    return value
+
+
+def _column(cells: Sequence, rule: _Rule, text: bool) -> tuple[list, ValidationError | None]:
+    """The values of one column read by ``rule``, and the error of its first bad cell.
+
+    The column is converted and range-checked whole.  Only a column that
+    fails is read cell by cell, to find and word its first bad cell; its
+    values then stop before that cell.
+    """
+    if rule.optional and text:
+        cells = [cell.strip() or None for cell in cells]
+    present = [cell for cell in cells if cell is not None] if rule.optional else cells
+    try:
+        if text:
+            values = present if rule.kind is str else list(map(rule.kind, present))
+        elif set(map(type, present)) <= _JSON_TYPES[rule.kind]:
+            values = present
+        else:
+            raise ValueError("a cell of another type")
+        if values and rule.kind is int:
+            if min(values) < rule.minimum or max(values) > (rule.maximum or math.inf):
+                raise ValueError("an integer out of bounds")
+        elif values and rule.kind is float:
+            # A NaN or an inf makes the sum non-finite; an overflow costs a needless scan.
+            if not (min(values) > 0 and math.isfinite(sum(values))):
+                raise ValueError("a measurement out of range")
+    except (ValueError, OverflowError):
+        values = []
+        for cell in cells:
+            try:
+                values.append(_cell(cell, rule, text))
+            except ValidationError as exc:
+                return values, exc
+        return values, None
+    if rule.optional:
+        found = iter(values)
+        values = [None if cell is None else next(found) for cell in cells]
+    return values, None
+
+
+def _records(table: _Table, columns: Sequence[Sequence], text: bool,
+             names: Sequence[str], where, unique: bool = False) -> list:
+    """The records of one table from its columns of cells.
+
+    Of several bad cells the first in row order, then column order, is
+    reported as ``"<where(row)>: column <names[i]>: ..."``.  With ``unique``
+    a repeated identity in an earlier row is reported first, as DuplicateKey.
+    """
+    read = [_column(cells, rule, text) for rule, cells in zip(table.rules, columns)]
+    bad = min(((len(values), i) for i, (values, error) in enumerate(read) if error), default=None)
+    values = [v if bad is None else v[:bad[0]] for v, _ in read]
+    if unique:
+        keys = list(zip(*values[:table.identity]))
+        if len(set(keys)) < len(keys):
+            seen: set = set()
+            for row, key in enumerate(keys):
+                if key in seen:
+                    raise DuplicateKey(f"{where(row)}: {table.duplicate.format(key)}")
+                seen.add(key)
+    if bad is not None:
+        row, i = bad
+        error = read[i][1]
+        raise type(error)(f"{where(row)}: column {names[i]!r}: {error}")
+    # The record's fields are the columns: ``_make`` without its length check.
+    return list(map(partial(tuple.__new__, table.record), zip(*values)))
+
+
+def _csv_records(path: str | Path, table: _Table) -> list:
+    """The records of one measurement CSV file; extra columns are ignored."""
     path = Path(path)
     with utf8_errors(path), path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -115,46 +238,31 @@ def _rows(path: str | Path, required: Sequence[str]) -> list[tuple[int, tuple]]:
         if header is None:
             raise SchemaError(f"{path}: empty file, header row required")
         index = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
-        for col in required:
-            if col not in index:
-                raise SchemaError(f"{path}: missing column {col!r}")
-        columns = [index[col] for col in required]
+        for name in table.names:
+            if name not in index:
+                raise SchemaError(f"{path}: missing column {name!r}")
+        columns = [index[name] for name in table.names]
         pick = itemgetter(*columns)
         width = max(columns) + 1
+        lines = []
         rows = []
+        short = None
         for row in reader:
             if not row:
                 continue
-            if len(row) < width:
-                col = next(c for c, i in zip(required, columns) if i >= len(row))
-                raise SchemaError(f"{path}:{reader.line_num}: column {col!r}: missing cell")
-            rows.append((reader.line_num, pick(row)))
-        return rows
-
-
-def _to_int(path, lineno, col, raw, minimum=None, maximum=None) -> int:
-    try:
-        value = int(raw)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{path}:{lineno}: column {col!r}: not an integer: {raw!r}")
-    if minimum is not None and value < minimum:
-        raise UnitError(f"{path}:{lineno}: column {col!r}: {value} < {minimum}")
-    if maximum is not None and value > maximum:
-        raise UnitError(f"{path}:{lineno}: column {col!r}: {value} > {maximum}")
-    return value
-
-
-def _to_positive_float(path, lineno, col, raw) -> float:
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{path}:{lineno}: column {col!r}: not a number: {raw!r}")
-    if not (math.isfinite(value) and value > 0):
-        raise UnitError(
-            f"{path}:{lineno}: column {col!r}: measurement must be finite and > 0, "
-            f"got {raw}"
-        )
-    return value
+            if len(row) < width:  # reported after any fault in the rows above it
+                name = next(n for n, i in zip(table.names, columns) if i >= len(row))
+                short = SchemaError(f"{path}:{reader.line_num}: column {name!r}: missing cell")
+                break
+            lines.append(reader.line_num)
+            rows.append(pick(row))
+    cells = list(zip(*rows)) or [()] * len(table.names)
+    del rows
+    records = _records(table, cells, True, table.names, lambda row: f"{path}:{lines[row]}",
+                       unique=True)
+    if short:
+        raise short
+    return records
 
 
 def parse_measurements(
@@ -166,141 +274,34 @@ def parse_measurements(
     """Parse and validate the four measurement files.
 
     Raises SchemaError for missing columns or malformed cells, UnitError for
-    non-finite or nonpositive measurements, DuplicateKey for repeated
-    identities, each with the offending file and line.
+    out-of-range cells, DuplicateKey for repeated identities, each with the
+    offending file and line.
     """
-    ms = MeasurementSet()
-
-    seen: set = set()
-    for lineno, (tree_id, axis_id, parent, ins) in _rows(
-        axes_path, ("tree_id", "axis_id", "parent_axis_id", "insertion_ca")
-    ):
-        ins = ins.strip()
-        rec = AxisRecord(
-            tree_id, axis_id, parent.strip() or None,
-            _to_int(axes_path, lineno, "insertion_ca", ins, 1) if ins else None,
-        )
-        key = (tree_id, axis_id)
-        if key in seen:
-            raise DuplicateKey(f"{axes_path}:{lineno}: axis {key} declared twice")
-        seen.add(key)
-        ms.axes.append(rec)
-
-    seen = set()
-    for lineno, (tree_id, axis_id, ca, count, scars) in _rows(
-        gus_path, ("tree_id", "axis_id", "gu_ca", "internode_count", "leaf_scar_count")
-    ):
-        rec = GURecord(
-            tree_id, axis_id,
-            _to_int(gus_path, lineno, "gu_ca", ca, 1),
-            _to_int(gus_path, lineno, "internode_count", count, 1),
-            _to_int(gus_path, lineno, "leaf_scar_count", scars, 0),
-        )
-        key = (tree_id, axis_id, rec.gu_ca)
-        if key in seen:
-            raise DuplicateKey(f"{gus_path}:{lineno}: GU {key} declared twice")
-        seen.add(key)
-        ms.gus.append(rec)
-
-    seen = set()
-    for lineno, (tree_id, axis_id, ca, rank, weight, length, diameter) in _rows(
-        internodes_path,
-        ("tree_id", "axis_id", "gu_ca", "rank_in_gu", "fresh_weight_g", "length_cm", "diameter_mm"),
-    ):
-        rec = InternodeRecord(
-            tree_id, axis_id,
-            _to_int(internodes_path, lineno, "gu_ca", ca, 1),
-            _to_int(internodes_path, lineno, "rank_in_gu", rank, 1),
-            _to_positive_float(internodes_path, lineno, "fresh_weight_g", weight),
-            _to_positive_float(internodes_path, lineno, "length_cm", length),
-            _to_positive_float(internodes_path, lineno, "diameter_mm", diameter),
-        )
-        key = (tree_id, axis_id, rec.gu_ca, rec.rank_in_gu)
-        if key in seen:
-            raise DuplicateKey(f"{internodes_path}:{lineno}: internode {key} measured twice")
-        seen.add(key)
-        ms.internodes.append(rec)
-
-    seen = set()
-    for lineno, (tree_id, axis_id, ca, sample, weight, area) in _rows(
-        leaves_path, ("tree_id", "axis_id", "gu_ca", "sample_index", "fresh_weight_g", "area_cm2")
-    ):
-        rec = LeafRecord(
-            tree_id, axis_id,
-            _to_int(leaves_path, lineno, "gu_ca", ca, 1),
-            _to_int(leaves_path, lineno, "sample_index", sample, 1, 3),
-            _to_positive_float(leaves_path, lineno, "fresh_weight_g", weight),
-            _to_positive_float(leaves_path, lineno, "area_cm2", area),
-        )
-        key = (tree_id, axis_id, rec.gu_ca, rec.sample_index)
-        if key in seen:
-            raise DuplicateKey(f"{leaves_path}:{lineno}: leaf sample {key} measured twice")
-        seen.add(key)
-        ms.leaves.append(rec)
-
-    return ms
+    paths = (axes_path, gus_path, internodes_path, leaves_path)
+    return MeasurementSet(**{
+        name: _csv_records(path, table) for (name, table), path in zip(_TABLES.items(), paths)
+    })
 
 
 def serialize_measurements(ms: MeasurementSet) -> dict[str, str]:
     """Render records back to the four CSV texts, losslessly.
 
-    Cells holding a comma, a quote or a line break are quoted.  A row with a
-    carriage return is quoted whole, since ``csv.writer`` leaves a lone
-    ``\\r`` unquoted when the line terminator is ``\\n``.
+    Rows are sorted by their identity.  Cells holding a comma, a quote or a
+    line break are quoted.  A row with a carriage return is quoted whole,
+    since ``csv.writer`` leaves a lone ``\\r`` unquoted when the line
+    terminator is ``\\n``.
     """
-
-    def table(name, header, rows, sort_key):
+    texts = {}
+    for name, table in _TABLES.items():
         buf = io.StringIO()
         plain = csv.writer(buf, lineterminator="\n")
         quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        plain.writerow(header)
-        for r in sorted(rows, key=sort_key):
-            (quoted if any("\r" in cell for cell in r) else plain).writerow(r)
-        return buf.getvalue()
-
-    return {
-        "axes": table(
-            "axes",
-            ("tree_id", "axis_id", "parent_axis_id", "insertion_ca"),
-            (
-                (a.tree_id, a.axis_id, a.parent_axis_id or "",
-                 "" if a.insertion_ca is None else str(a.insertion_ca))
-                for a in ms.axes
-            ),
-            lambda r: (r[0], r[1]),
-        ),
-        "gus": table(
-            "gus",
-            ("tree_id", "axis_id", "gu_ca", "internode_count", "leaf_scar_count"),
-            (
-                (g.tree_id, g.axis_id, str(g.gu_ca), str(g.internode_count),
-                 str(g.leaf_scar_count))
-                for g in ms.gus
-            ),
-            lambda r: (r[0], r[1], int(r[2])),
-        ),
-        "internodes": table(
-            "internodes",
-            ("tree_id", "axis_id", "gu_ca", "rank_in_gu", "fresh_weight_g",
-             "length_cm", "diameter_mm"),
-            (
-                (i.tree_id, i.axis_id, str(i.gu_ca), str(i.rank_in_gu),
-                 repr(i.fresh_weight), repr(i.length), repr(i.diameter))
-                for i in ms.internodes
-            ),
-            lambda r: (r[0], r[1], int(r[2]), int(r[3])),
-        ),
-        "leaves": table(
-            "leaves",
-            ("tree_id", "axis_id", "gu_ca", "sample_index", "fresh_weight_g", "area_cm2"),
-            (
-                (l.tree_id, l.axis_id, str(l.gu_ca), str(l.sample_index),
-                 repr(l.fresh_weight), repr(l.area))
-                for l in ms.leaves
-            ),
-            lambda r: (r[0], r[1], int(r[2]), int(r[3])),
-        ),
-    }
+        plain.writerow(table.names)
+        for record in sorted(getattr(ms, name), key=itemgetter(slice(table.identity))):
+            row = ["" if value is None else str(value) for value in record]
+            (quoted if any("\r" in cell for cell in row) else plain).writerow(row)
+        texts[name] = buf.getvalue()
+    return texts
 
 
 # -- target series ------------------------------------------------------------
@@ -334,16 +335,8 @@ class TargetSeries:
     def to_json(self) -> str:
         doc = {
             "tree_id": self.tree_id,
-            "entries": {
-                f"{pa},{ca}": {
-                    f.name: getattr(e, f.name) for f in fields(TargetEntry)
-                }
-                for (pa, ca), e in sorted(self.entries.items())
-            },
-            "cumulated": {
-                str(cycle): {f.name: getattr(c, f.name) for f in fields(CumEntry)}
-                for cycle, c in sorted(self.cumulated.items())
-            },
+            "entries": {f"{pa},{ca}": asdict(e) for (pa, ca), e in sorted(self.entries.items())},
+            "cumulated": {str(cycle): asdict(c) for cycle, c in sorted(self.cumulated.items())},
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -353,15 +346,35 @@ class TargetSeries:
 
         Raises:
             SchemaError: the text is not JSON, lacks a key, or holds a value
-                of the wrong type.
+                of the wrong type or range: a PA, CA or cycle key < 1, an
+                ``n_internodes`` that is not an integer >= 1, or another
+                value that is not finite and >= 0 (zeros come from a trace
+                with no seed biomass).
         """
+
+        def checked(where: str, keys: Sequence[int], record):
+            if min(keys) < 1:
+                raise InvalidParameter(f"{where}: PA, CA and cycle keys must be >= 1")
+            for name, value in asdict(record).items():
+                if name == "n_internodes":
+                    if type(value) is not int or value < 1:
+                        raise InvalidParameter(
+                            f"{where}: n_internodes must be an integer >= 1, got {value!r}")
+                elif type(value) not in (int, float) or not 0 <= value < math.inf:
+                    raise InvalidParameter(
+                        f"{where}: {name} must be finite and >= 0, got {value!r}")
+            return record
+
         with schema_errors(source):
             doc = json.loads(text)
             entries = {}
             for key, val in doc["entries"].items():
-                pa, ca = key.split(",")
-                entries[(int(pa), int(ca))] = TargetEntry(**val)
-            cumulated = {int(k): CumEntry(**v) for k, v in doc["cumulated"].items()}
+                pa, ca = map(int, key.split(","))
+                entries[(pa, ca)] = checked(f"entries[{key!r}]", (pa, ca), TargetEntry(**val))
+            cumulated = {
+                int(k): checked(f"cumulated[{k!r}]", (int(k),), CumEntry(**v))
+                for k, v in doc["cumulated"].items()
+            }
             return cls(tree_id=doc["tree_id"], entries=entries, cumulated=cumulated)
 
     @classmethod
@@ -435,9 +448,7 @@ def build_target_series(
             raise MissingPA(f"axis {rec.axis_id!r} has no PA assignment")
         axis = topology.axes.get(rec.axis_id)
         if axis is None or axis.gu_at(rec.gu_ca) is None:
-            raise ValidationError(
-                f"record references unknown GU ({rec.axis_id!r}, ca {rec.gu_ca})"
-            )
+            raise ValidationError(f"record references unknown GU ({rec.axis_id!r}, ca {rec.gu_ca})")
 
     group_of_gu: dict[tuple[str, int], tuple[int, int]] = {}
     for axis, gu in topology.iter_gus():
@@ -446,20 +457,15 @@ def build_target_series(
         missing = sorted(a for (a, _), v in group_of_gu.items() if v is None)
         raise MissingPA(f"axes without PA assignment: {missing}")
 
-    int_weight: dict[tuple[str, int], list[float]] = {}
-    int_length: dict[tuple[str, int], list[float]] = {}
-    int_diameter: dict[tuple[str, int], list[float]] = {}
-    for r in ms.internodes:
-        key = (r.axis_id, r.gu_ca)
-        int_weight.setdefault(key, []).append(r.fresh_weight)
-        int_length.setdefault(key, []).append(r.length)
-        int_diameter.setdefault(key, []).append(r.diameter)
-    leaf_weight: dict[tuple[str, int], list[float]] = {}
-    leaf_area: dict[tuple[str, int], list[float]] = {}
-    for r in ms.leaves:
-        key = (r.axis_id, r.gu_ca)
-        leaf_weight.setdefault(key, []).append(r.fresh_weight)
-        leaf_area.setdefault(key, []).append(r.area)
+    def by_gu(records: Sequence, name: str) -> dict[tuple[str, int], list[float]]:
+        samples: dict[tuple[str, int], list[float]] = {}
+        for r in records:
+            samples.setdefault((r.axis_id, r.gu_ca), []).append(getattr(r, name))
+        return samples
+
+    int_weight, int_length, int_diameter = (
+        by_gu(ms.internodes, name) for name in ("fresh_weight", "length", "diameter"))
+    leaf_weight, leaf_area = (by_gu(ms.leaves, name) for name in ("fresh_weight", "area"))
 
     w_mean = _FallbackMean("internode weight", int_weight, group_of_gu)
     blade_mean = _FallbackMean("leaf weight", leaf_weight, group_of_gu)
@@ -641,92 +647,46 @@ def tree_to_json(topology: TreeTopology, ms: MeasurementSet) -> str:
     )
 
 
-# Cell rules of the measurement rows from their third field on:
-# (column, minimum, maximum) for integers, (column,) for measurements.
-_INTERNODE_CELLS = (
-    ("gu_ca", 1, None), ("rank_in_gu", 1, None),
-    ("fresh_weight_g",), ("length_cm",), ("diameter_mm",),
-)
-_LEAF_CELLS = (("gu_ca", 1, None), ("sample_index", 1, 3), ("fresh_weight_g",), ("area_cm2",))
-
-
-def _check_cells(source: str, table: str, column: str, values: Sequence,
-                 minimum: int | None = None, maximum: int | None = None) -> None:
-    """Check one non-empty measurement column of a tree document.
-
-    The rules are those of the CSV files: with ``minimum`` the cells must be
-    integers within bounds, otherwise finite numbers > 0.  The column is
-    tested whole; only a failing column is scanned cell by cell, for the
-    message, which names the row by its index in the table.
-
-    Raises:
-        SchemaError: a cell of the wrong JSON type.
-        UnitError: a value out of range.
-    """
-    kinds = set(map(type, values))
-    if minimum is not None:
-        if kinds <= {int} and min(values) >= minimum and (
-            maximum is None or max(values) <= maximum
-        ):
-            return
-    elif kinds <= {float}:
-        cells = np.array(values, dtype=float)
-        if np.all((cells > 0.0) & (cells < math.inf)):
-            return
-    for i, value in enumerate(values):
-        where = f"{source}: measurements.{table}[{i}]: column {column!r}"
-        if minimum is not None:
-            if type(value) is not int:
-                raise SchemaError(f"{where}: not an integer: {value!r}")
-            if value < minimum:
-                raise UnitError(f"{where}: {value} < {minimum}")
-            if maximum is not None and value > maximum:
-                raise UnitError(f"{where}: {value} > {maximum}")
-        elif type(value) not in (int, float):
-            raise SchemaError(f"{where}: not a number: {value!r}")
-        elif not 0 < value < math.inf:
-            raise UnitError(f"{where}: measurement must be finite and > 0, got {value!r}")
-
-
 def tree_from_json(
     text: str, source: str = "tree document"
 ) -> tuple[TreeTopology, MeasurementSet]:
     """Parse :func:`tree_to_json` output; ``source`` names the input in errors.
 
-    Measurement cells follow the CSV rules: integer cycles, ranks and sample
-    indices in range, finite positive measurements.
+    Every cell is read by the rule of its CSV column: text ids, integer
+    cycles, counts, ranks and sample indices within bounds, finite positive
+    measurements.  An error names the row by its place in the document
+    (``axes[2].gus[0]``, ``measurements.leaves[5]``) and the cell by its key.
 
     Raises:
         SchemaError: the text is not JSON, lacks a key, or holds a value of
             the wrong type.
-        UnitError: a measurement cell is out of range.
+        UnitError: a cell is out of range.
         ValidationError: the rows do not form a valid tree.
     """
     with schema_errors(source):
         doc = json.loads(text)
         tree_id = doc["tree_id"]
-        axes = []
-        gus = []
-        for ax in doc["axes"]:
-            axes.append(AxisRecord(tree_id, ax["axis_id"], ax["parent_axis_id"], ax["insertion_ca"]))
-            for gu in ax["gus"]:
-                gus.append(GURecord(tree_id, ax["axis_id"], gu["ca"],
-                                    gu["internode_count"], gu["leaf_scar_count"]))
-        internodes = [
-            InternodeRecord(tree_id, r["axis_id"], r["gu_ca"], r["rank_in_gu"],
-                            r["fresh_weight_g"], r["length_cm"], r["diameter_mm"])
-            for r in doc["measurements"]["internodes"]
-        ]
-        leaves = [
-            LeafRecord(tree_id, r["axis_id"], r["gu_ca"], r["sample_index"],
-                       r["fresh_weight_g"], r["area_cm2"])
-            for r in doc["measurements"]["leaves"]
-        ]
-        for table, records, rules in (
-            ("internodes", internodes, _INTERNODE_CELLS), ("leaves", leaves, _LEAF_CELLS),
-        ):
-            if records:
-                for (column, *bounds), values in zip(rules, list(zip(*records))[2:]):
-                    _check_cells(source, table, column, values, *bounds)
-        ms = MeasurementSet(axes=axes, gus=gus, internodes=internodes, leaves=leaves)
+        axes = doc["axes"]
+        measurements = doc["measurements"]
+        rows = {"axes": axes, "gus": [gu for axis in axes for gu in axis["gus"]],
+                "internodes": measurements["internodes"], "leaves": measurements["leaves"]}
+        gu_axes = [axis["axis_id"] for axis in axes for _ in axis["gus"]]
+
+        def where(name: str, row: int) -> str:
+            if name == "axes":
+                return f"{source}: axes[{row}]"
+            if name != "gus":
+                return f"{source}: measurements.{name}[{row}]"
+            # GU rows are numbered across axes, in document order.
+            a, g = [(a, g) for a, axis in enumerate(axes) for g in range(len(axis["gus"]))][row]
+            return f"{source}: axes[{a}].gus[{g}]"
+
+        ms = MeasurementSet()
+        for name, table in _TABLES.items():
+            # The document implies tree_id, and a GU's axis_id by nesting.
+            implied = ([tree_id] * len(rows[name]), gu_axes)[:len(table.names) - len(table.json_keys)]
+            names = table.names[:len(implied)] + table.json_keys
+            cells = [*implied, *(list(map(itemgetter(key), rows[name])) for key in table.json_keys)]
+            setattr(ms, name, _records(table, cells, False, names, partial(where, name)))
+            del cells  # no table's cells outlive its records
         return ms.topology(), ms

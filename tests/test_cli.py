@@ -399,6 +399,89 @@ class TestBadInputFiles:
                        f"column {column!r}: {message}")
         assert not (tmp_path / "cls").exists()
 
+    @pytest.mark.parametrize("place, key, value, message", [
+        ("axes[0].gus[1]", "internode_count", 2.0, "not an integer: 2.0"),
+        ("axes[0].gus[1]", "internode_count", True, "not an integer: True"),
+        ("axes[0].gus[1]", "ca", "1", "not an integer: '1'"),
+        ("axes[1]", "insertion_ca", 1.5, "not an integer: 1.5"),
+    ])
+    @pytest.mark.parametrize("command", ["classify-pa", "simulate"])
+    def test_bad_gu_or_axis_cell_in_tree_json(self, grove_pipeline, tmp_path, capsys,
+                                              command, place, key, value, message):
+        _, trees, params = grove_pipeline
+        tree, pa_map, _ = trees["P2"]
+        doc = json.loads(tree.read_text())
+        row = doc["axes"][0]["gus"][1] if "gus" in place else doc["axes"][1]
+        row[key] = value
+        bad = tmp_path / "tree.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = {"classify-pa": ["classify-pa", "--tree", bad, "--k", 3, "--out", out],
+                "simulate": ["simulate", "--tree", bad, "--pa-map", pa_map, "--params", params,
+                             "--q0", 12.0, "--rp", 6.4, "--pc", 0.14, "--out", out]}[command]
+        err = self.one_error_line(capsys, argv)
+        assert err == f"fspm {command}: {bad}: {place}: column {key!r}: {message}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "simulate"])
+    def test_nan_target_value(self, grove_pipeline, tmp_path, capsys, command):
+        _, trees, params = grove_pipeline
+        tree, pa_map, targets = trees["P2"]
+        doc = json.loads(targets.read_text())
+        doc["cumulated"]["2"]["cum_blade_mass"] = float("nan")
+        bad = tmp_path / "targets.json"
+        bad.write_text(json.dumps(doc))
+        argv = [command, "--tree", tree, "--pa-map", pa_map, "--params", params,
+                "--targets", bad, "--out", tmp_path / "out"]
+        argv += ["--n-starts", 0] if command == "fit" else ["--q0", 12.0, "--rp", 6.4, "--pc", 0.14]
+        err = self.one_error_line(capsys, argv)
+        assert err == (f"fspm {command}: {bad}: cumulated['2']: "
+                       "cum_blade_mass must be finite and >= 0, got nan")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cycles, mangle, message", [
+        # Cycle 0 is no cycle: the targets file itself is rejected.
+        (None, lambda d: d["cumulated"].update({"0": d["cumulated"]["1"]}),
+         "{bad}: cumulated['0']: PA, CA and cycle keys must be >= 1"),
+        (None, lambda d: d["cumulated"].update({"5": d["cumulated"]["4"]}),
+         "cumulated target for cycle 5 outside the simulated cycles 1..4"),
+        (2, lambda d: d.update(entries={k: v for k, v in d["entries"].items()
+                                        if int(k.split(",")[1]) <= 2}),
+         "cumulated target for cycle 3 outside the simulated cycles 1..2"),
+        (2, lambda d: None, "no simulated cohort for PA1/CA3"),
+    ])
+    def test_targets_outside_simulated_cycles(self, grove_pipeline, tmp_path, capsys,
+                                              cycles, mangle, message):
+        _, trees, params = grove_pipeline
+        tree, pa_map, targets = trees["P2"]
+        doc = json.loads(targets.read_text())
+        mangle(doc)
+        bad = tmp_path / "targets.json"
+        bad.write_text(json.dumps(doc))
+        argv = ["simulate", "--tree", tree, "--pa-map", pa_map, "--params", params,
+                "--q0", 12.0, "--rp", 6.4, "--pc", 0.14, "--targets", bad,
+                "--out", tmp_path / "sim"]
+        if cycles is not None:
+            argv += ["--cycles", cycles]
+        err = self.one_error_line(capsys, argv)
+        assert err == "fspm simulate: " + message.format(bad=bad)
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("value", [2.7, True, "2"])
+    def test_pa_that_is_not_a_json_integer(self, grove_pipeline, tmp_path, capsys, value):
+        _, trees, params = grove_pipeline
+        tree, pa_map, _ = trees["P2"]
+        doc = json.loads(pa_map.read_text())
+        axis = next(a for a, pa in sorted(doc.items()) if pa == 2)
+        doc[axis] = value
+        bad = tmp_path / "pa_map.json"
+        bad.write_text(json.dumps(doc))
+        argv = ["simulate", "--tree", tree, "--pa-map", bad, "--params", params,
+                "--q0", 12.0, "--rp", 6.4, "--pc", 0.14, "--out", tmp_path / "sim"]
+        err = self.one_error_line(capsys, argv)
+        assert err == f"fspm simulate: {bad}: axis {axis!r}: PA must be an integer, got {value!r}"
+        assert not (tmp_path / "sim").exists()
+
     @pytest.mark.parametrize("flag, value, name", [
         ("--seed", -1, "seed"), ("--n-starts", -1, "n_starts"),
     ])

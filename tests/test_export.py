@@ -19,7 +19,7 @@ from fspm import (
     simulate_factored,
     targets_from_trace,
 )
-from fspm.errors import TreeMismatch
+from fspm.errors import TreeMismatch, ValidationError
 from fspm.export import _cross, build_skeleton
 
 
@@ -95,6 +95,16 @@ class TestExportFitCsv:
         targets = targets_from_trace(trace, dp3)
         targets.tree_id = "other"
         with pytest.raises(TreeMismatch):
+            export_fit_csv(trace, targets)
+
+    @pytest.mark.parametrize("cycle", [0, -1, 5])
+    def test_cumulated_cycle_outside_the_trace(self, run, dp3, cycle):
+        _, trace = run
+        targets = targets_from_trace(trace, dp3)
+        targets.cumulated[cycle] = targets.cumulated[1]
+        with pytest.raises(ValidationError, match=(
+            f"^cumulated target for cycle {cycle} outside the simulated cycles 1..4$"
+        )):
             export_fit_csv(trace, targets)
 
 

@@ -25,7 +25,7 @@ from fspm import (
     with_physio_ages,
 )
 from fspm.errors import DuplicateKey, MissingPA, SchemaError, UnitError
-from fspm.ingest import serialize_measurements
+from fspm.ingest import _TABLES, serialize_measurements
 from fspm.topology import TreeTopology
 
 DATA = Path(__file__).parent / "data"
@@ -145,6 +145,34 @@ class TestParseMeasurements:
         # A bad cell in the spanning row is reported on the line the row ends on.
         paths = write_files(tmp_path, leaves=leaves.replace("30.0\n", "-1\n", 1))
         with pytest.raises(UnitError, match="leaves.csv:3: column 'area_cm2'"):
+            parse_measurements(paths["axes"], paths["gus"],
+                               paths["internodes"], paths["leaves"])
+
+    @pytest.mark.parametrize("rows, error, message", [
+        # Of two bad cells, the earlier row's is reported, whatever its column.
+        ("T,A,1,1,2.0,3.0,4.0\nT,A,1,2,2.0,3.0,-4.0\nT,A,1,0,2.0,3.0,4.0\n",
+         UnitError, "internodes.csv:3: column 'diameter_mm': measurement"),
+        # In one row, the first column's.
+        ("T,A,1,1,2.0,3.0,4.0\nT,A,1,2,2.0,x,-4.0\n",
+         SchemaError, "internodes.csv:3: column 'length_cm': not a number: 'x'"),
+        # A repeated identity before a bad cell is reported first ...
+        ("T,A,1,1,2.0,3.0,4.0\nT,A,1,1,2.0,3.0,4.0\nT,A,1,2,-2.0,3.0,4.0\n",
+         DuplicateKey, r"internodes.csv:3: internode \('T', 'A', 1, 1\) measured twice"),
+        # ... but not a bad cell in the repeating row.
+        ("T,A,1,1,2.0,3.0,4.0\nT,A,1,1,-2.0,3.0,4.0\n",
+         UnitError, "internodes.csv:3: column 'fresh_weight_g'"),
+        # A bad cell above a short row is reported first, and a short row
+        # before a bad cell below it.
+        ("T,A,1,1,2.0,3.0,4.0\nT,A,1,2,2.0,3.0,0\nT,A,1,3\n",
+         UnitError, "internodes.csv:3: column 'diameter_mm'"),
+        ("T,A,1,1,2.0,3.0,4.0\nT,A,1,3\nT,A,1,2,2.0,3.0,0\n",
+         SchemaError, "internodes.csv:3: column 'fresh_weight_g': missing cell"),
+    ])
+    def test_first_fault_in_file_order(self, tmp_path, rows, error, message):
+        internodes = ("tree_id,axis_id,gu_ca,rank_in_gu,fresh_weight_g,length_cm,diameter_mm\n"
+                      + rows)
+        paths = write_files(tmp_path, internodes=internodes)
+        with pytest.raises(error, match=message):
             parse_measurements(paths["axes"], paths["gus"],
                                paths["internodes"], paths["leaves"])
 
@@ -307,6 +335,48 @@ class TestBuildTargetSeries:
         with pytest.raises(SchemaError, match=f"^targets: {message}"):
             TargetSeries.from_json(path.read_text())
 
+    @pytest.mark.parametrize("mangle, message", [
+        (lambda d: d["cumulated"]["2"].update(cum_blade_mass=math.nan),
+         "cumulated['2']: cum_blade_mass must be finite and >= 0, got nan"),
+        (lambda d: d["cumulated"]["1"].update(cum_internode_mass=math.inf),
+         "cumulated['1']: cum_internode_mass must be finite and >= 0, got inf"),
+        (lambda d: d["entries"]["1,2"].update(mean_blade_area=-1.0),
+         "entries['1,2']: mean_blade_area must be finite and >= 0, got -1.0"),
+        (lambda d: d["entries"]["1,1"].update(mean_internode_weight="heavy"),
+         "entries['1,1']: mean_internode_weight must be finite and >= 0, got 'heavy'"),
+        (lambda d: d["entries"]["1,1"].update(n_internodes=0),
+         "entries['1,1']: n_internodes must be an integer >= 1, got 0"),
+        (lambda d: d["entries"]["1,1"].update(n_internodes=1.5),
+         "entries['1,1']: n_internodes must be an integer >= 1, got 1.5"),
+        (lambda d: d["entries"]["1,1"].update(n_internodes=True),
+         "entries['1,1']: n_internodes must be an integer >= 1, got True"),
+        (lambda d: d["entries"].update({"0,1": d["entries"].pop("1,1")}),
+         "entries['0,1']: PA, CA and cycle keys must be >= 1"),
+        (lambda d: d["entries"].update({"1,-1": d["entries"].pop("1,1")}),
+         "entries['1,-1']: PA, CA and cycle keys must be >= 1"),
+        (lambda d: d["cumulated"].update({"0": d["cumulated"].pop("1")}),
+         "cumulated['0']: PA, CA and cycle keys must be >= 1"),
+    ])
+    def test_bad_values_name_the_file_and_key(self, tmp_path, mangle, message):
+        topo, ms = simple_tree([1.0, 2.0])
+        doc = json.loads(build_target_series(ms, topo, {"A": 1}).to_json())
+        mangle(doc)
+        path = tmp_path / "targets.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as info:
+            TargetSeries.load(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_zero_values_pass(self):
+        # A trace with no seed biomass makes targets of zeros.
+        topo, ms = simple_tree([1.0, 2.0])
+        doc = json.loads(build_target_series(ms, topo, {"A": 1}).to_json())
+        for entry in [*doc["entries"].values(), *doc["cumulated"].values()]:
+            entry.update({k: 0.0 for k in entry if k != "n_internodes"})
+        series = TargetSeries.from_json(json.dumps(doc))
+        assert series.cumulated[2].cum_blade_mass == 0.0
+        assert series.entries[(1, 1)].mean_blade_weight == 0.0
+
 
 class TestSingleFixtureHandValues:
     """The committed single-tree fixture against hand-computed aggregates."""
@@ -364,7 +434,8 @@ class TestTreeJson:
     @pytest.mark.parametrize("cut, message", [
         (lambda text: text[: len(text) // 2], "not valid JSON"),
         (lambda text: text.replace('"measurements"', '"rows"'), "missing key 'measurements'"),
-        (lambda text: text.replace('"ca": 1', '"ca": "1"', 1), "'<' not supported"),
+        (lambda text: text.replace('"ca": 1', '"ca": "1"', 1),
+         r"axes\[0\]\.gus\[0\]: column 'ca': not an integer: '1'$"),
     ])
     def test_malformed_json_names_the_source(self, cut, message):
         d = DATA / "single"
@@ -415,6 +486,94 @@ class TestTreeJsonCells:
         doc["measurements"]["internodes"][0]["length_cm"] = 5
         _, ms = tree_from_json(json.dumps(doc))
         assert ms.internodes[0].length == 5
+
+    def test_first_fault_in_row_order_then_column_order(self):
+        doc = self.document()
+        rows = doc["measurements"]["internodes"]
+        rows[2]["gu_ca"] = 0
+        rows[1]["diameter_mm"] = -1.0
+        rows[1]["length_cm"] = "x"
+        with pytest.raises(SchemaError) as info:
+            tree_from_json(json.dumps(doc), "tree.json")
+        assert str(info.value) == (
+            "tree.json: measurements.internodes[1]: column 'length_cm': not a number: 'x'"
+        )
+
+    @pytest.mark.parametrize("axis, gu, key, value, error, message", [
+        (1, None, "insertion_ca", 1.5, SchemaError, "not an integer: 1.5"),
+        (1, None, "insertion_ca", True, SchemaError, "not an integer: True"),
+        (1, None, "parent_axis_id", 1, SchemaError, "not text: 1"),
+        (0, 1, "internode_count", 2.0, SchemaError, "not an integer: 2.0"),
+        (0, 1, "internode_count", True, SchemaError, "not an integer: True"),
+        (0, 1, "ca", "1", SchemaError, "not an integer: '1'"),
+        (0, 1, "ca", None, SchemaError, "not an integer: None"),
+        (0, 1, "leaf_scar_count", -1, UnitError, "-1 < 0"),
+        # GU rows are counted across axes but named by their place.
+        (2, 0, "internode_count", 0, UnitError, "0 < 1"),
+    ])
+    def test_bad_gu_or_axis_cell(self, axis, gu, key, value, error, message):
+        doc = self.document()
+        row = doc["axes"][axis] if gu is None else doc["axes"][axis]["gus"][gu]
+        row[key] = value
+        with pytest.raises(error) as info:
+            tree_from_json(json.dumps(doc), "tree.json")
+        place = f"axes[{axis}]" if gu is None else f"axes[{axis}].gus[{gu}]"
+        assert str(info.value) == f"tree.json: {place}: column {key!r}: {message}"
+
+
+def bad_cells():
+    """(table, CSV column, bad value) for every column of the declaration with
+    a rule: values whose text in a CSV cell reads as the value in tree.json."""
+    for table, spec in _TABLES.items():
+        for column, rule in zip(spec.names, spec.rules):
+            if rule.kind is int:
+                bounds = [rule.minimum - 1] + ([rule.maximum + 1] if rule.maximum else [])
+                yield from ((table, column, value) for value in ["abc", *bounds])
+            elif rule.kind is float:
+                yield from ((table, column, value)
+                            for value in ["abc", -1.0, 0, math.nan, math.inf])
+
+
+class TestCsvJsonParity:
+    """A bad cell fails alike in a CSV file and in tree.json."""
+
+    JSON_KEY = {("gus", "gu_ca"): "ca"}
+
+    @pytest.mark.parametrize("table, column, value", list(bad_cells()))
+    def test_same_error_after_the_location(self, tmp_path, table, column, value):
+        paths = {}
+        for name in _TABLES:
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_bytes((DATA / "single" / f"{name}.csv").read_bytes())
+        rows = paths[table].read_text().splitlines(keepends=True)
+        cells = rows[2].rstrip("\n").split(",")
+        cells[rows[0].rstrip("\n").split(",").index(column)] = str(value)
+        rows[2] = ",".join(cells) + "\n"
+        paths[table].write_text("".join(rows))
+        with pytest.raises((SchemaError, UnitError)) as from_csv:
+            parse_measurements(*paths.values())
+
+        d = DATA / "single"
+        ms = parse_measurements(d / "axes.csv", d / "gus.csv",
+                                d / "internodes.csv", d / "leaves.csv")
+        doc = json.loads(tree_to_json(ms.topology(), ms))
+        key = self.JSON_KEY.get((table, column), column)
+        if table == "axes":
+            row, place = doc["axes"][1], "axes[1]"
+        elif table == "gus":
+            row, place = doc["axes"][0]["gus"][1], "axes[0].gus[1]"
+        else:
+            row, place = doc["measurements"][table][1], f"measurements.{table}[1]"
+        row[key] = value
+        with pytest.raises((SchemaError, UnitError)) as from_json:
+            tree_from_json(json.dumps(doc), "tree.json")
+
+        assert type(from_csv.value) is type(from_json.value)
+        csv_where = f"{paths[table]}:3: column {column!r}: "
+        json_where = f"tree.json: {place}: column {key!r}: "
+        assert str(from_csv.value).startswith(csv_where)
+        assert str(from_json.value).startswith(json_where)
+        assert str(from_csv.value)[len(csv_where):] == str(from_json.value)[len(json_where):]
 
 
 class TestRecords:
