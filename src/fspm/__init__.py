@@ -29,11 +29,8 @@ from .engine import (
     HiddenParams,
     SimConfig,
     SimulationTrace,
-    allocate,
     analytic_organ_count,
     cohort_counts,
-    demand,
-    distribute_rings,
     internode_geometry,
     production,
     simulate,
@@ -86,9 +83,9 @@ __all__ = [
     "DirectParams", "estimate_direct_params", "estimate_slw", "fit_allometry",
     "fit_sink_ratio",
     # engine
-    "HiddenParams", "SimConfig", "SimulationTrace", "allocate",
-    "analytic_organ_count", "cohort_counts", "demand", "distribute_rings",
-    "internode_geometry", "production", "simulate", "simulate_factored",
+    "HiddenParams", "SimConfig", "SimulationTrace", "analytic_organ_count",
+    "cohort_counts", "internode_geometry", "production", "simulate",
+    "simulate_factored",
     # calibration
     "FitOptions", "FitProblem", "FitResult", "FreeParams", "fd_jacobian",
     "fit_hidden", "residuals", "targets_from_trace",

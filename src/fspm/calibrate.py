@@ -51,11 +51,10 @@ import numpy as np
 from .direct_estim import DirectParams
 from .engine import (
     RING_DEMAND_PER_BLADE,
-    RING_PIPE,
     HiddenParams,
     SimConfig,
     SimulationTrace,
-    _PipeContext,
+    _ring_weights,
     simulate,
 )
 from .errors import (
@@ -280,10 +279,9 @@ class _TreePlan:
     under constant ring demand, once there are internodes to thicken) and
     the leaf-surface weights W, so that s_i = sum_k W[i, k] * a_k.  Cycle
     i's pool, pc * G_i * a_i, reaches internode k in proportion to its ring
-    weight w_ik: 1 for every internode old enough to thicken in uniform
-    mode, its distal functioning blades in pipe mode (all 1s again on a
-    cycle where those are all 0, as :func:`~fspm.engine.distribute_rings`
-    does).  The internodes of an observed cohort with equal share rows
+    weight w_ik, from the ring-weight table :func:`simulate` spreads its
+    pools by: 1 for every internode old enough to thicken in uniform mode,
+    its distal functioning blades in pipe mode.  The internodes of an observed cohort with equal share rows
     G_i * w_ik / sum_k w_ik form one ring class.  Two matrices, ``fixed``
     and ``ringed``, map a and pc*a onto each class's internode mass and onto
     the observed cumulated internode and blade masses; the class rows of
@@ -317,15 +315,7 @@ class _TreePlan:
         g = np.where(n_eligible > 0, functioning @ size if per_blade else 1.0, 0.0)
         w = (functioning * size) @ expanding.T / (cfg.t_exp * dp.slw)
 
-        # Ring weights w_ik, (cycles, internodes) in census order.
-        ring_weight = eligible[:, census.cohort].astype(int)
-        if cfg.ring_mode == RING_PIPE:
-            pipe = _PipeContext(topology)
-            distal = ring_weight * np.array(
-                [pipe.distal_functioning(i, cfg.t_f) for i in range(1, n + 1)]
-            )
-            spread = distal.any(axis=1)  # otherwise all 1s, as distribute_rings does
-            ring_weight[spread] = distal[spread]
+        ring_weight = _ring_weights(topology, cfg)
         weight_sum = ring_weight.sum(axis=1)[:, None]
         column = {key: j for j, key in enumerate(census.keys)}
         cols = [column[key] for key in obs.keys]

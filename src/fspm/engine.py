@@ -31,12 +31,16 @@ keep one fixed order, so a trace is reproducible bit for bit.
 
 The pipe ring distribution is the only per-organ physics.  A cycle's ring
 pool depends only on pc and the number of functioning blades, never on how
-earlier pools were spread, so :func:`simulate` spreads each cycle's pool
-over the internodes after the recursion has run.  Its weights are the
-functioning blades at or above each internode.  The topology numbers its
-internodes in pre-order once, so the internodes at or above any one form a
-contiguous range, and a cycle's weights are differences of one cumulative
-count: exact integers in O(internodes), with no walk of the tree.  An
+earlier pools were spread, so :func:`simulate` spreads every cycle's pool
+over the internodes after the recursion has run, in one product with a
+table of integer ring weights, one row per cycle and one column per
+internode.  The table comes from one function, which the fit's residual
+plans (:mod:`fspm.calibrate`) call too, so traces and fits share one rule
+for which internode thickens how much: only internodes old enough to
+thicken, weighted by the functioning blades at or above them.  The
+topology numbers its internodes in pre-order once, so the internodes at or
+above any one form a contiguous range, and the weights are differences of
+one cumulative count: exact integers, with no walk of the tree.  An
 internode's length follows its primary mass alone, so it is its cohort's;
 its diameter closes the cylinder on its own ring mass, in one array pass.
 """
@@ -46,7 +50,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, compress
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,7 +62,7 @@ from .errors import (
     UnsupportedRingMode,
     ZeroDemandWithBiomass,
 )
-from .topology import BLADE, INTERNODE, GrowthRules, TreeTopology
+from .topology import GrowthRules, TreeTopology
 
 RING_UNIFORM = "uniform"
 RING_PIPE = "pipe"
@@ -141,63 +145,6 @@ def production(leaf_surface: float, cfg: SimConfig, hp: HiddenParams) -> float:
     return cfg.e * (cfg.sp / hp.rp) * (1.0 - math.exp(-leaf_surface / cfg.sp))
 
 
-def _organ_sinks(
-    organs: Iterable[tuple[int, str, int]], dp: DirectParams, cfg: SimConfig
-) -> list[float]:
-    """Sink of each expanding organ group, given as (PA, kind, count).
-
-    A blade weighs 1 and an internode its PA's sink; each organ contributes
-    its sink divided by t_exp, the cycles its expansion is spread over.
-    """
-    sinks = []
-    for pa, kind, count in organs:
-        if count < 0:
-            raise ValueError("organ counts must be >= 0")
-        sink = 1.0 if kind == BLADE else dp.sink(pa)
-        sinks.append(count * sink / cfg.t_exp)
-    return sinks
-
-
-def _with_ring_sink(
-    sinks: list[float],
-    hp: HiddenParams,
-    cfg: SimConfig,
-    n_functioning_blades: int,
-    rings_active: bool,
-) -> list[float]:
-    """Append the ring compartment's sink to ``sinks`` and return them.
-
-    The ring compartment competes, last, while there are completed
-    internodes to thicken and its sink is positive.
-    """
-    if rings_active:
-        per_blade = cfg.ring_demand == RING_DEMAND_PER_BLADE
-        ring_sink = hp.pc * n_functioning_blades if per_blade else hp.pc
-        if ring_sink > 0:
-            sinks.append(ring_sink)
-    return sinks
-
-
-def demand(
-    expanding: Mapping[tuple[int, str], int],
-    dp: DirectParams,
-    hp: HiddenParams,
-    cfg: SimConfig,
-    n_functioning_blades: int = 0,
-    rings_active: bool = False,
-) -> float:
-    """Total sink demand for one cycle.
-
-    ``expanding`` counts organs currently in their expansion window, keyed by
-    (PA, kind); each contributes its sink divided by t_exp.  The ring term is
-    added only while there are completed internodes to thicken.  This is the
-    sum of the components the recursion allocates over.
-    """
-    organs = [(pa, kind, count) for (pa, kind), count in sorted(expanding.items())]
-    sinks = _organ_sinks(organs, dp, cfg)
-    return sum(_with_ring_sink(sinks, hp, cfg, n_functioning_blades, rings_active), 0.0)
-
-
 def _shares(q_prev: float, sinks: Sequence[float], total: float) -> list[float]:
     """``q_prev * sink / total`` per sink, the last share taken as the
     remainder so the shares sum to ``q_prev`` exactly."""
@@ -208,69 +155,6 @@ def _shares(q_prev: float, sinks: Sequence[float], total: float) -> list[float]:
         shares.append(share)
         acc += share
     shares.append(q_prev - acc)
-    return shares
-
-
-def allocate(
-    q_prev: float, components: Sequence[tuple[object, float]]
-) -> dict[object, float]:
-    """Split ``q_prev`` grams over components proportionally to their sinks.
-
-    The final share is taken as the remainder so the allocations sum to
-    ``q_prev`` exactly.
-    """
-    if q_prev < 0:
-        raise ValueError("biomass to allocate must be >= 0")
-    sinks = [s for _, s in components]
-    total = sum(sinks)
-    if any(s < 0 for s in sinks):
-        raise ValueError("sink weights must be >= 0")
-    if q_prev == 0:
-        return {key: 0.0 for key, _ in components}
-    if total <= 0:
-        raise ZeroDemandWithBiomass(
-            f"{q_prev} g available but total sink demand is zero"
-        )
-    return dict(zip((key for key, _ in components), _shares(q_prev, sinks, total)))
-
-
-def distribute_rings(
-    ring_pool: float,
-    n_internodes: int,
-    mode: str = RING_UNIFORM,
-    distal_blade_counts: Sequence[int] | None = None,
-) -> np.ndarray:
-    """Per-internode ring increments summing exactly to ``ring_pool``.
-
-    Uniform mode gives every internode the same share.  Pipe mode weights
-    each internode by the functioning blades at or above it, so a bare
-    internode with nothing distal receives nothing; if no internode carries
-    any weight the pool falls back to uniform to conserve mass.
-    """
-    if ring_pool < 0:
-        raise ValueError("ring pool must be >= 0")
-    if n_internodes == 0:
-        if ring_pool > 0:
-            raise ValueError("ring pool with no internodes to receive it")
-        return np.zeros(0)
-    if ring_pool == 0:
-        return np.zeros(n_internodes)
-    if mode == RING_UNIFORM:
-        shares = np.full(n_internodes, ring_pool / n_internodes)
-        shares[-1] = ring_pool - shares[:-1].sum()
-        return shares
-    if mode != RING_PIPE:
-        raise UnsupportedRingMode(f"unknown ring mode {mode!r}")
-    if distal_blade_counts is None or len(distal_blade_counts) != n_internodes:
-        raise ValueError("pipe mode needs one distal blade count per internode")
-    w = np.asarray(distal_blade_counts, dtype=float)
-    total = w.sum()
-    if total <= 0:
-        return distribute_rings(ring_pool, n_internodes, RING_UNIFORM)
-    shares = ring_pool * w / total
-    anchor = int(np.argmax(w))
-    shares[anchor] = 0.0
-    shares[anchor] = ring_pool - shares.sum()
     return shares
 
 
@@ -378,10 +262,12 @@ def _run_cohorts(
     births = [b for _, b in keys]
     sizes = [counts[k] for k in keys]
     before = list(accumulate(sizes, initial=0))  # internodes of cohorts [0, j)
-    sinks = _organ_sinks(
-        [(pa, kind, size) for (pa, _), size in zip(keys, sizes) for kind in (BLADE, INTERNODE)],
-        dp, cfg,
-    )
+    # Each organ's sink is spread over its t_exp expansion cycles; a blade
+    # weighs 1 and an internode its PA's sink.
+    sinks = []
+    for (pa, _), size in zip(keys, sizes):
+        sinks += [size / cfg.t_exp, size * dp.sink(pa) / cfg.t_exp]
+    per_blade = cfg.ring_demand == RING_DEMAND_PER_BLADE
     primary = [0.0] * len(keys)
     blade = [0.0] * len(keys)
     ring = [0.0] * len(keys)
@@ -393,9 +279,13 @@ def _run_cohorts(
         grown = bisect_right(births, i - cfg.t_exp)  # expanding: [grown, born)
         young = bisect_right(births, i - cfg.t_f)  # functioning: [young, born)
         n_eligible = before[grown]
-        comps = _with_ring_sink(
-            sinks[2 * grown : 2 * born], hp, cfg, before[born] - before[young], n_eligible > 0
-        )
+        comps = sinks[2 * grown : 2 * born]
+        # The ring compartment competes, last, while there are internodes
+        # to thicken and its sink is positive.
+        if n_eligible > 0:
+            ring_sink = hp.pc * (before[born] - before[young]) if per_blade else hp.pc
+            if ring_sink > 0:
+                comps.append(ring_sink)
         d = sum(comps, 0.0)
         if funded > 0 and d <= 0:
             raise ZeroDemandWithBiomass(
@@ -446,6 +336,37 @@ def _run_cohorts(
     )
 
 
+def _ring_weights(
+    topology: TreeTopology, cfg: SimConfig, cycles: int | None = None
+) -> np.ndarray:
+    """Integer ring weight w_ik of internode k on cycle i.
+
+    Rows are cycles 1..``cycles`` (the topology's age by default), columns
+    the internodes in census position order.  Cycle i's ring pool goes to
+    internode k in proportion to w_ik.  Only internodes born by i - t_exp
+    thicken.  Uniform mode weighs each of them 1; pipe mode weighs each by
+    the functioning blades at or above it, and falls back to 1s on a cycle
+    where those weights are all 0, so the pool is never lost.  The
+    internodes at or above one form a range of the topology's pre-order
+    (:attr:`~fspm.topology.TreeTopology.subtree_ranges`), so every cycle's
+    pipe weights are differences of one cumulative count of functioning
+    blades.
+    """
+    census = topology.census
+    n = topology.age if cycles is None else cycles
+    cycle = np.arange(1, n + 1)[:, None]
+    birth = np.array([b for _, b in census.keys])[census.cohort]
+    eligible = (birth <= cycle - cfg.t_exp).astype(int)
+    if cfg.ring_mode == RING_UNIFORM:
+        return eligible
+    ranges = topology.subtree_ranges
+    functioning = (ranges.ca > cycle - cfg.t_f) & (ranges.ca <= cycle)
+    counts = np.zeros((n, len(ranges.ca) + 1), dtype=int)
+    np.cumsum(functioning, axis=1, out=counts[:, 1:])
+    distal = eligible * (counts[:, ranges.stop] - counts[:, ranges.start])
+    return np.where(distal.any(axis=1)[:, None], distal, eligible)
+
+
 def simulate(
     hp: HiddenParams,
     dp: DirectParams,
@@ -457,9 +378,9 @@ def simulate(
 
     Cycle 1 is funded by the seed mass, cycle i by the production of cycle
     i - 1.  The trace carries per-internode masses and geometry.  In pipe
-    mode each cycle's ring pool goes to the internodes in proportion to the
-    functioning blades at or above them, and the cohort summaries become
-    means over their internodes.
+    mode each cycle's ring pool goes to the internodes old enough to
+    thicken in proportion to the functioning blades at or above them, and
+    the cohort summaries become means over their internodes.
     """
     n = topology.age if cycles is None else int(cycles)
     if not 1 <= n <= topology.age:
@@ -499,9 +420,17 @@ def simulate(
         )
         return trace
 
+    # Internodes born after cycle n never weigh anything, so a shortened
+    # run keeps the born columns.  A cycle whose weights sum to 0 has no
+    # internode to thicken, hence no pool.
+    weights = _ring_weights(topology, cfg, n)
+    if born is not None:
+        weights = weights[:, born]
+    weight_sum = weights.sum(axis=1)
+    per_weight = np.divide(trace.ring_pool, weight_sum, out=np.zeros(n), where=weight_sum > 0)
+    ring = per_weight @ weights
     # Length follows primary mass alone, so each internode keeps its
     # cohort's; the diameter closes the cylinder on its own ring mass.
-    ring = _PipeContext(topology, born).spread(trace.ring_pool, birth, cfg)
     total = primary + ring
     diameter = np.zeros(len(total))
     thick = (primary > 0) & (total > 0) & (length > 0)
@@ -525,45 +454,6 @@ def simulate(
         for j, (key, c) in enumerate(trace.cohorts.items())
     }
     return trace
-
-
-class _PipeContext:
-    """Pipe-model ring distribution over the internodes of one topology.
-
-    Weights are the functioning blades at or above each internode.  The
-    topology numbers its internodes in pre-order once
-    (:attr:`~fspm.topology.TreeTopology.subtree_ranges`), so each cycle's
-    weights are differences of one cumulative count: exact integers,
-    O(internodes) per cycle.
-    """
-
-    def __init__(self, topology: TreeTopology, born: np.ndarray | None = None):
-        ranges = topology.subtree_ranges
-        self.ca = ranges.ca
-        self.start, self.stop = ranges.start, ranges.stop
-        if born is not None:  # the internodes a shortened run simulates
-            self.start, self.stop = self.start[born], self.stop[born]
-        self.n = len(self.start)
-
-    def distal_functioning(self, cycle: int, t_f: int) -> np.ndarray:
-        """Functioning blades at or above each internode at ``cycle``."""
-        functioning = (self.ca > cycle - t_f) & (self.ca <= cycle)
-        counts = np.zeros(len(functioning) + 1, dtype=int)
-        np.cumsum(functioning, out=counts[1:])
-        return counts[self.stop] - counts[self.start]
-
-    def spread(self, pools: np.ndarray, birth: np.ndarray, cfg: SimConfig) -> np.ndarray:
-        """Per-internode ring mass from each cycle's pool, weighted by
-        :meth:`distal_functioning` over the internodes old enough to thicken."""
-        ring = np.zeros(self.n)
-        for i, pool in enumerate(pools, start=1):
-            if pool > 0:
-                eligible = birth <= i - cfg.t_exp
-                weights = self.distal_functioning(i, cfg.t_f)
-                ring[eligible] += distribute_rings(
-                    pool, int(eligible.sum()), RING_PIPE, weights[eligible]
-                )
-        return ring
 
 
 # -- census from branching rules ----------------------------------------------

@@ -661,6 +661,7 @@ def tree_from_json(
         SchemaError: the text is not JSON, lacks a key, or holds a value of
             the wrong type.
         UnitError: a cell is out of range.
+        DuplicateKey: an internode or a leaf sample is measured twice.
         ValidationError: the rows do not form a valid tree.
     """
     with schema_errors(source):
@@ -687,6 +688,8 @@ def tree_from_json(
             implied = ([tree_id] * len(rows[name]), gu_axes)[:len(table.names) - len(table.json_keys)]
             names = table.names[:len(implied)] + table.json_keys
             cells = [*implied, *(list(map(itemgetter(key), rows[name])) for key in table.json_keys)]
-            setattr(ms, name, _records(table, cells, False, names, partial(where, name)))
+            # build_topology words a repeated axis or GU; measurements are checked here.
+            setattr(ms, name, _records(table, cells, False, names, partial(where, name),
+                                       unique=name in ("internodes", "leaves")))
             del cells  # no table's cells outlive its records
         return ms.topology(), ms

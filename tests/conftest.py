@@ -61,3 +61,12 @@ def two_axis_tree(tree_id: str = "T"):
 @pytest.fixture
 def small_tree():
     return two_axis_tree()
+
+
+@pytest.fixture
+def late_root():
+    """One PA1 axis whose first GU is at cycle 2: on cycle 1 the seed mass
+    finds no organ to take it."""
+    t = build_topology([AxisRecord("Z", "A1", None, None)],
+                       [GURecord("Z", "A1", 2, 2), GURecord("Z", "A1", 3, 1)])
+    return with_physio_ages(t, {"A1": 1})

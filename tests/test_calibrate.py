@@ -29,7 +29,7 @@ from fspm.errors import (
     SimulationFailed,
     ValidationError,
 )
-from fspm.ingest import TargetSeries
+from fspm.ingest import CumEntry, TargetEntry, TargetSeries
 from test_engine import uneven_trees
 
 
@@ -542,6 +542,26 @@ class TestResidualPlan:
             assert str(got.value) == str(expected.value)
         with pytest.raises(SimulationFailed, match="cycle 4"):
             fit_hidden(problem, fp, FitOptions(n_starts=0))
+
+    def test_zero_demand_on_the_first_cycle(self, late_root):
+        # The root's first GU is at cycle 2, so the seed mass of cycle 1 has
+        # no organ to take it: the plan fails as simulate does.
+        dp = DirectParams(p_int={1: 0.5}, allometry={1: (2.0, 1 / 3)}, slw=0.02)
+        targets = TargetSeries(
+            tree_id="Z",
+            entries={(1, 2): TargetEntry(1.0, 1.0, 1.0, 1.0, 1.0, 2)},
+            cumulated={3: CumEntry(1.0, 1.0)},
+        )
+        problem = FitProblem(targets=[targets], topologies=[late_root], dp=dp)
+        fp = FreeParams(q0={"Z": 1.0}, rp=3.0, pc=0.3)
+        message = "tree 'Z': cycle 1: 1.0 g to allocate but no demand"
+        for tangent in (False, True):
+            with pytest.raises(SimulationFailed) as got:
+                _planned(problem, problem.pack(fp), tangent)
+            assert str(got.value) == message
+        with pytest.raises(SimulationFailed) as got:
+            fit_hidden(problem, fp, FitOptions(n_starts=0))
+        assert str(got.value) == message
 
     def test_missing_sink_fails_in_the_problem(self, dp2):
         # Direct parameters without PA 2: no plan can be built, and the

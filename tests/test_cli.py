@@ -399,6 +399,25 @@ class TestBadInputFiles:
                        f"column {column!r}: {message}")
         assert not (tmp_path / "cls").exists()
 
+    @pytest.mark.parametrize("table, noun", [("internodes", "internode"),
+                                             ("leaves", "leaf sample")])
+    def test_repeated_measurement_row_in_tree_json(self, grove_pipeline, tmp_path, capsys,
+                                                   table, noun):
+        _, trees, _ = grove_pipeline
+        doc = json.loads(trees["P2"][0].read_text())
+        rows = doc["measurements"][table]
+        first = rows[0]
+        rows.append(dict(first, fresh_weight_g=99.0))
+        bad = tmp_path / "tree.json"
+        bad.write_text(json.dumps(doc))
+        key = ("P2", first["axis_id"], first["gu_ca"],
+               first["rank_in_gu" if table == "internodes" else "sample_index"])
+        err = self.one_error_line(capsys, ["classify-pa", "--tree", bad, "--k", 3,
+                                           "--out", tmp_path / "cls"])
+        assert err == (f"fspm classify-pa: {bad}: measurements.{table}[{len(rows) - 1}]: "
+                       f"{noun} {key} measured twice")
+        assert not (tmp_path / "cls").exists()
+
     @pytest.mark.parametrize("place, key, value, message", [
         ("axes[0].gus[1]", "internode_count", 2.0, "not an integer: 2.0"),
         ("axes[0].gus[1]", "internode_count", True, "not an integer: True"),
@@ -598,6 +617,23 @@ class TestRuntimeErrors:
         assert run(command, "--tree", tree, "--pa-map", pa_map, "--params", params,
                    "--q0", 12.0, "--rp", 6.4, "--pc", 0.14, "--out", out) == 3
         assert capsys.readouterr().err.splitlines() == [f"fspm {command}: {error}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "export-skeleton"])
+    def test_zero_demand_from_input(self, late_root, tmp_path, capsys, command):
+        # The root's first GU is at cycle 2: the seed mass has no organ to take it.
+        dp = DirectParams(p_int={1: 0.5}, allometry={1: (2.0, 1 / 3)}, slw=0.02)
+        (tmp_path / "tree.json").write_text(tree_to_json(late_root, MeasurementSet()))
+        (tmp_path / "pa_map.json").write_text(pa_map_to_json({"A1": 1}))
+        (tmp_path / "dp.json").write_text(dp.to_json())
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(command, "--tree", tmp_path / "tree.json", "--pa-map", tmp_path / "pa_map.json",
+                   "--params", tmp_path / "dp.json", "--q0", 1.0, "--rp", 3.0, "--pc", 0.3,
+                   "--out", out) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"fspm {command}: cycle 1: 1.0 g to allocate but no demand"
+        ]
         assert not out.exists()
 
 

@@ -13,12 +13,9 @@ from fspm import (
     HiddenParams,
     SimConfig,
     TreeTopology,
-    allocate,
     analytic_organ_count,
     build_topology,
     cohort_counts,
-    demand,
-    distribute_rings,
     generate_topology,
     internode_geometry,
     organ_census,
@@ -27,7 +24,7 @@ from fspm import (
     simulate_factored,
     with_physio_ages,
 )
-from fspm.engine import _PipeContext
+from fspm.engine import _ring_weights, _shares
 from fspm.errors import (
     InvalidTopology,
     UnsupportedRingMode,
@@ -178,69 +175,67 @@ class TestProduction:
             assert hi < lo
 
 
+def idle_last_cycle(internodes=10):
+    """One GU of ``internodes`` at cycle 1, declared a cycle older: on
+    cycle 2 no organ expands, so the ring sink is the only demand."""
+    grown = chain_topology(cycles=1, internodes=internodes)
+    return TreeTopology(grown.tree_id, grown.age + 1, grown.axes)
+
+
 class TestDemand:
+    """The per-cycle demand sum of the recursion, read from the trace."""
+
     def test_blade_plus_internode(self, hp_default):
         dp = DirectParams(p_int={1: 0.561}, allometry={1: (5.0, 0.3)}, slw=0.0287)
-        d = demand({(1, "blade"): 1, (1, "internode"): 1}, dp, hp_default, SimConfig())
-        assert d == pytest.approx(1.561)
+        trace = simulate(hp_default, dp, chain_topology(cycles=1))
+        assert trace.demand[0] == pytest.approx(1.561)
 
-    def test_empty(self, dp3, hp_default):
-        assert demand({}, dp3, hp_default, SimConfig()) == 0.0
+    def test_empty(self, late_root, dp1):
+        trace = simulate(HiddenParams(q0=0.0, rp=3.0, pc=0.3), dp1, late_root)
+        assert trace.demand[0] == 0.0
 
     def test_ring_only(self, dp3):
         hp = HiddenParams(q0=1.0, rp=5.0, pc=0.13882)
-        d = demand({}, dp3, hp, SimConfig(), n_functioning_blades=10, rings_active=True)
-        assert d == pytest.approx(1.3882)
+        trace = simulate(hp, dp3, idle_last_cycle(), SimConfig(t_f=2))
+        assert trace.demand[1] == pytest.approx(1.3882)
 
     def test_constant_ring_demand(self, dp3):
         hp = HiddenParams(q0=1.0, rp=5.0, pc=0.13882)
-        cfg = SimConfig(ring_demand="constant")
-        d = demand({}, dp3, hp, cfg, n_functioning_blades=10, rings_active=True)
-        assert d == pytest.approx(0.13882)
+        cfg = SimConfig(t_f=2, ring_demand="constant")
+        trace = simulate(hp, dp3, idle_last_cycle(), cfg)
+        assert trace.demand[1] == pytest.approx(0.13882)
 
 
 class TestAllocate:
+    """The share rule the recursion splits each cycle's biomass by."""
+
     def test_single_component_gets_everything(self):
-        assert allocate(7.3, [("x", 2.0)]) == {"x": 7.3}
+        assert _shares(7.3, [2.0], 2.0) == [7.3]
 
     def test_two_sinks_hand_values(self):
-        shares = allocate(10.0, [("blade", 1.0), ("internode", 0.561)])
-        assert shares["blade"] == pytest.approx(6.4061, abs=5e-5)
-        assert shares["internode"] == pytest.approx(3.5939, abs=5e-5)
+        blade, internode = _shares(10.0, [1.0, 0.561], 1.561)
+        assert blade == pytest.approx(6.4061, abs=5e-5)
+        assert internode == pytest.approx(3.5939, abs=5e-5)
 
     def test_zero_biomass(self):
-        assert allocate(0.0, [("a", 1.0), ("b", 2.0)]) == {"a": 0.0, "b": 0.0}
+        assert _shares(0.0, [1.0, 2.0], 3.0) == [0.0, 0.0]
 
     def test_exact_sum(self):
-        shares = allocate(math.pi, [("a", 0.3), ("b", 1.7), ("c", 0.11)])
-        assert sum(shares.values()) == math.pi
-
-    def test_zero_demand_with_biomass(self):
-        with pytest.raises(ZeroDemandWithBiomass):
-            allocate(1.0, [("a", 0.0)])
+        sinks = [0.3, 1.7, 0.11]
+        assert sum(_shares(math.pi, sinks, sum(sinks))) == math.pi
 
 
-class TestDistributeRings:
-    def test_uniform(self):
-        shares = distribute_rings(10.0, 5, "uniform")
-        assert list(shares) == [2.0] * 5
+class TestZeroDemand:
+    @pytest.mark.parametrize("mode", ["uniform", "pipe"])
+    def test_seed_mass_with_no_organ_to_take_it(self, late_root, dp1, mode):
+        with pytest.raises(ZeroDemandWithBiomass) as got:
+            simulate(HiddenParams(q0=1.0, rp=3.0, pc=0.3), dp1, late_root,
+                     SimConfig(ring_mode=mode))
+        assert str(got.value) == "cycle 1: 1.0 g to allocate but no demand"
 
-    def test_pipe_bare_internode_gets_nothing(self):
-        shares = distribute_rings(6.0, 2, "pipe", [3, 0])
-        assert shares[1] == 0.0
-        assert shares[0] == 6.0
-
-    def test_pipe_proportional(self):
-        shares = distribute_rings(6.0, 3, "pipe", [3, 2, 1])
-        assert list(shares) == [3.0, 2.0, 1.0]
-
-    def test_sum_equals_pool(self):
-        shares = distribute_rings(0.7310000001, 7, "pipe", [5, 1, 0, 2, 9, 4, 1])
-        assert shares.sum() == 0.7310000001
-
-    def test_pipe_all_zero_weights_falls_back_uniform(self):
-        shares = distribute_rings(4.0, 4, "pipe", [0, 0, 0, 0])
-        assert list(shares) == [1.0] * 4
+    def test_no_seed_mass_grows_nothing(self, late_root, dp1):
+        trace = simulate(HiddenParams(q0=0.0, rp=3.0, pc=0.3), dp1, late_root)
+        assert trace.total_mass() == 0.0
 
 
 class TestInternodeGeometry:
@@ -610,6 +605,21 @@ class TestUnevenTree:
         assert ring[("A2", 1, 1)] == pytest.approx(pool * 1 / 11, rel=1e-12)
         assert sum(ring.values()) == pytest.approx(pool, rel=1e-12)
 
+    def test_pipe_cycle_without_functioning_blades_spreads_evenly(self, dp3, hp):
+        # Declared one cycle older than its growth: on cycle 5 no blade
+        # functions, so every pipe weight is 0, yet the constant ring sink
+        # takes the whole production; every internode gets an equal share.
+        grown = uneven_topology()
+        older = TreeTopology(grown.tree_id, grown.age + 1, grown.axes)
+        cfg = SimConfig(ring_mode="pipe", ring_demand="constant")
+        trace = simulate(hp, dp3, older, cfg)
+        before = simulate(hp, dp3, older, cfg, cycles=grown.age)
+        pool = trace.ring_pool[-1]
+        assert pool == trace.q_funded[-1] > 0
+        gained = trace.organs.ring - before.organs.ring
+        assert gained == pytest.approx(np.full(len(gained), pool / len(gained)), rel=1e-9)
+        assert_conserved(trace, hp, tol=1e-9)
+
 
 class TestUnevenTreeProperties:
     """Pipe weights and conservation on drawn uneven trees."""
@@ -620,18 +630,26 @@ class TestUnevenTreeProperties:
         slw=0.0287,
     )
 
-    @given(uneven_trees(), st.integers(1, 3))
-    def test_subtree_range_weights_equal_recursive_walk(self, t, t_f):
+    @given(uneven_trees(), st.integers(1, 3), st.integers(1, 3))
+    def test_ring_weights_equal_recursive_walk(self, t, t_f, t_exp):
         positions = t.census.positions
         births = np.array([ca for _, ca, _ in positions])
+        uniform = SimConfig(t_f=t_f, t_exp=t_exp)
+        pipe = replace(uniform, ring_mode="pipe")
         for n in range(1, t.age + 1):  # full and shortened runs
-            born = None if n == t.age else births <= n
-            context = _PipeContext(t, born)
+            born = births <= n
             kept = [pos for pos, b in zip(positions, births) if b <= n]
+            got_uniform = _ring_weights(t, uniform, n)
+            got_pipe = _ring_weights(t, pipe, n)
+            assert got_uniform.shape == got_pipe.shape == (n, len(positions))
+            # Internodes born after cycle n weigh nothing in either mode.
+            assert not got_uniform[:, ~born].any() and not got_pipe[:, ~born].any()
             for cycle in range(1, n + 1):
-                expected = recursive_distal_functioning(t, kept, cycle, t_f)
-                got = context.distal_functioning(cycle, t_f)
-                assert np.array_equal(got, expected)
+                eligible = (births[born] <= cycle - t_exp).astype(int)
+                distal = eligible * recursive_distal_functioning(t, kept, cycle, t_f)
+                assert np.array_equal(got_uniform[cycle - 1, born], eligible)
+                expected = distal if distal.any() else eligible
+                assert np.array_equal(got_pipe[cycle - 1, born], expected)
 
     @given(uneven_trees(), st.sampled_from(["uniform", "pipe"]), st.integers(1, 2))
     def test_conservation_in_both_ring_modes(self, t, mode, t_f):
