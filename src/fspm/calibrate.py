@@ -62,6 +62,7 @@ from .errors import (
     InfeasibleInit,
     InvalidParameter,
     SimulationFailed,
+    TreeMismatch,
     ValidationError,
 )
 from .ingest import CumEntry, TargetEntry, TargetSeries
@@ -119,9 +120,10 @@ class FitProblem:
     weights, the user weights as an array, ``jacobian_pattern`` (rows x
     param_names, True where a residual can move with a parameter) and the
     trees' residual plans, stacked into one pass, are derived once, in
-    ``__post_init__``.  Bounds must name exactly q0, rp and pc, finite with
-    0 < lo < hi, and user weights must be finite and >= 0.  Direct
-    parameters lacking a PA of a tree fail there, with the
+    ``__post_init__``, after each tree's targets are checked against its
+    topology (:meth:`_Observed.of`).  Bounds must name exactly q0, rp and
+    pc, finite with 0 < lo < hi, and user weights must be finite and >= 0.
+    Direct parameters lacking a PA of a tree fail there, with the
     :class:`SimulationFailed` that :func:`residuals` would raise.
     """
 
@@ -143,24 +145,9 @@ class FitProblem:
             raise ValidationError("one topology per target series required")
         if not self.targets:
             raise ValidationError("no targets to fit")
-        for ts, topo in zip(self.targets, self.topologies):
-            if ts.tree_id != topo.tree_id:
-                raise ValidationError(
-                    f"target {ts.tree_id!r} paired with topology {topo.tree_id!r}"
-                )
-            born = topo.census.counts  # raises MissingPA on an unclassified tree
-            for key in ts.entries:
-                if key not in born:
-                    raise ValidationError(
-                        f"tree {ts.tree_id!r}: target group PA{key[0]}/CA{key[1]} "
-                        "never appears in the topology"
-                    )
-            for cycle in ts.cumulated:
-                if not 1 <= cycle <= topo.age:
-                    raise ValidationError(
-                        f"tree {ts.tree_id!r}: cumulated target for cycle {cycle} "
-                        f"outside the simulated cycles 1..{topo.age}"
-                    )
+        # census.counts raises MissingPA on an unclassified tree
+        self._observed = [_Observed.of(ts, topo.tree_id, topo.census.counts, topo.age)
+                          for ts, topo in zip(self.targets, self.topologies)]
         missing = [name for name in DEFAULT_BOUNDS if name not in self.bounds]
         unknown = [name for name in self.bounds if name not in DEFAULT_BOUNDS]
         if missing or unknown:
@@ -172,7 +159,6 @@ class FitProblem:
                 raise ValidationError(
                     f"bounds for {name!r} must be finite with 0 < lo < hi, got ({lo}, {hi})"
                 )
-        self._observed = [_Observed.of(ts) for ts in self.targets]
         n_obs = sum(len(obs.measured) for obs in self._observed)
         self._weights = None
         if self.weights is not None:
@@ -229,7 +215,12 @@ class FitProblem:
 
 
 class _Observed(NamedTuple):
-    """One tree's observation layout, measured values and their weights."""
+    """One tree's observation layout, measured values and their weights.
+
+    The layout is the fit's row order, which the fit CSVs follow too: mean
+    internode diameter (mm) and mass per sorted (PA, CA) group, then
+    cumulated internode and blade mass per sorted cycle.
+    """
 
     keys: tuple[tuple[int, int], ...]  # sorted (PA, CA) groups
     cycles: np.ndarray  # sorted cumulated cycles, as 0-based indices
@@ -237,32 +228,43 @@ class _Observed(NamedTuple):
     weight: np.ndarray  # 1 / max(|measured|, WEIGHT_FLOOR)
 
     @classmethod
-    def of(cls, ts: TargetSeries) -> "_Observed":
+    def of(cls, ts: TargetSeries, tree_id: str, cohorts: Mapping[tuple[int, int], object],
+           cycles: int) -> "_Observed":
+        """Lay out ``ts`` against tree ``tree_id`` simulated over ``cycles``.
+
+        Raises TreeMismatch for targets of another tree, and ValidationError
+        for a target group not among ``cohorts`` or a cumulated cycle
+        outside 1..cycles.
+        """
+        if ts.tree_id != tree_id:
+            raise TreeMismatch(f"tree {tree_id!r}: targets are for tree {ts.tree_id!r}")
         keys = sorted(ts.entries)
-        cycles = sorted(ts.cumulated)
+        for pa, ca in keys:
+            if (pa, ca) not in cohorts:
+                raise ValidationError(
+                    f"tree {tree_id!r}: target group PA{pa}/CA{ca} is not simulated")
+        cum_cycles = sorted(ts.cumulated)
+        for cycle in cum_cycles:
+            if not 1 <= cycle <= cycles:
+                raise ValidationError(
+                    f"tree {tree_id!r}: cumulated target for cycle {cycle} "
+                    f"outside the simulated cycles 1..{cycles}")
         measured = np.asarray(
             [ts.entries[k].mean_internode_diameter for k in keys]
             + [ts.entries[k].mean_internode_weight for k in keys]
-            + [ts.cumulated[c].cum_internode_mass for c in cycles]
-            + [ts.cumulated[c].cum_blade_mass for c in cycles]
+            + [ts.cumulated[c].cum_internode_mass for c in cum_cycles]
+            + [ts.cumulated[c].cum_blade_mass for c in cum_cycles]
         )
         return cls(
             keys=tuple(keys),
-            cycles=np.asarray(cycles, dtype=int) - 1,
+            cycles=np.asarray(cum_cycles, dtype=int) - 1,
             measured=measured,
             weight=1.0 / np.maximum(np.abs(measured), WEIGHT_FLOOR),
         )
 
-    def simulated(self, trace: SimulationTrace, tree_id: str) -> np.ndarray:
+    def simulated(self, trace: SimulationTrace) -> np.ndarray:
         """The simulated counterpart of ``measured``."""
-        cohorts = []
-        for key in self.keys:
-            cohort = trace.cohorts.get(key)
-            if cohort is None:
-                raise SimulationFailed(
-                    f"tree {tree_id!r}: no simulated cohort for PA{key[0]}/CA{key[1]}"
-                )
-            cohorts.append(cohort)
+        cohorts = [trace.cohorts[key] for key in self.keys]
         return np.concatenate([
             [c.diameter_cm * 10.0 for c in cohorts],  # cm -> mm
             [c.internode_mass for c in cohorts],
@@ -517,7 +519,7 @@ def residuals(fp: FreeParams, problem: FitProblem) -> np.ndarray:
             trace = simulate(hp, problem.dp, topo, problem.cfg)
         except FspmError as exc:
             raise SimulationFailed(f"tree {ts.tree_id!r}: {exc}") from exc
-        parts.append((obs.simulated(trace, ts.tree_id) - obs.measured) * obs.weight)
+        parts.append((obs.simulated(trace) - obs.measured) * obs.weight)
     res = np.concatenate(parts)
     if problem._weights is not None:
         res = res * problem._weights

@@ -45,7 +45,7 @@ from .engine import (
     simulate,
     simulate_factored,
 )
-from .errors import FspmError, ValidationError, read_text, schema_errors
+from .errors import FspmError, ValidationError, _json_number, read_text, schema_errors
 from .export import (
     export_fit_csv,
     export_organs_csv,
@@ -119,8 +119,15 @@ def _load_tree(path: str):
     return tree_from_json(read_text(path), str(path))
 
 
-def _load_pa_map(path: str) -> dict[str, int]:
-    return pa_map_from_json(read_text(path), str(path))
+def _classified(tree: str, pa_map: str):
+    """The tree at ``tree`` with the PAs of the map at ``pa_map`` applied.
+
+    Returns the classified topology, the tree's measurements and the map;
+    a map that misses an axis or gives the root a PA other than 1 fails.
+    """
+    topology, ms = _load_tree(tree)
+    pas = pa_map_from_json(read_text(pa_map), str(pa_map))
+    return with_physio_ages(topology, pas), ms, pas
 
 
 def _cmd_ingest(args) -> int:
@@ -167,9 +174,8 @@ def _cmd_estimate(args) -> int:
     internodes = []
     leaves = []
     for tree_path, pa_path in zip(args.tree, args.pa_map):
-        topology, ms = _load_tree(tree_path)
-        pa_map = _load_pa_map(pa_path)
-        trees.append((topology, pa_map))
+        classified, ms, pa_map = _classified(tree_path, pa_path)
+        trees.append((classified, pa_map))
         internodes.extend(ms.internodes)
         leaves.extend(ms.leaves)
     dp, diagnostics = estimate_direct_params(trees, internodes, leaves)
@@ -195,8 +201,8 @@ def _hidden_from_args(args) -> HiddenParams:
         text = read_text(args.hidden)
         with schema_errors(args.hidden):
             doc = json.loads(text)
-            tree_q0 = {tid: float(v) for tid, v in doc["q0"].items()}
-            rp, pc = float(doc["rp"]), float(doc["pc"])
+            tree_q0 = {tid: _json_number(v, f"q0[{tid!r}]") for tid, v in doc["q0"].items()}
+            rp, pc = _json_number(doc["rp"], "rp"), _json_number(doc["pc"], "pc")
         if args.q0 is not None:
             q0 = args.q0
         elif len(tree_q0) == 1:
@@ -212,9 +218,7 @@ def _hidden_from_args(args) -> HiddenParams:
 
 
 def _cmd_simulate(args) -> int:
-    topology, _ = _load_tree(args.tree)
-    pa_map = _load_pa_map(args.pa_map)
-    classified = with_physio_ages(topology, pa_map)
+    classified, _, _ = _classified(args.tree, args.pa_map)
     dp = DirectParams.load(args.params)
     hp = _hidden_from_args(args)
     targets = TargetSeries.load(args.targets) if args.targets else None
@@ -245,9 +249,7 @@ def _cmd_fit(args) -> int:
     topologies = []
     targets = []
     for i, tree_path in enumerate(args.tree):
-        topology, ms = _load_tree(tree_path)
-        pa_map = _load_pa_map(args.pa_map[i])
-        classified = with_physio_ages(topology, pa_map)
+        classified, ms, pa_map = _classified(tree_path, args.pa_map[i])
         topologies.append(classified)
         if args.targets:
             targets.append(TargetSeries.load(args.targets[i]))
@@ -279,9 +281,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_export_skeleton(args) -> int:
-    topology, _ = _load_tree(args.tree)
-    pa_map = _load_pa_map(args.pa_map)
-    classified = with_physio_ages(topology, pa_map)
+    classified, _, _ = _classified(args.tree, args.pa_map)
     dp = DirectParams.load(args.params)
     hp = _hidden_from_args(args)
     trace = simulate(hp, dp, classified, _sim_config(args))
@@ -337,6 +337,18 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
                    default="per-blade")
 
 
+def _add_model_flags(p: argparse.ArgumentParser) -> None:
+    """The tree, its PA map, the direct and hidden parameters, the engine."""
+    p.add_argument("--tree", required=True)
+    p.add_argument("--pa-map", required=True)
+    p.add_argument("--params", required=True, help="direct_params.json")
+    p.add_argument("--hidden", default=None, help="fit_result.json")
+    p.add_argument("--q0", type=float, default=None)
+    p.add_argument("--rp", type=float, default=None)
+    p.add_argument("--pc", type=float, default=None)
+    _add_engine_flags(p)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fspm", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
@@ -365,17 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("simulate", help="run the growth engine on a tree")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--pa-map", required=True)
-    p.add_argument("--params", required=True, help="direct_params.json")
-    p.add_argument("--hidden", default=None, help="fit_result.json")
-    p.add_argument("--q0", type=float, default=None)
-    p.add_argument("--rp", type=float, default=None)
-    p.add_argument("--pc", type=float, default=None)
+    _add_model_flags(p)
     p.add_argument("--cycles", type=int, default=None)
     p.add_argument("--targets", default=None,
                    help="targets.json; also writes measured-vs-simulated CSVs")
-    _add_engine_flags(p)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_simulate)
 
@@ -395,15 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("export-skeleton", help="write 3-D line-segment geometry")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--pa-map", required=True)
-    p.add_argument("--params", required=True)
-    p.add_argument("--hidden", default=None)
-    p.add_argument("--q0", type=float, default=None)
-    p.add_argument("--rp", type=float, default=None)
-    p.add_argument("--pc", type=float, default=None)
+    _add_model_flags(p)
     p.add_argument("--seed", type=int, default=0)
-    _add_engine_flags(p)
     p.add_argument("--out", required=True, help="output skeleton.csv path")
     p.set_defaults(func=_cmd_export_skeleton)
 

@@ -26,6 +26,7 @@ from .errors import (
     InsufficientData,
     InvalidParameter,
     ValidationError,
+    _json_number,
     read_text,
     schema_errors,
 )
@@ -103,12 +104,14 @@ class DirectParams:
         with schema_errors(source):
             doc = json.loads(text)
             return cls(
-                p_int={int(k): float(v) for k, v in doc["p_int"].items()},
+                p_int={int(k): _json_number(v, f"p_int[{k!r}]")
+                       for k, v in doc["p_int"].items()},
                 allometry={
-                    int(k): (float(v["b"]), float(v["beta"]))
+                    int(k): (_json_number(v["b"], f"allometry[{k!r}].b"),
+                             _json_number(v["beta"], f"allometry[{k!r}].beta"))
                     for k, v in doc["allometry"].items()
                 },
-                slw=float(doc["slw"]),
+                slw=_json_number(doc["slw"], "slw"),
             )
 
     @classmethod

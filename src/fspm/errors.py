@@ -137,6 +137,16 @@ def schema_errors(source: str) -> Iterator[None]:
         raise SchemaError(f"{source}: {exc}") from None
 
 
+def _json_number(value, where: str) -> float:
+    """A JSON number as a float; ``true`` and ``"5.0"`` are not numbers.
+
+    Raises TypeError, which :func:`schema_errors` reports with the file.
+    """
+    if type(value) not in (int, float):
+        raise TypeError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
 @contextlib.contextmanager
 def utf8_errors(source: str | Path) -> Iterator[None]:
     """Report bytes that are not UTF-8 as one SchemaError naming ``source``.

@@ -11,12 +11,13 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
+from .calibrate import _Observed
 from .engine import SimulationTrace
-from .errors import TreeMismatch, ValidationError
+from .errors import ValidationError
 from .ingest import TargetSeries
 from .topology import TreeTopology
 
@@ -29,58 +30,23 @@ def export_fit_csv(trace: SimulationTrace, targets: TargetSeries) -> dict[str, s
 
     Returns CSV texts keyed by family name: ``diameter_per_gu`` (mm),
     ``mass_per_gu`` (g), ``cum_internode`` (g), ``cum_blade`` (g); one row
-    per observation, columns key,measured,simulated.
+    per observation, columns key,measured,simulated, in the fit's row order.
+    The targets are checked against the trace as a fit checks them.
     """
-    if trace.tree_id != targets.tree_id:
-        raise TreeMismatch(
-            f"trace is for {trace.tree_id!r}, targets for {targets.tree_id!r}"
-        )
-
-    def table(rows) -> str:
+    obs = _Observed.of(targets, trace.tree_id, trace.cohorts, trace.cycles)
+    groups = [f"{pa},{ca}" for pa, ca in obs.keys]
+    cycles = [str(i + 1) for i in obs.cycles.tolist()]
+    rows = zip([*groups, *groups, *cycles, *cycles],
+               map(repr, obs.measured.tolist()), map(repr, obs.simulated(trace).tolist()))
+    tables = {}
+    for name, size in (("diameter_per_gu", len(groups)), ("mass_per_gu", len(groups)),
+                       ("cum_internode", len(cycles)), ("cum_blade", len(cycles))):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(("key", "measured", "simulated"))
-        for row in rows:
-            writer.writerow(row)
-        return buf.getvalue()
-
-    diameter_rows = []
-    mass_rows = []
-    for key in sorted(targets.entries):
-        cohort = trace.cohorts.get(key)
-        if cohort is None:
-            raise ValidationError(
-                f"no simulated cohort for PA{key[0]}/CA{key[1]}"
-            )
-        label = f"{key[0]},{key[1]}"
-        entry = targets.entries[key]
-        diameter_rows.append(
-            (label, repr(entry.mean_internode_diameter), repr(cohort.diameter_cm * 10.0))
-        )
-        mass_rows.append(
-            (label, repr(entry.mean_internode_weight), repr(cohort.internode_mass))
-        )
-    for cycle in targets.cumulated:
-        if not 1 <= cycle <= trace.cycles:
-            raise ValidationError(
-                f"cumulated target for cycle {cycle} outside the simulated cycles 1..{trace.cycles}"
-            )
-    cum_int_rows = [
-        (str(cycle), repr(targets.cumulated[cycle].cum_internode_mass),
-         repr(float(trace.cum_internode_mass[cycle - 1])))
-        for cycle in sorted(targets.cumulated)
-    ]
-    cum_blade_rows = [
-        (str(cycle), repr(targets.cumulated[cycle].cum_blade_mass),
-         repr(float(trace.cum_blade_mass[cycle - 1])))
-        for cycle in sorted(targets.cumulated)
-    ]
-    return {
-        "diameter_per_gu": table(diameter_rows),
-        "mass_per_gu": table(mass_rows),
-        "cum_internode": table(cum_int_rows),
-        "cum_blade": table(cum_blade_rows),
-    }
+        writer.writerows(islice(rows, size))
+        tables[name] = buf.getvalue()
+    return tables
 
 
 @dataclass(frozen=True)

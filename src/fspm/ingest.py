@@ -402,6 +402,7 @@ class _FallbackMean:
             by_ca.setdefault(group[1], []).extend(vals)
             everything.extend(vals)
         self.by_group = {k: _mean(v) for k, v in by_group.items()}
+        self.count = {k: len(v) for k, v in by_group.items()}
         self.by_ca = {k: _mean(v) for k, v in by_ca.items()}
         self.overall = _mean(everything) if everything else None
 
@@ -468,35 +469,23 @@ def build_target_series(
     leaf_weight, leaf_area = (by_gu(ms.leaves, name) for name in ("fresh_weight", "area"))
 
     w_mean = _FallbackMean("internode weight", int_weight, group_of_gu)
+    length_mean = _FallbackMean("internode length", int_length, group_of_gu)
+    diameter_mean = _FallbackMean("internode diameter", int_diameter, group_of_gu)
     blade_mean = _FallbackMean("leaf weight", leaf_weight, group_of_gu)
     area_mean = _FallbackMean("leaf area", leaf_area, group_of_gu)
 
     # Per-(PA, CA) entries, over groups backed by internode records.
-    groups: dict[tuple[int, int], dict[str, list[float]]] = {}
-    for gu_key, weights in int_weight.items():
-        g = groups.setdefault(group_of_gu[gu_key], {
-            "w": [], "l": [], "d": [], "bw": [], "ba": [],
-        })
-        g["w"].extend(weights)
-        g["l"].extend(int_length[gu_key])
-        g["d"].extend(int_diameter[gu_key])
-    for gu_key, weights in leaf_weight.items():
-        group = group_of_gu[gu_key]
-        if group in groups:
-            groups[group]["bw"].extend(weights)
-            groups[group]["ba"].extend(leaf_area[gu_key])
-
-    entries: dict[tuple[int, int], TargetEntry] = {}
-    for group in sorted(groups):
-        g = groups[group]
-        entries[group] = TargetEntry(
-            mean_internode_weight=_mean(g["w"]),
-            mean_internode_length=_mean(g["l"]),
-            mean_internode_diameter=_mean(g["d"]),
-            mean_blade_weight=_mean(g["bw"]) if g["bw"] else blade_mean.for_group(group),
-            mean_blade_area=_mean(g["ba"]) if g["ba"] else area_mean.for_group(group),
-            n_internodes=len(g["w"]),
+    entries = {
+        group: TargetEntry(
+            mean_internode_weight=w_mean.by_group[group],
+            mean_internode_length=length_mean.by_group[group],
+            mean_internode_diameter=diameter_mean.by_group[group],
+            mean_blade_weight=blade_mean.for_group(group),
+            mean_blade_area=area_mean.for_group(group),
+            n_internodes=w_mean.count[group],
         )
+        for group in sorted(w_mean.by_group)
+    }
 
     # Cumulated series over the whole recorded structure.
     cumulated: dict[int, CumEntry] = {}

@@ -380,7 +380,7 @@ class TestBadInputFiles:
                 "--q0", 12.0, "--rp", 6.4, "--pc", 0.14,
                 "--targets", trees["P1"][2], "--out", tmp_path / "sim"]
         err = self.one_error_line(capsys, argv)
-        assert err == "fspm simulate: trace is for 'P2', targets for 'P1'"
+        assert err == "fspm simulate: tree 'P2': targets are for tree 'P1'"
         assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("column, value, message", [
@@ -463,11 +463,11 @@ class TestBadInputFiles:
         (None, lambda d: d["cumulated"].update({"0": d["cumulated"]["1"]}),
          "{bad}: cumulated['0']: PA, CA and cycle keys must be >= 1"),
         (None, lambda d: d["cumulated"].update({"5": d["cumulated"]["4"]}),
-         "cumulated target for cycle 5 outside the simulated cycles 1..4"),
+         "tree 'P2': cumulated target for cycle 5 outside the simulated cycles 1..4"),
         (2, lambda d: d.update(entries={k: v for k, v in d["entries"].items()
                                         if int(k.split(",")[1]) <= 2}),
-         "cumulated target for cycle 3 outside the simulated cycles 1..2"),
-        (2, lambda d: None, "no simulated cohort for PA1/CA3"),
+         "tree 'P2': cumulated target for cycle 3 outside the simulated cycles 1..2"),
+        (2, lambda d: None, "tree 'P2': target group PA1/CA3 is not simulated"),
     ])
     def test_targets_outside_simulated_cycles(self, grove_pipeline, tmp_path, capsys,
                                               cycles, mangle, message):
@@ -499,6 +499,78 @@ class TestBadInputFiles:
                 "--q0", 12.0, "--rp", 6.4, "--pc", 0.14, "--out", tmp_path / "sim"]
         err = self.one_error_line(capsys, argv)
         assert err == f"fspm simulate: {bad}: axis {axis!r}: PA must be an integer, got {value!r}"
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("fault", ["missing axis", "root PA 7", "root PA 2"])
+    @pytest.mark.parametrize("command", ["estimate", "simulate", "fit", "export-skeleton"])
+    def test_pa_map_that_does_not_classify_the_tree(self, grove_pipeline, tmp_path, capsys,
+                                                    command, fault):
+        # Every command applies a map the same way; estimate used to drop
+        # an unmapped axis and fit sinks for a root of any PA.
+        _, trees, params = grove_pipeline
+        tree, pa_map, _ = trees["P2"]
+        doc = json.loads(pa_map.read_text())
+        root = next(a["axis_id"] for a in json.loads(tree.read_text())["axes"]
+                    if a["parent_axis_id"] is None)
+        if fault == "missing axis":
+            axis = max(doc)
+            del doc[axis]
+            message = f"axis {axis!r} has no PA assignment"
+        elif fault == "root PA 7":
+            doc[root] = 7
+            message = f"axis {root!r}: PA 7 outside 1..5"
+        else:
+            doc[root] = 2
+            message = f"root axis {root!r} must be PA 1, got 2"
+        bad = tmp_path / "pa_map.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        model = ["--params", params, "--q0", 12.0, "--rp", 6.4, "--pc", 0.14]
+        argv = {
+            "estimate": ["--tree", trees["P1"][0], "--pa-map", trees["P1"][1],
+                         "--tree", tree, "--pa-map", bad, "--out", out],
+            "simulate": ["--tree", tree, "--pa-map", bad, *model, "--out", out],
+            "fit": ["--tree", tree, "--pa-map", bad, "--params", params,
+                    "--n-starts", 0, "--out", out],
+            "export-skeleton": ["--tree", tree, "--pa-map", bad, *model, "--out", out],
+        }[command]
+        err = self.one_error_line(capsys, [command, *argv])
+        assert err == f"fspm {command}: {message}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cell, value, where", [
+        (("slw",), True, "slw"),
+        (("p_int", "2"), "0.7", "p_int['2']"),
+        (("allometry", "1", "beta"), False, "allometry['1'].beta"),
+        (("allometry", "3", "b"), "9", "allometry['3'].b"),
+    ])
+    def test_params_cell_that_is_not_a_json_number(self, grove_pipeline, tmp_path, capsys,
+                                                   cell, value, where):
+        _, _, params = grove_pipeline
+        doc = json.loads(params.read_text())
+        *path, key = cell
+        parent = doc
+        for step in path:
+            parent = parent[step]
+        parent[key] = value
+        bad = tmp_path / "direct_params.json"
+        bad.write_text(json.dumps(doc))
+        err = self.one_error_line(capsys, self.simulate_args(grove_pipeline, tmp_path, bad))
+        assert err == f"fspm simulate: {bad}: {where} must be a number, got {value!r}"
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("doc, where, value", [
+        ({"q0": {"P2": True}, "rp": 6.4, "pc": 0.14}, "q0['P2']", True),
+        ({"q0": {"P2": 12.0}, "rp": "6.4", "pc": 0.14}, "rp", "6.4"),
+        ({"q0": {"P2": 12.0}, "rp": 6.4, "pc": False}, "pc", False),
+    ])
+    def test_fit_result_cell_that_is_not_a_json_number(self, grove_pipeline, tmp_path,
+                                                       capsys, doc, where, value):
+        hidden = tmp_path / "fit_result.json"
+        hidden.write_text(json.dumps(doc))
+        argv = self.simulate_args(grove_pipeline, tmp_path, hidden=hidden)
+        err = self.one_error_line(capsys, argv)
+        assert err == f"fspm simulate: {hidden}: {where} must be a number, got {value!r}"
         assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("flag, value, name", [

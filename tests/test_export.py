@@ -15,12 +15,17 @@ from fspm import (
     export_trace_csv,
     generate_topology,
     organ_census,
+    residuals,
     simulate,
     simulate_factored,
     targets_from_trace,
 )
+from fspm.calibrate import WEIGHT_FLOOR
 from fspm.errors import TreeMismatch, ValidationError
 from fspm.export import _cross, build_skeleton
+from test_calibrate import acceptance_problem, doubled_init
+
+FAMILIES = ("diameter_per_gu", "mass_per_gu", "cum_internode", "cum_blade")
 
 
 @pytest.fixture
@@ -90,6 +95,27 @@ class TestExportFitCsv:
             assert got == pytest.approx(expected[name], rel=1e-12)
             assert got > 0.0  # the 20% seed change must move the outputs
 
+    @pytest.mark.parametrize("ring_mode", ["uniform", "pipe"])
+    def test_rows_are_the_fit_residual_rows(self, dp3, ring_mode):
+        # Away from the optimum, every row weighted as the fit weighs it is
+        # that tree's residual, bit for bit, in the fit's row order.
+        cfg = SimConfig(ring_mode=ring_mode)
+        problem = acceptance_problem(dp3, cfg=cfg)
+        fp = doubled_init(problem)
+        expected = residuals(fp, problem).tolist()
+        start = 0
+        for ts, topology in zip(problem.targets, problem.topologies):
+            hp = HiddenParams(q0=fp.q0[ts.tree_id], rp=fp.rp, pc=fp.pc)
+            tables = export_fit_csv(simulate(hp, dp3, topology, cfg), ts)
+            assert list(tables) == list(FAMILIES)
+            rows = [(float(r["measured"]), float(r["simulated"]))
+                    for name in FAMILIES for r in parse(tables[name])]
+            got = [(s - m) * (1.0 / max(abs(m), WEIGHT_FLOOR)) for m, s in rows]
+            assert got == expected[start:start + len(got)]
+            assert any(got)
+            start += len(got)
+        assert start == len(expected)
+
     def test_tree_mismatch(self, run, dp3):
         _, trace = run
         targets = targets_from_trace(trace, dp3)
@@ -103,7 +129,7 @@ class TestExportFitCsv:
         targets = targets_from_trace(trace, dp3)
         targets.cumulated[cycle] = targets.cumulated[1]
         with pytest.raises(ValidationError, match=(
-            f"^cumulated target for cycle {cycle} outside the simulated cycles 1..4$"
+            f"^tree 'tree1': cumulated target for cycle {cycle} outside the simulated cycles 1..4$"
         )):
             export_fit_csv(trace, targets)
 
