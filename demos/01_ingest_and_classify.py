@@ -37,7 +37,8 @@ print("\norgan census per cycle:")
 for cycle in range(1, classified.age + 1):
     print(f"  cycle {cycle}:", dict(sorted(organ_census(classified, cycle).items())))
 
-targets = build_target_series(ms, classified, pa_map)
+# Later stages read each axis's PA off the classified topology.
+targets = build_target_series(ms, classified)
 print("\nper-(PA, CA) mean internode weight (g):")
 for (pa, ca), entry in sorted(targets.entries.items()):
     print(f"  PA{pa} CA{ca}: {entry.mean_internode_weight:.3g} g "

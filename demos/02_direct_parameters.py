@@ -24,18 +24,18 @@ print("trees in files:", ms.tree_ids())
 
 # Pool the four trees: a single tree has only one main stem, so PA 1 needs
 # several trees before its sink ratio can be regressed.
-trees = []
+topologies = []
 internodes = []
 leaves = []
 for tid in ms.tree_ids():
     sub = ms.for_tree(tid)
     topology = sub.topology()
     pa_map, _ = classify_axes(topology, sub.internodes, k=3)
-    trees.append((with_physio_ages(topology, pa_map), pa_map))
+    topologies.append(with_physio_ages(topology, pa_map))
     internodes.extend(sub.internodes)
     leaves.extend(sub.leaves)
 
-dp, diagnostics = estimate_direct_params(trees, internodes, leaves)
+dp, diagnostics = estimate_direct_params(topologies, internodes, leaves)
 
 print(f"\nspecific leaf weight: {dp.slw:.4f} g/cm^2")
 print("per-PA estimates (blade sink is the reference, 1):")

@@ -25,16 +25,13 @@ rows.  The solver evaluates residuals through that pass, and takes the
 Jacobian from one tangent-linear pass that carries d/d(log q0, log rp,
 log pc) through the same recursions (forward-mode differentiation,
 Griewank & Walther 2008, ch. 3): exact, and the price of about one
-simulation per tree where central differences need six.
+simulation per tree where central differences need two per parameter.
 
-FD is the test oracle.  :func:`residuals` and :func:`fd_jacobian` always
-run the simulator: they are the reference the plans are tested against,
-and the reported SSE of a fit is recomputed through :func:`residuals` at
-its optimum.  A tree's residuals depend only on its own seed mass and the
-shared pair, so :func:`fd_jacobian` steps the seed-mass columns, whose rows
-are disjoint, together (grouped central differences, Curtis, Powell & Reid
-1974): 3 pairs of residual evaluations whatever the number of trees,
-bitwise equal to the column-by-column Jacobian.
+Finite differences (FD) are the test oracle.  :func:`residuals` and
+:func:`fd_jacobian` always run the simulator: they are the reference the
+plans are tested against, and the reported SSE of a fit is recomputed
+through :func:`residuals` at its optimum.  :func:`fd_jacobian` takes plain
+central differences, one pair of residual evaluations per column.
 """
 from __future__ import annotations
 
@@ -117,10 +114,9 @@ class FitProblem:
     """Targets, matching topologies, and everything fixed during the fit.
 
     Treat it as read-only once built: each tree's measured vector and
-    weights, the user weights as an array, ``jacobian_pattern`` (rows x
-    param_names, True where a residual can move with a parameter) and the
-    trees' residual plans, stacked into one pass, are derived once, in
-    ``__post_init__``, after each tree's targets are checked against its
+    weights, the user weights as an array and the trees' residual plans,
+    stacked into one pass, are derived once, in ``__post_init__``, after
+    each tree's targets are checked against its
     topology (:meth:`_Observed.of`).  Bounds must name exactly q0, rp and
     pc, finite with 0 < lo < hi, and user weights must be finite and >= 0.
     Direct parameters lacking a PA of a tree fail there, with the
@@ -137,7 +133,6 @@ class FitProblem:
     weights: Sequence[float] | None = None
     _observed: list[_Observed] = field(init=False, repr=False, compare=False)
     _weights: np.ndarray | None = field(init=False, repr=False, compare=False)
-    jacobian_pattern: np.ndarray = field(init=False, repr=False, compare=False)
     _plan: _StackedPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -175,12 +170,6 @@ class FitProblem:
             except ValidationError as exc:  # direct parameters lacking a PA of the tree
                 raise SimulationFailed(f"tree {ts.tree_id!r}: {exc}") from exc
         self._plan = _StackedPlan(plans, self.cfg.rho)
-        # Tree t's rows depend on q0:t and the shared rp and pc only.
-        n_trees = len(plans)
-        self.jacobian_pattern = np.zeros((n_obs, n_trees + 2), dtype=bool)
-        self.jacobian_pattern[:, n_trees:] = True
-        self.jacobian_pattern[self._plan.rows, self._plan.tree] = True
-        self.jacobian_pattern.flags.writeable = False
 
     @property
     def tree_ids(self) -> list[str]:
@@ -526,61 +515,18 @@ def residuals(fp: FreeParams, problem: FitProblem) -> np.ndarray:
     return res
 
 
-def _column_groups(pattern: np.ndarray) -> list[list[int]]:
-    """Greedy partition of columns into groups with disjoint row sets."""
-    groups: list[list[int]] = []
-    covered: list[np.ndarray] = []
-    for j in range(pattern.shape[1]):
-        rows = pattern[:, j]
-        for group, seen in zip(groups, covered):
-            if not np.any(seen & rows):
-                group.append(j)
-                seen |= rows
-                break
-        else:
-            groups.append([j])
-            covered.append(rows.copy())
-    return groups
-
-
 def central_jacobian(
-    fn: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    step: float,
-    pattern: np.ndarray | None = None,
+    fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, step: float
 ) -> np.ndarray:
-    """Central-difference Jacobian of fn at x.
-
-    ``pattern`` is an optional boolean (rows x columns) array marking the
-    entries that may be nonzero.  Columns whose row sets do not overlap are
-    stepped together and share one +/- pair of evaluations (Curtis, Powell
-    & Reid 1974); each reads its own rows off the shared difference, and
-    every entry outside the pattern is 0.  Without a pattern each column
-    gets its own pair.
-    """
-    n = len(x)
-    if pattern is None:
-        groups = [[j] for j in range(n)]
-    else:
-        pattern = np.asarray(pattern, dtype=bool)
-        groups = _column_groups(pattern)
-    jac: np.ndarray | None = None
-    for group in groups:
+    """Central-difference Jacobian of fn at x, one +/- pair per column."""
+    columns = []
+    for j in range(len(x)):
         hi = x.copy()
         lo = x.copy()
-        hi[group] += step
-        lo[group] -= step
-        diff = (fn(hi) - fn(lo)) / (2.0 * step)
-        if jac is None:
-            jac = np.zeros((len(diff), n))
-            if pattern is not None and pattern.shape != jac.shape:
-                raise ValueError(f"pattern shape {pattern.shape} != {jac.shape}")
-        for j in group:
-            if pattern is None:
-                jac[:, j] = diff
-            else:
-                jac[pattern[:, j], j] = diff[pattern[:, j]]
-    return jac
+        hi[j] += step
+        lo[j] -= step
+        columns.append((fn(hi) - fn(lo)) / (2.0 * step))
+    return np.column_stack(columns)
 
 
 def fd_jacobian(
@@ -589,18 +535,14 @@ def fd_jacobian(
     """d(residual)/d(log param), columns ordered as problem.param_names.
 
     The step is taken in log space, i.e. a relative step on the parameters
-    themselves; parameters must sit strictly inside their bounds.  Columns
-    are grouped by ``problem.jacobian_pattern``: 3 pairs of residual
-    evaluations whatever the number of trees.
+    themselves; parameters must sit strictly inside their bounds.  Each
+    column costs one pair of residual evaluations, 2 * (trees + 2) in all.
     """
     x = problem.pack(fp)
     lo, hi = problem.log_bounds()
     if np.any(x <= lo) or np.any(x >= hi):
         raise InfeasibleInit("parameters must lie strictly inside bounds")
-    return central_jacobian(
-        lambda v: residuals(problem.unpack(v), problem), x, step,
-        problem.jacobian_pattern,
-    )
+    return central_jacobian(lambda v: residuals(problem.unpack(v), problem), x, step)
 
 
 @dataclass

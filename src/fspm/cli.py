@@ -122,12 +122,17 @@ def _load_tree(path: str):
 def _classified(tree: str, pa_map: str):
     """The tree at ``tree`` with the PAs of the map at ``pa_map`` applied.
 
-    Returns the classified topology, the tree's measurements and the map;
-    a map that misses an axis or gives the root a PA other than 1 fails.
+    Returns the classified topology and the tree's measurements.  A map
+    that misses an axis, names one the tree lacks or gives the root a PA
+    other than 1 fails with its own error class, the message prefixed with
+    the map's path.
     """
     topology, ms = _load_tree(tree)
     pas = pa_map_from_json(read_text(pa_map), str(pa_map))
-    return with_physio_ages(topology, pas), ms, pas
+    try:
+        return with_physio_ages(topology, pas), ms
+    except ValidationError as exc:
+        raise type(exc)(f"{pa_map}: {exc}") from None
 
 
 def _cmd_ingest(args) -> int:
@@ -157,8 +162,7 @@ def _cmd_ingest(args) -> int:
 def _cmd_classify_pa(args) -> int:
     topology, ms = _load_tree(args.tree)
     pa_map, _ = classify_axes(topology, ms.internodes, args.k)
-    classified = with_physio_ages(topology, pa_map)
-    targets = build_target_series(ms, classified, pa_map)
+    targets = build_target_series(ms, with_physio_ages(topology, pa_map))
     out = Path(args.out)
     _atomic_write(out / "pa_map.json", pa_map_to_json(pa_map))
     _atomic_write(out / "targets.json", targets.to_json())
@@ -170,15 +174,15 @@ def _cmd_classify_pa(args) -> int:
 def _cmd_estimate(args) -> int:
     if len(args.tree) != len(args.pa_map):
         raise ValidationError("need one --pa-map per --tree")
-    trees = []
+    topologies = []
     internodes = []
     leaves = []
     for tree_path, pa_path in zip(args.tree, args.pa_map):
-        classified, ms, pa_map = _classified(tree_path, pa_path)
-        trees.append((classified, pa_map))
+        classified, ms = _classified(tree_path, pa_path)
+        topologies.append(classified)
         internodes.extend(ms.internodes)
         leaves.extend(ms.leaves)
-    dp, diagnostics = estimate_direct_params(trees, internodes, leaves)
+    dp, diagnostics = estimate_direct_params(topologies, internodes, leaves)
     out = Path(args.out)
     _atomic_write(out / "direct_params.json", dp.to_json())
     _write_manifest(out, args, list(args.tree) + list(args.pa_map),
@@ -218,7 +222,7 @@ def _hidden_from_args(args) -> HiddenParams:
 
 
 def _cmd_simulate(args) -> int:
-    classified, _, _ = _classified(args.tree, args.pa_map)
+    classified, _ = _classified(args.tree, args.pa_map)
     dp = DirectParams.load(args.params)
     hp = _hidden_from_args(args)
     targets = TargetSeries.load(args.targets) if args.targets else None
@@ -249,12 +253,12 @@ def _cmd_fit(args) -> int:
     topologies = []
     targets = []
     for i, tree_path in enumerate(args.tree):
-        classified, ms, pa_map = _classified(tree_path, args.pa_map[i])
+        classified, ms = _classified(tree_path, args.pa_map[i])
         topologies.append(classified)
         if args.targets:
             targets.append(TargetSeries.load(args.targets[i]))
         else:
-            targets.append(build_target_series(ms, classified, pa_map))
+            targets.append(build_target_series(ms, classified))
 
     problem = FitProblem(targets=targets, topologies=topologies, dp=dp,
                          cfg=_sim_config(args))
@@ -281,7 +285,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_export_skeleton(args) -> int:
-    classified, _, _ = _classified(args.tree, args.pa_map)
+    classified, _ = _classified(args.tree, args.pa_map)
     dp = DirectParams.load(args.params)
     hp = _hidden_from_args(args)
     trace = simulate(hp, dp, classified, _sim_config(args))

@@ -25,11 +25,13 @@ from .errors import (
     DegenerateSpread,
     InsufficientData,
     InvalidParameter,
+    MissingPA,
     ValidationError,
     _json_number,
     read_text,
     schema_errors,
 )
+from .topology import TreeTopology
 
 logger = logging.getLogger(__name__)
 
@@ -184,20 +186,21 @@ def estimate_slw(leaves: Iterable) -> float:
 
 
 def estimate_direct_params(
-    trees: Sequence[tuple[object, Mapping[str, int]]],
+    topologies: Sequence[TreeTopology],
     internodes: Sequence,
     leaves: Sequence,
 ) -> tuple[DirectParams, dict[int, dict[str, float]]]:
     """Assemble DirectParams from measurement records on classified trees.
 
-    ``trees`` pairs each topology with its PA assignment; records from every
-    tree are pooled per PA (a single tree carries only one main stem, so the
-    sink regression for PA 1 usually needs several trees).  Sink and
-    allometry use the new growth at the top of each axis: per PA, sink pairs
-    are the (mean sampled blade mass, mean internode mass) of each axis's
-    topmost GU, allometry pairs the (mass, length) of every internode record
-    in those GUs.  SLW pools every leaf.  Also returns per-PA fit
-    diagnostics (r_squared, n observations).
+    Each topology's axes carry their PA (see :func:`with_physio_ages`); an
+    axis without one raises MissingPA.  Records from every tree are pooled
+    per PA (a single tree carries only one main stem, so the sink
+    regression for PA 1 usually needs several trees).  Sink and allometry
+    use the new growth at the top of each axis: per PA, sink pairs are the
+    (mean sampled blade mass, mean internode mass) of each axis's topmost
+    GU, allometry pairs the (mass, length) of every internode record in
+    those GUs.  SLW pools every leaf.  Also returns per-PA fit diagnostics
+    (r_squared, n observations).
     """
     int_by_gu: dict[tuple[str, str, int], list] = {}
     for rec in internodes:
@@ -208,22 +211,22 @@ def estimate_direct_params(
 
     sink_pairs: dict[int, list[tuple[float, float]]] = {}
     allo_pairs: dict[int, list[tuple[float, float]]] = {}
-    for topology, pa_map in trees:
+    for topology in topologies:
         for axis in topology.axes_sorted():
-            pa = pa_map.get(axis.id)
-            if pa is None:
-                continue
+            if axis.pa is None:
+                raise MissingPA(f"tree {topology.tree_id!r}: axis {axis.id!r} has no PA; "
+                                "classify first")
             key = (topology.tree_id, axis.id, axis.last_ca)
             ints = int_by_gu.get(key, [])
             lvs = leaf_by_gu.get(key, [])
             if ints:
-                allo_pairs.setdefault(pa, []).extend(
+                allo_pairs.setdefault(axis.pa, []).extend(
                     (r.fresh_weight, r.length) for r in ints
                 )
             if ints and lvs:
                 blade = sum(r.fresh_weight for r in lvs) / len(lvs)
                 inter = sum(r.fresh_weight for r in ints) / len(ints)
-                sink_pairs.setdefault(pa, []).append((blade, inter))
+                sink_pairs.setdefault(axis.pa, []).append((blade, inter))
             elif ints:
                 logger.warning(
                     "tree %s axis %s top GU has no leaf samples; skipped for sink fit",

@@ -432,31 +432,28 @@ class _FallbackMean:
         return value
 
 
-def build_target_series(
-    ms: MeasurementSet, topology: TreeTopology, pa_map: Mapping[str, int]
-) -> TargetSeries:
+def build_target_series(ms: MeasurementSet, topology: TreeTopology) -> TargetSeries:
     """Aggregate measurement records into the fitting target of one tree.
 
-    Entry means are arithmetic means over the records of each (PA, CA)
-    group.  Cumulated series extend the recorded means over the full
-    recorded structure: each GU contributes mean internode weight times its
-    internode count, and mean sampled leaf weight times its internode count
-    (one blade per internode).  GUs without samples inherit their group's
-    mean, falling back to the same-CA and then whole-tree mean.
+    ``topology`` must be classified (see :func:`with_physio_ages`): each
+    GU's group is its axis's PA and its own CA, and an axis without a PA
+    raises MissingPA.  Entry means are arithmetic means over the records of
+    each (PA, CA) group.  Cumulated series extend the recorded means over
+    the full recorded structure: each GU contributes mean internode weight
+    times its internode count, and mean sampled leaf weight times its
+    internode count (one blade per internode).  GUs without samples inherit
+    their group's mean, falling back to the same-CA and then whole-tree
+    mean.
     """
+    for axis in topology.axes_sorted():
+        if axis.pa is None:
+            raise MissingPA(f"axis {axis.id!r} has no PA; classify first")
     for rec in ms.internodes + ms.leaves:
-        if rec.axis_id not in pa_map:
-            raise MissingPA(f"axis {rec.axis_id!r} has no PA assignment")
         axis = topology.axes.get(rec.axis_id)
         if axis is None or axis.gu_at(rec.gu_ca) is None:
             raise ValidationError(f"record references unknown GU ({rec.axis_id!r}, ca {rec.gu_ca})")
 
-    group_of_gu: dict[tuple[str, int], tuple[int, int]] = {}
-    for axis, gu in topology.iter_gus():
-        group_of_gu[(axis.id, gu.ca)] = (pa_map[axis.id], gu.ca) if axis.id in pa_map else None
-    if any(v is None for v in group_of_gu.values()):
-        missing = sorted(a for (a, _), v in group_of_gu.items() if v is None)
-        raise MissingPA(f"axes without PA assignment: {missing}")
+    group_of_gu = {(axis.id, gu.ca): (axis.pa, gu.ca) for axis, gu in topology.iter_gus()}
 
     def by_gu(records: Sequence, name: str) -> dict[tuple[str, int], list[float]]:
         samples: dict[tuple[str, int], list[float]] = {}

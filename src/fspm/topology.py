@@ -26,6 +26,7 @@ from .errors import (
     InvalidTopology,
     MissingPA,
     NonContiguousCA,
+    ValidationError,
 )
 
 logger = logging.getLogger(__name__)
@@ -370,9 +371,15 @@ def with_physio_ages(
 ) -> TreeTopology:
     """Return a copy of the topology with physiological ages applied.
 
-    The root must be PA 1; a child with a PA below its parent is a data
+    This is the one place a PA map becomes PAs: later stages read
+    ``Axis.pa``.  The map must give every axis of the tree a PA in
+    1..p_max, the root PA 1, and name no axis the tree lacks (such a map
+    is another tree's); a child with a PA below its parent is a data
     anomaly that is logged, not rejected.
     """
+    extra = sorted(set(pa_map) - set(t.axes))
+    if extra:
+        raise ValidationError(f"PA map axis {extra[0]!r} is not in tree {t.tree_id!r}")
     axes: dict[str, Axis] = {}
     for axis_id in sorted(t.axes):
         axis = t.axes[axis_id]
@@ -396,19 +403,16 @@ def with_physio_ages(
 def organ_census(t: TreeTopology, cycle: int) -> dict[tuple[int, str], int]:
     """Count internodes and blades born at ``cycle``, keyed by (PA, kind).
 
-    Every internode bears exactly one blade, so blade counts mirror
-    internode counts GU by GU.
+    Read off :attr:`TreeTopology.census`, so it raises MissingPA while any
+    axis is unclassified, whatever the cycle.  Every internode bears
+    exactly one blade, so blade counts mirror internode counts.
     """
     if not 1 <= cycle <= t.age:
         raise CycleOutOfRange(f"cycle {cycle} outside 1..{t.age}")
     counts: dict[tuple[int, str], int] = {}
-    for axis, gu in t.iter_gus():
-        if gu.ca != cycle:
-            continue
-        if axis.pa is None:
-            raise MissingPA(f"axis {axis.id!r} has no PA; classify first")
-        counts[(axis.pa, INTERNODE)] = counts.get((axis.pa, INTERNODE), 0) + gu.internode_count
-        counts[(axis.pa, BLADE)] = counts.get((axis.pa, BLADE), 0) + gu.internode_count
+    for (pa, ca), size in t.census.counts.items():
+        if ca == cycle:
+            counts[(pa, INTERNODE)] = counts[(pa, BLADE)] = size
     return counts
 
 

@@ -42,6 +42,10 @@ def dp2():
     )
 
 
+def n_observations(problem):
+    return sum(len(obs.measured) for obs in problem._observed)
+
+
 def synthetic_problem(dp, hp_by_tree, ages, rules=None, cfg=SimConfig()):
     rules = rules or GrowthRules(p_max=2, internodes_per_gu=2, branches_per_gu=1)
     topologies = []
@@ -78,14 +82,14 @@ class TestFitProblem:
     def test_non_finite_or_negative_weight_rejected(self, dp2, bad, index):
         # A NaN weight used to give a "converged" fit with sse=nan at the init point.
         problem = synthetic_problem(dp2, {"t1": HiddenParams(5.0, 4.0, 0.1)}, [3])
-        weights = np.ones(problem.jacobian_pattern.shape[0])
+        weights = np.ones(n_observations(problem))
         weights[index] = bad
         with pytest.raises(ValidationError, match=rf"weights\[{index}\] must be finite and >= 0"):
             replace(problem, weights=weights)
 
     def test_zero_weights_accepted(self, dp2):
         problem = synthetic_problem(dp2, {"t1": HiddenParams(5.0, 4.0, 0.1)}, [3])
-        replace(problem, weights=[0.0] * problem.jacobian_pattern.shape[0])
+        replace(problem, weights=[0.0] * n_observations(problem))
 
     @pytest.mark.parametrize("bounds, match", [
         ({"rp": (1e-2, math.inf)}, "bounds for 'rp' must be finite"),
@@ -250,8 +254,7 @@ def acceptance_problem(dp3, n_trees=4, cfg=SimConfig(), weighted=False):
     rules = GrowthRules(p_max=3, internodes_per_gu=2, branches_per_gu=1)
     problem = synthetic_problem(dp3, hp, ACCEPTANCE_AGES, rules, cfg)
     if weighted:
-        n_obs = problem.jacobian_pattern.shape[0]
-        problem = replace(problem, weights=np.linspace(0.5, 2.0, n_obs))
+        problem = replace(problem, weights=np.linspace(0.5, 2.0, n_observations(problem)))
     return problem
 
 
@@ -260,35 +263,30 @@ def doubled_init(problem):
                       rp=2 * 6.4319, pc=2 * 0.13882)
 
 
-class TestGroupedJacobian:
+def block_pattern(problem):
+    """True where a residual can move with a parameter: tree t's rows move
+    with q0:t and the shared rp and pc only."""
+    n = len(problem.tree_ids)
+    pattern = np.zeros((n_observations(problem), n + 2), dtype=bool)
+    pattern[:, n:] = True
+    pattern[problem._plan.rows, problem._plan.tree] = True
+    return pattern
+
+
+class TestFdOracle:
     @pytest.mark.parametrize("ring_mode", ["uniform", "pipe"])
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_bitwise_equal_to_dense(self, dp3, ring_mode, weighted):
+    def test_block_structure(self, dp3, ring_mode, weighted):
         problem = acceptance_problem(dp3, cfg=SimConfig(ring_mode=ring_mode),
                                      weighted=weighted)
-        x = problem.pack(doubled_init(problem))
-
-        def fn(v):
-            return residuals(problem.unpack(v), problem)
-
-        dense = central_jacobian(fn, x, 1e-5)
-        grouped = central_jacobian(fn, x, 1e-5, problem.jacobian_pattern)
-        assert np.array_equal(grouped, dense)
-        assert np.array_equal(fd_jacobian(doubled_init(problem), problem), dense)
-        outside = ~problem.jacobian_pattern
-        assert np.all(dense[outside] == 0.0) and np.all(grouped[outside] == 0.0)
-        assert np.all(np.any(grouped != 0.0, axis=0))  # every column informative
-
-    def test_pattern_blocks(self, dp3):
-        problem = acceptance_problem(dp3)
-        pattern = problem.jacobian_pattern
-        assert pattern.shape == (len(residuals(doubled_init(problem), problem)), 6)
-        assert pattern[:, 4:].all()
-        assert np.array_equal(pattern[:, :4].sum(axis=1), np.ones(len(pattern)))
-        assert not pattern.flags.writeable
+        jac = fd_jacobian(doubled_init(problem), problem)
+        pattern = block_pattern(problem)
+        assert jac.shape == pattern.shape == (len(residuals(doubled_init(problem), problem)), 6)
+        assert np.all(jac[~pattern] == 0.0)  # a tree's rows ignore other trees' q0
+        assert np.all(np.any(jac != 0.0, axis=0))  # every column informative
 
     @pytest.mark.parametrize("n_trees", [1, 2, 4])
-    def test_fd_jacobian_makes_6_simulations_per_tree(self, dp3, monkeypatch, n_trees):
+    def test_fd_jacobian_makes_one_pair_of_passes_per_column(self, dp3, monkeypatch, n_trees):
         import fspm.calibrate as calibrate
 
         problem = acceptance_problem(dp3, n_trees)
@@ -300,7 +298,7 @@ class TestGroupedJacobian:
 
         monkeypatch.setattr(calibrate, "simulate", counting)
         fd_jacobian(doubled_init(problem), problem)
-        assert len(calls) == 6 * n_trees
+        assert len(calls) == 2 * (n_trees + 2) * n_trees
         assert sorted(set(calls)) == problem.tree_ids
 
     @pytest.mark.parametrize("ring_mode, passes", [("uniform", (211, 164)),
@@ -332,41 +330,6 @@ class TestGroupedJacobian:
         assert result.params.pc == pytest.approx(0.13882, rel=0.01)
         for tid, q0 in ACCEPTANCE_Q0.items():
             assert result.params.q0[tid] == pytest.approx(q0, rel=0.02)
-
-    def test_block_diagonal_toy(self):
-        # Rows 0-1 move with x0, row 2 with x1, rows 3-4 with x2; x3 moves all.
-        def fn(x):
-            calls.append(1)
-            return np.array([
-                np.sin(x[0]) + x[3], x[0] ** 2 * x[3],
-                np.exp(x[1]) - x[3],
-                x[2] ** 3 + x[3] ** 2, np.cos(x[2] * x[3]),
-            ])
-
-        pattern = np.array([
-            [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 1, 1],
-        ], dtype=bool)
-        x = np.array([0.3, -0.4, 0.7, 1.1])
-        calls = []
-        dense = central_jacobian(fn, x, 1e-6)
-        assert len(calls) == 8
-        calls.clear()
-        grouped = central_jacobian(fn, x, 1e-6, pattern)
-        assert len(calls) == 4  # {x0, x1, x2} share one pair, x3 has its own
-        assert np.array_equal(grouped, dense)
-
-    def test_overlapping_columns_stay_apart(self):
-        def fn(x):
-            return np.array([x[0] * x[1], x[1] + x[2], x[2] ** 2])
-
-        pattern = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=bool)
-        x = np.array([0.5, 2.0, -1.5])
-        np.testing.assert_array_equal(central_jacobian(fn, x, 1e-6, pattern),
-                                      central_jacobian(fn, x, 1e-6))
-
-    def test_pattern_shape_checked(self):
-        with pytest.raises(ValueError, match="pattern shape"):
-            central_jacobian(lambda x: x * 2.0, np.ones(3), 1e-6, np.ones((2, 3), bool))
 
 
 def legacy_tree_residuals(plan, rho, q0, rp, pc, tangent):
@@ -450,7 +413,7 @@ def assert_plan_matches_simulator(problem, fp):
     assert_bitwise_equal(_planned(problem, problem.pack(fp))[0], values)
     fd = fd_jacobian(fp, problem)
     assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(fd))
-    assert np.all(jac[~problem.jacobian_pattern] == 0.0)
+    assert np.all(jac[~block_pattern(problem)] == 0.0)
 
 
 class TestResidualPlan:

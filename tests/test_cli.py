@@ -535,7 +535,25 @@ class TestBadInputFiles:
             "export-skeleton": ["--tree", tree, "--pa-map", bad, *model, "--out", out],
         }[command]
         err = self.one_error_line(capsys, [command, *argv])
-        assert err == f"fspm {command}: {message}"
+        assert err == f"fspm {command}: {bad}: {message}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "fit"])
+    def test_pa_map_of_another_tree(self, grove_pipeline, tmp_path, capsys, command):
+        # P4's map classifies every axis of P1 and more; accepted, it would
+        # move the PA-2 allometry.
+        _, trees, params = grove_pipeline
+        p1_axes = {a["axis_id"] for a in json.loads(trees["P1"][0].read_text())["axes"]}
+        p4_map = trees["P4"][1]
+        extra = sorted(set(json.loads(p4_map.read_text())) - p1_axes)
+        assert extra
+        out = tmp_path / "out"
+        argv = [command, "--tree", trees["P1"][0], "--pa-map", p4_map,
+                "--tree", trees["P4"][0], "--pa-map", p4_map, "--out", out]
+        if command == "fit":
+            argv += ["--params", params, "--n-starts", 0]
+        err = self.one_error_line(capsys, argv)
+        assert err == f"fspm {command}: {p4_map}: PA map axis {extra[0]!r} is not in tree 'P1'"
         assert not out.exists()
 
     @pytest.mark.parametrize("cell, value, where", [

@@ -1,18 +1,31 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from fspm import (
+    AxisRecord,
     DirectParams,
+    GURecord,
+    InternodeRecord,
     LeafRecord,
+    TreeTopology,
+    build_topology,
     estimate_direct_params,
     estimate_slw,
     fit_allometry,
     fit_sink_ratio,
+    with_physio_ages,
 )
-from fspm.errors import DegenerateSpread, InsufficientData, InvalidParameter, SchemaError
+from fspm.errors import (
+    DegenerateSpread,
+    InsufficientData,
+    InvalidParameter,
+    MissingPA,
+    SchemaError,
+)
 
 
 def leaf(weight, area, axis="A", ca=1, idx=1):
@@ -133,39 +146,37 @@ class TestEstimateSLW:
             estimate_slw([])
 
 
+def four_axis_fixture():
+    """Two PA-1 and two PA-2 axes with records in their top GUs, classified."""
+    axes = [AxisRecord("T", "A", None, None), AxisRecord("T", "B", "A", 1),
+            AxisRecord("T", "C", "A", 1), AxisRecord("T", "D", "A", 2)]
+    gus = [GURecord("T", "A", 1, 2, 2), GURecord("T", "A", 2, 3, 3),
+           GURecord("T", "B", 2, 2, 2), GURecord("T", "C", 2, 2, 2),
+           GURecord("T", "D", 3, 2, 2)]
+    t = with_physio_ages(build_topology(axes, gus), {"A": 1, "B": 2, "C": 2, "D": 1})
+
+    def rec(axis, ca, rank, w, l):
+        return InternodeRecord("T", axis, ca, rank, w, l, 5.0)
+
+    # Top GUs: A at ca 2 (3 internodes), D at ca 3, B and C at ca 2 (2 each).
+    internodes = [
+        rec("A", 2, 1, 8.0, 10.3), rec("A", 2, 2, 9.0, 10.9), rec("A", 2, 3, 10.0, 11.5),
+        rec("D", 3, 1, 7.0, 9.7), rec("D", 3, 2, 11.0, 12.0),
+        rec("B", 2, 1, 3.0, 6.0), rec("B", 2, 2, 4.0, 7.0),
+        rec("C", 2, 1, 2.5, 5.5), rec("C", 2, 2, 4.5, 7.4),
+    ]
+    leaves = [
+        leaf(16.0, 500.0, "A", 2), leaf(18.0, 560.0, "A", 2),
+        leaf(15.0, 470.0, "D", 3),
+        leaf(5.0, 160.0, "B", 2), leaf(5.5, 170.0, "C", 2),
+    ]
+    return t, internodes, leaves
+
+
 class TestEstimateDirectParams:
     def test_small_fixture(self):
-        from fspm import AxisRecord, GURecord, InternodeRecord, build_topology
-
-        axes = [AxisRecord("T", "A", None, None), AxisRecord("T", "B", "A", 1)]
-        gus = [GURecord("T", "A", 1, 2, 2), GURecord("T", "A", 2, 3, 3),
-               GURecord("T", "B", 2, 2, 2)]
-        t = build_topology(axes, gus)
-        pa_map = {"A": 1, "B": 2}
-
-        def rec(axis, ca, rank, w, l):
-            return InternodeRecord("T", axis, ca, rank, w, l, 5.0)
-
-        # Top GUs: A at ca 2 (3 internodes), B at ca 2 (2 internodes); an extra
-        # single-axis pair comes from nowhere, so reuse both axes' top GUs per
-        # PA by adding a second axis per PA.
-        axes += [AxisRecord("T", "C", "A", 1), AxisRecord("T", "D", "A", 2)]
-        gus += [GURecord("T", "C", 2, 2, 2), GURecord("T", "D", 3, 2, 2)]
-        t = build_topology(axes, gus)
-        pa_map = {"A": 1, "B": 2, "C": 2, "D": 1}
-
-        internodes = [
-            rec("A", 2, 1, 8.0, 10.3), rec("A", 2, 2, 9.0, 10.9), rec("A", 2, 3, 10.0, 11.5),
-            rec("D", 3, 1, 7.0, 9.7), rec("D", 3, 2, 11.0, 12.0),
-            rec("B", 2, 1, 3.0, 6.0), rec("B", 2, 2, 4.0, 7.0),
-            rec("C", 2, 1, 2.5, 5.5), rec("C", 2, 2, 4.5, 7.4),
-        ]
-        leaves = [
-            leaf(16.0, 500.0, "A", 2), leaf(18.0, 560.0, "A", 2),
-            leaf(15.0, 470.0, "D", 3),
-            leaf(5.0, 160.0, "B", 2), leaf(5.5, 170.0, "C", 2),
-        ]
-        dp, diagnostics = estimate_direct_params([(t, pa_map)], internodes, leaves)
+        t, internodes, leaves = four_axis_fixture()
+        dp, diagnostics = estimate_direct_params([t], internodes, leaves)
         assert set(dp.p_int) == {1, 2}
         # PA1 sink pairs: (17, 9) for A and (15, 9) for D -> slope near 0.56
         expected = (17.0 * 9.0 + 15.0 * 9.0) / (17.0**2 + 15.0**2)
@@ -174,6 +185,14 @@ class TestEstimateDirectParams:
             (16.0 + 18.0 + 15.0 + 5.0 + 5.5) / (500.0 + 560.0 + 470.0 + 160.0 + 170.0)
         )
         assert diagnostics[1]["sink_n"] == 2
+
+    def test_unclassified_axis_raises_missing_pa(self):
+        # Skipping the axis would drop its records from the fits unnoticed.
+        t, internodes, leaves = four_axis_fixture()
+        axes = {**t.axes, "C": replace(t.axes["C"], pa=None)}
+        partly = TreeTopology(t.tree_id, t.age, axes)
+        with pytest.raises(MissingPA, match="^tree 'T': axis 'C' has no PA"):
+            estimate_direct_params([t, partly], internodes, leaves)
 
     def test_roundtrip_json(self):
         dp = DirectParams(

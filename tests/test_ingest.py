@@ -2,6 +2,7 @@ import json
 import math
 import random
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -231,11 +232,11 @@ class TestParseMeasurements:
 
 
 def simple_tree(records_weights, tree="T"):
-    """One axis, one GU per cycle, one internode per GU with given weights."""
+    """One PA-1 axis, one GU per cycle, one internode per GU with given weights."""
     n = len(records_weights)
     axes = [AxisRecord(tree, "A", None, None)]
     gus = [GURecord(tree, "A", ca, 1, 1) for ca in range(1, n + 1)]
-    topo = build_topology(axes, gus)
+    topo = with_physio_ages(build_topology(axes, gus), {"A": 1})
     internodes = [
         InternodeRecord(tree, "A", ca, 1, w, 5.0, 4.0)
         for ca, w in enumerate(records_weights, start=1)
@@ -254,34 +255,34 @@ class TestBuildTargetSeries:
             InternodeRecord("T", "A", 1, 1, 4.0, 5.0, 4.0),
         ]
         ms.gus = [GURecord("T", "A", 1, 2, 2)]
-        topo = build_topology(ms.axes, ms.gus)
+        topo = with_physio_ages(build_topology(ms.axes, ms.gus), {"A": 1})
         ms.internodes.append(InternodeRecord("T", "A", 1, 2, 6.0, 5.0, 4.0))
-        ts = build_target_series(ms, topo, {"A": 1})
+        ts = build_target_series(ms, topo)
         assert ts.entries[(1, 1)].mean_internode_weight == 5.0
         assert ts.entries[(1, 1)].n_internodes == 2
 
     def test_gu_blade_mass_is_mean_leaf_times_count(self):
         axes = [AxisRecord("T", "A", None, None)]
         gus = [GURecord("T", "A", 1, 10, 10)]
-        topo = build_topology(axes, gus)
+        topo = with_physio_ages(build_topology(axes, gus), {"A": 1})
         ms = MeasurementSet(
             axes=axes, gus=gus,
             internodes=[InternodeRecord("T", "A", 1, r, 1.0, 5.0, 4.0)
                         for r in range(1, 11)],
             leaves=[LeafRecord("T", "A", 1, s, 2.0, 60.0) for s in (1, 2, 3)],
         )
-        ts = build_target_series(ms, topo, {"A": 1})
+        ts = build_target_series(ms, topo)
         assert ts.cumulated[1].cum_blade_mass == pytest.approx(20.0)
 
     def test_prefix_sum_oracle(self):
         topo, ms = simple_tree([1.0, 2.0, 3.0])
-        ts = build_target_series(ms, topo, {"A": 1})
+        ts = build_target_series(ms, topo)
         cum = [ts.cumulated[c].cum_internode_mass for c in (1, 2, 3)]
         assert cum == pytest.approx([1.0, 3.0, 6.0])
 
     def test_mass_sum_identity(self):
         topo, ms = simple_tree([1.5, 2.5, 3.25, 8.0])
-        ts = build_target_series(ms, topo, {"A": 1})
+        ts = build_target_series(ms, topo)
         total_from_entries = sum(
             e.mean_internode_weight * e.n_internodes for e in ts.entries.values()
         )
@@ -290,7 +291,7 @@ class TestBuildTargetSeries:
 
     def test_permutation_invariance(self):
         topo, ms = simple_tree([1.0, 2.0, 3.0])
-        reference = build_target_series(ms, topo, {"A": 1})
+        reference = build_target_series(ms, topo)
         rng = random.Random(1)
         for _ in range(3):
             shuffled = MeasurementSet(
@@ -299,25 +300,33 @@ class TestBuildTargetSeries:
                 leaves=random.sample(ms.leaves, len(ms.leaves)),
             )
             rng.shuffle(shuffled.internodes)
-            assert build_target_series(shuffled, topo, {"A": 1}) == reference
+            assert build_target_series(shuffled, topo) == reference
 
     def test_missing_pa(self):
-        topo, ms = simple_tree([1.0])
-        with pytest.raises(MissingPA):
-            build_target_series(ms, topo, {})
+        _, ms = simple_tree([1.0])
+        ms.axes.append(AxisRecord("T", "B", "A", 1))
+        ms.gus.append(GURecord("T", "B", 1, 1, 1))
+        topo = build_topology(ms.axes, ms.gus)
+        with pytest.raises(MissingPA, match="^axis 'A' has no PA; classify first$"):
+            build_target_series(ms, topo)
+        # The topology is the one carrier of PA: classifying one axis is not enough.
+        partly = TreeTopology(topo.tree_id, topo.age,
+                              {**topo.axes, "A": replace(topo.axes["A"], pa=1)})
+        with pytest.raises(MissingPA, match="^axis 'B' has no PA"):
+            build_target_series(ms, partly)
 
     def test_missing_leaf_samples_inherit_and_warn(self, caplog):
         topo, ms = simple_tree([1.0, 2.0])
         ms.leaves = [LeafRecord("T", "A", 1, 1, 3.0, 90.0)]  # nothing at ca 2
         with caplog.at_level("WARNING"):
-            ts = build_target_series(ms, topo, {"A": 1})
+            ts = build_target_series(ms, topo)
         assert any("inheriting" in r.message for r in caplog.records)
         # cycle-2 GU inherits the whole-tree leaf mean (3.0 g)
         assert ts.cumulated[2].cum_blade_mass == pytest.approx(6.0)
 
     def test_json_roundtrip(self):
         topo, ms = simple_tree([1.0, 2.0])
-        ts = build_target_series(ms, topo, {"A": 1})
+        ts = build_target_series(ms, topo)
         again = TargetSeries.from_json(ts.to_json())
         assert again == ts
 
@@ -329,7 +338,7 @@ class TestBuildTargetSeries:
     def test_malformed_json_names_the_file(self, tmp_path, cut, message):
         topo, ms = simple_tree([1.0, 2.0])
         path = tmp_path / "targets.json"
-        path.write_text(cut(build_target_series(ms, topo, {"A": 1}).to_json()))
+        path.write_text(cut(build_target_series(ms, topo).to_json()))
         with pytest.raises(SchemaError, match=f"^{path}: {message}"):
             TargetSeries.load(path)
         with pytest.raises(SchemaError, match=f"^targets: {message}"):
@@ -359,7 +368,7 @@ class TestBuildTargetSeries:
     ])
     def test_bad_values_name_the_file_and_key(self, tmp_path, mangle, message):
         topo, ms = simple_tree([1.0, 2.0])
-        doc = json.loads(build_target_series(ms, topo, {"A": 1}).to_json())
+        doc = json.loads(build_target_series(ms, topo).to_json())
         mangle(doc)
         path = tmp_path / "targets.json"
         path.write_text(json.dumps(doc))
@@ -370,7 +379,7 @@ class TestBuildTargetSeries:
     def test_zero_values_pass(self):
         # A trace with no seed biomass makes targets of zeros.
         topo, ms = simple_tree([1.0, 2.0])
-        doc = json.loads(build_target_series(ms, topo, {"A": 1}).to_json())
+        doc = json.loads(build_target_series(ms, topo).to_json())
         for entry in [*doc["entries"].values(), *doc["cumulated"].values()]:
             entry.update({k: 0.0 for k in entry if k != "n_internodes"})
         series = TargetSeries.from_json(json.dumps(doc))
@@ -389,7 +398,7 @@ class TestSingleFixtureHandValues:
         topo = ms.topology()
         pa_map, _ = classify_axes(topo, ms.internodes, 3)
         classified = with_physio_ages(topo, pa_map)
-        return pa_map, build_target_series(ms, classified, pa_map)
+        return pa_map, build_target_series(ms, classified)
 
     def test_classification(self, fixture_series):
         pa_map, _ = fixture_series

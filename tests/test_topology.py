@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -21,6 +22,7 @@ from fspm.errors import (
     InvalidTopology,
     MissingPA,
     NonContiguousCA,
+    ValidationError,
 )
 from fspm.topology import Axis, GrowthUnit
 
@@ -181,6 +183,13 @@ class TestOrganCensus:
         with pytest.raises(MissingPA):
             organ_census(t, 1)
 
+    def test_unclassified_axis_at_another_cycle_raises(self, small_tree):
+        # A2 grows only at cycle 2; the census at cycle 1 still needs its PA.
+        axes = {**small_tree.axes, "A2": replace(small_tree.axes["A2"], pa=None)}
+        partly = TreeTopology(small_tree.tree_id, small_tree.age, axes)
+        with pytest.raises(MissingPA, match="'A2'"):
+            organ_census(partly, 1)
+
     def test_census_sums_to_total_internodes(self):
         rules = GrowthRules(p_max=3, internodes_per_gu=2, branches_per_gu=2)
         t = generate_topology(rules, 5)
@@ -197,6 +206,13 @@ class TestWithPhysioAges:
     def test_missing_axis(self, small_tree):
         with pytest.raises(MissingPA):
             with_physio_ages(small_tree, {"A1": 1})
+
+    def test_axis_the_tree_lacks(self, small_tree):
+        # A map of another, larger tree classifies every axis and more; the
+        # first extra axis in sorted order is named.
+        with pytest.raises(ValidationError,
+                           match=r"^PA map axis 'A3' is not in tree 'T'$"):
+            with_physio_ages(small_tree, {"A1": 1, "A2": 2, "A4": 2, "A3": 3})
 
     def test_root_must_be_pa1(self, small_tree):
         with pytest.raises(MissingPA):
