@@ -23,19 +23,16 @@ ms = parse_measurements(
 print("trees in files:", ms.tree_ids())
 
 # Pool the four trees: a single tree has only one main stem, so PA 1 needs
-# several trees before its sink ratio can be regressed.
-topologies = []
-internodes = []
-leaves = []
+# several trees before its sink ratio can be regressed.  Each classified
+# tree travels with its own measurements.
+trees = []
 for tid in ms.tree_ids():
     sub = ms.for_tree(tid)
     topology = sub.topology()
     pa_map, _ = classify_axes(topology, sub.internodes, k=3)
-    topologies.append(with_physio_ages(topology, pa_map))
-    internodes.extend(sub.internodes)
-    leaves.extend(sub.leaves)
+    trees.append((with_physio_ages(topology, pa_map), sub))
 
-dp, diagnostics = estimate_direct_params(topologies, internodes, leaves)
+dp, diagnostics = estimate_direct_params(trees)
 
 print(f"\nspecific leaf weight: {dp.slw:.4f} g/cm^2")
 print("per-PA estimates (blade sink is the reference, 1):")

@@ -68,6 +68,14 @@ from .topology import TreeTopology
 WEIGHT_FLOOR = 1e-3
 # A fitted log parameter this close to a log bound is reported as on it.
 BOUND_TOL = 1e-9
+LAMBDA0 = 1e-3  # damping at a start, and after an iteration where no damped step helped
+# A start stops once STALL_ITERS iterations in a row lower the SSE by less
+# than REL_TOL of itself.
+REL_TOL = 1e-10
+STALL_ITERS = 3
+# Weighted residuals are relative, so an SSE this small is an exact fit
+# up to float noise; stop without burning Jacobian evaluations.
+SSE_FLOOR = 1e-24
 
 DEFAULT_BOUNDS = {
     "q0": (1e-3, 1e5),
@@ -90,23 +98,12 @@ class FitOptions:
     max_iter: int = 200
     n_starts: int = 8
     seed: int = 0
-    rel_tol: float = 1e-10
-    stall_iters: int = 3
-    lambda0: float = 1e-3
-    # Weighted residuals are relative, so an SSE this small is an exact fit
-    # up to float noise; stop without burning Jacobian evaluations.
-    sse_floor: float = 1e-24
 
     def __post_init__(self) -> None:
-        for name, low in (("seed", 0), ("n_starts", 0), ("max_iter", 1), ("stall_iters", 1)):
+        for name, low in (("seed", 0), ("n_starts", 0), ("max_iter", 1)):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral) and value >= low):
                 raise InvalidParameter(f"{name} must be an integer >= {low}, got {value!r}")
-        for name, strict in (("lambda0", True), ("rel_tol", False), ("sse_floor", False)):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and (value > 0 if strict else value >= 0)):
-                bound = "> 0" if strict else ">= 0"
-                raise InvalidParameter(f"{name} must be finite and {bound}, got {value}")
 
 
 @dataclass
@@ -621,11 +618,11 @@ def _gauss_newton(
     x = np.clip(x0, lo, hi)
     r = fn(x)
     sse = float(r @ r)
-    lam = opts.lambda0
+    lam = LAMBDA0
     stall = 0
     it = 0
     while it < opts.max_iter:
-        if sse <= opts.sse_floor:
+        if sse <= SSE_FLOOR:
             return x, sse, it, True
         it += 1
         jac = jacobian(x)
@@ -652,11 +649,11 @@ def _gauss_newton(
             x, r, sse = x_new, r_new, sse_new
         else:
             rel = 0.0
-        stall = stall + 1 if rel < opts.rel_tol else 0
-        if stall >= opts.stall_iters:
+        stall = stall + 1 if rel < REL_TOL else 0
+        if stall >= STALL_ITERS:
             return x, sse, it, True
         if not improved:
-            lam = opts.lambda0
+            lam = LAMBDA0
     return x, sse, it, False
 
 

@@ -53,6 +53,7 @@ from .export import (
     export_trace_csv,
 )
 from .ingest import (
+    MeasurementSet,
     TargetSeries,
     build_target_series,
     parse_measurements,
@@ -60,7 +61,7 @@ from .ingest import (
     tree_to_json,
 )
 from .pa_classify import classify_axes, pa_map_from_json, pa_map_to_json
-from .topology import with_physio_ages
+from .topology import TreeTopology, with_physio_ages
 
 logger = logging.getLogger(__name__)
 
@@ -135,6 +136,13 @@ def _classified(tree: str, pa_map: str):
         raise type(exc)(f"{pa_map}: {exc}") from None
 
 
+def _classified_trees(args) -> list[tuple[TreeTopology, MeasurementSet]]:
+    """:func:`_classified` of each ``--tree`` with its ``--pa-map``."""
+    if len(args.tree) != len(args.pa_map):
+        raise ValidationError("need one --pa-map per --tree")
+    return [_classified(tree, pa_map) for tree, pa_map in zip(args.tree, args.pa_map)]
+
+
 def _cmd_ingest(args) -> int:
     ms = parse_measurements(args.axes, args.gus, args.internodes, args.leaves)
     ids = ms.tree_ids()
@@ -172,17 +180,7 @@ def _cmd_classify_pa(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    if len(args.tree) != len(args.pa_map):
-        raise ValidationError("need one --pa-map per --tree")
-    topologies = []
-    internodes = []
-    leaves = []
-    for tree_path, pa_path in zip(args.tree, args.pa_map):
-        classified, ms = _classified(tree_path, pa_path)
-        topologies.append(classified)
-        internodes.extend(ms.internodes)
-        leaves.extend(ms.leaves)
-    dp, diagnostics = estimate_direct_params(topologies, internodes, leaves)
+    dp, diagnostics = estimate_direct_params(_classified_trees(args))
     out = Path(args.out)
     _atomic_write(out / "direct_params.json", dp.to_json())
     _write_manifest(out, args, list(args.tree) + list(args.pa_map),
@@ -245,22 +243,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    if len(args.tree) != len(args.pa_map):
-        raise ValidationError("need one --pa-map per --tree")
+    trees = _classified_trees(args)
     if args.targets and len(args.targets) != len(args.tree):
         raise ValidationError("need one --targets per --tree when given")
     dp = DirectParams.load(args.params)
-    topologies = []
-    targets = []
-    for i, tree_path in enumerate(args.tree):
-        classified, ms = _classified(tree_path, args.pa_map[i])
-        topologies.append(classified)
-        if args.targets:
-            targets.append(TargetSeries.load(args.targets[i]))
-        else:
-            targets.append(build_target_series(ms, classified))
+    if args.targets:
+        targets = [TargetSeries.load(path) for path in args.targets]
+    else:
+        targets = [build_target_series(ms, classified) for classified, ms in trees]
 
-    problem = FitProblem(targets=targets, topologies=topologies, dp=dp,
+    problem = FitProblem(targets=targets, topologies=[t for t, _ in trees], dp=dp,
                          cfg=_sim_config(args))
     init = FreeParams(
         q0={t.tree_id: args.init_q0 for t in targets},

@@ -31,6 +31,7 @@ from .errors import (
     read_text,
     schema_errors,
 )
+from .ingest import MeasurementSet, samples_by_gu
 from .topology import TreeTopology
 
 logger = logging.getLogger(__name__)
@@ -186,51 +187,44 @@ def estimate_slw(leaves: Iterable) -> float:
 
 
 def estimate_direct_params(
-    topologies: Sequence[TreeTopology],
-    internodes: Sequence,
-    leaves: Sequence,
+    trees: Sequence[tuple[TreeTopology, MeasurementSet]],
 ) -> tuple[DirectParams, dict[int, dict[str, float]]]:
-    """Assemble DirectParams from measurement records on classified trees.
+    """Assemble DirectParams from classified trees and their measurements.
 
     Each topology's axes carry their PA (see :func:`with_physio_ages`); an
-    axis without one raises MissingPA.  Records from every tree are pooled
-    per PA (a single tree carries only one main stem, so the sink
-    regression for PA 1 usually needs several trees).  Sink and allometry
-    use the new growth at the top of each axis: per PA, sink pairs are the
-    (mean sampled blade mass, mean internode mass) of each axis's topmost
-    GU, allometry pairs the (mass, length) of every internode record in
-    those GUs.  SLW pools every leaf.  Also returns per-PA fit diagnostics
-    (r_squared, n observations).
+    axis without one raises MissingPA.  Each tree's records are attached to
+    its GUs by :func:`~fspm.ingest.samples_by_gu`: a record of another tree
+    raises TreeMismatch, one on a GU the tree lacks ValidationError.
+    Records from every tree are pooled per PA (a single tree carries only
+    one main stem, so the sink regression for PA 1 usually needs several
+    trees).  Sink and allometry use the new growth at the top of each axis:
+    per PA, sink pairs are the (mean sampled blade mass, mean internode
+    mass) of each axis's topmost GU, allometry pairs the (mass, length) of
+    every internode record in those GUs.  SLW pools every leaf.  Also
+    returns per-PA fit diagnostics (r_squared, n observations).
     """
-    int_by_gu: dict[tuple[str, str, int], list] = {}
-    for rec in internodes:
-        int_by_gu.setdefault((rec.tree_id, rec.axis_id, rec.gu_ca), []).append(rec)
-    leaf_by_gu: dict[tuple[str, str, int], list] = {}
-    for rec in leaves:
-        leaf_by_gu.setdefault((rec.tree_id, rec.axis_id, rec.gu_ca), []).append(rec)
-
     sink_pairs: dict[int, list[tuple[float, float]]] = {}
     allo_pairs: dict[int, list[tuple[float, float]]] = {}
-    for topology in topologies:
-        for axis in topology.axes_sorted():
-            if axis.pa is None:
-                raise MissingPA(f"tree {topology.tree_id!r}: axis {axis.id!r} has no PA; "
+    leaves: list = []
+    for topology, ms in trees:
+        for s in samples_by_gu(topology, ms.internodes, ms.leaves):
+            if s.axis.pa is None:
+                raise MissingPA(f"tree {topology.tree_id!r}: axis {s.axis.id!r} has no PA; "
                                 "classify first")
-            key = (topology.tree_id, axis.id, axis.last_ca)
-            ints = int_by_gu.get(key, [])
-            lvs = leaf_by_gu.get(key, [])
-            if ints:
-                allo_pairs.setdefault(axis.pa, []).extend(
-                    (r.fresh_weight, r.length) for r in ints
-                )
-            if ints and lvs:
-                blade = sum(r.fresh_weight for r in lvs) / len(lvs)
-                inter = sum(r.fresh_weight for r in ints) / len(ints)
-                sink_pairs.setdefault(axis.pa, []).append((blade, inter))
-            elif ints:
+            leaves.extend(s.leaves)
+            if s.gu is not s.axis.gus[-1] or not s.internodes:
+                continue
+            allo_pairs.setdefault(s.axis.pa, []).extend(
+                (r.fresh_weight, r.length) for r in s.internodes
+            )
+            if s.leaves:
+                blade = sum(r.fresh_weight for r in s.leaves) / len(s.leaves)
+                inter = sum(r.fresh_weight for r in s.internodes) / len(s.internodes)
+                sink_pairs.setdefault(s.axis.pa, []).append((blade, inter))
+            else:
                 logger.warning(
                     "tree %s axis %s top GU has no leaf samples; skipped for sink fit",
-                    topology.tree_id, axis.id,
+                    topology.tree_id, s.axis.id,
                 )
 
     p_int: dict[int, float] = {}

@@ -34,11 +34,11 @@ from itertools import islice
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .errors import (DuplicateKey, InvalidParameter, MissingPA, SchemaError, UnitError,
-                     ValidationError, read_text, schema_errors, utf8_errors)
-from .topology import AxisRecord, GURecord, TreeTopology, build_topology
+from .errors import (DuplicateKey, InvalidParameter, MissingPA, SchemaError, TreeMismatch,
+                     UnitError, ValidationError, read_text, schema_errors, utf8_errors)
+from .topology import Axis, AxisRecord, GrowthUnit, GURecord, TreeTopology, build_topology
 
 logger = logging.getLogger(__name__)
 
@@ -304,6 +304,43 @@ def serialize_measurements(ms: MeasurementSet) -> dict[str, str]:
     return texts
 
 
+# -- samples per GU -------------------------------------------------------------
+
+class GUSamples(NamedTuple):
+    """One GU of a tree and the measurement records taken on it."""
+
+    axis: Axis
+    gu: GrowthUnit
+    internodes: list[InternodeRecord]
+    leaves: list[LeafRecord]
+
+
+def samples_by_gu(topology: TreeTopology, internodes: Sequence[InternodeRecord],
+                  leaves: Sequence[LeafRecord]) -> list[GUSamples]:
+    """Every GU of ``topology``, in :meth:`~TreeTopology.iter_gus` order, with its records.
+
+    The one place a measurement record is attached to a GU.  Each GU lists
+    its internode and leaf records in record order; a GU without samples
+    lists none.  No PA is needed.
+
+    Raises:
+        TreeMismatch: a record belongs to another tree.
+        ValidationError: a record names a GU the tree lacks.
+    """
+    table = {(axis.id, gu.ca): GUSamples(axis, gu, [], []) for axis, gu in topology.iter_gus()}
+    for records, field_index in ((internodes, 2), (leaves, 3)):  # GUSamples.internodes, .leaves
+        for rec in records:
+            if rec.tree_id != topology.tree_id:
+                raise TreeMismatch(f"tree {topology.tree_id!r}: record ({rec.axis_id!r}, "
+                                   f"ca {rec.gu_ca}) is of tree {rec.tree_id!r}")
+            samples = table.get((rec.axis_id, rec.gu_ca))
+            if samples is None:
+                raise ValidationError(
+                    f"record references unknown GU ({rec.axis_id!r}, ca {rec.gu_ca})")
+            samples[field_index].append(rec)
+    return list(table.values())
+
+
 # -- target series ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -382,54 +419,8 @@ class TargetSeries:
         return cls.from_json(read_text(path), str(path))
 
 
-def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values)
-
-
-class _FallbackMean:
-    """Mean lookup with (PA, CA) -> CA -> whole-tree fallback, with warnings."""
-
-    def __init__(self, label: str, samples: dict[tuple[str, int], list[float]],
-                 group_of_gu: Mapping[tuple[str, int], tuple[int, int]]):
-        self.label = label
-        self.by_gu = {k: _mean(v) for k, v in samples.items()}
-        by_group: dict[tuple[int, int], list[float]] = {}
-        by_ca: dict[int, list[float]] = {}
-        everything: list[float] = []
-        for gu_key, vals in samples.items():
-            group = group_of_gu[gu_key]
-            by_group.setdefault(group, []).extend(vals)
-            by_ca.setdefault(group[1], []).extend(vals)
-            everything.extend(vals)
-        self.by_group = {k: _mean(v) for k, v in by_group.items()}
-        self.count = {k: len(v) for k, v in by_group.items()}
-        self.by_ca = {k: _mean(v) for k, v in by_ca.items()}
-        self.overall = _mean(everything) if everything else None
-
-    def for_gu(self, gu_key: tuple[str, int], group: tuple[int, int]) -> float:
-        if gu_key in self.by_gu:
-            return self.by_gu[gu_key]
-        value = self.for_group(group, warn=False)
-        logger.warning(
-            "no %s samples for GU %s; inheriting mean %.4g", self.label, gu_key, value
-        )
-        return value
-
-    def for_group(self, group: tuple[int, int], warn: bool = True) -> float:
-        if group in self.by_group:
-            return self.by_group[group]
-        if group[1] in self.by_ca:
-            value = self.by_ca[group[1]]
-        elif self.overall is not None:
-            value = self.overall
-        else:
-            raise ValidationError(f"no {self.label} samples anywhere in the tree")
-        if warn:
-            logger.warning(
-                "no %s samples for group PA%d/CA%d; inheriting mean %.4g",
-                self.label, group[0], group[1], value,
-            )
-        return value
+def _mean(records: Sequence, name: str) -> float:
+    return sum(map(attrgetter(name), records)) / len(records)
 
 
 def build_target_series(ms: MeasurementSet, topology: TreeTopology) -> TargetSeries:
@@ -437,66 +428,81 @@ def build_target_series(ms: MeasurementSet, topology: TreeTopology) -> TargetSer
 
     ``topology`` must be classified (see :func:`with_physio_ages`): each
     GU's group is its axis's PA and its own CA, and an axis without a PA
-    raises MissingPA.  Entry means are arithmetic means over the records of
-    each (PA, CA) group.  Cumulated series extend the recorded means over
-    the full recorded structure: each GU contributes mean internode weight
-    times its internode count, and mean sampled leaf weight times its
-    internode count (one blade per internode).  GUs without samples inherit
-    their group's mean, falling back to the same-CA and then whole-tree
-    mean.
+    raises MissingPA.  Records are attached to GUs by :func:`samples_by_gu`.
+    Entry means are arithmetic means over the records of each (PA, CA)
+    group.  Cumulated series extend the recorded means over the full
+    recorded structure: each GU contributes mean internode weight times its
+    internode count, and mean sampled leaf weight times its internode count
+    (one blade per internode).  A GU or a group without samples inherits,
+    with a warning, the mean of its group, else of its CA, else of the
+    whole tree.
     """
     for axis in topology.axes_sorted():
         if axis.pa is None:
             raise MissingPA(f"axis {axis.id!r} has no PA; classify first")
-    for rec in ms.internodes + ms.leaves:
-        axis = topology.axes.get(rec.axis_id)
-        if axis is None or axis.gu_at(rec.gu_ca) is None:
-            raise ValidationError(f"record references unknown GU ({rec.axis_id!r}, ca {rec.gu_ca})")
+    table = samples_by_gu(topology, ms.internodes, ms.leaves)
 
-    group_of_gu = {(axis.id, gu.ca): (axis.pa, gu.ca) for axis, gu in topology.iter_gus()}
+    # Each kind's records pooled per (PA, CA) group, per CA and over the tree (key None).
+    pools: dict[str, dict] = {"internodes": {}, "leaves": {}}
+    for s in table:
+        for kind, pool in pools.items():
+            records = getattr(s, kind)
+            if records:
+                for key in ((s.axis.pa, s.gu.ca), s.gu.ca, None):
+                    pool.setdefault(key, []).extend(records)
 
-    def by_gu(records: Sequence, name: str) -> dict[tuple[str, int], list[float]]:
-        samples: dict[tuple[str, int], list[float]] = {}
-        for r in records:
-            samples.setdefault((r.axis_id, r.gu_ca), []).append(getattr(r, name))
-        return samples
+    def inherited(kind: str, name: str, label: str, group: tuple[int, int],
+                  gu: GUSamples | None = None) -> float:
+        """Mean ``name`` of ``group``'s ``kind`` records, else its CA's, else the tree's.
 
-    int_weight, int_length, int_diameter = (
-        by_gu(ms.internodes, name) for name in ("fresh_weight", "length", "diameter"))
-    leaf_weight, leaf_area = (by_gu(ms.leaves, name) for name in ("fresh_weight", "area"))
-
-    w_mean = _FallbackMean("internode weight", int_weight, group_of_gu)
-    length_mean = _FallbackMean("internode length", int_length, group_of_gu)
-    diameter_mean = _FallbackMean("internode diameter", int_diameter, group_of_gu)
-    blade_mean = _FallbackMean("leaf weight", leaf_weight, group_of_gu)
-    area_mean = _FallbackMean("leaf area", leaf_area, group_of_gu)
+        Warns unless the group's own mean is taken for the group; for a
+        ``gu``, which has no records of its own, it always warns.
+        """
+        pool = pools[kind]
+        for key in (group, group[1], None):
+            if key in pool:
+                break
+        else:
+            raise ValidationError(f"no {label} samples anywhere in the tree")
+        value = _mean(pool[key], name)
+        if gu is not None:
+            logger.warning("no %s samples for GU %s; inheriting mean %.4g",
+                           label, (gu.axis.id, gu.gu.ca), value)
+        elif key != group:
+            logger.warning("no %s samples for group PA%d/CA%d; inheriting mean %.4g",
+                           label, group[0], group[1], value)
+        return value
 
     # Per-(PA, CA) entries, over groups backed by internode records.
+    groups = pools["internodes"]
     entries = {
         group: TargetEntry(
-            mean_internode_weight=w_mean.by_group[group],
-            mean_internode_length=length_mean.by_group[group],
-            mean_internode_diameter=diameter_mean.by_group[group],
-            mean_blade_weight=blade_mean.for_group(group),
-            mean_blade_area=area_mean.for_group(group),
-            n_internodes=w_mean.count[group],
+            mean_internode_weight=_mean(groups[group], "fresh_weight"),
+            mean_internode_length=_mean(groups[group], "length"),
+            mean_internode_diameter=_mean(groups[group], "diameter"),
+            mean_blade_weight=inherited("leaves", "fresh_weight", "leaf weight", group),
+            mean_blade_area=inherited("leaves", "area", "leaf area", group),
+            n_internodes=len(groups[group]),
         )
-        for group in sorted(w_mean.by_group)
+        for group in sorted(key for key in groups if type(key) is tuple)
     }
 
     # Cumulated series over the whole recorded structure.
     cumulated: dict[int, CumEntry] = {}
     cum_int = 0.0
     cum_blade = 0.0
-    gus_by_ca: dict[int, list] = {}
-    for axis, gu in topology.iter_gus():
-        gus_by_ca.setdefault(gu.ca, []).append((axis, gu))
+    gus_by_ca: dict[int, list[GUSamples]] = {}
+    for s in table:
+        gus_by_ca.setdefault(s.gu.ca, []).append(s)
     for cycle in range(1, topology.age + 1):
-        for axis, gu in gus_by_ca.get(cycle, []):
-            gu_key = (axis.id, gu.ca)
-            group = group_of_gu[gu_key]
-            cum_int += w_mean.for_gu(gu_key, group) * gu.internode_count
-            cum_blade += blade_mean.for_gu(gu_key, group) * gu.internode_count
+        for s in gus_by_ca.get(cycle, []):
+            group = (s.axis.pa, s.gu.ca)
+            weight = (_mean(s.internodes, "fresh_weight") if s.internodes else
+                      inherited("internodes", "fresh_weight", "internode weight", group, s))
+            blade = (_mean(s.leaves, "fresh_weight") if s.leaves else
+                     inherited("leaves", "fresh_weight", "leaf weight", group, s))
+            cum_int += weight * s.gu.internode_count
+            cum_blade += blade * s.gu.internode_count
         cumulated[cycle] = CumEntry(cum_internode_mass=cum_int, cum_blade_mass=cum_blade)
 
     return TargetSeries(tree_id=topology.tree_id, entries=entries, cumulated=cumulated)

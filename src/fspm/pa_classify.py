@@ -24,6 +24,7 @@ from .errors import (
     ValidationError,
     schema_errors,
 )
+from .ingest import samples_by_gu
 from .topology import TreeTopology
 
 logger = logging.getLogger(__name__)
@@ -47,21 +48,20 @@ class ClusterPartition:
 def top_internode_weight(t: TreeTopology, records: Sequence) -> dict[str, float]:
     """Mean internode fresh weight in the topmost GU of every axis.
 
-    ``records`` are internode measurement rows with ``axis_id``, ``gu_ca``
-    and ``fresh_weight`` attributes.
+    ``records`` are the tree's internode records, attached to GUs by
+    :func:`~fspm.ingest.samples_by_gu`: a record of another tree raises
+    TreeMismatch, one on a GU the tree lacks ValidationError.
     """
-    by_gu: dict[tuple[str, int], list[float]] = {}
-    for rec in records:
-        by_gu.setdefault((rec.axis_id, rec.gu_ca), []).append(rec.fresh_weight)
     out: dict[str, float] = {}
-    for axis in t.axes_sorted():
-        top = by_gu.get((axis.id, axis.last_ca), [])
-        if not top:
+    for s in samples_by_gu(t, records, ()):
+        if s.gu is not s.axis.gus[-1]:
+            continue
+        if not s.internodes:
             raise NoTerminalData(
-                f"axis {axis.id!r} has no internode records in its top GU "
-                f"(ca {axis.last_ca})"
+                f"axis {s.axis.id!r} has no internode records in its top GU "
+                f"(ca {s.gu.ca})"
             )
-        out[axis.id] = sum(top) / len(top)
+        out[s.axis.id] = sum(r.fresh_weight for r in s.internodes) / len(s.internodes)
     return out
 
 

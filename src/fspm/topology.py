@@ -92,11 +92,6 @@ class Axis:
     def last_ca(self) -> int:
         return self.gus[-1].ca
 
-    @property
-    def top_gu(self) -> GrowthUnit:
-        """Topmost (most recent) growth unit."""
-        return self.gus[-1]
-
     def gu_at(self, ca: int) -> GrowthUnit | None:
         if self.first_ca <= ca <= self.last_ca:
             return self.gus[ca - self.first_ca]

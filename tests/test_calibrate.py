@@ -554,16 +554,12 @@ class TestResidualPlan:
 
 class TestFitOptions:
     @pytest.mark.parametrize("kwargs", [
-        {"seed": -1}, {"n_starts": -1}, {"max_iter": 0}, {"stall_iters": 0},
+        {"seed": -1}, {"n_starts": -1}, {"max_iter": 0},
         {"seed": 1.5}, {"max_iter": 2.0},
-        {"lambda0": 0.0}, {"lambda0": math.inf},
-        {"rel_tol": -1e-10}, {"rel_tol": math.nan},
-        {"sse_floor": -1.0}, {"sse_floor": math.inf},
     ])
     def test_rejected(self, kwargs):
         with pytest.raises(InvalidParameter, match=next(iter(kwargs))):
             FitOptions(**kwargs)
 
     def test_edges_accepted(self):
-        FitOptions(seed=np.int64(0), n_starts=0, max_iter=1, stall_iters=1,
-                   rel_tol=0.0, sse_floor=0.0, lambda0=1e-12)
+        FitOptions(seed=np.int64(0), n_starts=0, max_iter=1)

@@ -418,6 +418,27 @@ class TestBadInputFiles:
                        f"{noun} {key} measured twice")
         assert not (tmp_path / "cls").exists()
 
+    @pytest.mark.parametrize("table", ["internodes", "leaves"])
+    @pytest.mark.parametrize("command", ["classify-pa", "estimate", "fit"])
+    def test_measurement_row_on_a_missing_gu(self, grove_pipeline, tmp_path, capsys,
+                                             command, table):
+        # Every stage that reads the samples attaches them to GUs the same way.
+        _, trees, params = grove_pipeline
+        tree, pa_map, _ = trees["P2"]
+        doc = json.loads(tree.read_text())
+        doc["measurements"][table].append(dict(doc["measurements"][table][0], axis_id="zz"))
+        bad = tmp_path / "tree.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = {"classify-pa": ["classify-pa", "--tree", bad, "--k", 3],
+                "estimate": ["estimate", "--tree", bad, "--pa-map", pa_map],
+                "fit": ["fit", "--tree", bad, "--pa-map", pa_map, "--params", params,
+                        "--n-starts", 0]}[command]
+        err = self.one_error_line(capsys, [*argv, "--out", out])
+        gu_ca = doc["measurements"][table][0]["gu_ca"]
+        assert err == f"fspm {command}: record references unknown GU ('zz', ca {gu_ca})"
+        assert not out.exists()
+
     @pytest.mark.parametrize("place, key, value, message", [
         ("axes[0].gus[1]", "internode_count", 2.0, "not an integer: 2.0"),
         ("axes[0].gus[1]", "internode_count", True, "not an integer: True"),

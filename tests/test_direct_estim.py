@@ -11,6 +11,7 @@ from fspm import (
     GURecord,
     InternodeRecord,
     LeafRecord,
+    MeasurementSet,
     TreeTopology,
     build_topology,
     estimate_direct_params,
@@ -25,6 +26,8 @@ from fspm.errors import (
     InvalidParameter,
     MissingPA,
     SchemaError,
+    TreeMismatch,
+    ValidationError,
 )
 
 
@@ -170,13 +173,13 @@ def four_axis_fixture():
         leaf(15.0, 470.0, "D", 3),
         leaf(5.0, 160.0, "B", 2), leaf(5.5, 170.0, "C", 2),
     ]
-    return t, internodes, leaves
+    return t, MeasurementSet(axes=axes, gus=gus, internodes=internodes, leaves=leaves)
 
 
 class TestEstimateDirectParams:
     def test_small_fixture(self):
-        t, internodes, leaves = four_axis_fixture()
-        dp, diagnostics = estimate_direct_params([t], internodes, leaves)
+        t, ms = four_axis_fixture()
+        dp, diagnostics = estimate_direct_params([(t, ms)])
         assert set(dp.p_int) == {1, 2}
         # PA1 sink pairs: (17, 9) for A and (15, 9) for D -> slope near 0.56
         expected = (17.0 * 9.0 + 15.0 * 9.0) / (17.0**2 + 15.0**2)
@@ -188,11 +191,26 @@ class TestEstimateDirectParams:
 
     def test_unclassified_axis_raises_missing_pa(self):
         # Skipping the axis would drop its records from the fits unnoticed.
-        t, internodes, leaves = four_axis_fixture()
+        t, ms = four_axis_fixture()
         axes = {**t.axes, "C": replace(t.axes["C"], pa=None)}
         partly = TreeTopology(t.tree_id, t.age, axes)
         with pytest.raises(MissingPA, match="^tree 'T': axis 'C' has no PA"):
-            estimate_direct_params([t, partly], internodes, leaves)
+            estimate_direct_params([(t, ms), (partly, ms)])
+
+    def test_record_of_another_tree_raises_tree_mismatch(self):
+        t, ms = four_axis_fixture()
+        ms.leaves.append(leaf(5.0, 160.0, "B", 2)._replace(tree_id="U"))
+        with pytest.raises(TreeMismatch, match=r"^tree 'T': record \('B', ca 2\) is of tree 'U'$"):
+            estimate_direct_params([(t, ms)])
+
+    @pytest.mark.parametrize("table", ["internodes", "leaves"])
+    def test_record_on_a_missing_gu_raises(self, table):
+        # B's GUs start at cycle 2; dropping this record would go unnoticed.
+        t, ms = four_axis_fixture()
+        records = getattr(ms, table)
+        records.append(records[-1]._replace(axis_id="B", gu_ca=1))
+        with pytest.raises(ValidationError, match=r"^record references unknown GU \('B', ca 1\)$"):
+            estimate_direct_params([(t, ms)])
 
     def test_roundtrip_json(self):
         dp = DirectParams(

@@ -25,8 +25,9 @@ from fspm import (
     tree_to_json,
     with_physio_ages,
 )
-from fspm.errors import DuplicateKey, MissingPA, SchemaError, UnitError
-from fspm.ingest import _TABLES, serialize_measurements
+from fspm.errors import (DuplicateKey, MissingPA, SchemaError, TreeMismatch, UnitError,
+                         ValidationError)
+from fspm.ingest import _TABLES, samples_by_gu, serialize_measurements
 from fspm.topology import TreeTopology
 
 DATA = Path(__file__).parent / "data"
@@ -315,6 +316,22 @@ class TestBuildTargetSeries:
         with pytest.raises(MissingPA, match="^axis 'B' has no PA"):
             build_target_series(ms, partly)
 
+    def test_records_of_another_tree_raise(self):
+        # Pooled with T's, U's 5.0 g internode would make the PA1/CA1 mean 3.0 g.
+        topo, ms = simple_tree([1.0, 2.0])
+        _, other = simple_tree([5.0, 7.0], tree="U")
+        ms.internodes += other.internodes
+        with pytest.raises(TreeMismatch, match=r"^tree 'T': record \('A', ca 1\) is of tree 'U'$"):
+            build_target_series(ms, topo)
+
+    @pytest.mark.parametrize("table", ["internodes", "leaves"])
+    def test_record_on_a_missing_gu_raises(self, table):
+        topo, ms = simple_tree([1.0, 2.0])
+        records = getattr(ms, table)
+        records.append(records[0]._replace(gu_ca=3))
+        with pytest.raises(ValidationError, match=r"^record references unknown GU \('A', ca 3\)$"):
+            build_target_series(ms, topo)
+
     def test_missing_leaf_samples_inherit_and_warn(self, caplog):
         topo, ms = simple_tree([1.0, 2.0])
         ms.leaves = [LeafRecord("T", "A", 1, 1, 3.0, 90.0)]  # nothing at ca 2
@@ -385,6 +402,45 @@ class TestBuildTargetSeries:
         series = TargetSeries.from_json(json.dumps(doc))
         assert series.cumulated[2].cum_blade_mass == 0.0
         assert series.entries[(1, 1)].mean_blade_weight == 0.0
+
+
+class TestSamplesByGU:
+    """The one place measurement records are attached to GUs."""
+
+    @staticmethod
+    def two_axis_tree():
+        axes = [AxisRecord("T", "B", "A", 1), AxisRecord("T", "A", None, None)]
+        gus = [GURecord("T", "A", 1, 2, 2), GURecord("T", "A", 2, 2, 2),
+               GURecord("T", "B", 2, 1, 1)]
+        return build_topology(axes, gus)  # unclassified: no PA is needed
+
+    def test_every_gu_in_topology_order_with_records_in_record_order(self):
+        topo = self.two_axis_tree()
+        internodes = [InternodeRecord("T", "B", 2, 1, 1.0, 2.0, 3.0),
+                      InternodeRecord("T", "A", 1, 2, 4.0, 5.0, 6.0),
+                      InternodeRecord("T", "A", 1, 1, 7.0, 8.0, 9.0)]
+        leaves = [LeafRecord("T", "A", 2, 1, 1.5, 40.0)]
+        table = samples_by_gu(topo, internodes, leaves)
+        assert [(s.axis, s.gu) for s in table] == list(topo.iter_gus())
+        assert [(s.internodes, s.leaves) for s in table] == [
+            ([internodes[1], internodes[2]], []),
+            ([], leaves),
+            ([internodes[0]], []),
+        ]
+
+    def test_record_of_another_tree_raises_tree_mismatch(self):
+        topo = self.two_axis_tree()
+        stray = LeafRecord("U", "A", 1, 1, 1.5, 40.0)
+        with pytest.raises(TreeMismatch, match=r"^tree 'T': record \('A', ca 1\) is of tree 'U'$"):
+            samples_by_gu(topo, [], [stray])
+
+    @pytest.mark.parametrize("axis_id, ca", [("C", 1), ("B", 1), ("A", 3)])
+    def test_record_on_a_missing_gu_raises(self, axis_id, ca):
+        topo = self.two_axis_tree()
+        stray = InternodeRecord("T", axis_id, ca, 1, 1.0, 2.0, 3.0)
+        with pytest.raises(ValidationError,
+                           match=rf"^record references unknown GU \('{axis_id}', ca {ca}\)$"):
+            samples_by_gu(topo, [stray], [])
 
 
 class TestSingleFixtureHandValues:

@@ -13,7 +13,8 @@ from fspm import (
     cluster_1d,
     top_internode_weight,
 )
-from fspm.errors import KTooLarge, MainAxisNotHeaviest, NoTerminalData, ValidationError
+from fspm.errors import (KTooLarge, MainAxisNotHeaviest, NoTerminalData, TreeMismatch,
+                         ValidationError)
 
 
 def brute_force_wcss(values, k):
@@ -140,6 +141,19 @@ class TestTopInternodeWeight:
         t = tree_with_axes({"A": (None, None, [1, 2])})
         with pytest.raises(NoTerminalData):
             top_internode_weight(t, [internode("A", 1, 1, 3.0)])
+
+    def test_record_of_another_tree_raises_tree_mismatch(self):
+        # Pooled, U's 9.0 g internode would lift A's top weight to 6.0 g.
+        t = tree_with_axes({"A": (None, None, [1])})
+        records = [internode("A", 1, 1, 3.0), internode("A", 1, 2, 9.0)._replace(tree_id="U")]
+        with pytest.raises(TreeMismatch, match=r"^tree 'T': record \('A', ca 1\) is of tree 'U'$"):
+            top_internode_weight(t, records)
+
+    def test_record_on_a_missing_gu_raises(self):
+        t = tree_with_axes({"A": (None, None, [1])})
+        records = [internode("A", 1, 1, 3.0), internode("B", 1, 1, 9.0)]
+        with pytest.raises(ValidationError, match=r"^record references unknown GU \('B', ca 1\)$"):
+            top_internode_weight(t, records)
 
 
 class TestCluster1D:
