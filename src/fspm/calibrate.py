@@ -294,17 +294,16 @@ class _TreePlan:
         cycle = np.arange(1, n + 1)[:, None]  # (cycles, cohorts) masks below
         expanding = (birth > cycle - cfg.t_exp) & (birth <= cycle)
         functioning = (birth > cycle - cfg.t_f) & (birth <= cycle)
-        eligible = birth <= cycle - cfg.t_exp
         blade_sink = expanding * size / cfg.t_exp
         e_blade = blade_sink.sum(axis=1)
         e_internode = blade_sink @ sink
-        n_eligible = eligible @ size
-        per_blade = cfg.ring_demand == RING_DEMAND_PER_BLADE
-        g = np.where(n_eligible > 0, functioning @ size if per_blade else 1.0, 0.0)
         w = (functioning * size) @ expanding.T / (cfg.t_exp * dp.slw)
-
         ring_weight = _ring_weights(topology, cfg)
         weight_sum = ring_weight.sum(axis=1)[:, None]
+        # A cycle's weights sum to 0 exactly when no internode can thicken.
+        per_blade = cfg.ring_demand == RING_DEMAND_PER_BLADE
+        g = np.where(weight_sum[:, 0] > 0, functioning @ size if per_blade else 1.0, 0.0)
+
         column = {key: j for j, key in enumerate(census.keys)}
         cols = [column[key] for key in obs.keys]
         observed = np.full(len(census.keys), -1)

@@ -199,24 +199,25 @@ def _sim_config(args) -> SimConfig:
 
 
 def _hidden_from_args(args) -> HiddenParams:
+    """--q0/--rp/--pc, each one not given read from --hidden's fit result."""
+    q0, rp, pc = args.q0, args.rp, args.pc
     if args.hidden:
         text = read_text(args.hidden)
         with schema_errors(args.hidden):
             doc = json.loads(text)
             tree_q0 = {tid: _json_number(v, f"q0[{tid!r}]") for tid, v in doc["q0"].items()}
-            rp, pc = _json_number(doc["rp"], "rp"), _json_number(doc["pc"], "pc")
-        if args.q0 is not None:
-            q0 = args.q0
-        elif len(tree_q0) == 1:
+            file_rp, file_pc = _json_number(doc["rp"], "rp"), _json_number(doc["pc"], "pc")
+        rp = file_rp if rp is None else rp
+        pc = file_pc if pc is None else pc
+        if q0 is None:
+            if len(tree_q0) != 1:
+                raise ValidationError(
+                    f"fit result holds q0 for trees {sorted(tree_q0)}; pass --q0"
+                )
             q0 = next(iter(tree_q0.values()))
-        else:
-            raise ValidationError(
-                f"fit result holds q0 for trees {sorted(tree_q0)}; pass --q0"
-            )
-        return HiddenParams(q0=q0, rp=rp, pc=pc)
-    if args.q0 is None or args.rp is None or args.pc is None:
+    if None in (q0, rp, pc):
         raise ValidationError("give --hidden fit_result.json or all of --q0/--rp/--pc")
-    return HiddenParams(q0=args.q0, rp=args.rp, pc=args.pc)
+    return HiddenParams(q0=q0, rp=rp, pc=pc)
 
 
 def _cmd_simulate(args) -> int:

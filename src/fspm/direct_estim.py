@@ -200,8 +200,10 @@ def estimate_direct_params(
     trees).  Sink and allometry use the new growth at the top of each axis:
     per PA, sink pairs are the (mean sampled blade mass, mean internode
     mass) of each axis's topmost GU, allometry pairs the (mass, length) of
-    every internode record in those GUs.  SLW pools every leaf.  Also
-    returns per-PA fit diagnostics (r_squared, n observations).
+    every internode record in those GUs; an axis whose top GU lacks
+    internode or leaf samples leaves the fits it cannot feed, with a
+    warning.  SLW pools every leaf.  Also returns per-PA fit diagnostics
+    (r_squared, n observations).
     """
     sink_pairs: dict[int, list[tuple[float, float]]] = {}
     allo_pairs: dict[int, list[tuple[float, float]]] = {}
@@ -212,7 +214,13 @@ def estimate_direct_params(
                 raise MissingPA(f"tree {topology.tree_id!r}: axis {s.axis.id!r} has no PA; "
                                 "classify first")
             leaves.extend(s.leaves)
-            if s.gu is not s.axis.gus[-1] or not s.internodes:
+            if s.gu is not s.axis.gus[-1]:
+                continue
+            if not s.internodes:
+                logger.warning(
+                    "tree %s axis %s top GU has no internode samples; skipped for sink "
+                    "and allometry fits", topology.tree_id, s.axis.id,
+                )
                 continue
             allo_pairs.setdefault(s.axis.pa, []).extend(
                 (r.fresh_weight, r.length) for r in s.internodes

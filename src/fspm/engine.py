@@ -408,37 +408,34 @@ def simulate(
     def per_organ(attr: str) -> np.ndarray:
         return np.array([getattr(c, attr) for c in summaries])[cohort]
 
-    pa = per_organ("pa")
-    birth = per_organ("birth")
     primary = per_organ("internode_primary")
     length = per_organ("length_cm")
     if cfg.ring_mode == RING_UNIFORM:
-        trace.organs = OrganTable(
-            positions=positions, pa=pa, birth=birth, primary=primary,
-            ring=per_organ("internode_ring"),
-            length_cm=length, diameter_cm=per_organ("diameter_cm"),
-        )
-        return trace
-
-    # Internodes born after cycle n never weigh anything, so a shortened
-    # run keeps the born columns.  A cycle whose weights sum to 0 has no
-    # internode to thicken, hence no pool.
-    weights = _ring_weights(topology, cfg, n)
-    if born is not None:
-        weights = weights[:, born]
-    weight_sum = weights.sum(axis=1)
-    per_weight = np.divide(trace.ring_pool, weight_sum, out=np.zeros(n), where=weight_sum > 0)
-    ring = per_weight @ weights
+        ring = per_organ("internode_ring")
+    else:
+        # Internodes born after cycle n never weigh anything, so a
+        # shortened run keeps the born columns.  A cycle whose weights sum
+        # to 0 has no internode to thicken, hence no pool.
+        weights = _ring_weights(topology, cfg, n)
+        if born is not None:
+            weights = weights[:, born]
+        weight_sum = weights.sum(axis=1)
+        per_weight = np.divide(trace.ring_pool, weight_sum, out=np.zeros(n),
+                               where=weight_sum > 0)
+        ring = per_weight @ weights
     # Length follows primary mass alone, so each internode keeps its
-    # cohort's; the diameter closes the cylinder on its own ring mass.
+    # cohort's; the diameter closes the cylinder on its own ring mass,
+    # rounded as internode_geometry rounds it.
     total = primary + ring
     diameter = np.zeros(len(total))
     thick = (primary > 0) & (total > 0) & (length > 0)
     diameter[thick] = np.sqrt(4.0 * total[thick] / (math.pi * cfg.rho * length[thick]))
     trace.organs = OrganTable(
-        positions=positions, pa=pa, birth=birth, primary=primary, ring=ring,
-        length_cm=length, diameter_cm=diameter,
+        positions=positions, pa=per_organ("pa"), birth=per_organ("birth"),
+        primary=primary, ring=ring, length_cm=length, diameter_cm=diameter,
     )
+    if cfg.ring_mode == RING_UNIFORM:
+        return trace
     size = np.bincount(cohort, minlength=len(summaries))
 
     def mean(values: np.ndarray) -> np.ndarray:

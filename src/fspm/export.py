@@ -106,9 +106,8 @@ def build_skeleton(
 
     axis_dir: dict[str, np.ndarray] = {}
     for axis in order:
-        if (axis.id, axis.first_ca, 1) not in geo or (
-            not axis.is_root and axis.parent_id not in axis_dir
-        ):
+        # An axis born by the horizon has a parent born by then, walked first.
+        if (axis.id, axis.first_ca, 1) not in geo:
             continue  # beyond the simulated horizon
         if axis.is_root:
             direction = np.array([0.0, 0.0, 1.0])

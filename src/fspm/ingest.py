@@ -335,8 +335,8 @@ def samples_by_gu(topology: TreeTopology, internodes: Sequence[InternodeRecord],
                                    f"ca {rec.gu_ca}) is of tree {rec.tree_id!r}")
             samples = table.get((rec.axis_id, rec.gu_ca))
             if samples is None:
-                raise ValidationError(
-                    f"record references unknown GU ({rec.axis_id!r}, ca {rec.gu_ca})")
+                raise ValidationError(f"tree {topology.tree_id!r}: record references "
+                                      f"unknown GU ({rec.axis_id!r}, ca {rec.gu_ca})")
             samples[field_index].append(rec)
     return list(table.values())
 

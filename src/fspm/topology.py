@@ -63,7 +63,6 @@ class GrowthUnit:
     ca: int
     internode_count: int
     leaf_scar_count: int = 0
-    borne_axis_ids: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -198,35 +197,40 @@ class TreeTopology:
 
     @cached_property
     def subtree_ranges(self) -> SubtreeRanges:
-        """Pre-order ranges of the internodes above each one, built once."""
+        """Pre-order ranges of the internodes above each one, built once.
+
+        The walk keeps its own stack, so axes may nest to any depth.
+        """
         first: dict[str, int] = {}
         size = 0
         for axis in self.axes_sorted():
             first[axis.id] = size
             size += sum(gu.internode_count for gu in axis.gus)
+        # Borne axes follow the axis, highest insertion first, so the axes
+        # borne from any GU upward end where the lower ones begin.
+        order: list[tuple[Axis, list[Axis], int, int]] = []
         ca: list[int] = []
-        start = np.empty(size, dtype=np.intp)
-        stop = np.empty(size, dtype=np.intp)
-
-        def visit(axis: Axis) -> None:
-            base, top = first[axis.id], len(ca)
+        stack = [self.root]
+        while stack:
+            axis = stack.pop()
+            low = len(ca)  # the axis's own internodes are ca[low:high]
             for gu in axis.gus:
                 ca.extend([gu.ca] * gu.internode_count)
-            length = len(ca) - top
-            start[base : base + length] = np.arange(top, top + length)
-            # Borne axes follow the axis, highest insertion first, so the
-            # axes borne from any GU upward end where the lower ones begin.
-            stop_at: dict[int, int] = {}
-            for child in sorted(self.children_of(axis.id), key=lambda c: -c.insertion_ca):
-                visit(child)
-                stop_at[child.insertion_ca] = len(ca)
-            end, j = top + length, base + length
+            children = sorted(self.children_of(axis.id), key=lambda c: -c.insertion_ca)
+            order.append((axis, children, low, len(ca)))
+            stack.extend(reversed(children))
+        start = np.empty(size, dtype=np.intp)
+        stop = np.empty(size, dtype=np.intp)
+        end: dict[str, int] = {}  # where each axis's subtree ends in the pre-order
+        for axis, children, low, high in reversed(order):
+            j = first[axis.id] + high - low
+            start[first[axis.id] : j] = np.arange(low, high)
+            stop_at = {child.insertion_ca: end[child.id] for child in children}
+            end[axis.id] = end[children[-1].id] if children else high
             for gu in reversed(axis.gus):
-                end = stop_at.get(gu.ca, end)
-                stop[j - gu.internode_count : j] = end
+                high = stop_at.get(gu.ca, high)
+                stop[j - gu.internode_count : j] = high
                 j -= gu.internode_count
-
-        visit(self.root)
         ranges = SubtreeRanges(ca=np.array(ca, dtype=int), start=start, stop=stop)
         for array in ranges:
             array.flags.writeable = False
@@ -296,14 +300,6 @@ def build_topology(
             )
         gus_by_axis[rec.axis_id].append(rec)
 
-    # Axes borne by each (axis, GU cycle), recorded on the bearing GU.
-    borne: dict[tuple[str, int], tuple[str, ...]] = {}
-    for axis_id in sorted(by_id):
-        rec = by_id[axis_id]
-        if rec.parent_axis_id is not None:
-            key = (rec.parent_axis_id, rec.insertion_ca)
-            borne[key] = borne.get(key, ()) + (axis_id,)
-
     axes: dict[str, Axis] = {}
     for axis_id in sorted(by_id):
         rec = by_id[axis_id]
@@ -327,8 +323,7 @@ def build_topology(
                 )
         gus = tuple(
             GrowthUnit(ca=g.gu_ca, internode_count=g.internode_count,
-                       leaf_scar_count=g.leaf_scar_count,
-                       borne_axis_ids=borne.get((axis_id, g.gu_ca), ()))
+                       leaf_scar_count=g.leaf_scar_count)
             for g in rows
         )
         axes[axis_id] = Axis(

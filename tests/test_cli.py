@@ -147,6 +147,30 @@ class TestGrovePipeline:
             assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("flag, value", [("--q0", 9.0), ("--rp", 3.2), ("--pc", 0.3)])
+    def test_command_line_value_wins_over_hidden(self, grove_pipeline, tmp_path, flag, value):
+        # The flag replaces the fit result's value; the other two still come
+        # from the file, so the run equals one given all three on the line.
+        _, trees, params = grove_pipeline
+        tree, pa_map, _ = trees["P2"]
+        hidden = tmp_path / "fit_result.json"
+        hidden.write_text('{"q0": {"P2": 12.0}, "rp": 6.4, "pc": 0.14}')
+        explicit = {"--q0": 12.0, "--rp": 6.4, "--pc": 0.14, flag: value}
+        runs = {"hidden": ["--hidden", hidden, flag, value],
+                "explicit": [cell for pair in explicit.items() for cell in pair]}
+        common = ["--tree", tree, "--pa-map", pa_map, "--params", params]
+        for name, hidden_args in runs.items():
+            assert run("simulate", *common, *hidden_args, "--out", tmp_path / name) == 0
+            assert run("export-skeleton", *common, *hidden_args, "--seed", 7,
+                       "--out", tmp_path / f"{name}.csv") == 0
+        manifests = [json.loads((tmp_path / name / "run_manifest.json").read_text())
+                     for name in runs]
+        assert manifests[0]["config_hash"] == manifests[1]["config_hash"]
+        for name in ("trace.csv", "organs.csv"):
+            assert (tmp_path / "hidden" / name).read_bytes() == \
+                (tmp_path / "explicit" / name).read_bytes()
+        assert (tmp_path / "hidden.csv").read_bytes() == (tmp_path / "explicit.csv").read_bytes()
+
 
 class TestFitCommand:
     def test_roundtrip_fixture(self, tmp_path):
@@ -436,7 +460,7 @@ class TestBadInputFiles:
                         "--n-starts", 0]}[command]
         err = self.one_error_line(capsys, [*argv, "--out", out])
         gu_ca = doc["measurements"][table][0]["gu_ca"]
-        assert err == f"fspm {command}: record references unknown GU ('zz', ca {gu_ca})"
+        assert err == f"fspm {command}: tree 'P2': record references unknown GU ('zz', ca {gu_ca})"
         assert not out.exists()
 
     @pytest.mark.parametrize("place, key, value, message", [

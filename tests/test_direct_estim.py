@@ -209,8 +209,24 @@ class TestEstimateDirectParams:
         t, ms = four_axis_fixture()
         records = getattr(ms, table)
         records.append(records[-1]._replace(axis_id="B", gu_ca=1))
-        with pytest.raises(ValidationError, match=r"^record references unknown GU \('B', ca 1\)$"):
+        with pytest.raises(ValidationError, match=r"^tree 'T': record references unknown GU \('B', ca 1\)$"):
             estimate_direct_params([(t, ms)])
+
+    def test_top_gu_without_internode_samples_warns(self, caplog):
+        # E's top GU has no records: it leaves the sink and allometry fits
+        # as it would if E were not there, and the log names it.
+        t, ms = four_axis_fixture()
+        axes = ms.axes + [AxisRecord("T", "E", "A", 1)]
+        gus = ms.gus + [GURecord("T", "E", 2, 2, 2)]
+        pa = {axis.id: axis.pa for axis in t.axes.values()}
+        wide = with_physio_ages(build_topology(axes, gus), {**pa, "E": 2})
+        with caplog.at_level("WARNING", logger="fspm.direct_estim"):
+            got = estimate_direct_params([(wide, ms)])
+        assert [r.getMessage() for r in caplog.records] == [
+            "tree T axis E top GU has no internode samples; "
+            "skipped for sink and allometry fits"
+        ]
+        assert got == estimate_direct_params([(t, ms)])
 
     def test_roundtrip_json(self):
         dp = DirectParams(

@@ -620,6 +620,26 @@ class TestUnevenTree:
         assert gained == pytest.approx(np.full(len(gained), pool / len(gained)), rel=1e-9)
         assert_conserved(trace, hp, tol=1e-9)
 
+    def test_pipe_weights_on_axes_nested_past_the_recursion_limit(self, dp3, hp):
+        # Axis k bears axis k + 1 from its cycle-1 GU, 1,100 deep (Python's
+        # default recursion limit is 1,000); every axis grows cycles 1-2.
+        # On cycle 2 the cycle-1 internode of axis k carries the cycle-2
+        # blades of axis k and of every axis above it: depth - k of them.
+        depth = 1_100
+        ids = [f"x{k:05d}" for k in range(depth)]
+        axes = [AxisRecord("D", ids[0], None, None)]
+        axes += [AxisRecord("D", child, parent, 1) for parent, child in zip(ids, ids[1:])]
+        gus = [GURecord("D", axis_id, ca, 1, 1) for axis_id in ids for ca in (1, 2)]
+        t = with_physio_ages(build_topology(axes, gus), {i: 1 if i == ids[0] else 2 for i in ids})
+        cfg = SimConfig(ring_mode="pipe")
+        weights = _ring_weights(t, cfg)
+        assert not weights[0].any()
+        assert np.array_equal(weights[1, 0::2], np.arange(depth, 0, -1))
+        assert not weights[1, 1::2].any()
+        trace = simulate(hp, dp3, t, cfg)
+        assert_conserved(trace, hp, tol=1e-9)
+        assert trace.organs.ring.sum() == pytest.approx(trace.ring_pool.sum(), rel=1e-12)
+
 
 class TestUnevenTreeProperties:
     """Pipe weights and conservation on drawn uneven trees."""

@@ -329,7 +329,7 @@ class TestBuildTargetSeries:
         topo, ms = simple_tree([1.0, 2.0])
         records = getattr(ms, table)
         records.append(records[0]._replace(gu_ca=3))
-        with pytest.raises(ValidationError, match=r"^record references unknown GU \('A', ca 3\)$"):
+        with pytest.raises(ValidationError, match=r"^tree 'T': record references unknown GU \('A', ca 3\)$"):
             build_target_series(ms, topo)
 
     def test_missing_leaf_samples_inherit_and_warn(self, caplog):
@@ -439,7 +439,7 @@ class TestSamplesByGU:
         topo = self.two_axis_tree()
         stray = InternodeRecord("T", axis_id, ca, 1, 1.0, 2.0, 3.0)
         with pytest.raises(ValidationError,
-                           match=rf"^record references unknown GU \('{axis_id}', ca {ca}\)$"):
+                           match=rf"^tree 'T': record references unknown GU \('{axis_id}', ca {ca}\)$"):
             samples_by_gu(topo, [stray], [])
 
 

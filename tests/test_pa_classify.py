@@ -152,7 +152,7 @@ class TestTopInternodeWeight:
     def test_record_on_a_missing_gu_raises(self):
         t = tree_with_axes({"A": (None, None, [1])})
         records = [internode("A", 1, 1, 3.0), internode("B", 1, 1, 9.0)]
-        with pytest.raises(ValidationError, match=r"^record references unknown GU \('B', ca 1\)$"):
+        with pytest.raises(ValidationError, match=r"^tree 'T': record references unknown GU \('B', ca 1\)$"):
             top_internode_weight(t, records)
 
 

@@ -51,7 +51,8 @@ class TestBuildTopology:
             [gu("T", "A", 1), gu("T", "A", 2), gu("T", "B", 3)],
         )
         assert t.axes["B"].first_ca == 3
-        assert t.axes["A"].gus[1].borne_axis_ids == ("B",)
+        assert [(c.id, c.insertion_ca) for c in t.children_of("A")] == [("B", 2)]
+        assert t.children_of("B") == []
 
     def test_child_at_insertion_cycle_allowed(self):
         t = build_topology(
@@ -139,7 +140,8 @@ class TestBuildTopology:
         gus += [gu("T", "B", 1, 1), gu("T", "B", 2, 1), gu("T", "C", 3, 1),
                 gu("T", "D", 2, 1), gu("T", "E", 3, 1)]
         t = build_topology(axes, gus)
-        borne = {(a.id, g.ca): g.borne_axis_ids for a in t.axes.values() for g in a.gus}
+        borne = {(a.id, g.ca): tuple(c.id for c in t.children_of(a.id) if c.insertion_ca == g.ca)
+                 for a in t.axes.values() for g in a.gus}
         assert borne == {
             ("A", 1): ("B", "D"), ("A", 2): ("C",), ("A", 3): (),
             ("B", 1): (), ("B", 2): ("E",), ("C", 3): (), ("D", 2): (), ("E", 3): (),
