@@ -671,14 +671,13 @@ def fit_hidden(
     result's SSE is the simulator's, at the optimum.
     """
     lo, hi = problem.log_bounds()
-    x_init = problem.pack(init)
-    if np.any(x_init < lo) or np.any(x_init > hi):
-        bad = [
-            problem.param_names[j]
-            for j in range(len(x_init))
-            if not lo[j] <= x_init[j] <= hi[j]
-        ]
-        raise InfeasibleInit(f"init outside bounds for {bad}")
+    # A value <= 0 or non-finite has no finite log; NaN fails every bound.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_init = problem.pack(init)
+    bad = [name for name, x, a, b in zip(problem.param_names, x_init.tolist(), lo, hi)
+           if not a <= x <= b]
+    if bad:
+        raise InfeasibleInit(f"init must be finite and inside the bounds for {bad}")
 
     passes = _Passes(problem)
     # The standard library's seeded generator: a fit never loads

@@ -9,9 +9,10 @@ the directly measurable parameters, ``simulate`` runs the growth engine,
 the factorized engine against explicit expansion.
 
 Exit codes: 0 success, 1 validation/usage error (bad input file, parameter
-or option), 2 convergence failure, 3 runtime model failure (such as biomass
-to allocate with no sink to take it, or a simulation failing inside the
-fit), each error reported in one line.
+or option, or an output path that cannot be written), 2 convergence
+failure, 3 runtime model failure (such as biomass to allocate with no sink
+to take it, or a simulation failing inside the fit), each error reported in
+one line.
 Every output directory receives exactly one ``run_manifest.json``, which
 records the command's inputs and configuration, its elapsed time, the
 process's peak resident memory and the Python and numpy versions; outputs
@@ -220,12 +221,21 @@ def _hidden_from_args(args) -> HiddenParams:
     return HiddenParams(q0=q0, rp=rp, pc=pc)
 
 
-def _cmd_simulate(args) -> int:
+def _run_model(args, cycles: int | None = None):
+    """Simulate the model ``_add_model_flags`` names; returns the classified
+    topology, the trace and a manifest config of the flags and parameters used."""
     classified, _ = _classified(args.tree, args.pa_map)
     dp = DirectParams.load(args.params)
     hp = _hidden_from_args(args)
+    trace = simulate(hp, dp, classified, _sim_config(args), cycles=cycles)
+    config = {"command": args.command, "ring_mode": args.ring_mode,
+              "ring_demand": args.ring_demand, "q0": hp.q0, "rp": hp.rp, "pc": hp.pc}
+    return classified, trace, config
+
+
+def _cmd_simulate(args) -> int:
+    _, trace, config = _run_model(args, args.cycles)
     targets = TargetSeries.load(args.targets) if args.targets else None
-    trace = simulate(hp, dp, classified, _sim_config(args), cycles=args.cycles)
     fit_csvs = {} if targets is None else export_fit_csv(trace, targets)
     out = Path(args.out)
     _atomic_write(out / "trace.csv", export_trace_csv(trace))
@@ -235,11 +245,7 @@ def _cmd_simulate(args) -> int:
     inputs = [args.tree, args.pa_map, args.params]
     if targets is not None:
         inputs.append(args.targets)
-    _write_manifest(out, args, inputs, {
-        "command": "simulate", "ring_mode": args.ring_mode,
-        "ring_demand": args.ring_demand, "cycles": args.cycles,
-        "q0": hp.q0, "rp": hp.rp, "pc": hp.pc,
-    })
+    _write_manifest(out, args, inputs, {**config, "cycles": args.cycles})
     return 0
 
 
@@ -278,15 +284,11 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_export_skeleton(args) -> int:
-    classified, _ = _classified(args.tree, args.pa_map)
-    dp = DirectParams.load(args.params)
-    hp = _hidden_from_args(args)
-    trace = simulate(hp, dp, classified, _sim_config(args))
+    classified, trace, config = _run_model(args)
     out = Path(args.out)
     _atomic_write(out, export_skeleton(trace, classified, args.seed))
-    _write_manifest(out.parent, args,
-                    [args.tree, args.pa_map, args.params],
-                    {"command": "export-skeleton", "seed": args.seed})
+    _write_manifest(out.parent, args, [args.tree, args.pa_map, args.params],
+                    {**config, "seed": args.seed})
     return 0
 
 
@@ -428,10 +430,8 @@ def main(argv: list[str] | None = None) -> int:
     args.started = time.perf_counter()
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"fspm {args.command}: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    # OSError: an input that cannot be read or an --out that cannot be written.
+    except (ValidationError, OSError) as exc:
         print(f"fspm {args.command}: {exc}", file=sys.stderr)
         return 1
     except FspmError as exc:  # a model failure at run time, not bad input

@@ -110,13 +110,13 @@ class SimulationFailed(FspmError):
 # -- calibration --------------------------------------------------------------
 
 class InfeasibleInit(ValidationError):
-    """Initial parameter guess outside the declared bounds."""
+    """Initial parameter guess not finite or outside the declared bounds."""
 
 
 # -- export -------------------------------------------------------------------
 
 class TreeMismatch(ValidationError):
-    """Trace and target series belong to different trees."""
+    """A trace and the targets or topology it is paired with belong to different trees."""
 
 
 @contextlib.contextmanager

@@ -3,26 +3,41 @@
 Branch positions were never part of the measurements, so skeleton azimuths
 are arbitrary by design: successive insertions rotate by the golden angle
 with a little seeded jitter, which keeps output files byte-identical for a
-given seed while avoiding planar trees.
+given seed while avoiding planar trees.  Skeleton segments are numbered in
+the order of a breadth-first walk of the axes from the root, and each axis
+runs from base to tip.
+
+Every table is written column by column through one CSV writer: a header,
+then one row per observation, organ or segment, floats as their ``repr``
+(so they read back exactly), lines ending in ``"\\n"``.
 """
 from __future__ import annotations
 
 import csv
 import io
 import math
-from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import accumulate, chain
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .calibrate import _Observed
 from .engine import SimulationTrace
-from .errors import ValidationError
+from .errors import TreeMismatch, ValidationError
 from .ingest import TargetSeries
 from .topology import TreeTopology
 
 GOLDEN_ANGLE_DEG = 137.5
 BRANCH_TILT_DEG = 40.0
+
+
+def _csv(header: Sequence[str], *columns: Iterable) -> str:
+    """CSV text: ``header``, then one row per position of the columns."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*columns))
+    return buf.getvalue()
 
 
 def export_fit_csv(trace: SimulationTrace, targets: TargetSeries) -> dict[str, str]:
@@ -35,27 +50,31 @@ def export_fit_csv(trace: SimulationTrace, targets: TargetSeries) -> dict[str, s
     """
     obs = _Observed.of(targets, trace.tree_id, trace.cohorts, trace.cycles)
     groups = [f"{pa},{ca}" for pa, ca in obs.keys]
-    cycles = [str(i + 1) for i in obs.cycles.tolist()]
-    rows = zip([*groups, *groups, *cycles, *cycles],
-               map(repr, obs.measured.tolist()), map(repr, obs.simulated(trace).tolist()))
+    cycles = [i + 1 for i in obs.cycles.tolist()]
+    keys = [*groups, *groups, *cycles, *cycles]
+    measured, simulated = obs.measured.tolist(), obs.simulated(trace).tolist()
     tables = {}
+    at = 0
     for name, size in (("diameter_per_gu", len(groups)), ("mass_per_gu", len(groups)),
                        ("cum_internode", len(cycles)), ("cum_blade", len(cycles))):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("key", "measured", "simulated"))
-        writer.writerows(islice(rows, size))
-        tables[name] = buf.getvalue()
+        rows = slice(at, at + size)
+        tables[name] = _csv(("key", "measured", "simulated"),
+                            keys[rows], measured[rows], simulated[rows])
+        at += size
     return tables
 
 
-@dataclass(frozen=True)
-class Segment:
-    segment_id: int
-    parent_id: int | None
-    start: tuple[float, float, float]
-    end: tuple[float, float, float]
-    radius_cm: float
+class Skeleton(NamedTuple):
+    """Skeleton columns, one row per segment; segment ``i`` has id ``i + 1``.
+
+    ``parent`` holds parent ids (0 at the root's base); ``start`` and
+    ``end`` are (n, 3) points in cm.
+    """
+
+    parent: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    radius_cm: np.ndarray
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -78,41 +97,59 @@ def _basis(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def build_skeleton(
-    trace: SimulationTrace, topology: TreeTopology, seed: int
-) -> list[Segment]:
+def build_skeleton(trace: SimulationTrace, topology: TreeTopology, seed: int) -> Skeleton:
     """One straight segment per internode, cylinder radius attached.
 
     The root axis grows vertically from the origin; each branch tilts a
     fixed angle off its parent's direction at an azimuth that advances by
-    the golden angle per insertion, plus seeded jitter.  An axis's segment
-    ends are one running sum of its internode vectors from its start.
+    the golden angle per insertion, plus seeded jitter, and starts at the
+    top of its bearing GU.  An axis's segment ends are one running sum of
+    its internode vectors from its start.  The organ table lists the
+    internodes born by ``trace.cycles`` in census order (axes by id, GUs by
+    cycle, then rank), so each axis's internodes are one slice of it.
+    Raises TreeMismatch for a trace of another tree and ValidationError for
+    an organ table of another length.
     """
-    if trace.organs is None:
-        raise ValidationError("skeleton export needs an explicit-mode trace")
-
     organs = trace.organs
-    geo = dict(zip(organs.positions,
-                   zip(organs.length_cm.tolist(), organs.diameter_cm.tolist())))
+    if organs is None:
+        raise ValidationError("skeleton export needs an explicit-mode trace")
+    if trace.tree_id != topology.tree_id:
+        raise TreeMismatch(
+            f"tree {topology.tree_id!r}: skeleton of a trace of tree {trace.tree_id!r}"
+        )
+    through: dict[str, list[int]] = {}  # an axis's born internodes through each GU
+    first: dict[str, int] = {}  # where an axis's slice begins
+    size = 0
+    for axis in topology.axes_sorted():
+        born = (gu.internode_count for gu in axis.gus if gu.ca <= trace.cycles)
+        through[axis.id] = list(accumulate(born, initial=0))
+        first[axis.id] = size
+        size += through[axis.id][-1]
+    if size != len(organs):
+        raise ValidationError(
+            f"tree {topology.tree_id!r}: organ table holds {len(organs)} internodes, "
+            f"the topology {size} born by cycle {trace.cycles}"
+        )
+
     rng = np.random.default_rng(seed)
-    segments: list[Segment] = []
-    seg_id_of: dict[tuple[str, int, int], int] = {}
-    branch_counter = 0
+    parent = np.arange(size)  # a segment's parent is the one below it, but for an axis base
+    start = np.empty((size, 3))
+    end = np.empty((size, 3))
+    rows = np.empty(size, dtype=np.intp)  # each segment's organ table row
+    axis_dir: dict[str, np.ndarray] = {}
+    base: dict[str, int] = {}  # each walked axis's first segment
+    done = branch_counter = 0
 
     # Parents before children: walk from the root in insertion order.
     order = [topology.root]
     for axis in order:
         order.extend(topology.children_of(axis.id))
-
-    axis_dir: dict[str, np.ndarray] = {}
-    for axis in order:
-        # An axis born by the horizon has a parent born by then, walked first.
-        if (axis.id, axis.first_ca, 1) not in geo:
-            continue  # beyond the simulated horizon
+        n = through[axis.id][-1]
+        if not n:
+            continue  # beyond the simulated horizon, and so are its children
         if axis.is_root:
             direction = np.array([0.0, 0.0, 1.0])
-            start = np.zeros(3)
-            parent_seg = None
+            origin = np.zeros(3)
         else:
             parent_dir = axis_dir[axis.parent_id]
             azimuth = math.radians(
@@ -126,74 +163,44 @@ def build_skeleton(
                 + math.sin(tilt) * (math.cos(azimuth) * u + math.sin(azimuth) * v)
             )
             direction = direction / np.linalg.norm(direction)
-            bearing = topology.axes[axis.parent_id].gu_at(axis.insertion_ca)
-            parent_seg = seg_id_of[
-                (axis.parent_id, axis.insertion_ca, bearing.internode_count)
-            ]
-            start = np.asarray(segments[parent_seg - 1].end)
+            bearing = topology.axes[axis.parent_id]
+            top = base[bearing.id] + through[bearing.id][axis.insertion_ca - bearing.first_ca + 1]
+            parent[done] = top
+            origin = end[top - 1]
         axis_dir[axis.id] = direction
+        base[axis.id] = done
+        lo = first[axis.id]
+        ends = np.cumsum(np.vstack([origin, organs.length_cm[lo : lo + n, None] * direction]),
+                         axis=0)
+        start[done : done + n] = ends[:-1]
+        end[done : done + n] = ends[1:]
+        rows[done : done + n] = range(lo, lo + n)
+        done += n
 
-        keys = [(axis.id, gu.ca, rank)
-                for gu in axis.gus for rank in range(1, gu.internode_count + 1)]
-        keys = [key for key in keys if key in geo]
-        lengths = np.array([geo[key][0] for key in keys])
-        ends = np.cumsum(np.vstack([start, lengths[:, None] * direction]), axis=0)
-        points = [tuple(p) for p in ends.tolist()]
-        for key, a, b in zip(keys, points, points[1:]):
-            segments.append(
-                Segment(
-                    segment_id=len(segments) + 1,
-                    parent_id=parent_seg,
-                    start=a,
-                    end=b,
-                    radius_cm=geo[key][1] / 2.0,
-                )
-            )
-            parent_seg = seg_id_of[key] = len(segments)
-
-    return segments
+    return Skeleton(parent, start, end, organs.diameter_cm[rows] / 2.0)
 
 
 def export_skeleton(trace: SimulationTrace, topology: TreeTopology, seed: int) -> str:
-    """Skeleton CSV: segment_id,parent_id,x0,y0,z0,x1,y1,z1,radius_cm."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ("segment_id", "parent_id", "x0", "y0", "z0", "x1", "y1", "z1", "radius_cm")
+    """Skeleton CSV: segment_id,parent_id,x0,y0,z0,x1,y1,z1,radius_cm.
+
+    Segments are numbered in the order of :func:`build_skeleton`'s walk,
+    each axis from base to tip; the root axis's base has no parent id.
+    """
+    skeleton = build_skeleton(trace, topology, seed)
+    return _csv(
+        ("segment_id", "parent_id", "x0", "y0", "z0", "x1", "y1", "z1", "radius_cm"),
+        range(1, len(skeleton.parent) + 1),
+        [p or "" for p in skeleton.parent.tolist()],
+        *skeleton.start.T.tolist(), *skeleton.end.T.tolist(),
+        skeleton.radius_cm.tolist(),
     )
-    for seg in build_skeleton(trace, topology, seed):
-        writer.writerow(
-            (
-                seg.segment_id,
-                "" if seg.parent_id is None else seg.parent_id,
-                repr(seg.start[0]), repr(seg.start[1]), repr(seg.start[2]),
-                repr(seg.end[0]), repr(seg.end[1]), repr(seg.end[2]),
-                repr(seg.radius_cm),
-            )
-        )
-    return buf.getvalue()
 
 
 def export_trace_csv(trace: SimulationTrace) -> str:
     """Per-cycle series: cycle,q_prod,demand,leaf_surface,cum_internode_mass,cum_blade_mass."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ("cycle", "q_prod", "demand", "leaf_surface",
-         "cum_internode_mass", "cum_blade_mass")
-    )
-    for i in range(trace.cycles):
-        writer.writerow(
-            (
-                i + 1,
-                repr(float(trace.q_prod[i])),
-                repr(float(trace.demand[i])),
-                repr(float(trace.leaf_surface[i])),
-                repr(float(trace.cum_internode_mass[i])),
-                repr(float(trace.cum_blade_mass[i])),
-            )
-        )
-    return buf.getvalue()
+    names = ("q_prod", "demand", "leaf_surface", "cum_internode_mass", "cum_blade_mass")
+    return _csv(("cycle", *names), range(1, trace.cycles + 1),
+                *(getattr(trace, name).tolist() for name in names))
 
 
 def export_organs_csv(trace: SimulationTrace) -> str:
@@ -203,29 +210,17 @@ def export_organs_csv(trace: SimulationTrace) -> str:
     from their cohorts (all blades of a cohort weigh the same).  Factored
     traces list one aggregate row per cohort and kind instead.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("pa", "birth_cycle", "kind", "mass_g", "length_cm", "diameter_mm"))
-    if trace.organs is not None:
-        org = trace.organs
-        writer.writerows(zip(
-            org.pa.tolist(), org.birth.tolist(), repeat("internode"),
-            map(repr, (org.primary + org.ring).tolist()),
-            map(repr, org.length_cm.tolist()),
-            map(repr, (org.diameter_cm * 10.0).tolist()),
-        ))
-        for (pa, birth), cohort in sorted(trace.cohorts.items()):
-            row = (pa, birth, "blade", repr(cohort.blade_mass), "", "")
-            writer.writerows(repeat(row, cohort.n_blades))
+    cohorts = [c for _, c in sorted(trace.cohorts.items())]
+    blades = [(c.pa, c.birth, "blade", c.blade_mass, "", "") for c in cohorts]
+    org = trace.organs
+    if org is None:  # an internode row, then a blade row, per cohort
+        internodes = [(c.pa, c.birth, "internode", c.internode_mass, c.length_cm,
+                       c.diameter_cm * 10.0) for c in cohorts]
+        columns = zip(*chain.from_iterable(zip(internodes, blades)))
     else:
-        for (pa, birth), cohort in sorted(trace.cohorts.items()):
-            writer.writerow(
-                (
-                    pa, birth, "internode",
-                    repr(cohort.internode_mass),
-                    repr(cohort.length_cm),
-                    repr(cohort.diameter_cm * 10.0),
-                )
-            )
-            writer.writerow((pa, birth, "blade", repr(cohort.blade_mass), "", ""))
-    return buf.getvalue()
+        internodes = (org.pa.tolist(), org.birth.tolist(), ["internode"] * len(org),
+                      (org.primary + org.ring).tolist(), org.length_cm.tolist(),
+                      (org.diameter_cm * 10.0).tolist())
+        expanded = zip(*(row for row, c in zip(blades, cohorts) for _ in range(c.n_blades)))
+        columns = (column + list(more) for column, more in zip(internodes, expanded))
+    return _csv(("pa", "birth_cycle", "kind", "mass_g", "length_cm", "diameter_mm"), *columns)

@@ -278,15 +278,18 @@ def build_topology(
                 f"axis {rec.axis_id!r} names unknown parent {rec.parent_axis_id!r}"
             )
 
-    # Parent links must form a tree rooted at the single root.
+    # Parent links must form a tree rooted at the single root.  A walk ends
+    # at an axis an earlier walk reached the root from; a loop reaches none.
+    rooted: set[str] = set()
     for rec in by_id.values():
         seen = {rec.axis_id}
         cur = rec.parent_axis_id
-        while cur is not None:
+        while cur is not None and cur not in rooted:
             if cur in seen:
                 raise CycleDetected(f"parent links loop through axis {cur!r}")
             seen.add(cur)
             cur = by_id[cur].parent_axis_id
+        rooted |= seen
 
     gus_by_axis: dict[str, list[GURecord]] = {k: [] for k in by_id}
     for rec in gu_records:

@@ -242,6 +242,18 @@ class TestFitHidden:
         with pytest.raises(InfeasibleInit):
             fit_hidden(problem, FreeParams(q0={"t1": 1e9}, rp=4.0, pc=0.1))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+    def test_init_without_a_finite_log(self, dp2, value):
+        # Checked before any log is taken: no warning, and no fit runs.
+        hp = HiddenParams(q0=5.0, rp=4.0, pc=0.1)
+        problem = synthetic_problem(dp2, {"t1": hp}, [3])
+        init = FreeParams(q0={"t1": value}, rp=4.0, pc=value)
+        with pytest.raises(InfeasibleInit, match=(
+            r"^init must be finite and inside the bounds for \['q0:t1', 'pc'\]$"
+        )):
+            fit_hidden(problem, init, FitOptions(n_starts=0))
+
 
 ACCEPTANCE_Q0 = {"tree1": 14.23, "tree2": 0.97, "tree3": 47.23, "tree4": 10.94}
 ACCEPTANCE_AGES = (3, 4, 5, 6)

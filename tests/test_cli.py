@@ -162,14 +162,28 @@ class TestGrovePipeline:
         for name, hidden_args in runs.items():
             assert run("simulate", *common, *hidden_args, "--out", tmp_path / name) == 0
             assert run("export-skeleton", *common, *hidden_args, "--seed", 7,
-                       "--out", tmp_path / f"{name}.csv") == 0
-        manifests = [json.loads((tmp_path / name / "run_manifest.json").read_text())
-                     for name in runs]
-        assert manifests[0]["config_hash"] == manifests[1]["config_hash"]
+                       "--out", tmp_path / f"{name}_skeleton" / "skeleton.csv") == 0
+        for out in ("{}", "{}_skeleton"):
+            manifests = [json.loads((tmp_path / out.format(name) / "run_manifest.json").read_text())
+                         for name in runs]
+            assert manifests[0]["config_hash"] == manifests[1]["config_hash"]
         for name in ("trace.csv", "organs.csv"):
             assert (tmp_path / "hidden" / name).read_bytes() == \
                 (tmp_path / "explicit" / name).read_bytes()
-        assert (tmp_path / "hidden.csv").read_bytes() == (tmp_path / "explicit.csv").read_bytes()
+        assert (tmp_path / "hidden_skeleton" / "skeleton.csv").read_bytes() == \
+            (tmp_path / "explicit_skeleton" / "skeleton.csv").read_bytes()
+
+    def test_skeleton_manifest_records_hidden_parameters(self, grove_pipeline, tmp_path):
+        _, trees, params = grove_pipeline
+        tree, pa_map, _ = trees["P2"]
+        hashes = []
+        for pc in (0.14, 0.15):
+            out = tmp_path / f"pc{pc}"
+            assert run("export-skeleton", "--tree", tree, "--pa-map", pa_map, "--params", params,
+                       "--q0", 12.0, "--rp", 6.4, "--pc", pc, "--out", out / "skeleton.csv") == 0
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            hashes.append(manifest["config_hash"])
+        assert hashes[0] != hashes[1]
 
 
 class TestFitCommand:
@@ -315,7 +329,8 @@ class TestInvalidParameters:
 
 
 class TestBadInputFiles:
-    """Malformed parameter files and fit options end in exit 1 and one line."""
+    """Malformed parameter files, fit options and --out paths that cannot be
+    written end in exit 1 and one line."""
 
     def simulate_args(self, grove_pipeline, tmp_path, params=None, hidden=None):
         _, trees, good_params = grove_pipeline
@@ -648,6 +663,45 @@ class TestBadInputFiles:
         err = self.one_error_line(capsys, argv)
         assert err.startswith(f"fspm fit: {name} must be an integer >= 0")
         assert not (tmp_path / "fit").exists()
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("flag, names", [
+        ("--init-q0", "['q0:P1', 'q0:P2']"), ("--init-pc", "['pc']"),
+    ])
+    def test_fit_rejects_init_without_a_finite_log(self, grove_pipeline, tmp_path, capsys,
+                                                   flag, names, value):
+        _, trees, params = grove_pipeline
+        argv = ["fit", "--params", params, flag, value, "--n-starts", 0,
+                "--out", tmp_path / "fit"]
+        for tid in ("P1", "P2"):
+            argv += ["--tree", trees[tid][0], "--pa-map", trees[tid][1]]
+        err = self.one_error_line(capsys, argv)
+        assert err == f"fspm fit: init must be finite and inside the bounds for {names}"
+        assert not (tmp_path / "fit").exists()
+
+    def test_simulate_out_is_a_file(self, grove_pipeline, tmp_path, capsys):
+        argv = self.simulate_args(grove_pipeline, tmp_path)
+        out = tmp_path / "sim"
+        out.write_text("keep")
+        err = self.one_error_line(capsys, argv)
+        assert err == f"fspm simulate: [Errno 17] File exists: '{out}'"
+        assert out.read_text() == "keep"
+
+    def test_export_skeleton_out_is_a_directory(self, grove_pipeline, tmp_path, capsys):
+        argv = ["export-skeleton", *self.simulate_args(grove_pipeline, tmp_path)[1:]]
+        out = tmp_path / "sim"
+        out.mkdir()
+        err = self.one_error_line(capsys, argv)
+        assert err.startswith("fspm export-skeleton: [Errno 21] Is a directory")
+        assert [p.name for p in tmp_path.iterdir()] == ["sim"]  # no temp file left
+        assert not any(out.iterdir())
+
+    def test_ingest_out_under_a_file(self, tmp_path, capsys):
+        parent = tmp_path / "tree.json"
+        parent.write_text("keep")
+        err = self.one_error_line(capsys, ingest_args(SINGLE, parent / "x.json"))
+        assert err == f"fspm ingest: [Errno 17] File exists: '{parent}'"
+        assert parent.read_text() == "keep"
 
     @pytest.mark.parametrize("name, line, column, raw", [
         ("internodes.csv", 3, "diameter_mm", "nan"),

@@ -1,11 +1,16 @@
 import csv
 import io
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fspm import (
+    AxisRecord,
+    DirectParams,
+    GURecord,
     GrowthRules,
     HiddenParams,
     SimConfig,
@@ -13,17 +18,20 @@ from fspm import (
     export_organs_csv,
     export_skeleton,
     export_trace_csv,
+    build_topology,
     generate_topology,
     organ_census,
     residuals,
     simulate,
     simulate_factored,
     targets_from_trace,
+    with_physio_ages,
 )
 from fspm.calibrate import WEIGHT_FLOOR
 from fspm.errors import TreeMismatch, ValidationError
-from fspm.export import _cross, build_skeleton
+from fspm.export import _basis, _cross, build_skeleton
 from test_calibrate import acceptance_problem, doubled_init
+from test_engine import uneven_trees
 
 FAMILIES = ("diameter_per_gu", "mass_per_gu", "cum_internode", "cum_blade")
 
@@ -139,13 +147,12 @@ class TestSkeleton:
         t = generate_topology(GrowthRules(p_max=1, internodes_per_gu=1), 1, "one")
         hp = HiddenParams(q0=1.5, rp=5.0, pc=0.1)
         trace = simulate(hp, dp3, t)
-        segments = build_skeleton(trace, t, seed=0)
-        assert len(segments) == 1
-        seg = segments[0]
-        length = math.dist(seg.start, seg.end)
+        skeleton = build_skeleton(trace, t, seed=0)
+        assert len(skeleton.parent) == 1
+        length = math.dist(skeleton.start[0], skeleton.end[0])
         assert length == pytest.approx(trace.organs.length_cm[0])
-        assert seg.radius_cm == pytest.approx(trace.organs.diameter_cm[0] / 2)
-        assert seg.parent_id is None
+        assert skeleton.radius_cm[0] == pytest.approx(trace.organs.diameter_cm[0] / 2)
+        assert skeleton.parent[0] == 0  # the root's base has no parent
 
     def test_segment_count_matches_census(self, run, dp3):
         t, trace = run
@@ -170,10 +177,9 @@ class TestSkeleton:
     def test_shortened_trace_skips_unborn_internodes(self, run, dp3, hp_default):
         t, _ = run
         trace = simulate(hp_default, dp3, t, cycles=2)
-        segments = build_skeleton(trace, t, seed=5)
-        assert len(segments) == len(trace.organs)
-        for seg in segments:
-            assert seg.parent_id is None or seg.parent_id < seg.segment_id
+        skeleton = build_skeleton(trace, t, seed=5)
+        assert len(skeleton.parent) == len(trace.organs)
+        assert (skeleton.parent < np.arange(1, len(skeleton.parent) + 1)).all()
 
     def test_deterministic_under_seed(self, run):
         t, trace = run
@@ -182,15 +188,148 @@ class TestSkeleton:
 
     def test_parent_links_form_tree(self, run):
         t, trace = run
-        segments = build_skeleton(trace, t, seed=1)
-        ids = {s.segment_id for s in segments}
-        roots = [s for s in segments if s.parent_id is None]
-        assert len(roots) == 1
-        for seg in segments:
-            if seg.parent_id is not None:
-                assert seg.parent_id in ids
-                parent = segments[seg.parent_id - 1]
-                assert seg.start == pytest.approx(parent.end)
+        skeleton = build_skeleton(trace, t, seed=1)
+        n = len(skeleton.parent)
+        assert skeleton.start.shape == skeleton.end.shape == (n, 3)
+        assert (skeleton.parent == 0).sum() == 1
+        for i, parent_id in enumerate(skeleton.parent.tolist()):
+            if parent_id:
+                assert 1 <= parent_id <= n
+                assert skeleton.start[i] == pytest.approx(skeleton.end[parent_id - 1])
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_trace_of_another_tree(self, dp3, hp_default, reverse):
+        rules = GrowthRules(p_max=3, internodes_per_gu=2, branches_per_gu=1)
+        a, b = generate_topology(rules, 3, "A"), generate_topology(rules, 5, "B")
+        if reverse:
+            a, b = b, a
+        trace = simulate(hp_default, dp3, a)
+        with pytest.raises(TreeMismatch, match=(
+            f"^tree '{b.tree_id}': skeleton of a trace of tree '{a.tree_id}'$"
+        )):
+            export_skeleton(trace, b, seed=0)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_organ_table_of_another_layout(self, dp3, hp_default, reverse):
+        # Same tree id, other structure: the slices would read other axes.
+        a = generate_topology(GrowthRules(p_max=3, internodes_per_gu=2, branches_per_gu=1), 3, "T")
+        b = generate_topology(GrowthRules(p_max=3, internodes_per_gu=3, branches_per_gu=1), 5, "T")
+        if reverse:
+            a, b = b, a
+        trace = simulate(hp_default, dp3, a)
+        born = sum(gu.internode_count for _, gu in b.iter_gus() if gu.ca <= a.age)
+        assert born != len(trace.organs)
+        with pytest.raises(ValidationError, match=(
+            f"^tree 'T': organ table holds {len(trace.organs)} internodes, "
+            f"the topology {born} born by cycle {a.age}$"
+        )):
+            build_skeleton(trace, b, seed=0)
+
+
+@dataclass(frozen=True)
+class LegacySegment:
+    segment_id: int
+    parent_id: int | None
+    start: tuple[float, float, float]
+    end: tuple[float, float, float]
+    radius_cm: float
+
+
+def legacy_skeleton_csv(trace, topology, seed):
+    """build_skeleton and export_skeleton as they were: one Segment object
+    per internode, found through dicts keyed by (axis_id, gu_ca, rank)."""
+    organs = trace.organs
+    geo = dict(zip(organs.positions,
+                   zip(organs.length_cm.tolist(), organs.diameter_cm.tolist())))
+    rng = np.random.default_rng(seed)
+    segments = []
+    seg_id_of = {}
+    branch_counter = 0
+    order = [topology.root]
+    for axis in order:
+        order.extend(topology.children_of(axis.id))
+    axis_dir = {}
+    for axis in order:
+        if (axis.id, axis.first_ca, 1) not in geo:
+            continue
+        if axis.is_root:
+            direction = np.array([0.0, 0.0, 1.0])
+            start = np.zeros(3)
+            parent_seg = None
+        else:
+            parent_dir = axis_dir[axis.parent_id]
+            azimuth = math.radians(137.5 * branch_counter + rng.normal(0.0, 5.0))
+            tilt = math.radians(40.0 + rng.normal(0.0, 3.0))
+            branch_counter += 1
+            u, v = _basis(parent_dir)
+            direction = (
+                math.cos(tilt) * parent_dir
+                + math.sin(tilt) * (math.cos(azimuth) * u + math.sin(azimuth) * v)
+            )
+            direction = direction / np.linalg.norm(direction)
+            bearing = topology.axes[axis.parent_id].gu_at(axis.insertion_ca)
+            parent_seg = seg_id_of[(axis.parent_id, axis.insertion_ca, bearing.internode_count)]
+            start = np.asarray(segments[parent_seg - 1].end)
+        axis_dir[axis.id] = direction
+        keys = [(axis.id, gu.ca, rank)
+                for gu in axis.gus for rank in range(1, gu.internode_count + 1)]
+        keys = [key for key in keys if key in geo]
+        lengths = np.array([geo[key][0] for key in keys])
+        ends = np.cumsum(np.vstack([start, lengths[:, None] * direction]), axis=0)
+        points = [tuple(p) for p in ends.tolist()]
+        for key, a, b in zip(keys, points, points[1:]):
+            segments.append(LegacySegment(len(segments) + 1, parent_seg, a, b, geo[key][1] / 2.0))
+            parent_seg = seg_id_of[key] = len(segments)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("segment_id", "parent_id", "x0", "y0", "z0", "x1", "y1", "z1", "radius_cm"))
+    for seg in segments:
+        writer.writerow((
+            seg.segment_id, "" if seg.parent_id is None else seg.parent_id,
+            repr(seg.start[0]), repr(seg.start[1]), repr(seg.start[2]),
+            repr(seg.end[0]), repr(seg.end[1]), repr(seg.end[2]),
+            repr(seg.radius_cm),
+        ))
+    return buf.getvalue()
+
+
+@st.composite
+def shuffled_uneven_trees(draw):
+    """uneven_trees with the axis ids permuted, so id (census) order is
+    not the order of the skeleton's walk."""
+    t = draw(uneven_trees())
+    ids = sorted(t.axes)
+    new = dict(zip(ids, draw(st.permutations(ids))))
+    axes = [AxisRecord("H", new[a.id], new.get(a.parent_id), a.insertion_ca)
+            for a in t.axes.values()]
+    gus = [GURecord("H", new[a.id], gu.ca, gu.internode_count)
+           for a in t.axes.values() for gu in a.gus]
+    return with_physio_ages(build_topology(axes, gus), {new[a.id]: a.pa for a in t.axes.values()})
+
+
+class TestSkeletonBytes:
+    DP = DirectParams(
+        p_int={1: 0.561, 2: 0.726, 3: 0.858},
+        allometry={1: (5.0, 0.3), 2: (7.0, 0.35), 3: (9.0, 0.4)},
+        slw=0.0287,
+    )
+    HP = HiddenParams(q0=10.0, rp=6.4319, pc=0.13882)
+
+    @pytest.mark.parametrize("ring_mode", ["uniform", "pipe"])
+    @pytest.mark.parametrize("age, cycles", [(1, None), (4, None), (6, None), (4, 2), (6, 3)])
+    def test_generated_tree_matches_legacy_writer(self, ring_mode, age, cycles):
+        rules = GrowthRules(p_max=3, internodes_per_gu=2, branches_per_gu=2)
+        t = generate_topology(rules, age, "T")
+        trace = simulate(self.HP, self.DP, t, SimConfig(ring_mode=ring_mode), cycles=cycles)
+        assert export_skeleton(trace, t, 7) == legacy_skeleton_csv(trace, t, 7)
+
+    @given(t=shuffled_uneven_trees(), data=st.data(),
+           ring_mode=st.sampled_from(["uniform", "pipe"]), seed=st.integers(0, 2**32 - 1))
+    def test_uneven_tree_matches_legacy_writer(self, t, data, ring_mode, seed):
+        cycles = data.draw(st.integers(1, t.age), label="cycles")
+        trace = simulate(self.HP, self.DP, t, SimConfig(ring_mode=ring_mode), cycles=cycles)
+        assert export_skeleton(trace, t, seed) == legacy_skeleton_csv(trace, t, seed)
 
 
 class TestTraceAndOrgansCsv:

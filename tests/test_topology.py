@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -69,11 +70,28 @@ class TestBuildTopology:
             )
 
     def test_cycle_detected(self):
-        with pytest.raises(CycleDetected):
+        with pytest.raises(CycleDetected, match="^parent links loop through axis 'A'$"):
             build_topology(
                 [axis("T", "R"), axis("T", "A", "B", 1), axis("T", "B", "A", 1)],
                 [gu("T", "R", 1), gu("T", "A", 1), gu("T", "B", 1)],
             )
+
+    def test_cycle_met_after_rooted_axes(self):
+        # The walk from D enters the loop; R and C reached the root first.
+        records = [axis("T", "R"), axis("T", "C", "R", 1), axis("T", "D", "B", 1),
+                   axis("T", "A", "B", 1), axis("T", "B", "A", 1)]
+        with pytest.raises(CycleDetected, match="^parent links loop through axis 'B'$"):
+            build_topology(records, [gu("T", r.axis_id, 1) for r in records])
+
+    def test_deep_chain_builds_in_linear_time(self):
+        # Axis k bears axis k + 1.  A parent check that walked every axis
+        # to the root took about 8 s at this depth.
+        ids = [f"x{k:05d}" for k in range(10_000)]
+        records = [axis("T", ids[0])] + [axis("T", c, p, 1) for p, c in zip(ids, ids[1:])]
+        start = time.perf_counter()
+        t = build_topology(records, [gu("T", i, 1) for i in ids])
+        assert time.perf_counter() - start < 2.0
+        assert len(t.axes) == len(ids)
 
     def test_non_contiguous_ca(self):
         with pytest.raises(NonContiguousCA):
