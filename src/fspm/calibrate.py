@@ -18,14 +18,17 @@ allometry.  The ring mode only decides how each cycle's pool is spread:
 evenly over the internodes old enough to thicken, or in pipe mode in
 proportion to the functioning blades above them, so a cohort's internodes
 fall into ring classes of equal ring mass.  ``FitProblem`` builds these
-maps once per tree (a residual plan) and stacks the trees' plans.  A pass
-runs each tree's scalar recursion and its own matrix products, then
-everything else (allometry, weights, Jacobian assembly) once on all trees'
-rows.  The solver evaluates residuals through that pass, and takes the
-Jacobian from one tangent-linear pass that carries d/d(log q0, log rp,
-log pc) through the same recursions (forward-mode differentiation,
+maps once per tree (a residual plan) and stacks the trees' plans.  A
+forward sweep runs each tree's scalar recursion and its own matrix
+products, then the allometry and the weights once on all trees' rows, and
+keeps the per-cycle scalars and class values a tangent needs.  The solver
+evaluates residuals through that sweep, and takes the Jacobian from one
+tangent sweep over the stored forward state that carries d/d(log q0,
+log rp, log pc) through the same recursions (forward-mode differentiation,
 Griewank & Walther 2008, ch. 3): exact, and the price of about one
 simulation per tree where central differences need two per parameter.
+The solver asks for a Jacobian only at the point it has just evaluated, so
+the tangent sweep reuses that point's forward sweep instead of rerunning it.
 
 Finite differences (FD) are the test oracle.  :func:`residuals` and
 :func:`fd_jacobian` always run the simulator: they are the reference the
@@ -114,7 +117,8 @@ class FitProblem:
     weights, the user weights as an array and the trees' residual plans,
     stacked into one pass, are derived once, in ``__post_init__``, after
     each tree's targets are checked against its
-    topology (:meth:`_Observed.of`).  Bounds must name exactly q0, rp and
+    topology (:meth:`_Observed.of`).  Each tree is fitted once: a tree id
+    given twice fails.  Bounds must name exactly q0, rp and
     pc, finite with 0 < lo < hi, and user weights must be finite and >= 0.
     Direct parameters lacking a PA of a tree fail there, with the
     :class:`SimulationFailed` that :func:`residuals` would raise.
@@ -137,6 +141,10 @@ class FitProblem:
             raise ValidationError("one topology per target series required")
         if not self.targets:
             raise ValidationError("no targets to fit")
+        ids = self.tree_ids
+        for i, tid in enumerate(ids):
+            if tid in ids[:i]:
+                raise ValidationError(f"tree {tid!r} is given more than once")
         # census.counts raises MissingPA on an unclassified tree
         self._observed = [_Observed.of(ts, topo.tree_id, topo.census.counts, topo.age)
                           for ts, topo in zip(self.targets, self.topologies)]
@@ -339,44 +347,60 @@ class _TreePlan:
         self.obs = obs
         self.tree_id = tree_id
 
-    def _allocations(
-        self, q0: float, rp: float, pc: float, tangent: bool
-    ) -> tuple[list[float], list[list[float]]]:
-        """a_i for each cycle and, with ``tangent``, its derivatives with
-        respect to (log q0, log rp, log pc), one row per cycle."""
+    def _forward(self, q0: float, rp: float, pc: float) -> tuple[list[float], list[float]]:
+        """a_i for each cycle, and each cycle's decay exp(-s_i / sp) but the last's."""
         e, sp = self.e, self.sp
         a: list[float] = []
-        da: list[list[float]] = []
-        funded, dfunded = q0, [q0, 0.0, 0.0]
+        decays: list[float] = []
+        funded = q0
         last = len(self.g) - 1
         for i, (e_sink, g, w_row) in enumerate(zip(self.e_sinks, self.g, self.w_rows)):
-            ring = pc * g
-            d = e_sink + ring
+            d = e_sink + pc * g
             if funded > 0:
                 if d <= 0:
                     raise SimulationFailed(
                         f"tree {self.tree_id!r}: cycle {i + 1}: "
                         f"{funded} g to allocate but no demand"
                     )
-                ai = funded / d
-                if tangent:
-                    dq, dr, dp = dfunded
-                    da.append([dq / d, dr / d, (dp - ai * ring) / d])
+                a.append(funded / d)
             else:
-                ai = 0.0
-                if tangent:
-                    da.append([0.0, 0.0, 0.0])
-            a.append(ai)
+                a.append(0.0)
             if i == last:
                 break
-            s = sum(map(mul, w_row, a))
-            decay = math.exp(-s / sp)
+            decay = math.exp(-sum(map(mul, w_row, a)) / sp)
+            decays.append(decay)
             funded = e * (sp / rp) * (1.0 - decay)
-            if tangent:
-                slope = e / rp * decay
-                ds = [sum(map(mul, w_row, column)) for column in zip(*da)]
-                dfunded = [slope * ds[0], slope * ds[1] - funded, slope * ds[2]]
-        return a, da
+        return a, decays
+
+    def _tangent(
+        self, q0: float, rp: float, pc: float, a: list[float], decays: list[float]
+    ) -> np.ndarray:
+        """d a_i / d(log q0, log rp, log pc), one row per cycle, from the
+        forward sweep's ``a`` and ``decays`` at the same point."""
+        e, sp = self.e, self.sp
+        dq, dr, dp = [], [], []  # the three columns
+        funded, dfq, dfr, dfp = q0, q0, 0.0, 0.0  # funded and its three derivatives
+        last = len(self.g) - 1
+        for i, (e_sink, g, w_row, ai) in enumerate(zip(self.e_sinks, self.g, self.w_rows, a)):
+            ring = pc * g
+            d = e_sink + ring
+            if funded > 0:
+                dq.append(dfq / d)
+                dr.append(dfr / d)
+                dp.append((dfp - ai * ring) / d)
+            else:
+                dq.append(0.0)
+                dr.append(0.0)
+                dp.append(0.0)
+            if i == last:
+                break
+            decay = decays[i]
+            funded = e * (sp / rp) * (1.0 - decay)
+            slope = e / rp * decay
+            dfq = slope * sum(map(mul, w_row, dq))
+            dfr = slope * sum(map(mul, w_row, dr)) - funded
+            dfp = slope * sum(map(mul, w_row, dp))
+        return np.array([dq, dr, dp], order="F").T  # C-contiguous (cycles, 3)
 
 
 class _StackedPlan:
@@ -426,30 +450,38 @@ class _StackedPlan:
         """Stacked class values -> stacked observed cohort values."""
         parts = np.split(values, self.class_ends)
         return np.concatenate([
-            part if plan.mean is None else plan.mean @ part
+            part if plan.mean is None else plan.mean.dot(part)
             for plan, part in zip(self.trees, parts)
         ])
 
 
-def _planned(
-    problem: FitProblem, x: np.ndarray, tangent: bool = False
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """``residuals`` at log parameters x, evaluated through the stacked
-    plan, and with ``tangent`` the Jacobian in param_names order."""
+class _Sweep(NamedTuple):
+    """One forward sweep: the residuals at ``x`` and the state at ``x`` that
+    the tangent sweep reads."""
+
+    x: np.ndarray
+    res: np.ndarray
+    vals: list[float]  # exp(x)
+    runs: list[tuple[list[float], list[float]]]  # per tree: a and decays
+    ringed: np.ndarray
+    primary: np.ndarray
+    total: np.ndarray
+    diameter: np.ndarray
+
+
+def _values(problem: FitProblem, x: np.ndarray) -> _Sweep:
+    """``residuals`` at log parameters x, evaluated through the stacked plan."""
     plan = problem._plan
     vals = np.exp(x).tolist()
     n = len(plan.trees)
     rp, pc = vals[n], vals[n + 1]
-    fixed, ringed, dfixed, dringed = [], [], [], []
+    runs, fixed, ringed = [], [], []
     for tree, q0 in zip(plan.trees, vals):
-        a, da = tree._allocations(q0, rp, pc, tangent)
-        a = np.array(a)
-        fixed.append(tree.fixed @ a)
-        ringed.append(tree.ringed @ a)
-        if tangent:
-            da = np.array(da)
-            dfixed.append(tree.fixed @ da)
-            dringed.append(tree.ringed @ da)
+        run = tree._forward(q0, rp, pc)
+        runs.append(run)
+        a = np.array(run[0])
+        fixed.append(tree.fixed.dot(a))
+        ringed.append(tree.ringed.dot(a))
     fixed, ringed = np.concatenate(fixed), np.concatenate(ringed)
     mass = fixed + pc * ringed  # per tree: class masses, then the cumulated series
     primary = fixed[plan.classes]
@@ -466,29 +498,42 @@ def _planned(
     if plan.split:  # class values -> observed cohort means
         observed[:2] = plan.means(diameter), plan.means(masses)
     res = (np.concatenate(observed)[plan.order] - plan.measured) * plan.weight
-    jac = None
-    if tangent:
-        dfixed = np.concatenate(dfixed)
-        dmass = dfixed + pc * np.concatenate(dringed)
-        dmass[:, 2] += pc * ringed
-        dmasses = dmass.take(plan.classes, 0)  # row gathers: take is the cheap form
-        # d ln D = (d ln M - beta * d ln P) / 2, with the length L = b * P**beta.
-        ddiameter = (0.5 * diameter)[:, None] * (
-            dmasses / total[:, None]
-            - plan.beta[:, None] * dfixed.take(plan.classes, 0) / primary[:, None]
-        )
-        dobserved = [ddiameter, dmasses, dmass]
-        if plan.split:
-            dobserved[:2] = plan.means(ddiameter), plan.means(dmasses)
-        block = np.concatenate(dobserved).take(plan.order, 0) * plan.weight[:, None]
-        jac = np.zeros((len(res), n + 2))
-        jac[plan.rows, plan.tree] = block[:, 0]
-        jac[:, n:] = block[:, 1:]
     if problem._weights is not None:
         res = res * problem._weights
-        if tangent:
-            jac *= problem._weights[:, None]
-    return res, jac
+    return _Sweep(x, res, vals, runs, ringed, primary, total, diameter)
+
+
+def _jacobian(problem: FitProblem, sweep: _Sweep) -> np.ndarray:
+    """The Jacobian of the residuals at ``sweep.x`` in param_names order, by
+    one tangent sweep over the forward sweep's state."""
+    plan = problem._plan
+    vals = sweep.vals
+    n = len(plan.trees)
+    rp, pc = vals[n], vals[n + 1]
+    dfixed, dringed = [], []
+    for tree, q0, (a, decays) in zip(plan.trees, vals, sweep.runs):
+        da = tree._tangent(q0, rp, pc, a, decays)
+        dfixed.append(tree.fixed.dot(da))
+        dringed.append(tree.ringed.dot(da))
+    dfixed = np.concatenate(dfixed)
+    dmass = dfixed + pc * np.concatenate(dringed)
+    dmass[:, 2] += pc * sweep.ringed
+    dmasses = dmass.take(plan.classes, 0)  # row gathers: take is the cheap form
+    # d ln D = (d ln M - beta * d ln P) / 2, with the length L = b * P**beta.
+    ddiameter = (0.5 * sweep.diameter)[:, None] * (
+        dmasses / sweep.total[:, None]
+        - plan.beta[:, None] * dfixed.take(plan.classes, 0) / sweep.primary[:, None]
+    )
+    dobserved = [ddiameter, dmasses, dmass]
+    if plan.split:
+        dobserved[:2] = plan.means(ddiameter), plan.means(dmasses)
+    block = np.concatenate(dobserved).take(plan.order, 0) * plan.weight[:, None]
+    jac = np.zeros((len(sweep.res), n + 2))
+    jac[plan.rows, plan.tree] = block[:, 0]
+    jac[:, n:] = block[:, 1:]
+    if problem._weights is not None:
+        jac *= problem._weights[:, None]
+    return jac
 
 
 def residuals(fp: FreeParams, problem: FitProblem) -> np.ndarray:
@@ -590,20 +635,27 @@ def _per_tree_sse(res: np.ndarray, problem: FitProblem) -> dict[str, float]:
 
 class _Passes:
     """The solver's residual and exact Jacobian evaluations through the
-    trees' plans, counted."""
+    trees' plans, counted.  A Jacobian at the point of the last residual
+    evaluation reuses that forward sweep; the solver never changes a point
+    in place."""
 
     def __init__(self, problem: FitProblem) -> None:
         self.problem = problem
         self.value_passes = 0
         self.tangent_passes = 0
+        self.last: _Sweep | None = None
 
     def values(self, x: np.ndarray) -> np.ndarray:
         self.value_passes += 1
-        return _planned(self.problem, x)[0]
+        self.last = _values(self.problem, x)
+        return self.last.res
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         self.tangent_passes += 1
-        return _planned(self.problem, x, tangent=True)[1]
+        sweep = self.last
+        if sweep is None or not (sweep.x is x or np.array_equal(sweep.x, x)):
+            sweep = _values(self.problem, x)
+        return _jacobian(self.problem, sweep)
 
 
 def _gauss_newton(
@@ -616,7 +668,7 @@ def _gauss_newton(
 ) -> tuple[np.ndarray, float, int, bool]:
     x = np.clip(x0, lo, hi)
     r = fn(x)
-    sse = float(r @ r)
+    sse = float(r.dot(r))
     lam = LAMBDA0
     stall = 0
     it = 0
@@ -625,19 +677,19 @@ def _gauss_newton(
             return x, sse, it, True
         it += 1
         jac = jacobian(x)
-        a = jac.T @ jac
-        g = jac.T @ r
-        scale = np.maximum(np.diag(a), 1e-12)
+        a = jac.T.dot(jac)
+        minus_g = -jac.T.dot(r)
+        damping = np.diag(np.maximum(np.diag(a), 1e-12))
         improved = False
         while lam <= 1e12:
             try:
-                dx = np.linalg.solve(a + lam * np.diag(scale), -g)
+                dx = np.linalg.solve(a + lam * damping, minus_g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
             x_new = np.clip(x + dx, lo, hi)
             r_new = fn(x_new)
-            sse_new = float(r_new @ r_new)
+            sse_new = float(r_new.dot(r_new))
             if sse_new < sse:
                 improved = True
                 lam = max(lam / 3.0, 1e-12)

@@ -22,6 +22,7 @@ partial.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -419,12 +420,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on its first call: a parse leaves no state in it.
+_main_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
     level = LOG_LEVELS.get(os.environ.get("FSPM_LOG", "warn").lower(), logging.WARNING)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig configures only the first call in a process; FSPM_LOG
+    # applies to every call.
+    logging.getLogger("fspm").setLevel(level)
     try:
-        args = parser.parse_args(argv)
+        args = _main_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     args.started = time.perf_counter()

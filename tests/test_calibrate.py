@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from operator import mul
 
 import numpy as np
 import pytest
@@ -21,7 +22,13 @@ from fspm import (
     simulate,
     targets_from_trace,
 )
-from fspm.calibrate import DEFAULT_BOUNDS, _planned, central_jacobian
+from fspm.calibrate import (
+    DEFAULT_BOUNDS,
+    _jacobian,
+    _Passes,
+    _values,
+    central_jacobian,
+)
 from fspm.errors import (
     InfeasibleInit,
     InvalidParameter,
@@ -75,6 +82,17 @@ class TestFitProblem:
         with pytest.raises(ValidationError, match="PA2/CA1"):
             FitProblem(targets=[replace(ts, entries=entries)],
                        topologies=problem.topologies, dp=dp2)
+
+    def test_tree_given_twice_rejected(self, dp2):
+        # Fitted twice, a tree's residuals would count double in the SSE.
+        problem = synthetic_problem(
+            dp2, {"t1": HiddenParams(5.0, 4.0, 0.1), "t2": HiddenParams(6.0, 4.0, 0.1)}, [3, 4]
+        )
+        t1, t2 = zip(problem.targets, problem.topologies)
+        targets, topologies = zip(t1, t2, t1)
+        with pytest.raises(ValidationError) as got:
+            FitProblem(targets=list(targets), topologies=list(topologies), dp=dp2)
+        assert str(got.value) == "tree 't1' is given more than once"
 
     @pytest.mark.parametrize("bad, index", [
         (math.nan, 0), (math.inf, 3), (-math.inf, 1), (-1e-9, 2),
@@ -313,28 +331,37 @@ class TestFdOracle:
         assert len(calls) == 2 * (n_trees + 2) * n_trees
         assert sorted(set(calls)) == problem.tree_ids
 
-    @pytest.mark.parametrize("ring_mode, passes", [("uniform", (211, 164)),
-                                                   ("pipe", (208, 157))])
+    @pytest.mark.parametrize("ring_mode, passes, sweeps", [("uniform", (211, 164), 212),
+                                                           ("pipe", (208, 157), 209)])
     def test_acceptance_fit_makes_211_value_and_164_tangent_passes(
-        self, dp3, monkeypatch, ring_mode, passes
+        self, dp3, monkeypatch, ring_mode, passes, sweeps
     ):
         # The seed-0 round trip of the acceptance suite: a change to the
         # solver's work shows here as a different count.  The solver runs
         # on the residual plans in both ring modes; the simulator runs once
-        # per tree, for the reported SSE.
+        # per tree, for the reported SSE.  Every solver Jacobian reuses the
+        # forward sweep at its point: only the identifiability Jacobian at
+        # the best start's optimum needs one more.
         import fspm.calibrate as calibrate
 
         problem = acceptance_problem(dp3, cfg=SimConfig(ring_mode=ring_mode))
-        calls = 0
+        calls = forward = 0
 
         def counting(*args, **kwargs):
             nonlocal calls
             calls += 1
             return simulate(*args, **kwargs)
 
+        def counting_sweeps(*args):
+            nonlocal forward
+            forward += 1
+            return _values(*args)
+
         monkeypatch.setattr(calibrate, "simulate", counting)
+        monkeypatch.setattr(calibrate, "_values", counting_sweeps)
         result = fit_hidden(problem, doubled_init(problem), FitOptions(seed=0, n_starts=8))
         assert (result.value_passes, result.tangent_passes) == passes
+        assert forward == sweeps
         assert calls == 4
         assert result.converged
         assert result.at_bound == []
@@ -344,11 +371,51 @@ class TestFdOracle:
             assert result.params.q0[tid] == pytest.approx(q0, rel=0.02)
 
 
+def legacy_allocations(plan, q0, rp, pc, tangent):
+    """Oracle: a_i for each cycle and, with ``tangent``, its derivatives
+    with respect to (log q0, log rp, log pc), one row per cycle, by the one
+    loop that ran the value and tangent recursions together before they
+    were split into a forward and a tangent sweep."""
+    e, sp = plan.e, plan.sp
+    a: list[float] = []
+    da: list[list[float]] = []
+    funded, dfunded = q0, [q0, 0.0, 0.0]
+    last = len(plan.g) - 1
+    for i, (e_sink, g, w_row) in enumerate(zip(plan.e_sinks, plan.g, plan.w_rows)):
+        ring = pc * g
+        d = e_sink + ring
+        if funded > 0:
+            if d <= 0:
+                raise SimulationFailed(
+                    f"tree {plan.tree_id!r}: cycle {i + 1}: "
+                    f"{funded} g to allocate but no demand"
+                )
+            ai = funded / d
+            if tangent:
+                dq, dr, dp = dfunded
+                da.append([dq / d, dr / d, (dp - ai * ring) / d])
+        else:
+            ai = 0.0
+            if tangent:
+                da.append([0.0, 0.0, 0.0])
+        a.append(ai)
+        if i == last:
+            break
+        s = sum(map(mul, w_row, a))
+        decay = math.exp(-s / sp)
+        funded = e * (sp / rp) * (1.0 - decay)
+        if tangent:
+            slope = e / rp * decay
+            ds = [sum(map(mul, w_row, column)) for column in zip(*da)]
+            dfunded = [slope * ds[0], slope * ds[1] - funded, slope * ds[2]]
+    return a, da
+
+
 def legacy_tree_residuals(plan, rho, q0, rp, pc, tangent):
     """Oracle: one tree's weighted residuals and (rows x 3)
     Jacobian block as the per-tree plans evaluated them before the trees
     were stacked into one pass."""
-    a, da = plan._allocations(q0, rp, pc, tangent)
+    a, da = legacy_allocations(plan, q0, rp, pc, tangent)
     fixed = plan.fixed @ a
     ringed = plan.ringed @ a
     mass = fixed + pc * ringed
@@ -407,6 +474,13 @@ def legacy_planned(problem, x, tangent):
     return res, jac
 
 
+def planned(problem, x, tangent=False):
+    """The residuals at x and, with ``tangent``, the Jacobian there: one
+    forward sweep, then one tangent sweep over its state."""
+    sweep = _values(problem, x)
+    return sweep.res, _jacobian(problem, sweep) if tangent else None
+
+
 def assert_bitwise_equal(got, expected):
     assert got.dtype == expected.dtype and got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
@@ -417,15 +491,61 @@ def assert_plan_matches_simulator(problem, fp):
     ``fd_jacobian``, both of which run the simulator, and bit for bit
     against the per-tree evaluation of ``legacy_planned``."""
     reference = residuals(fp, problem)
-    values, jac = _planned(problem, problem.pack(fp), tangent=True)
+    values, jac = planned(problem, problem.pack(fp), tangent=True)
     legacy_values, legacy_jac = legacy_planned(problem, problem.pack(fp), tangent=True)
     assert_bitwise_equal(values, legacy_values)
     assert_bitwise_equal(jac, legacy_jac)
     assert np.max(np.abs(values - reference)) <= 1e-12 * np.max(np.abs(reference))
-    assert_bitwise_equal(_planned(problem, problem.pack(fp))[0], values)
+    assert_bitwise_equal(planned(problem, problem.pack(fp))[0], values)
     fd = fd_jacobian(fp, problem)
     assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(fd))
     assert np.all(jac[~block_pattern(problem)] == 0.0)
+
+
+class TestPasses:
+    """A solver Jacobian reuses the forward sweep at its own point, and only
+    at its own point."""
+
+    @pytest.fixture
+    def passes(self, dp3, monkeypatch):
+        # Pipe rings with user weights: split classes and weighted rows.
+        import fspm.calibrate as calibrate
+
+        problem = acceptance_problem(dp3, cfg=SimConfig(ring_mode="pipe"), weighted=True)
+        passes = _Passes(problem)
+        passes.forward = 0
+
+        def counting_sweeps(*args):
+            passes.forward += 1
+            return _values(*args)
+
+        monkeypatch.setattr(calibrate, "_values", counting_sweeps)
+        return passes
+
+    @staticmethod
+    def fresh_jacobian(problem, x):
+        return _jacobian(problem, _values(problem, x))
+
+    def test_jacobian_at_the_last_point_reuses_its_sweep(self, passes):
+        x = passes.problem.pack(doubled_init(passes.problem))
+        assert_bitwise_equal(passes.values(x), _values(passes.problem, x).res)
+        assert_bitwise_equal(passes.jacobian(x), self.fresh_jacobian(passes.problem, x))
+        assert passes.forward == 1
+
+    def test_jacobian_at_another_point_runs_its_own_sweep(self, passes):
+        x = passes.problem.pack(doubled_init(passes.problem))
+        y = x + np.linspace(-0.3, 0.2, len(x))
+        passes.values(y)
+        jac = passes.jacobian(x)
+        assert passes.forward == 2
+        assert_bitwise_equal(jac, self.fresh_jacobian(passes.problem, x))
+        assert not np.array_equal(jac, self.fresh_jacobian(passes.problem, y))
+
+    def test_an_equal_copy_of_the_point_reuses_its_sweep(self, passes):
+        x = passes.problem.pack(doubled_init(passes.problem))
+        passes.values(x)
+        assert_bitwise_equal(passes.jacobian(x.copy()), self.fresh_jacobian(passes.problem, x))
+        assert passes.forward == 1
 
 
 class TestResidualPlan:
@@ -492,7 +612,7 @@ class TestResidualPlan:
         q0 = {tid: 2 * v for tid, v in ACCEPTANCE_Q0.items()}
         x = problem.pack(FreeParams(q0={**q0, "tree2": 1e-300}, rp=4.0, pc=0.5))
         for tangent in (False, True):
-            values, jac = _planned(problem, x, tangent)
+            values, jac = planned(problem, x, tangent)
             legacy_values, legacy_jac = legacy_planned(problem, x, tangent)
             assert_bitwise_equal(values, legacy_values)
             if tangent:
@@ -511,9 +631,9 @@ class TestResidualPlan:
         with pytest.raises(SimulationFailed) as expected:
             residuals(fp, problem)
         assert "cycle 4" in str(expected.value)
-        for tangent in (False, True):
+        for evaluate in (_Passes(problem).values, _Passes(problem).jacobian):
             with pytest.raises(SimulationFailed) as got:
-                _planned(problem, problem.pack(fp), tangent)
+                evaluate(problem.pack(fp))
             assert str(got.value) == str(expected.value)
         with pytest.raises(SimulationFailed, match="cycle 4"):
             fit_hidden(problem, fp, FitOptions(n_starts=0))
@@ -530,9 +650,9 @@ class TestResidualPlan:
         problem = FitProblem(targets=[targets], topologies=[late_root], dp=dp)
         fp = FreeParams(q0={"Z": 1.0}, rp=3.0, pc=0.3)
         message = "tree 'Z': cycle 1: 1.0 g to allocate but no demand"
-        for tangent in (False, True):
+        for evaluate in (_Passes(problem).values, _Passes(problem).jacobian):
             with pytest.raises(SimulationFailed) as got:
-                _planned(problem, problem.pack(fp), tangent)
+                evaluate(problem.pack(fp))
             assert str(got.value) == message
         with pytest.raises(SimulationFailed) as got:
             fit_hidden(problem, fp, FitOptions(n_starts=0))

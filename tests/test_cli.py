@@ -224,12 +224,25 @@ class TestFitCommand:
 class TestGroveFit:
     @pytest.mark.parametrize("ring_mode, sse", [("uniform", 61.7055), ("pipe", 61.6470)])
     def test_stops_at_max_iter_with_pc_on_its_bound(
-        self, grove_pipeline, tmp_path, caplog, ring_mode, sse
+        self, grove_pipeline, tmp_path, caplog, monkeypatch, ring_mode, sse
     ):
         # The grove targets are formula-made: the one-start fit runs its
         # whole budget and ends with pc on its lower bound, in both ring
         # modes on the residual plans.  A change to the solver's work on a
-        # fit that never converges shows in the pinned pass counts.
+        # fit that never converges shows in the pinned pass counts.  Every
+        # Jacobian, the identifiability one too, is taken at the point of
+        # the last residual evaluation and reuses its forward sweep.
+        import fspm.calibrate as calibrate
+
+        forward = 0
+        values = calibrate._values
+
+        def counting_sweeps(*args):
+            nonlocal forward
+            forward += 1
+            return values(*args)
+
+        monkeypatch.setattr(calibrate, "_values", counting_sweeps)
         _, trees, params = grove_pipeline
         out = tmp_path / "fit"
         argv = ["fit", "--params", params, "--seed", 0, "--n-starts", 0, "--out", out,
@@ -244,6 +257,7 @@ class TestGroveFit:
         assert doc["pc"] == pytest.approx(1e-6, rel=1e-9)
         assert doc["sse"] == pytest.approx(sse, rel=1e-3)
         assert (doc["value_passes"], doc["tangent_passes"]) == (300, 201)
+        assert forward == 300
         assert "parameters on a bound: ['pc']" in caplog.text
 
     def test_params_lacking_a_pa_exit_3_naming_tree_and_pa(self, grove_pipeline, tmp_path,
@@ -262,6 +276,17 @@ class TestGroveFit:
         assert len(err) == 1
         assert err[0].startswith("fspm fit: tree 'P")
         assert err[0].endswith("no internode sink for PA 3")
+        assert not (tmp_path / "fit").exists()
+
+    def test_tree_given_twice_exits_1(self, grove_pipeline, tmp_path, capsys):
+        _, trees, params = grove_pipeline
+        tree, pa_map, _ = trees["P1"]
+        capsys.readouterr()
+        assert run("fit", "--tree", tree, "--pa-map", pa_map, "--tree", tree, "--pa-map", pa_map,
+                   "--params", params, "--n-starts", 0, "--out", tmp_path / "fit") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "fspm fit: tree 'P1' is given more than once"
+        ]
         assert not (tmp_path / "fit").exists()
 
     def test_manifest_records_run_costs(self, grove_pipeline, tmp_path):
@@ -883,7 +908,60 @@ class TestBench:
         assert doc["factored_seconds"] < 5.0
 
 
+class TestSharedParser:
+    """``main`` parses every call with one parser, which keeps no state."""
+
+    def test_repeated_flags_do_not_carry_over(self, grove_pipeline, tmp_path, capsys,
+                                              monkeypatch):
+        import fspm.cli
+
+        loaded = []
+        load_tree = fspm.cli._load_tree
+
+        def recording(path):
+            loaded.append(path)
+            return load_tree(path)
+
+        monkeypatch.setattr(fspm.cli, "_load_tree", recording)
+        _, trees, _ = grove_pipeline
+        pairs = []
+        for tree, pa_map, _ in trees.values():
+            pairs += ["--tree", tree, "--pa-map", pa_map]
+        assert run("estimate", *pairs, "--out", tmp_path / "four") == 0
+        assert len(loaded) == 4
+        # One grove tree alone is too few to estimate from.
+        tree, pa_map, _ = trees["P2"]
+        capsys.readouterr()
+        assert run("estimate", "--tree", tree, "--pa-map", pa_map, "--out", tmp_path / "one") == 1
+        assert loaded[4:] == [str(tree)]
+        assert "got 1" in capsys.readouterr().err
+
+    def test_valid_call_after_a_usage_error(self, tmp_path, capsys):
+        assert run("ingest", "--axes", SINGLE / "axes.csv") == 1
+        assert "usage" in capsys.readouterr().err
+        assert run(*ingest_args(SINGLE, tmp_path / "tree.json")) == 0
+        assert (tmp_path / "tree.json").exists()
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        from fspm.cli import build_parser
+
+        assert build_parser() is not build_parser()
+
+
 class TestConsoleScript:
+    def test_fspm_log_applies_on_every_call(self, tmp_path, monkeypatch):
+        # logging.basicConfig configures only the first call in a process.
+        cli_logger = logging.getLogger("fspm.cli")
+        package_logger = logging.getLogger("fspm")
+        saved = package_logger.level
+        try:
+            for value, level in (("error", logging.ERROR), ("debug", logging.DEBUG)):
+                monkeypatch.setenv("FSPM_LOG", value)
+                assert run(*ingest_args(SINGLE, tmp_path / value / "tree.json")) == 0
+                assert cli_logger.getEffectiveLevel() == level
+        finally:
+            package_logger.setLevel(saved)
+
     def test_fspm_log_env_controls_verbosity(self, tmp_path, src_env):
         import subprocess
         import sys
