@@ -13,11 +13,13 @@ or option, or an output path that cannot be written), 2 convergence
 failure, 3 runtime model failure (such as biomass to allocate with no sink
 to take it, or a simulation failing inside the fit), each error reported in
 one line.
-Every output directory receives exactly one ``run_manifest.json``, which
-records the command's inputs and configuration, its elapsed time, the
-process's peak resident memory and the Python and numpy versions; outputs
-are written atomically (temp file + rename) so failures leave nothing
-partial.
+Every command writes one manifest into the directory of its outputs:
+``run_manifest.json``, or ``<stem>.run_manifest.json`` beside the skeleton
+``<stem>.csv`` of ``export-skeleton``, so skeletons exported into one
+directory keep one each.  A manifest records the command's inputs and
+configuration, its elapsed time, the process's peak resident memory and the
+Python and numpy versions; outputs are written atomically (temp file +
+rename) so failures leave nothing partial.
 """
 from __future__ import annotations
 
@@ -91,7 +93,8 @@ def _peak_rss_mb() -> float:
 
 
 def _write_manifest(
-    out_dir: Path, args: argparse.Namespace, inputs: list[str], config: dict
+    out_dir: Path, args: argparse.Namespace, inputs: list[str], config: dict,
+    name: str = "run_manifest.json",
 ) -> None:
     normalized = json.dumps(config, sort_keys=True)
     manifest = {
@@ -106,8 +109,7 @@ def _write_manifest(
         "python_version": "%d.%d.%d" % sys.version_info[:3],
         "numpy_version": np.__version__,
     }
-    _atomic_write(out_dir / "run_manifest.json",
-                  json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _atomic_write(out_dir / name, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -289,7 +291,7 @@ def _cmd_export_skeleton(args) -> int:
     out = Path(args.out)
     _atomic_write(out, export_skeleton(trace, classified, args.seed))
     _write_manifest(out.parent, args, [args.tree, args.pa_map, args.params],
-                    {**config, "seed": args.seed})
+                    {**config, "seed": args.seed}, name=f"{out.stem}.run_manifest.json")
     return 0
 
 

@@ -7,16 +7,20 @@ given seed while avoiding planar trees.  Skeleton segments are numbered in
 the order of a breadth-first walk of the axes from the root, and each axis
 runs from base to tip.
 
-Every table is written column by column through one CSV writer: a header,
-then one row per observation, organ or segment, floats as their ``repr``
-(so they read back exactly), lines ending in ``"\\n"``.
+Every table is written column by column through one CSV writer, ``_csv``:
+a header, then one row per observation, organ or segment, each row one
+``%s`` template, so floats appear as their ``repr`` (and read back exactly),
+lines ending in ``"\\n"``.  Text that ``csv.writer`` would quote, such as
+the fit tables' ``"pa,ca"`` keys, is quoted as it quotes it, so the bytes
+are those of ``csv.writer(lineterminator="\\n")``.
 """
 from __future__ import annotations
 
 import csv
 import io
 import math
-from itertools import accumulate, chain
+import re
+from itertools import accumulate, chain, islice
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -29,15 +33,41 @@ from .topology import TreeTopology
 
 GOLDEN_ANGLE_DEG = 137.5
 BRANCH_TILT_DEG = 40.0
+_SPECIAL = re.compile('[,"\r\n]')  # text csv.writer may quote
+
+
+def _quoted(column: Sequence, single: bool) -> list:
+    """The cells of one column, each text cell that may need quotes as
+    ``csv.writer`` writes it; in a ``single``-column table an empty cell is
+    ``""``."""
+    cells = []
+    for cell in column:
+        if type(cell) is str and (_SPECIAL.search(cell) or single and not cell):
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerow([cell])
+            cell = buf.getvalue()[:-1]
+        cells.append(cell)
+    return cells
 
 
 def _csv(header: Sequence[str], *columns: Iterable) -> str:
-    """CSV text: ``header``, then one row per position of the columns."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(*columns))
-    return buf.getvalue()
+    """CSV text: ``header``, then one row per position of the columns.
+
+    Cells are text, ints or floats.  Each row is one ``%s`` template, so a
+    float reads as its ``repr``, and the bytes are those of
+    ``csv.writer(lineterminator="\\n")``: only text can hold a comma, a quote
+    or a line break, and only a one-column row can be empty, so the rows
+    are rendered again with such text quoted when the rendered rows show one.
+    """
+    columns = [(name, *column) for name, column in zip(header, columns, strict=True)]
+    template = ",".join(["%s"] * len(columns))
+    lines = list(map(template.__mod__, zip(*columns)))
+    text = "\n".join(lines) + "\n"
+    if ("" in lines or '"' in text or "\r" in text or text.count("\n") != len(lines)
+            or text.count(",") != len(lines) * (len(columns) - 1)):
+        quoted = [_quoted(column, len(columns) == 1) for column in columns]
+        text = "\n".join(map(template.__mod__, zip(*quoted))) + "\n"
+    return text
 
 
 def export_fit_csv(trace: SimulationTrace, targets: TargetSeries) -> dict[str, str]:
@@ -77,24 +107,25 @@ class Skeleton(NamedTuple):
     radius_cm: np.ndarray
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _cross(a: Sequence[float], b: Sequence[float]) -> tuple[float, float, float]:
     """Cross product of two 3-vectors, term for term as ``np.cross`` forms it."""
-    return np.array([
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    ])
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
 
 
-def _basis(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _unit(v: Sequence[float]) -> tuple[float, float, float]:
+    """``v`` over its length.  The length is ``np.linalg.norm``'s: its BLAS dot
+    may fuse multiply-adds, so a plain ``sqrt`` of the squares can differ."""
+    norm = float(np.linalg.norm(v))
+    return (v[0] / norm, v[1] / norm, v[2] / norm)
+
+
+def _basis(direction: Sequence[float]) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Two unit vectors orthogonal to ``direction``."""
-    ref = np.array([0.0, 0.0, 1.0])
-    if abs(float(direction @ ref)) > 0.99:
-        ref = np.array([1.0, 0.0, 0.0])
-    u = _cross(direction, ref)
-    u /= np.linalg.norm(u)
-    v = _cross(direction, u)
-    return u, v
+    ref = (1.0, 0.0, 0.0) if abs(direction[2]) > 0.99 else (0.0, 0.0, 1.0)
+    u = _unit(_cross(direction, ref))
+    return u, _cross(direction, u)
 
 
 def build_skeleton(trace: SimulationTrace, topology: TreeTopology, seed: int) -> Skeleton:
@@ -133,11 +164,10 @@ def build_skeleton(trace: SimulationTrace, topology: TreeTopology, seed: int) ->
 
     rng = np.random.default_rng(seed)
     parent = np.arange(size)  # a segment's parent is the one below it, but for an axis base
-    start = np.empty((size, 3))
-    end = np.empty((size, 3))
     rows = np.empty(size, dtype=np.intp)  # each segment's organ table row
-    axis_dir: dict[str, np.ndarray] = {}
+    axis_dir: dict[str, tuple[float, ...]] = {}
     base: dict[str, int] = {}  # each walked axis's first segment
+    runs: list[tuple[int, int, int]] = []  # each walked axis's base, segments, parent id
     done = branch_counter = 0
 
     # Parents before children: walk from the root in insertion order.
@@ -148,8 +178,8 @@ def build_skeleton(trace: SimulationTrace, topology: TreeTopology, seed: int) ->
         if not n:
             continue  # beyond the simulated horizon, and so are its children
         if axis.is_root:
-            direction = np.array([0.0, 0.0, 1.0])
-            origin = np.zeros(3)
+            direction = (0.0, 0.0, 1.0)
+            top = 0
         else:
             parent_dir = axis_dir[axis.parent_id]
             azimuth = math.radians(
@@ -158,25 +188,33 @@ def build_skeleton(trace: SimulationTrace, topology: TreeTopology, seed: int) ->
             tilt = math.radians(BRANCH_TILT_DEG + rng.normal(0.0, 3.0))
             branch_counter += 1
             u, v = _basis(parent_dir)
-            direction = (
-                math.cos(tilt) * parent_dir
-                + math.sin(tilt) * (math.cos(azimuth) * u + math.sin(azimuth) * v)
-            )
-            direction = direction / np.linalg.norm(direction)
+            ct, st, ca, sa = math.cos(tilt), math.sin(tilt), math.cos(azimuth), math.sin(azimuth)
+            direction = _unit([ct * p + st * (ca * a + sa * b)
+                               for p, a, b in zip(parent_dir, u, v)])
             bearing = topology.axes[axis.parent_id]
             top = base[bearing.id] + through[bearing.id][axis.insertion_ca - bearing.first_ca + 1]
-            parent[done] = top
-            origin = end[top - 1]
+        parent[done] = top
         axis_dir[axis.id] = direction
         base[axis.id] = done
+        runs.append((done, n, top))
         lo = first[axis.id]
-        ends = np.cumsum(np.vstack([origin, organs.length_cm[lo : lo + n, None] * direction]),
-                         axis=0)
-        start[done : done + n] = ends[:-1]
-        end[done : done + n] = ends[1:]
         rows[done : done + n] = range(lo, lo + n)
         done += n
 
+    # Each coordinate of an axis's ends runs on from its parent segment's end.
+    # axis_dir holds the walked axes in walk order, as runs does.
+    directions = np.repeat(list(axis_dir.values()), [n for _, n, _ in runs], axis=0)
+    steps = organs.length_cm[rows, None] * directions
+    end = np.empty((size, 3))
+    for c, column in enumerate(steps.T.tolist()):
+        ends: list[float] = []
+        for at, n, top in runs:
+            origin = ends[top - 1] if top else 0.0
+            ends += islice(accumulate(column[at : at + n], initial=origin), 1, None)
+        end[:, c] = ends
+    # A segment starts where its parent ends; the root's base, at the origin.
+    start = end[parent - 1]
+    start[:1] = 0.0
     return Skeleton(parent, start, end, organs.diameter_cm[rows] / 2.0)
 
 

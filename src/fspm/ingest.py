@@ -654,7 +654,8 @@ def tree_from_json(
             the wrong type.
         UnitError: a cell is out of range.
         DuplicateKey: an internode or a leaf sample is measured twice.
-        ValidationError: the rows do not form a valid tree.
+        ValidationError: the rows do not form a valid tree, or a measurement
+            row names a GU the document lacks.
     """
     with schema_errors(source):
         doc = json.loads(text)
@@ -684,4 +685,14 @@ def tree_from_json(
             setattr(ms, name, _records(table, cells, False, names, partial(where, name),
                                        unique=name in ("internodes", "leaves")))
             del cells  # no table's cells outlive its records
-        return ms.topology(), ms
+        topology = ms.topology()
+    place = itemgetter(1, 2)  # a record's (axis_id, gu_ca)
+    gus = set(map(place, ms.gus))
+    for name in ("internodes", "leaves"):
+        records = getattr(ms, name)
+        if not gus.issuperset(map(place, records)):
+            row, rec = next((row, rec) for row, rec in enumerate(records)
+                            if place(rec) not in gus)
+            raise ValidationError(f"{where(name, row)}: record references unknown GU "
+                                  f"({rec.axis_id!r}, ca {rec.gu_ca})")
+    return topology, ms

@@ -29,6 +29,9 @@ from .topology import TreeTopology
 
 logger = logging.getLogger(__name__)
 
+# Starts per block of a DP row: a block's temporaries hold _BLOCK * n floats.
+_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class ClusterPartition:
@@ -84,10 +87,11 @@ def cluster_1d(
 
     The exact O(k * n^2) dynamic program of Ckmeans.1d.dp (Wang & Song
     2011) over suffixes of the sorted values: each (clusters, start) cell
-    takes the minimum over every end of its leading cluster.  One array
-    expression covers all ends of a cell, with the float operations of a
-    scalar loop in the same order, so ties resolve exactly as they would
-    cell by cell.
+    takes the minimum over every end of its leading cluster.  Each row of
+    the table is filled a block of starts at a time, one array expression
+    covering every end of every start in the block, with the float
+    operations of a scalar loop in the same order; ``min`` is exact, so ties
+    resolve as they would cell by cell.
     """
     if isinstance(values, Mapping):
         items = sorted(values.items(), key=lambda kv: (kv[1], str(kv[0])))
@@ -108,7 +112,13 @@ def cluster_1d(
     # Prefix sums make interval costs O(1); cumsum adds in sequence from 0.0.
     ps = np.cumsum(np.concatenate(([0.0], x)))
     pq = np.cumsum(np.concatenate(([0.0], x * x)))
-    sizes = np.arange(1, n + 1)
+    # Row r, column c of a block pairs start i0 + r with end i0 + c: its
+    # leading cluster holds c - r + 1 values.  Left of the diagonal the end
+    # precedes the start; those sizes are clipped to 1 and the cells masked.
+    rows = min(_BLOCK, n)
+    offsets = np.arange(n) - np.arange(rows)[:, None]
+    sizes = np.maximum(offsets + 1, 1)
+    feasible = offsets >= 0
     # suffix[j, i]: optimal cost of splitting xs[i:] into j clusters.
     suffix = np.full((k + 1, n + 1), np.inf)
     suffix[0, n] = 0.0
@@ -118,12 +128,22 @@ def cluster_1d(
         feasible end = i..n-j."""
         stop = n - j + 2
         s = ps[i + 1 : stop] - ps[i]
-        cost = pq[i + 1 : stop] - pq[i] - s * s / sizes[: stop - i - 1]
+        cost = pq[i + 1 : stop] - pq[i] - s * s / sizes[0, : stop - i - 1]
         return cost + suffix[j - 1, i + 1 : stop]
 
     for j in range(1, k + 1):
-        for i in range(n - j + 1):
-            suffix[j, i] = split_costs(j, i).min()
+        stop = n - j + 2
+        for i0 in range(0, stop - 1, rows):
+            # split_costs(j, i) for i = i0..i1-1 at once, op for op.
+            i1 = min(i0 + rows, stop - 1)
+            cells = np.s_[: i1 - i0, : stop - i0 - 1]
+            s = ps[i0 + 1 : stop] - ps[i0:i1, None]
+            cost = pq[i0 + 1 : stop] - pq[i0:i1, None]
+            s *= s
+            s /= sizes[cells]
+            cost -= s
+            cost += suffix[j - 1, i0 + 1 : stop]
+            suffix[j, i0:i1] = cost.min(axis=1, initial=np.inf, where=feasible[cells])
 
     # Walk forward taking the shortest leading cluster that stays optimal.
     segments: list[tuple[int, int]] = []

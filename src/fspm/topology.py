@@ -10,8 +10,10 @@ across threads.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -244,6 +246,7 @@ def build_topology(
 
     Rows may arrive in any order; the result is canonical (axes sorted by id,
     GUs by cycle) so identical record sets always produce identical trees.
+    Equal growth units of the tree are one (frozen) object.
 
     Raises:
         DanglingParent: an axis references an undeclared parent.
@@ -291,72 +294,122 @@ def build_topology(
             cur = by_id[cur].parent_axis_id
         rooted |= seen
 
-    gus_by_axis: dict[str, list[GURecord]] = {k: [] for k in by_id}
-    for rec in gu_records:
-        if rec.axis_id not in by_id:
-            raise DanglingParent(f"GU references unknown axis {rec.axis_id!r}")
-        if rec.gu_ca < 1:
-            raise InvalidTopology(f"axis {rec.axis_id!r}: GU ca {rec.gu_ca} < 1")
-        if rec.internode_count < 1:
-            raise InvalidTopology(
-                f"axis {rec.axis_id!r} GU ca {rec.gu_ca}: internode_count < 1"
-            )
-        gus_by_axis[rec.axis_id].append(rec)
+    axes = _assembled(by_id, gu_records)
+    if axes is None:
+        raise _first_fault(by_id, gu_records)
+    age = max(axis.last_ca for axis in axes.values())
+    return TreeTopology(tree_id=tree_id, age=age, axes=axes)
 
+
+def _assembled(
+    by_id: Mapping[str, AxisRecord], gu_records: Sequence[GURecord]
+) -> dict[str, Axis] | None:
+    """The axes of valid GU rows, keyed by id in sorted order; None if a
+    GU or attachment rule is broken, which :func:`_first_fault` words.
+
+    One sort groups the rows by axis and orders each axis's cycles, and an
+    axis's cycles are checked against one ``range``.
+    """
+    try:
+        rows = sorted(gu_records, key=itemgetter(1, 2))  # by axis id, then cycle
+        if rows and (min(map(itemgetter(2), rows)) < 1 or min(map(itemgetter(3), rows)) < 1):
+            return None
+    except TypeError:  # a cell that does not compare: let the row checks meet it
+        return None
+    groups = [list(group) for _, group in groupby(rows, key=itemgetter(1))]
+    if [group[0].axis_id for group in groups] != sorted(by_id):
+        return None  # a GU of an undeclared axis, or an axis without GUs
+    units: dict[tuple[int, int, int], GrowthUnit] = {}  # equal GUs share one object
     axes: dict[str, Axis] = {}
-    for axis_id in sorted(by_id):
-        rec = by_id[axis_id]
-        rows = sorted(gus_by_axis[axis_id], key=lambda g: g.gu_ca)
-        if not rows:
-            raise InvalidTopology(f"axis {axis_id!r} has no growth units")
-        cas = [g.gu_ca for g in rows]
-        for a, b in zip(cas, cas[1:]):
-            if b == a:
-                raise DuplicateKey(f"axis {axis_id!r}: GU ca {a} declared twice")
-            if b != a + 1:
-                raise NonContiguousCA(
-                    f"axis {axis_id!r}: GU ca jumps from {a} to {b}"
-                )
-        for g in rows:
-            # One blade per internode is structural; scars only flag odd rows.
-            if g.leaf_scar_count and g.leaf_scar_count != g.internode_count:
-                logger.warning(
-                    "axis %s GU ca %d: %d leaf scars for %d internodes",
-                    axis_id, g.gu_ca, g.leaf_scar_count, g.internode_count,
-                )
-        gus = tuple(
-            GrowthUnit(ca=g.gu_ca, internode_count=g.internode_count,
-                       leaf_scar_count=g.leaf_scar_count)
-            for g in rows
-        )
-        axes[axis_id] = Axis(
-            id=axis_id,
-            parent_id=rec.parent_axis_id,
-            insertion_ca=rec.insertion_ca,
-            gus=gus,
-        )
-
+    for group in groups:
+        first = group[0].gu_ca
+        if list(map(itemgetter(2), group)) != list(range(first, first + len(group))):
+            return None
+        gus = []
+        for key in map(itemgetter(2, 3, 4), group):  # ca, internode and leaf scar counts
+            unit = units.get(key)
+            if unit is None:
+                unit = units[key] = GrowthUnit(*key)
+            gus.append(unit)
+        rec = by_id[group[0].axis_id]
+        axes[rec.axis_id] = Axis(rec.axis_id, rec.parent_axis_id, rec.insertion_ca, tuple(gus))
     # Attachment rule: a child inserted on a parent GU of cycle c starts at
     # c or c + 1 (generated trees always use c + 1).
     for axis in axes.values():
         if axis.is_root:
             continue
-        if axis.insertion_ca is None:
-            raise BadInsertion(f"axis {axis.id!r} has a parent but no insertion_ca")
+        ins = axis.insertion_ca
         parent = axes[axis.parent_id]
-        if parent.gu_at(axis.insertion_ca) is None:
-            raise BadInsertion(
-                f"axis {axis.id!r} inserts at ca {axis.insertion_ca} but parent "
-                f"{parent.id!r} has no GU there"
-            )
-        if axis.first_ca not in (axis.insertion_ca, axis.insertion_ca + 1):
-            raise BadInsertion(
-                f"axis {axis.id!r}: first GU ca {axis.first_ca} not at insertion "
-                f"ca {axis.insertion_ca} or one cycle later"
+        if (ins is None or not parent.first_ca <= ins <= parent.last_ca
+                or not ins <= axis.first_ca <= ins + 1):
+            return None
+    if any(scars and scars != count for _, count, scars in units):
+        _warn_scars(rows)
+    return axes
+
+
+def _warn_scars(rows: Sequence[GURecord]) -> None:
+    """One blade per internode is structural; leaf scars only flag odd rows."""
+    for g in rows:
+        if g.leaf_scar_count and g.leaf_scar_count != g.internode_count:
+            logger.warning(
+                "axis %s GU ca %d: %d leaf scars for %d internodes",
+                g.axis_id, g.gu_ca, g.leaf_scar_count, g.internode_count,
             )
 
-    age = max(axis.last_ca for axis in axes.values())
-    return TreeTopology(tree_id=tree_id, age=age, axes=axes)
+
+def _first_fault(
+    by_id: Mapping[str, AxisRecord], gu_records: Sequence[GURecord]
+) -> ValidationError:
+    """The first broken GU or attachment rule, found row by row: records
+    in their order, then axes by id, each GU rule before the next axis's."""
+    gus_by_axis: dict[str, list[GURecord]] = {k: [] for k in by_id}
+    for rec in gu_records:
+        if rec.axis_id not in by_id:
+            return DanglingParent(f"GU references unknown axis {rec.axis_id!r}")
+        if rec.gu_ca < 1:
+            return InvalidTopology(f"axis {rec.axis_id!r}: GU ca {rec.gu_ca} < 1")
+        if rec.internode_count < 1:
+            return InvalidTopology(
+                f"axis {rec.axis_id!r} GU ca {rec.gu_ca}: internode_count < 1"
+            )
+        gus_by_axis[rec.axis_id].append(rec)
+
+    spans: dict[str, tuple[int, int]] = {}  # each axis's first and last cycle
+    for axis_id in sorted(by_id):
+        rows = sorted(gus_by_axis[axis_id], key=lambda g: g.gu_ca)
+        if not rows:
+            return InvalidTopology(f"axis {axis_id!r} has no growth units")
+        cas = [g.gu_ca for g in rows]
+        for a, b in zip(cas, cas[1:]):
+            if b == a:
+                return DuplicateKey(f"axis {axis_id!r}: GU ca {a} declared twice")
+            if b != a + 1:
+                return NonContiguousCA(
+                    f"axis {axis_id!r}: GU ca jumps from {a} to {b}"
+                )
+        _warn_scars(rows)
+        spans[axis_id] = (cas[0], cas[-1])
+
+    for axis_id in sorted(by_id):
+        rec = by_id[axis_id]
+        if rec.parent_axis_id is None:
+            continue
+        ins = rec.insertion_ca
+        if ins is None:
+            return BadInsertion(f"axis {axis_id!r} has a parent but no insertion_ca")
+        first, last = spans[rec.parent_axis_id]
+        if not first <= ins <= last:
+            return BadInsertion(
+                f"axis {axis_id!r} inserts at ca {ins} but parent "
+                f"{rec.parent_axis_id!r} has no GU there"
+            )
+        if spans[axis_id][0] not in (ins, ins + 1):
+            return BadInsertion(
+                f"axis {axis_id!r}: first GU ca {spans[axis_id][0]} not at insertion "
+                f"ca {ins} or one cycle later"
+            )
+    raise AssertionError("GU rows rejected as a whole, but no row breaks a rule")
 
 
 def with_physio_ages(
@@ -383,7 +436,7 @@ def with_physio_ages(
             raise MissingPA(f"axis {axis_id!r}: PA {pa} outside 1..{p_max}")
         if axis.is_root and pa != 1:
             raise MissingPA(f"root axis {axis_id!r} must be PA 1, got {pa}")
-        axes[axis_id] = replace(axis, pa=pa)
+        axes[axis_id] = Axis(axis.id, axis.parent_id, axis.insertion_ca, axis.gus, pa)
     for axis in axes.values():
         if not axis.is_root and axis.pa < axes[axis.parent_id].pa:
             logger.warning(

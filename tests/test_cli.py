@@ -163,8 +163,8 @@ class TestGrovePipeline:
             assert run("simulate", *common, *hidden_args, "--out", tmp_path / name) == 0
             assert run("export-skeleton", *common, *hidden_args, "--seed", 7,
                        "--out", tmp_path / f"{name}_skeleton" / "skeleton.csv") == 0
-        for out in ("{}", "{}_skeleton"):
-            manifests = [json.loads((tmp_path / out.format(name) / "run_manifest.json").read_text())
+        for manifest in ("{}/run_manifest.json", "{}_skeleton/skeleton.run_manifest.json"):
+            manifests = [json.loads((tmp_path / manifest.format(name)).read_text())
                          for name in runs]
             assert manifests[0]["config_hash"] == manifests[1]["config_hash"]
         for name in ("trace.csv", "organs.csv"):
@@ -181,9 +181,26 @@ class TestGrovePipeline:
             out = tmp_path / f"pc{pc}"
             assert run("export-skeleton", "--tree", tree, "--pa-map", pa_map, "--params", params,
                        "--q0", 12.0, "--rp", 6.4, "--pc", pc, "--out", out / "skeleton.csv") == 0
-            manifest = json.loads((out / "run_manifest.json").read_text())
+            manifest = json.loads((out / "skeleton.run_manifest.json").read_text())
             hashes.append(manifest["config_hash"])
         assert hashes[0] != hashes[1]
+
+    def test_skeletons_in_one_directory_keep_a_manifest_each(self, grove_pipeline, tmp_path):
+        _, trees, params = grove_pipeline
+        for seed, tree_id in enumerate(("P1", "P2")):
+            tree, pa_map, _ = trees[tree_id]
+            assert run("export-skeleton", "--tree", tree, "--pa-map", pa_map, "--params", params,
+                       "--q0", 12.0, "--rp", 6.4, "--pc", 0.14, "--seed", seed,
+                       "--out", tmp_path / f"{tree_id}_skeleton.csv") == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "P1_skeleton.csv", "P1_skeleton.run_manifest.json",
+            "P2_skeleton.csv", "P2_skeleton.run_manifest.json",
+        ]
+        for seed, tree_id in enumerate(("P1", "P2")):
+            manifest = json.loads((tmp_path / f"{tree_id}_skeleton.run_manifest.json").read_text())
+            assert manifest["command"] == "export-skeleton"
+            assert manifest["seed"] == seed
+            assert str(trees[tree_id][0]) in manifest["inputs"]
 
 
 class TestFitCommand:
@@ -486,7 +503,7 @@ class TestBadInputFiles:
     @pytest.mark.parametrize("command", ["classify-pa", "estimate", "fit"])
     def test_measurement_row_on_a_missing_gu(self, grove_pipeline, tmp_path, capsys,
                                              command, table):
-        # Every stage that reads the samples attaches them to GUs the same way.
+        # Every stage that reads a tree document rejects the row, naming the file.
         _, trees, params = grove_pipeline
         tree, pa_map, _ = trees["P2"]
         doc = json.loads(tree.read_text())
@@ -499,9 +516,31 @@ class TestBadInputFiles:
                 "fit": ["fit", "--tree", bad, "--pa-map", pa_map, "--params", params,
                         "--n-starts", 0]}[command]
         err = self.one_error_line(capsys, [*argv, "--out", out])
+        row = len(doc["measurements"][table]) - 1
         gu_ca = doc["measurements"][table][0]["gu_ca"]
-        assert err == f"fspm {command}: tree 'P2': record references unknown GU ('zz', ca {gu_ca})"
+        assert err == (f"fspm {command}: {bad}: measurements.{table}[{row}]: "
+                       f"record references unknown GU ('zz', ca {gu_ca})")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "fit"])
+    def test_missing_gu_row_names_its_file_among_several_trees(
+            self, grove_pipeline, tmp_path, capsys, command):
+        _, trees, params = grove_pipeline
+        doc = json.loads(trees["P3"][0].read_text())
+        doc["measurements"]["leaves"][4] = dict(doc["measurements"]["leaves"][4], gu_ca=99)
+        bad = tmp_path / "P3.json"
+        bad.write_text(json.dumps(doc))
+        argv = [command]
+        for tree_id in ("P1", "P2", "P3", "P4"):
+            argv += ["--tree", bad if tree_id == "P3" else trees[tree_id][0],
+                     "--pa-map", trees[tree_id][1]]
+        if command == "fit":
+            argv += ["--params", params, "--n-starts", 0]
+        err = self.one_error_line(capsys, [*argv, "--out", tmp_path / "out"])
+        axis_id = doc["measurements"]["leaves"][4]["axis_id"]
+        assert err == (f"fspm {command}: {bad}: measurements.leaves[4]: "
+                       f"record references unknown GU ({axis_id!r}, ca 99)")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("place, key, value, message", [
         ("axes[0].gus[1]", "internode_count", 2.0, "not an integer: 2.0"),

@@ -29,7 +29,7 @@ from fspm import (
 )
 from fspm.calibrate import WEIGHT_FLOOR
 from fspm.errors import TreeMismatch, ValidationError
-from fspm.export import _basis, _cross, build_skeleton
+from fspm.export import _csv, _cross, build_skeleton
 from test_calibrate import acceptance_problem, doubled_init
 from test_engine import uneven_trees
 
@@ -46,6 +46,56 @@ def run(dp3, hp_default):
 
 def parse(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+def writer_csv(header, *columns):
+    """Oracle: the bytes csv.writer gives the table _csv writes."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*columns))
+    return buf.getvalue()
+
+
+EDGE_CELLS = ["a,b", "1,2", 'say "hi"', '"', ",", "c\rd", "\r", "e\nf", "\n", "\r\n", "",
+              "plain", " padded ", "%s", "%", 0, 7, -3, True, 0.1, -0.0, 0.0, 1e-310, 1e300,
+              -1.5e-7, float("inf")]
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("cell", EDGE_CELLS, ids=repr)
+    def test_edge_cell_in_a_row_of_several(self, cell):
+        columns = ([cell, 1.0, cell], [2, cell, ""], ["x", cell, 3.5])
+        assert _csv(("h1", "h2", "h3"), *columns) == writer_csv(("h1", "h2", "h3"), *columns)
+
+    @pytest.mark.parametrize("cell", EDGE_CELLS, ids=repr)
+    def test_edge_cell_in_a_one_column_table(self, cell):
+        column = [cell, "", 2.5, cell]
+        assert _csv(("only",), column) == writer_csv(("only",), column)
+
+    def test_one_column_table_of_an_empty_cell(self):
+        assert _csv(("h",), [""]) == writer_csv(("h",), [""]) == 'h\n""\n'
+        assert _csv(("",), []) == writer_csv(("",), []) == '""\n'
+
+    def test_quoted_header_and_keys(self):
+        keys = ["1,2", "2,2"]
+        text = _csv(("key", "measured"), keys, [0.5, 1e300])
+        assert text == writer_csv(("key", "measured"), keys, [0.5, 1e300])
+        assert text == 'key,measured\n"1,2",0.5\n"2,2",1e+300\n'
+
+    def test_header_only(self):
+        assert _csv(("a", "b"), [], []) == writer_csv(("a", "b"), [], []) == "a,b\n"
+
+    @given(st.data())
+    def test_tables_of_edge_cells(self, data):
+        width = data.draw(st.integers(1, 4), label="width")
+        rows = data.draw(st.integers(0, 6), label="rows")
+        header = data.draw(st.lists(st.sampled_from(["h", "", "a,b", 'q"', "\r"]),
+                                    min_size=width, max_size=width), label="header")
+        cell = st.sampled_from(EDGE_CELLS) | st.text(alphabet=',"\r\n x%', max_size=3)
+        columns = data.draw(st.lists(st.lists(cell, min_size=rows, max_size=rows),
+                                     min_size=width, max_size=width), label="columns")
+        assert _csv(header, *columns) == writer_csv(header, *columns)
 
 
 class TestExportFitCsv:
@@ -172,7 +222,7 @@ class TestSkeleton:
     def test_cross_bitwise_equals_numpy(self):
         rng = np.random.default_rng(11)
         for a, b in rng.normal(size=(500, 2, 3)) * rng.lognormal(size=(500, 2, 1)):
-            assert _cross(a, b).tobytes() == np.cross(a, b).tobytes()
+            assert np.array(_cross(a.tolist(), b.tolist())).tobytes() == np.cross(a, b).tobytes()
 
     def test_shortened_trace_skips_unborn_internodes(self, run, dp3, hp_default):
         t, _ = run
@@ -235,9 +285,28 @@ class LegacySegment:
     radius_cm: float
 
 
+def legacy_cross(a, b):
+    return np.array([
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    ])
+
+
+def legacy_basis(direction):
+    ref = np.array([0.0, 0.0, 1.0])
+    if abs(float(direction @ ref)) > 0.99:
+        ref = np.array([1.0, 0.0, 0.0])
+    u = legacy_cross(direction, ref)
+    u /= np.linalg.norm(u)
+    v = legacy_cross(direction, u)
+    return u, v
+
+
 def legacy_skeleton_csv(trace, topology, seed):
     """build_skeleton and export_skeleton as they were: one Segment object
-    per internode, found through dicts keyed by (axis_id, gu_ca, rank)."""
+    per internode, found through dicts keyed by (axis_id, gu_ca, rank), each
+    axis's frame from numpy 3-vectors."""
     organs = trace.organs
     geo = dict(zip(organs.positions,
                    zip(organs.length_cm.tolist(), organs.diameter_cm.tolist())))
@@ -261,7 +330,7 @@ def legacy_skeleton_csv(trace, topology, seed):
             azimuth = math.radians(137.5 * branch_counter + rng.normal(0.0, 5.0))
             tilt = math.radians(40.0 + rng.normal(0.0, 3.0))
             branch_counter += 1
-            u, v = _basis(parent_dir)
+            u, v = legacy_basis(parent_dir)
             direction = (
                 math.cos(tilt) * parent_dir
                 + math.sin(tilt) * (math.cos(azimuth) * u + math.sin(azimuth) * v)

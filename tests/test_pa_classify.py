@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -15,6 +16,7 @@ from fspm import (
 )
 from fspm.errors import (KTooLarge, MainAxisNotHeaviest, NoTerminalData, TreeMismatch,
                          ValidationError)
+from fspm.pa_classify import _BLOCK
 
 
 def brute_force_wcss(values, k):
@@ -91,6 +93,64 @@ def assert_same_partition(values, k):
     assert part.boundaries == boundaries
     assert part.means == means
     assert part.wcss == wcss
+
+
+def per_cell_partition(values, k):
+    """Oracle: cluster_1d as it was before its DP rows went by blocks of
+    starts, one numpy expression per (clusters, start) cell, copied unchanged
+    but for returning the partition's fields."""
+    items = sorted(enumerate(values), key=lambda kv: (kv[1], kv[0]))
+    n = len(items)
+    xs = [w for _, w in items]
+    x = np.asarray(xs, dtype=float)
+
+    ps = np.cumsum(np.concatenate(([0.0], x)))
+    pq = np.cumsum(np.concatenate(([0.0], x * x)))
+    sizes = np.arange(1, n + 1)
+    suffix = np.full((k + 1, n + 1), np.inf)
+    suffix[0, n] = 0.0
+
+    def split_costs(j, i):
+        stop = n - j + 2
+        s = ps[i + 1 : stop] - ps[i]
+        cost = pq[i + 1 : stop] - pq[i] - s * s / sizes[: stop - i - 1]
+        return cost + suffix[j - 1, i + 1 : stop]
+
+    for j in range(1, k + 1):
+        for i in range(n - j + 1):
+            suffix[j, i] = split_costs(j, i).min()
+
+    segments = []
+    i = 0
+    for j in range(k, 0, -1):
+        end = i + int(np.argmax(split_costs(j, i) == suffix[j, i]))
+        segments.append((i, end))
+        i = end + 1
+
+    assignments, means, boundaries, wcss = {}, [], [], 0.0
+    for c, (lo, hi) in enumerate(segments):
+        for key, _ in items[lo : hi + 1]:
+            assignments[key] = c
+        means.append(sum(xs[lo : hi + 1]) / (hi - lo + 1))
+        seg = xs[lo : hi + 1]
+        mean = sum(seg) / len(seg)
+        wcss += sum(d * d for d in (v - mean for v in seg))
+        if c + 1 < len(segments):
+            boundaries.append((xs[hi] + xs[hi + 1]) / 2.0)
+    return assignments, tuple(boundaries), tuple(means), wcss
+
+
+@st.composite
+def block_sized_values(draw):
+    """n at and around the DP block size; values drawn from a small pool,
+    so they tie, with some rounded to one decimal; k up to the number of
+    distinct values."""
+    n = draw(st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]))
+    weight = st.floats(0.01, 100.0)
+    pool = draw(st.lists(st.one_of(weight, weight.map(lambda w: round(w, 1) or 0.1)),
+                         min_size=1, max_size=24))
+    xs = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    return xs, draw(st.integers(1, len(set(xs))))
 
 
 def internode(axis_id, ca, rank, weight):
@@ -216,6 +276,26 @@ class TestCluster1D:
         rng = random.Random(835)
         xs = [rng.lognormvariate(0.0, 1.0) for _ in range(835)]
         assert_same_partition(xs, 4)
+
+    @given(block_sized_values())
+    def test_equals_per_cell_dp_around_the_block_size(self, case):
+        xs, k = case
+        part = cluster_1d(xs, k)
+        assignments, boundaries, means, wcss = per_cell_partition(xs, k)
+        assert part.assignments == assignments
+        assert repr(part.boundaries) == repr(boundaries)
+        assert repr(part.means) == repr(means)
+        assert np.float64(part.wcss).tobytes() == np.float64(wcss).tobytes()
+
+    def test_equals_per_cell_dp_at_measured_scale(self):
+        import random
+
+        rng = random.Random(835)
+        xs = [round(rng.lognormvariate(0.0, 1.0), 2) for _ in range(835)]
+        for k in (1, 4, 9):
+            part = cluster_1d(xs, k)
+            assert (part.assignments, part.boundaries, part.means, part.wcss) == \
+                per_cell_partition(xs, k)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_rejected(self, bad):

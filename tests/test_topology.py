@@ -1,8 +1,11 @@
+import logging
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fspm import (
     AxisRecord,
@@ -26,6 +29,8 @@ from fspm.errors import (
     ValidationError,
 )
 from fspm.topology import Axis, GrowthUnit
+
+logger = logging.getLogger("fspm.topology")  # where build_topology warns
 
 
 def axis(tree, aid, parent=None, ins=None):
@@ -165,6 +170,233 @@ class TestBuildTopology:
             ("B", 1): (), ("B", 2): ("E",), ("C", 3): (), ("D", 2): (), ("E", 3): (),
         }
 
+
+def legacy_build_topology(axis_records, gu_records):
+    """Oracle: build_topology as it was before GU rows were grouped by one
+    sort, every GU rule checked row by row; its body copied unchanged."""
+    if not axis_records:
+        raise InvalidTopology("no axis records")
+    tree_ids = {r.tree_id for r in axis_records} | {r.tree_id for r in gu_records}
+    if len(tree_ids) != 1:
+        raise InvalidTopology(f"records span multiple trees: {sorted(tree_ids)}")
+    tree_id = tree_ids.pop()
+
+    by_id: dict[str, AxisRecord] = {}
+    for rec in axis_records:
+        if rec.axis_id in by_id:
+            raise DuplicateKey(f"axis {rec.axis_id!r} declared twice")
+        by_id[rec.axis_id] = rec
+
+    roots = [r for r in by_id.values() if r.parent_axis_id is None]
+    if len(roots) != 1:
+        raise InvalidTopology(
+            f"tree {tree_id!r} must have exactly one root axis, found {len(roots)}"
+        )
+
+    for rec in by_id.values():
+        if rec.parent_axis_id is not None and rec.parent_axis_id not in by_id:
+            raise DanglingParent(
+                f"axis {rec.axis_id!r} names unknown parent {rec.parent_axis_id!r}"
+            )
+
+    # Parent links must form a tree rooted at the single root.  A walk ends
+    # at an axis an earlier walk reached the root from; a loop reaches none.
+    rooted: set[str] = set()
+    for rec in by_id.values():
+        seen = {rec.axis_id}
+        cur = rec.parent_axis_id
+        while cur is not None and cur not in rooted:
+            if cur in seen:
+                raise CycleDetected(f"parent links loop through axis {cur!r}")
+            seen.add(cur)
+            cur = by_id[cur].parent_axis_id
+        rooted |= seen
+
+    gus_by_axis: dict[str, list[GURecord]] = {k: [] for k in by_id}
+    for rec in gu_records:
+        if rec.axis_id not in by_id:
+            raise DanglingParent(f"GU references unknown axis {rec.axis_id!r}")
+        if rec.gu_ca < 1:
+            raise InvalidTopology(f"axis {rec.axis_id!r}: GU ca {rec.gu_ca} < 1")
+        if rec.internode_count < 1:
+            raise InvalidTopology(
+                f"axis {rec.axis_id!r} GU ca {rec.gu_ca}: internode_count < 1"
+            )
+        gus_by_axis[rec.axis_id].append(rec)
+
+    axes: dict[str, Axis] = {}
+    for axis_id in sorted(by_id):
+        rec = by_id[axis_id]
+        rows = sorted(gus_by_axis[axis_id], key=lambda g: g.gu_ca)
+        if not rows:
+            raise InvalidTopology(f"axis {axis_id!r} has no growth units")
+        cas = [g.gu_ca for g in rows]
+        for a, b in zip(cas, cas[1:]):
+            if b == a:
+                raise DuplicateKey(f"axis {axis_id!r}: GU ca {a} declared twice")
+            if b != a + 1:
+                raise NonContiguousCA(
+                    f"axis {axis_id!r}: GU ca jumps from {a} to {b}"
+                )
+        for g in rows:
+            # One blade per internode is structural; scars only flag odd rows.
+            if g.leaf_scar_count and g.leaf_scar_count != g.internode_count:
+                logger.warning(
+                    "axis %s GU ca %d: %d leaf scars for %d internodes",
+                    axis_id, g.gu_ca, g.leaf_scar_count, g.internode_count,
+                )
+        gus = tuple(
+            GrowthUnit(ca=g.gu_ca, internode_count=g.internode_count,
+                       leaf_scar_count=g.leaf_scar_count)
+            for g in rows
+        )
+        axes[axis_id] = Axis(
+            id=axis_id,
+            parent_id=rec.parent_axis_id,
+            insertion_ca=rec.insertion_ca,
+            gus=gus,
+        )
+
+    # Attachment rule: a child inserted on a parent GU of cycle c starts at
+    # c or c + 1 (generated trees always use c + 1).
+    for axis in axes.values():
+        if axis.is_root:
+            continue
+        if axis.insertion_ca is None:
+            raise BadInsertion(f"axis {axis.id!r} has a parent but no insertion_ca")
+        parent = axes[axis.parent_id]
+        if parent.gu_at(axis.insertion_ca) is None:
+            raise BadInsertion(
+                f"axis {axis.id!r} inserts at ca {axis.insertion_ca} but parent "
+                f"{parent.id!r} has no GU there"
+            )
+        if axis.first_ca not in (axis.insertion_ca, axis.insertion_ca + 1):
+            raise BadInsertion(
+                f"axis {axis.id!r}: first GU ca {axis.first_ca} not at insertion "
+                f"ca {axis.insertion_ca} or one cycle later"
+            )
+
+    age = max(axis.last_ca for axis in axes.values())
+    return TreeTopology(tree_id=tree_id, age=age, axes=axes)
+
+
+FAULTS = ("drop_gu", "repeat_gu", "shift_ca", "shift_axis", "root_from_zero",
+          "insert_off_parent", "bad_count", "gu_of_unknown_axis",
+          "repeat_axis", "second_root", "dangling_parent", "loop", "no_insertion",
+          "shift_insertion", "other_tree", "no_gus", "no_axes")
+
+
+@st.composite
+def record_sets(draw):
+    """The axis and GU rows of a random tree, valid or with one or two
+    faults, in any order; leaf scar counts may disagree with the internode
+    counts."""
+    ids = draw(st.permutations([f"A{i}" for i in range(draw(st.integers(1, 6)))]))
+    axes, gus, spans = [], [], {}
+    for i, axis_id in enumerate(ids):
+        if i == 0:
+            parent, ins, first = None, None, draw(st.integers(1, 2))
+        else:
+            parent = draw(st.sampled_from(ids[:i]))
+            ins = draw(st.integers(*spans[parent]))
+            first = ins + draw(st.integers(0, 1))
+        spans[axis_id] = (first, first + draw(st.integers(0, 3)))
+        axes.append(AxisRecord("T", axis_id, parent, ins))
+        for ca in range(spans[axis_id][0], spans[axis_id][1] + 1):
+            count = draw(st.integers(1, 3))
+            gus.append(GURecord("T", axis_id, ca, count, draw(st.sampled_from([count, 0, 4]))))
+    # "valid" leaves the tree as it is, and so do faults that find no row.
+    for fault in draw(st.lists(st.sampled_from(FAULTS + ("valid",) * 6), min_size=1, max_size=2)):
+        if fault == "no_axes":
+            axes = []
+            continue
+        if fault == "no_gus":
+            gus = []
+            continue
+        axis_at = draw(st.integers(0, len(axes) - 1)) if axes else None
+        gu_at = draw(st.integers(0, len(gus) - 1)) if gus else None
+        if fault == "drop_gu" and gus:
+            del gus[gu_at]
+        elif fault == "repeat_gu" and gus:
+            gus.append(gus[gu_at])
+        elif fault == "shift_ca" and gus:
+            gus[gu_at] = gus[gu_at]._replace(gu_ca=gus[gu_at].gu_ca + draw(st.integers(-2, 2)))
+        elif fault in ("shift_axis", "root_from_zero", "insert_off_parent") and axes:
+            # Move a whole axis: a random step, the root to start at cycle 0,
+            # or an axis to insert just before or past its parent's GUs.
+            parents = {a.parent_axis_id for a in axes}
+            if fault == "root_from_zero":
+                axis_at = next((i for i, a in enumerate(axes) if a.parent_axis_id is None), 0)
+            elif fault == "insert_off_parent":  # a tip axis, so that no child comes loose
+                axis_at = draw(st.sampled_from(
+                    [i for i, a in enumerate(axes) if a.axis_id not in parents] or [0]))
+            rec = axes[axis_at]
+            cas = [g.gu_ca for g in gus if g.axis_id == rec.axis_id] or [1]
+            shift = {"shift_axis": draw(st.sampled_from([-1, 1, 2])),
+                     "root_from_zero": -min(cas)}.get(fault)
+            if shift is None:
+                bearing = [g.gu_ca for g in gus if g.axis_id == rec.parent_axis_id] or [1]
+                ins = draw(st.sampled_from([min(bearing) - 1, max(bearing) + 1]))
+                axes[axis_at] = rec._replace(insertion_ca=ins)
+                shift = ins + draw(st.integers(0, 1)) - min(cas)
+            gus = [g._replace(gu_ca=g.gu_ca + shift) if g.axis_id == rec.axis_id else g
+                   for g in gus]
+        elif fault == "bad_count" and gus:
+            gus[gu_at] = gus[gu_at]._replace(internode_count=draw(st.integers(-1, 0)))
+        elif fault == "gu_of_unknown_axis":
+            gus.append(GURecord("T", "Z", 1, 1, 1))
+        elif fault == "repeat_axis" and axes:
+            axes.append(axes[axis_at])
+        elif fault == "second_root":
+            axes.append(AxisRecord("T", "R2", None, None))
+            gus.append(GURecord("T", "R2", 1, 1, 1))
+        elif fault == "dangling_parent" and axes:
+            axes[axis_at] = axes[axis_at]._replace(parent_axis_id="Q", insertion_ca=1)
+        elif fault == "loop" and axes:
+            other = draw(st.sampled_from([a.axis_id for a in axes]))
+            axes[axis_at] = axes[axis_at]._replace(parent_axis_id=other, insertion_ca=1)
+        elif fault == "no_insertion" and axes:
+            axes[axis_at] = axes[axis_at]._replace(insertion_ca=None)
+        elif fault == "shift_insertion" and axes and axes[axis_at].insertion_ca is not None:
+            ins = axes[axis_at].insertion_ca + draw(st.sampled_from([-2, -1, 1, 2]))
+            axes[axis_at] = axes[axis_at]._replace(insertion_ca=ins)
+        elif fault == "other_tree" and gus:
+            gus[gu_at] = gus[gu_at]._replace(tree_id="U")
+    return draw(st.permutations(axes)), draw(st.permutations(gus))
+
+
+@contextmanager
+def warnings_logged():
+    """The messages build_topology logs inside the block."""
+    messages = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.WARNING)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def outcome(build, axis_records, gu_records):
+    """A built tree's id, age and axes in order, or the error class and text;
+    then the warnings logged."""
+    with warnings_logged() as messages:
+        try:
+            t = build(axis_records, gu_records)
+        except Exception as exc:  # the class and message are what is compared
+            return (type(exc), str(exc)), messages
+    return (t.tree_id, t.age, list(t.axes.items())), messages
+
+
+class TestBuildTopologyOracle:
+    @settings(max_examples=300)
+    @given(record_sets())
+    def test_same_tree_or_same_error_as_row_by_row_build(self, records):
+        assert outcome(build_topology, *records) == outcome(legacy_build_topology, *records)
 
 class TestOrganCensus:
     def test_single_axis_counts(self):
