@@ -14,8 +14,9 @@ failure, 3 runtime model failure (such as biomass to allocate with no sink
 to take it, or a simulation failing inside the fit), each error reported in
 one line.
 Every command writes one manifest into the directory of its outputs:
-``run_manifest.json``, or ``<stem>.run_manifest.json`` beside the skeleton
-``<stem>.csv`` of ``export-skeleton``, so skeletons exported into one
+``run_manifest.json``, or ``<stem>.run_manifest.json`` beside the tree
+``<stem>.json`` of ``ingest`` and the skeleton ``<stem>.csv`` of
+``export-skeleton``, so trees ingested or skeletons exported into one
 directory keep one each.  A manifest records the command's inputs and
 configuration, its elapsed time, the process's peak resident memory and the
 Python and numpy versions; outputs are written atomically (temp file +
@@ -60,6 +61,7 @@ from .ingest import (
     MeasurementSet,
     TargetSeries,
     build_target_series,
+    check_sampled_gus,
     parse_measurements,
     tree_from_json,
     tree_to_json,
@@ -160,12 +162,14 @@ def _cmd_ingest(args) -> int:
         )
     sub = ms.for_tree(ids[0])
     topology = sub.topology()
+    check_sampled_gus(ms, args.internodes, args.leaves)
     out = Path(args.out)
     _atomic_write(out, tree_to_json(topology, sub))
     _write_manifest(
         out.parent, args,
         [args.axes, args.gus, args.internodes, args.leaves],
         {"command": "ingest", "tree_id": ids[0], "out": out.name},
+        name=f"{out.stem}.run_manifest.json",
     )
     logger.info("wrote %s (%d axes, age %d)", out, len(topology.axes), topology.age)
     return 0

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 import re
 from itertools import accumulate, chain, islice
 from typing import Iterable, NamedTuple, Sequence
@@ -27,7 +28,7 @@ import numpy as np
 
 from .calibrate import _Observed
 from .engine import SimulationTrace
-from .errors import TreeMismatch, ValidationError
+from .errors import InvalidParameter, TreeMismatch, ValidationError
 from .ingest import TargetSeries
 from .topology import TreeTopology
 
@@ -138,9 +139,12 @@ def build_skeleton(trace: SimulationTrace, topology: TreeTopology, seed: int) ->
     its internode vectors from its start.  The organ table lists the
     internodes born by ``trace.cycles`` in census order (axes by id, GUs by
     cycle, then rank), so each axis's internodes are one slice of it.
-    Raises TreeMismatch for a trace of another tree and ValidationError for
-    an organ table of another length.
+    Raises InvalidParameter for a seed that is no integer >= 0,
+    TreeMismatch for a trace of another tree and ValidationError for an
+    organ table of another length.
     """
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise InvalidParameter(f"seed must be an integer >= 0, got {seed!r}")
     organs = trace.organs
     if organs is None:
         raise ValidationError("skeleton export needs an explicit-mode trace")

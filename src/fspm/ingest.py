@@ -283,6 +283,40 @@ def parse_measurements(
     })
 
 
+def check_sampled_gus(ms: MeasurementSet, internodes_path: str | Path,
+                      leaves_path: str | Path) -> None:
+    """Reject an internode or leaf row of ``ms`` on a GU its GU file lacks.
+
+    ``ms`` is what :func:`parse_measurements` read from the files, which
+    checks each file on its own.  The first such internode row, else leaf
+    row, raises ValidationError with its file and line, as a cell fault does.
+    """
+    paths = {"internodes": Path(internodes_path), "leaves": Path(leaves_path)}
+
+    def where(name: str, row: int) -> str:
+        # The file parsed, so its rows are counted as _csv_records counts them.
+        with paths[name].open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            lines = (reader.line_num for cells in reader if cells)  # the header first
+            return f"{paths[name]}:{next(islice(lines, row + 1, None))}"
+
+    _check_sampled_gus(ms, where)
+
+
+def _check_sampled_gus(ms: MeasurementSet, where) -> None:
+    """Raise ValidationError at the first internode, then leaf, record on a
+    GU that ``ms.gus`` lacks, placed by ``where(table name, row)``."""
+    place = itemgetter(0, 1, 2)  # a record's tree, axis and cycle
+    gus = set(map(place, ms.gus))
+    for name in ("internodes", "leaves"):
+        records = getattr(ms, name)
+        if not gus.issuperset(map(place, records)):
+            row, rec = next((row, rec) for row, rec in enumerate(records)
+                            if place(rec) not in gus)
+            raise ValidationError(f"{where(name, row)}: record references unknown GU "
+                                  f"({rec.axis_id!r}, ca {rec.gu_ca})")
+
+
 def serialize_measurements(ms: MeasurementSet) -> dict[str, str]:
     """Render records back to the four CSV texts, losslessly.
 
@@ -686,13 +720,5 @@ def tree_from_json(
                                        unique=name in ("internodes", "leaves")))
             del cells  # no table's cells outlive its records
         topology = ms.topology()
-    place = itemgetter(1, 2)  # a record's (axis_id, gu_ca)
-    gus = set(map(place, ms.gus))
-    for name in ("internodes", "leaves"):
-        records = getattr(ms, name)
-        if not gus.issuperset(map(place, records)):
-            row, rec = next((row, rec) for row, rec in enumerate(records)
-                            if place(rec) not in gus)
-            raise ValidationError(f"{where(name, row)}: record references unknown GU "
-                                  f"({rec.axis_id!r}, ca {rec.gu_ca})")
+    _check_sampled_gus(ms, where)
     return topology, ms

@@ -123,33 +123,31 @@ def cluster_1d(
     suffix = np.full((k + 1, n + 1), np.inf)
     suffix[0, n] = 0.0
 
-    def split_costs(j: int, i: int) -> np.ndarray:
-        """Cost of xs[i:end+1] plus the best j-1 clusters after it, for every
-        feasible end = i..n-j."""
+    def split_costs(j: int, i0: int, i1: int) -> np.ndarray:
+        """Row r, column c: the cost of xs[i0 + r : i0 + c + 1] plus the best
+        j - 1 clusters after it, for starts i0..i1-1 and ends i0..n-j."""
         stop = n - j + 2
-        s = ps[i + 1 : stop] - ps[i]
-        cost = pq[i + 1 : stop] - pq[i] - s * s / sizes[0, : stop - i - 1]
-        return cost + suffix[j - 1, i + 1 : stop]
+        s = ps[i0 + 1 : stop] - ps[i0:i1, None]
+        cost = pq[i0 + 1 : stop] - pq[i0:i1, None]
+        s *= s
+        s /= sizes[: i1 - i0, : stop - i0 - 1]
+        cost -= s
+        cost += suffix[j - 1, i0 + 1 : stop]
+        return cost
 
     for j in range(1, k + 1):
         stop = n - j + 2
         for i0 in range(0, stop - 1, rows):
-            # split_costs(j, i) for i = i0..i1-1 at once, op for op.
             i1 = min(i0 + rows, stop - 1)
-            cells = np.s_[: i1 - i0, : stop - i0 - 1]
-            s = ps[i0 + 1 : stop] - ps[i0:i1, None]
-            cost = pq[i0 + 1 : stop] - pq[i0:i1, None]
-            s *= s
-            s /= sizes[cells]
-            cost -= s
-            cost += suffix[j - 1, i0 + 1 : stop]
-            suffix[j, i0:i1] = cost.min(axis=1, initial=np.inf, where=feasible[cells])
+            block = split_costs(j, i0, i1)
+            suffix[j, i0:i1] = block.min(axis=1, initial=np.inf,
+                                         where=feasible[: i1 - i0, : block.shape[1]])
 
     # Walk forward taking the shortest leading cluster that stays optimal.
     segments: list[tuple[int, int]] = []
     i = 0
     for j in range(k, 0, -1):
-        end = i + int(np.argmax(split_costs(j, i) == suffix[j, i]))
+        end = i + int(np.argmax(split_costs(j, i, i + 1)[0] == suffix[j, i]))
         segments.append((i, end))
         i = end + 1
 

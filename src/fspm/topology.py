@@ -248,8 +248,14 @@ def build_topology(
     GUs by cycle) so identical record sets always produce identical trees.
     Equal growth units of the tree are one (frozen) object.
 
+    The first broken rule is raised: the axis rules, then the GU row rules
+    in record order, then each axis's GU rules by axis id, then the
+    attachment rules by axis id.  Leaf scar counts that differ from the
+    internode counts are logged axis by axis, before any later axis's fault.
+
     Raises:
-        DanglingParent: an axis references an undeclared parent.
+        DanglingParent: an axis references an undeclared parent, or a GU
+            an undeclared axis.
         CycleDetected: parent links loop.
         NonContiguousCA: the GU cycle sequence of an axis has a gap.
         BadInsertion: a child does not attach to an existing parent GU, or
@@ -295,56 +301,75 @@ def build_topology(
         rooted |= seen
 
     axes = _assembled(by_id, gu_records)
-    if axes is None:
-        raise _first_fault(by_id, gu_records)
     age = max(axis.last_ca for axis in axes.values())
     return TreeTopology(tree_id=tree_id, age=age, axes=axes)
 
 
 def _assembled(
     by_id: Mapping[str, AxisRecord], gu_records: Sequence[GURecord]
-) -> dict[str, Axis] | None:
-    """The axes of valid GU rows, keyed by id in sorted order; None if a
-    GU or attachment rule is broken, which :func:`_first_fault` words.
+) -> dict[str, Axis]:
+    """The axes of the GU rows, keyed by id in sorted order; raises the
+    first broken GU or attachment rule, in :func:`build_topology`'s order.
 
     One sort groups the rows by axis and orders each axis's cycles, and an
     axis's cycles are checked against one ``range``.
     """
     try:
         rows = sorted(gu_records, key=itemgetter(1, 2))  # by axis id, then cycle
-        if rows and (min(map(itemgetter(2), rows)) < 1 or min(map(itemgetter(3), rows)) < 1):
-            return None
-    except TypeError:  # a cell that does not compare: let the row checks meet it
-        return None
-    groups = [list(group) for _, group in groupby(rows, key=itemgetter(1))]
-    if [group[0].axis_id for group in groups] != sorted(by_id):
-        return None  # a GU of an undeclared axis, or an axis without GUs
-    units: dict[tuple[int, int, int], GrowthUnit] = {}  # equal GUs share one object
+        groups = {axis_id: list(group) for axis_id, group in groupby(rows, key=itemgetter(1))}
+        rows_hold = groups.keys() <= by_id.keys() and (not rows or (
+            min(map(itemgetter(2), rows)) >= 1 and min(map(itemgetter(3), rows)) >= 1))
+    except TypeError:  # a cell that does not compare: its row's rule meets it
+        rows_hold = False
+    if not rows_hold:  # a column minimum cannot say which row broke it
+        for rec in gu_records:
+            if rec.axis_id not in by_id:
+                raise DanglingParent(f"GU references unknown axis {rec.axis_id!r}")
+            if rec.gu_ca < 1:
+                raise InvalidTopology(f"axis {rec.axis_id!r}: GU ca {rec.gu_ca} < 1")
+            if rec.internode_count < 1:
+                raise InvalidTopology(
+                    f"axis {rec.axis_id!r} GU ca {rec.gu_ca}: internode_count < 1"
+                )
+        # No row breaks a row rule, so a sort failed: it raises its TypeError again.
+        rows = sorted(gu_records, key=itemgetter(1, 2))
+    key = itemgetter(2, 3, 4)  # ca, internode and leaf scar counts
+    units = {k: GrowthUnit(*k) for k in set(map(key, rows))}  # equal GUs share one object
+    gus = list(map(units.__getitem__, map(key, rows)))
     axes: dict[str, Axis] = {}
-    for group in groups:
-        first = group[0].gu_ca
-        if list(map(itemgetter(2), group)) != list(range(first, first + len(group))):
-            return None
-        gus = []
-        for key in map(itemgetter(2, 3, 4), group):  # ca, internode and leaf scar counts
-            unit = units.get(key)
-            if unit is None:
-                unit = units[key] = GrowthUnit(*key)
-            gus.append(unit)
-        rec = by_id[group[0].axis_id]
-        axes[rec.axis_id] = Axis(rec.axis_id, rec.parent_axis_id, rec.insertion_ca, tuple(gus))
+    done = 0  # rows of the axes whose GU rules hold
+    cycle = itemgetter(2)
+    for axis_id in sorted(by_id):
+        cas = list(map(cycle, groups.get(axis_id, ())))
+        if not cas or cas != list(range(cas[0], cas[0] + len(cas))):
+            _warn_scars(rows[:done])
+            if not cas:
+                raise InvalidTopology(f"axis {axis_id!r} has no growth units")
+            k = next(k for k, ca in enumerate(cas) if ca != cas[0] + k)
+            if cas[k] == cas[k - 1]:
+                raise DuplicateKey(f"axis {axis_id!r}: GU ca {cas[k]} declared twice")
+            raise NonContiguousCA(f"axis {axis_id!r}: GU ca jumps from {cas[k - 1]} to {cas[k]}")
+        rec = by_id[axis_id]
+        axes[axis_id] = Axis(axis_id, rec.parent_axis_id, rec.insertion_ca,
+                             tuple(gus[done : done + len(cas)]))
+        done += len(cas)
+    if any(scars and scars != count for _, count, scars in units):
+        _warn_scars(rows)
     # Attachment rule: a child inserted on a parent GU of cycle c starts at
     # c or c + 1 (generated trees always use c + 1).
     for axis in axes.values():
         if axis.is_root:
             continue
         ins = axis.insertion_ca
+        if ins is None:
+            raise BadInsertion(f"axis {axis.id!r} has a parent but no insertion_ca")
         parent = axes[axis.parent_id]
-        if (ins is None or not parent.first_ca <= ins <= parent.last_ca
-                or not ins <= axis.first_ca <= ins + 1):
-            return None
-    if any(scars and scars != count for _, count, scars in units):
-        _warn_scars(rows)
+        if not parent.first_ca <= ins <= parent.last_ca:
+            raise BadInsertion(f"axis {axis.id!r} inserts at ca {ins} but parent "
+                               f"{parent.id!r} has no GU there")
+        if not ins <= axis.first_ca <= ins + 1:
+            raise BadInsertion(f"axis {axis.id!r}: first GU ca {axis.first_ca} not at "
+                               f"insertion ca {ins} or one cycle later")
     return axes
 
 
@@ -356,60 +381,6 @@ def _warn_scars(rows: Sequence[GURecord]) -> None:
                 "axis %s GU ca %d: %d leaf scars for %d internodes",
                 g.axis_id, g.gu_ca, g.leaf_scar_count, g.internode_count,
             )
-
-
-def _first_fault(
-    by_id: Mapping[str, AxisRecord], gu_records: Sequence[GURecord]
-) -> ValidationError:
-    """The first broken GU or attachment rule, found row by row: records
-    in their order, then axes by id, each GU rule before the next axis's."""
-    gus_by_axis: dict[str, list[GURecord]] = {k: [] for k in by_id}
-    for rec in gu_records:
-        if rec.axis_id not in by_id:
-            return DanglingParent(f"GU references unknown axis {rec.axis_id!r}")
-        if rec.gu_ca < 1:
-            return InvalidTopology(f"axis {rec.axis_id!r}: GU ca {rec.gu_ca} < 1")
-        if rec.internode_count < 1:
-            return InvalidTopology(
-                f"axis {rec.axis_id!r} GU ca {rec.gu_ca}: internode_count < 1"
-            )
-        gus_by_axis[rec.axis_id].append(rec)
-
-    spans: dict[str, tuple[int, int]] = {}  # each axis's first and last cycle
-    for axis_id in sorted(by_id):
-        rows = sorted(gus_by_axis[axis_id], key=lambda g: g.gu_ca)
-        if not rows:
-            return InvalidTopology(f"axis {axis_id!r} has no growth units")
-        cas = [g.gu_ca for g in rows]
-        for a, b in zip(cas, cas[1:]):
-            if b == a:
-                return DuplicateKey(f"axis {axis_id!r}: GU ca {a} declared twice")
-            if b != a + 1:
-                return NonContiguousCA(
-                    f"axis {axis_id!r}: GU ca jumps from {a} to {b}"
-                )
-        _warn_scars(rows)
-        spans[axis_id] = (cas[0], cas[-1])
-
-    for axis_id in sorted(by_id):
-        rec = by_id[axis_id]
-        if rec.parent_axis_id is None:
-            continue
-        ins = rec.insertion_ca
-        if ins is None:
-            return BadInsertion(f"axis {axis_id!r} has a parent but no insertion_ca")
-        first, last = spans[rec.parent_axis_id]
-        if not first <= ins <= last:
-            return BadInsertion(
-                f"axis {axis_id!r} inserts at ca {ins} but parent "
-                f"{rec.parent_axis_id!r} has no GU there"
-            )
-        if spans[axis_id][0] not in (ins, ins + 1):
-            return BadInsertion(
-                f"axis {axis_id!r}: first GU ca {spans[axis_id][0]} not at insertion "
-                f"ca {ins} or one cycle later"
-            )
-    raise AssertionError("GU rows rejected as a whole, but no row breaks a rule")
 
 
 def with_physio_ages(

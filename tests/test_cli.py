@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 from pathlib import Path
@@ -42,7 +43,7 @@ class TestIngest:
         assert run(*ingest_args(SINGLE, out)) == 0
         golden = (DATA / "golden" / "tree.json").read_bytes()
         assert out.read_bytes() == golden
-        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        manifest = json.loads((tmp_path / "tree.run_manifest.json").read_text())
         assert manifest["command"] == "ingest"
 
     def test_unknown_flag_exits_1(self, capsys):
@@ -75,12 +76,24 @@ class TestIngest:
         assert run(*ingest_args(SINGLE, out1)) == 0
         assert run(*ingest_args(SINGLE, out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
-        m1 = json.loads((tmp_path / "a" / "run_manifest.json").read_text())
-        m2 = json.loads((tmp_path / "b" / "run_manifest.json").read_text())
+        m1 = json.loads((tmp_path / "a" / "tree.run_manifest.json").read_text())
+        m2 = json.loads((tmp_path / "b" / "tree.run_manifest.json").read_text())
         for run_dependent in ("timestamp", "elapsed_s", "peak_rss_mb"):
             m1.pop(run_dependent)
             m2.pop(run_dependent)
         assert m1 == m2
+
+    def test_trees_in_one_directory_keep_a_manifest_each(self, tmp_path):
+        for tree_id in ("P1", "P2"):
+            assert run(*ingest_args(GROVE, tmp_path / f"{tree_id}.json", tree_id)) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "P1.json", "P1.run_manifest.json", "P2.json", "P2.run_manifest.json",
+        ]
+        for tree_id in ("P1", "P2"):
+            manifest = json.loads((tmp_path / f"{tree_id}.run_manifest.json").read_text())
+            config = {"command": "ingest", "tree_id": tree_id, "out": f"{tree_id}.json"}
+            digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
+            assert manifest["config_hash"] == digest
 
 
 class TestClassifyAndTargets:
@@ -363,6 +376,31 @@ class TestInvalidParameters:
         assert len(err) == 1
         assert err[0].startswith(f"fspm simulate: {flag[2:]} must be finite")
         assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("export-skeleton", "--seed"), ("fit", "--seed"), ("fit", "--n-starts"),
+        ("classify-pa", "--k"), ("simulate", "--cycles"),
+        ("bench-substructure", "--cycles"), ("bench-substructure", "--pmax"),
+        ("bench-substructure", "--branching"), ("bench-substructure", "--internodes-per-gu"),
+    ])
+    def test_negative_integer_flag_exits_1_with_one_line(self, grove_pipeline, tmp_path,
+                                                          capsys, command, flag):
+        _, trees, params = grove_pipeline
+        tree, pa_map, _ = trees["P2"]
+        out = tmp_path / "out"
+        model = ["--tree", tree, "--pa-map", pa_map, "--params", params,
+                 "--q0", 12.0, "--rp", 6.4, "--pc", 0.14]
+        argv = {"export-skeleton": [*model, "--out", out / "skeleton.csv"],
+                "fit": ["--tree", tree, "--pa-map", pa_map, "--params", params,
+                        "--n-starts", 0, "--out", out],
+                "classify-pa": ["--tree", tree, "--out", out],
+                "simulate": [*model, "--out", out],
+                "bench-substructure": ["--cycles", 3, "--out", out]}[command]
+        capsys.readouterr()
+        assert run(command, *argv, flag, -1) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"fspm {command}: ")
+        assert not out.exists()
 
     def test_bench_rejects_nan_seed_mass(self, tmp_path, capsys):
         assert run("bench-substructure", "--cycles", 3, "--q0", "nan",
@@ -766,6 +804,21 @@ class TestBadInputFiles:
         err = self.one_error_line(capsys, ingest_args(SINGLE, parent / "x.json"))
         assert err == f"fspm ingest: [Errno 17] File exists: '{parent}'"
         assert parent.read_text() == "keep"
+
+    @pytest.mark.parametrize("name", ["internodes.csv", "leaves.csv"])
+    def test_ingest_row_on_a_missing_gu(self, tmp_path, capsys, name):
+        # A blank line above the row: the fault names the row's physical line.
+        src = tmp_path / "single"
+        src.mkdir()
+        for csv_file in SINGLE.iterdir():
+            (src / csv_file.name).write_bytes(csv_file.read_bytes())
+        header, first, *rest = (src / name).read_text().splitlines(keepends=True)
+        (src / name).write_text("".join([header, "\n", first.replace(",A1,", ",zz,", 1), *rest]))
+        out = tmp_path / "tree.json"
+        err = self.one_error_line(capsys, ingest_args(src, out))
+        assert err == (f"fspm ingest: {src / name}:3: "
+                       "record references unknown GU ('zz', ca 1)")
+        assert not out.exists()
 
     @pytest.mark.parametrize("name, line, column, raw", [
         ("internodes.csv", 3, "diameter_mm", "nan"),

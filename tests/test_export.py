@@ -28,7 +28,7 @@ from fspm import (
     with_physio_ages,
 )
 from fspm.calibrate import WEIGHT_FLOOR
-from fspm.errors import TreeMismatch, ValidationError
+from fspm.errors import InvalidParameter, TreeMismatch, ValidationError
 from fspm.export import _csv, _cross, build_skeleton
 from test_calibrate import acceptance_problem, doubled_init
 from test_engine import uneven_trees
@@ -274,6 +274,13 @@ class TestSkeleton:
             f"the topology {born} born by cycle {a.age}$"
         )):
             build_skeleton(trace, b, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_that_is_no_integer_at_least_0(self, dp3, hp_default, seed):
+        t = generate_topology(GrowthRules(p_max=3, internodes_per_gu=2, branches_per_gu=1), 3, "T")
+        trace = simulate(hp_default, dp3, t)
+        with pytest.raises(InvalidParameter, match=rf"^seed must be an integer >= 0, got {seed}$"):
+            build_skeleton(trace, t, seed)
 
 
 @dataclass(frozen=True)

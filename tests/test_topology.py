@@ -281,7 +281,7 @@ def legacy_build_topology(axis_records, gu_records):
 
 
 FAULTS = ("drop_gu", "repeat_gu", "shift_ca", "shift_axis", "root_from_zero",
-          "insert_off_parent", "bad_count", "gu_of_unknown_axis",
+          "insert_off_parent", "bad_count", "cell_not_comparing", "gu_of_unknown_axis",
           "repeat_axis", "second_root", "dangling_parent", "loop", "no_insertion",
           "shift_insertion", "other_tree", "no_gus", "no_axes")
 
@@ -306,7 +306,8 @@ def record_sets(draw):
             count = draw(st.integers(1, 3))
             gus.append(GURecord("T", axis_id, ca, count, draw(st.sampled_from([count, 0, 4]))))
     # "valid" leaves the tree as it is, and so do faults that find no row.
-    for fault in draw(st.lists(st.sampled_from(FAULTS + ("valid",) * 6), min_size=1, max_size=2)):
+    faults = draw(st.lists(st.sampled_from(FAULTS + ("valid",) * 6), min_size=1, max_size=2))
+    for fault in faults:
         if fault == "no_axes":
             axes = []
             continue
@@ -362,6 +363,11 @@ def record_sets(draw):
             axes[axis_at] = axes[axis_at]._replace(insertion_ca=ins)
         elif fault == "other_tree" and gus:
             gus[gu_at] = gus[gu_at]._replace(tree_id="U")
+    # A cell that does not compare, put in after the faults that count with cells.
+    if "cell_not_comparing" in faults and gus:
+        gu_at = draw(st.integers(0, len(gus) - 1))
+        cell = draw(st.sampled_from([{"gu_ca": None}, {"internode_count": "2"}]))
+        gus[gu_at] = gus[gu_at]._replace(**cell)
     return draw(st.permutations(axes)), draw(st.permutations(gus))
 
 
