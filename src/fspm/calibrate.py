@@ -27,8 +27,9 @@ tangent sweep over the stored forward state that carries d/d(log q0,
 log rp, log pc) through the same recursions (forward-mode differentiation,
 Griewank & Walther 2008, ch. 3): exact, and the price of about one
 simulation per tree where central differences need two per parameter.
-The solver asks for a Jacobian only at the point it has just evaluated, so
-the tangent sweep reuses that point's forward sweep instead of rerunning it.
+The solver holds the forward sweep of its current point and takes every
+Jacobian from it, the identifiability one at the optimum too, so no
+forward sweep is ever rerun.
 
 Finite differences (FD) are the test oracle.  :func:`residuals` and
 :func:`fd_jacobian` always run the simulator: they are the reference the
@@ -487,10 +488,14 @@ def _values(problem: FitProblem, x: np.ndarray) -> _Sweep:
     primary = fixed[plan.classes]
     masses = total = mass[plan.classes]
     ok = (primary > 0.0) & (total > 0.0)  # a class given nothing has no diameter
-    empty = not ok.all()
+    # count_nonzero is the cheap form of all() on a few dozen rows.
+    empty = np.count_nonzero(ok) < len(ok)
     if empty:
         primary, total = np.where(ok, primary, 1.0), np.where(ok, total, 1.0)
     length = plan.b * primary**plan.beta
+    if np.count_nonzero(length) < len(length):  # nor has one whose length underflows to 0
+        ok, empty = ok & (length > 0.0), True
+        primary, total, length = (np.where(ok, v, 1.0) for v in (primary, total, length))
     diameter = np.sqrt(4.0 * total / (math.pi * plan.rho * length)) * 10.0
     if empty:  # a mask of all True would change no bit
         diameter *= ok
@@ -633,52 +638,28 @@ def _per_tree_sse(res: np.ndarray, problem: FitProblem) -> dict[str, float]:
     return out
 
 
-class _Passes:
-    """The solver's residual and exact Jacobian evaluations through the
-    trees' plans, counted.  A Jacobian at the point of the last residual
-    evaluation reuses that forward sweep; the solver never changes a point
-    in place."""
-
-    def __init__(self, problem: FitProblem) -> None:
-        self.problem = problem
-        self.value_passes = 0
-        self.tangent_passes = 0
-        self.last: _Sweep | None = None
-
-    def values(self, x: np.ndarray) -> np.ndarray:
-        self.value_passes += 1
-        self.last = _values(self.problem, x)
-        return self.last.res
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        self.tangent_passes += 1
-        sweep = self.last
-        if sweep is None or not (sweep.x is x or np.array_equal(sweep.x, x)):
-            sweep = _values(self.problem, x)
-        return _jacobian(self.problem, sweep)
-
-
 def _gauss_newton(
-    fn: Callable[[np.ndarray], np.ndarray],
-    jacobian: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    opts: FitOptions,
-) -> tuple[np.ndarray, float, int, bool]:
-    x = np.clip(x0, lo, hi)
-    r = fn(x)
-    sse = float(r.dot(r))
+    problem: FitProblem, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, opts: FitOptions
+) -> tuple[_Sweep, float, int, bool, int, int]:
+    """Damped Gauss-Newton from ``x0`` clipped into [lo, hi].  It holds the
+    forward sweep of its current point, takes every Jacobian from it and
+    keeps a trial step's sweep when the SSE drops.  Returns the final
+    sweep, its SSE, the iterations, whether the start converged, and the
+    value and tangent passes it made."""
+    sweep = _values(problem, np.clip(x0, lo, hi))
+    sse = float(sweep.res.dot(sweep.res))
+    value_passes, tangent_passes = 1, 0
     lam = LAMBDA0
     stall = 0
     it = 0
     while it < opts.max_iter:
         if sse <= SSE_FLOOR:
-            return x, sse, it, True
+            return sweep, sse, it, True, value_passes, tangent_passes
         it += 1
-        jac = jacobian(x)
+        jac = _jacobian(problem, sweep)
+        tangent_passes += 1
         a = jac.T.dot(jac)
-        minus_g = -jac.T.dot(r)
+        minus_g = -jac.T.dot(sweep.res)
         damping = np.diag(np.maximum(np.diag(a), 1e-12))
         improved = False
         while lam <= 1e12:
@@ -687,9 +668,9 @@ def _gauss_newton(
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            x_new = np.clip(x + dx, lo, hi)
-            r_new = fn(x_new)
-            sse_new = float(r_new.dot(r_new))
+            trial = _values(problem, np.clip(sweep.x + dx, lo, hi))
+            value_passes += 1
+            sse_new = float(trial.res.dot(trial.res))
             if sse_new < sse:
                 improved = True
                 lam = max(lam / 3.0, 1e-12)
@@ -697,15 +678,14 @@ def _gauss_newton(
             lam *= 10.0
         if improved:
             rel = (sse - sse_new) / max(sse, 1e-300)
-            x, r, sse = x_new, r_new, sse_new
+            sweep, sse = trial, sse_new
         else:
             rel = 0.0
+            lam = LAMBDA0
         stall = stall + 1 if rel < REL_TOL else 0
         if stall >= STALL_ITERS:
-            return x, sse, it, True
-        if not improved:
-            lam = LAMBDA0
-    return x, sse, it, False
+            return sweep, sse, it, True, value_passes, tangent_passes
+    return sweep, sse, it, False, value_passes, tangent_passes
 
 
 def fit_hidden(
@@ -731,7 +711,6 @@ def fit_hidden(
     if bad:
         raise InfeasibleInit(f"init must be finite and inside the bounds for {bad}")
 
-    passes = _Passes(problem)
     # The standard library's seeded generator: a fit never loads
     # numpy.random, about 15 ms and 3 MB of resident memory on first use.
     rng = random.Random(options.seed)
@@ -740,17 +719,23 @@ def fit_hidden(
         np.array([rng.uniform(a, b) for a, b in bounds]) for _ in range(options.n_starts)
     ]
 
-    best: tuple[np.ndarray, float, int, bool] | None = None
+    best: tuple[_Sweep, float, int, bool] | None = None
+    value_passes = tangent_passes = 0
     for x0 in starts:
-        x, sse, iters, converged = _gauss_newton(
-            passes.values, passes.jacobian, x0, lo, hi, options
+        sweep, sse, iters, converged, values, tangents = _gauss_newton(
+            problem, x0, lo, hi, options
         )
+        value_passes += values
+        tangent_passes += tangents
         if best is None or sse < best[1]:
-            best = (x, sse, iters, converged)
+            best = (sweep, sse, iters, converged)
 
-    x, _, iters, converged = best
+    sweep, _, iters, converged = best
+    x = sweep.x
     fp = problem.unpack(x)
-    norms = np.linalg.norm(passes.jacobian(x), axis=0)
+    # The identifiability Jacobian, from the best start's own final sweep.
+    norms = np.linalg.norm(_jacobian(problem, sweep), axis=0)
+    tangent_passes += 1
     names = problem.param_names
     degenerate = [names[j] for j in range(len(norms)) if norms[j] < 1e-12]
     at_bound = [
@@ -765,8 +750,8 @@ def fit_hidden(
         iterations=iters,
         converged=converged,
         degenerate_params=degenerate,
-        value_passes=passes.value_passes,
-        tangent_passes=passes.tangent_passes,
+        value_passes=value_passes,
+        tangent_passes=tangent_passes,
         at_bound=at_bound,
     )
 

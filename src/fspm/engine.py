@@ -58,6 +58,7 @@ from .direct_estim import DirectParams
 from .errors import (
     InvalidParameter,
     InvalidTopology,
+    LengthOverflow,
     MissingPA,
     UnsupportedRingMode,
     ZeroDemandWithBiomass,
@@ -175,7 +176,12 @@ def internode_geometry(
         raise ValueError("masses must be >= 0")
     if primary_mass == 0:
         return 0.0, 0.0
-    length = b * primary_mass**beta
+    try:
+        length = b * primary_mass**beta
+    except OverflowError:  # the power overflows; a product overflows to inf
+        length = math.inf
+    if length == math.inf:
+        raise LengthOverflow(f"allometric length {b} * {primary_mass} g ** {beta} overflows")
     if total_mass == 0 or length <= 0:
         return length, 0.0
     diameter = math.sqrt(4.0 * total_mass / (math.pi * rho * length))
@@ -319,7 +325,10 @@ def _run_cohorts(
 
     cohorts: dict[tuple[int, int], CohortSummary] = {}
     for (pa, b), size, p, r, m in zip(keys, sizes, primary, ring, blade):
-        length, diameter = internode_geometry(p, p + r, *dp.shape(pa), cfg.rho)
+        try:
+            length, diameter = internode_geometry(p, p + r, *dp.shape(pa), cfg.rho)
+        except LengthOverflow as exc:
+            raise LengthOverflow(f"PA {pa}: {exc}") from None
         cohorts[(pa, b)] = CohortSummary(
             pa, b, size, size, m, p, r, p + r, length, diameter
         )

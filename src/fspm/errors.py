@@ -99,6 +99,10 @@ class ZeroDemandWithBiomass(FspmError):
     """Biomass available to allocate but total sink demand is zero."""
 
 
+class LengthOverflow(FspmError):
+    """An internode's allometric length b * P**beta overflows a float."""
+
+
 class UnsupportedRingMode(ValidationError):
     """Ring distribution mode not available in the requested engine mode."""
 

@@ -6,8 +6,8 @@ measured tree; an empty ``parent_axis_id`` marks the root axis.  Fresh
 weight is the mass variable throughout.  Each table is declared once, in
 ``_TABLES``: its columns in record-field order, each cell's rule (text, an
 integer within bounds, or a measurement that is finite and > 0) and the
-leading columns that identify a row.  Parsing, serializing and reading the
-tree document all follow that declaration.  Columns are found by header name
+leading columns that identify a row.  Parsing the CSVs, and writing and
+reading the tree document, all follow that declaration.  Columns are found by header name
 and may come in any order; blank lines are skipped.  Row and cell problems
 are reported with the file and the physical line the row ends on, so blank
 lines and quoted cells that span lines are counted; of several, the first
@@ -16,7 +16,8 @@ row's is reported, and in a row the first column's.  Rows become
 
 :func:`tree_to_json` writes the canonical tree document, byte for byte what
 ``json.dumps(doc, indent=2, sort_keys=True)`` gives for it, from one template
-per row kind; :func:`tree_from_json` reads it back and checks every axis, GU
+per row kind, built from its table's tree document keys in ``_TABLES``;
+:func:`tree_from_json` reads it back and checks every axis, GU
 and measurement cell by the rule of its CSV column.  A CSV cell is parsed
 and a JSON cell must already have the rule's type; both then go through the
 same column check.
@@ -24,7 +25,6 @@ same column check.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 import math
@@ -317,27 +317,6 @@ def _check_sampled_gus(ms: MeasurementSet, where) -> None:
                                   f"({rec.axis_id!r}, ca {rec.gu_ca})")
 
 
-def serialize_measurements(ms: MeasurementSet) -> dict[str, str]:
-    """Render records back to the four CSV texts, losslessly.
-
-    Rows are sorted by their identity.  Cells holding a comma, a quote or a
-    line break are quoted.  A row with a carriage return is quoted whole,
-    since ``csv.writer`` leaves a lone ``\\r`` unquoted when the line
-    terminator is ``\\n``.
-    """
-    texts = {}
-    for name, table in _TABLES.items():
-        buf = io.StringIO()
-        plain = csv.writer(buf, lineterminator="\n")
-        quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        plain.writerow(table.names)
-        for record in sorted(getattr(ms, name), key=itemgetter(slice(table.identity))):
-            row = ["" if value is None else str(value) for value in record]
-            (quoted if any("\r" in cell for cell in row) else plain).writerow(row)
-        texts[name] = buf.getvalue()
-    return texts
-
-
 # -- samples per GU -------------------------------------------------------------
 
 class GUSamples(NamedTuple):
@@ -544,8 +523,6 @@ def build_target_series(ms: MeasurementSet, topology: TreeTopology) -> TargetSer
 
 # -- canonical tree document --------------------------------------------------
 
-# One template per row kind, keys in sorted order, indented as
-# json.dumps(indent=2) indents them; "%s" slots take rendered JSON values.
 _TREE = """\
 {
   "age": %s,
@@ -557,36 +534,21 @@ _TREE = """\
   "tree_id": %s
 }
 """
-_AXIS = """\
-    {
-      "axis_id": %s,
-      "gus": %s,
-      "insertion_ca": %s,
-      "parent_axis_id": %s
-    }"""
-_GU = """\
-        {
-          "ca": %s,
-          "internode_count": %s,
-          "leaf_scar_count": %s
-        }"""
-_INTERNODE = """\
-      {
-        "axis_id": %s,
-        "diameter_mm": %s,
-        "fresh_weight_g": %s,
-        "gu_ca": %s,
-        "length_cm": %s,
-        "rank_in_gu": %s
-      }"""
-_LEAF = """\
-      {
-        "area_cm2": %s,
-        "axis_id": %s,
-        "fresh_weight_g": %s,
-        "gu_ca": %s,
-        "sample_index": %s
-      }"""
+
+
+def _template(keys: Sequence[str], indent: str) -> str:
+    """A row of ``keys``, sorted and indented as ``json.dumps(indent=2)``
+    writes it with its braces at ``indent``; "%s" slots take rendered values."""
+    lines = [f"{indent}  {encode_basestring_ascii(key)}: %s" for key in sorted(keys)]
+    return indent + "{\n" + ",\n".join(lines) + "\n" + indent + "}"
+
+
+# One template per row kind, from its table's tree.json keys; axes add their GUs.
+_AXIS_KEYS = _TABLES["axes"].json_keys + ("gus",)
+_AXIS = _template(_AXIS_KEYS, "    ")
+_GU = _template(_TABLES["gus"].json_keys, "        ")
+_INTERNODE = _template(_TABLES["internodes"].json_keys, "      ")
+_LEAF = _template(_TABLES["leaves"].json_keys, "      ")
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -630,10 +592,25 @@ def _json_list(items: list[str], indent: str) -> str:
     return "[\n" + ",\n".join(items) + "\n" + indent + "]"
 
 
-def _json_rows(template: str, records: Sequence, names: Sequence[str]) -> list[str]:
-    """``template`` filled once per record with its ``names`` fields, rendered."""
-    columns = [_json_column(list(map(attrgetter(name), records))) for name in names]
-    return list(map(template.__mod__, zip(*columns)))
+def _json_columns(rows: Sequence, fields: Sequence[str]) -> list[list[str]]:
+    """Each field of ``rows`` rendered, a column at a time."""
+    return [_json_column(list(map(attrgetter(name), rows))) for name in fields]
+
+
+def _json_rows(template: str, keys: Sequence[str], columns: list[list[str]]) -> list[str]:
+    """``template`` filled once per row from rendered ``columns``, one per
+    key of ``keys``, taken in the template's sorted key order."""
+    slots = sorted(range(len(keys)), key=keys.__getitem__)
+    return list(map(template.__mod__, zip(*(columns[i] for i in slots))))
+
+
+def _measurement_rows(name: str, template: str, records: Sequence) -> str:
+    """The tree.json list of table ``name``'s records, sorted by identity."""
+    table = _TABLES[name]
+    records = sorted(records, key=itemgetter(slice(1, table.identity)))
+    fields = table.record._fields[len(table.names) - len(table.json_keys):]  # its keys' fields
+    return _json_list(_json_rows(template, table.json_keys, _json_columns(records, fields)),
+                      "    ")
 
 
 def tree_to_json(topology: TreeTopology, ms: MeasurementSet) -> str:
@@ -644,31 +621,22 @@ def tree_to_json(topology: TreeTopology, ms: MeasurementSet) -> str:
     "leaf_scar_count"}], "insertion_ca", "parent_axis_id"}], "measurements":
     {"internodes": [...], "leaves": [...]}, "tree_id"}``, with measurement
     rows sorted by axis, cycle and rank or sample index.  It is written from
-    one template per row kind and rendered column by column; a value that
-    is no JSON scalar raises ``TypeError``, as ``json.dumps`` does.
+    one template per row kind, built from its table's tree.json keys, and
+    rendered column by column; a value that is no JSON scalar raises
+    ``TypeError``, as ``json.dumps`` does.
     """
     axes = topology.axes_sorted()
-    gu_texts = iter(_json_rows(
-        _GU, [gu for axis in axes for gu in axis.gus],
-        ("ca", "internode_count", "leaf_scar_count"),
-    ))
+    gu_keys = _TABLES["gus"].json_keys  # named as the GrowthUnit fields
+    gu_texts = iter(_json_rows(_GU, gu_keys, _json_columns(
+        [gu for axis in axes for gu in axis.gus], gu_keys)))
     gus = [_json_list(list(islice(gu_texts, len(axis.gus))), "      ") for axis in axes]
-    axis_texts = list(map(_AXIS.__mod__, zip(
-        _json_column([axis.id for axis in axes]), gus,
-        _json_column([axis.insertion_ca for axis in axes]),
-        _json_column([axis.parent_id for axis in axes]),
-    )))
-    internodes = sorted(ms.internodes, key=attrgetter("axis_id", "gu_ca", "rank_in_gu"))
-    leaves = sorted(ms.leaves, key=attrgetter("axis_id", "gu_ca", "sample_index"))
+    # An axis's id, parent and insertion, in the order of the axes keys.
+    axis_columns = _json_columns(axes, ("id", "parent_id", "insertion_ca"))
     return _TREE % (
         _json_scalar(topology.age),
-        _json_list(axis_texts, "  "),
-        _json_list(_json_rows(_INTERNODE, internodes, (
-            "axis_id", "diameter", "fresh_weight", "gu_ca", "length", "rank_in_gu",
-        )), "    "),
-        _json_list(_json_rows(_LEAF, leaves, (
-            "area", "axis_id", "fresh_weight", "gu_ca", "sample_index",
-        )), "    "),
+        _json_list(_json_rows(_AXIS, _AXIS_KEYS, axis_columns + [gus]), "  "),
+        _measurement_rows("internodes", _INTERNODE, ms.internodes),
+        _measurement_rows("leaves", _LEAF, ms.leaves),
         _json_scalar(topology.tree_id),
     )
 
@@ -685,15 +653,19 @@ def tree_from_json(
 
     Raises:
         SchemaError: the text is not JSON, lacks a key, or holds a value of
-            the wrong type.
+            the wrong type (an ``age`` that is no JSON integer included).
         UnitError: a cell is out of range.
         DuplicateKey: an internode or a leaf sample is measured twice.
-        ValidationError: the rows do not form a valid tree, or a measurement
-            row names a GU the document lacks.
+        ValidationError: the rows do not form a valid tree, its ``age`` is
+            not the last GU cycle, or a measurement row names a GU the
+            document lacks.
     """
     with schema_errors(source):
         doc = json.loads(text)
         tree_id = doc["tree_id"]
+        age = doc["age"]
+        if type(age) is not int:  # bool is no integer here
+            raise TypeError(f"age must be an integer, got {age!r}")
         axes = doc["axes"]
         measurements = doc["measurements"]
         rows = {"axes": axes, "gus": [gu for axis in axes for gu in axis["gus"]],
@@ -720,5 +692,7 @@ def tree_from_json(
                                        unique=name in ("internodes", "leaves")))
             del cells  # no table's cells outlive its records
         topology = ms.topology()
+    if age != topology.age:
+        raise ValidationError(f"{source}: age {age} is not the last GU cycle, {topology.age}")
     _check_sampled_gus(ms, where)
     return topology, ms

@@ -25,7 +25,6 @@ from fspm import (
 from fspm.calibrate import (
     DEFAULT_BOUNDS,
     _jacobian,
-    _Passes,
     _values,
     central_jacobian,
 )
@@ -331,17 +330,18 @@ class TestFdOracle:
         assert len(calls) == 2 * (n_trees + 2) * n_trees
         assert sorted(set(calls)) == problem.tree_ids
 
-    @pytest.mark.parametrize("ring_mode, passes, sweeps", [("uniform", (211, 164), 212),
-                                                           ("pipe", (208, 157), 209)])
+    @pytest.mark.parametrize("ring_mode, passes", [("uniform", (211, 164)),
+                                                   ("pipe", (208, 157))])
     def test_acceptance_fit_makes_211_value_and_164_tangent_passes(
-        self, dp3, monkeypatch, ring_mode, passes, sweeps
+        self, dp3, monkeypatch, ring_mode, passes
     ):
         # The seed-0 round trip of the acceptance suite: a change to the
         # solver's work shows here as a different count.  The solver runs
         # on the residual plans in both ring modes; the simulator runs once
-        # per tree, for the reported SSE.  Every solver Jacobian reuses the
-        # forward sweep at its point: only the identifiability Jacobian at
-        # the best start's optimum needs one more.
+        # per tree, for the reported SSE.  The solver holds the forward
+        # sweep of its current point and takes every Jacobian from it, the
+        # identifiability one at the best start's optimum too: forward
+        # sweeps are value passes, one each.
         import fspm.calibrate as calibrate
 
         problem = acceptance_problem(dp3, cfg=SimConfig(ring_mode=ring_mode))
@@ -361,7 +361,7 @@ class TestFdOracle:
         monkeypatch.setattr(calibrate, "_values", counting_sweeps)
         result = fit_hidden(problem, doubled_init(problem), FitOptions(seed=0, n_starts=8))
         assert (result.value_passes, result.tangent_passes) == passes
-        assert forward == sweeps
+        assert forward == result.value_passes
         assert calls == 4
         assert result.converged
         assert result.at_bound == []
@@ -502,52 +502,6 @@ def assert_plan_matches_simulator(problem, fp):
     assert np.all(jac[~block_pattern(problem)] == 0.0)
 
 
-class TestPasses:
-    """A solver Jacobian reuses the forward sweep at its own point, and only
-    at its own point."""
-
-    @pytest.fixture
-    def passes(self, dp3, monkeypatch):
-        # Pipe rings with user weights: split classes and weighted rows.
-        import fspm.calibrate as calibrate
-
-        problem = acceptance_problem(dp3, cfg=SimConfig(ring_mode="pipe"), weighted=True)
-        passes = _Passes(problem)
-        passes.forward = 0
-
-        def counting_sweeps(*args):
-            passes.forward += 1
-            return _values(*args)
-
-        monkeypatch.setattr(calibrate, "_values", counting_sweeps)
-        return passes
-
-    @staticmethod
-    def fresh_jacobian(problem, x):
-        return _jacobian(problem, _values(problem, x))
-
-    def test_jacobian_at_the_last_point_reuses_its_sweep(self, passes):
-        x = passes.problem.pack(doubled_init(passes.problem))
-        assert_bitwise_equal(passes.values(x), _values(passes.problem, x).res)
-        assert_bitwise_equal(passes.jacobian(x), self.fresh_jacobian(passes.problem, x))
-        assert passes.forward == 1
-
-    def test_jacobian_at_another_point_runs_its_own_sweep(self, passes):
-        x = passes.problem.pack(doubled_init(passes.problem))
-        y = x + np.linspace(-0.3, 0.2, len(x))
-        passes.values(y)
-        jac = passes.jacobian(x)
-        assert passes.forward == 2
-        assert_bitwise_equal(jac, self.fresh_jacobian(passes.problem, x))
-        assert not np.array_equal(jac, self.fresh_jacobian(passes.problem, y))
-
-    def test_an_equal_copy_of_the_point_reuses_its_sweep(self, passes):
-        x = passes.problem.pack(doubled_init(passes.problem))
-        passes.values(x)
-        assert_bitwise_equal(passes.jacobian(x.copy()), self.fresh_jacobian(passes.problem, x))
-        assert passes.forward == 1
-
-
 class TestResidualPlan:
     """Residual plans in both ring modes against the simulator they replace."""
 
@@ -618,6 +572,33 @@ class TestResidualPlan:
             if tangent:
                 assert_bitwise_equal(jac, legacy_jac)
 
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_length_closes_no_diameter_as_simulate_does(self, dp3):
+        # With beta = 200 for PA 3, a class of little primary mass gets an
+        # allometric length that underflows to 0: simulate gives it no
+        # diameter, and so must the plan, without dividing by that length.
+        rules = GrowthRules(p_max=3, internodes_per_gu=2, branches_per_gu=1)
+        q0 = {"t5": 0.05, "t6": 0.03}
+        topologies, targets = [], []
+        for (tid, seed_mass), age in zip(q0.items(), (5, 6)):
+            topo = generate_topology(rules, age, tid)
+            trace = simulate(HiddenParams(seed_mass, 6.4319, 0.13882), dp3, topo)
+            topologies.append(topo)
+            targets.append(targets_from_trace(trace, dp3))
+        steep = replace(dp3, allometry={**dp3.allometry, 3: (9.0, 200.0)})
+        problem = FitProblem(targets=targets, topologies=topologies, dp=steep)
+        fp = FreeParams(q0=q0, rp=6.4319, pc=0.13882)
+        sweep = _values(problem, problem.pack(fp))
+        assert np.any(sweep.diameter == 0.0)
+        reference = residuals(fp, problem)
+        assert np.max(np.abs(sweep.res - reference)) <= 1e-12 * np.max(np.abs(reference))
+        jac = _jacobian(problem, sweep)
+        assert np.all(np.isfinite(jac))
+        # beta = 200 makes the diameter rows steep: central differences
+        # are good to a few parts per million here.
+        fd = fd_jacobian(fp, problem)
+        assert np.max(np.abs(jac - fd)) <= 1e-5 * np.max(np.abs(fd))
+
     def test_zero_demand_raises_as_residuals_does(self, dp2):
         # Declared one cycle older than its growth: on the last cycle the
         # foliage funds biomass and nothing takes it.
@@ -631,10 +612,9 @@ class TestResidualPlan:
         with pytest.raises(SimulationFailed) as expected:
             residuals(fp, problem)
         assert "cycle 4" in str(expected.value)
-        for evaluate in (_Passes(problem).values, _Passes(problem).jacobian):
-            with pytest.raises(SimulationFailed) as got:
-                evaluate(problem.pack(fp))
-            assert str(got.value) == str(expected.value)
+        with pytest.raises(SimulationFailed) as got:
+            _values(problem, problem.pack(fp))
+        assert str(got.value) == str(expected.value)
         with pytest.raises(SimulationFailed, match="cycle 4"):
             fit_hidden(problem, fp, FitOptions(n_starts=0))
 
@@ -650,10 +630,9 @@ class TestResidualPlan:
         problem = FitProblem(targets=[targets], topologies=[late_root], dp=dp)
         fp = FreeParams(q0={"Z": 1.0}, rp=3.0, pc=0.3)
         message = "tree 'Z': cycle 1: 1.0 g to allocate but no demand"
-        for evaluate in (_Passes(problem).values, _Passes(problem).jacobian):
-            with pytest.raises(SimulationFailed) as got:
-                evaluate(problem.pack(fp))
-            assert str(got.value) == message
+        with pytest.raises(SimulationFailed) as got:
+            _values(problem, problem.pack(fp))
+        assert str(got.value) == message
         with pytest.raises(SimulationFailed) as got:
             fit_hidden(problem, fp, FitOptions(n_starts=0))
         assert str(got.value) == message

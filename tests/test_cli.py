@@ -260,8 +260,8 @@ class TestGroveFit:
         # whole budget and ends with pc on its lower bound, in both ring
         # modes on the residual plans.  A change to the solver's work on a
         # fit that never converges shows in the pinned pass counts.  Every
-        # Jacobian, the identifiability one too, is taken at the point of
-        # the last residual evaluation and reuses its forward sweep.
+        # Jacobian, the identifiability one too, is taken from the forward
+        # sweep the solver holds at its current point: no sweep is rerun.
         import fspm.calibrate as calibrate
 
         forward = 0
@@ -473,6 +473,10 @@ class TestBadInputFiles:
         *[(which, lambda text: text[:200], "not valid JSON")
           for which in ("tree", "pa_map", "targets")],
         ("tree", lambda text: "{}", "missing key 'tree_id'"),
+        ("tree", lambda text: text.replace('"age": 4,', '"age": 99,'),
+         "age 99 is not the last GU cycle, 4"),
+        ("tree", lambda text: text.replace('"age": 4,', '"age": "4",'),
+         "age must be an integer, got '4'"),
         ("targets", lambda text: "{}", "missing key 'entries'"),
         ("tree", lambda text: "[]", "list indices"),
         ("targets", lambda text: "[]", "list indices"),
@@ -923,6 +927,25 @@ class TestRuntimeErrors:
         assert run(command, "--tree", tree, "--pa-map", pa_map, "--params", params,
                    "--q0", 12.0, "--rp", 6.4, "--pc", 0.14, "--out", out) == 3
         assert capsys.readouterr().err.splitlines() == [f"fspm {command}: {error}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "export-skeleton"])
+    def test_overflowing_length_from_input(self, grove_pipeline, tmp_path, capsys, command):
+        # beta = 400 sends PA 1's allometric length past the largest float.
+        _, trees, params = grove_pipeline
+        doc = json.loads(Path(params).read_text())
+        doc["allometry"]["1"]["beta"] = 400.0
+        steep = tmp_path / "direct_params.json"
+        steep.write_text(json.dumps(doc))
+        tree, pa_map, _ = trees["P2"]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(command, "--tree", tree, "--pa-map", pa_map, "--params", steep,
+                   "--q0", 1e4, "--rp", 0.5, "--pc", 0.14, "--out", out) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"fspm {command}: PA 1: allometric length ")
+        assert err[0].endswith(" ** 400.0 overflows")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "export-skeleton"])

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from fspm import (
 from fspm.engine import _ring_weights, _shares
 from fspm.errors import (
     InvalidTopology,
+    LengthOverflow,
     UnsupportedRingMode,
     ValidationError,
     ZeroDemandWithBiomass,
@@ -246,6 +248,12 @@ class TestInternodeGeometry:
 
     def test_zero_mass(self):
         assert internode_geometry(0.0, 0.0, 2.0, 0.5) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("b, beta", [(2.0, 400.0), (1e300, 10.0)])
+    def test_length_past_the_largest_float_raises(self, b, beta):
+        # The power overflows, or the product with b does.
+        with pytest.raises(LengthOverflow, match=re.escape(f"length {b} * 10.0 g ** {beta}")):
+            internode_geometry(10.0, 10.0, b, beta)
 
     @given(q=st.floats(1e-6, 100.0), ring=st.floats(0.0, 50.0))
     def test_cylinder_closure(self, q, ring):

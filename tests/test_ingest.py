@@ -1,8 +1,11 @@
+import csv
+import io
 import json
 import math
 import random
 import tempfile
 from dataclasses import replace
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +30,31 @@ from fspm import (
 )
 from fspm.errors import (DuplicateKey, MissingPA, SchemaError, TreeMismatch, UnitError,
                          ValidationError)
-from fspm.ingest import _TABLES, samples_by_gu, serialize_measurements
+from fspm.ingest import _TABLES, samples_by_gu
 from fspm.topology import TreeTopology
 
 DATA = Path(__file__).parent / "data"
+
+
+def serialize_measurements(ms: MeasurementSet) -> dict[str, str]:
+    """Oracle: records rendered back to the four CSV texts, losslessly.
+
+    Rows are sorted by their identity.  Cells holding a comma, a quote or a
+    line break are quoted.  A row with a carriage return is quoted whole,
+    since ``csv.writer`` leaves a lone ``\\r`` unquoted when the line
+    terminator is ``\\n``.
+    """
+    texts = {}
+    for name, table in _TABLES.items():
+        buf = io.StringIO()
+        plain = csv.writer(buf, lineterminator="\n")
+        quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        plain.writerow(table.names)
+        for record in sorted(getattr(ms, name), key=itemgetter(slice(table.identity))):
+            row = ["" if value is None else str(value) for value in record]
+            (quoted if any("\r" in cell for cell in row) else plain).writerow(row)
+        texts[name] = buf.getvalue()
+    return texts
 
 
 def write_files(tmp_path, internodes=None, leaves=None, axes=None, gus=None):
@@ -509,6 +533,26 @@ class TestTreeJson:
         text = cut(tree_to_json(ms.topology(), ms))
         with pytest.raises(SchemaError, match=f"^tree.json: {message}"):
             tree_from_json(text, "tree.json")
+
+
+    @pytest.mark.parametrize("age, error, message", [
+        (None, SchemaError, "missing key 'age'"),
+        ('"x"', SchemaError, "age must be an integer, got 'x'"),
+        ("true", SchemaError, "age must be an integer, got True"),
+        ("3.0", SchemaError, "age must be an integer, got 3.0"),
+        ("99", ValidationError, "age 99 is not the last GU cycle, 3"),
+        ("2", ValidationError, "age 2 is not the last GU cycle, 3"),
+    ])
+    def test_age_is_the_last_gu_cycle(self, age, error, message):
+        d = DATA / "single"
+        ms = parse_measurements(d / "axes.csv", d / "gus.csv",
+                                d / "internodes.csv", d / "leaves.csv")
+        text = tree_to_json(ms.topology(), ms)
+        assert '  "age": 3,\n' in text
+        text = text.replace('  "age": 3,\n', "" if age is None else f'  "age": {age},\n')
+        with pytest.raises(error) as info:
+            tree_from_json(text, "tree.json")
+        assert str(info.value) == f"tree.json: {message}"
 
 
 class TestTreeJsonCells:
