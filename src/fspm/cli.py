@@ -63,6 +63,7 @@ from .ingest import (
     build_target_series,
     check_sampled_gus,
     parse_measurements,
+    samples_by_gu,
     tree_from_json,
     tree_to_json,
 )
@@ -177,8 +178,9 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_classify_pa(args) -> int:
     topology, ms = _load_tree(args.tree)
-    pa_map, _ = classify_axes(topology, ms.internodes, args.k)
-    targets = build_target_series(ms, with_physio_ages(topology, pa_map))
+    samples = samples_by_gu(topology, ms.internodes, ms.leaves)  # read by both stages
+    pa_map, _ = classify_axes(topology, samples, args.k)
+    targets = build_target_series(samples, with_physio_ages(topology, pa_map))
     out = Path(args.out)
     _atomic_write(out / "pa_map.json", pa_map_to_json(pa_map))
     _atomic_write(out / "targets.json", targets.to_json())

@@ -166,20 +166,20 @@ def fit_allometry(pairs: Sequence[tuple[float, float]]) -> AllometryFit:
     return AllometryFit(b=math.exp(intercept), beta=beta, r_squared=r2)
 
 
-def estimate_slw(leaves: Iterable) -> float:
+def estimate_slw(weights: Iterable[float], areas: Iterable[float]) -> float:
     """Pooled specific leaf weight, total mass over total area (g/cm^2).
 
-    ``leaves`` is any iterable of objects with ``fresh_weight`` (g) and
-    ``area`` (cm^2) attributes.
+    ``weights`` (g) and ``areas`` (cm^2) are the blades' columns, one
+    value per blade in the same order.
     """
     total_w = 0.0
     total_a = 0.0
     n = 0
-    for leaf in leaves:
-        if leaf.area <= 0 or leaf.fresh_weight <= 0:
+    for weight, area in zip(weights, areas, strict=True):
+        if area <= 0 or weight <= 0:
             raise InsufficientData("leaf weight and area must be positive")
-        total_w += leaf.fresh_weight
-        total_a += leaf.area
+        total_w += weight
+        total_a += area
         n += 1
     if n < 1:
         raise InsufficientData("no leaf records")
@@ -192,55 +192,68 @@ def estimate_direct_params(
     """Assemble DirectParams from classified trees and their measurements.
 
     Each topology's axes carry their PA (see :func:`with_physio_ages`); an
-    axis without one raises MissingPA.  Each tree's records are attached to
+    axis without one raises MissingPA.  Each tree's rows are attached to
     its GUs by :func:`~fspm.ingest.samples_by_gu`: a record of another tree
     raises TreeMismatch, one on a GU the tree lacks ValidationError.
-    Records from every tree are pooled per PA (a single tree carries only
+    Rows from every tree are pooled per PA (a single tree carries only
     one main stem, so the sink regression for PA 1 usually needs several
     trees).  Sink and allometry use the new growth at the top of each axis:
     per PA, sink pairs are the (mean sampled blade mass, mean internode
     mass) of each axis's topmost GU, allometry pairs the (mass, length) of
-    every internode record in those GUs; an axis whose top GU lacks
+    every internode row in those GUs; an axis whose top GU lacks
     internode or leaf samples leaves the fits it cannot feed, with a
-    warning.  SLW pools every leaf.  Also returns per-PA fit diagnostics
-    (r_squared, n observations).
+    warning.  SLW pools every leaf.  A fit that cannot be made raises its
+    error with the PA and the fit named (``PA 1 sink ratio: need >= 2
+    pairs, got 1``).  Also returns per-PA fit diagnostics (r_squared, n
+    observations).
     """
     sink_pairs: dict[int, list[tuple[float, float]]] = {}
     allo_pairs: dict[int, list[tuple[float, float]]] = {}
-    leaves: list = []
+    leaf_weights: list[float] = []
+    leaf_areas: list[float] = []
     for topology, ms in trees:
-        for s in samples_by_gu(topology, ms.internodes, ms.leaves):
-            if s.axis.pa is None:
-                raise MissingPA(f"tree {topology.tree_id!r}: axis {s.axis.id!r} has no PA; "
+        samples = samples_by_gu(topology, ms.internodes, ms.leaves)
+        inter_w, inter_l = samples.internodes["fresh_weight"], samples.internodes["length"]
+        blade_w = samples.leaves["fresh_weight"]
+        for axis, inter_rows, leaf_rows in samples.top_gus(topology):
+            if axis.pa is None:
+                raise MissingPA(f"tree {topology.tree_id!r}: axis {axis.id!r} has no PA; "
                                 "classify first")
-            leaves.extend(s.leaves)
-            if s.gu is not s.axis.gus[-1]:
-                continue
-            if not s.internodes:
+            n_inter = inter_rows.stop - inter_rows.start
+            if not n_inter:
                 logger.warning(
                     "tree %s axis %s top GU has no internode samples; skipped for sink "
-                    "and allometry fits", topology.tree_id, s.axis.id,
+                    "and allometry fits", topology.tree_id, axis.id,
                 )
                 continue
-            allo_pairs.setdefault(s.axis.pa, []).extend(
-                (r.fresh_weight, r.length) for r in s.internodes
-            )
-            if s.leaves:
-                blade = sum(r.fresh_weight for r in s.leaves) / len(s.leaves)
-                inter = sum(r.fresh_weight for r in s.internodes) / len(s.internodes)
-                sink_pairs.setdefault(s.axis.pa, []).append((blade, inter))
+            allo_pairs.setdefault(axis.pa, []).extend(
+                zip(inter_w[inter_rows], inter_l[inter_rows]))
+            n_leaf = leaf_rows.stop - leaf_rows.start
+            if n_leaf:
+                blade = sum(blade_w[leaf_rows]) / n_leaf
+                inter = sum(inter_w[inter_rows]) / n_inter
+                sink_pairs.setdefault(axis.pa, []).append((blade, inter))
             else:
                 logger.warning(
                     "tree %s axis %s top GU has no leaf samples; skipped for sink fit",
-                    topology.tree_id, s.axis.id,
+                    topology.tree_id, axis.id,
                 )
+        # Every leaf, tree by tree, each tree's in GU order.
+        leaf_weights.extend(blade_w)
+        leaf_areas.extend(samples.leaves["area"])
 
     p_int: dict[int, float] = {}
     allometry: dict[int, tuple[float, float]] = {}
     diagnostics: dict[int, dict[str, float]] = {}
     for pa in sorted(set(sink_pairs) | set(allo_pairs)):
-        sfit = fit_sink_ratio(sink_pairs.get(pa, []))
-        afit = fit_allometry(allo_pairs.get(pa, []))
+        try:
+            sfit = fit_sink_ratio(sink_pairs.get(pa, []))
+        except InsufficientData as exc:
+            raise type(exc)(f"PA {pa} sink ratio: {exc}") from None
+        try:
+            afit = fit_allometry(allo_pairs.get(pa, []))
+        except (InsufficientData, DegenerateSpread) as exc:
+            raise type(exc)(f"PA {pa} allometry: {exc}") from None
         p_int[pa] = sfit.p
         allometry[pa] = (afit.b, afit.beta)
         diagnostics[pa] = {
@@ -250,5 +263,5 @@ def estimate_direct_params(
             "allometry_n": float(len(allo_pairs.get(pa, []))),
         }
 
-    slw = estimate_slw(leaves)
+    slw = estimate_slw(leaf_weights, leaf_areas)
     return DirectParams(p_int=p_int, allometry=allometry, slw=slw), diagnostics

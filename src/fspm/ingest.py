@@ -11,8 +11,11 @@ reading the tree document, all follow that declaration.  Columns are found by he
 and may come in any order; blank lines are skipped.  Row and cell problems
 are reported with the file and the physical line the row ends on, so blank
 lines and quoted cells that span lines are counted; of several, the first
-row's is reported, and in a row the first column's.  Rows become
-``NamedTuple`` records.
+row's is reported, and in a row the first column's.  Axis and GU rows
+become ``NamedTuple`` records, which :func:`build_topology` reads; internode
+and leaf rows stay in their columns, a :class:`ColumnTable` each, and no
+record is built per row on their way to the per-GU table of
+:func:`samples_by_gu`.
 
 :func:`tree_to_json` writes the canonical tree document, byte for byte what
 ``json.dumps(doc, indent=2, sort_keys=True)`` gives for it, from one template
@@ -28,13 +31,14 @@ import csv
 import json
 import logging
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import islice
+from itertools import accumulate, chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import attrgetter, eq, itemgetter
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (DuplicateKey, InvalidParameter, MissingPA, SchemaError, TreeMismatch,
                      UnitError, ValidationError, read_text, schema_errors, utf8_errors)
@@ -66,28 +70,69 @@ class LeafRecord(NamedTuple):
     area: float  # cm^2
 
 
+# Plain classes: a NamedTuple class costs more to create, at every import.
+class ColumnTable:
+    """A measurement table held as columns: one sequence per field of ``record``.
+
+    The readers keep internode and leaf rows this way.  Indexing or
+    iterating the table yields ``record`` instances, so it compares equal
+    to a list of the same records; the library itself reads the columns.
+    """
+
+    __slots__ = ("record", "columns")
+
+    def __init__(self, record: type, columns: list[Sequence]) -> None:
+        self.record = record
+        self.columns = columns  # in record-field order, all of one length
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, row: int):
+        return self.record._make([column[row] for column in self.columns])
+
+    def __iter__(self):
+        return map(self.record._make, zip(*self.columns))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (ColumnTable, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
 @dataclass
 class MeasurementSet:
-    """Typed rows of the four measurement files."""
+    """Typed rows of the four measurement files.
+
+    ``axes`` and ``gus`` are lists of records.  ``internodes`` and
+    ``leaves`` are any sequences of their records: the readers give a
+    :class:`ColumnTable`, and a list of records built in code is read the same.
+    """
 
     axes: list[AxisRecord] = field(default_factory=list)
     gus: list[GURecord] = field(default_factory=list)
-    internodes: list[InternodeRecord] = field(default_factory=list)
-    leaves: list[LeafRecord] = field(default_factory=list)
+    internodes: Sequence[InternodeRecord] = field(default_factory=list)
+    leaves: Sequence[LeafRecord] = field(default_factory=list)
 
     def tree_ids(self) -> list[str]:
         return sorted({r.tree_id for r in self.axes})
 
     def for_tree(self, tree_id: str) -> "MeasurementSet":
-        return MeasurementSet(**{
-            name: [r for r in getattr(self, name) if r.tree_id == tree_id] for name in _TABLES
-        })
+        def rows(name: str):
+            records = getattr(self, name)
+            if name in ("axes", "gus"):
+                return [r for r in records if r.tree_id == tree_id]
+            columns = _columns(records, _TABLES[name])
+            keep = list(map(eq, columns[0], repeat(tree_id)))
+            return ColumnTable(_TABLES[name].record,
+                               [list(compress(column, keep)) for column in columns])
+
+        return MeasurementSet(**{name: rows(name) for name in _TABLES})
 
     def topology(self) -> TreeTopology:
         return build_topology(self.axes, self.gus)
 
 
-# Plain classes: a NamedTuple class costs more to create, at every import.
 class _Rule:
     """How the cells of one column are read."""
 
@@ -202,9 +247,17 @@ def _column(cells: Sequence, rule: _Rule, text: bool) -> tuple[list, ValidationE
     return values, None
 
 
+def _columns(rows: Sequence, table: _Table) -> list[Sequence]:
+    """The columns of ``table``'s rows: a ColumnTable's own, else the records'."""
+    if isinstance(rows, ColumnTable):
+        return rows.columns
+    return [list(column) for column in zip(*rows)] or [[] for _ in table.names]
+
+
 def _records(table: _Table, columns: Sequence[Sequence], text: bool,
-             names: Sequence[str], where, unique: bool = False) -> list:
-    """The records of one table from its columns of cells.
+             names: Sequence[str], where, unique: bool = False) -> list | ColumnTable:
+    """The rows of one table from its columns of cells: records, or for
+    internodes and leaves a :class:`ColumnTable` of the checked values.
 
     Of several bad cells the first in row order, then column order, is
     reported as ``"<where(row)>: column <names[i]>: ..."``.  With ``unique``
@@ -213,24 +266,34 @@ def _records(table: _Table, columns: Sequence[Sequence], text: bool,
     read = [_column(cells, rule, text) for rule, cells in zip(table.rules, columns)]
     bad = min(((len(values), i) for i, (values, error) in enumerate(read) if error), default=None)
     values = [v if bad is None else v[:bad[0]] for v, _ in read]
-    if unique:
-        keys = list(zip(*values[:table.identity]))
-        if len(set(keys)) < len(keys):
-            seen: set = set()
-            for row, key in enumerate(keys):
-                if key in seen:
-                    raise DuplicateKey(f"{where(row)}: {table.duplicate.format(key)}")
-                seen.add(key)
+    if unique and len(set(zip(*values[:table.identity]))) < len(values[0]):
+        seen: set = set()
+        for row, key in enumerate(zip(*values[:table.identity])):
+            if key in seen:
+                raise DuplicateKey(f"{where(row)}: {table.duplicate.format(key)}")
+            seen.add(key)
     if bad is not None:
         row, i = bad
         error = read[i][1]
         raise type(error)(f"{where(row)}: column {names[i]!r}: {error}")
+    if table.record in (InternodeRecord, LeafRecord):
+        return ColumnTable(table.record, values)
     # The record's fields are the columns: ``_make`` without its length check.
     return list(map(partial(tuple.__new__, table.record), zip(*values)))
 
 
-def _csv_records(path: str | Path, table: _Table) -> list:
-    """The records of one measurement CSV file; extra columns are ignored."""
+def _sorted_rows(columns: list[Sequence], keys: list) -> list[Sequence]:
+    """``columns`` with their rows sorted stably by ``keys``, one key per
+    row; as they are when the rows are in that order already."""
+    if keys == sorted(keys):
+        return columns
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return [list(map(column.__getitem__, order)) for column in columns]
+
+
+def _csv_records(path: str | Path, table: _Table) -> list | ColumnTable:
+    """The rows of one measurement CSV file (see :func:`_records`); extra
+    columns are ignored."""
     path = Path(path)
     with utf8_errors(path), path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -241,28 +304,32 @@ def _csv_records(path: str | Path, table: _Table) -> list:
         for name in table.names:
             if name not in index:
                 raise SchemaError(f"{path}: missing column {name!r}")
-        columns = [index[name] for name in table.names]
-        pick = itemgetter(*columns)
-        width = max(columns) + 1
-        lines = []
-        rows = []
-        short = None
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < width:  # reported after any fault in the rows above it
-                name = next(n for n, i in zip(table.names, columns) if i >= len(row))
-                short = SchemaError(f"{path}:{reader.line_num}: column {name!r}: missing cell")
-                break
-            lines.append(reader.line_num)
-            rows.append(pick(row))
-    cells = list(zip(*rows)) or [()] * len(table.names)
+        rows = list(map(tuple, filter(None, reader)))  # blank lines skipped
+    columns = [index[name] for name in table.names]
+    width = max(columns) + 1
+    short = None
+    if rows and min(map(len, rows)) < width:  # reported after any fault in the rows above it
+        short = next(i for i, row in enumerate(rows) if len(row) < width)
+        length = len(rows[short])
+        del rows[short:]
+    cells = list(zip(*rows))
     del rows
-    records = _records(table, cells, True, table.names, lambda row: f"{path}:{lines[row]}",
-                       unique=True)
-    if short:
-        raise short
+    cells = [cells[i] for i in columns] if cells else [()] * len(table.names)
+    records = _records(table, cells, True, table.names,
+                       lambda row: f"{path}:{_line(path, row)}", unique=True)
+    if short is not None:
+        name = next(n for n, i in zip(table.names, columns) if i >= length)
+        raise SchemaError(f"{path}:{_line(path, short)}: column {name!r}: missing cell")
     return records
+
+
+def _line(path: Path, row: int) -> int:
+    """The physical line that data row ``row`` of a CSV file ends on; blank
+    lines are skipped as rows and counted as lines."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        lines = (reader.line_num for cells in reader if cells)  # the header first
+        return next(islice(lines, row + 1, None))
 
 
 def parse_measurements(
@@ -292,66 +359,113 @@ def check_sampled_gus(ms: MeasurementSet, internodes_path: str | Path,
     row, raises ValidationError with its file and line, as a cell fault does.
     """
     paths = {"internodes": Path(internodes_path), "leaves": Path(leaves_path)}
-
-    def where(name: str, row: int) -> str:
-        # The file parsed, so its rows are counted as _csv_records counts them.
-        with paths[name].open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            lines = (reader.line_num for cells in reader if cells)  # the header first
-            return f"{paths[name]}:{next(islice(lines, row + 1, None))}"
-
-    _check_sampled_gus(ms, where)
+    _check_sampled_gus(ms, lambda name, row: f"{paths[name]}:{_line(paths[name], row)}")
 
 
 def _check_sampled_gus(ms: MeasurementSet, where) -> None:
-    """Raise ValidationError at the first internode, then leaf, record on a
+    """Raise ValidationError at the first internode, then leaf, row on a
     GU that ``ms.gus`` lacks, placed by ``where(table name, row)``."""
-    place = itemgetter(0, 1, 2)  # a record's tree, axis and cycle
-    gus = set(map(place, ms.gus))
+    gus = set(map(itemgetter(0, 1, 2), ms.gus))  # each GU's tree, axis and cycle
     for name in ("internodes", "leaves"):
-        records = getattr(ms, name)
-        if not gus.issuperset(map(place, records)):
-            row, rec = next((row, rec) for row, rec in enumerate(records)
-                            if place(rec) not in gus)
+        columns = _columns(getattr(ms, name), _TABLES[name])[:3]
+        if not gus.issuperset(zip(*columns)):
+            row, (_, axis_id, ca) = next((row, place) for row, place in enumerate(zip(*columns))
+                                         if place not in gus)
             raise ValidationError(f"{where(name, row)}: record references unknown GU "
-                                  f"({rec.axis_id!r}, ca {rec.gu_ca})")
+                                  f"({axis_id!r}, ca {ca})")
 
 
 # -- samples per GU -------------------------------------------------------------
 
-class GUSamples(NamedTuple):
-    """One GU of a tree and the measurement records taken on it."""
+class GUSamples:
+    """The measurement rows of one tree attached to its GUs: a per-GU slice table.
 
-    axis: Axis
-    gu: GrowthUnit
-    internodes: list[InternodeRecord]
-    leaves: list[LeafRecord]
+    Built by :func:`samples_by_gu`.  ``internodes`` and ``leaves`` map each
+    measured field (``fresh_weight``, ``length``, ``diameter``; ``fresh_weight``,
+    ``area``) to a column of that kind's rows, sorted stably by their GU's
+    place in :meth:`~TreeTopology.iter_gus` order.  ``internode_rows`` and
+    ``leaf_rows`` hold one slice per GU, in that order: a GU's rows are
+    that slice of every column of the kind, in record order.
+    """
+
+    __slots__ = ("tree_id", "axis_gus", "internodes", "leaves", "internode_rows",
+                 "leaf_rows")
+
+    def __init__(self, tree_id: str, axis_gus: list[tuple[GrowthUnit, ...]],
+                 internodes: tuple[dict[str, list], list[slice]],
+                 leaves: tuple[dict[str, list], list[slice]]) -> None:
+        self.tree_id = tree_id
+        self.axis_gus = axis_gus  # each axis's GUs, axes in id order
+        self.internodes, self.internode_rows = internodes
+        self.leaves, self.leaf_rows = leaves
+
+    def per_gu(self, topology: TreeTopology) -> Iterator[tuple[tuple[Axis, GrowthUnit],
+                                                                slice, slice]]:
+        """Each GU of ``topology`` with the slices of its internode and leaf rows.
+
+        ``topology`` is the one the table was built on or a classification
+        of it by :func:`with_physio_ages`; another tree raises TreeMismatch.
+        """
+        axes = self._axes(topology)
+        return zip(((axis, gu) for axis in axes for gu in axis.gus), self.internode_rows,
+                   self.leaf_rows)
+
+    def top_gus(self, topology: TreeTopology) -> Iterator[tuple[Axis, slice, slice]]:
+        """Each axis of ``topology``, in id order, with the slices of its top
+        GU's internode and leaf rows; ``topology`` as for :meth:`per_gu`."""
+        axes = self._axes(topology)
+        tops = [end - 1 for end in accumulate(map(len, self.axis_gus))]
+        return zip(axes, map(self.internode_rows.__getitem__, tops),
+                   map(self.leaf_rows.__getitem__, tops))
+
+    def _axes(self, topology: TreeTopology) -> list[Axis]:
+        axes = topology.axes_sorted()
+        if topology.tree_id != self.tree_id or [axis.gus for axis in axes] != self.axis_gus:
+            raise TreeMismatch(f"GU table of tree {self.tree_id!r} does not match the GUs "
+                               f"of tree {topology.tree_id!r}")
+        return axes
+
+
+def _attach(tree_id: str, place: dict, rows: Sequence,
+            table: _Table) -> tuple[dict[str, list], list[slice]]:
+    """One kind's rows as :class:`GUSamples` holds them, ``place`` giving
+    each GU's index in ``iter_gus`` order by (axis id, cycle)."""
+    trees, axis_ids, cycles, *_ = columns = _columns(rows, table)
+    keys = list(map(place.get, zip(axis_ids, cycles)))
+    if trees.count(tree_id) < len(keys) or None in keys:
+        for tree, axis_id, ca, key in zip(trees, axis_ids, cycles, keys):
+            if tree != tree_id:
+                raise TreeMismatch(f"tree {tree_id!r}: record ({axis_id!r}, "
+                                   f"ca {ca}) is of tree {tree!r}")
+            if key is None:
+                raise ValidationError(f"tree {tree_id!r}: record references "
+                                      f"unknown GU ({axis_id!r}, ca {ca})")
+    measured = _sorted_rows(columns[table.identity:], keys)
+    counts = Counter(keys)
+    bounds = list(accumulate(map(counts.get, range(len(place)), repeat(0)), initial=0))
+    return (dict(zip(table.record._fields[table.identity:], measured)),
+            list(map(slice, bounds, bounds[1:])))
 
 
 def samples_by_gu(topology: TreeTopology, internodes: Sequence[InternodeRecord],
-                  leaves: Sequence[LeafRecord]) -> list[GUSamples]:
-    """Every GU of ``topology``, in :meth:`~TreeTopology.iter_gus` order, with its records.
+                  leaves: Sequence[LeafRecord]) -> GUSamples:
+    """Every GU of ``topology``, in :meth:`~TreeTopology.iter_gus` order, with its rows.
 
-    The one place a measurement record is attached to a GU.  Each GU lists
-    its internode and leaf records in record order; a GU without samples
-    lists none.  No PA is needed.
+    The one place a measurement row is attached to a GU.  ``internodes``
+    and ``leaves`` are a tree's rows, a :class:`ColumnTable` or a list of
+    records each; no PA is needed.  Each kind's rows are sorted once, stably,
+    by their GU's place, and each GU keeps the bounds of its slice.
 
     Raises:
         TreeMismatch: a record belongs to another tree.
         ValidationError: a record names a GU the tree lacks.
     """
-    table = {(axis.id, gu.ca): GUSamples(axis, gu, [], []) for axis, gu in topology.iter_gus()}
-    for records, field_index in ((internodes, 2), (leaves, 3)):  # GUSamples.internodes, .leaves
-        for rec in records:
-            if rec.tree_id != topology.tree_id:
-                raise TreeMismatch(f"tree {topology.tree_id!r}: record ({rec.axis_id!r}, "
-                                   f"ca {rec.gu_ca}) is of tree {rec.tree_id!r}")
-            samples = table.get((rec.axis_id, rec.gu_ca))
-            if samples is None:
-                raise ValidationError(f"tree {topology.tree_id!r}: record references "
-                                      f"unknown GU ({rec.axis_id!r}, ca {rec.gu_ca})")
-            samples[field_index].append(rec)
-    return list(table.values())
+    axes = topology.axes_sorted()
+    gus = [(axis.id, gu.ca) for axis in axes for gu in axis.gus]
+    place = dict(zip(gus, range(len(gus))))
+    return GUSamples(topology.tree_id, [axis.gus for axis in axes],
+                     _attach(topology.tree_id, place, internodes, _TABLES["internodes"]),
+                     _attach(topology.tree_id, place, leaves, _TABLES["leaves"]))
 
 
 # -- target series ------------------------------------------------------------
@@ -432,90 +546,104 @@ class TargetSeries:
         return cls.from_json(read_text(path), str(path))
 
 
-def _mean(records: Sequence, name: str) -> float:
-    return sum(map(attrgetter(name), records)) / len(records)
+def _mean(column: Sequence[float], rows: Sequence[slice]) -> float:
+    """The mean of ``column`` over the rows of ``rows``, summed in their order."""
+    values = column[rows[0]] if len(rows) == 1 else list(
+        chain.from_iterable(map(column.__getitem__, rows)))
+    return sum(values) / len(values)
 
 
-def build_target_series(ms: MeasurementSet, topology: TreeTopology) -> TargetSeries:
-    """Aggregate measurement records into the fitting target of one tree.
+def build_target_series(measured: MeasurementSet | GUSamples,
+                        topology: TreeTopology) -> TargetSeries:
+    """Aggregate measurement rows into the fitting target of one tree.
 
     ``topology`` must be classified (see :func:`with_physio_ages`): each
     GU's group is its axis's PA and its own CA, and an axis without a PA
-    raises MissingPA.  Records are attached to GUs by :func:`samples_by_gu`.
-    Entry means are arithmetic means over the records of each (PA, CA)
-    group.  Cumulated series extend the recorded means over the full
-    recorded structure: each GU contributes mean internode weight times its
-    internode count, and mean sampled leaf weight times its internode count
-    (one blade per internode).  A GU or a group without samples inherits,
-    with a warning, the mean of its group, else of its CA, else of the
-    whole tree.
+    raises MissingPA.  ``measured`` is the tree's MeasurementSet, attached
+    to GUs by :func:`samples_by_gu`, or that per-GU table itself, built on
+    ``topology`` or on the topology it classifies.  Entry means are
+    arithmetic means over the rows of each (PA, CA) group.  Cumulated
+    series extend the recorded means over the full recorded structure:
+    each GU contributes mean internode weight times its internode count,
+    and mean sampled leaf weight times its internode count (one blade per
+    internode).  A GU or a group without samples inherits, with a warning,
+    the mean of its group, else of its CA, else of the whole tree.
     """
     for axis in topology.axes_sorted():
         if axis.pa is None:
             raise MissingPA(f"axis {axis.id!r} has no PA; classify first")
-    table = samples_by_gu(topology, ms.internodes, ms.leaves)
+    samples = (measured if isinstance(measured, GUSamples) else
+               samples_by_gu(topology, measured.internodes, measured.leaves))
+    columns = {"internodes": samples.internodes, "leaves": samples.leaves}
 
-    # Each kind's records pooled per (PA, CA) group, per CA and over the tree (key None).
-    pools: dict[str, dict] = {"internodes": {}, "leaves": {}}
-    for s in table:
-        for kind, pool in pools.items():
-            records = getattr(s, kind)
-            if records:
-                for key in ((s.axis.pa, s.gu.ca), s.gu.ca, None):
-                    pool.setdefault(key, []).extend(records)
+    # Each kind's rows per (PA, CA) group, and the GUs of each cycle, in GU order.
+    groups: dict[str, dict] = {"internodes": {}, "leaves": {}}
+    by_cycle: dict[int, list] = {}
+    for item in samples.per_gu(topology):
+        (axis, gu), inter_rows, leaf_rows = item
+        group = (axis.pa, gu.ca)
+        if inter_rows.start < inter_rows.stop:
+            groups["internodes"].setdefault(group, []).append(inter_rows)
+        if leaf_rows.start < leaf_rows.stop:
+            groups["leaves"].setdefault(group, []).append(leaf_rows)
+        by_cycle.setdefault(gu.ca, []).append(item)
 
     def inherited(kind: str, name: str, label: str, group: tuple[int, int],
-                  gu: GUSamples | None = None) -> float:
-        """Mean ``name`` of ``group``'s ``kind`` records, else its CA's, else the tree's.
+                  gu: tuple[str, int] | None = None) -> float:
+        """Mean ``name`` of ``group``'s ``kind`` rows, else its CA's, else the tree's.
 
         Warns unless the group's own mean is taken for the group; for a
-        ``gu``, which has no records of its own, it always warns.
+        ``gu``, which has no rows of its own, it always warns.
         """
-        pool = pools[kind]
-        for key in (group, group[1], None):
-            if key in pool:
-                break
-        else:
-            raise ValidationError(f"no {label} samples anywhere in the tree")
-        value = _mean(pool[key], name)
+        column = columns[kind][name]
+        key, rows = group, groups[kind].get(group)
+        if rows is None:  # the rows of the group's CA
+            slot = 1 if kind == "internodes" else 2
+            key, rows = group[1], [item[slot] for item in by_cycle.get(group[1], ())
+                                   if item[slot].start < item[slot].stop]
+        if not rows:
+            if not column:
+                raise ValidationError(f"no {label} samples anywhere in the tree")
+            key, rows = None, [slice(None)]
+        value = _mean(column, rows)
         if gu is not None:
-            logger.warning("no %s samples for GU %s; inheriting mean %.4g",
-                           label, (gu.axis.id, gu.gu.ca), value)
+            logger.warning("no %s samples for GU %s; inheriting mean %.4g", label, gu, value)
         elif key != group:
             logger.warning("no %s samples for group PA%d/CA%d; inheriting mean %.4g",
                            label, group[0], group[1], value)
         return value
 
-    # Per-(PA, CA) entries, over groups backed by internode records.
-    groups = pools["internodes"]
+    # Per-(PA, CA) entries, over groups backed by internode rows.
+    internodes = samples.internodes
     entries = {
         group: TargetEntry(
-            mean_internode_weight=_mean(groups[group], "fresh_weight"),
-            mean_internode_length=_mean(groups[group], "length"),
-            mean_internode_diameter=_mean(groups[group], "diameter"),
+            mean_internode_weight=_mean(internodes["fresh_weight"], rows),
+            mean_internode_length=_mean(internodes["length"], rows),
+            mean_internode_diameter=_mean(internodes["diameter"], rows),
             mean_blade_weight=inherited("leaves", "fresh_weight", "leaf weight", group),
             mean_blade_area=inherited("leaves", "area", "leaf area", group),
-            n_internodes=len(groups[group]),
+            n_internodes=sum(s.stop - s.start for s in rows),
         )
-        for group in sorted(key for key in groups if type(key) is tuple)
+        for group, rows in sorted(groups["internodes"].items())
     }
 
     # Cumulated series over the whole recorded structure.
     cumulated: dict[int, CumEntry] = {}
     cum_int = 0.0
     cum_blade = 0.0
-    gus_by_ca: dict[int, list[GUSamples]] = {}
-    for s in table:
-        gus_by_ca.setdefault(s.gu.ca, []).append(s)
+    weights, blades = internodes["fresh_weight"], samples.leaves["fresh_weight"]
     for cycle in range(1, topology.age + 1):
-        for s in gus_by_ca.get(cycle, []):
-            group = (s.axis.pa, s.gu.ca)
-            weight = (_mean(s.internodes, "fresh_weight") if s.internodes else
-                      inherited("internodes", "fresh_weight", "internode weight", group, s))
-            blade = (_mean(s.leaves, "fresh_weight") if s.leaves else
-                     inherited("leaves", "fresh_weight", "leaf weight", group, s))
-            cum_int += weight * s.gu.internode_count
-            cum_blade += blade * s.gu.internode_count
+        for (axis, gu), inter_rows, leaf_rows in by_cycle.get(cycle, ()):
+            group = (axis.pa, gu.ca)
+            n = inter_rows.stop - inter_rows.start
+            weight = (sum(weights[inter_rows]) / n if n else
+                      inherited("internodes", "fresh_weight", "internode weight", group,
+                                (axis.id, gu.ca)))
+            n = leaf_rows.stop - leaf_rows.start
+            blade = (sum(blades[leaf_rows]) / n if n else
+                     inherited("leaves", "fresh_weight", "leaf weight", group, (axis.id, gu.ca)))
+            cum_int += weight * gu.internode_count
+            cum_blade += blade * gu.internode_count
         cumulated[cycle] = CumEntry(cum_internode_mass=cum_int, cum_blade_mass=cum_blade)
 
     return TargetSeries(tree_id=topology.tree_id, entries=entries, cumulated=cumulated)
@@ -604,12 +732,13 @@ def _json_rows(template: str, keys: Sequence[str], columns: list[list[str]]) -> 
     return list(map(template.__mod__, zip(*(columns[i] for i in slots))))
 
 
-def _measurement_rows(name: str, template: str, records: Sequence) -> str:
-    """The tree.json list of table ``name``'s records, sorted by identity."""
+def _measurement_rows(name: str, template: str, rows: Sequence) -> str:
+    """The tree.json list of table ``name``'s rows, sorted by identity."""
     table = _TABLES[name]
-    records = sorted(records, key=itemgetter(slice(1, table.identity)))
-    fields = table.record._fields[len(table.names) - len(table.json_keys):]  # its keys' fields
-    return _json_list(_json_rows(template, table.json_keys, _json_columns(records, fields)),
+    implied = len(table.names) - len(table.json_keys)  # tree_id, held once by the document
+    columns = _columns(rows, table)[implied:]
+    columns = _sorted_rows(columns, list(zip(*columns[:table.identity - implied])))
+    return _json_list(_json_rows(template, table.json_keys, list(map(_json_column, columns))),
                       "    ")
 
 

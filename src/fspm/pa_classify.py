@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
     schema_errors,
 )
-from .ingest import samples_by_gu
+from .ingest import GUSamples, samples_by_gu
 from .topology import TreeTopology
 
 logger = logging.getLogger(__name__)
@@ -48,23 +48,24 @@ class ClusterPartition:
     wcss: float
 
 
-def top_internode_weight(t: TreeTopology, records: Sequence) -> dict[str, float]:
+def top_internode_weight(t: TreeTopology, records: Sequence | GUSamples) -> dict[str, float]:
     """Mean internode fresh weight in the topmost GU of every axis.
 
     ``records`` are the tree's internode records, attached to GUs by
-    :func:`~fspm.ingest.samples_by_gu`: a record of another tree raises
-    TreeMismatch, one on a GU the tree lacks ValidationError.
+    :func:`~fspm.ingest.samples_by_gu` (a record of another tree raises
+    TreeMismatch, one on a GU the tree lacks ValidationError), or that
+    per-GU table of the tree itself.
     """
+    samples = records if isinstance(records, GUSamples) else samples_by_gu(t, records, ())
+    weights = samples.internodes["fresh_weight"]
     out: dict[str, float] = {}
-    for s in samples_by_gu(t, records, ()):
-        if s.gu is not s.axis.gus[-1]:
-            continue
-        if not s.internodes:
+    for axis, rows, _ in samples.top_gus(t):
+        if rows.start == rows.stop:
             raise NoTerminalData(
-                f"axis {s.axis.id!r} has no internode records in its top GU "
-                f"(ca {s.gu.ca})"
+                f"axis {axis.id!r} has no internode records in its top GU "
+                f"(ca {axis.gus[-1].ca})"
             )
-        out[s.axis.id] = sum(r.fresh_weight for r in s.internodes) / len(s.internodes)
+        out[axis.id] = sum(weights[rows]) / (rows.stop - rows.start)
     return out
 
 
@@ -91,7 +92,9 @@ def cluster_1d(
     the table is filled a block of starts at a time, one array expression
     covering every end of every start in the block, with the float
     operations of a scalar loop in the same order; ``min`` is exact, so ties
-    resolve as they would cell by cell.
+    resolve as they would cell by cell.  Two rows need no search: one
+    cluster has one end, the last value, and of k clusters only the start
+    at the first value is read.
     """
     if isinstance(values, Mapping):
         items = sorted(values.items(), key=lambda kv: (kv[1], str(kv[0])))
@@ -122,6 +125,9 @@ def cluster_1d(
     # suffix[j, i]: optimal cost of splitting xs[i:] into j clusters.
     suffix = np.full((k + 1, n + 1), np.inf)
     suffix[0, n] = 0.0
+    # One cluster ends at the last value: its cost by split_costs' operations.
+    s = ps[n] - ps[:n]
+    suffix[1, :n] = pq[n] - pq[:n] - s * s / np.arange(n, 0, -1) + suffix[0, n]
 
     def split_costs(j: int, i0: int, i1: int) -> np.ndarray:
         """Row r, column c: the cost of xs[i0 + r : i0 + c + 1] plus the best
@@ -135,10 +141,11 @@ def cluster_1d(
         cost += suffix[j - 1, i0 + 1 : stop]
         return cost
 
-    for j in range(1, k + 1):
+    for j in range(2, k + 1):
         stop = n - j + 2
-        for i0 in range(0, stop - 1, rows):
-            i1 = min(i0 + rows, stop - 1)
+        starts = 1 if j == k else stop - 1  # of the last row, only start 0 is read
+        for i0 in range(0, starts, rows):
+            i1 = min(i0 + rows, starts)
             block = split_costs(j, i0, i1)
             suffix[j, i0:i1] = block.min(axis=1, initial=np.inf,
                                          where=feasible[: i1 - i0, : block.shape[1]])
@@ -192,9 +199,11 @@ def assign_pa(p: ClusterPartition, main_axis_id: object) -> dict[object, int]:
 
 
 def classify_axes(
-    t: TreeTopology, records: Sequence, k: int
+    t: TreeTopology, records: Sequence | GUSamples, k: int
 ) -> tuple[dict[str, int], ClusterPartition]:
     """Terminal weights -> clustering -> PA labels, in one call.
+
+    ``records`` are as :func:`top_internode_weight` takes them.
 
     If fewer distinct terminal weights than k exist, k is reduced to match
     (small trees simply have fewer vigor classes); the effective partition is

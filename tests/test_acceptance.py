@@ -39,7 +39,6 @@ from fspm import (
 from fspm.cli import main
 from fspm.errors import DuplicateKey, SchemaError, UnitError
 from fspm.export import export_skeleton
-from fspm.ingest import LeafRecord
 
 DATA = Path(__file__).parent / "data"
 
@@ -142,11 +141,7 @@ def test_direct_estimation_recovery():
     true_slw = 0.0287
     weights = rng.uniform(0.5, 5.0, size=200)
     areas = weights / true_slw * (1.0 + rng.normal(0.0, 0.01, size=200))
-    leaves = [
-        LeafRecord("T", "A", 1, 1, float(w), float(a))
-        for w, a in zip(weights, areas)
-    ]
-    assert estimate_slw(leaves) == pytest.approx(true_slw, rel=0.05)
+    assert estimate_slw(weights.tolist(), areas.tolist()) == pytest.approx(true_slw, rel=0.05)
 
     masses = (0.4, 1.1, 2.6, 5.2, 9.7)
     for b, beta in ((5.193, 0.3), (12.146, 0.0576), (20.78, 0.259), (7.229, -0.22)):

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import logging
 from pathlib import Path
@@ -215,6 +216,54 @@ class TestGrovePipeline:
             assert manifest["seed"] == seed
             assert str(trees[tree_id][0]) in manifest["inputs"]
 
+
+class TestSamplesAttachedOncePerTree:
+    """Each command attaches a tree's measurement rows to its GUs once."""
+
+    @pytest.fixture
+    def attached(self, monkeypatch):
+        import fspm.ingest
+
+        trees = []
+        original = fspm.ingest.samples_by_gu
+
+        def counting(topology, internodes, leaves):
+            trees.append(topology.tree_id)
+            return original(topology, internodes, leaves)
+
+        for name in ("ingest", "pa_classify", "direct_estim", "cli"):
+            module = importlib.import_module(f"fspm.{name}")
+            if hasattr(module, "samples_by_gu"):
+                monkeypatch.setattr(module, "samples_by_gu", counting)
+        return trees
+
+    def test_classify_pa(self, grove_pipeline, tmp_path, attached):
+        _, trees, _ = grove_pipeline
+        for tid, (tree, _, targets) in trees.items():
+            assert run("classify-pa", "--tree", tree, "--k", 3, "--out", tmp_path / tid) == 0
+            assert (tmp_path / tid / "targets.json").read_bytes() == targets.read_bytes()
+        assert attached == list(trees)
+
+    def test_estimate(self, grove_pipeline, tmp_path, attached):
+        _, trees, params = grove_pipeline
+        args = ["estimate", "--out", tmp_path]
+        for tree, pa_map, _ in trees.values():
+            args += ["--tree", tree, "--pa-map", pa_map]
+        assert run(*args) == 0
+        assert (tmp_path / "direct_params.json").read_bytes() == params.read_bytes()
+        assert attached == list(trees)
+
+
+class TestEstimateErrors:
+    def test_one_tree_has_too_few_pa1_sink_pairs(self, grove_pipeline, tmp_path, capsys):
+        # One tree has one main stem: one PA 1 sink pair.
+        _, trees, _ = grove_pipeline
+        tree, pa_map, _ = trees["P1"]
+        capsys.readouterr()
+        assert run("estimate", "--tree", tree, "--pa-map", pa_map, "--out", tmp_path / "est") == 1
+        assert capsys.readouterr().err == (
+            "fspm estimate: PA 1 sink ratio: need >= 2 pairs, got 1\n")
+        assert not (tmp_path / "est").exists()
 
 class TestFitCommand:
     def test_roundtrip_fixture(self, tmp_path):
@@ -846,6 +895,29 @@ class TestBadInputFiles:
                        f"measurement must be finite and > 0, got {raw}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, line, column, raw, message", [
+        ("internodes.csv", 27, "diameter_mm", "inf",
+         "column 'diameter_mm': measurement must be finite and > 0, got inf"),
+        ("leaves.csv", 35, "gu_ca", "99", "record references unknown GU ('a000001', ca 99)"),
+    ])
+    def test_ingest_of_one_tree_checks_every_tree(self, tmp_path, capsys, name, line, column,
+                                                  raw, message):
+        # The bad row is P2's: ingesting P1 alone still reads and rejects it.
+        src = tmp_path / "grove"
+        src.mkdir()
+        for csv_file in GROVE.iterdir():
+            (src / csv_file.name).write_text(csv_file.read_text())
+        rows = (src / name).read_text().splitlines(keepends=True)
+        header = rows[0].strip().split(",")
+        cells = rows[line - 1].rstrip("\n").split(",")
+        assert cells[0] == "P2"
+        cells[header.index(column)] = raw
+        rows[line - 1] = ",".join(cells) + "\n"
+        (src / name).write_text("".join(rows))
+        out = tmp_path / "out" / "P1.json"
+        err = self.one_error_line(capsys, ingest_args(src, out, tree_id="P1"))
+        assert err == f"fspm ingest: {src / name}:{line}: {message}"
+        assert not out.parent.exists()
 
 class TestNotUtf8:
     """An input file that is not UTF-8 ends in exit 1 and one line naming it,

@@ -126,27 +126,35 @@ class TestFitAllometry:
 
 class TestEstimateSLW:
     def test_single_leaf_reference_value(self):
-        assert estimate_slw([leaf(0.0287, 1.0)]) == pytest.approx(0.0287)
+        assert estimate_slw([0.0287], [1.0]) == pytest.approx(0.0287)
 
     def test_pooled_ratio(self):
-        assert estimate_slw([leaf(2.0, 100.0), leaf(4.0, 100.0)]) == pytest.approx(0.03)
+        assert estimate_slw([2.0, 4.0], [100.0, 100.0]) == pytest.approx(0.03)
 
     def test_pooled_not_mean_of_ratios(self):
         # ratios are 0.02 and 0.08 (mean 0.05); pooled is 6/150 = 0.04
-        leaves = [leaf(2.0, 100.0), leaf(4.0, 50.0)]
-        assert estimate_slw(leaves) == pytest.approx(0.04)
+        weights, areas = [2.0, 4.0], [100.0, 50.0]
+        assert estimate_slw(weights, areas) == pytest.approx(0.04)
         mean_of_ratios = (2.0 / 100.0 + 4.0 / 50.0) / 2.0
-        assert estimate_slw(leaves) != pytest.approx(mean_of_ratios)
+        assert estimate_slw(weights, areas) != pytest.approx(mean_of_ratios)
 
     @given(c=st.floats(0.1, 50.0))
     def test_homogeneous_in_weight(self, c):
-        base = [leaf(1.5, 80.0), leaf(2.5, 120.0)]
-        scaled = [leaf(c * l.fresh_weight, l.area) for l in base]
-        assert estimate_slw(scaled) == pytest.approx(c * estimate_slw(base))
+        weights, areas = [1.5, 2.5], [80.0, 120.0]
+        scaled = [c * w for w in weights]
+        assert estimate_slw(scaled, areas) == pytest.approx(c * estimate_slw(weights, areas))
 
     def test_empty(self):
         with pytest.raises(InsufficientData):
-            estimate_slw([])
+            estimate_slw([], [])
+
+    def test_non_positive_leaf(self):
+        with pytest.raises(InsufficientData, match="^leaf weight and area must be positive$"):
+            estimate_slw([1.0, 2.0], [30.0, 0.0])
+
+    def test_columns_of_unequal_length(self):
+        with pytest.raises(ValueError):
+            estimate_slw([1.0, 2.0], [30.0])
 
 
 def four_axis_fixture():
@@ -227,6 +235,27 @@ class TestEstimateDirectParams:
             "skipped for sink and allometry fits"
         ]
         assert got == estimate_direct_params([(t, ms)])
+
+    @pytest.mark.parametrize("keep, error, message", [
+        # C's top GU loses its internodes: one PA 2 sink pair is left.
+        (lambda r: r.axis_id != "C", InsufficientData, "PA 2 sink ratio: need >= 2 pairs, got 1"),
+        # B and C keep one internode each: two PA 2 allometry pairs.
+        (lambda r: r.rank_in_gu == 1 or r.axis_id not in "BC", InsufficientData,
+         "PA 2 allometry: need >= 3 pairs, got 2"),
+    ])
+    def test_fit_errors_name_the_pa_and_the_fit(self, keep, error, message):
+        t, ms = four_axis_fixture()
+        ms.internodes = [r for r in ms.internodes if keep(r)]
+        with pytest.raises(error, match=f"^{message}$"):
+            estimate_direct_params([(t, ms)])
+
+    def test_allometry_without_spread_names_the_pa(self):
+        t, ms = four_axis_fixture()
+        ms.internodes = [r._replace(fresh_weight=3.0) if r.axis_id in "BC" else r
+                         for r in ms.internodes]
+        with pytest.raises(DegenerateSpread,
+                           match="^PA 2 allometry: all masses equal; beta is not identifiable$"):
+            estimate_direct_params([(t, ms)])
 
     def test_roundtrip_json(self):
         dp = DirectParams(

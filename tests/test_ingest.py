@@ -30,7 +30,7 @@ from fspm import (
 )
 from fspm.errors import (DuplicateKey, MissingPA, SchemaError, TreeMismatch, UnitError,
                          ValidationError)
-from fspm.ingest import _TABLES, samples_by_gu
+from fspm.ingest import _TABLES, CumEntry, TargetEntry, samples_by_gu
 from fspm.topology import TreeTopology
 
 DATA = Path(__file__).parent / "data"
@@ -428,6 +428,74 @@ class TestBuildTargetSeries:
         assert series.entries[(1, 1)].mean_blade_weight == 0.0
 
 
+def uneven_two_pa_tree(internodes=True, leaves=True):
+    """A (PA 1, cycles 1-3) bearing B (PA 2, cycles 2-3) and C (PA 2, cycle 3).
+
+    Missing on purpose: C's cycle-3 internodes (its group, PA2/CA3, has B's),
+    the leaves of group PA2/CA2 (CA 2 has A's) and every leaf of CA 1.
+    """
+    axes = [AxisRecord("T", "A", None, None), AxisRecord("T", "B", "A", 1),
+            AxisRecord("T", "C", "A", 2)]
+    gus = [GURecord("T", "A", ca, 2, 2) for ca in (1, 2, 3)]
+    gus += [GURecord("T", "B", 2, 1, 1), GURecord("T", "B", 3, 1, 1), GURecord("T", "C", 3, 1, 1)]
+    topo = with_physio_ages(build_topology(axes, gus), {"A": 1, "B": 2, "C": 2})
+    weights = {("A", 1): [1.0, 3.0], ("A", 2): [2.0, 4.0], ("A", 3): [6.0],
+               ("B", 2): [0.5], ("B", 3): [1.5]}
+    blades = {("A", 2): [(2.0, 40.0), (4.0, 80.0)], ("A", 3): [(8.0, 160.0)],
+              ("B", 3): [(1.0, 20.0)], ("C", 3): [(3.0, 60.0)]}
+    ms = MeasurementSet(axes=axes, gus=gus)
+    if internodes:
+        ms.internodes = [InternodeRecord("T", a, ca, rank, w, 5.0, 4.0)
+                         for (a, ca), ws in weights.items() for rank, w in enumerate(ws, 1)]
+    if leaves:
+        ms.leaves = [LeafRecord("T", a, ca, index, w, area)
+                     for (a, ca), pairs in blades.items()
+                     for index, (w, area) in enumerate(pairs, 1)]
+    return topo, ms
+
+
+class TestTargetFallbacks:
+    """Every level a missing mean is inherited from: group, CA, whole tree."""
+
+    def test_each_level_inherits_its_exact_mean_and_warns(self, caplog):
+        topo, ms = uneven_two_pa_tree()
+        with caplog.at_level("WARNING", logger="fspm.ingest"):
+            ts = build_target_series(ms, topo)
+        tree_blade, tree_area = 18.0 / 5, 360.0 / 5  # every leaf of the tree
+        assert ts.entries == {
+            # CA 1 has no leaves: the tree's means.
+            (1, 1): TargetEntry(2.0, 5.0, 4.0, tree_blade, tree_area, 2),
+            (1, 2): TargetEntry(3.0, 5.0, 4.0, 3.0, 60.0, 2),
+            (1, 3): TargetEntry(6.0, 5.0, 4.0, 8.0, 160.0, 1),
+            # PA2/CA2 has no leaves: CA 2's (A's two blades).
+            (2, 2): TargetEntry(0.5, 5.0, 4.0, 3.0, 60.0, 1),
+            (2, 3): TargetEntry(1.5, 5.0, 4.0, 2.0, 40.0, 1),
+        }
+        # C's cycle-3 GU has no internodes: its group's mean, B's 1.5 g.
+        assert ts.cumulated == {
+            1: CumEntry(2.0 * 2, tree_blade * 2),
+            2: CumEntry(2.0 * 2 + 3.0 * 2 + 0.5, tree_blade * 2 + 3.0 * 2 + 3.0),
+            3: CumEntry(2.0 * 2 + 3.0 * 2 + 0.5 + 6.0 * 2 + 1.5 + 1.5,
+                        tree_blade * 2 + 3.0 * 2 + 3.0 + 8.0 * 2 + 1.0 + 3.0),
+        }
+        assert [r.getMessage() for r in caplog.records] == [
+            "no leaf weight samples for group PA1/CA1; inheriting mean 3.6",
+            "no leaf area samples for group PA1/CA1; inheriting mean 72",
+            "no leaf weight samples for group PA2/CA2; inheriting mean 3",
+            "no leaf area samples for group PA2/CA2; inheriting mean 60",
+            "no leaf weight samples for GU ('A', 1); inheriting mean 3.6",
+            "no leaf weight samples for GU ('B', 2); inheriting mean 3",
+            "no internode weight samples for GU ('C', 3); inheriting mean 1.5",
+        ]
+
+    @pytest.mark.parametrize("kind, label", [("internodes", "internode weight"),
+                                             ("leaves", "leaf weight")])
+    def test_a_kind_with_no_rows_anywhere_raises(self, kind, label):
+        topo, ms = uneven_two_pa_tree(**{kind: False})
+        with pytest.raises(ValidationError, match=f"^no {label} samples anywhere in the tree$"):
+            build_target_series(ms, topo)
+
+
 class TestSamplesByGU:
     """The one place measurement records are attached to GUs."""
 
@@ -445,12 +513,39 @@ class TestSamplesByGU:
                       InternodeRecord("T", "A", 1, 1, 7.0, 8.0, 9.0)]
         leaves = [LeafRecord("T", "A", 2, 1, 1.5, 40.0)]
         table = samples_by_gu(topo, internodes, leaves)
-        assert [(s.axis, s.gu) for s in table] == list(topo.iter_gus())
-        assert [(s.internodes, s.leaves) for s in table] == [
-            ([internodes[1], internodes[2]], []),
-            ([], leaves),
-            ([internodes[0]], []),
+        per_gu = list(table.per_gu(topo))
+        assert [gu for gu, _, _ in per_gu] == list(topo.iter_gus())
+
+        def rows(columns, gu_rows):
+            return [dict(zip(columns, values)) for values in zip(
+                *(column[gu_rows] for column in columns.values()))]
+
+        assert [(rows(table.internodes, i), rows(table.leaves, l)) for _, i, l in per_gu] == [
+            ([{"fresh_weight": 4.0, "length": 5.0, "diameter": 6.0},
+              {"fresh_weight": 7.0, "length": 8.0, "diameter": 9.0}], []),
+            ([], [{"fresh_weight": 1.5, "area": 40.0}]),
+            ([{"fresh_weight": 1.0, "length": 2.0, "diameter": 3.0}], []),
         ]
+
+    @pytest.mark.parametrize("tree_id, gus", [
+        ("U", [("A", 1), ("A", 2), ("B", 2)]),  # the same GUs, another tree
+        ("T", [("A", 1), ("A", 2), ("A", 3), ("B", 2)]),  # another GU list
+    ])
+    def test_table_read_with_another_topology_raises_tree_mismatch(self, tree_id, gus):
+        table = samples_by_gu(self.two_axis_tree(), [], [])
+        axes = [AxisRecord(tree_id, "B", "A", 1), AxisRecord(tree_id, "A", None, None)]
+        other = build_topology(axes, [GURecord(tree_id, a, ca, 2, 2) for a, ca in gus])
+        message = f"^GU table of tree 'T' does not match the GUs of tree '{tree_id}'$"
+        for read in (table.per_gu, table.top_gus):
+            with pytest.raises(TreeMismatch, match=message):
+                read(other)
+
+    def test_table_reads_the_topology_it_classifies(self):
+        topo = self.two_axis_tree()
+        table = samples_by_gu(topo, [], [LeafRecord("T", "B", 2, 1, 1.5, 40.0)])
+        classified = with_physio_ages(topo, {"A": 1, "B": 2})
+        assert [(axis.pa, rows) for axis, _, rows in table.top_gus(classified)] == [
+            (1, slice(0, 0)), (2, slice(0, 1))]
 
     def test_record_of_another_tree_raises_tree_mismatch(self):
         topo = self.two_axis_tree()
