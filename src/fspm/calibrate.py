@@ -43,6 +43,7 @@ import json
 import math
 import numbers
 import random
+import sys
 from dataclasses import dataclass, field
 from operator import mul
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -80,6 +81,9 @@ STALL_ITERS = 3
 # Weighted residuals are relative, so an SSE this small is an exact fit
 # up to float noise; stop without burning Jacobian evaluations.
 SSE_FLOOR = 1e-24
+# ln of the largest float and of the smallest one above 0.
+_LOG_MAX = math.log(sys.float_info.max)
+_LOG_TINY = math.log(math.ulp(0.0))
 
 DEFAULT_BOUNDS = {
     "q0": (1e-3, 1e5),
@@ -288,7 +292,8 @@ class _TreePlan:
 
     ``FitProblem`` has checked that every observed cohort exists and every
     cumulated cycle is simulated, so a pass fails only as the simulator
-    does on biomass with no sink to take it.
+    does: on biomass with no sink to take it, or on an observed cohort's
+    allometric length that overflows.
     """
 
     def __init__(
@@ -340,6 +345,7 @@ class _TreePlan:
         shapes = [dp.shape(pa) for pa, _ in obs.keys]
         self.b = np.array([b for b, _ in shapes])[owner]
         self.beta = np.array([beta for _, beta in shapes])[owner]
+        self.pa = [obs.keys[cohort][0] for cohort in owner.tolist()]  # each class's PA
         self.e_sinks = (e_blade + e_internode).tolist()
         self.g = g.tolist()
         # Leaf surface at i counts the blade mass laid down up to cycle i.
@@ -446,6 +452,27 @@ class _StackedPlan:
         self.beta = np.concatenate([plan.beta for plan in trees])
         self.measured = np.concatenate([plan.obs.measured for plan in trees])
         self.weight = np.concatenate([plan.obs.weight for plan in trees])
+        # Whether some class's b * P**beta exceeds e**-1 of the largest float
+        # for some float P > 0; if not, no length can overflow.
+        reach = np.log(self.b) + np.maximum(self.beta * _LOG_MAX, self.beta * _LOG_TINY)
+        self.steep = bool(np.any(reach > _LOG_MAX - 1.0))
+
+    def lengths(self, primary: np.ndarray) -> np.ndarray:
+        """Each class's allometric length b * primary**beta, for a steep
+        plan: the first that overflows raises SimulationFailed naming its
+        tree and PA, as :func:`simulate` does, and numpy warns of none."""
+        with np.errstate(over="ignore"):
+            length = self.b * primary**self.beta
+        overflows = np.isinf(length)
+        if overflows.any():
+            i = int(overflows.argmax())
+            t = int(np.searchsorted(self.class_ends, i, side="right"))
+            tree = self.trees[t]
+            pa = tree.pa[i - (self.class_ends[t - 1] if t else 0)]
+            raise SimulationFailed(
+                f"tree {tree.tree_id!r}: PA {pa}: allometric length {float(self.b[i])} * "
+                f"{float(primary[i])} g ** {float(self.beta[i])} overflows")
+        return length
 
     def means(self, values: np.ndarray) -> np.ndarray:
         """Stacked class values -> stacked observed cohort values."""
@@ -492,7 +519,7 @@ def _values(problem: FitProblem, x: np.ndarray) -> _Sweep:
     empty = np.count_nonzero(ok) < len(ok)
     if empty:
         primary, total = np.where(ok, primary, 1.0), np.where(ok, total, 1.0)
-    length = plan.b * primary**plan.beta
+    length = plan.lengths(primary) if plan.steep else plan.b * primary**plan.beta
     if np.count_nonzero(length) < len(length):  # nor has one whose length underflows to 0
         ok, empty = ok & (length > 0.0), True
         primary, total, length = (np.where(ok, v, 1.0) for v in (primary, total, length))

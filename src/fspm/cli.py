@@ -61,7 +61,6 @@ from .ingest import (
     MeasurementSet,
     TargetSeries,
     build_target_series,
-    check_sampled_gus,
     parse_measurements,
     samples_by_gu,
     tree_from_json,
@@ -163,7 +162,6 @@ def _cmd_ingest(args) -> int:
         )
     sub = ms.for_tree(ids[0])
     topology = sub.topology()
-    check_sampled_gus(ms, args.internodes, args.leaves)
     out = Path(args.out)
     _atomic_write(out, tree_to_json(topology, sub))
     _write_manifest(

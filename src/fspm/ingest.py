@@ -23,7 +23,9 @@ per row kind, built from its table's tree document keys in ``_TABLES``;
 :func:`tree_from_json` reads it back and checks every axis, GU
 and measurement cell by the rule of its CSV column.  A CSV cell is parsed
 and a JSON cell must already have the rule's type; both then go through the
-same column check.
+same column check.  Both readers then reject the first internode, else leaf,
+row on a GU its tree lacks, so a tree that :func:`parse_measurements`
+accepts comes back from its own document.
 """
 from __future__ import annotations
 
@@ -340,26 +342,18 @@ def parse_measurements(
 ) -> MeasurementSet:
     """Parse and validate the four measurement files.
 
-    Raises SchemaError for missing columns or malformed cells, UnitError for
-    out-of-range cells, DuplicateKey for repeated identities, each with the
-    offending file and line.
+    Each file is checked on its own first; then every internode, then
+    leaf, row must sit on a GU of the GU file, as :func:`tree_from_json`
+    requires of a tree document.  Raises SchemaError for missing columns or
+    malformed cells, UnitError for out-of-range cells, DuplicateKey for
+    repeated identities and ValidationError for a row on a missing GU, each
+    with the offending file and line.
     """
-    paths = (axes_path, gus_path, internodes_path, leaves_path)
-    return MeasurementSet(**{
-        name: _csv_records(path, table) for (name, table), path in zip(_TABLES.items(), paths)
-    })
-
-
-def check_sampled_gus(ms: MeasurementSet, internodes_path: str | Path,
-                      leaves_path: str | Path) -> None:
-    """Reject an internode or leaf row of ``ms`` on a GU its GU file lacks.
-
-    ``ms`` is what :func:`parse_measurements` read from the files, which
-    checks each file on its own.  The first such internode row, else leaf
-    row, raises ValidationError with its file and line, as a cell fault does.
-    """
-    paths = {"internodes": Path(internodes_path), "leaves": Path(leaves_path)}
+    paths = dict(zip(_TABLES, map(Path, (axes_path, gus_path, internodes_path, leaves_path))))
+    ms = MeasurementSet(**{name: _csv_records(paths[name], table)
+                           for name, table in _TABLES.items()})
     _check_sampled_gus(ms, lambda name, row: f"{paths[name]}:{_line(paths[name], row)}")
+    return ms
 
 
 def _check_sampled_gus(ms: MeasurementSet, where) -> None:
@@ -785,9 +779,10 @@ def tree_from_json(
             the wrong type (an ``age`` that is no JSON integer included).
         UnitError: a cell is out of range.
         DuplicateKey: an internode or a leaf sample is measured twice.
-        ValidationError: the rows do not form a valid tree, its ``age`` is
-            not the last GU cycle, or a measurement row names a GU the
-            document lacks.
+        ValidationError: the rows do not form a valid tree (the class
+            :func:`build_topology` raises, its message after ``source``),
+            its ``age`` is not the last GU cycle, or a measurement row names
+            a GU the document lacks.
     """
     with schema_errors(source):
         doc = json.loads(text)
@@ -820,7 +815,10 @@ def tree_from_json(
             setattr(ms, name, _records(table, cells, False, names, partial(where, name),
                                        unique=name in ("internodes", "leaves")))
             del cells  # no table's cells outlive its records
+    try:
         topology = ms.topology()
+    except ValidationError as exc:  # a broken tree rule keeps its class
+        raise type(exc)(f"{source}: {exc}") from None
     if age != topology.age:
         raise ValidationError(f"{source}: age {age} is not the last GU cycle, {topology.age}")
     _check_sampled_gus(ms, where)

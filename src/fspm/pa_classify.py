@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import logging
+import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -31,6 +33,7 @@ logger = logging.getLogger(__name__)
 
 # Starts per block of a DP row: a block's temporaries hold _BLOCK * n floats.
 _BLOCK = 64
+_SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -83,8 +86,9 @@ def cluster_1d(
 
     Accepts a mapping id -> weight or a plain sequence (ids are positions).
     Ties between equally optimal partitions break toward the smallest
-    leading cluster.  Requires finite values and k <= number of distinct
-    values.
+    leading cluster.  Requires finite values, n * max|value| below
+    sqrt(float max) (about 1.34e154) so that no sum of squares overflows,
+    and k <= number of distinct values.
 
     The exact O(k * n^2) dynamic program of Ckmeans.1d.dp (Wang & Song
     2011) over suffixes of the sorted values: each (clusters, start) cell
@@ -109,6 +113,11 @@ def cluster_1d(
     x = np.asarray(xs, dtype=float)
     if not np.isfinite(x).all():
         raise ValidationError("values to cluster must be finite")
+    # Bounds every prefix sum by n * max|x| and its square by float max.
+    top = float(np.abs(x).max())
+    if n * top >= _SQRT_FLOAT_MAX:
+        raise ValidationError(f"{n} values to cluster must stay below "
+                              f"{_SQRT_FLOAT_MAX / n:.4g} in magnitude, got {top!r}")
     if k > len(set(xs)):
         raise KTooLarge(f"k={k} exceeds {len(set(xs))} distinct values")
 

@@ -599,6 +599,28 @@ class TestResidualPlan:
         fd = fd_jacobian(fp, problem)
         assert np.max(np.abs(jac - fd)) <= 1e-5 * np.max(np.abs(fd))
 
+    @pytest.mark.parametrize("ring_mode", ["uniform", "pipe"])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_length_raises_as_residuals_does(self, dp3, ring_mode):
+        # With beta = 400 for PA 1, a PA-1 cohort's primary mass of about
+        # 6.5 g gives an allometric length past the largest float.
+        cfg = SimConfig(ring_mode=ring_mode)
+        rules = GrowthRules(p_max=3, internodes_per_gu=2, branches_per_gu=1)
+        topo = generate_topology(rules, 4, "t1")
+        targets = targets_from_trace(simulate(HiddenParams(10.0, 6.4, 0.14), dp3, topo, cfg), dp3)
+        steep = replace(dp3, allometry={**dp3.allometry, 1: (5.0, 400.0)})
+        problem = FitProblem(targets=[targets], topologies=[topo], dp=steep, cfg=cfg)
+        fp = FreeParams(q0={"t1": 10.0}, rp=6.4, pc=0.14)
+        # The plan sums the mass in another order: its last digits may differ.
+        message = (r"^tree 't1': PA 1: allometric length 5\.0 \* 6\.5047576027104\d+ g "
+                   r"\*\* 400\.0 overflows$")
+        with pytest.raises(SimulationFailed, match=message):
+            residuals(fp, problem)
+        with pytest.raises(SimulationFailed, match=message):
+            _values(problem, problem.pack(fp))
+        with pytest.raises(SimulationFailed, match=message):
+            fit_hidden(problem, fp, FitOptions(n_starts=0))
+
     def test_zero_demand_raises_as_residuals_does(self, dp2):
         # Declared one cycle older than its growth: on the last cycle the
         # foliage funds biomass and nothing takes it.

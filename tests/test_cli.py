@@ -571,6 +571,21 @@ class TestBadInputFiles:
                        f"column {column!r}: {message}")
         assert not (tmp_path / "cls").exists()
 
+    def test_weight_too_large_to_cluster(self, tmp_path, capsys):
+        # Finite and > 0, so the tree reads; its squares would overflow the clustering.
+        tree = tmp_path / "tree.json"
+        assert run(*ingest_args(SINGLE, tree)) == 0
+        doc = json.loads(tree.read_text())
+        for row in doc["measurements"]["internodes"]:
+            if (row["axis_id"], row["gu_ca"]) == ("A1", 3):
+                row["fresh_weight_g"] = 1e160
+        tree.write_text(json.dumps(doc))
+        err = self.one_error_line(capsys, ["classify-pa", "--tree", tree, "--k", 3,
+                                           "--out", tmp_path / "cls"])
+        assert err == ("fspm classify-pa: 3 values to cluster must stay below 4.469e+153 "
+                       "in magnitude, got 1e+160")
+        assert not (tmp_path / "cls").exists()
+
     @pytest.mark.parametrize("table, noun", [("internodes", "internode"),
                                              ("leaves", "leaf sample")])
     def test_repeated_measurement_row_in_tree_json(self, grove_pipeline, tmp_path, capsys,
@@ -631,6 +646,20 @@ class TestBadInputFiles:
         axis_id = doc["measurements"]["leaves"][4]["axis_id"]
         assert err == (f"fspm {command}: {bad}: measurements.leaves[4]: "
                        f"record references unknown GU ({axis_id!r}, ca 99)")
+        assert not (tmp_path / "out").exists()
+
+    def test_broken_tree_rule_names_its_file_among_several_trees(self, grove_pipeline, tmp_path,
+                                                                capsys):
+        _, trees, _ = grove_pipeline
+        doc = json.loads(trees["P2"][0].read_text())
+        doc["axes"][1]["parent_axis_id"] = "Z"
+        bad = tmp_path / "P2.json"
+        bad.write_text(json.dumps(doc))
+        argv = ["estimate", "--tree", trees["P1"][0], "--pa-map", trees["P1"][1],
+                "--tree", bad, "--pa-map", trees["P2"][1], "--out", tmp_path / "out"]
+        axis_id = doc["axes"][1]["axis_id"]
+        assert self.one_error_line(capsys, argv) == (
+            f"fspm estimate: {bad}: axis {axis_id!r} names unknown parent 'Z'")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("place, key, value, message", [
@@ -1001,22 +1030,37 @@ class TestRuntimeErrors:
         assert capsys.readouterr().err.splitlines() == [f"fspm {command}: {error}"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["simulate", "export-skeleton"])
-    def test_overflowing_length_from_input(self, grove_pipeline, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, ring_mode", [
+        pytest.param("simulate", "uniform", id="simulate"),
+        pytest.param("export-skeleton", "uniform", id="export-skeleton"),
+        pytest.param("fit", "uniform", id="fit-uniform"),
+        pytest.param("fit", "pipe", id="fit-pipe"),
+    ])
+    def test_overflowing_length_from_input(self, grove_pipeline, tmp_path, capsys, command,
+                                           ring_mode):
         # beta = 400 sends PA 1's allometric length past the largest float.
+        # The fit's residual plan fails where the simulator does: no numpy warning.
         _, trees, params = grove_pipeline
         doc = json.loads(Path(params).read_text())
         doc["allometry"]["1"]["beta"] = 400.0
         steep = tmp_path / "direct_params.json"
         steep.write_text(json.dumps(doc))
         tree, pa_map, _ = trees["P2"]
+        if command == "fit":  # the grove fit, from its default init
+            argv = ["--params", steep, "--n-starts", 0]
+            for tree, pa_map, _ in trees.values():
+                argv += ["--tree", tree, "--pa-map", pa_map]
+            prefix = "fspm fit: tree 'P2': PA 1: allometric length "
+        else:
+            argv = ["--tree", tree, "--pa-map", pa_map, "--params", steep,
+                    "--q0", 1e4, "--rp", 0.5, "--pc", 0.14]
+            prefix = f"fspm {command}: PA 1: allometric length "
         out = tmp_path / "out"
         capsys.readouterr()
-        assert run(command, "--tree", tree, "--pa-map", pa_map, "--params", steep,
-                   "--q0", 1e4, "--rp", 0.5, "--pc", 0.14, "--out", out) == 3
+        assert run(command, *argv, "--ring-mode", ring_mode, "--out", out) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith(f"fspm {command}: PA 1: allometric length ")
+        assert err[0].startswith(prefix)
         assert err[0].endswith(" ** 400.0 overflows")
         assert not out.exists()
 

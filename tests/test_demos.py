@@ -16,3 +16,5 @@ def test_demo_runs_clean(script, src_env):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip(), "demo should narrate something"
+    # A numpy or logged warning reaches stderr only outside pytest's own process.
+    assert proc.stderr == ""

@@ -28,8 +28,9 @@ from fspm import (
     tree_to_json,
     with_physio_ages,
 )
-from fspm.errors import (DuplicateKey, MissingPA, SchemaError, TreeMismatch, UnitError,
-                         ValidationError)
+from fspm.errors import (BadInsertion, CycleDetected, DanglingParent, DuplicateKey,
+                         InvalidTopology, MissingPA, NonContiguousCA, SchemaError, TreeMismatch,
+                         UnitError, ValidationError)
 from fspm.ingest import _TABLES, CumEntry, TargetEntry, samples_by_gu
 from fspm.topology import TreeTopology
 
@@ -211,6 +212,37 @@ class TestParseMeasurements:
         with pytest.raises(SchemaError, match=f"{message}: missing cell$"):
             parse_measurements(paths["axes"], paths["gus"],
                                paths["internodes"], paths["leaves"])
+
+    @pytest.mark.parametrize("orphans, message", [
+        ({"leaves.csv": "P2,zz,1,1,1.5,40.0\n"},
+         "leaves.csv:470: record references unknown GU ('zz', ca 1)"),
+        # An internode row is reported before a leaf row, wherever they are.
+        ({"leaves.csv": "P2,zz,1,1,1.5,40.0\n", "internodes.csv": "P1,a000000,9,1,1.0,1.0,1.0\n"},
+         "internodes.csv:332: record references unknown GU ('a000000', ca 9)"),
+    ], ids=["leaf", "internode-first"])
+    def test_row_on_a_missing_gu(self, tmp_path, orphans, message):
+        # The grove files pass their own checks; a row on a GU gus.csv lacks does not.
+        for csv_file in (DATA / "grove").iterdir():
+            (tmp_path / csv_file.name).write_bytes(csv_file.read_bytes())
+        for name, row in orphans.items():
+            with (tmp_path / name).open("a") as fh:
+                fh.write(row)
+        with pytest.raises(ValidationError) as info:
+            parse_measurements(*(tmp_path / f"{name}.csv" for name in _TABLES))
+        assert type(info.value) is ValidationError
+        assert str(info.value) == f"{tmp_path}/{message}"
+
+    @pytest.mark.parametrize("fixture", ["single", "grove"])
+    def test_every_tree_round_trips_through_its_document(self, fixture):
+        # What parse_measurements accepts, each tree's document gives back.
+        d = DATA / fixture
+        ms = parse_measurements(*(d / f"{name}.csv" for name in _TABLES))
+        for tree_id in ms.tree_ids():
+            sub = ms.for_tree(tree_id)
+            topology, again = tree_from_json(tree_to_json(sub.topology(), sub), f"{tree_id}.json")
+            assert topology == sub.topology()
+            for name in _TABLES:
+                assert list(getattr(again, name)) == list(getattr(sub, name)), name
 
     def test_columns_found_by_name_extra_columns_ignored(self, tmp_path):
         axes = "note,axis_id,insertion_ca,parent_axis_id,tree_id\nroot,A,,,T\n"
@@ -649,6 +681,30 @@ class TestTreeJson:
             tree_from_json(text, "tree.json")
         assert str(info.value) == f"tree.json: {message}"
 
+    @pytest.mark.parametrize("edit, error, message", [
+        (lambda axes: axes[2].update(axis_id="A2"), DuplicateKey, "axis 'A2' declared twice"),
+        (lambda axes: axes[1].update(parent_axis_id="Z"), DanglingParent,
+         "axis 'A2' names unknown parent 'Z'"),
+        (lambda axes: (axes[1].update(parent_axis_id="A3"), axes[2].update(parent_axis_id="A2")),
+         CycleDetected, "parent links loop through axis 'A2'"),
+        (lambda axes: axes[0]["gus"][2].update(ca=5), NonContiguousCA,
+         "axis 'A1': GU ca jumps from 2 to 5"),
+        (lambda axes: axes[1].update(insertion_ca=None), BadInsertion,
+         "axis 'A2' has a parent but no insertion_ca"),
+        (lambda axes: axes[2].update(gus=[]), InvalidTopology, "axis 'A3' has no growth units"),
+    ], ids=["DuplicateKey", "DanglingParent", "CycleDetected", "NonContiguousCA", "BadInsertion",
+            "InvalidTopology"])
+    def test_broken_tree_rule_names_the_source(self, edit, error, message):
+        # build_topology's own class, its message after the document's name.
+        d = DATA / "single"
+        ms = parse_measurements(*(d / f"{name}.csv" for name in _TABLES))
+        doc = json.loads(tree_to_json(ms.topology(), ms))
+        edit(doc["axes"])
+        with pytest.raises(ValidationError) as info:
+            tree_from_json(json.dumps(doc), "tree.json")
+        assert type(info.value) is error
+        assert str(info.value) == f"tree.json: {message}"
+
 
 class TestTreeJsonCells:
     """tree_from_json checks measurement cells with the CSV rules."""
@@ -933,11 +989,15 @@ def measurement_sets(draw):
     gus = draw(st.lists(
         st.builds(GURecord, CSV_ID, CSV_ID, CYCLE, CYCLE, st.integers(0, 40)),
         unique_by=lambda r: r[:3], max_size=4))
+    # Each measurement row sits on a drawn GU: parse_measurements rejects any other.
+    place = st.sampled_from([gu[:3] for gu in gus]) if gus else st.nothing()
     internodes = draw(st.lists(
-        st.builds(InternodeRecord, CSV_ID, CSV_ID, CYCLE, CYCLE, MEASURED, MEASURED, MEASURED),
+        st.builds(lambda gu, *cells: InternodeRecord(*gu, *cells),
+                  place, CYCLE, MEASURED, MEASURED, MEASURED),
         unique_by=lambda r: r[:4], max_size=4))
     leaves = draw(st.lists(
-        st.builds(LeafRecord, CSV_ID, CSV_ID, CYCLE, st.integers(1, 3), MEASURED, MEASURED),
+        st.builds(lambda gu, *cells: LeafRecord(*gu, *cells),
+                  place, st.integers(1, 3), MEASURED, MEASURED),
         unique_by=lambda r: r[:4], max_size=4))
     return MeasurementSet(axes=sorted(axes), gus=sorted(gus),
                           internodes=sorted(internodes, key=lambda r: r[:4]),

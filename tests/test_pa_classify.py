@@ -302,6 +302,26 @@ class TestCluster1D:
         with pytest.raises(ValidationError, match="finite"):
             cluster_1d([1.0, bad, 3.0], 2)
 
+    @pytest.mark.parametrize("xs, message", [
+        ([1e160, 2e160, 3e160, 9e160], "4 values to cluster must stay below 3.352e+153 "
+                                       "in magnitude, got 9e+160"),
+        ([1.0, -1e154], "2 values to cluster must stay below 6.704e+153 in magnitude, "
+                        "got 1e+154"),
+    ])
+    def test_values_whose_squares_overflow_rejected(self, xs, message):
+        # Rejected before any sum: RuntimeWarnings fail this suite.
+        with pytest.raises(ValidationError) as info:
+            cluster_1d(xs, 2)
+        assert type(info.value) is ValidationError
+        assert str(info.value) == message
+
+    def test_values_just_below_the_overflow_bound_stay_exact(self):
+        xs = [3.3e153, 1.0, 2.0, 3.2e153]
+        part = cluster_1d(xs, 2)
+        assert part.assignments == {1: 0, 2: 0, 3: 1, 0: 1}
+        found = (part.assignments, part.boundaries, part.means, part.wcss)
+        assert found == per_cell_partition(xs, 2) == scalar_dp_partition(xs, 2)
+
     @given(
         st.lists(st.floats(0.01, 100.0), min_size=2, max_size=10, unique=True),
         st.integers(1, 4),
