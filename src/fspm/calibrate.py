@@ -85,6 +85,13 @@ SSE_FLOOR = 1e-24
 _LOG_MAX = math.log(sys.float_info.max)
 _LOG_TINY = math.log(math.ulp(0.0))
 
+
+def _steep(b: float, beta: float) -> bool:
+    """Whether b * P**beta exceeds e**-1 of the largest float for some float
+    P > 0; if not, no allometric length can overflow."""
+    return math.log(b) + max(beta * _LOG_MAX, beta * _LOG_TINY) > _LOG_MAX - 1.0
+
+
 DEFAULT_BOUNDS = {
     "q0": (1e-3, 1e5),
     "rp": (1e-2, 1e4),
@@ -292,8 +299,11 @@ class _TreePlan:
 
     ``FitProblem`` has checked that every observed cohort exists and every
     cumulated cycle is simulated, so a pass fails only as the simulator
-    does: on biomass with no sink to take it, or on an observed cohort's
-    allometric length that overflows.
+    does: on biomass with no sink to take it, or on an allometric length
+    that overflows.  A tree with a PA whose lengths can overflow
+    (:func:`_steep`) is ``steep``, and ``unseen`` maps a onto the primary
+    mass of each of its cohorts of such a PA without a target, so that
+    their lengths are checked too.
     """
 
     def __init__(
@@ -346,6 +356,14 @@ class _TreePlan:
         self.b = np.array([b for b, _ in shapes])[owner]
         self.beta = np.array([beta for _, beta in shapes])[owner]
         self.pa = [obs.keys[cohort][0] for cohort in owner.tolist()]  # each class's PA
+        pas = [pa for pa, _ in census.keys]
+        steep = {pa for pa in set(pas) if _steep(*dp.shape(pa))}
+        unseen = [j for j, pa in enumerate(pas) if pa in steep and observed[j] < 0]
+        self.steep = bool(steep)
+        self.unseen = (expanding[:, unseen] * sink[unseen]).T / cfg.t_exp
+        self.unseen_pa = [pas[j] for j in unseen]
+        self.unseen_b = np.array([dp.shape(pa)[0] for pa in self.unseen_pa])
+        self.unseen_beta = np.array([dp.shape(pa)[1] for pa in self.unseen_pa])
         self.e_sinks = (e_blade + e_internode).tolist()
         self.g = g.tolist()
         # Leaf surface at i counts the blade mass laid down up to cycle i.
@@ -353,6 +371,11 @@ class _TreePlan:
         self.e, self.sp = cfg.e, cfg.sp
         self.obs = obs
         self.tree_id = tree_id
+
+    def overflow(self, pa: int, b: float, mass: float, beta: float) -> SimulationFailed:
+        """The failure :func:`simulate` raises for a length that overflows."""
+        return SimulationFailed(f"tree {self.tree_id!r}: PA {pa}: allometric length "
+                                f"{float(b)} * {float(mass)} g ** {float(beta)} overflows")
 
     def _forward(self, q0: float, rp: float, pc: float) -> tuple[list[float], list[float]]:
         """a_i for each cycle, and each cycle's decay exp(-s_i / sp) but the last's."""
@@ -452,15 +475,15 @@ class _StackedPlan:
         self.beta = np.concatenate([plan.beta for plan in trees])
         self.measured = np.concatenate([plan.obs.measured for plan in trees])
         self.weight = np.concatenate([plan.obs.weight for plan in trees])
-        # Whether some class's b * P**beta exceeds e**-1 of the largest float
-        # for some float P > 0; if not, no length can overflow.
-        reach = np.log(self.b) + np.maximum(self.beta * _LOG_MAX, self.beta * _LOG_TINY)
-        self.steep = bool(np.any(reach > _LOG_MAX - 1.0))
+        self.steep = any(plan.steep for plan in trees)
 
-    def lengths(self, primary: np.ndarray) -> np.ndarray:
+    def lengths(self, primary: np.ndarray, runs: list[tuple[list[float], list[float]]]
+                ) -> np.ndarray:
         """Each class's allometric length b * primary**beta, for a steep
-        plan: the first that overflows raises SimulationFailed naming its
-        tree and PA, as :func:`simulate` does, and numpy warns of none."""
+        plan: the first that overflows, or else the first of a cohort
+        without a target (its primary mass from its tree's ``a`` in
+        ``runs``), raises SimulationFailed naming its tree and PA, as
+        :func:`simulate` does, and numpy warns of none."""
         with np.errstate(over="ignore"):
             length = self.b * primary**self.beta
         overflows = np.isinf(length)
@@ -469,9 +492,16 @@ class _StackedPlan:
             t = int(np.searchsorted(self.class_ends, i, side="right"))
             tree = self.trees[t]
             pa = tree.pa[i - (self.class_ends[t - 1] if t else 0)]
-            raise SimulationFailed(
-                f"tree {tree.tree_id!r}: PA {pa}: allometric length {float(self.b[i])} * "
-                f"{float(primary[i])} g ** {float(self.beta[i])} overflows")
+            raise tree.overflow(pa, self.b[i], primary[i], self.beta[i])
+        for tree, (a, _) in zip(self.trees, runs):
+            mass = tree.unseen.dot(a)
+            mass[mass == 0.0] = 1.0  # simulate gives no mass no length
+            with np.errstate(over="ignore"):
+                overflows = np.isinf(tree.unseen_b * mass**tree.unseen_beta)
+            if overflows.any():
+                i = int(overflows.argmax())
+                raise tree.overflow(tree.unseen_pa[i], tree.unseen_b[i], mass[i],
+                                    tree.unseen_beta[i])
         return length
 
     def means(self, values: np.ndarray) -> np.ndarray:
@@ -519,7 +549,7 @@ def _values(problem: FitProblem, x: np.ndarray) -> _Sweep:
     empty = np.count_nonzero(ok) < len(ok)
     if empty:
         primary, total = np.where(ok, primary, 1.0), np.where(ok, total, 1.0)
-    length = plan.lengths(primary) if plan.steep else plan.b * primary**plan.beta
+    length = plan.lengths(primary, runs) if plan.steep else plan.b * primary**plan.beta
     if np.count_nonzero(length) < len(length):  # nor has one whose length underflows to 0
         ok, empty = ok & (length > 0.0), True
         primary, total, length = (np.where(ok, v, 1.0) for v in (primary, total, length))

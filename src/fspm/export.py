@@ -10,9 +10,12 @@ runs from base to tip.
 Every table is written column by column through one CSV writer, ``_csv``:
 a header, then one row per observation, organ or segment, each row one
 ``%s`` template, so floats appear as their ``repr`` (and read back exactly),
-lines ending in ``"\\n"``.  Text that ``csv.writer`` would quote, such as
-the fit tables' ``"pa,ca"`` keys, is quoted as it quotes it, so the bytes
-are those of ``csv.writer(lineterminator="\\n")``.
+lines ending in ``"\\n"``.  A table's float columns come as arrays, and each
+distinct float among them is formatted once: an organ's values come from
+its cohort and ring class, and a segment starts where its parent ends.
+Text that ``csv.writer`` would quote, such as the fit tables' ``"pa,ca"``
+keys, is quoted as it quotes it, so the bytes are still those of
+``csv.writer(lineterminator="\\n")``.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ import math
 import numbers
 import re
 from itertools import accumulate, chain, islice
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,16 +54,34 @@ def _quoted(column: Sequence, single: bool) -> list:
     return cells
 
 
-def _csv(header: Sequence[str], *columns: Iterable) -> str:
+def _texts(arrays: list[np.ndarray]) -> list[str]:
+    """The ``repr`` of each cell of the float arrays, laid end to end; each
+    distinct bit pattern is formatted once, so ``-0.0`` and ``0.0`` stay
+    apart."""
+    unique, inverse = np.unique(np.concatenate(arrays).view(np.int64), return_inverse=True)
+    texts = np.array(list(map(float.__repr__, unique.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
+def _csv(header: Sequence[str], *columns) -> str:
     """CSV text: ``header``, then one row per position of the columns.
 
-    Cells are text, ints or floats.  Each row is one ``%s`` template, so a
-    float reads as its ``repr``, and the bytes are those of
-    ``csv.writer(lineterminator="\\n")``: only text can hold a comma, a quote
-    or a line break, and only a one-column row can be empty, so the rows
-    are rendered again with such text quoted when the rendered rows show one.
+    A column is a sequence of text, int or float cells, a float array, or a
+    tuple of such parts written one after another.  All the float arrays'
+    cells are rendered together, by :func:`_texts`.  Each row is one
+    ``%s`` template, so a float reads as its ``repr``, and the bytes are
+    those of ``csv.writer(lineterminator="\\n")``: only text can hold a comma,
+    a quote or a line break, and only a one-column row can be empty, so the
+    rows are rendered again with such text quoted when the rendered rows
+    show one.
     """
-    columns = [(name, *column) for name, column in zip(header, columns, strict=True)]
+    parts = [column if type(column) is tuple else (column,) for column in columns]
+    arrays = [part for column in parts for part in column if isinstance(part, np.ndarray)]
+    cells = iter(_texts(arrays) if arrays else ())
+    # The arrays' texts are taken from ``cells`` in the order they were gathered.
+    columns = [(name, *chain.from_iterable(islice(cells, len(part)) if isinstance(part, np.ndarray)
+                                           else part for part in column))
+               for name, column in zip(header, parts, strict=True)]
     template = ",".join(["%s"] * len(columns))
     lines = list(map(template.__mod__, zip(*columns)))
     text = "\n".join(lines) + "\n"
@@ -83,7 +104,7 @@ def export_fit_csv(trace: SimulationTrace, targets: TargetSeries) -> dict[str, s
     groups = [f"{pa},{ca}" for pa, ca in obs.keys]
     cycles = [i + 1 for i in obs.cycles.tolist()]
     keys = [*groups, *groups, *cycles, *cycles]
-    measured, simulated = obs.measured.tolist(), obs.simulated(trace).tolist()
+    measured, simulated = obs.measured, obs.simulated(trace)
     tables = {}
     at = 0
     for name, size in (("diameter_per_gu", len(groups)), ("mass_per_gu", len(groups)),
@@ -154,24 +175,26 @@ def build_skeleton(trace: SimulationTrace, topology: TreeTopology, seed: int) ->
         )
     through: dict[str, list[int]] = {}  # an axis's born internodes through each GU
     first: dict[str, int] = {}  # where an axis's slice begins
-    size = 0
+    size = branches = 0
     for axis in topology.axes_sorted():
         born = (gu.internode_count for gu in axis.gus if gu.ca <= trace.cycles)
         through[axis.id] = list(accumulate(born, initial=0))
         first[axis.id] = size
         size += through[axis.id][-1]
+        branches += not axis.is_root and through[axis.id][-1] > 0
     if size != len(organs):
         raise ValidationError(
             f"tree {topology.tree_id!r}: organ table holds {len(organs)} internodes, "
             f"the topology {size} born by cycle {trace.cycles}"
         )
 
-    rng = np.random.default_rng(seed)
+    # Each branch's azimuth and tilt jitter, in degrees, drawn in walk order.
+    jitter = np.random.default_rng(seed).normal((0.0, 0.0), (5.0, 3.0), size=(branches, 2))
     parent = np.arange(size)  # a segment's parent is the one below it, but for an axis base
-    rows = np.empty(size, dtype=np.intp)  # each segment's organ table row
     axis_dir: dict[str, tuple[float, ...]] = {}
     base: dict[str, int] = {}  # each walked axis's first segment
     runs: list[tuple[int, int, int]] = []  # each walked axis's base, segments, parent id
+    shift: list[int] = []  # each walked axis's organ table rows less its segments
     done = branch_counter = 0
 
     # Parents before children: walk from the root in insertion order.
@@ -186,10 +209,9 @@ def build_skeleton(trace: SimulationTrace, topology: TreeTopology, seed: int) ->
             top = 0
         else:
             parent_dir = axis_dir[axis.parent_id]
-            azimuth = math.radians(
-                GOLDEN_ANGLE_DEG * branch_counter + rng.normal(0.0, 5.0)
-            )
-            tilt = math.radians(BRANCH_TILT_DEG + rng.normal(0.0, 3.0))
+            d_azimuth, d_tilt = jitter[branch_counter].tolist()
+            azimuth = math.radians(GOLDEN_ANGLE_DEG * branch_counter + d_azimuth)
+            tilt = math.radians(BRANCH_TILT_DEG + d_tilt)
             branch_counter += 1
             u, v = _basis(parent_dir)
             ct, st, ca, sa = math.cos(tilt), math.sin(tilt), math.cos(azimuth), math.sin(azimuth)
@@ -201,13 +223,14 @@ def build_skeleton(trace: SimulationTrace, topology: TreeTopology, seed: int) ->
         axis_dir[axis.id] = direction
         base[axis.id] = done
         runs.append((done, n, top))
-        lo = first[axis.id]
-        rows[done : done + n] = range(lo, lo + n)
+        shift.append(first[axis.id] - done)
         done += n
 
     # Each coordinate of an axis's ends runs on from its parent segment's end.
     # axis_dir holds the walked axes in walk order, as runs does.
-    directions = np.repeat(list(axis_dir.values()), [n for _, n, _ in runs], axis=0)
+    counts = [n for _, n, _ in runs]
+    rows = np.arange(size) + np.repeat(np.array(shift, dtype=np.intp), counts)  # organ rows
+    directions = np.repeat(list(axis_dir.values()), counts, axis=0)
     steps = organs.length_cm[rows, None] * directions
     end = np.empty((size, 3))
     for c, column in enumerate(steps.T.tolist()):
@@ -233,8 +256,7 @@ def export_skeleton(trace: SimulationTrace, topology: TreeTopology, seed: int) -
         ("segment_id", "parent_id", "x0", "y0", "z0", "x1", "y1", "z1", "radius_cm"),
         range(1, len(skeleton.parent) + 1),
         [p or "" for p in skeleton.parent.tolist()],
-        *skeleton.start.T.tolist(), *skeleton.end.T.tolist(),
-        skeleton.radius_cm.tolist(),
+        *skeleton.start.T, *skeleton.end.T, skeleton.radius_cm,
     )
 
 
@@ -242,7 +264,7 @@ def export_trace_csv(trace: SimulationTrace) -> str:
     """Per-cycle series: cycle,q_prod,demand,leaf_surface,cum_internode_mass,cum_blade_mass."""
     names = ("q_prod", "demand", "leaf_surface", "cum_internode_mass", "cum_blade_mass")
     return _csv(("cycle", *names), range(1, trace.cycles + 1),
-                *(getattr(trace, name).tolist() for name in names))
+                *(getattr(trace, name) for name in names))
 
 
 def export_organs_csv(trace: SimulationTrace) -> str:
@@ -253,16 +275,18 @@ def export_organs_csv(trace: SimulationTrace) -> str:
     traces list one aggregate row per cohort and kind instead.
     """
     cohorts = [c for _, c in sorted(trace.cohorts.items())]
-    blades = [(c.pa, c.birth, "blade", c.blade_mass, "", "") for c in cohorts]
     org = trace.organs
     if org is None:  # an internode row, then a blade row, per cohort
-        internodes = [(c.pa, c.birth, "internode", c.internode_mass, c.length_cm,
-                       c.diameter_cm * 10.0) for c in cohorts]
-        columns = zip(*chain.from_iterable(zip(internodes, blades)))
-    else:
-        internodes = (org.pa.tolist(), org.birth.tolist(), ["internode"] * len(org),
-                      (org.primary + org.ring).tolist(), org.length_cm.tolist(),
-                      (org.diameter_cm * 10.0).tolist())
-        expanded = zip(*(row for row, c in zip(blades, cohorts) for _ in range(c.n_blades)))
-        columns = (column + list(more) for column, more in zip(internodes, expanded))
+        rows = chain.from_iterable(
+            ((c.pa, c.birth, "internode", c.internode_mass, c.length_cm, c.diameter_cm * 10.0),
+             (c.pa, c.birth, "blade", c.blade_mass, "", "")) for c in cohorts)
+        columns = map(list, zip(*rows))
+    else:  # every internode, then every blade of each cohort
+        n_blades = [c.n_blades for c in cohorts]
+        blades = ["blade"] * sum(n_blades)
+        pa, birth, mass = (np.repeat([getattr(c, name) for c in cohorts], n_blades)
+                           for name in ("pa", "birth", "blade_mass"))
+        columns = ((org.pa.tolist(), pa.tolist()), (org.birth.tolist(), birth.tolist()),
+                   (["internode"] * len(org), blades), (org.primary + org.ring, mass),
+                   (org.length_cm, [""] * len(blades)), (org.diameter_cm * 10.0, [""] * len(blades)))
     return _csv(("pa", "birth_cycle", "kind", "mass_g", "length_cm", "diameter_mm"), *columns)

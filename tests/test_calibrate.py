@@ -621,6 +621,44 @@ class TestResidualPlan:
         with pytest.raises(SimulationFailed, match=message):
             fit_hidden(problem, fp, FitOptions(n_starts=0))
 
+    @pytest.mark.parametrize("ring_mode", ["uniform", "pipe"])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_length_of_a_cohort_without_a_target(self, dp3, ring_mode, monkeypatch):
+        # As above, but with no PA-1 target: simulate still raises for the
+        # PA-1 cohorts, so the fit must fail on the first value pass at such
+        # a point, not after the whole solve.
+        import fspm.calibrate as calibrate
+
+        cfg = SimConfig(ring_mode=ring_mode)
+        rules = GrowthRules(p_max=3, internodes_per_gu=2, branches_per_gu=1)
+        topo = generate_topology(rules, 4, "t1")
+        targets = targets_from_trace(simulate(HiddenParams(10.0, 6.4, 0.14), dp3, topo, cfg), dp3)
+        targets = replace(targets, entries={k: e for k, e in targets.entries.items() if k[0] != 1})
+        steep = replace(dp3, allometry={**dp3.allometry, 1: (5.0, 400.0)})
+        problem = FitProblem(targets=[targets], topologies=[topo], dp=steep, cfg=cfg)
+        fp = FreeParams(q0={"t1": 10.0}, rp=6.4, pc=0.14)
+        message = r"^tree 't1': PA 1: allometric length 5\.0 \* [0-9.e+-]+ g \*\* 400\.0 overflows$"
+        with pytest.raises(SimulationFailed, match=message):
+            residuals(fp, problem)
+        with pytest.raises(SimulationFailed, match=message):
+            _values(problem, problem.pack(fp))
+        points = []
+
+        def counting_sweeps(problem, x):
+            points.append(problem.unpack(x))
+            return _values(problem, x)
+
+        monkeypatch.setattr(calibrate, "_values", counting_sweeps)
+        init = FreeParams(q0={"t1": 20.0}, rp=2 * 6.4, pc=2 * 0.14)
+        with pytest.raises(SimulationFailed, match=message):
+            fit_hidden(problem, init, FitOptions(n_starts=4))
+        # The init simulates (its PA-1 primary masses stay below 5.9 g); the
+        # first trial step does not, and the fit stops there.
+        assert len(points) == 2
+        residuals(points[0], problem)
+        with pytest.raises(SimulationFailed, match=message):
+            residuals(points[1], problem)
+
     def test_zero_demand_raises_as_residuals_does(self, dp2):
         # Declared one cycle older than its growth: on the last cycle the
         # foliage funds biomass and nothing takes it.

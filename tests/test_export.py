@@ -97,6 +97,39 @@ class TestCsvWriter:
                                      min_size=width, max_size=width), label="columns")
         assert _csv(header, *columns) == writer_csv(header, *columns)
 
+    def test_float_arrays_match_their_cells(self):
+        # Each distinct bit pattern is rendered once: -0.0 and 0.0, and NaNs
+        # of other payloads, keep their own text.
+        payload_nan = np.array([0x7FF8000000000123], dtype=np.int64).view(np.float64)[0]
+        values = [0.0, -0.0, payload_nan, math.nan, math.inf, -math.inf, 5e-324, 1e16,
+                  1e-5, 0.1, 0.0]
+        a = np.array(values)
+        b = a[::-1].copy()
+        columns = (a, b, ["k"] * len(values), a)
+        text = _csv(("a", "b", "key", "again"), *columns)
+        assert text == writer_csv(("a", "b", "key", "again"), *(
+            c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+        assert "\n-0.0,0.1,k,-0.0\n" in text and "\n0.1,-0.0,k,0.1\n" in text
+
+    def test_float_array_parts_of_a_column(self):
+        # A tuple column is its parts end to end, arrays and cells alike.
+        a, b = np.array([1.5, -0.0]), np.array([2.5])
+        text = _csv(("x", "y"), (a, ["", "t"]), ([1, 2], b, [0.1]))
+        assert text == writer_csv(("x", "y"), [1.5, -0.0, "", "t"], [1, 2, 2.5, 0.1])
+
+    @given(st.data())
+    def test_float_arrays_from_a_small_pool(self, data):
+        # Draws from a small pool, so one value recurs in and across columns.
+        pool = data.draw(st.lists(st.floats(allow_nan=True), min_size=1, max_size=4),
+                         label="pool")
+        rows = data.draw(st.integers(0, 8), label="rows")
+        width = data.draw(st.integers(1, 3), label="width")
+        cells = st.lists(st.sampled_from(pool), min_size=rows, max_size=rows)
+        columns = [data.draw(cells, label=f"column {i}") for i in range(width)]
+        header = [f"h{i}" for i in range(width)]
+        arrays = [np.array(column, dtype=float) for column in columns]
+        assert _csv(header, *arrays) == writer_csv(header, *columns)
+
 
 class TestExportFitCsv:
     def test_row_counts(self, run, dp3):
@@ -472,4 +505,18 @@ class TestOrgansCsvBytes:
     def test_factored_trace_matches_row_by_row_writer(self, dp3, hp_default):
         rules = GrowthRules(p_max=3, internodes_per_gu=2, branches_per_gu=2)
         trace = simulate_factored(hp_default, dp3, rules, 6)
+        assert export_organs_csv(trace) == legacy_organs_csv(trace)
+
+    def test_trace_with_no_organ_born_writes_the_header(self, late_root):
+        # The root's first GU is at cycle 2: by cycle 1 nothing is born.
+        dp = DirectParams(p_int={1: 0.5}, allometry={1: (2.0, 1 / 3)}, slw=0.02)
+        trace = simulate(HiddenParams(0.0, 3.0, 0.3), dp, late_root, cycles=1)
+        assert export_organs_csv(trace) == legacy_organs_csv(trace)
+        assert export_skeleton(trace, late_root, 1) == legacy_skeleton_csv(trace, late_root, 1)
+
+    @given(t=uneven_trees(), data=st.data(), ring_mode=st.sampled_from(["uniform", "pipe"]))
+    def test_uneven_tree_matches_row_by_row_writer(self, t, data, ring_mode):
+        cycles = data.draw(st.integers(1, t.age), label="cycles")
+        trace = simulate(TestSkeletonBytes.HP, TestSkeletonBytes.DP, t,
+                         SimConfig(ring_mode=ring_mode), cycles=cycles)
         assert export_organs_csv(trace) == legacy_organs_csv(trace)
