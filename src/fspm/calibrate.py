@@ -19,6 +19,8 @@ evenly over the internodes old enough to thicken, or in pipe mode in
 proportion to the functioning blades above them, so a cohort's internodes
 fall into ring classes of equal ring mass.  ``FitProblem`` builds these
 maps once per tree (a residual plan) and stacks the trees' plans.  A
+plan's classes span every cohort of the census, with a target or not, so
+an allometric length fails a pass in any cohort, as in the simulator.  A
 forward sweep runs each tree's scalar recursion and its own matrix
 products, then the allometry and the weights once on all trees' rows, and
 keeps the per-cycle scalars and class values a tangent needs.  The solver
@@ -268,15 +270,26 @@ class _Observed(NamedTuple):
             weight=1.0 / np.maximum(np.abs(measured), WEIGHT_FLOOR),
         )
 
+    def families(self) -> dict[str, list]:
+        """Each observable family's row keys: "pa,ca" per group, the cycle per cumulated cycle."""
+        groups, cycles = [f"{pa},{ca}" for pa, ca in self.keys], (self.cycles + 1).tolist()
+        return {"diameter_per_gu": groups, "mass_per_gu": groups,
+                "cum_internode": cycles, "cum_blade": cycles}
+
     def simulated(self, trace: SimulationTrace) -> np.ndarray:
         """The simulated counterpart of ``measured``."""
-        cohorts = [trace.cohorts[key] for key in self.keys]
-        return np.concatenate([
-            [c.diameter_cm * 10.0 for c in cohorts],  # cm -> mm
+        return np.concatenate(_observables(trace, self.keys, self.cycles))
+
+
+def _observables(trace: SimulationTrace, keys: Sequence[tuple[int, int]],
+                 cycles: np.ndarray) -> list:
+    """A trace's four observable families: the mean internode diameter (mm)
+    and mass of each (PA, CA) cohort in ``keys``, then the cumulated
+    internode and blade mass at each 0-based cycle in ``cycles``."""
+    cohorts = [trace.cohorts[key] for key in keys]
+    return [[c.diameter_cm * 10.0 for c in cohorts],  # cm -> mm
             [c.internode_mass for c in cohorts],
-            trace.cum_internode_mass[self.cycles],
-            trace.cum_blade_mass[self.cycles],
-        ])
+            trace.cum_internode_mass[cycles], trace.cum_blade_mass[cycles]]
 
 
 class _TreePlan:
@@ -289,21 +302,24 @@ class _TreePlan:
     i's pool, pc * G_i * a_i, reaches internode k in proportion to its ring
     weight w_ik, from the ring-weight table :func:`simulate` spreads its
     pools by: 1 for every internode old enough to thicken in uniform mode,
-    its distal functioning blades in pipe mode.  The internodes of an observed cohort with equal share rows
-    G_i * w_ik / sum_k w_ik form one ring class.  Two matrices, ``fixed``
-    and ``ringed``, map a and pc*a onto each class's internode mass and onto
-    the observed cumulated internode and blade masses; the class rows of
-    ``fixed`` alone give its primary mass, whose allometry fixes the length
-    that closes the diameter.  Where a cohort has more than one class,
-    ``mean`` averages class diameters and masses into the cohort's.
+    its distal functioning blades in pipe mode.  The internodes of a cohort
+    with equal share rows G_i * w_ik / sum_k w_ik form one ring class, and
+    the classes span every internode of the census.  ``cohorts`` lists the
+    census cohorts, those with a target first, in target order; ``owner``
+    gives each class's cohort and ``count`` its internodes, and the first
+    ``n_observed`` classes belong to cohorts with a target.  Two matrices,
+    ``fixed`` and ``ringed``, map a and pc*a onto each class's internode
+    mass and onto the observed cumulated internode and blade masses; the
+    class rows of ``fixed`` alone give its primary mass, whose allometry
+    fixes the length that closes the diameter.  Where an observed cohort
+    has more than one class, ``mean`` averages the observed classes'
+    diameters and masses into the cohort's.
 
     ``FitProblem`` has checked that every observed cohort exists and every
     cumulated cycle is simulated, so a pass fails only as the simulator
     does: on biomass with no sink to take it, or on an allometric length
-    that overflows.  A tree with a PA whose lengths can overflow
-    (:func:`_steep`) is ``steep``, and ``unseen`` maps a onto the primary
-    mass of each of its cohorts of such a PA without a target, so that
-    their lengths are checked too.
+    that overflows, in any cohort.  A tree with a PA whose lengths can
+    overflow (:func:`_steep`) is ``steep``.
     """
 
     def __init__(
@@ -329,41 +345,32 @@ class _TreePlan:
         g = np.where(weight_sum[:, 0] > 0, functioning @ size if per_blade else 1.0, 0.0)
 
         column = {key: j for j, key in enumerate(census.keys)}
-        cols = [column[key] for key in obs.keys]
-        observed = np.full(len(census.keys), -1)
-        observed[cols] = np.arange(len(cols))
-        member = observed[census.cohort]  # each internode's observed cohort, or -1
-        kept = member >= 0
-        weights = ring_weight[:, kept]
-        share = np.divide(g[:, None] * weights, weight_sum,
-                          out=np.zeros(weights.shape), where=weight_sum > 0)
-        classes, count = np.unique(
-            np.column_stack([member[kept], share.T]), axis=0, return_counts=True
+        self.cohorts = list(dict.fromkeys([*obs.keys, *census.keys]))
+        cols = [column[key] for key in self.cohorts]
+        rank = np.argsort(cols)  # each census cohort's place in ``cohorts``
+        share = np.divide(g[:, None] * ring_weight, weight_sum,
+                          out=np.zeros(ring_weight.shape), where=weight_sum > 0)
+        classes, self.count = np.unique(
+            np.column_stack([rank[census.cohort], share.T]), axis=0, return_counts=True
         )
-        owner = classes[:, 0].astype(int)  # the observed cohort of each class
+        self.owner = classes[:, 0].astype(int)
+        m = len(obs.keys)
+        k = self.n_observed = int(np.searchsorted(self.owner, m))
         self.mean = None
-        if len(classes) > len(cols):
-            self.mean = np.zeros((len(cols), len(classes)))
-            self.mean[owner, np.arange(len(classes))] = count / size[cols][owner]
+        if k > m:
+            self.mean = np.zeros((m, k))
+            self.mean[self.owner[:k], np.arange(k)] = self.count[:k] / size[cols][self.owner[:k]]
 
         upto = np.tril(np.ones((n, n)))[obs.cycles]  # (cumulated cycles, cycles)
         self.fixed = np.vstack([
-            ((expanding[:, cols] * sink[cols]).T / cfg.t_exp)[owner],
+            ((expanding[:, cols] * sink[cols]).T / cfg.t_exp)[self.owner],
             upto * e_internode, upto * e_blade,
         ])
         self.ringed = np.vstack([classes[:, 1:], upto * g, np.zeros_like(upto)])
-        shapes = [dp.shape(pa) for pa, _ in obs.keys]
-        self.b = np.array([b for b, _ in shapes])[owner]
-        self.beta = np.array([beta for _, beta in shapes])[owner]
-        self.pa = [obs.keys[cohort][0] for cohort in owner.tolist()]  # each class's PA
-        pas = [pa for pa, _ in census.keys]
-        steep = {pa for pa in set(pas) if _steep(*dp.shape(pa))}
-        unseen = [j for j, pa in enumerate(pas) if pa in steep and observed[j] < 0]
-        self.steep = bool(steep)
-        self.unseen = (expanding[:, unseen] * sink[unseen]).T / cfg.t_exp
-        self.unseen_pa = [pas[j] for j in unseen]
-        self.unseen_b = np.array([dp.shape(pa)[0] for pa in self.unseen_pa])
-        self.unseen_beta = np.array([dp.shape(pa)[1] for pa in self.unseen_pa])
+        shapes = {pa: dp.shape(pa) for pa, _ in census.keys}
+        self.b = np.array([shapes[pa][0] for pa, _ in self.cohorts])[self.owner]
+        self.beta = np.array([shapes[pa][1] for pa, _ in self.cohorts])[self.owner]
+        self.steep = any(_steep(*shape) for shape in shapes.values())
         self.e_sinks = (e_blade + e_internode).tolist()
         self.g = g.tolist()
         # Leaf surface at i counts the blade mass laid down up to cycle i.
@@ -443,11 +450,12 @@ class _StackedPlan:
     class rows, then its cumulated rows): the empty-class guard, the
     allometry that closes the diameters, the observation weights and the
     Jacobian's assembly.  ``classes`` picks the class rows out of the
-    stacked rows, ``order`` gathers the observed values (diameters, cohort
-    masses, stacked rows) into residual order, tree by tree, and ``tree``
-    names each residual row's tree, the one whose seed mass moves it.  A
-    tree whose cohorts split into ring classes applies its ``mean`` map to
-    its own slice.
+    stacked rows.  Each tree gives a block of diameters and one of masses:
+    its classes' or, where its observed cohorts split into ring classes,
+    their ``mean``.  ``order`` gathers the observed values (each block's
+    leading rows, then the cumulated rows) into residual order, tree by
+    tree, and ``tree`` names each residual row's tree, the one whose seed
+    mass moves it.
     """
 
     def __init__(self, trees: list[_TreePlan], rho: float) -> None:
@@ -456,18 +464,19 @@ class _StackedPlan:
         classes = [len(plan.b) for plan in trees]
         rows = [len(plan.fixed) for plan in trees]
         cohorts = [len(plan.obs.keys) for plan in trees]
+        blocks = [k if plan.mean is None else m for plan, k, m in zip(trees, classes, cohorts)]
         first_row = np.cumsum([0] + rows[:-1])
-        first_cohort = np.cumsum([0] + cohorts[:-1])
+        first_block = np.cumsum([0] + blocks[:-1])
         self.classes = np.concatenate(
             [first + np.arange(k) for first, k in zip(first_row, classes)]
         )
         self.class_ends = np.cumsum(classes)[:-1]
         self.split = any(plan.mean is not None for plan in trees)
-        n_cohorts = sum(cohorts)
+        n_blocks = sum(blocks)
         self.order = np.concatenate([
-            np.concatenate([c + np.arange(m), n_cohorts + c + np.arange(m),
-                            2 * n_cohorts + r + np.arange(k, n)])
-            for r, c, k, m, n in zip(first_row, first_cohort, classes, cohorts, rows)
+            np.concatenate([c + np.arange(m), n_blocks + c + np.arange(m),
+                            2 * n_blocks + r + np.arange(k, n)])
+            for r, c, k, m, n in zip(first_row, first_block, classes, cohorts, rows)
         ])
         self.rows = np.arange(len(self.order))
         self.tree = np.repeat(np.arange(len(trees)), [len(plan.obs.measured) for plan in trees])
@@ -477,13 +486,11 @@ class _StackedPlan:
         self.weight = np.concatenate([plan.obs.weight for plan in trees])
         self.steep = any(plan.steep for plan in trees)
 
-    def lengths(self, primary: np.ndarray, runs: list[tuple[list[float], list[float]]]
-                ) -> np.ndarray:
+    def lengths(self, primary: np.ndarray) -> np.ndarray:
         """Each class's allometric length b * primary**beta, for a steep
-        plan: the first that overflows, or else the first of a cohort
-        without a target (its primary mass from its tree's ``a`` in
-        ``runs``), raises SimulationFailed naming its tree and PA, as
-        :func:`simulate` does, and numpy warns of none."""
+        plan: the first class that overflows, in tree order, raises
+        SimulationFailed naming its tree and PA, as :func:`simulate` does,
+        and numpy warns of none."""
         with np.errstate(over="ignore"):
             length = self.b * primary**self.beta
         overflows = np.isinf(length)
@@ -491,24 +498,15 @@ class _StackedPlan:
             i = int(overflows.argmax())
             t = int(np.searchsorted(self.class_ends, i, side="right"))
             tree = self.trees[t]
-            pa = tree.pa[i - (self.class_ends[t - 1] if t else 0)]
+            pa = tree.cohorts[tree.owner[i - (self.class_ends[t - 1] if t else 0)]][0]
             raise tree.overflow(pa, self.b[i], primary[i], self.beta[i])
-        for tree, (a, _) in zip(self.trees, runs):
-            mass = tree.unseen.dot(a)
-            mass[mass == 0.0] = 1.0  # simulate gives no mass no length
-            with np.errstate(over="ignore"):
-                overflows = np.isinf(tree.unseen_b * mass**tree.unseen_beta)
-            if overflows.any():
-                i = int(overflows.argmax())
-                raise tree.overflow(tree.unseen_pa[i], tree.unseen_b[i], mass[i],
-                                    tree.unseen_beta[i])
         return length
 
     def means(self, values: np.ndarray) -> np.ndarray:
-        """Stacked class values -> stacked observed cohort values."""
+        """Stacked class values -> each tree's block of them."""
         parts = np.split(values, self.class_ends)
         return np.concatenate([
-            part if plan.mean is None else plan.mean.dot(part)
+            part if plan.mean is None else plan.mean.dot(part[:plan.n_observed])
             for plan, part in zip(self.trees, parts)
         ])
 
@@ -549,7 +547,7 @@ def _values(problem: FitProblem, x: np.ndarray) -> _Sweep:
     empty = np.count_nonzero(ok) < len(ok)
     if empty:
         primary, total = np.where(ok, primary, 1.0), np.where(ok, total, 1.0)
-    length = plan.lengths(primary, runs) if plan.steep else plan.b * primary**plan.beta
+    length = plan.lengths(primary) if plan.steep else plan.b * primary**plan.beta
     if np.count_nonzero(length) < len(length):  # nor has one whose length underflows to 0
         ok, empty = ok & (length > 0.0), True
         primary, total, length = (np.where(ok, v, 1.0) for v in (primary, total, length))
@@ -702,9 +700,15 @@ def _gauss_newton(
     forward sweep of its current point, takes every Jacobian from it and
     keeps a trial step's sweep when the SSE drops.  Returns the final
     sweep, its SSE, the iterations, whether the start converged, and the
-    value and tangent passes it made."""
-    sweep = _values(problem, np.clip(x0, lo, hi))
+    value and tangent passes it made.  A start whose SSE is not finite
+    raises SimulationFailed naming the tree of its first such residual;
+    a step is kept only where the SSE drops, so no other SSE can be."""
+    with np.errstate(over="ignore", invalid="ignore"):  # such a start fails below
+        sweep = _values(problem, np.clip(x0, lo, hi))
     sse = float(sweep.res.dot(sweep.res))
+    if not math.isfinite(sse):
+        tree = problem.tree_ids[problem._plan.tree[np.isfinite(sweep.res).argmin()]]
+        raise SimulationFailed(f"tree {tree!r}: the weighted SSE is {sse}")
     value_passes, tangent_passes = 1, 0
     lam = LAMBDA0
     stall = 0
@@ -757,7 +761,8 @@ def fit_hidden(
     reproducible) and keeps the lowest weighted SSE.  A failure to reach the
     stall criterion is reported through ``converged=False``, never raised.
     The solver runs on the trees' residual plans, with exact Jacobians; the
-    result's SSE is the simulator's, at the optimum.
+    result's SSE is the simulator's, at the optimum.  A start whose SSE is
+    not finite raises SimulationFailed, so no fit reports such an SSE.
     """
     lo, hi = problem.log_bounds()
     # A value <= 0 or non-finite has no finite log; NaN fails every bound.
@@ -817,21 +822,15 @@ def targets_from_trace(
     trace: SimulationTrace, dp: DirectParams
 ) -> TargetSeries:
     """Recast a simulation trace as a TargetSeries (synthetic targets)."""
-    entries: dict[tuple[int, int], TargetEntry] = {}
-    for key, cohort in sorted(trace.cohorts.items()):
-        entries[key] = TargetEntry(
-            mean_internode_weight=cohort.internode_mass,
-            mean_internode_length=cohort.length_cm,
-            mean_internode_diameter=cohort.diameter_cm * 10.0,
-            mean_blade_weight=cohort.blade_mass,
-            mean_blade_area=cohort.blade_mass / dp.slw,
-            n_internodes=cohort.n_internodes,
-        )
-    cumulated = {
-        cycle: CumEntry(
-            cum_internode_mass=float(trace.cum_internode_mass[cycle - 1]),
-            cum_blade_mass=float(trace.cum_blade_mass[cycle - 1]),
-        )
-        for cycle in range(1, trace.cycles + 1)
-    }
+    keys = sorted(trace.cohorts)
+    cohorts = [trace.cohorts[key] for key in keys]
+    diameters, masses, cum_internode, cum_blade = _observables(
+        trace, keys, np.arange(trace.cycles))
+    entries = {key: TargetEntry(
+        mean_internode_weight=mass, mean_internode_length=cohort.length_cm,
+        mean_internode_diameter=diameter, mean_blade_weight=cohort.blade_mass,
+        mean_blade_area=cohort.blade_mass / dp.slw, n_internodes=cohort.n_internodes,
+    ) for key, cohort, diameter, mass in zip(keys, cohorts, diameters, masses)}
+    cumulated = {cycle: CumEntry(*pair) for cycle, pair in enumerate(
+        zip(cum_internode.tolist(), cum_blade.tolist()), start=1)}
     return TargetSeries(tree_id=trace.tree_id, entries=entries, cumulated=cumulated)

@@ -142,13 +142,19 @@ def schema_errors(source: str) -> Iterator[None]:
 
 
 def _json_number(value, where: str) -> float:
-    """A JSON number as a float; ``true`` and ``"5.0"`` are not numbers.
+    """A JSON number as a float; ``true`` and ``"5.0"`` are not numbers, nor
+    is an integer beyond the range of a float, such as ``10**400``.
 
-    Raises TypeError, which :func:`schema_errors` reports with the file.
+    Raises TypeError or ValueError, which :func:`schema_errors` reports with
+    the file.
     """
     if type(value) not in (int, float):
         raise TypeError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{where} must be a number that a float can hold, "
+                         f"got an integer of {len(str(abs(value)))} digits") from None
 
 
 @contextlib.contextmanager

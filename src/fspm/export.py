@@ -101,19 +101,12 @@ def export_fit_csv(trace: SimulationTrace, targets: TargetSeries) -> dict[str, s
     The targets are checked against the trace as a fit checks them.
     """
     obs = _Observed.of(targets, trace.tree_id, trace.cohorts, trace.cycles)
-    groups = [f"{pa},{ca}" for pa, ca in obs.keys]
-    cycles = [i + 1 for i in obs.cycles.tolist()]
-    keys = [*groups, *groups, *cycles, *cycles]
-    measured, simulated = obs.measured, obs.simulated(trace)
-    tables = {}
-    at = 0
-    for name, size in (("diameter_per_gu", len(groups)), ("mass_per_gu", len(groups)),
-                       ("cum_internode", len(cycles)), ("cum_blade", len(cycles))):
-        rows = slice(at, at + size)
-        tables[name] = _csv(("key", "measured", "simulated"),
-                            keys[rows], measured[rows], simulated[rows])
-        at += size
-    return tables
+    families = obs.families()
+    ends = np.cumsum([len(keys) for keys in families.values()])[:-1]
+    return {name: _csv(("key", "measured", "simulated"), keys, measured, simulated)
+            for (name, keys), measured, simulated in zip(
+                families.items(), np.split(obs.measured, ends),
+                np.split(obs.simulated(trace), ends))}
 
 
 class Skeleton(NamedTuple):

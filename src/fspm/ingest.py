@@ -33,6 +33,7 @@ import csv
 import json
 import logging
 import math
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -43,7 +44,8 @@ from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (DuplicateKey, InvalidParameter, MissingPA, SchemaError, TreeMismatch,
-                     UnitError, ValidationError, read_text, schema_errors, utf8_errors)
+                     UnitError, ValidationError, _json_number, read_text, schema_errors,
+                     utf8_errors)
 from .topology import Axis, AxisRecord, GrowthUnit, GURecord, TreeTopology, build_topology
 
 logger = logging.getLogger(__name__)
@@ -202,7 +204,8 @@ def _cell(cell, rule: _Rule, text: bool):
         value = cell
     else:
         raise SchemaError(f"not {_NOUN[rule.kind]}: {cell!r}")
-    if rule.kind is float and not 0 < value < math.inf:
+    # An integer too large for a float is rejected here, on the failure path.
+    if rule.kind is float and not 0 < value <= sys.float_info.max:
         raise UnitError(f"measurement must be finite and > 0, got {cell}")
     if rule.kind is int and value < rule.minimum:
         raise UnitError(f"{value} < {rule.minimum}")
@@ -502,18 +505,21 @@ class TargetSeries:
     def from_json(cls, text: str, source: str = "targets") -> "TargetSeries":
         """Parse :meth:`to_json` output; ``source`` names the input in errors.
 
+        Every value but ``n_internodes`` is read as a float.
+
         Raises:
             SchemaError: the text is not JSON, lacks a key, or holds a value
                 of the wrong type or range: a PA, CA or cycle key < 1, an
                 ``n_internodes`` that is not an integer >= 1, or another
                 value that is not finite and >= 0 (zeros come from a trace
-                with no seed biomass).
+                with no seed biomass) or is an integer no float can hold.
         """
 
         def checked(where: str, keys: Sequence[int], record):
             if min(keys) < 1:
                 raise InvalidParameter(f"{where}: PA, CA and cycle keys must be >= 1")
-            for name, value in asdict(record).items():
+            values = asdict(record)
+            for name, value in values.items():
                 if name == "n_internodes":
                     if type(value) is not int or value < 1:
                         raise InvalidParameter(
@@ -521,7 +527,9 @@ class TargetSeries:
                 elif type(value) not in (int, float) or not 0 <= value < math.inf:
                     raise InvalidParameter(
                         f"{where}: {name} must be finite and >= 0, got {value!r}")
-            return record
+                else:
+                    values[name] = _json_number(value, f"{where}: {name}")
+            return type(record)(**values)
 
         with schema_errors(source):
             doc = json.loads(text)

@@ -414,17 +414,20 @@ def legacy_allocations(plan, q0, rp, pc, tangent):
 def legacy_tree_residuals(plan, rho, q0, rp, pc, tangent):
     """Oracle: one tree's weighted residuals and (rows x 3)
     Jacobian block as the per-tree plans evaluated them before the trees
-    were stacked into one pass."""
+    were stacked into one pass, on the plan's rows of cohorts with a
+    target: the class rows of the other cohorts are sliced off first."""
     a, da = legacy_allocations(plan, q0, rp, pc, tangent)
-    fixed = plan.fixed @ a
-    ringed = plan.ringed @ a
+    k = plan.n_observed
+    kept = np.r_[:k, len(plan.b):len(plan.fixed)]  # observed class rows, cumulated rows
+    b, beta = plan.b[:k], plan.beta[:k]
+    fixed = (plan.fixed @ a)[kept]
+    ringed = (plan.ringed @ a)[kept]
     mass = fixed + pc * ringed
-    k = len(plan.b)
     primary, total = fixed[:k], mass[:k]
     ok = (primary > 0) & (total > 0)
     if not ok.all():
         primary, total = np.where(ok, primary, 1.0), np.where(ok, total, 1.0)
-    length = plan.b * primary**plan.beta
+    length = b * primary**beta
     diameter = np.sqrt(4.0 * total / (math.pi * rho * length)) * 10.0 * ok
     observed = [diameter, mass]
     if plan.mean is not None:
@@ -433,11 +436,11 @@ def legacy_tree_residuals(plan, rho, q0, rp, pc, tangent):
     res = (np.concatenate(observed) - plan.obs.measured) * weight
     if not tangent:
         return res, None
-    dfixed = plan.fixed @ da
-    dmass = dfixed + pc * (plan.ringed @ da)
+    dfixed = (plan.fixed @ da)[kept]
+    dmass = dfixed + pc * (plan.ringed @ da)[kept]
     dmass[:, 2] += pc * ringed
     ddiameter = (0.5 * diameter)[:, None] * (
-        dmass[:k] / total[:, None] - plan.beta[:, None] * dfixed[:k] / primary[:, None]
+        dmass[:k] / total[:, None] - beta[:, None] * dfixed[:k] / primary[:, None]
     )
     dobserved = [ddiameter, dmass]
     if plan.mean is not None:
@@ -547,6 +550,52 @@ class TestResidualPlan:
         trace = simulate(HiddenParams(14.23, 6.4319, 0.13882), dp, topo, cfg)
         problem = FitProblem(targets=[targets_from_trace(trace, dp)], topologies=[topo],
                              dp=dp, cfg=cfg)
+        assert_plan_matches_simulator(problem, FreeParams(q0={topo.tree_id: 9.0}, rp=4.0, pc=0.5))
+
+    @given(
+        topo=st.one_of(
+            st.builds(generate_topology,
+                      st.builds(GrowthRules, p_max=st.integers(1, 3),
+                                internodes_per_gu=st.integers(1, 3),
+                                branches_per_gu=st.integers(0, 2)),
+                      st.integers(1, 6)),
+            uneven_trees(),
+        ),
+        ring_mode=st.sampled_from(["uniform", "pipe"]),
+        t_f=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_classes_cover_every_internode(self, topo, ring_mode, t_f, data):
+        # Targets for only some cohorts: the plan's classes still account for
+        # every internode of the census, and their count-weighted masses are
+        # each cohort's harvest internode mass, as simulate gives it.  Pipe
+        # rings split cohorts once blades outlive expansion (t_f > 1).
+        dp3 = DirectParams(
+            p_int={1: 0.561, 2: 0.726, 3: 0.858},
+            allometry={1: (5.0, 0.3), 2: (7.0, 0.35), 3: (9.0, 0.4)},
+            slw=0.0287,
+        )
+        cfg = SimConfig(ring_mode=ring_mode, t_f=t_f)
+        hp = HiddenParams(14.23, 6.4319, 0.13882)
+        trace = simulate(hp, dp3, topo, cfg)
+        full = targets_from_trace(trace, dp3)
+        kept = sorted(data.draw(st.sets(st.sampled_from(sorted(full.entries))), label="kept"))
+        targets = replace(full, entries={key: full.entries[key] for key in kept})
+        problem = FitProblem(targets=[targets], topologies=[topo], dp=dp3, cfg=cfg)
+        plan = problem._plan.trees[0]
+        census = topo.census
+        assert plan.cohorts[:len(kept)] == kept
+        assert sorted(plan.cohorts) == sorted(census.keys)
+        assert plan.count.sum() == len(census.cohort) == sum(census.counts.values())
+        assert set(plan.owner[:plan.n_observed].tolist()) == set(range(len(kept)))
+        a, _ = plan._forward(hp.q0, hp.rp, hp.pc)
+        k = len(plan.b)
+        mass = plan.fixed[:k] @ a + hp.pc * (plan.ringed[:k] @ a)
+        harvest = np.bincount(plan.owner, plan.count * mass, len(plan.cohorts))
+        for key, got in zip(plan.cohorts, harvest.tolist()):
+            cohort = trace.cohorts[key]
+            expected = cohort.internode_mass * cohort.n_internodes
+            assert abs(got - expected) <= 1e-12 * expected
         assert_plan_matches_simulator(problem, FreeParams(q0={topo.tree_id: 9.0}, rp=4.0, pc=0.5))
 
     @pytest.mark.parametrize("ring_mode", ["uniform", "pipe"])

@@ -1082,6 +1082,113 @@ class TestRuntimeErrors:
         assert not out.exists()
 
 
+def with_value(src, dst, path, value):
+    """Write the JSON document at ``src`` to ``dst`` with the leaf at ``path`` set."""
+    doc = json.loads(Path(src).read_text())
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    Path(dst).write_text(json.dumps(doc))
+    return dst
+
+
+@pytest.mark.filterwarnings("error")
+class TestNumbersBeyondFloats:
+    """A JSON number a float cannot hold, and a fit whose SSE is not finite,
+    end in one line and exit 1 or 3: no traceback, no numpy warning."""
+
+    def error_line(self, capsys, argv, code):
+        capsys.readouterr()
+        assert run(*argv) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1
+        return lines[0]
+
+    def test_params_slw(self, grove_pipeline, tmp_path, capsys):
+        _, trees, params = grove_pipeline
+        tree, pa_map, _ = trees["P2"]
+        bad = with_value(params, tmp_path / "direct_params.json", ["slw"], 10**400)
+        argv = ["simulate", "--tree", tree, "--pa-map", pa_map, "--params", bad,
+                "--q0", 12.0, "--rp", 6.4, "--pc", 0.14, "--out", tmp_path / "sim"]
+        assert self.error_line(capsys, argv, 1) == (
+            f"fspm simulate: {bad}: slw must be a number that a float can hold, "
+            "got an integer of 401 digits")
+        assert not (tmp_path / "sim").exists()
+
+    def test_fit_result_q0(self, grove_pipeline, tmp_path, capsys):
+        _, trees, params = grove_pipeline
+        tree, pa_map, _ = trees["P2"]
+        hidden = tmp_path / "fit_result.json"
+        hidden.write_text(json.dumps({"q0": {"P2": 10**400}, "rp": 6.4, "pc": 0.14}))
+        argv = ["simulate", "--tree", tree, "--pa-map", pa_map, "--params", params,
+                "--hidden", hidden, "--out", tmp_path / "sim"]
+        assert self.error_line(capsys, argv, 1) == (
+            f"fspm simulate: {hidden}: q0['P2'] must be a number that a float can hold, "
+            "got an integer of 401 digits")
+
+    def test_tree_measurement(self, grove_pipeline, tmp_path, capsys):
+        _, trees, _ = grove_pipeline
+        tree, _, _ = trees["P2"]
+        bad = with_value(tree, tmp_path / "tree.json",
+                         ["measurements", "internodes", 0, "fresh_weight_g"], 10**400)
+        argv = ["classify-pa", "--tree", bad, "--k", 3, "--out", tmp_path / "cls"]
+        assert self.error_line(capsys, argv, 1) == (
+            f"fspm classify-pa: {bad}: measurements.internodes[0]: column 'fresh_weight_g': "
+            f"measurement must be finite and > 0, got {10**400}")
+        assert not (tmp_path / "cls").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "fit"])
+    def test_target_beyond_floats(self, grove_pipeline, tmp_path, capsys, command):
+        _, trees, params = grove_pipeline
+        tree, pa_map, targets = trees["P2"]
+        bad = with_value(targets, tmp_path / "targets.json",
+                         ["entries", "1,1", "mean_internode_weight"], 10**400)
+        argv = [command, "--tree", tree, "--pa-map", pa_map, "--params", params,
+                "--targets", bad, "--out", tmp_path / "out"]
+        argv += ["--n-starts", 0] if command == "fit" else ["--q0", 12.0, "--rp", 6.4, "--pc", 0.14]
+        assert self.error_line(capsys, argv, 1) == (
+            f"fspm {command}: {bad}: entries['1,1']: mean_internode_weight must be a number "
+            "that a float can hold, got an integer of 401 digits")
+
+    @pytest.mark.parametrize("command", ["simulate", "fit"])
+    def test_large_integer_target_is_a_float(self, grove_pipeline, tmp_path, capsys, command):
+        # 10**30 is beyond int64 but a float holds it: the targets are read
+        # as floats, as if written 1e30.
+        _, trees, params = grove_pipeline
+        tree, pa_map, targets = trees["P2"]
+        argv = [command, "--tree", tree, "--pa-map", pa_map, "--params", params]
+        argv += ["--n-starts", 0] if command == "fit" else ["--q0", 12.0, "--rp", 6.4, "--pc", 0.14]
+        outputs = {}
+        for name, value in (("int", 10**30), ("float", 1e30)):
+            doc = with_value(targets, tmp_path / f"{name}.json",
+                             ["entries", "1,1", "mean_internode_weight"], value)
+            capsys.readouterr()
+            assert run(*argv, "--targets", doc, "--out", tmp_path / name) in (0, 2)
+            assert "Traceback" not in capsys.readouterr().err
+            outputs[name] = sorted((p.name, p.read_bytes()) for p in (tmp_path / name).iterdir()
+                                   if p.name != "run_manifest.json")
+        assert outputs["int"] == outputs["float"]
+        if command == "simulate":
+            mass = (tmp_path / "int" / "mass_per_gu.csv").read_text().splitlines()
+            assert mass[1].startswith('"1,1",1e+30,')
+
+    def test_fit_with_sse_not_finite_exits_3(self, grove_pipeline, tmp_path, capsys):
+        # PA-1 allometry b = 5e-324 gives lengths so small that diameters
+        # overflow: the SSE at the init is inf, which no fit may report as
+        # converged.
+        _, trees, params = grove_pipeline
+        tiny = with_value(params, tmp_path / "direct_params.json", ["allometry", "1", "b"], 5e-324)
+        argv = ["fit", "--params", tiny, "--n-starts", 0, "--out", tmp_path / "fit"]
+        for tid in ("P1", "P2"):
+            tree, pa_map, _ = trees[tid]
+            argv += ["--tree", tree, "--pa-map", pa_map]
+        assert self.error_line(capsys, argv, 3) == "fspm fit: tree 'P1': the weighted SSE is inf"
+        assert not (tmp_path / "fit").exists()
+
+
 class TestSimulateCycles:
     def test_truncated_horizon(self, grove_pipeline):
         base, trees, params = grove_pipeline
