@@ -315,10 +315,12 @@ class _TreePlan:
     has more than one class, ``mean`` averages the observed classes'
     diameters and masses into the cohort's.
 
-    ``FitProblem`` has checked that every observed cohort exists and every
-    cumulated cycle is simulated, so a pass fails only as the simulator
-    does: on biomass with no sink to take it, or on an allometric length
-    that overflows, in any cohort.  A tree with a PA whose lengths can
+    Direct parameters whose organ demand or leaf-surface weights are not
+    finite fail here, naming the tree, where :func:`simulate` fails on the
+    cycle.  ``FitProblem`` has checked that every observed cohort exists
+    and every cumulated cycle is simulated, so a pass fails only as the
+    simulator does: on biomass with no sink to take it, or on an
+    allometric length that overflows, in any cohort.  A tree with a PA whose lengths can
     overflow (:func:`_steep`) is ``steep``.
     """
 
@@ -336,8 +338,14 @@ class _TreePlan:
         functioning = (birth > cycle - cfg.t_f) & (birth <= cycle)
         blade_sink = expanding * size / cfg.t_exp
         e_blade = blade_sink.sum(axis=1)
-        e_internode = blade_sink @ sink
-        w = (functioning * size) @ expanding.T / (cfg.t_exp * dp.slw)
+        with np.errstate(over="ignore"):  # checked below, as simulate checks them
+            e_internode = blade_sink @ sink
+            w = (functioning * size) @ expanding.T / (cfg.t_exp * dp.slw)
+        if not np.isfinite(e_internode).all():
+            raise SimulationFailed(f"tree {tree_id!r}: organ demand is not finite")
+        if not np.isfinite(w).all():
+            raise SimulationFailed(f"tree {tree_id!r}: leaf surface is not finite "
+                                   f"at slw {dp.slw} g/cm^2")
         ring_weight = _ring_weights(topology, cfg)
         weight_sum = ring_weight.sum(axis=1)[:, None]
         # A cycle's weights sum to 0 exactly when no internode can thicken.

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -32,9 +33,12 @@ from .errors import (
     schema_errors,
 )
 from .ingest import MeasurementSet, samples_by_gu
+from .pa_classify import _SQRT_FLOAT_MAX
 from .topology import TreeTopology
 
 logger = logging.getLogger(__name__)
+
+_SQRT_FLOAT_TINY = math.sqrt(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -127,7 +131,12 @@ def fit_sink_ratio(pairs: Sequence[tuple[float, float]]) -> SinkFit:
 
     ``pairs`` are (blade_mass, internode_mass) in grams.  The slope is
     sum(x*y) / sum(x^2); R^2 is the uncentered coefficient appropriate for a
-    no-intercept fit.
+    no-intercept fit.  As :func:`~fspm.pa_classify.cluster_1d` requires of
+    its values, n * the largest mass must stay below sqrt(float max) (about
+    1.34e154), so that no sum of the regression overflows; and the largest
+    blade mass and the largest internode mass must each reach the square
+    root of the smallest normal float (about 1.49e-154), so that no sum of
+    squares vanishes.
     """
     if len(pairs) < 2:
         raise InsufficientData(f"need >= 2 pairs, got {len(pairs)}")
@@ -135,6 +144,16 @@ def fit_sink_ratio(pairs: Sequence[tuple[float, float]]) -> SinkFit:
     y = np.asarray([p[1] for p in pairs], dtype=float)
     if np.any(x <= 0) or np.any(y <= 0):
         raise InsufficientData("all masses must be positive")
+    # Bounds sum(x*y), sum(x^2) and sum(y^2), and so the residual sum, by float max.
+    top = float(max(x.max(), y.max()))
+    if len(pairs) * top >= _SQRT_FLOAT_MAX:
+        raise ValidationError(f"{len(pairs)} pairs of masses must stay below "
+                              f"{_SQRT_FLOAT_MAX / len(pairs):.4g} g, got {top!r}")
+    # Keeps sum(x^2) and sum(y^2) normal, so the slope and R^2 are finite.
+    low = float(min(x.max(), y.max()))
+    if low < _SQRT_FLOAT_TINY:
+        raise ValidationError(f"the largest blade mass and the largest internode mass "
+                              f"must reach {_SQRT_FLOAT_TINY:.4g} g, got {low!r}")
     slope = float(np.dot(x, y) / np.dot(x, x))
     ss_res = float(np.sum((y - slope * x) ** 2))
     ss_tot = float(np.sum(y**2))
@@ -248,7 +267,7 @@ def estimate_direct_params(
     for pa in sorted(set(sink_pairs) | set(allo_pairs)):
         try:
             sfit = fit_sink_ratio(sink_pairs.get(pa, []))
-        except InsufficientData as exc:
+        except ValidationError as exc:
             raise type(exc)(f"PA {pa} sink ratio: {exc}") from None
         try:
             afit = fit_allometry(allo_pairs.get(pa, []))

@@ -60,6 +60,7 @@ from .errors import (
     InvalidTopology,
     LengthOverflow,
     MissingPA,
+    NonFiniteState,
     UnsupportedRingMode,
     ZeroDemandWithBiomass,
 )
@@ -293,6 +294,8 @@ def _run_cohorts(
             if ring_sink > 0:
                 comps.append(ring_sink)
         d = sum(comps, 0.0)
+        if d == math.inf:  # a sink, or the sum of the sinks, overflows
+            raise NonFiniteState(f"cycle {i}: organ demand is not finite ({d})")
         if funded > 0 and d <= 0:
             raise ZeroDemandWithBiomass(
                 f"cycle {i}: {funded} g to allocate but no demand"
@@ -311,7 +314,11 @@ def _run_cohorts(
                 ring[:grown] = [r + per_organ for r in ring[:grown]]
 
         blade_mass = [m * size for m, size in zip(blade[:born], sizes)]
-        s = sum(blade_mass[young:]) / dp.slw
+        foliage = sum(blade_mass[young:])
+        s = foliage / dp.slw
+        if not math.isfinite(s):
+            raise NonFiniteState(f"cycle {i}: leaf surface of {foliage} g of blades "
+                                 f"at slw {dp.slw} g/cm^2 is not finite")
         q_funded.append(funded)
         dem.append(d)
         surf.append(s)
@@ -376,6 +383,17 @@ def _ring_weights(
     return np.where(distal.any(axis=1)[:, None], distal, eligible)
 
 
+def _check_diameters(pa: np.ndarray, mass: np.ndarray, length: np.ndarray,
+                     diameter: np.ndarray) -> None:
+    """Raise NonFiniteState naming the PA of the first internode whose
+    diameter is not finite: its length is too short for its mass."""
+    bad = ~np.isfinite(diameter)
+    if bad.any():
+        k = int(bad.argmax())
+        raise NonFiniteState(f"PA {int(pa[k])}: diameter of an internode of {float(mass[k])} g "
+                             f"and length {float(length[k])} cm is not finite")
+
+
 def simulate(
     hp: HiddenParams,
     dp: DirectParams,
@@ -389,7 +407,9 @@ def simulate(
     i - 1.  The trace carries per-internode masses and geometry.  In pipe
     mode each cycle's ring pool goes to the internodes old enough to
     thicken in proportion to the functioning blades at or above them, and
-    the cohort summaries become means over their internodes.
+    the cohort summaries become means over their internodes.  A cycle's
+    demand or leaf surface, or an internode's diameter, that is not finite
+    raises NonFiniteState naming the cycle or the PA.
     """
     n = topology.age if cycles is None else int(cycles)
     if not 1 <= n <= topology.age:
@@ -438,9 +458,12 @@ def simulate(
     total = primary + ring
     diameter = np.zeros(len(total))
     thick = (primary > 0) & (total > 0) & (length > 0)
-    diameter[thick] = np.sqrt(4.0 * total[thick] / (math.pi * cfg.rho * length[thick]))
+    with np.errstate(over="ignore"):  # checked below
+        diameter[thick] = np.sqrt(4.0 * total[thick] / (math.pi * cfg.rho * length[thick]))
+    pa = per_organ("pa")
+    _check_diameters(pa, total, length, diameter)
     trace.organs = OrganTable(
-        positions=positions, pa=per_organ("pa"), birth=per_organ("birth"),
+        positions=positions, pa=pa, birth=per_organ("birth"),
         primary=primary, ring=ring, length_cm=length, diameter_cm=diameter,
     )
     if cfg.ring_mode == RING_UNIFORM:
@@ -503,7 +526,11 @@ def simulate_factored(
     cfg: SimConfig = SimConfig(),
     tree_id: str = "factored",
 ) -> SimulationTrace:
-    """Run the recursion on cohort counts alone (uniform ring mode only)."""
+    """Run the recursion on cohort counts alone (uniform ring mode only);
+    it fails as :func:`simulate` does."""
     if cfg.ring_mode != RING_UNIFORM:
         raise UnsupportedRingMode("pipe ring distribution requires explicit mode")
-    return _run_cohorts(hp, dp, cohort_counts(rules, age), cfg, age, tree_id)
+    trace = _run_cohorts(hp, dp, cohort_counts(rules, age), cfg, age, tree_id)
+    _check_diameters(*np.array([(c.pa, c.internode_mass, c.length_cm, c.diameter_cm)
+                                for c in trace.cohorts.values()]).T)
+    return trace

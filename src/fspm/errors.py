@@ -103,6 +103,10 @@ class LengthOverflow(FspmError):
     """An internode's allometric length b * P**beta overflows a float."""
 
 
+class NonFiniteState(FspmError):
+    """A cycle's demand or leaf surface, or an internode's diameter, is not finite."""
+
+
 class UnsupportedRingMode(ValidationError):
     """Ring distribution mode not available in the requested engine mode."""
 

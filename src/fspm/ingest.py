@@ -25,11 +25,14 @@ and measurement cell by the rule of its CSV column.  A CSV cell is parsed
 and a JSON cell must already have the rule's type; both then go through the
 same column check.  Both readers then reject the first internode, else leaf,
 row on a GU its tree lacks, so a tree that :func:`parse_measurements`
-accepts comes back from its own document.
+accepts comes back from its own document.  These two readers and
+:func:`samples_by_gu` run with the cyclic garbage collector paused.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
+import gc
 import json
 import logging
 import math
@@ -49,6 +52,32 @@ from .errors import (DuplicateKey, InvalidParameter, MissingPA, SchemaError, Tre
 from .topology import Axis, AxisRecord, GrowthUnit, GURecord, TreeTopology, build_topology
 
 logger = logging.getLogger(__name__)
+
+
+@contextlib.contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Hold CPython's cyclic garbage collector off for a reader's whole call
+    (as a decorator, around its whole body).
+
+    :func:`parse_measurements`, :func:`tree_from_json` and
+    :func:`samples_by_gu` build one tuple, dict or record per row and per
+    key and no reference cycles, so a collection run inside them frees
+    nothing they allocate; yet the collector is triggered by allocation
+    counts and would run many times over a large tree.  It is disabled
+    only if enabled, and enabled again however the call ends: a caller
+    that has it off keeps it off, and nesting does nothing.  The switch is
+    process-wide: a reader on another thread may find the collector
+    already paused, leave it alone and see it enabled again midway by the
+    reader that paused it.  It is never left off.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 class InternodeRecord(NamedTuple):
@@ -337,6 +366,7 @@ def _line(path: Path, row: int) -> int:
         return next(islice(lines, row + 1, None))
 
 
+@_collector_paused()
 def parse_measurements(
     axes_path: str | Path,
     gus_path: str | Path,
@@ -444,6 +474,7 @@ def _attach(tree_id: str, place: dict, rows: Sequence,
             list(map(slice, bounds, bounds[1:])))
 
 
+@_collector_paused()
 def samples_by_gu(topology: TreeTopology, internodes: Sequence[InternodeRecord],
                   leaves: Sequence[LeafRecord]) -> GUSamples:
     """Every GU of ``topology``, in :meth:`~TreeTopology.iter_gus` order, with its rows.
@@ -772,6 +803,7 @@ def tree_to_json(topology: TreeTopology, ms: MeasurementSet) -> str:
     )
 
 
+@_collector_paused()
 def tree_from_json(
     text: str, source: str = "tree document"
 ) -> tuple[TreeTopology, MeasurementSet]:

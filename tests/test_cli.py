@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import logging
+import re
 from pathlib import Path
 
 import pytest
@@ -1095,8 +1096,9 @@ def with_value(src, dst, path, value):
 
 @pytest.mark.filterwarnings("error")
 class TestNumbersBeyondFloats:
-    """A JSON number a float cannot hold, and a fit whose SSE is not finite,
-    end in one line and exit 1 or 3: no traceback, no numpy warning."""
+    """A JSON number a float cannot hold, sums that would overflow, and a fit
+    or a model state that is not finite end in one line and exit 1 or 3: no
+    traceback, no numpy warning."""
 
     def error_line(self, capsys, argv, code):
         capsys.readouterr()
@@ -1187,6 +1189,59 @@ class TestNumbersBeyondFloats:
             argv += ["--tree", tree, "--pa-map", pa_map]
         assert self.error_line(capsys, argv, 3) == "fspm fit: tree 'P1': the weighted SSE is inf"
         assert not (tmp_path / "fit").exists()
+
+    @pytest.mark.parametrize("path, value, line", [
+        (["p_int", "1"], 1e308, "fspm fit: tree 'P1': organ demand is not finite"),
+        (["slw"], 5e-324, "fspm fit: tree 'P1': leaf surface is not finite at slw 5e-324 g/cm^2"),
+    ], ids=["p_int", "slw"])
+    def test_fit_plan_not_finite_exits_3(self, grove_pipeline, tmp_path, capsys, path, value,
+                                         line):
+        # The plan's fixed maps overflow while the fit problem is built: an
+        # internode sink of 1e308, or leaf-surface weights of 1 / 5e-324.
+        _, trees, params = grove_pipeline
+        bad = with_value(params, tmp_path / "direct_params.json", path, value)
+        argv = ["fit", "--params", bad, "--n-starts", 0, "--out", tmp_path / "fit"]
+        for tid in ("P1", "P2"):
+            tree, pa_map, _ = trees[tid]
+            argv += ["--tree", tree, "--pa-map", pa_map]
+        assert self.error_line(capsys, argv, 3) == line
+        assert not (tmp_path / "fit").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "export-skeleton"])
+    @pytest.mark.parametrize("path, value, line", [
+        (["slw"], 5e-324, r"cycle 1: leaf surface of \S+ g of blades at slw 5e-324 g/cm\^2 "
+                          r"is not finite"),
+        (["allometry", "1", "b"], 5e-324,
+         r"PA 1: diameter of an internode of \S+ g and length \S+ cm is not finite"),
+        (["p_int", "1"], 1e308, r"cycle 1: organ demand is not finite \(inf\)"),
+    ], ids=["slw", "b", "p_int"])
+    def test_model_state_not_finite_exits_3(self, grove_pipeline, tmp_path, capsys, command,
+                                            path, value, line):
+        # A leaf surface, a diameter or a demand past the largest float is a
+        # model failure: nothing is written.
+        _, trees, params = grove_pipeline
+        tree, pa_map, _ = trees["P2"]
+        bad = with_value(params, tmp_path / "direct_params.json", path, value)
+        out = tmp_path / ("sim" if command == "simulate" else "skeleton.csv")
+        argv = [command, "--tree", tree, "--pa-map", pa_map, "--params", bad,
+                "--q0", 12.0, "--rp", 6.4, "--pc", 0.14, "--out", out]
+        assert re.fullmatch(f"fspm {command}: {line}", self.error_line(capsys, argv, 3))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["direct_params.json"]
+
+    @pytest.mark.parametrize("row, pa", [(17, 2), (24, 3)])
+    def test_sink_sums_overflow_exits_1(self, grove_pipeline, tmp_path, capsys, row, pa):
+        # An internode of 1e308 g in a top GU: the sink regression's sums
+        # of squares would overflow.
+        _, trees, _ = grove_pipeline
+        tree, _, _ = trees["P1"]
+        bad = with_value(tree, tmp_path / "P1.json",
+                         ["measurements", "internodes", row, "fresh_weight_g"], 1e308)
+        argv = ["estimate", "--out", tmp_path / "est"]
+        for tid, (tree, pa_map, _) in trees.items():
+            argv += ["--tree", bad if tid == "P1" else tree, "--pa-map", pa_map]
+        assert re.fullmatch(rf"fspm estimate: PA {pa} sink ratio: \d+ pairs of masses must stay "
+                            rf"below \S+ g, got 5e\+307", self.error_line(capsys, argv, 1))
+        assert not (tmp_path / "est").exists()
 
 
 class TestSimulateCycles:

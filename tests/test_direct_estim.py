@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -61,6 +63,26 @@ class TestFitSinkRatio:
     def test_nonpositive_rejected(self):
         with pytest.raises(InsufficientData):
             fit_sink_ratio([(1.0, 2.0), (-1.0, 2.0)])
+
+    @given(st.lists(st.tuples(st.floats(1e-200, 1e160), st.floats(1e-200, 1e160)),
+                    min_size=2, max_size=12))
+    def test_sums_stay_finite_or_pairs_are_rejected(self, pairs):
+        # Masses whose sums would overflow, or whose sums of squares would
+        # vanish, are rejected in one line: no numpy warning, no division by 0.
+        top = max(max(pair) for pair in pairs)
+        low = min(max(x for x, _ in pairs), max(y for _, y in pairs))
+        if len(pairs) * top >= math.sqrt(sys.float_info.max):
+            message = f"^{len(pairs)} pairs of masses must stay below .* g, got {re.escape(repr(top))}$"
+            with pytest.raises(ValidationError, match=message):
+                fit_sink_ratio(pairs)
+        elif low < math.sqrt(sys.float_info.min):
+            with pytest.raises(ValidationError, match=r"^the largest blade mass and the largest "
+                                                      r"internode mass must reach 1\.492e-154 g, "
+                                                      f"got {re.escape(repr(low))}$"):
+                fit_sink_ratio(pairs)
+        else:
+            fit = fit_sink_ratio(pairs)
+            assert fit.p > 0 and math.isfinite(fit.p) and math.isfinite(fit.r_squared)
 
 
 def normal_equation_loglog(pairs):

@@ -29,6 +29,7 @@ from fspm.engine import _ring_weights, _shares
 from fspm.errors import (
     InvalidTopology,
     LengthOverflow,
+    NonFiniteState,
     UnsupportedRingMode,
     ValidationError,
     ZeroDemandWithBiomass,
@@ -238,6 +239,32 @@ class TestZeroDemand:
     def test_no_seed_mass_grows_nothing(self, late_root, dp1):
         trace = simulate(HiddenParams(q0=0.0, rp=3.0, pc=0.3), dp1, late_root)
         assert trace.total_mass() == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+class TestNonFiniteState:
+    """A demand, a leaf surface or a diameter past the largest float is a
+    model failure naming the cycle or the PA, with no numpy warning."""
+
+    RULES = GrowthRules(p_max=2, internodes_per_gu=2)
+
+    @pytest.mark.parametrize("engine", ["uniform", "pipe", "factored"])
+    @pytest.mark.parametrize("change, message", [
+        ({"p_int": {1: 1e308, 2: 0.3}}, r"cycle 1: organ demand is not finite \(inf\)"),
+        ({"slw": 5e-324}, r"cycle 1: leaf surface of \S+ g of blades at slw 5e-324 g/cm\^2 "
+                          r"is not finite"),
+        ({"allometry": {1: (5e-324, 0.3), 2: (2.0, 0.3)}},
+         r"PA 1: diameter of an internode of \S+ g and length \S+ cm is not finite"),
+    ], ids=["demand", "leaf-surface", "diameter"])
+    def test_raises_naming_cycle_or_pa(self, engine, change, message):
+        dp = replace(DirectParams(p_int={1: 0.6, 2: 0.3}, allometry={1: (2.0, 0.3), 2: (2.0, 0.3)},
+                                  slw=0.03), **change)
+        hp = HiddenParams(q0=1.0, rp=3.0, pc=0.3)
+        with pytest.raises(NonFiniteState, match=f"^{message}$"):
+            if engine == "factored":
+                simulate_factored(hp, dp, self.RULES, 4)
+            else:
+                simulate(hp, dp, generate_topology(self.RULES, 4), SimConfig(ring_mode=engine))
 
 
 class TestInternodeGeometry:

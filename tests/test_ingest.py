@@ -1,8 +1,11 @@
 import csv
+import gc
+import inspect
 import io
 import json
 import math
 import random
+import sys
 import tempfile
 from dataclasses import replace
 from operator import itemgetter
@@ -31,7 +34,7 @@ from fspm import (
 from fspm.errors import (BadInsertion, CycleDetected, DanglingParent, DuplicateKey,
                          InvalidTopology, MissingPA, NonContiguousCA, SchemaError, TreeMismatch,
                          UnitError, ValidationError)
-from fspm.ingest import _TABLES, CumEntry, TargetEntry, samples_by_gu
+from fspm.ingest import _TABLES, CumEntry, TargetEntry, _collector_paused, samples_by_gu
 from fspm.topology import TreeTopology
 
 DATA = Path(__file__).parent / "data"
@@ -592,6 +595,120 @@ class TestSamplesByGU:
         with pytest.raises(ValidationError,
                            match=rf"^tree 'T': record references unknown GU \('{axis_id}', ca {ca}\)$"):
             samples_by_gu(topo, [stray], [])
+
+
+GROVE = DATA / "grove"
+GROVE_CSVS = [GROVE / f"{name}.csv" for name in _TABLES]
+READERS = (parse_measurements, tree_from_json, samples_by_gu)
+
+
+@pytest.fixture(scope="module")
+def grove_p1():
+    """The grove CSVs parsed, and tree P1's document text."""
+    ms = parse_measurements(*GROVE_CSVS)
+    p1 = ms.for_tree("P1")
+    return ms, tree_to_json(p1.topology(), p1)
+
+
+def collections_inside(readers, call) -> int:
+    """Collections CPython's cyclic collector runs while ``call()`` runs
+    inside the body of one of ``readers``: their own frames, unwrapped."""
+    codes = {inspect.unwrap(reader).__code__ for reader in readers}
+    inside = []
+
+    def count(phase, info):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in codes:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            inside.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(count)
+    return len(inside)
+
+
+class TestCollectorPause:
+    """The readers leave no cyclic garbage and run with the cyclic
+    collector paused; it is enabled again however they end, unless the
+    caller had it off."""
+
+    @staticmethod
+    def calls(grove_p1, tmp_path):
+        """Each reader's call on the grove fixtures: one that returns and
+        one that raises."""
+        ms, p1_text = grove_p1
+        topology, p1 = tree_from_json(p1_text)
+        bad_cell = tmp_path / "internodes.csv"
+        header, first, *rows = GROVE_CSVS[2].read_text().splitlines(keepends=True)
+        cells = first.split(",")
+        cells[4] = "heavy"  # fresh_weight_g
+        bad_cell.write_text("".join([header, ",".join(cells), *rows]))
+        return {
+            "parse_measurements": (lambda: parse_measurements(*GROVE_CSVS),
+                                   lambda: parse_measurements(*GROVE_CSVS[:2], bad_cell,
+                                                              GROVE_CSVS[3]), SchemaError),
+            "tree_from_json": (lambda: tree_from_json(p1_text, "P1.json"),
+                               lambda: tree_from_json(p1_text[:-40], "P1.json"), SchemaError),
+            "samples_by_gu": (lambda: samples_by_gu(topology, p1.internodes, p1.leaves),
+                              lambda: samples_by_gu(topology, ms.internodes, ms.leaves),
+                              TreeMismatch),
+        }
+
+    @pytest.mark.parametrize("reader", [reader.__name__ for reader in READERS])
+    @pytest.mark.parametrize("outcome", ["returns", "raises"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["caller-on", "caller-off"])
+    def test_collector_state_is_the_callers(self, grove_p1, tmp_path, reader, outcome, enabled):
+        returns, raises, error = self.calls(grove_p1, tmp_path)[reader]
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if outcome == "returns":
+                returns()
+            else:
+                with pytest.raises(error):
+                    raises()
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_nesting_does_nothing(self, grove_p1):
+        _, p1_text = grove_p1
+        topology, p1 = tree_from_json(p1_text)
+        assert gc.isenabled()
+        with _collector_paused():
+            assert not gc.isenabled()
+            samples_by_gu(topology, p1.internodes, p1.leaves)
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_readers_run_no_collection(self, grove_p1):
+        # The grove CSVs parsed, P1's document read and its rows attached
+        # to its GUs.  The parse alone leaves about 2,000 more objects that
+        # the collector tracks, past its default threshold of 700.
+        _, p1_text = grove_p1
+        assert gc.isenabled()
+
+        def read(parse, read_tree, attach):
+            parse(*GROVE_CSVS)
+            topology, p1 = read_tree(p1_text, "P1.json")
+            attach(topology, p1.internodes, p1.leaves)
+
+        assert collections_inside(READERS, lambda: read(*READERS)) == 0
+        # The same calls, unpaused, do run the collector: the check above can fail.
+        assert collections_inside(READERS, lambda: read(*map(inspect.unwrap, READERS))) > 0
+
+    def test_readers_leave_no_cyclic_garbage(self, grove_p1):
+        # So a pause frees nothing later that a collection inside would have.
+        _, p1_text = grove_p1
+        gc.collect()
+        topology, p1 = tree_from_json(p1_text, "P1.json")
+        samples_by_gu(topology, p1.internodes, p1.leaves)
+        parse_measurements(*GROVE_CSVS)
+        assert gc.collect() == 0
 
 
 class TestSingleFixtureHandValues:
