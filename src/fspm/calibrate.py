@@ -319,9 +319,10 @@ class _TreePlan:
     finite fail here, naming the tree, where :func:`simulate` fails on the
     cycle.  ``FitProblem`` has checked that every observed cohort exists
     and every cumulated cycle is simulated, so a pass fails only as the
-    simulator does: on biomass with no sink to take it, or on an
-    allometric length that overflows, in any cohort.  A tree with a PA whose lengths can
-    overflow (:func:`_steep`) is ``steep``.
+    simulator does: on biomass with no sink to take it, on a leaf surface
+    that overflows, or on an allometric length that overflows, in any
+    cohort.  A tree with a PA whose lengths can overflow (:func:`_steep`)
+    is ``steep``.
     """
 
     def __init__(
@@ -383,7 +384,7 @@ class _TreePlan:
         self.g = g.tolist()
         # Leaf surface at i counts the blade mass laid down up to cycle i.
         self.w_rows = [row[: i + 1].tolist() for i, row in enumerate(w)]
-        self.e, self.sp = cfg.e, cfg.sp
+        self.e, self.sp, self.slw = cfg.e, cfg.sp, dp.slw
         self.obs = obs
         self.tree_id = tree_id
 
@@ -415,7 +416,17 @@ class _TreePlan:
             decay = math.exp(-sum(map(mul, w_row, a)) / sp)
             decays.append(decay)
             funded = e * (sp / rp) * (1.0 - decay)
+        if 0.0 in decays:  # a surface that overflowed, or one whose exp underflows
+            self._check_surfaces(a)
         return a, decays
+
+    def _check_surfaces(self, a: list[float]) -> None:
+        """Raise SimulationFailed at the first cycle but the last whose leaf
+        surface is not finite, as :func:`simulate` fails on it."""
+        for i, w_row in enumerate(self.w_rows[:-1]):
+            if not math.isfinite(sum(map(mul, w_row, a))):
+                raise SimulationFailed(f"tree {self.tree_id!r}: cycle {i + 1}: leaf surface "
+                                       f"is not finite at slw {self.slw} g/cm^2")
 
     def _tangent(
         self, q0: float, rp: float, pc: float, a: list[float], decays: list[float]

@@ -153,6 +153,9 @@ def build_skeleton(trace: SimulationTrace, topology: TreeTopology, seed: int) ->
     its internode vectors from its start.  The organ table lists the
     internodes born by ``trace.cycles`` in census order (axes by id, GUs by
     cycle, then rank), so each axis's internodes are one slice of it.
+    Branches take their azimuth and jitter by their place in the walk, born
+    by ``trace.cycles`` or not, so a shorter trace's segment ends are the
+    full-age ones of the internodes it has born, bit for bit.
     Raises InvalidParameter for a seed that is no integer >= 0,
     TreeMismatch for a trace of another tree and ValidationError for an
     organ table of another length.
@@ -168,31 +171,34 @@ def build_skeleton(trace: SimulationTrace, topology: TreeTopology, seed: int) ->
         )
     through: dict[str, list[int]] = {}  # an axis's born internodes through each GU
     first: dict[str, int] = {}  # where an axis's slice begins
-    size = branches = 0
+    size = 0
     for axis in topology.axes_sorted():
         born = (gu.internode_count for gu in axis.gus if gu.ca <= trace.cycles)
         through[axis.id] = list(accumulate(born, initial=0))
         first[axis.id] = size
         size += through[axis.id][-1]
-        branches += not axis.is_root and through[axis.id][-1] > 0
     if size != len(organs):
         raise ValidationError(
             f"tree {topology.tree_id!r}: organ table holds {len(organs)} internodes, "
             f"the topology {size} born by cycle {trace.cycles}"
         )
 
-    # Each branch's azimuth and tilt jitter, in degrees, drawn in walk order.
-    jitter = np.random.default_rng(seed).normal((0.0, 0.0), (5.0, 3.0), size=(branches, 2))
+    # Each branch's azimuth and tilt jitter, in degrees, drawn in walk order
+    # for every branch, born by trace.cycles or not: a younger skeleton is
+    # the older one cut back.
+    jitter = np.random.default_rng(seed).normal((0.0, 0.0), (5.0, 3.0),
+                                                size=(len(topology.axes) - 1, 2))
     parent = np.arange(size)  # a segment's parent is the one below it, but for an axis base
     axis_dir: dict[str, tuple[float, ...]] = {}
     base: dict[str, int] = {}  # each walked axis's first segment
     runs: list[tuple[int, int, int]] = []  # each walked axis's base, segments, parent id
     shift: list[int] = []  # each walked axis's organ table rows less its segments
-    done = branch_counter = 0
+    done = 0
 
-    # Parents before children: walk from the root in insertion order.
+    # Parents before children: walk from the root in insertion order.  The
+    # root comes first, so a branch's place in the walk is its number plus 1.
     order = [topology.root]
-    for axis in order:
+    for place, axis in enumerate(order):
         order.extend(topology.children_of(axis.id))
         n = through[axis.id][-1]
         if not n:
@@ -202,10 +208,9 @@ def build_skeleton(trace: SimulationTrace, topology: TreeTopology, seed: int) ->
             top = 0
         else:
             parent_dir = axis_dir[axis.parent_id]
-            d_azimuth, d_tilt = jitter[branch_counter].tolist()
-            azimuth = math.radians(GOLDEN_ANGLE_DEG * branch_counter + d_azimuth)
+            d_azimuth, d_tilt = jitter[place - 1].tolist()
+            azimuth = math.radians(GOLDEN_ANGLE_DEG * (place - 1) + d_azimuth)
             tilt = math.radians(BRANCH_TILT_DEG + d_tilt)
-            branch_counter += 1
             u, v = _basis(parent_dir)
             ct, st, ca, sa = math.cos(tilt), math.sin(tilt), math.cos(azimuth), math.sin(azimuth)
             direction = _unit([ct * p + st * (ca * a + sa * b)

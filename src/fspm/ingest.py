@@ -18,10 +18,15 @@ record is built per row on their way to the per-GU table of
 :func:`samples_by_gu`.
 
 :func:`tree_to_json` writes the canonical tree document, byte for byte what
-``json.dumps(doc, indent=2, sort_keys=True)`` gives for it, from one template
-per row kind, built from its table's tree document keys in ``_TABLES``;
-:func:`tree_from_json` reads it back and checks every axis, GU
-and measurement cell by the rule of its CSV column.  A CSV cell is parsed
+``json.dumps(doc, indent=2, sort_keys=True)`` gives for it.  Axes and their
+GUs are row objects, each from one template built from its table's tree
+document keys in ``_TABLES``; the internode and leaf tables are objects of
+columns, one array per key, so decoding a document builds no object per
+measurement row.  :func:`tree_from_json` reads it back, and reads
+measurement tables that are lists of row objects, the layout of earlier
+versions, the same way: it tells the two apart by each table's JSON type.
+It checks every axis, GU and measurement cell by the rule of its CSV
+column.  A CSV cell is parsed
 and a JSON cell must already have the rule's type; both then go through the
 same column check.  Both readers then reject the first internode, else leaf,
 row on a GU its tree lacks, so a tree that :func:`parse_measurements`
@@ -177,7 +182,7 @@ class _Rule:
 
 
 class _Table:
-    """One measurement table, as CSV file and as rows of the tree document."""
+    """One measurement table, as CSV file and as part of the tree document."""
 
     def __init__(self, record: type, columns: Sequence[tuple[str, _Rule]], identity: int,
                  duplicate: str, json_keys: tuple[str, ...] = ()) -> None:
@@ -697,19 +702,29 @@ _TREE = """\
 """
 
 
-def _template(keys: Sequence[str], indent: str) -> str:
-    """A row of ``keys``, sorted and indented as ``json.dumps(indent=2)``
-    writes it with its braces at ``indent``; "%s" slots take rendered values."""
-    lines = [f"{indent}  {encode_basestring_ascii(key)}: %s" for key in sorted(keys)]
-    return indent + "{\n" + ",\n".join(lines) + "\n" + indent + "}"
+def _json_object(members: dict[str, str], indent: str) -> str:
+    """Rendered members as a JSON object, keys sorted, whose closing brace
+    is at ``indent``; each member starts a line one level deeper."""
+    inner = "\n" + indent + "  "
+    return ("{" + inner + ("," + inner).join(
+        [f"{encode_basestring_ascii(key)}: {members[key]}" for key in sorted(members)])
+        + "\n" + indent + "}")
 
 
-# One template per row kind, from its table's tree.json keys; axes add their GUs.
+def _json_list(items: list[str], indent: str) -> str:
+    """Rendered items as a JSON list whose closing bracket is at ``indent``;
+    each item starts a line one level deeper."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+# One template per structure row kind, its "%s" slots in sorted key order;
+# axes add their GUs.
 _AXIS_KEYS = _TABLES["axes"].json_keys + ("gus",)
-_AXIS = _template(_AXIS_KEYS, "    ")
-_GU = _template(_TABLES["gus"].json_keys, "        ")
-_INTERNODE = _template(_TABLES["internodes"].json_keys, "      ")
-_LEAF = _template(_TABLES["leaves"].json_keys, "      ")
+_AXIS = _json_object(dict.fromkeys(_AXIS_KEYS, "%s"), "    ")
+_GU = _json_object(dict.fromkeys(_TABLES["gus"].json_keys, "%s"), "        ")
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -746,13 +761,6 @@ def _json_column(values: Sequence) -> list[str]:
     return list(map(_json_scalar, values))
 
 
-def _json_list(items: list[str], indent: str) -> str:
-    """Rendered items as a JSON list whose closing bracket is at ``indent``."""
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
-
-
 def _json_columns(rows: Sequence, fields: Sequence[str]) -> list[list[str]]:
     """Each field of ``rows`` rendered, a column at a time."""
     return [_json_column(list(map(attrgetter(name), rows))) for name in fields]
@@ -765,27 +773,32 @@ def _json_rows(template: str, keys: Sequence[str], columns: list[list[str]]) -> 
     return list(map(template.__mod__, zip(*(columns[i] for i in slots))))
 
 
-def _measurement_rows(name: str, template: str, rows: Sequence) -> str:
-    """The tree.json list of table ``name``'s rows, sorted by identity."""
+def _measurement_columns(name: str, rows: Sequence) -> str:
+    """The tree.json object of table ``name``'s columns, one array per key,
+    rows sorted by identity."""
     table = _TABLES[name]
     implied = len(table.names) - len(table.json_keys)  # tree_id, held once by the document
     columns = _columns(rows, table)[implied:]
     columns = _sorted_rows(columns, list(zip(*columns[:table.identity - implied])))
-    return _json_list(_json_rows(template, table.json_keys, list(map(_json_column, columns))),
-                      "    ")
+    return _json_object({key: _json_list(_json_column(column), "      ")
+                         for key, column in zip(table.json_keys, columns)}, "    ")
 
 
 def tree_to_json(topology: TreeTopology, ms: MeasurementSet) -> str:
-    """Canonical single-tree document: structure plus measurement rows.
+    """Canonical single-tree document: structure plus measurement columns.
 
     The text is ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` of the
     document ``{"age", "axes": [{"axis_id", "gus": [{"ca", "internode_count",
     "leaf_scar_count"}], "insertion_ca", "parent_axis_id"}], "measurements":
-    {"internodes": [...], "leaves": [...]}, "tree_id"}``, with measurement
-    rows sorted by axis, cycle and rank or sample index.  It is written from
-    one template per row kind, built from its table's tree.json keys, and
-    rendered column by column; a value that is no JSON scalar raises
-    ``TypeError``, as ``json.dumps`` does.
+    {"internodes": {"axis_id": [...], "diameter_mm": [...], "fresh_weight_g":
+    [...], "gu_ca": [...], "length_cm": [...], "rank_in_gu": [...]},
+    "leaves": {"area_cm2": [...], "axis_id": [...], "fresh_weight_g": [...],
+    "gu_ca": [...], "sample_index": [...]}}, "tree_id"}``: a measurement
+    table is one array per key, its rows at the same place in every array,
+    sorted by axis, cycle and rank or sample index.  Axis and GU rows are
+    written from one template per row kind, built from its table's
+    tree.json keys; everything is rendered column by column, and a value
+    that is no JSON scalar raises ``TypeError``, as ``json.dumps`` does.
     """
     axes = topology.axes_sorted()
     gu_keys = _TABLES["gus"].json_keys  # named as the GrowthUnit fields
@@ -797,10 +810,31 @@ def tree_to_json(topology: TreeTopology, ms: MeasurementSet) -> str:
     return _TREE % (
         _json_scalar(topology.age),
         _json_list(_json_rows(_AXIS, _AXIS_KEYS, axis_columns + [gus]), "  "),
-        _measurement_rows("internodes", _INTERNODE, ms.internodes),
-        _measurement_rows("leaves", _LEAF, ms.leaves),
+        _measurement_columns("internodes", ms.internodes),
+        _measurement_columns("leaves", ms.leaves),
         _json_scalar(topology.tree_id),
     )
+
+
+def _json_cells(rows, keys: Sequence[str], where: str) -> list[list]:
+    """The cells of each of ``keys`` in one tree.json table: the arrays of
+    an object of columns, or gathered from a list of rows, the layout of
+    earlier versions.  ``where`` names the table in errors."""
+    if type(rows) is list:
+        return [list(map(itemgetter(key), rows)) for key in keys]
+    if type(rows) is not dict:
+        raise SchemaError(f"{where}: not an object of columns or a list of rows: {rows!r}")
+    for key in keys:
+        if key not in rows:
+            raise SchemaError(f"{where}: missing column {key!r}")
+        if type(rows[key]) is not list:
+            raise SchemaError(f"{where}: column {key!r} is not an array: {rows[key]!r}")
+    columns = [rows[key] for key in keys]
+    for key, column in zip(keys, columns):
+        if len(column) != len(columns[0]):
+            raise SchemaError(f"{where}: column {key!r} holds {len(column)} cells, "
+                              f"column {keys[0]!r} {len(columns[0])}")
+    return columns
 
 
 @_collector_paused()
@@ -809,14 +843,19 @@ def tree_from_json(
 ) -> tuple[TreeTopology, MeasurementSet]:
     """Parse :func:`tree_to_json` output; ``source`` names the input in errors.
 
-    Every cell is read by the rule of its CSV column: text ids, integer
-    cycles, counts, ranks and sample indices within bounds, finite positive
-    measurements.  An error names the row by its place in the document
-    (``axes[2].gus[0]``, ``measurements.leaves[5]``) and the cell by its key.
+    A measurement table is an object of columns, as :func:`tree_to_json`
+    writes it, or a list of row objects, as earlier versions wrote it; both
+    are read alike.  Every cell is read by the rule of its CSV column: text
+    ids, integer cycles, counts, ranks and sample indices within bounds,
+    finite positive measurements.  An error names the row by its place in
+    the document (``axes[2].gus[0]``, ``measurements.leaves[5]``, the place
+    in a column's array) and the cell by its key.
 
     Raises:
         SchemaError: the text is not JSON, lacks a key, or holds a value of
-            the wrong type (an ``age`` that is no JSON integer included).
+            the wrong type (an ``age`` that is no JSON integer included), or
+            a measurement table is neither an object of equally long
+            arrays, one per key, nor a list of rows.
         UnitError: a cell is out of range.
         DuplicateKey: an internode or a leaf sample is measured twice.
         ValidationError: the rows do not form a valid tree (the class
@@ -847,10 +886,12 @@ def tree_from_json(
 
         ms = MeasurementSet()
         for name, table in _TABLES.items():
+            # Axes and GUs are lists by now; a measurement table may be either.
+            cells = _json_cells(rows[name], table.json_keys, f"{source}: measurements.{name}")
             # The document implies tree_id, and a GU's axis_id by nesting.
-            implied = ([tree_id] * len(rows[name]), gu_axes)[:len(table.names) - len(table.json_keys)]
+            implied = ([tree_id] * len(cells[0]), gu_axes)[:len(table.names) - len(table.json_keys)]
             names = table.names[:len(implied)] + table.json_keys
-            cells = [*implied, *(list(map(itemgetter(key), rows[name])) for key in table.json_keys)]
+            cells[:0] = implied
             # build_topology words a repeated axis or GU; measurements are checked here.
             setattr(ms, name, _records(table, cells, False, names, partial(where, name),
                                        unique=name in ("internodes", "leaves")))

@@ -32,6 +32,7 @@ from fspm.errors import (
     InfeasibleInit,
     InvalidParameter,
     MissingPA,
+    NonFiniteState,
     SimulationFailed,
     ValidationError,
 )
@@ -620,6 +621,27 @@ class TestResidualPlan:
             assert_bitwise_equal(values, legacy_values)
             if tangent:
                 assert_bitwise_equal(jac, legacy_jac)
+
+    @pytest.mark.parametrize("q0, cycle", [(1.0, None), (1e3, None), (1e6, 1)])
+    def test_leaf_surface_fails_a_sweep_where_simulate_fails(self, dp2, q0, cycle):
+        # At slw 1e-303 the leaf-surface weights are about 1e303: a surface
+        # large enough that its exp underflows gives a decay of 0.0 and is
+        # valid, and one that overflows fails the sweep on its cycle, as it
+        # fails simulate.
+        fitted = synthetic_problem(dp2, {"t": HiddenParams(10.0, 6.4, 0.14)}, [3])
+        dp = replace(dp2, slw=1e-303)
+        problem = FitProblem(targets=fitted.targets, topologies=fitted.topologies, dp=dp)
+        plan = problem._plan.trees[0]
+        hp = HiddenParams(q0, 6.4, 0.14)
+        if cycle is None:
+            assert plan._forward(q0, hp.rp, hp.pc)[1] == [0.0, 0.0]
+            simulate(hp, dp, problem.topologies[0])
+        else:
+            with pytest.raises(SimulationFailed, match=(
+                    f"^tree 't': cycle {cycle}: leaf surface is not finite at slw 1e-303 g/cm")):
+                plan._forward(q0, hp.rp, hp.pc)
+            with pytest.raises(NonFiniteState, match=f"^cycle {cycle}: leaf surface"):
+                simulate(hp, dp, problem.topologies[0])
 
     @pytest.mark.filterwarnings("error")
     def test_underflowing_length_closes_no_diameter_as_simulate_does(self, dp3):

@@ -16,10 +16,12 @@ from fspm import (
     targets_from_trace,
     tree_to_json,
 )
+from fspm import calibrate
 from fspm.cli import main
 from fspm.errors import SimulationFailed, ZeroDemandWithBiomass
 from fspm.ingest import MeasurementSet
 from fspm.pa_classify import pa_map_to_json
+from test_ingest import LAYOUTS, with_layout
 
 DATA = Path(__file__).parent / "data"
 SINGLE = DATA / "single"
@@ -28,6 +30,21 @@ GROVE = DATA / "grove"
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def edited_trees(src, dst, edit):
+    """The tree document at ``src`` with ``edit`` applied to its
+    measurements as rows, written in each layout of the measurement tables
+    as ``dst/<layout>/<name of src>``.  Returns the edited document and the
+    file of each layout."""
+    doc = with_layout(json.loads(Path(src).read_text()), "rows")
+    edit(doc)
+    paths = {}
+    for layout in LAYOUTS:
+        paths[layout] = Path(dst) / layout / Path(src).name
+        paths[layout].parent.mkdir(parents=True, exist_ok=True)
+        paths[layout].write_text(json.dumps(with_layout(doc, layout)))
+    return doc, paths
 
 
 def ingest_args(src, out, tree_id=None):
@@ -560,51 +577,55 @@ class TestBadInputFiles:
         ("fresh_weight_g", "abc", "not a number: 'abc'"),
         ("length_cm", -1.0, "measurement must be finite and > 0, got -1.0"),
     ])
+    # The tests that edit measurement rows read the document in both layouts
+    # of its measurement tables, and expect the same line of each.
     def test_bad_measurement_cell_in_tree_json(self, tmp_path, capsys, column, value, message):
         tree = tmp_path / "tree.json"
         assert run(*ingest_args(SINGLE, tree)) == 0
-        doc = json.loads(tree.read_text())
-        doc["measurements"]["internodes"][1][column] = value
-        tree.write_text(json.dumps(doc))
-        err = self.one_error_line(capsys, ["classify-pa", "--tree", tree, "--k", 3,
-                                           "--out", tmp_path / "cls"])
-        assert err == (f"fspm classify-pa: {tree}: measurements.internodes[1]: "
-                       f"column {column!r}: {message}")
-        assert not (tmp_path / "cls").exists()
+        _, paths = edited_trees(tree, tmp_path, lambda doc: doc["measurements"]["internodes"][1]
+                                .update({column: value}))
+        for bad in paths.values():
+            err = self.one_error_line(capsys, ["classify-pa", "--tree", bad, "--k", 3,
+                                               "--out", tmp_path / "cls"])
+            assert err == (f"fspm classify-pa: {bad}: measurements.internodes[1]: "
+                           f"column {column!r}: {message}")
+            assert not (tmp_path / "cls").exists()
 
     def test_weight_too_large_to_cluster(self, tmp_path, capsys):
         # Finite and > 0, so the tree reads; its squares would overflow the clustering.
         tree = tmp_path / "tree.json"
         assert run(*ingest_args(SINGLE, tree)) == 0
-        doc = json.loads(tree.read_text())
-        for row in doc["measurements"]["internodes"]:
-            if (row["axis_id"], row["gu_ca"]) == ("A1", 3):
-                row["fresh_weight_g"] = 1e160
-        tree.write_text(json.dumps(doc))
-        err = self.one_error_line(capsys, ["classify-pa", "--tree", tree, "--k", 3,
-                                           "--out", tmp_path / "cls"])
-        assert err == ("fspm classify-pa: 3 values to cluster must stay below 4.469e+153 "
-                       "in magnitude, got 1e+160")
-        assert not (tmp_path / "cls").exists()
+
+        def edit(doc):
+            for row in doc["measurements"]["internodes"]:
+                if (row["axis_id"], row["gu_ca"]) == ("A1", 3):
+                    row["fresh_weight_g"] = 1e160
+
+        _, paths = edited_trees(tree, tmp_path, edit)
+        for bad in paths.values():
+            err = self.one_error_line(capsys, ["classify-pa", "--tree", bad, "--k", 3,
+                                               "--out", tmp_path / "cls"])
+            assert err == ("fspm classify-pa: 3 values to cluster must stay below 4.469e+153 "
+                           "in magnitude, got 1e+160")
+            assert not (tmp_path / "cls").exists()
 
     @pytest.mark.parametrize("table, noun", [("internodes", "internode"),
                                              ("leaves", "leaf sample")])
     def test_repeated_measurement_row_in_tree_json(self, grove_pipeline, tmp_path, capsys,
                                                    table, noun):
         _, trees, _ = grove_pipeline
-        doc = json.loads(trees["P2"][0].read_text())
+        doc, paths = edited_trees(trees["P2"][0], tmp_path, lambda doc: doc["measurements"][
+            table].append(dict(doc["measurements"][table][0], fresh_weight_g=99.0)))
         rows = doc["measurements"][table]
         first = rows[0]
-        rows.append(dict(first, fresh_weight_g=99.0))
-        bad = tmp_path / "tree.json"
-        bad.write_text(json.dumps(doc))
         key = ("P2", first["axis_id"], first["gu_ca"],
                first["rank_in_gu" if table == "internodes" else "sample_index"])
-        err = self.one_error_line(capsys, ["classify-pa", "--tree", bad, "--k", 3,
-                                           "--out", tmp_path / "cls"])
-        assert err == (f"fspm classify-pa: {bad}: measurements.{table}[{len(rows) - 1}]: "
-                       f"{noun} {key} measured twice")
-        assert not (tmp_path / "cls").exists()
+        for bad in paths.values():
+            err = self.one_error_line(capsys, ["classify-pa", "--tree", bad, "--k", 3,
+                                               "--out", tmp_path / "cls"])
+            assert err == (f"fspm classify-pa: {bad}: measurements.{table}[{len(rows) - 1}]: "
+                           f"{noun} {key} measured twice")
+            assert not (tmp_path / "cls").exists()
 
     @pytest.mark.parametrize("table", ["internodes", "leaves"])
     @pytest.mark.parametrize("command", ["classify-pa", "estimate", "fit"])
@@ -613,41 +634,60 @@ class TestBadInputFiles:
         # Every stage that reads a tree document rejects the row, naming the file.
         _, trees, params = grove_pipeline
         tree, pa_map, _ = trees["P2"]
-        doc = json.loads(tree.read_text())
-        doc["measurements"][table].append(dict(doc["measurements"][table][0], axis_id="zz"))
-        bad = tmp_path / "tree.json"
-        bad.write_text(json.dumps(doc))
+        doc, paths = edited_trees(tree, tmp_path, lambda doc: doc["measurements"][table].append(
+            dict(doc["measurements"][table][0], axis_id="zz")))
         out = tmp_path / "out"
-        argv = {"classify-pa": ["classify-pa", "--tree", bad, "--k", 3],
-                "estimate": ["estimate", "--tree", bad, "--pa-map", pa_map],
-                "fit": ["fit", "--tree", bad, "--pa-map", pa_map, "--params", params,
-                        "--n-starts", 0]}[command]
-        err = self.one_error_line(capsys, [*argv, "--out", out])
         row = len(doc["measurements"][table]) - 1
         gu_ca = doc["measurements"][table][0]["gu_ca"]
-        assert err == (f"fspm {command}: {bad}: measurements.{table}[{row}]: "
-                       f"record references unknown GU ('zz', ca {gu_ca})")
-        assert not out.exists()
+        for bad in paths.values():
+            argv = {"classify-pa": ["classify-pa", "--tree", bad, "--k", 3],
+                    "estimate": ["estimate", "--tree", bad, "--pa-map", pa_map],
+                    "fit": ["fit", "--tree", bad, "--pa-map", pa_map, "--params", params,
+                            "--n-starts", 0]}[command]
+            err = self.one_error_line(capsys, [*argv, "--out", out])
+            assert err == (f"fspm {command}: {bad}: measurements.{table}[{row}]: "
+                           f"record references unknown GU ('zz', ca {gu_ca})")
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", ["estimate", "fit"])
     def test_missing_gu_row_names_its_file_among_several_trees(
             self, grove_pipeline, tmp_path, capsys, command):
         _, trees, params = grove_pipeline
-        doc = json.loads(trees["P3"][0].read_text())
-        doc["measurements"]["leaves"][4] = dict(doc["measurements"]["leaves"][4], gu_ca=99)
-        bad = tmp_path / "P3.json"
-        bad.write_text(json.dumps(doc))
-        argv = [command]
-        for tree_id in ("P1", "P2", "P3", "P4"):
-            argv += ["--tree", bad if tree_id == "P3" else trees[tree_id][0],
-                     "--pa-map", trees[tree_id][1]]
-        if command == "fit":
-            argv += ["--params", params, "--n-starts", 0]
-        err = self.one_error_line(capsys, [*argv, "--out", tmp_path / "out"])
+        doc, paths = edited_trees(trees["P3"][0], tmp_path,
+                                  lambda doc: doc["measurements"]["leaves"][4].update(gu_ca=99))
         axis_id = doc["measurements"]["leaves"][4]["axis_id"]
-        assert err == (f"fspm {command}: {bad}: measurements.leaves[4]: "
-                       f"record references unknown GU ({axis_id!r}, ca 99)")
-        assert not (tmp_path / "out").exists()
+        for bad in paths.values():
+            argv = [command]
+            for tree_id in ("P1", "P2", "P3", "P4"):
+                argv += ["--tree", bad if tree_id == "P3" else trees[tree_id][0],
+                         "--pa-map", trees[tree_id][1]]
+            if command == "fit":
+                argv += ["--params", params, "--n-starts", 0]
+            err = self.one_error_line(capsys, [*argv, "--out", tmp_path / "out"])
+            assert err == (f"fspm {command}: {bad}: measurements.leaves[4]: "
+                           f"record references unknown GU ({axis_id!r}, ca 99)")
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("table, edit, message", [
+        ("internodes", lambda tables: tables["internodes"].pop("gu_ca"),
+         "missing column 'gu_ca'"),
+        ("leaves", lambda tables: tables["leaves"].update(area_cm2=30.0),
+         "column 'area_cm2' is not an array: 30.0"),
+        ("internodes", lambda tables: tables["internodes"]["length_cm"].pop(),
+         "column 'length_cm' holds 15 cells, column 'axis_id' 16"),
+        ("leaves", lambda tables: tables.update(leaves=None),
+         "not an object of columns or a list of rows: None"),
+    ], ids=["missing-column", "not-an-array", "unequal-lengths", "null-table"])
+    def test_malformed_measurement_table(self, tmp_path, capsys, table, edit, message):
+        tree = tmp_path / "tree.json"
+        assert run(*ingest_args(SINGLE, tree)) == 0
+        doc = json.loads(tree.read_text())
+        edit(doc["measurements"])
+        tree.write_text(json.dumps(doc))
+        err = self.one_error_line(capsys, ["classify-pa", "--tree", tree, "--k", 3,
+                                           "--out", tmp_path / "cls"])
+        assert err == f"fspm classify-pa: {tree}: measurements.{table}: {message}"
+        assert not (tmp_path / "cls").exists()
 
     def test_broken_tree_rule_names_its_file_among_several_trees(self, grove_pipeline, tmp_path,
                                                                 capsys):
@@ -1134,13 +1174,14 @@ class TestNumbersBeyondFloats:
     def test_tree_measurement(self, grove_pipeline, tmp_path, capsys):
         _, trees, _ = grove_pipeline
         tree, _, _ = trees["P2"]
-        bad = with_value(tree, tmp_path / "tree.json",
-                         ["measurements", "internodes", 0, "fresh_weight_g"], 10**400)
-        argv = ["classify-pa", "--tree", bad, "--k", 3, "--out", tmp_path / "cls"]
-        assert self.error_line(capsys, argv, 1) == (
-            f"fspm classify-pa: {bad}: measurements.internodes[0]: column 'fresh_weight_g': "
-            f"measurement must be finite and > 0, got {10**400}")
-        assert not (tmp_path / "cls").exists()
+        _, paths = edited_trees(tree, tmp_path, lambda doc: doc["measurements"]["internodes"][0]
+                                .update(fresh_weight_g=10**400))
+        for bad in paths.values():
+            argv = ["classify-pa", "--tree", bad, "--k", 3, "--out", tmp_path / "cls"]
+            assert self.error_line(capsys, argv, 1) == (
+                f"fspm classify-pa: {bad}: measurements.internodes[0]: column 'fresh_weight_g': "
+                f"measurement must be finite and > 0, got {10**400}")
+            assert not (tmp_path / "cls").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "fit"])
     def test_target_beyond_floats(self, grove_pipeline, tmp_path, capsys, command):
@@ -1207,6 +1248,27 @@ class TestNumbersBeyondFloats:
         assert self.error_line(capsys, argv, 3) == line
         assert not (tmp_path / "fit").exists()
 
+    def test_fit_leaf_surface_overflows_in_a_sweep_exits_3(self, grove_pipeline, tmp_path,
+                                                          capsys, monkeypatch):
+        # At slw 1e-305 the plan's leaf-surface weights are finite.  In the
+        # first sweep P1's cycle-1 surface, about 6.4e305, underflows exp to
+        # 0 and passes; its cycle-2 surface overflows, which fails the fit
+        # before any tangent pass.
+        _, trees, params = grove_pipeline
+        bad = with_value(params, tmp_path / "direct_params.json", ["slw"], 1e-305)
+        tangent_passes = []
+        jacobian = calibrate._jacobian
+        monkeypatch.setattr(calibrate, "_jacobian",
+                            lambda *args: tangent_passes.append(args) or jacobian(*args))
+        argv = ["fit", "--params", bad, "--n-starts", 0, "--out", tmp_path / "fit"]
+        for tid in ("P1", "P2"):
+            tree, pa_map, _ = trees[tid]
+            argv += ["--tree", tree, "--pa-map", pa_map]
+        assert self.error_line(capsys, argv, 3) == (
+            "fspm fit: tree 'P1': cycle 2: leaf surface is not finite at slw 1e-305 g/cm^2")
+        assert tangent_passes == []
+        assert not (tmp_path / "fit").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "export-skeleton"])
     @pytest.mark.parametrize("path, value, line", [
         (["slw"], 5e-324, r"cycle 1: leaf surface of \S+ g of blades at slw 5e-324 g/cm\^2 "
@@ -1233,15 +1295,16 @@ class TestNumbersBeyondFloats:
         # An internode of 1e308 g in a top GU: the sink regression's sums
         # of squares would overflow.
         _, trees, _ = grove_pipeline
-        tree, _, _ = trees["P1"]
-        bad = with_value(tree, tmp_path / "P1.json",
-                         ["measurements", "internodes", row, "fresh_weight_g"], 1e308)
-        argv = ["estimate", "--out", tmp_path / "est"]
-        for tid, (tree, pa_map, _) in trees.items():
-            argv += ["--tree", bad if tid == "P1" else tree, "--pa-map", pa_map]
-        assert re.fullmatch(rf"fspm estimate: PA {pa} sink ratio: \d+ pairs of masses must stay "
-                            rf"below \S+ g, got 5e\+307", self.error_line(capsys, argv, 1))
-        assert not (tmp_path / "est").exists()
+        _, paths = edited_trees(trees["P1"][0], tmp_path, lambda doc: doc["measurements"][
+            "internodes"][row].update(fresh_weight_g=1e308))
+        for bad in paths.values():
+            argv = ["estimate", "--out", tmp_path / "est"]
+            for tid, (tree, pa_map, _) in trees.items():
+                argv += ["--tree", bad if tid == "P1" else tree, "--pa-map", pa_map]
+            assert re.fullmatch(rf"fspm estimate: PA {pa} sink ratio: \d+ pairs of masses must "
+                                rf"stay below \S+ g, got 5e\+307",
+                                self.error_line(capsys, argv, 1))
+            assert not (tmp_path / "est").exists()
 
 
 class TestSimulateCycles:

@@ -425,20 +425,62 @@ class TestSkeletonBytes:
     )
     HP = HiddenParams(q0=10.0, rp=6.4319, pc=0.13882)
 
+    # The legacy writer numbers only the branches born by the horizon, so it
+    # is the oracle of full-age traces; shorter ones are the full skeleton
+    # cut back (TestShorterSkeletons).
     @pytest.mark.parametrize("ring_mode", ["uniform", "pipe"])
-    @pytest.mark.parametrize("age, cycles", [(1, None), (4, None), (6, None), (4, 2), (6, 3)])
-    def test_generated_tree_matches_legacy_writer(self, ring_mode, age, cycles):
+    @pytest.mark.parametrize("age", [1, 4, 6])
+    def test_generated_tree_matches_legacy_writer(self, ring_mode, age):
         rules = GrowthRules(p_max=3, internodes_per_gu=2, branches_per_gu=2)
         t = generate_topology(rules, age, "T")
-        trace = simulate(self.HP, self.DP, t, SimConfig(ring_mode=ring_mode), cycles=cycles)
+        trace = simulate(self.HP, self.DP, t, SimConfig(ring_mode=ring_mode))
         assert export_skeleton(trace, t, 7) == legacy_skeleton_csv(trace, t, 7)
 
-    @given(t=shuffled_uneven_trees(), data=st.data(),
-           ring_mode=st.sampled_from(["uniform", "pipe"]), seed=st.integers(0, 2**32 - 1))
-    def test_uneven_tree_matches_legacy_writer(self, t, data, ring_mode, seed):
-        cycles = data.draw(st.integers(1, t.age), label="cycles")
-        trace = simulate(self.HP, self.DP, t, SimConfig(ring_mode=ring_mode), cycles=cycles)
+    @given(t=shuffled_uneven_trees(), ring_mode=st.sampled_from(["uniform", "pipe"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_uneven_tree_matches_legacy_writer(self, t, ring_mode, seed):
+        trace = simulate(self.HP, self.DP, t, SimConfig(ring_mode=ring_mode))
         assert export_skeleton(trace, t, seed) == legacy_skeleton_csv(trace, t, seed)
+
+
+def born_by(topology, cycles):
+    """Whether each segment of the full-age skeleton, in the order of
+    build_skeleton's walk, is an internode born by ``cycles``."""
+    order = [topology.root]
+    for axis in order:
+        order.extend(topology.children_of(axis.id))
+    return np.array([gu.ca <= cycles for axis in order for gu in axis.gus
+                     for _ in range(gu.internode_count)])
+
+
+class TestShorterSkeletons:
+    """The skeleton of a trace shortened to c cycles is the full-age one cut
+    to the internodes born by c: the same segment ends, bit for bit, and the
+    same parent links."""
+
+    def check_every_horizon(self, t, ring_mode, seed):
+        cfg = SimConfig(ring_mode=ring_mode)
+        full = build_skeleton(simulate(TestSkeletonBytes.HP, TestSkeletonBytes.DP, t, cfg), t,
+                              seed)
+        for cycles in range(1, t.age + 1):
+            short = build_skeleton(simulate(TestSkeletonBytes.HP, TestSkeletonBytes.DP, t, cfg,
+                                            cycles=cycles), t, seed)
+            keep = born_by(t, cycles)
+            assert short.end.tobytes() == full.end[keep].tobytes()
+            assert short.start.tobytes() == full.start[keep].tobytes()
+            renumbered = np.concatenate([[0], np.cumsum(keep)])  # full segment id -> short
+            assert (short.parent == renumbered[full.parent[keep]]).all()
+
+    @pytest.mark.parametrize("ring_mode", ["uniform", "pipe"])
+    @pytest.mark.parametrize("rules, age", [(GrowthRules(3, 2, 2), 6), (GrowthRules(3, 3, 2), 6),
+                                            (GrowthRules(3, 1, 3), 7)])
+    def test_generated_tree(self, rules, age, ring_mode):
+        self.check_every_horizon(generate_topology(rules, age, "T"), ring_mode, 7)
+
+    @given(t=st.one_of(uneven_trees(), shuffled_uneven_trees()),
+           ring_mode=st.sampled_from(["uniform", "pipe"]), seed=st.integers(0, 2**32 - 1))
+    def test_uneven_tree(self, t, ring_mode, seed):
+        self.check_every_horizon(t, ring_mode, seed)
 
 
 class TestTraceAndOrgansCsv:

@@ -31,11 +31,13 @@ from fspm import (
     tree_to_json,
     with_physio_ages,
 )
+from fspm.cli import main as cli_main
 from fspm.errors import (BadInsertion, CycleDetected, DanglingParent, DuplicateKey,
                          InvalidTopology, MissingPA, NonContiguousCA, SchemaError, TreeMismatch,
                          UnitError, ValidationError)
 from fspm.ingest import _TABLES, CumEntry, TargetEntry, _collector_paused, samples_by_gu
 from fspm.topology import TreeTopology
+from test_measured_scale import TREES as LARGE_TREES, load_largetree
 
 DATA = Path(__file__).parent / "data"
 
@@ -79,6 +81,24 @@ def write_files(tmp_path, internodes=None, leaves=None, axes=None, gus=None):
         p.write_text(text)
         paths[name] = p
     return paths
+
+
+LAYOUTS = ["columns", "rows"]
+
+
+def with_layout(doc: dict, layout: str) -> dict:
+    """A copy of ``doc`` whose measurement tables are in ``layout``: "rows"
+    rewrites each object of columns, as tree_to_json writes it, as a list of
+    one object per row, the layout of earlier versions; "columns" turns such
+    rows back into columns.  tree_from_json reads both."""
+    measurements = {}
+    for name, table in doc["measurements"].items():
+        if layout == "rows" and type(table) is dict:
+            table = [dict(zip(table, row)) for row in zip(*table.values())]
+        elif layout == "columns" and type(table) is list:
+            table = {key: [row[key] for row in table] for key in _TABLES[name].json_keys}
+        measurements[name] = table
+    return {**doc, "measurements": measurements}
 
 
 class TestParseMeasurements:
@@ -826,11 +846,17 @@ class TestTreeJson:
 class TestTreeJsonCells:
     """tree_from_json checks measurement cells with the CSV rules."""
 
+    layout = "columns"  # of the measurement tables of the documents read
+
     def document(self):
+        """The single fixture's document, its measurements as rows to edit."""
         d = DATA / "single"
         ms = parse_measurements(d / "axes.csv", d / "gus.csv",
                                 d / "internodes.csv", d / "leaves.csv")
-        return json.loads(tree_to_json(ms.topology(), ms))
+        return with_layout(json.loads(tree_to_json(ms.topology(), ms)), "rows")
+
+    def text(self, doc):
+        return json.dumps(with_layout(doc, self.layout))
 
     @pytest.mark.parametrize("table, row, column, value, error, message", [
         ("internodes", 2, "fresh_weight_g", "abc", SchemaError, "not a number: 'abc'"),
@@ -853,7 +879,7 @@ class TestTreeJsonCells:
         doc = self.document()
         doc["measurements"][table][row][column] = value
         with pytest.raises(error) as info:
-            tree_from_json(json.dumps(doc), "tree.json")
+            tree_from_json(self.text(doc), "tree.json")
         assert str(info.value) == (
             f"tree.json: measurements.{table}[{row}]: column {column!r}: {message}"
         )
@@ -861,7 +887,7 @@ class TestTreeJsonCells:
     def test_ints_in_measurement_cells_pass_unchanged(self):
         doc = self.document()
         doc["measurements"]["internodes"][0]["length_cm"] = 5
-        _, ms = tree_from_json(json.dumps(doc))
+        _, ms = tree_from_json(self.text(doc))
         assert ms.internodes[0].length == 5
 
     def test_first_fault_in_row_order_then_column_order(self):
@@ -871,7 +897,7 @@ class TestTreeJsonCells:
         rows[1]["diameter_mm"] = -1.0
         rows[1]["length_cm"] = "x"
         with pytest.raises(SchemaError) as info:
-            tree_from_json(json.dumps(doc), "tree.json")
+            tree_from_json(self.text(doc), "tree.json")
         assert str(info.value) == (
             "tree.json: measurements.internodes[1]: column 'length_cm': not a number: 'x'"
         )
@@ -893,9 +919,16 @@ class TestTreeJsonCells:
         row = doc["axes"][axis] if gu is None else doc["axes"][axis]["gus"][gu]
         row[key] = value
         with pytest.raises(error) as info:
-            tree_from_json(json.dumps(doc), "tree.json")
+            tree_from_json(self.text(doc), "tree.json")
         place = f"axes[{axis}]" if gu is None else f"axes[{axis}].gus[{gu}]"
         assert str(info.value) == f"tree.json: {place}: column {key!r}: {message}"
+
+
+class TestTreeJsonCellsInRows(TestTreeJsonCells):
+    """The same cells and messages with the measurement tables as lists of
+    rows, as earlier versions wrote them."""
+
+    layout = "rows"
 
 
 def bad_cells():
@@ -915,6 +948,7 @@ class TestCsvJsonParity:
     """A bad cell fails alike in a CSV file and in tree.json."""
 
     JSON_KEY = {("gus", "gu_ca"): "ca"}
+    layout = "columns"  # of the measurement tables of the document read
 
     @pytest.mark.parametrize("table, column, value", list(bad_cells()))
     def test_same_error_after_the_location(self, tmp_path, table, column, value):
@@ -933,7 +967,7 @@ class TestCsvJsonParity:
         d = DATA / "single"
         ms = parse_measurements(d / "axes.csv", d / "gus.csv",
                                 d / "internodes.csv", d / "leaves.csv")
-        doc = json.loads(tree_to_json(ms.topology(), ms))
+        doc = with_layout(json.loads(tree_to_json(ms.topology(), ms)), "rows")
         key = self.JSON_KEY.get((table, column), column)
         if table == "axes":
             row, place = doc["axes"][1], "axes[1]"
@@ -943,7 +977,7 @@ class TestCsvJsonParity:
             row, place = doc["measurements"][table][1], f"measurements.{table}[1]"
         row[key] = value
         with pytest.raises((SchemaError, UnitError)) as from_json:
-            tree_from_json(json.dumps(doc), "tree.json")
+            tree_from_json(json.dumps(with_layout(doc, self.layout)), "tree.json")
 
         assert type(from_csv.value) is type(from_json.value)
         csv_where = f"{paths[table]}:3: column {column!r}: "
@@ -951,6 +985,12 @@ class TestCsvJsonParity:
         assert str(from_csv.value).startswith(csv_where)
         assert str(from_json.value).startswith(json_where)
         assert str(from_csv.value)[len(csv_where):] == str(from_json.value)[len(json_where):]
+
+
+class TestCsvJsonParityInRows(TestCsvJsonParity):
+    """The same, with the measurement tables of tree.json as lists of rows."""
+
+    layout = "rows"
 
 
 class TestRecords:
@@ -983,10 +1023,14 @@ class TestRecords:
         assert gu == GURecord("T", "A", 2, 3, 0)
 
 
-# -- the template tree.json writer against json.dumps ---------------------------
+# -- the tree.json writer against json.dumps -----------------------------------
 
-def legacy_tree_json(topology, ms):
-    """The document tree_to_json used to build, written by json.dumps."""
+def json_dumps_tree(topology, ms):
+    """Oracle: the document tree_to_json writes, built as dicts and lists
+    and written by json.dumps; each measurement table an object of one
+    array per key, rows sorted by their identity."""
+    internodes = sorted(ms.internodes, key=lambda r: (r.axis_id, r.gu_ca, r.rank_in_gu))
+    leaves = sorted(ms.leaves, key=lambda r: (r.axis_id, r.gu_ca, r.sample_index))
     doc = {
         "tree_id": topology.tree_id,
         "age": topology.age,
@@ -1004,17 +1048,21 @@ def legacy_tree_json(topology, ms):
             for axis in topology.axes_sorted()
         ],
         "measurements": {
-            "internodes": [
-                {"axis_id": r.axis_id, "gu_ca": r.gu_ca, "rank_in_gu": r.rank_in_gu,
-                 "fresh_weight_g": r.fresh_weight, "length_cm": r.length,
-                 "diameter_mm": r.diameter}
-                for r in sorted(ms.internodes, key=lambda r: (r.axis_id, r.gu_ca, r.rank_in_gu))
-            ],
-            "leaves": [
-                {"axis_id": r.axis_id, "gu_ca": r.gu_ca, "sample_index": r.sample_index,
-                 "fresh_weight_g": r.fresh_weight, "area_cm2": r.area}
-                for r in sorted(ms.leaves, key=lambda r: (r.axis_id, r.gu_ca, r.sample_index))
-            ],
+            "internodes": {
+                "axis_id": [r.axis_id for r in internodes],
+                "gu_ca": [r.gu_ca for r in internodes],
+                "rank_in_gu": [r.rank_in_gu for r in internodes],
+                "fresh_weight_g": [r.fresh_weight for r in internodes],
+                "length_cm": [r.length for r in internodes],
+                "diameter_mm": [r.diameter for r in internodes],
+            },
+            "leaves": {
+                "axis_id": [r.axis_id for r in leaves],
+                "gu_ca": [r.gu_ca for r in leaves],
+                "sample_index": [r.sample_index for r in leaves],
+                "fresh_weight_g": [r.fresh_weight for r in leaves],
+                "area_cm2": [r.area for r in leaves],
+            },
         },
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -1060,7 +1108,7 @@ class TestTreeJsonWriter:
     @given(documented_trees())
     def test_equals_json_dumps(self, tree):
         topo, ms = tree
-        assert tree_to_json(topo, ms) == legacy_tree_json(topo, ms)
+        assert tree_to_json(topo, ms) == json_dumps_tree(topo, ms)
 
     @pytest.mark.parametrize("fixture", ["single", "grove"])
     def test_fixtures_equal_json_dumps(self, fixture):
@@ -1070,21 +1118,83 @@ class TestTreeJsonWriter:
         for tree_id in ms.tree_ids():
             sub = ms.for_tree(tree_id)
             topo = sub.topology()
-            assert tree_to_json(topo, sub) == legacy_tree_json(topo, sub)
+            assert tree_to_json(topo, sub) == json_dumps_tree(topo, sub)
 
     @pytest.mark.parametrize("value", [np.int64(3), np.float32(1.5), object(), b"1", 1j])
     def test_non_json_value_raises_type_error(self, value):
         topo, ms = simple_tree([1.0, 2.0])
         ms.internodes[1] = ms.internodes[1]._replace(length=value)
         with pytest.raises(TypeError):
-            legacy_tree_json(topo, ms)
+            json_dumps_tree(topo, ms)
         with pytest.raises(TypeError, match="is not JSON serializable"):
             tree_to_json(topo, ms)
 
     def test_numpy_float64_written_as_float(self):
         topo, ms = simple_tree([1.0, 2.0])
         ms.internodes[0] = ms.internodes[0]._replace(diameter=np.float64(0.1))
-        assert tree_to_json(topo, ms) == legacy_tree_json(topo, ms)
+        assert tree_to_json(topo, ms) == json_dumps_tree(topo, ms)
+
+
+def ingested(tmp_path, src, tree_id) -> str:
+    """The text ``fspm ingest`` writes for one tree of the CSVs in ``src``."""
+    out = tmp_path / f"{tree_id}.json"
+    assert cli_main([str(a) for a in (
+        "ingest", "--axes", src / "axes.csv", "--gus", src / "gus.csv",
+        "--internodes", src / "internodes.csv", "--leaves", src / "leaves.csv",
+        "--tree-id", tree_id, "--out", out)]) == 0
+    return out.read_text(encoding="utf-8")
+
+
+def no_leaf_rows(tmp_path):
+    """The single fixture's CSVs with a leaves file of its header alone."""
+    src = tmp_path / "csv"
+    src.mkdir()
+    for name in _TABLES:
+        text = (DATA / "single" / f"{name}.csv").read_text()
+        (src / f"{name}.csv").write_text(text.splitlines(keepends=True)[0]
+                                         if name == "leaves" else text)
+    return src
+
+
+class TestTreeJsonDocument:
+    """What ``ingest`` writes is the canonical text of its own JSON, and a
+    document whose measurement tables are rows, as earlier versions wrote
+    them, still reads."""
+
+    @pytest.mark.parametrize("source", ["single", "grove", "large-tree", "no leaf rows"])
+    def test_ingest_output_is_json_dumps_of_itself(self, tmp_path, source):
+        if source == "large-tree":
+            src = tmp_path / "csv"
+            load_largetree().write(src, 0, LARGE_TREES)
+            tree_ids = [tree_id for tree_id, _ in LARGE_TREES]
+        else:
+            src = no_leaf_rows(tmp_path) if source == "no leaf rows" else DATA / source
+            tree_ids = parse_measurements(*(src / f"{name}.csv" for name in _TABLES)).tree_ids()
+        for tree_id in tree_ids:
+            text = ingested(tmp_path, src, tree_id)
+            doc = json.loads(text)
+            assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            assert {name: type(table) for name, table in doc["measurements"].items()} == {
+                "internodes": dict, "leaves": dict}
+            if source == "no leaf rows":
+                assert doc["measurements"]["leaves"] == dict.fromkeys(
+                    _TABLES["leaves"].json_keys, [])
+
+    def test_row_layout_reads_as_the_golden(self):
+        golden = (DATA / "golden" / "tree.json").read_text()
+        rows = (DATA / "golden" / "tree_rows.json").read_text()
+        assert all(type(table) is list for table in json.loads(rows)["measurements"].values())
+        assert with_layout(json.loads(golden), "rows") == json.loads(rows)
+        topology, ms = tree_from_json(golden)
+        assert tree_from_json(rows) == (topology, ms)
+        assert tree_to_json(*tree_from_json(rows)) == golden
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_tree_with_no_leaf_rows_round_trips(self, tmp_path, layout):
+        text = ingested(tmp_path, no_leaf_rows(tmp_path), "T1")
+        topology, ms = tree_from_json(json.dumps(with_layout(json.loads(text), layout)))
+        assert len(ms.leaves) == 0 and len(ms.internodes) == 16
+        assert tree_to_json(topology, ms) == text
 
 
 # -- serialize_measurements round trip -------------------------------------------
