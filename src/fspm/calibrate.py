@@ -68,6 +68,7 @@ from .errors import (
     SimulationFailed,
     TreeMismatch,
     ValidationError,
+    _given_once,
 )
 from .ingest import CumEntry, TargetEntry, TargetSeries
 from .topology import TreeTopology
@@ -155,10 +156,7 @@ class FitProblem:
             raise ValidationError("one topology per target series required")
         if not self.targets:
             raise ValidationError("no targets to fit")
-        ids = self.tree_ids
-        for i, tid in enumerate(ids):
-            if tid in ids[:i]:
-                raise ValidationError(f"tree {tid!r} is given more than once")
+        _given_once(self.tree_ids)
         # census.counts raises MissingPA on an unclassified tree
         self._observed = [_Observed.of(ts, topo.tree_id, topo.census.counts, topo.age)
                           for ts, topo in zip(self.targets, self.topologies)]

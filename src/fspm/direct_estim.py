@@ -28,6 +28,7 @@ from .errors import (
     InvalidParameter,
     MissingPA,
     ValidationError,
+    _given_once,
     _json_number,
     read_text,
     schema_errors,
@@ -223,9 +224,11 @@ def estimate_direct_params(
     internode or leaf samples leaves the fits it cannot feed, with a
     warning.  SLW pools every leaf.  A fit that cannot be made raises its
     error with the PA and the fit named (``PA 1 sink ratio: need >= 2
-    pairs, got 1``).  Also returns per-PA fit diagnostics (r_squared, n
-    observations).
+    pairs, got 1``).  A tree given more than once raises ValidationError,
+    as :class:`~fspm.calibrate.FitProblem` does.  Also returns per-PA fit
+    diagnostics (r_squared, n observations).
     """
+    _given_once([topology.tree_id for topology, _ in trees])
     sink_pairs: dict[int, list[tuple[float, float]]] = {}
     allo_pairs: dict[int, list[tuple[float, float]]] = {}
     leaf_weights: list[float] = []

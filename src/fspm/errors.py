@@ -9,7 +9,7 @@ from __future__ import annotations
 import contextlib
 import json
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 
 class FspmError(Exception):
@@ -143,6 +143,13 @@ def schema_errors(source: str) -> Iterator[None]:
         raise SchemaError(f"{source}: missing key {exc}") from None
     except (TypeError, ValueError, AttributeError, InvalidParameter) as exc:
         raise SchemaError(f"{source}: {exc}") from None
+
+
+def _given_once(tree_ids: Sequence[str]) -> None:
+    """Raise ValidationError for the first tree id that repeats an earlier one."""
+    for i, tree_id in enumerate(tree_ids):
+        if tree_id in tree_ids[:i]:
+            raise ValidationError(f"tree {tree_id!r} is given more than once")
 
 
 def _json_number(value, where: str) -> float:

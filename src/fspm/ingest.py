@@ -17,14 +17,15 @@ and leaf rows stay in their columns, a :class:`ColumnTable` each, and no
 record is built per row on their way to the per-GU table of
 :func:`samples_by_gu`.
 
-:func:`tree_to_json` writes the canonical tree document, byte for byte what
-``json.dumps(doc, indent=2, sort_keys=True)`` gives for it.  Axes and their
-GUs are row objects, each from one template built from its table's tree
-document keys in ``_TABLES``; the internode and leaf tables are objects of
-columns, one array per key, so decoding a document builds no object per
-measurement row.  :func:`tree_from_json` reads it back, and reads
-measurement tables that are lists of row objects, the layout of earlier
-versions, the same way: it tells the two apart by each table's JSON type.
+:func:`tree_to_json` builds the canonical tree document as dicts and lists
+and writes it with ``json.dumps(doc, sort_keys=True)``, on one line.  Axes
+and their GUs are row objects keyed by their tables' tree document keys in
+``_TABLES``; the internode and leaf tables are objects of columns, one
+array per key, so decoding a document builds no object per measurement
+row.  :func:`tree_from_json` reads it back, and reads the indented text of
+earlier versions and measurement tables that are lists of row objects, the
+layout of versions before that, the same way: it tells the two table
+layouts apart by each table's JSON type.
 It checks every axis, GU and measurement cell by the rule of its CSV
 column.  A CSV cell is parsed
 and a JSON cell must already have the rule's type; both then go through the
@@ -46,7 +47,6 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import accumulate, chain, compress, islice, repeat
-from json.encoder import encode_basestring_ascii
 from operator import attrgetter, eq, itemgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
@@ -193,26 +193,32 @@ class _Table:
         self.json_keys = json_keys or self.names[1:]  # tree.json keys of the non-implied columns
 
 
+# Bounds far above any measured tree; a count or a cycle past them would
+# make the later stages expand a census or a target series without end.
+MAX_CYCLE = 1_000
+MAX_INTERNODES_PER_GU = 10_000
+
 _TEXT = _Rule(str)
-_COUNT = _Rule(int, 1)  # a cycle, a rank or an organ count
+_CYCLE = _Rule(int, 1, MAX_CYCLE)
+_COUNT = _Rule(int, 1, MAX_INTERNODES_PER_GU)  # internodes of a GU, or a rank among them
 _MEASURED = _Rule(float)
 
 # The four tables, in the order parse_measurements takes their files.
 _TABLES = {
     "axes": _Table(AxisRecord, (
         ("tree_id", _TEXT), ("axis_id", _TEXT), ("parent_axis_id", _Rule(str, optional=True)),
-        ("insertion_ca", _Rule(int, 1, optional=True)),
+        ("insertion_ca", _Rule(int, 1, MAX_CYCLE, optional=True)),
     ), 2, "axis {} declared twice"),
     "gus": _Table(GURecord, (
-        ("tree_id", _TEXT), ("axis_id", _TEXT), ("gu_ca", _COUNT), ("internode_count", _COUNT),
+        ("tree_id", _TEXT), ("axis_id", _TEXT), ("gu_ca", _CYCLE), ("internode_count", _COUNT),
         ("leaf_scar_count", _Rule(int, 0)),
     ), 3, "GU {} declared twice", ("ca", "internode_count", "leaf_scar_count")),
     "internodes": _Table(InternodeRecord, (
-        ("tree_id", _TEXT), ("axis_id", _TEXT), ("gu_ca", _COUNT), ("rank_in_gu", _COUNT),
+        ("tree_id", _TEXT), ("axis_id", _TEXT), ("gu_ca", _CYCLE), ("rank_in_gu", _COUNT),
         ("fresh_weight_g", _MEASURED), ("length_cm", _MEASURED), ("diameter_mm", _MEASURED),
     ), 4, "internode {} measured twice"),
     "leaves": _Table(LeafRecord, (
-        ("tree_id", _TEXT), ("axis_id", _TEXT), ("gu_ca", _COUNT), ("sample_index", _Rule(int, 1, 3)),
+        ("tree_id", _TEXT), ("axis_id", _TEXT), ("gu_ca", _CYCLE), ("sample_index", _Rule(int, 1, 3)),
         ("fresh_weight_g", _MEASURED), ("area_cm2", _MEASURED),
     ), 4, "leaf sample {} measured twice"),
 }
@@ -689,131 +695,41 @@ def build_target_series(measured: MeasurementSet | GUSamples,
 
 # -- canonical tree document --------------------------------------------------
 
-_TREE = """\
-{
-  "age": %s,
-  "axes": %s,
-  "measurements": {
-    "internodes": %s,
-    "leaves": %s
-  },
-  "tree_id": %s
-}
-"""
-
-
-def _json_object(members: dict[str, str], indent: str) -> str:
-    """Rendered members as a JSON object, keys sorted, whose closing brace
-    is at ``indent``; each member starts a line one level deeper."""
-    inner = "\n" + indent + "  "
-    return ("{" + inner + ("," + inner).join(
-        [f"{encode_basestring_ascii(key)}: {members[key]}" for key in sorted(members)])
-        + "\n" + indent + "}")
-
-
-def _json_list(items: list[str], indent: str) -> str:
-    """Rendered items as a JSON list whose closing bracket is at ``indent``;
-    each item starts a line one level deeper."""
-    if not items:
-        return "[]"
-    inner = "\n" + indent + "  "
-    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
-
-
-# One template per structure row kind, its "%s" slots in sorted key order;
-# axes add their GUs.
-_AXIS_KEYS = _TABLES["axes"].json_keys + ("gus",)
-_AXIS = _json_object(dict.fromkeys(_AXIS_KEYS, "%s"), "    ")
-_GU = _json_object(dict.fromkeys(_TABLES["gus"].json_keys, "%s"), "        ")
-
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_scalar(value) -> str:
-    """One scalar as ``json.dumps`` writes it (``ensure_ascii``, ``allow_nan``)."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _NON_FINITE.get(text, text)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _json_column(values: Sequence) -> list[str]:
-    """:func:`_json_scalar` of each value; a column of one plain type maps at C speed."""
-    kinds = set(map(type, values))
-    if kinds == {str}:
-        return list(map(encode_basestring_ascii, values))
-    if kinds == {int}:
-        return list(map(int.__repr__, values))
-    if kinds == {float}:
-        texts = list(map(float.__repr__, values))
-        if _NON_FINITE.keys().isdisjoint(texts):
-            return texts
-    return list(map(_json_scalar, values))
-
-
-def _json_columns(rows: Sequence, fields: Sequence[str]) -> list[list[str]]:
-    """Each field of ``rows`` rendered, a column at a time."""
-    return [_json_column(list(map(attrgetter(name), rows))) for name in fields]
-
-
-def _json_rows(template: str, keys: Sequence[str], columns: list[list[str]]) -> list[str]:
-    """``template`` filled once per row from rendered ``columns``, one per
-    key of ``keys``, taken in the template's sorted key order."""
-    slots = sorted(range(len(keys)), key=keys.__getitem__)
-    return list(map(template.__mod__, zip(*(columns[i] for i in slots))))
-
-
-def _measurement_columns(name: str, rows: Sequence) -> str:
+def _measurement_columns(name: str, rows: Sequence) -> dict[str, Sequence]:
     """The tree.json object of table ``name``'s columns, one array per key,
     rows sorted by identity."""
     table = _TABLES[name]
     implied = len(table.names) - len(table.json_keys)  # tree_id, held once by the document
     columns = _columns(rows, table)[implied:]
-    columns = _sorted_rows(columns, list(zip(*columns[:table.identity - implied])))
-    return _json_object({key: _json_list(_json_column(column), "      ")
-                         for key, column in zip(table.json_keys, columns)}, "    ")
+    return dict(zip(table.json_keys,
+                    _sorted_rows(columns, list(zip(*columns[:table.identity - implied])))))
 
 
 def tree_to_json(topology: TreeTopology, ms: MeasurementSet) -> str:
     """Canonical single-tree document: structure plus measurement columns.
 
-    The text is ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` of the
-    document ``{"age", "axes": [{"axis_id", "gus": [{"ca", "internode_count",
+    The text is ``json.dumps(doc, sort_keys=True) + "\\n"`` of the document
+    ``{"age", "axes": [{"axis_id", "gus": [{"ca", "internode_count",
     "leaf_scar_count"}], "insertion_ca", "parent_axis_id"}], "measurements":
     {"internodes": {"axis_id": [...], "diameter_mm": [...], "fresh_weight_g":
     [...], "gu_ca": [...], "length_cm": [...], "rank_in_gu": [...]},
     "leaves": {"area_cm2": [...], "axis_id": [...], "fresh_weight_g": [...],
-    "gu_ca": [...], "sample_index": [...]}}, "tree_id"}``: a measurement
-    table is one array per key, its rows at the same place in every array,
-    sorted by axis, cycle and rank or sample index.  Axis and GU rows are
-    written from one template per row kind, built from its table's
-    tree.json keys; everything is rendered column by column, and a value
-    that is no JSON scalar raises ``TypeError``, as ``json.dumps`` does.
+    "gu_ca": [...], "sample_index": [...]}}, "tree_id"}``, all on one line:
+    a measurement table is one array per key, its rows at the same place in
+    every array, sorted by axis, cycle and rank or sample index.  Axis and
+    GU objects take their keys from their tables in ``_TABLES``.  A value
+    that is no JSON scalar raises ``json.dumps``'s ``TypeError``; a
+    non-finite float is written ``NaN``, ``Infinity`` or ``-Infinity``.
     """
-    axes = topology.axes_sorted()
     gu_keys = _TABLES["gus"].json_keys  # named as the GrowthUnit fields
-    gu_texts = iter(_json_rows(_GU, gu_keys, _json_columns(
-        [gu for axis in axes for gu in axis.gus], gu_keys)))
-    gus = [_json_list(list(islice(gu_texts, len(axis.gus))), "      ") for axis in axes]
-    # An axis's id, parent and insertion, in the order of the axes keys.
-    axis_columns = _json_columns(axes, ("id", "parent_id", "insertion_ca"))
-    return _TREE % (
-        _json_scalar(topology.age),
-        _json_list(_json_rows(_AXIS, _AXIS_KEYS, axis_columns + [gus]), "  "),
-        _measurement_columns("internodes", ms.internodes),
-        _measurement_columns("leaves", ms.leaves),
-        _json_scalar(topology.tree_id),
-    )
+    gu_fields = attrgetter(*gu_keys)
+    axes = [dict(zip(_TABLES["axes"].json_keys, (axis.id, axis.parent_id, axis.insertion_ca)),
+                 gus=[dict(zip(gu_keys, gu_fields(gu))) for gu in axis.gus])
+            for axis in topology.axes_sorted()]
+    doc = {"age": topology.age, "axes": axes, "tree_id": topology.tree_id,
+           "measurements": {name: _measurement_columns(name, getattr(ms, name))
+                            for name in ("internodes", "leaves")}}
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def _json_cells(rows, keys: Sequence[str], where: str) -> list[list]:

@@ -242,12 +242,12 @@ def pa_map_to_json(pa_map: Mapping[str, int]) -> str:
 def pa_map_from_json(text: str, source: str = "PA map") -> dict[str, int]:
     """Parse :func:`pa_map_to_json` output; SchemaError names ``source``.
 
-    Each PA must be a JSON integer: ``2.7`` is not read as 2, nor ``true`` as 1.
+    Each PA must be a JSON integer: ``2.7`` is not read as 2, nor ``true`` as
+    1, and ``"main"``, ``Infinity`` or ``1e400`` fail the same way.
     """
     with schema_errors(source):
-        doc = json.loads(text)
-        pa_map = {str(k): int(v) for k, v in doc.items()}  # a PA like "main" fails here
-    for axis_id, pa in doc.items():
+        pa_map = dict(json.loads(text).items())  # a document that is no object fails here
+    for axis_id, pa in pa_map.items():
         if type(pa) is not int:
             raise SchemaError(f"{source}: axis {axis_id!r}: PA must be an integer, got {pa!r}")
     return pa_map

@@ -18,9 +18,11 @@ from fspm import (
 )
 from fspm import calibrate
 from fspm.cli import main
-from fspm.errors import SimulationFailed, ZeroDemandWithBiomass
-from fspm.ingest import MeasurementSet
-from fspm.pa_classify import pa_map_to_json
+from fspm.errors import SimulationFailed, ValidationError, ZeroDemandWithBiomass
+from fspm.ingest import (MAX_CYCLE, MAX_INTERNODES_PER_GU, MeasurementSet, TargetSeries,
+                         tree_from_json)
+from fspm.pa_classify import pa_map_from_json, pa_map_to_json
+from fspm.topology import DEFAULT_P_MAX
 from test_ingest import LAYOUTS, with_layout
 
 DATA = Path(__file__).parent / "data"
@@ -282,6 +284,18 @@ class TestEstimateErrors:
         assert capsys.readouterr().err == (
             "fspm estimate: PA 1 sink ratio: need >= 2 pairs, got 1\n")
         assert not (tmp_path / "est").exists()
+
+    def test_tree_given_twice_exits_1(self, grove_pipeline, tmp_path, capsys):
+        # As fit does: pooled twice, P1's samples moved the PA-1 sink and slw.
+        _, trees, _ = grove_pipeline
+        argv = ["estimate", "--out", tmp_path / "est"]
+        for tid in ("P1", "P2", "P1"):
+            argv += ["--tree", trees[tid][0], "--pa-map", trees[tid][1]]
+        capsys.readouterr()
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == "fspm estimate: tree 'P1' is given more than once\n"
+        assert not (tmp_path / "est").exists()
+
 
 class TestFitCommand:
     def test_roundtrip_fixture(self, tmp_path):
@@ -548,7 +562,8 @@ class TestBadInputFiles:
         ("tree", lambda text: "[]", "list indices"),
         ("targets", lambda text: "[]", "list indices"),
         ("pa_map", lambda text: "[]", "'list' object has no attribute 'items'"),
-        ("pa_map", lambda text: '{"a000001": "main"}', "invalid literal"),
+        ("pa_map", lambda text: '{"a000001": "main"}',
+         "axis 'a000001': PA must be an integer, got 'main'"),
     ])
     def test_bad_json_input(self, grove_pipeline, tmp_path, capsys, which, mangle, message):
         _, trees, params = grove_pipeline
@@ -708,6 +723,7 @@ class TestBadInputFiles:
         ("axes[0].gus[1]", "internode_count", True, "not an integer: True"),
         ("axes[0].gus[1]", "ca", "1", "not an integer: '1'"),
         ("axes[1]", "insertion_ca", 1.5, "not an integer: 1.5"),
+        ("axes[0].gus[1]", "internode_count", MAX_INTERNODES_PER_GU + 1, "10001 > 10000"),
     ])
     @pytest.mark.parametrize("command", ["classify-pa", "simulate"])
     def test_bad_gu_or_axis_cell_in_tree_json(self, grove_pipeline, tmp_path, capsys,
@@ -726,6 +742,29 @@ class TestBadInputFiles:
         err = self.one_error_line(capsys, argv)
         assert err == f"fspm {command}: {bad}: {place}: column {key!r}: {message}"
         assert not out.exists()
+
+    @pytest.mark.parametrize("ca", [MAX_CYCLE, MAX_CYCLE + 1])
+    def test_one_gu_tree_at_a_late_cycle(self, tmp_path, capsys, ca):
+        # Past the bound, classify-pa used to write one cumulated target per cycle.
+        gus = [{"ca": ca, "internode_count": 1, "leaf_scar_count": 1}]
+        axes = [{"axis_id": "A", "parent_axis_id": None, "insertion_ca": None, "gus": gus}]
+        internodes = {"axis_id": ["A"], "gu_ca": [ca], "rank_in_gu": [1],
+                      "fresh_weight_g": [1.0], "length_cm": [1.0], "diameter_mm": [1.0]}
+        leaves = {"axis_id": ["A"], "gu_ca": [ca], "sample_index": [1],
+                  "fresh_weight_g": [1.0], "area_cm2": [10.0]}
+        doc = {"tree_id": "T", "age": ca, "axes": axes,
+               "measurements": {"internodes": internodes, "leaves": leaves}}
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps(doc))
+        argv = ["classify-pa", "--tree", tree, "--k", 1, "--out", tmp_path / "cls"]
+        if ca == MAX_CYCLE:
+            assert run(*argv) == 0
+            targets = json.loads((tmp_path / "cls" / "targets.json").read_text())
+            assert len(targets["cumulated"]) == MAX_CYCLE
+        else:
+            assert self.one_error_line(capsys, argv) == (
+                f"fspm classify-pa: {tree}: axes[0].gus[0]: column 'ca': 1001 > 1000")
+            assert not (tmp_path / "cls").exists()
 
     @pytest.mark.parametrize("command", ["fit", "simulate"])
     def test_nan_target_value(self, grove_pipeline, tmp_path, capsys, command):
@@ -771,19 +810,23 @@ class TestBadInputFiles:
         assert err == "fspm simulate: " + message.format(bad=bad)
         assert not (tmp_path / "sim").exists()
 
-    @pytest.mark.parametrize("value", [2.7, True, "2"])
-    def test_pa_that_is_not_a_json_integer(self, grove_pipeline, tmp_path, capsys, value):
+    @pytest.mark.parametrize("raw, value", [
+        ("2.7", "2.7"), ("true", "True"), ('"2"', "'2'"),
+        # int() of these ended in an OverflowError traceback.
+        ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf"),
+    ])
+    def test_pa_that_is_not_a_json_integer(self, grove_pipeline, tmp_path, capsys, raw, value):
         _, trees, params = grove_pipeline
         tree, pa_map, _ = trees["P2"]
         doc = json.loads(pa_map.read_text())
         axis = next(a for a, pa in sorted(doc.items()) if pa == 2)
-        doc[axis] = value
+        doc[axis] = "PA"
         bad = tmp_path / "pa_map.json"
-        bad.write_text(json.dumps(doc))
+        bad.write_text(json.dumps(doc).replace('"PA"', raw))
         argv = ["simulate", "--tree", tree, "--pa-map", bad, "--params", params,
                 "--q0", 12.0, "--rp", 6.4, "--pc", 0.14, "--out", tmp_path / "sim"]
         err = self.one_error_line(capsys, argv)
-        assert err == f"fspm simulate: {bad}: axis {axis!r}: PA must be an integer, got {value!r}"
+        assert err == f"fspm simulate: {bad}: axis {axis!r}: PA must be an integer, got {value}"
         assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("fault", ["missing axis", "root PA 7", "root PA 2"])
@@ -969,6 +1012,8 @@ class TestBadInputFiles:
         ("internodes.csv", 27, "diameter_mm", "inf",
          "column 'diameter_mm': measurement must be finite and > 0, got inf"),
         ("leaves.csv", 35, "gu_ca", "99", "record references unknown GU ('a000001', ca 99)"),
+        ("gus.csv", 13, "internode_count", str(MAX_INTERNODES_PER_GU + 1),
+         "column 'internode_count': 10001 > 10000"),
     ])
     def test_ingest_of_one_tree_checks_every_tree(self, tmp_path, capsys, name, line, column,
                                                   raw, message):
@@ -1305,6 +1350,63 @@ class TestNumbersBeyondFloats:
                                 rf"stay below \S+ g, got 5e\+307",
                                 self.error_line(capsys, argv, 1))
             assert not (tmp_path / "est").exists()
+
+
+# JSON values that replace one scalar of a document: each type, zero and
+# negatives, a subnormal, the non-finite floats and numbers no float holds.
+MUTATIONS = ["null", "true", '"x"', "-1", "0", "2.5", "1e-320", "Infinity", "-Infinity", "NaN",
+             "1e400", str(10**400), "[]", "{}"]
+# The upper bound of each bounded integer cell, by its key.
+BOUNDS = {"age": MAX_CYCLE, "ca": MAX_CYCLE, "gu_ca": MAX_CYCLE, "insertion_ca": MAX_CYCLE,
+          "internode_count": MAX_INTERNODES_PER_GU, "rank_in_gu": MAX_INTERNODES_PER_GU,
+          "sample_index": 3}
+
+
+def scalar_places(doc, sampled, place=()):
+    """The place of each scalar of ``doc``; with ``sampled``, only of the
+    first and last items of each list."""
+    if isinstance(doc, (dict, list)):
+        keys = list(doc) if isinstance(doc, dict) else list(range(len(doc)))
+        if sampled and isinstance(doc, list):
+            keys = list(dict.fromkeys(keys[:1] + keys[-1:]))
+        for key in keys:
+            yield from scalar_places(doc[key], sampled, place + (key,))
+    else:
+        yield place
+
+
+@pytest.mark.filterwarnings("error")
+class TestJsonReaderMutations:
+    def test_one_scalar_replaced(self, grove_pipeline):
+        """Each reader of P2's files, in their indented and compact texts,
+        returns or raises a ValidationError, whatever one scalar is replaced
+        by; an integer cell also by its bound + 1.  The tree's lists are
+        sampled at their first and last items."""
+        _, trees, params = grove_pipeline
+        tree, pa_map, targets = trees["P2"]
+        readers = {tree: tree_from_json, pa_map: pa_map_from_json,
+                   targets: TargetSeries.from_json, params: DirectParams.from_json}
+        for path, reader in readers.items():
+            doc = json.loads(path.read_text())
+            for place in scalar_places(doc, sampled=reader is tree_from_json):
+                parent = doc
+                for key in place[:-1]:
+                    parent = parent[key]
+                value, parent[place[-1]] = parent[place[-1]], "MUTATED"
+                bound = DEFAULT_P_MAX if reader is pa_map_from_json else BOUNDS.get(place[-1])
+                mutations = MUTATIONS
+                if type(value) is int and bound is not None:
+                    mutations = MUTATIONS + [str(bound + 1)]
+                for indent in (None, 2):
+                    text = json.dumps(doc, indent=indent, sort_keys=True)
+                    for mutation in mutations:
+                        try:
+                            reader(text.replace('"MUTATED"', mutation), path.name)
+                        except ValidationError:
+                            pass
+                        except Exception as exc:
+                            pytest.fail(f"{path.name} {list(place)} = {mutation}: {exc!r}")
+                parent[place[-1]] = value
 
 
 class TestSimulateCycles:

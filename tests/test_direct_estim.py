@@ -225,7 +225,13 @@ class TestEstimateDirectParams:
         axes = {**t.axes, "C": replace(t.axes["C"], pa=None)}
         partly = TreeTopology(t.tree_id, t.age, axes)
         with pytest.raises(MissingPA, match="^tree 'T': axis 'C' has no PA"):
-            estimate_direct_params([(t, ms), (partly, ms)])
+            estimate_direct_params([(partly, ms)])
+
+    def test_tree_given_twice_raises(self):
+        # Pooled twice, its samples would weigh double in every fit.
+        t, ms = four_axis_fixture()
+        with pytest.raises(ValidationError, match="^tree 'T' is given more than once$"):
+            estimate_direct_params([(t, ms), (t, ms)])
 
     def test_record_of_another_tree_raises_tree_mismatch(self):
         t, ms = four_axis_fixture()

@@ -35,7 +35,8 @@ from fspm.cli import main as cli_main
 from fspm.errors import (BadInsertion, CycleDetected, DanglingParent, DuplicateKey,
                          InvalidTopology, MissingPA, NonContiguousCA, SchemaError, TreeMismatch,
                          UnitError, ValidationError)
-from fspm.ingest import _TABLES, CumEntry, TargetEntry, _collector_paused, samples_by_gu
+from fspm.ingest import (_TABLES, MAX_CYCLE, MAX_INTERNODES_PER_GU, CumEntry, TargetEntry,
+                         _collector_paused, samples_by_gu)
 from fspm.topology import TreeTopology
 from test_measured_scale import TREES as LARGE_TREES, load_largetree
 
@@ -184,6 +185,23 @@ class TestParseMeasurements:
         with pytest.raises(UnitError, match=r"gus.csv:5: column 'internode_count': 0 < 1$"):
             parse_measurements(paths["axes"], paths["gus"],
                                paths["internodes"], paths["leaves"])
+
+    @pytest.mark.parametrize("name, row, column, bound", [
+        ("axes", "T,B,A,{}", "insertion_ca", MAX_CYCLE),
+        ("gus", "T,A,{},3,3", "gu_ca", MAX_CYCLE),
+        ("gus", "T,A,1,{},3", "internode_count", MAX_INTERNODES_PER_GU),
+        ("internodes", "T,A,1,{},2.0,3.0,4.0", "rank_in_gu", MAX_INTERNODES_PER_GU),
+        ("leaves", "T,A,{},1,1.0,30.0", "gu_ca", MAX_CYCLE),
+    ])
+    @pytest.mark.parametrize("past", [1, 10**400], ids=["bound+1", "10**400"])
+    def test_count_or_cycle_past_its_bound(self, tmp_path, name, row, column, bound, past):
+        # Unbounded, a count of 10**400 passed ingest and failed a later stage.
+        header = write_files(tmp_path)[name].read_text().splitlines()[0]
+        value = bound + past
+        paths = write_files(tmp_path, **{name: f"{header}\n{row.format(value)}\n"})
+        with pytest.raises(UnitError) as info:
+            parse_measurements(paths["axes"], paths["gus"], paths["internodes"], paths["leaves"])
+        assert str(info.value) == f"{paths[name]}:2: column {column!r}: {value} > {bound}"
 
     def test_quoted_cell_spanning_lines_counts_its_lines(self, tmp_path):
         leaves = ("tree_id,axis_id,gu_ca,sample_index,fresh_weight_g,area_cm2\n"
@@ -811,11 +829,14 @@ class TestTreeJson:
         d = DATA / "single"
         ms = parse_measurements(d / "axes.csv", d / "gus.csv",
                                 d / "internodes.csv", d / "leaves.csv")
-        text = tree_to_json(ms.topology(), ms)
-        assert '  "age": 3,\n' in text
-        text = text.replace('  "age": 3,\n', "" if age is None else f'  "age": {age},\n')
+        doc = json.loads(tree_to_json(ms.topology(), ms))
+        assert doc["age"] == 3
+        if age is None:
+            del doc["age"]
+        else:
+            doc["age"] = json.loads(age)
         with pytest.raises(error) as info:
-            tree_from_json(text, "tree.json")
+            tree_from_json(json.dumps(doc), "tree.json")
         assert str(info.value) == f"tree.json: {message}"
 
     @pytest.mark.parametrize("edit, error, message", [
@@ -870,6 +891,8 @@ class TestTreeJsonCells:
         ("internodes", 1, "rank_in_gu", 0, UnitError, "0 < 1"),
         ("internodes", 1, "gu_ca", "1", SchemaError, "not an integer: '1'"),
         ("internodes", 1, "gu_ca", 1.0, SchemaError, "not an integer: 1.0"),
+        ("internodes", 1, "rank_in_gu", MAX_INTERNODES_PER_GU + 1, UnitError, "10001 > 10000"),
+        ("internodes", 1, "gu_ca", MAX_CYCLE + 1, UnitError, "1001 > 1000"),
         ("leaves", 0, "sample_index", 4, UnitError, "4 > 3"),
         ("leaves", 2, "sample_index", True, SchemaError, "not an integer: True"),
         ("leaves", 1, "area_cm2", 0, UnitError, "measurement must be finite and > 0, got 0"),
@@ -910,6 +933,9 @@ class TestTreeJsonCells:
         (0, 1, "internode_count", True, SchemaError, "not an integer: True"),
         (0, 1, "ca", "1", SchemaError, "not an integer: '1'"),
         (0, 1, "ca", None, SchemaError, "not an integer: None"),
+        (1, None, "insertion_ca", MAX_CYCLE + 1, UnitError, "1001 > 1000"),
+        (0, 1, "internode_count", MAX_INTERNODES_PER_GU + 1, UnitError, "10001 > 10000"),
+        (0, 1, "ca", MAX_CYCLE + 1, UnitError, "1001 > 1000"),
         (0, 1, "leaf_scar_count", -1, UnitError, "-1 < 0"),
         # GU rows are counted across axes but named by their place.
         (2, 0, "internode_count", 0, UnitError, "0 < 1"),
@@ -1065,7 +1091,7 @@ def json_dumps_tree(topology, ms):
             },
         },
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 # Ids with non-ASCII text, quotes, backslashes and control characters.
@@ -1173,21 +1199,24 @@ class TestTreeJsonDocument:
         for tree_id in tree_ids:
             text = ingested(tmp_path, src, tree_id)
             doc = json.loads(text)
-            assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            assert text == json.dumps(doc, sort_keys=True) + "\n"
             assert {name: type(table) for name, table in doc["measurements"].items()} == {
                 "internodes": dict, "leaves": dict}
             if source == "no leaf rows":
                 assert doc["measurements"]["leaves"] == dict.fromkeys(
                     _TABLES["leaves"].json_keys, [])
 
-    def test_row_layout_reads_as_the_golden(self):
+    @pytest.mark.parametrize("earlier, layout", [("tree_indented.json", "columns"),
+                                                 ("tree_rows.json", "rows")])
+    def test_earlier_text_reads_as_the_golden(self, earlier, layout):
+        # The golden's indented text, then its measurement tables as rows.
         golden = (DATA / "golden" / "tree.json").read_text()
-        rows = (DATA / "golden" / "tree_rows.json").read_text()
-        assert all(type(table) is list for table in json.loads(rows)["measurements"].values())
-        assert with_layout(json.loads(golden), "rows") == json.loads(rows)
+        text = (DATA / "golden" / earlier).read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        assert with_layout(json.loads(golden), layout) == json.loads(text)
         topology, ms = tree_from_json(golden)
-        assert tree_from_json(rows) == (topology, ms)
-        assert tree_to_json(*tree_from_json(rows)) == golden
+        assert tree_from_json(text) == (topology, ms)
+        assert tree_to_json(*tree_from_json(text)) == golden
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_tree_with_no_leaf_rows_round_trips(self, tmp_path, layout):

@@ -19,8 +19,8 @@ TREES = (("L1", 6), ("L2", 5))
 HIDDEN = ["--q0", "12", "--rp", "6.4", "--pc", "0.14"]
 
 DIGESTS = {
-    "L1.json": "ba5ee8fd32a5caefb0d60a0e27929b6b9ff460c49d9cff3972ea1f123c64ab5c",
-    "L2.json": "fbdc80ea8588e412de7568a273aae2f44614acf6c638672bd17d622cd4176fd8",
+    "L1.json": "43d7659cd1cb6eb15a9fb748f2c9cc881900cbcab6491918139bdcfb675419ac",
+    "L2.json": "1ff0e5783119a57b7df6fe8e233a2f3e54384185dde0517d0575817ba0b01411",
     "cls_L1/pa_map.json": "c28ad8f978cc4410a7600df77c08be705ce865506b34661eddc355a77ffef8aa",
     "cls_L1/targets.json": "1f1245239e5437f5d1fc91c6bbf0900825cb46b536ab324a8df0141431a0f993",
     "cls_L2/pa_map.json": "989ac1c95b7dc0c24b11d4a82cefd36a901846edb0729f4b3bb06c9c92d552bf",
