@@ -12,6 +12,7 @@ from fspm import (
     classify_axes,
     organ_census,
     parse_measurements,
+    samples_by_gu,
     with_physio_ages,
 )
 
@@ -26,9 +27,13 @@ for axis in topology.axes_sorted():
     cas = f"{axis.first_ca}..{axis.last_ca}"
     print(f"  axis {axis.id}: parent={axis.parent_id}, GUs at cycles {cas}")
 
+# Measurement rows are attached to their GUs once; clustering and targets
+# both read that per-GU table.
+samples = samples_by_gu(topology, ms.internodes, ms.leaves)
+
 # Physiological ages come from clustering the terminal internode weights:
 # the heaviest new growth is the main stem (PA 1).
-pa_map, partition = classify_axes(topology, ms.internodes, k=3)
+pa_map, partition = classify_axes(topology, samples, k=3)
 print("\ncluster means (g):", [round(m, 2) for m in partition.means])
 print("assignments:", pa_map)
 
@@ -38,7 +43,7 @@ for cycle in range(1, classified.age + 1):
     print(f"  cycle {cycle}:", dict(sorted(organ_census(classified, cycle).items())))
 
 # Later stages read each axis's PA off the classified topology.
-targets = build_target_series(ms, classified)
+targets = build_target_series(samples, classified)
 print("\nper-(PA, CA) mean internode weight (g):")
 for (pa, ca), entry in sorted(targets.entries.items()):
     print(f"  PA{pa} CA{ca}: {entry.mean_internode_weight:.3g} g "

@@ -12,6 +12,7 @@ from fspm import (
     classify_axes,
     estimate_direct_params,
     parse_measurements,
+    samples_by_gu,
     with_physio_ages,
 )
 
@@ -29,7 +30,8 @@ trees = []
 for tid in ms.tree_ids():
     sub = ms.for_tree(tid)
     topology = sub.topology()
-    pa_map, _ = classify_axes(topology, sub.internodes, k=3)
+    samples = samples_by_gu(topology, sub.internodes, sub.leaves)
+    pa_map, _ = classify_axes(topology, samples, k=3)
     trees.append((with_physio_ages(topology, pa_map), sub))
 
 dp, diagnostics = estimate_direct_params(trees)

@@ -38,12 +38,11 @@ from .engine import (
 )
 from .export import export_fit_csv, export_organs_csv, export_skeleton, export_trace_csv
 from .ingest import (
-    InternodeRecord,
-    LeafRecord,
     MeasurementSet,
     TargetSeries,
     build_target_series,
     parse_measurements,
+    samples_by_gu,
     tree_from_json,
     tree_to_json,
 )
@@ -74,8 +73,8 @@ __all__ = [
     "TreeTopology", "build_topology", "generate_topology", "organ_census",
     "with_physio_ages",
     # ingest
-    "InternodeRecord", "LeafRecord", "MeasurementSet", "TargetSeries",
-    "build_target_series", "parse_measurements", "tree_from_json", "tree_to_json",
+    "MeasurementSet", "TargetSeries", "build_target_series", "parse_measurements",
+    "samples_by_gu", "tree_from_json", "tree_to_json",
     # classification
     "ClusterPartition", "assign_pa", "classify_axes", "cluster_1d",
     "top_internode_weight",

@@ -206,8 +206,9 @@ def _sim_config(args) -> SimConfig:
     return SimConfig(ring_mode=args.ring_mode, ring_demand=args.ring_demand)
 
 
-def _hidden_from_args(args) -> HiddenParams:
-    """--q0/--rp/--pc, each one not given read from --hidden's fit result."""
+def _hidden_from_args(args, tree_id: str) -> HiddenParams:
+    """--q0/--rp/--pc, each one not given read from --hidden's fit result,
+    whose q0 is read for tree ``tree_id``."""
     q0, rp, pc = args.q0, args.rp, args.pc
     if args.hidden:
         text = read_text(args.hidden)
@@ -218,11 +219,10 @@ def _hidden_from_args(args) -> HiddenParams:
         rp = file_rp if rp is None else rp
         pc = file_pc if pc is None else pc
         if q0 is None:
-            if len(tree_q0) != 1:
-                raise ValidationError(
-                    f"fit result holds q0 for trees {sorted(tree_q0)}; pass --q0"
-                )
-            q0 = next(iter(tree_q0.values()))
+            if tree_id not in tree_q0:
+                raise ValidationError(f"{args.hidden}: holds q0 for trees {sorted(tree_q0)}, "
+                                      f"not for tree {tree_id!r}; pass --q0")
+            q0 = tree_q0[tree_id]
     if None in (q0, rp, pc):
         raise ValidationError("give --hidden fit_result.json or all of --q0/--rp/--pc")
     return HiddenParams(q0=q0, rp=rp, pc=pc)
@@ -230,18 +230,20 @@ def _hidden_from_args(args) -> HiddenParams:
 
 def _run_model(args, cycles: int | None = None):
     """Simulate the model ``_add_model_flags`` names; returns the classified
-    topology, the trace and a manifest config of the flags and parameters used."""
+    topology, the trace, and the manifest's inputs (the files read) and
+    config (the flags and parameters used)."""
     classified, _ = _classified(args.tree, args.pa_map)
     dp = DirectParams.load(args.params)
-    hp = _hidden_from_args(args)
+    hp = _hidden_from_args(args, classified.tree_id)
     trace = simulate(hp, dp, classified, _sim_config(args), cycles=cycles)
     config = {"command": args.command, "ring_mode": args.ring_mode,
               "ring_demand": args.ring_demand, "q0": hp.q0, "rp": hp.rp, "pc": hp.pc}
-    return classified, trace, config
+    inputs = [args.tree, args.pa_map, args.params] + ([args.hidden] if args.hidden else [])
+    return classified, trace, inputs, config
 
 
 def _cmd_simulate(args) -> int:
-    _, trace, config = _run_model(args, args.cycles)
+    _, trace, inputs, config = _run_model(args, args.cycles)
     targets = TargetSeries.load(args.targets) if args.targets else None
     fit_csvs = {} if targets is None else export_fit_csv(trace, targets)
     out = Path(args.out)
@@ -249,7 +251,6 @@ def _cmd_simulate(args) -> int:
     _atomic_write(out / "organs.csv", export_organs_csv(trace))
     for name, text in fit_csvs.items():
         _atomic_write(out / f"{name}.csv", text)
-    inputs = [args.tree, args.pa_map, args.params]
     if targets is not None:
         inputs.append(args.targets)
     _write_manifest(out, args, inputs, {**config, "cycles": args.cycles})
@@ -264,7 +265,8 @@ def _cmd_fit(args) -> int:
     if args.targets:
         targets = [TargetSeries.load(path) for path in args.targets]
     else:
-        targets = [build_target_series(ms, classified) for classified, ms in trees]
+        targets = [build_target_series(samples_by_gu(classified, ms.internodes, ms.leaves),
+                                       classified) for classified, ms in trees]
 
     problem = FitProblem(targets=targets, topologies=[t for t, _ in trees], dp=dp,
                          cfg=_sim_config(args))
@@ -291,11 +293,11 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_export_skeleton(args) -> int:
-    classified, trace, config = _run_model(args)
+    classified, trace, inputs, config = _run_model(args)
     out = Path(args.out)
     _atomic_write(out, export_skeleton(trace, classified, args.seed))
-    _write_manifest(out.parent, args, [args.tree, args.pa_map, args.params],
-                    {**config, "seed": args.seed}, name=f"{out.stem}.run_manifest.json")
+    _write_manifest(out.parent, args, inputs, {**config, "seed": args.seed},
+                    name=f"{out.stem}.run_manifest.json")
     return 0
 
 

@@ -1,21 +1,21 @@
 """Measurement file parsing, per-(PA, CA) target series and the tree document.
 
 Four CSV tables, ``axes``, ``gus``, ``internodes`` and ``leaves`` (UTF-8,
-comma separated, header row mandatory, '.' decimal separator), describe a
-measured tree; an empty ``parent_axis_id`` marks the root axis.  Fresh
-weight is the mass variable throughout.  Each table is declared once, in
-``_TABLES``: its columns in record-field order, each cell's rule (text, an
-integer within bounds, or a measurement that is finite and > 0) and the
-leading columns that identify a row.  Parsing the CSVs, and writing and
-reading the tree document, all follow that declaration.  Columns are found by header name
-and may come in any order; blank lines are skipped.  Row and cell problems
+a byte-order mark allowed, comma separated, header row mandatory, '.'
+decimal separator), describe a measured tree; an empty ``parent_axis_id``
+marks the root axis.  Fresh weight is the mass variable throughout.  Each
+table is declared once, in ``_TABLES``: its columns, each cell's rule (text,
+an integer within bounds, or a measurement that is finite and > 0), the
+leading columns that identify a row and the per-GU names of the measured
+columns.  Parsing the CSVs, and writing and reading the tree document, all
+follow that declaration.  Columns are found by header name, once each, and
+may come in any order; blank lines are skipped.  Row and cell problems
 are reported with the file and the physical line the row ends on, so blank
 lines and quoted cells that span lines are counted; of several, the first
 row's is reported, and in a row the first column's.  Axis and GU rows
 become ``NamedTuple`` records, which :func:`build_topology` reads; internode
-and leaf rows stay in their columns, a :class:`ColumnTable` each, and no
-record is built per row on their way to the per-GU table of
-:func:`samples_by_gu`.
+and leaf rows are only ever held as columns, a :class:`ColumnTable` each,
+up to the per-GU table of :func:`samples_by_gu`.
 
 :func:`tree_to_json` builds the canonical tree document as dicts and lists
 and writes it with ``json.dumps(doc, sort_keys=True)``, on one line.  Axes
@@ -49,7 +49,7 @@ from functools import partial
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import attrgetter, eq, itemgetter
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (DuplicateKey, InvalidParameter, MissingPA, SchemaError, TreeMismatch,
                      UnitError, ValidationError, _json_number, read_text, schema_errors,
@@ -85,85 +85,49 @@ def _collector_paused() -> Iterator[None]:
         gc.enable()
 
 
-class InternodeRecord(NamedTuple):
-    """One row of an internodes file: measurements of one internode."""
-
-    tree_id: str
-    axis_id: str
-    gu_ca: int
-    rank_in_gu: int
-    fresh_weight: float  # g
-    length: float  # cm
-    diameter: float  # mm
-
-
-class LeafRecord(NamedTuple):
-    """One row of a leaves file: measurements of one sampled blade."""
-
-    tree_id: str
-    axis_id: str
-    gu_ca: int
-    sample_index: int  # 1..3 by the sampling protocol
-    fresh_weight: float  # g
-    area: float  # cm^2
-
-
-# Plain classes: a NamedTuple class costs more to create, at every import.
+# A plain class: a NamedTuple class costs more to create, at every import.
 class ColumnTable:
-    """A measurement table held as columns: one sequence per field of ``record``.
+    """An internode or leaf table: one sequence per CSV column of its table
+    in ``_TABLES``, in that order and all of one length; row ``i`` is entry
+    ``i`` of every column."""
 
-    The readers keep internode and leaf rows this way.  Indexing or
-    iterating the table yields ``record`` instances, so it compares equal
-    to a list of the same records; the library itself reads the columns.
-    """
+    __slots__ = ("columns",)
 
-    __slots__ = ("record", "columns")
-
-    def __init__(self, record: type, columns: list[Sequence]) -> None:
-        self.record = record
-        self.columns = columns  # in record-field order, all of one length
+    def __init__(self, columns: list[Sequence]) -> None:
+        self.columns = columns
 
     def __len__(self) -> int:
         return len(self.columns[0])
 
-    def __getitem__(self, row: int):
-        return self.record._make([column[row] for column in self.columns])
 
-    def __iter__(self):
-        return map(self.record._make, zip(*self.columns))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (ColumnTable, list, tuple)):
-            return NotImplemented
-        return list(self) == list(other)
+def _no_rows(name: str) -> ColumnTable:
+    """An empty table of measurement table ``name``."""
+    return ColumnTable([[] for _ in _TABLES[name].names])
 
 
 @dataclass
 class MeasurementSet:
     """Typed rows of the four measurement files.
 
-    ``axes`` and ``gus`` are lists of records.  ``internodes`` and
-    ``leaves`` are any sequences of their records: the readers give a
-    :class:`ColumnTable`, and a list of records built in code is read the same.
+    ``axes`` and ``gus`` are lists of records; ``internodes`` and ``leaves``
+    are a :class:`ColumnTable` each, empty by default.
     """
 
     axes: list[AxisRecord] = field(default_factory=list)
     gus: list[GURecord] = field(default_factory=list)
-    internodes: Sequence[InternodeRecord] = field(default_factory=list)
-    leaves: Sequence[LeafRecord] = field(default_factory=list)
+    internodes: ColumnTable = field(default_factory=partial(_no_rows, "internodes"))
+    leaves: ColumnTable = field(default_factory=partial(_no_rows, "leaves"))
 
     def tree_ids(self) -> list[str]:
         return sorted({r.tree_id for r in self.axes})
 
     def for_tree(self, tree_id: str) -> "MeasurementSet":
         def rows(name: str):
-            records = getattr(self, name)
             if name in ("axes", "gus"):
-                return [r for r in records if r.tree_id == tree_id]
-            columns = _columns(records, _TABLES[name])
+                return [r for r in getattr(self, name) if r.tree_id == tree_id]
+            columns = getattr(self, name).columns
             keep = list(map(eq, columns[0], repeat(tree_id)))
-            return ColumnTable(_TABLES[name].record,
-                               [list(compress(column, keep)) for column in columns])
+            return ColumnTable([list(compress(column, keep)) for column in columns])
 
         return MeasurementSet(**{name: rows(name) for name in _TABLES})
 
@@ -184,13 +148,15 @@ class _Rule:
 class _Table:
     """One measurement table, as CSV file and as part of the tree document."""
 
-    def __init__(self, record: type, columns: Sequence[tuple[str, _Rule]], identity: int,
-                 duplicate: str, json_keys: tuple[str, ...] = ()) -> None:
-        self.record = record
-        self.names, self.rules = zip(*columns)  # CSV columns and rules, in record-field order
+    def __init__(self, record: type | None, columns: Sequence[tuple[str, _Rule]], identity: int,
+                 duplicate: str, json_keys: tuple[str, ...] = (),
+                 fields: tuple[str, ...] = ()) -> None:
+        self.record = record  # whose fields are the columns; None: rows stay a ColumnTable
+        self.names, self.rules = zip(*columns)  # CSV columns and their rules
         self.identity = identity  # leading columns that identify a row
         self.duplicate = duplicate  # DuplicateKey text for a repeated identity
         self.json_keys = json_keys or self.names[1:]  # tree.json keys of the non-implied columns
+        self.fields = fields  # per-GU names of the columns after the identity
 
 
 # Bounds far above any measured tree; a count or a cycle past them would
@@ -213,14 +179,14 @@ _TABLES = {
         ("tree_id", _TEXT), ("axis_id", _TEXT), ("gu_ca", _CYCLE), ("internode_count", _COUNT),
         ("leaf_scar_count", _Rule(int, 0)),
     ), 3, "GU {} declared twice", ("ca", "internode_count", "leaf_scar_count")),
-    "internodes": _Table(InternodeRecord, (
+    "internodes": _Table(None, (
         ("tree_id", _TEXT), ("axis_id", _TEXT), ("gu_ca", _CYCLE), ("rank_in_gu", _COUNT),
         ("fresh_weight_g", _MEASURED), ("length_cm", _MEASURED), ("diameter_mm", _MEASURED),
-    ), 4, "internode {} measured twice"),
-    "leaves": _Table(LeafRecord, (
+    ), 4, "internode {} measured twice", fields=("fresh_weight", "length", "diameter")),
+    "leaves": _Table(None, (
         ("tree_id", _TEXT), ("axis_id", _TEXT), ("gu_ca", _CYCLE), ("sample_index", _Rule(int, 1, 3)),
         ("fresh_weight_g", _MEASURED), ("area_cm2", _MEASURED),
-    ), 4, "leaf sample {} measured twice"),
+    ), 4, "leaf sample {} measured twice", fields=("fresh_weight", "area")),
 }
 
 _JSON_TYPES = {str: {str}, int: {int}, float: {int, float}}  # bool is neither
@@ -292,13 +258,6 @@ def _column(cells: Sequence, rule: _Rule, text: bool) -> tuple[list, ValidationE
     return values, None
 
 
-def _columns(rows: Sequence, table: _Table) -> list[Sequence]:
-    """The columns of ``table``'s rows: a ColumnTable's own, else the records'."""
-    if isinstance(rows, ColumnTable):
-        return rows.columns
-    return [list(column) for column in zip(*rows)] or [[] for _ in table.names]
-
-
 def _records(table: _Table, columns: Sequence[Sequence], text: bool,
              names: Sequence[str], where, unique: bool = False) -> list | ColumnTable:
     """The rows of one table from its columns of cells: records, or for
@@ -321,8 +280,8 @@ def _records(table: _Table, columns: Sequence[Sequence], text: bool,
         row, i = bad
         error = read[i][1]
         raise type(error)(f"{where(row)}: column {names[i]!r}: {error}")
-    if table.record in (InternodeRecord, LeafRecord):
-        return ColumnTable(table.record, values)
+    if table.record is None:
+        return ColumnTable(values)
     # The record's fields are the columns: ``_make`` without its length check.
     return list(map(partial(tuple.__new__, table.record), zip(*values)))
 
@@ -340,15 +299,17 @@ def _csv_records(path: str | Path, table: _Table) -> list | ColumnTable:
     """The rows of one measurement CSV file (see :func:`_records`); extra
     columns are ignored."""
     path = Path(path)
-    with utf8_errors(path), path.open(newline="", encoding="utf-8") as fh:
+    with utf8_errors(path), path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise SchemaError(f"{path}: empty file, header row required")
-        index = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+        index = {name: i for i, name in enumerate(header)}
         for name in table.names:
             if name not in index:
                 raise SchemaError(f"{path}: missing column {name!r}")
+            if header.count(name) > 1:
+                raise SchemaError(f"{path}: column {name!r} appears twice in the header")
         rows = list(map(tuple, filter(None, reader)))  # blank lines skipped
     columns = [index[name] for name in table.names]
     width = max(columns) + 1
@@ -371,7 +332,7 @@ def _csv_records(path: str | Path, table: _Table) -> list | ColumnTable:
 def _line(path: Path, row: int) -> int:
     """The physical line that data row ``row`` of a CSV file ends on; blank
     lines are skipped as rows and counted as lines."""
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         lines = (reader.line_num for cells in reader if cells)  # the header first
         return next(islice(lines, row + 1, None))
@@ -405,7 +366,7 @@ def _check_sampled_gus(ms: MeasurementSet, where) -> None:
     GU that ``ms.gus`` lacks, placed by ``where(table name, row)``."""
     gus = set(map(itemgetter(0, 1, 2), ms.gus))  # each GU's tree, axis and cycle
     for name in ("internodes", "leaves"):
-        columns = _columns(getattr(ms, name), _TABLES[name])[:3]
+        columns = getattr(ms, name).columns[:3]
         if not gus.issuperset(zip(*columns)):
             row, (_, axis_id, ca) = next((row, place) for row, place in enumerate(zip(*columns))
                                          if place not in gus)
@@ -464,11 +425,11 @@ class GUSamples:
         return axes
 
 
-def _attach(tree_id: str, place: dict, rows: Sequence,
+def _attach(tree_id: str, place: dict, rows: ColumnTable,
             table: _Table) -> tuple[dict[str, list], list[slice]]:
     """One kind's rows as :class:`GUSamples` holds them, ``place`` giving
     each GU's index in ``iter_gus`` order by (axis id, cycle)."""
-    trees, axis_ids, cycles, *_ = columns = _columns(rows, table)
+    trees, axis_ids, cycles, *_ = columns = rows.columns
     keys = list(map(place.get, zip(axis_ids, cycles)))
     if trees.count(tree_id) < len(keys) or None in keys:
         for tree, axis_id, ca, key in zip(trees, axis_ids, cycles, keys):
@@ -481,19 +442,20 @@ def _attach(tree_id: str, place: dict, rows: Sequence,
     measured = _sorted_rows(columns[table.identity:], keys)
     counts = Counter(keys)
     bounds = list(accumulate(map(counts.get, range(len(place)), repeat(0)), initial=0))
-    return (dict(zip(table.record._fields[table.identity:], measured)),
+    return (dict(zip(table.fields, measured)),
             list(map(slice, bounds, bounds[1:])))
 
 
 @_collector_paused()
-def samples_by_gu(topology: TreeTopology, internodes: Sequence[InternodeRecord],
-                  leaves: Sequence[LeafRecord]) -> GUSamples:
+def samples_by_gu(topology: TreeTopology, internodes: ColumnTable,
+                  leaves: ColumnTable) -> GUSamples:
     """Every GU of ``topology``, in :meth:`~TreeTopology.iter_gus` order, with its rows.
 
-    The one place a measurement row is attached to a GU.  ``internodes``
-    and ``leaves`` are a tree's rows, a :class:`ColumnTable` or a list of
-    records each; no PA is needed.  Each kind's rows are sorted once, stably,
-    by their GU's place, and each GU keeps the bounds of its slice.
+    The one place a measurement row is attached to a GU: built once per
+    tree from its ``MeasurementSet.internodes`` and ``.leaves``, the table
+    is what :func:`build_target_series` and the PA classifiers read.  No PA
+    is needed.  Each kind's rows are sorted once, stably, by their GU's
+    place, and each GU keeps the bounds of its slice.
 
     Raises:
         TreeMismatch: a record belongs to another tree.
@@ -597,15 +559,14 @@ def _mean(column: Sequence[float], rows: Sequence[slice]) -> float:
     return sum(values) / len(values)
 
 
-def build_target_series(measured: MeasurementSet | GUSamples,
-                        topology: TreeTopology) -> TargetSeries:
+def build_target_series(samples: GUSamples, topology: TreeTopology) -> TargetSeries:
     """Aggregate measurement rows into the fitting target of one tree.
 
     ``topology`` must be classified (see :func:`with_physio_ages`): each
     GU's group is its axis's PA and its own CA, and an axis without a PA
-    raises MissingPA.  ``measured`` is the tree's MeasurementSet, attached
-    to GUs by :func:`samples_by_gu`, or that per-GU table itself, built on
-    ``topology`` or on the topology it classifies.  Entry means are
+    raises MissingPA.  ``samples`` is the tree's per-GU table from
+    :func:`samples_by_gu`, built on ``topology`` or on the topology it
+    classifies.  Entry means are
     arithmetic means over the rows of each (PA, CA) group.  Cumulated
     series extend the recorded means over the full recorded structure:
     each GU contributes mean internode weight times its internode count,
@@ -616,8 +577,6 @@ def build_target_series(measured: MeasurementSet | GUSamples,
     for axis in topology.axes_sorted():
         if axis.pa is None:
             raise MissingPA(f"axis {axis.id!r} has no PA; classify first")
-    samples = (measured if isinstance(measured, GUSamples) else
-               samples_by_gu(topology, measured.internodes, measured.leaves))
     columns = {"internodes": samples.internodes, "leaves": samples.leaves}
 
     # Each kind's rows per (PA, CA) group, and the GUs of each cycle, in GU order.
@@ -695,12 +654,12 @@ def build_target_series(measured: MeasurementSet | GUSamples,
 
 # -- canonical tree document --------------------------------------------------
 
-def _measurement_columns(name: str, rows: Sequence) -> dict[str, Sequence]:
+def _measurement_columns(name: str, rows: ColumnTable) -> dict[str, Sequence]:
     """The tree.json object of table ``name``'s columns, one array per key,
     rows sorted by identity."""
     table = _TABLES[name]
     implied = len(table.names) - len(table.json_keys)  # tree_id, held once by the document
-    columns = _columns(rows, table)[implied:]
+    columns = rows.columns[implied:]
     return dict(zip(table.json_keys,
                     _sorted_rows(columns, list(zip(*columns[:table.identity - implied])))))
 

@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
     schema_errors,
 )
-from .ingest import GUSamples, samples_by_gu
+from .ingest import GUSamples
 from .topology import TreeTopology
 
 logger = logging.getLogger(__name__)
@@ -51,15 +51,13 @@ class ClusterPartition:
     wcss: float
 
 
-def top_internode_weight(t: TreeTopology, records: Sequence | GUSamples) -> dict[str, float]:
+def top_internode_weight(t: TreeTopology, samples: GUSamples) -> dict[str, float]:
     """Mean internode fresh weight in the topmost GU of every axis.
 
-    ``records`` are the tree's internode records, attached to GUs by
-    :func:`~fspm.ingest.samples_by_gu` (a record of another tree raises
-    TreeMismatch, one on a GU the tree lacks ValidationError), or that
-    per-GU table of the tree itself.
+    ``samples`` is the tree's per-GU table from
+    :func:`~fspm.ingest.samples_by_gu`, built on ``t`` or on the topology
+    it classifies.
     """
-    samples = records if isinstance(records, GUSamples) else samples_by_gu(t, records, ())
     weights = samples.internodes["fresh_weight"]
     out: dict[str, float] = {}
     for axis, rows, _ in samples.top_gus(t):
@@ -208,17 +206,17 @@ def assign_pa(p: ClusterPartition, main_axis_id: object) -> dict[object, int]:
 
 
 def classify_axes(
-    t: TreeTopology, records: Sequence | GUSamples, k: int
+    t: TreeTopology, samples: GUSamples, k: int
 ) -> tuple[dict[str, int], ClusterPartition]:
     """Terminal weights -> clustering -> PA labels, in one call.
 
-    ``records`` are as :func:`top_internode_weight` takes them.
+    ``samples`` is as :func:`top_internode_weight` takes it.
 
     If fewer distinct terminal weights than k exist, k is reduced to match
     (small trees simply have fewer vigor classes); the effective partition is
     returned alongside the PA map.
     """
-    weights = top_internode_weight(t, records)
+    weights = top_internode_weight(t, samples)
     k_eff = min(k, len(set(weights.values())))
     if k_eff < k:
         logger.info(

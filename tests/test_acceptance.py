@@ -31,6 +31,7 @@ from fspm import (
     generate_topology,
     organ_census,
     parse_measurements,
+    samples_by_gu,
     simulate,
     simulate_factored,
     targets_from_trace,
@@ -295,7 +296,7 @@ def test_skeleton_export_counts_and_determinism():
     for tid in ("P1", "P2", "P3", "P4"):
         sub = ms.for_tree(tid)
         topo = sub.topology()
-        pa_map, _ = classify_axes(topo, sub.internodes, 3)
+        pa_map, _ = classify_axes(topo, samples_by_gu(topo, sub.internodes, sub.leaves), 3)
         classified = with_physio_ages(topo, pa_map)
         p_max = max(pa_map.values())
         dp = DirectParams(

@@ -104,6 +104,23 @@ class TestIngest:
             m2.pop(run_dependent)
         assert m1 == m2
 
+    def test_required_column_repeated_in_header_exits_1(self, tmp_path, capsys):
+        # A second fresh_weight_g column of 999.0 was read as every internode's weight.
+        src = tmp_path / "csv"
+        src.mkdir()
+        for name in ("axes", "gus", "leaves"):
+            (src / f"{name}.csv").write_bytes((GROVE / f"{name}.csv").read_bytes())
+        header, *rows = (GROVE / "internodes.csv").read_text().splitlines()
+        (src / "internodes.csv").write_text(
+            "\n".join([f"{header},fresh_weight_g", *(f"{row},999.0" for row in rows)]) + "\n")
+        out = tmp_path / "P1.json"
+        capsys.readouterr()
+        assert run(*ingest_args(src, out, "P1")) == 1
+        assert capsys.readouterr().err == (
+            f"fspm ingest: {src / 'internodes.csv'}: column 'fresh_weight_g' appears twice "
+            "in the header\n")
+        assert not out.exists()
+
     def test_trees_in_one_directory_keep_a_manifest_each(self, tmp_path):
         for tree_id in ("P1", "P2"):
             assert run(*ingest_args(GROVE, tmp_path / f"{tree_id}.json", tree_id)) == 0
@@ -206,6 +223,70 @@ class TestGrovePipeline:
                 (tmp_path / "explicit" / name).read_bytes()
         assert (tmp_path / "hidden_skeleton" / "skeleton.csv").read_bytes() == \
             (tmp_path / "explicit_skeleton" / "skeleton.csv").read_bytes()
+
+    @staticmethod
+    def run_p2(grove_pipeline, command, out_dir, *model_args):
+        """``command`` on grove P2 into ``out_dir``: its exit code, and the
+        bytes of its trace or skeleton and its manifest if it wrote them."""
+        _, trees, params = grove_pipeline
+        tree, pa_map, _ = trees["P2"]
+        skeleton = command == "export-skeleton"
+        out = out_dir / "skeleton.csv" if skeleton else out_dir
+        code = run(command, "--tree", tree, "--pa-map", pa_map, "--params", params,
+                   *model_args, "--out", out)
+        product = out if skeleton else out / "trace.csv"
+        manifest = out_dir / ("skeleton.run_manifest.json" if skeleton else "run_manifest.json")
+        if not product.exists():
+            return code, None, None
+        return code, product.read_bytes(), json.loads(manifest.read_text())
+
+    @pytest.mark.parametrize("command", ["simulate", "export-skeleton"])
+    def test_hidden_q0_is_the_simulated_trees(self, grove_pipeline, tmp_path, command):
+        # A fit of several trees holds a q0 for each; P2 runs with its own.
+        hidden = tmp_path / "fit_result.json"
+        hidden.write_text('{"q0": {"P1": 75.28, "P2": 12.0}, "rp": 6.4, "pc": 0.14}')
+        code, product, manifest = self.run_p2(grove_pipeline, command, tmp_path / "hidden",
+                                              "--hidden", hidden)
+        assert code == 0
+        explicit = self.run_p2(grove_pipeline, command, tmp_path / "explicit",
+                               "--q0", 12.0, "--rp", 6.4, "--pc", 0.14)
+        assert explicit[:2] == (0, product)
+        assert explicit[2]["config_hash"] == manifest["config_hash"]
+
+    @pytest.mark.parametrize("command", ["simulate", "export-skeleton"])
+    def test_hidden_without_the_trees_q0_exits_1(self, grove_pipeline, tmp_path, capsys,
+                                                 command):
+        # A fit of P1 alone: its q0 (75.28) ran P2 unnoticed.
+        hidden = tmp_path / "fit_result.json"
+        hidden.write_text('{"q0": {"P1": 75.28}, "rp": 6.4, "pc": 0.14}')
+        capsys.readouterr()
+        assert self.run_p2(grove_pipeline, command, tmp_path / "out",
+                           "--hidden", hidden) == (1, None, None)
+        assert capsys.readouterr().err == (
+            f"fspm {command}: {hidden}: holds q0 for trees ['P1'], not for tree 'P2'; "
+            "pass --q0\n")
+        # --q0 supplies what the file lacks; rp and pc still come from it.
+        code, product, manifest = self.run_p2(grove_pipeline, command, tmp_path / "q0",
+                                              "--hidden", hidden, "--q0", 12.0)
+        assert code == 0
+        explicit = self.run_p2(grove_pipeline, command, tmp_path / "explicit",
+                               "--q0", 12.0, "--rp", 6.4, "--pc", 0.14)
+        assert explicit[:2] == (0, product)
+
+    @pytest.mark.parametrize("command", ["simulate", "export-skeleton"])
+    @pytest.mark.parametrize("with_hidden", [True, False], ids=["hidden", "flags"])
+    def test_manifest_inputs_are_the_files_read(self, grove_pipeline, tmp_path, command,
+                                                with_hidden):
+        _, trees, params = grove_pipeline
+        tree, pa_map, _ = trees["P2"]
+        hidden = tmp_path / "fit_result.json"
+        hidden.write_text('{"q0": {"P2": 12.0}, "rp": 6.4, "pc": 0.14}')
+        model_args = ["--hidden", hidden] if with_hidden else ["--q0", 12.0, "--rp", 6.4,
+                                                               "--pc", 0.14]
+        code, _, manifest = self.run_p2(grove_pipeline, command, tmp_path / "out", *model_args)
+        assert code == 0
+        inputs = [tree, pa_map, params] + ([hidden] if with_hidden else [])
+        assert manifest["inputs"] == sorted(map(str, inputs))
 
     def test_skeleton_manifest_records_hidden_parameters(self, grove_pipeline, tmp_path):
         _, trees, params = grove_pipeline

@@ -11,8 +11,6 @@ from fspm import (
     AxisRecord,
     DirectParams,
     GURecord,
-    InternodeRecord,
-    LeafRecord,
     MeasurementSet,
     TreeTopology,
     build_topology,
@@ -31,10 +29,11 @@ from fspm.errors import (
     TreeMismatch,
     ValidationError,
 )
+from test_ingest import measured, rows_of
 
 
 def leaf(weight, area, axis="A", ca=1, idx=1):
-    return LeafRecord("T", axis, ca, idx, weight, area)
+    return ("T", axis, ca, idx, weight, area)
 
 
 class TestFitSinkRatio:
@@ -189,7 +188,7 @@ def four_axis_fixture():
     t = with_physio_ages(build_topology(axes, gus), {"A": 1, "B": 2, "C": 2, "D": 1})
 
     def rec(axis, ca, rank, w, l):
-        return InternodeRecord("T", axis, ca, rank, w, l, 5.0)
+        return ("T", axis, ca, rank, w, l, 5.0)
 
     # Top GUs: A at ca 2 (3 internodes), D at ca 3, B and C at ca 2 (2 each).
     internodes = [
@@ -203,7 +202,8 @@ def four_axis_fixture():
         leaf(15.0, 470.0, "D", 3),
         leaf(5.0, 160.0, "B", 2), leaf(5.5, 170.0, "C", 2),
     ]
-    return t, MeasurementSet(axes=axes, gus=gus, internodes=internodes, leaves=leaves)
+    return t, MeasurementSet(axes=axes, gus=gus, internodes=measured("internodes", internodes),
+                             leaves=measured("leaves", leaves))
 
 
 class TestEstimateDirectParams:
@@ -235,7 +235,8 @@ class TestEstimateDirectParams:
 
     def test_record_of_another_tree_raises_tree_mismatch(self):
         t, ms = four_axis_fixture()
-        ms.leaves.append(leaf(5.0, 160.0, "B", 2)._replace(tree_id="U"))
+        stray = ("U", *leaf(5.0, 160.0, "B", 2)[1:])
+        ms.leaves = measured("leaves", rows_of(ms.leaves) + [stray])
         with pytest.raises(TreeMismatch, match=r"^tree 'T': record \('B', ca 2\) is of tree 'U'$"):
             estimate_direct_params([(t, ms)])
 
@@ -243,8 +244,9 @@ class TestEstimateDirectParams:
     def test_record_on_a_missing_gu_raises(self, table):
         # B's GUs start at cycle 2; dropping this record would go unnoticed.
         t, ms = four_axis_fixture()
-        records = getattr(ms, table)
-        records.append(records[-1]._replace(axis_id="B", gu_ca=1))
+        records = rows_of(getattr(ms, table))
+        records.append((records[-1][0], "B", 1, *records[-1][3:]))  # axis B, gu_ca 1
+        setattr(ms, table, measured(table, records))
         with pytest.raises(ValidationError, match=r"^tree 'T': record references unknown GU \('B', ca 1\)$"):
             estimate_direct_params([(t, ms)])
 
@@ -264,23 +266,24 @@ class TestEstimateDirectParams:
         ]
         assert got == estimate_direct_params([(t, ms)])
 
+    # Internode rows: tree_id, axis_id, gu_ca, rank_in_gu, weight, length, diameter.
     @pytest.mark.parametrize("keep, error, message", [
         # C's top GU loses its internodes: one PA 2 sink pair is left.
-        (lambda r: r.axis_id != "C", InsufficientData, "PA 2 sink ratio: need >= 2 pairs, got 1"),
+        (lambda r: r[1] != "C", InsufficientData, "PA 2 sink ratio: need >= 2 pairs, got 1"),
         # B and C keep one internode each: two PA 2 allometry pairs.
-        (lambda r: r.rank_in_gu == 1 or r.axis_id not in "BC", InsufficientData,
+        (lambda r: r[3] == 1 or r[1] not in "BC", InsufficientData,
          "PA 2 allometry: need >= 3 pairs, got 2"),
     ])
     def test_fit_errors_name_the_pa_and_the_fit(self, keep, error, message):
         t, ms = four_axis_fixture()
-        ms.internodes = [r for r in ms.internodes if keep(r)]
+        ms.internodes = measured("internodes", list(filter(keep, rows_of(ms.internodes))))
         with pytest.raises(error, match=f"^{message}$"):
             estimate_direct_params([(t, ms)])
 
     def test_allometry_without_spread_names_the_pa(self):
         t, ms = four_axis_fixture()
-        ms.internodes = [r._replace(fresh_weight=3.0) if r.axis_id in "BC" else r
-                         for r in ms.internodes]
+        ms.internodes = measured("internodes", [(*r[:4], 3.0, *r[5:]) if r[1] in "BC" else r
+                                                for r in rows_of(ms.internodes)])
         with pytest.raises(DegenerateSpread,
                            match="^PA 2 allometry: all masses equal; beta is not identifiable$"):
             estimate_direct_params([(t, ms)])

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import gc
 import inspect
@@ -19,8 +20,6 @@ from hypothesis import strategies as st
 from fspm import (
     AxisRecord,
     GURecord,
-    InternodeRecord,
-    LeafRecord,
     MeasurementSet,
     TargetSeries,
     build_target_series,
@@ -35,12 +34,39 @@ from fspm.cli import main as cli_main
 from fspm.errors import (BadInsertion, CycleDetected, DanglingParent, DuplicateKey,
                          InvalidTopology, MissingPA, NonContiguousCA, SchemaError, TreeMismatch,
                          UnitError, ValidationError)
-from fspm.ingest import (_TABLES, MAX_CYCLE, MAX_INTERNODES_PER_GU, CumEntry, TargetEntry,
-                         _collector_paused, samples_by_gu)
+from fspm.ingest import (_TABLES, MAX_CYCLE, MAX_INTERNODES_PER_GU, ColumnTable, CumEntry,
+                         TargetEntry, _collector_paused, samples_by_gu)
 from fspm.topology import TreeTopology
 from test_measured_scale import TREES as LARGE_TREES, load_largetree
 
 DATA = Path(__file__).parent / "data"
+
+
+def measured(name: str, rows) -> ColumnTable:
+    """Measurement table ``name`` holding ``rows``, tuples in its CSV column order."""
+    return ColumnTable([list(column) for column in zip(*rows)] or
+                       [[] for _ in _TABLES[name].names])
+
+
+def rows_of(table: ColumnTable) -> list[tuple]:
+    """The rows of a measurement table, as tuples in its CSV column order."""
+    return list(zip(*table.columns))
+
+
+def column_of(ms: MeasurementSet, name: str, column: str):
+    """The cells of CSV column ``column`` of measurement table ``name`` of ``ms``."""
+    return getattr(ms, name).columns[_TABLES[name].names.index(column)]
+
+
+def table_rows(ms: MeasurementSet) -> dict[str, list]:
+    """Every table of ``ms`` as a list of its rows, to compare."""
+    return {name: list(getattr(ms, name)) if table.record else rows_of(getattr(ms, name))
+            for name, table in _TABLES.items()}
+
+
+def targets_of(ms: MeasurementSet, topology):
+    """build_target_series of ``ms``'s rows attached to ``topology``'s GUs."""
+    return build_target_series(samples_by_gu(topology, ms.internodes, ms.leaves), topology)
 
 
 def serialize_measurements(ms: MeasurementSet) -> dict[str, str]:
@@ -52,12 +78,13 @@ def serialize_measurements(ms: MeasurementSet) -> dict[str, str]:
     terminator is ``\\n``.
     """
     texts = {}
+    rows = table_rows(ms)
     for name, table in _TABLES.items():
         buf = io.StringIO()
         plain = csv.writer(buf, lineterminator="\n")
         quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
         plain.writerow(table.names)
-        for record in sorted(getattr(ms, name), key=itemgetter(slice(table.identity))):
+        for record in sorted(rows[name], key=itemgetter(slice(table.identity))):
             row = ["" if value is None else str(value) for value in record]
             (quoted if any("\r" in cell for cell in row) else plain).writerow(row)
         texts[name] = buf.getvalue()
@@ -108,7 +135,7 @@ class TestParseMeasurements:
         ms = parse_measurements(paths["axes"], paths["gus"],
                                 paths["internodes"], paths["leaves"])
         assert len(ms.internodes) == 3
-        assert ms.internodes[1].fresh_weight == 2.2
+        assert column_of(ms, "internodes", "fresh_weight_g")[1] == 2.2
         assert ms.tree_ids() == ["T"]
 
     def test_negative_weight_unit_error(self, tmp_path):
@@ -283,14 +310,34 @@ class TestParseMeasurements:
             topology, again = tree_from_json(tree_to_json(sub.topology(), sub), f"{tree_id}.json")
             assert topology == sub.topology()
             for name in _TABLES:
-                assert list(getattr(again, name)) == list(getattr(sub, name)), name
+                assert table_rows(again)[name] == table_rows(sub)[name], name
 
     def test_columns_found_by_name_extra_columns_ignored(self, tmp_path):
-        axes = "note,axis_id,insertion_ca,parent_axis_id,tree_id\nroot,A,,,T\n"
+        # An extra column may repeat; only a required one named twice is rejected.
+        axes = "note,axis_id,insertion_ca,parent_axis_id,tree_id,note\nroot,A,,,T,x\n"
         paths = write_files(tmp_path, axes=axes)
         ms = parse_measurements(paths["axes"], paths["gus"],
                                 paths["internodes"], paths["leaves"])
         assert ms.axes == [AxisRecord("T", "A", None, None)]
+
+    def test_required_column_repeated_in_header_schema_error(self, tmp_path):
+        # Read by its last column, the repeat replaced every weight with 999.0.
+        internodes = ("tree_id,axis_id,gu_ca,rank_in_gu,fresh_weight_g,length_cm,diameter_mm,"
+                      "fresh_weight_g\nT,A,1,1,2.0,3.0,4.0,999.0\n")
+        paths = write_files(tmp_path, internodes=internodes)
+        with pytest.raises(SchemaError) as info:
+            parse_measurements(paths["axes"], paths["gus"], paths["internodes"], paths["leaves"])
+        assert str(info.value) == (
+            f"{paths['internodes']}: column 'fresh_weight_g' appears twice in the header")
+
+    def test_byte_order_mark_is_no_part_of_the_first_column(self, tmp_path):
+        # Spreadsheets write "CSV UTF-8" files with a leading byte-order mark.
+        src = tmp_path / "bom"
+        src.mkdir()
+        for name in _TABLES:
+            data = (DATA / "single" / f"{name}.csv").read_bytes()
+            (src / f"{name}.csv").write_bytes(codecs.BOM_UTF8 + data)
+        assert ingested(tmp_path, src, "T1") == ingested(tmp_path, DATA / "single", "T1")
 
     @pytest.mark.parametrize("fixture", ["single", "grove"])
     def test_serialize_reproduces_fixture_bytes(self, fixture):
@@ -309,7 +356,7 @@ class TestParseMeasurements:
             (tmp_path / f"rt_{name}.csv").write_text(text)
         again = parse_measurements(tmp_path / "rt_axes.csv", tmp_path / "rt_gus.csv",
                                    tmp_path / "rt_internodes.csv", tmp_path / "rt_leaves.csv")
-        assert again == ms
+        assert table_rows(again) == table_rows(ms)
 
     def test_roundtrip_preserves_full_float_precision(self, tmp_path):
         # Values far beyond instrument precision must still survive exactly.
@@ -321,12 +368,12 @@ class TestParseMeasurements:
         paths = write_files(tmp_path, internodes=internodes)
         ms = parse_measurements(paths["axes"], paths["gus"],
                                 paths["internodes"], paths["leaves"])
-        assert ms.internodes[0].fresh_weight == ugly
+        assert column_of(ms, "internodes", "fresh_weight_g")[0] == ugly
         text = serialize_measurements(ms)["internodes"]
         (tmp_path / "rt.csv").write_text(text)
         again = parse_measurements(paths["axes"], paths["gus"],
                                    tmp_path / "rt.csv", paths["leaves"])
-        assert again.internodes == ms.internodes
+        assert rows_of(again.internodes) == rows_of(ms.internodes)
 
 
 def simple_tree(records_weights, tree="T"):
@@ -336,26 +383,28 @@ def simple_tree(records_weights, tree="T"):
     gus = [GURecord(tree, "A", ca, 1, 1) for ca in range(1, n + 1)]
     topo = with_physio_ages(build_topology(axes, gus), {"A": 1})
     internodes = [
-        InternodeRecord(tree, "A", ca, 1, w, 5.0, 4.0)
+        (tree, "A", ca, 1, w, 5.0, 4.0)
         for ca, w in enumerate(records_weights, start=1)
     ]
     leaves = [
-        LeafRecord(tree, "A", ca, 1, 1.0, 30.0) for ca in range(1, n + 1)
+        (tree, "A", ca, 1, 1.0, 30.0) for ca in range(1, n + 1)
     ]
-    ms = MeasurementSet(axes=axes, gus=gus, internodes=internodes, leaves=leaves)
+    ms = MeasurementSet(axes=axes, gus=gus, internodes=measured("internodes", internodes),
+                        leaves=measured("leaves", leaves))
     return topo, ms
 
 
 class TestBuildTargetSeries:
     def test_arithmetic_mean(self):
         topo, ms = simple_tree([4.0])
-        ms.internodes = [
-            InternodeRecord("T", "A", 1, 1, 4.0, 5.0, 4.0),
+        internodes = [
+            ("T", "A", 1, 1, 4.0, 5.0, 4.0),
         ]
         ms.gus = [GURecord("T", "A", 1, 2, 2)]
         topo = with_physio_ages(build_topology(ms.axes, ms.gus), {"A": 1})
-        ms.internodes.append(InternodeRecord("T", "A", 1, 2, 6.0, 5.0, 4.0))
-        ts = build_target_series(ms, topo)
+        internodes.append(("T", "A", 1, 2, 6.0, 5.0, 4.0))
+        ms.internodes = measured("internodes", internodes)
+        ts = targets_of(ms, topo)
         assert ts.entries[(1, 1)].mean_internode_weight == 5.0
         assert ts.entries[(1, 1)].n_internodes == 2
 
@@ -365,40 +414,42 @@ class TestBuildTargetSeries:
         topo = with_physio_ages(build_topology(axes, gus), {"A": 1})
         ms = MeasurementSet(
             axes=axes, gus=gus,
-            internodes=[InternodeRecord("T", "A", 1, r, 1.0, 5.0, 4.0)
-                        for r in range(1, 11)],
-            leaves=[LeafRecord("T", "A", 1, s, 2.0, 60.0) for s in (1, 2, 3)],
+            internodes=measured("internodes", [("T", "A", 1, r, 1.0, 5.0, 4.0)
+                                               for r in range(1, 11)]),
+            leaves=measured("leaves", [("T", "A", 1, s, 2.0, 60.0) for s in (1, 2, 3)]),
         )
-        ts = build_target_series(ms, topo)
+        ts = targets_of(ms, topo)
         assert ts.cumulated[1].cum_blade_mass == pytest.approx(20.0)
 
     def test_prefix_sum_oracle(self):
         topo, ms = simple_tree([1.0, 2.0, 3.0])
-        ts = build_target_series(ms, topo)
+        ts = targets_of(ms, topo)
         cum = [ts.cumulated[c].cum_internode_mass for c in (1, 2, 3)]
         assert cum == pytest.approx([1.0, 3.0, 6.0])
 
     def test_mass_sum_identity(self):
         topo, ms = simple_tree([1.5, 2.5, 3.25, 8.0])
-        ts = build_target_series(ms, topo)
+        ts = targets_of(ms, topo)
         total_from_entries = sum(
             e.mean_internode_weight * e.n_internodes for e in ts.entries.values()
         )
-        raw = sum(r.fresh_weight for r in ms.internodes)
+        raw = sum(column_of(ms, "internodes", "fresh_weight_g"))
         assert total_from_entries == pytest.approx(raw, rel=1e-9)
 
     def test_permutation_invariance(self):
         topo, ms = simple_tree([1.0, 2.0, 3.0])
-        reference = build_target_series(ms, topo)
+        reference = targets_of(ms, topo)
         rng = random.Random(1)
         for _ in range(3):
+            internodes = random.sample(rows_of(ms.internodes), len(ms.internodes))
+            leaves = random.sample(rows_of(ms.leaves), len(ms.leaves))
+            rng.shuffle(internodes)
             shuffled = MeasurementSet(
                 axes=ms.axes, gus=ms.gus,
-                internodes=random.sample(ms.internodes, len(ms.internodes)),
-                leaves=random.sample(ms.leaves, len(ms.leaves)),
+                internodes=measured("internodes", internodes),
+                leaves=measured("leaves", leaves),
             )
-            rng.shuffle(shuffled.internodes)
-            assert build_target_series(shuffled, topo) == reference
+            assert targets_of(shuffled, topo) == reference
 
     def test_missing_pa(self):
         _, ms = simple_tree([1.0])
@@ -406,41 +457,42 @@ class TestBuildTargetSeries:
         ms.gus.append(GURecord("T", "B", 1, 1, 1))
         topo = build_topology(ms.axes, ms.gus)
         with pytest.raises(MissingPA, match="^axis 'A' has no PA; classify first$"):
-            build_target_series(ms, topo)
+            targets_of(ms, topo)
         # The topology is the one carrier of PA: classifying one axis is not enough.
         partly = TreeTopology(topo.tree_id, topo.age,
                               {**topo.axes, "A": replace(topo.axes["A"], pa=1)})
         with pytest.raises(MissingPA, match="^axis 'B' has no PA"):
-            build_target_series(ms, partly)
+            targets_of(ms, partly)
 
     def test_records_of_another_tree_raise(self):
         # Pooled with T's, U's 5.0 g internode would make the PA1/CA1 mean 3.0 g.
         topo, ms = simple_tree([1.0, 2.0])
         _, other = simple_tree([5.0, 7.0], tree="U")
-        ms.internodes += other.internodes
+        ms.internodes = measured("internodes", rows_of(ms.internodes) + rows_of(other.internodes))
         with pytest.raises(TreeMismatch, match=r"^tree 'T': record \('A', ca 1\) is of tree 'U'$"):
-            build_target_series(ms, topo)
+            targets_of(ms, topo)
 
     @pytest.mark.parametrize("table", ["internodes", "leaves"])
     def test_record_on_a_missing_gu_raises(self, table):
         topo, ms = simple_tree([1.0, 2.0])
-        records = getattr(ms, table)
-        records.append(records[0]._replace(gu_ca=3))
+        records = rows_of(getattr(ms, table))
+        records.append(records[0][:2] + (3,) + records[0][3:])  # gu_ca 3
+        setattr(ms, table, measured(table, records))
         with pytest.raises(ValidationError, match=r"^tree 'T': record references unknown GU \('A', ca 3\)$"):
-            build_target_series(ms, topo)
+            targets_of(ms, topo)
 
     def test_missing_leaf_samples_inherit_and_warn(self, caplog):
         topo, ms = simple_tree([1.0, 2.0])
-        ms.leaves = [LeafRecord("T", "A", 1, 1, 3.0, 90.0)]  # nothing at ca 2
+        ms.leaves = measured("leaves", [("T", "A", 1, 1, 3.0, 90.0)])  # nothing at ca 2
         with caplog.at_level("WARNING"):
-            ts = build_target_series(ms, topo)
+            ts = targets_of(ms, topo)
         assert any("inheriting" in r.message for r in caplog.records)
         # cycle-2 GU inherits the whole-tree leaf mean (3.0 g)
         assert ts.cumulated[2].cum_blade_mass == pytest.approx(6.0)
 
     def test_json_roundtrip(self):
         topo, ms = simple_tree([1.0, 2.0])
-        ts = build_target_series(ms, topo)
+        ts = targets_of(ms, topo)
         again = TargetSeries.from_json(ts.to_json())
         assert again == ts
 
@@ -452,7 +504,7 @@ class TestBuildTargetSeries:
     def test_malformed_json_names_the_file(self, tmp_path, cut, message):
         topo, ms = simple_tree([1.0, 2.0])
         path = tmp_path / "targets.json"
-        path.write_text(cut(build_target_series(ms, topo).to_json()))
+        path.write_text(cut(targets_of(ms, topo).to_json()))
         with pytest.raises(SchemaError, match=f"^{path}: {message}"):
             TargetSeries.load(path)
         with pytest.raises(SchemaError, match=f"^targets: {message}"):
@@ -482,7 +534,7 @@ class TestBuildTargetSeries:
     ])
     def test_bad_values_name_the_file_and_key(self, tmp_path, mangle, message):
         topo, ms = simple_tree([1.0, 2.0])
-        doc = json.loads(build_target_series(ms, topo).to_json())
+        doc = json.loads(targets_of(ms, topo).to_json())
         mangle(doc)
         path = tmp_path / "targets.json"
         path.write_text(json.dumps(doc))
@@ -493,7 +545,7 @@ class TestBuildTargetSeries:
     def test_zero_values_pass(self):
         # A trace with no seed biomass makes targets of zeros.
         topo, ms = simple_tree([1.0, 2.0])
-        doc = json.loads(build_target_series(ms, topo).to_json())
+        doc = json.loads(targets_of(ms, topo).to_json())
         for entry in [*doc["entries"].values(), *doc["cumulated"].values()]:
             entry.update({k: 0.0 for k in entry if k != "n_internodes"})
         series = TargetSeries.from_json(json.dumps(doc))
@@ -518,12 +570,13 @@ def uneven_two_pa_tree(internodes=True, leaves=True):
               ("B", 3): [(1.0, 20.0)], ("C", 3): [(3.0, 60.0)]}
     ms = MeasurementSet(axes=axes, gus=gus)
     if internodes:
-        ms.internodes = [InternodeRecord("T", a, ca, rank, w, 5.0, 4.0)
-                         for (a, ca), ws in weights.items() for rank, w in enumerate(ws, 1)]
+        ms.internodes = measured("internodes", [
+            ("T", a, ca, rank, w, 5.0, 4.0)
+            for (a, ca), ws in weights.items() for rank, w in enumerate(ws, 1)])
     if leaves:
-        ms.leaves = [LeafRecord("T", a, ca, index, w, area)
-                     for (a, ca), pairs in blades.items()
-                     for index, (w, area) in enumerate(pairs, 1)]
+        ms.leaves = measured("leaves", [("T", a, ca, index, w, area)
+                                        for (a, ca), pairs in blades.items()
+                                        for index, (w, area) in enumerate(pairs, 1)])
     return topo, ms
 
 
@@ -533,7 +586,7 @@ class TestTargetFallbacks:
     def test_each_level_inherits_its_exact_mean_and_warns(self, caplog):
         topo, ms = uneven_two_pa_tree()
         with caplog.at_level("WARNING", logger="fspm.ingest"):
-            ts = build_target_series(ms, topo)
+            ts = targets_of(ms, topo)
         tree_blade, tree_area = 18.0 / 5, 360.0 / 5  # every leaf of the tree
         assert ts.entries == {
             # CA 1 has no leaves: the tree's means.
@@ -566,7 +619,7 @@ class TestTargetFallbacks:
     def test_a_kind_with_no_rows_anywhere_raises(self, kind, label):
         topo, ms = uneven_two_pa_tree(**{kind: False})
         with pytest.raises(ValidationError, match=f"^no {label} samples anywhere in the tree$"):
-            build_target_series(ms, topo)
+            targets_of(ms, topo)
 
 
 class TestSamplesByGU:
@@ -581,10 +634,10 @@ class TestSamplesByGU:
 
     def test_every_gu_in_topology_order_with_records_in_record_order(self):
         topo = self.two_axis_tree()
-        internodes = [InternodeRecord("T", "B", 2, 1, 1.0, 2.0, 3.0),
-                      InternodeRecord("T", "A", 1, 2, 4.0, 5.0, 6.0),
-                      InternodeRecord("T", "A", 1, 1, 7.0, 8.0, 9.0)]
-        leaves = [LeafRecord("T", "A", 2, 1, 1.5, 40.0)]
+        internodes = measured("internodes", [("T", "B", 2, 1, 1.0, 2.0, 3.0),
+                                             ("T", "A", 1, 2, 4.0, 5.0, 6.0),
+                                             ("T", "A", 1, 1, 7.0, 8.0, 9.0)])
+        leaves = measured("leaves", [("T", "A", 2, 1, 1.5, 40.0)])
         table = samples_by_gu(topo, internodes, leaves)
         per_gu = list(table.per_gu(topo))
         assert [gu for gu, _, _ in per_gu] == list(topo.iter_gus())
@@ -605,7 +658,8 @@ class TestSamplesByGU:
         ("T", [("A", 1), ("A", 2), ("A", 3), ("B", 2)]),  # another GU list
     ])
     def test_table_read_with_another_topology_raises_tree_mismatch(self, tree_id, gus):
-        table = samples_by_gu(self.two_axis_tree(), [], [])
+        table = samples_by_gu(self.two_axis_tree(), measured("internodes", []),
+                              measured("leaves", []))
         axes = [AxisRecord(tree_id, "B", "A", 1), AxisRecord(tree_id, "A", None, None)]
         other = build_topology(axes, [GURecord(tree_id, a, ca, 2, 2) for a, ca in gus])
         message = f"^GU table of tree 'T' does not match the GUs of tree '{tree_id}'$"
@@ -615,24 +669,25 @@ class TestSamplesByGU:
 
     def test_table_reads_the_topology_it_classifies(self):
         topo = self.two_axis_tree()
-        table = samples_by_gu(topo, [], [LeafRecord("T", "B", 2, 1, 1.5, 40.0)])
+        table = samples_by_gu(topo, measured("internodes", []),
+                              measured("leaves", [("T", "B", 2, 1, 1.5, 40.0)]))
         classified = with_physio_ages(topo, {"A": 1, "B": 2})
         assert [(axis.pa, rows) for axis, _, rows in table.top_gus(classified)] == [
             (1, slice(0, 0)), (2, slice(0, 1))]
 
     def test_record_of_another_tree_raises_tree_mismatch(self):
         topo = self.two_axis_tree()
-        stray = LeafRecord("U", "A", 1, 1, 1.5, 40.0)
+        stray = ("U", "A", 1, 1, 1.5, 40.0)
         with pytest.raises(TreeMismatch, match=r"^tree 'T': record \('A', ca 1\) is of tree 'U'$"):
-            samples_by_gu(topo, [], [stray])
+            samples_by_gu(topo, measured("internodes", []), measured("leaves", [stray]))
 
     @pytest.mark.parametrize("axis_id, ca", [("C", 1), ("B", 1), ("A", 3)])
     def test_record_on_a_missing_gu_raises(self, axis_id, ca):
         topo = self.two_axis_tree()
-        stray = InternodeRecord("T", axis_id, ca, 1, 1.0, 2.0, 3.0)
+        stray = ("T", axis_id, ca, 1, 1.0, 2.0, 3.0)
         with pytest.raises(ValidationError,
                            match=rf"^tree 'T': record references unknown GU \('{axis_id}', ca {ca}\)$"):
-            samples_by_gu(topo, [stray], [])
+            samples_by_gu(topo, measured("internodes", [stray]), measured("leaves", []))
 
 
 GROVE = DATA / "grove"
@@ -758,9 +813,10 @@ class TestSingleFixtureHandValues:
         ms = parse_measurements(d / "axes.csv", d / "gus.csv",
                                 d / "internodes.csv", d / "leaves.csv")
         topo = ms.topology()
-        pa_map, _ = classify_axes(topo, ms.internodes, 3)
+        samples = samples_by_gu(topo, ms.internodes, ms.leaves)
+        pa_map, _ = classify_axes(topo, samples, 3)
         classified = with_physio_ages(topo, pa_map)
-        return pa_map, build_target_series(ms, classified)
+        return pa_map, build_target_series(samples, classified)
 
     def test_classification(self, fixture_series):
         pa_map, _ = fixture_series
@@ -798,8 +854,8 @@ class TestTreeJson:
         text = tree_to_json(topo, ms)
         topo2, ms2 = tree_from_json(text)
         assert topo2 == topo
-        assert ms2.internodes == ms.internodes
-        assert ms2.leaves == ms.leaves
+        assert rows_of(ms2.internodes) == rows_of(ms.internodes)
+        assert rows_of(ms2.leaves) == rows_of(ms.leaves)
         assert tree_to_json(topo2, ms2) == text
 
     @pytest.mark.parametrize("cut, message", [
@@ -911,7 +967,7 @@ class TestTreeJsonCells:
         doc = self.document()
         doc["measurements"]["internodes"][0]["length_cm"] = 5
         _, ms = tree_from_json(self.text(doc))
-        assert ms.internodes[0].length == 5
+        assert column_of(ms, "internodes", "length_cm")[0] == 5
 
     def test_first_fault_in_row_order_then_column_order(self):
         doc = self.document()
@@ -1023,8 +1079,6 @@ class TestRecords:
     RECORDS = [
         AxisRecord("T", "A", None, None),
         GURecord("T", "A", 1, 3, 3),
-        InternodeRecord("T", "A", 1, 1, 2.0, 3.0, 4.0),
-        LeafRecord("T", "A", 1, 1, 1.0, 30.0),
     ]
 
     @pytest.mark.parametrize("record", RECORDS)
@@ -1040,10 +1094,6 @@ class TestRecords:
         assert AxisRecord._fields == ("tree_id", "axis_id", "parent_axis_id", "insertion_ca")
         assert GURecord._fields == (
             "tree_id", "axis_id", "gu_ca", "internode_count", "leaf_scar_count")
-        assert InternodeRecord._fields == (
-            "tree_id", "axis_id", "gu_ca", "rank_in_gu", "fresh_weight", "length", "diameter")
-        assert LeafRecord._fields == (
-            "tree_id", "axis_id", "gu_ca", "sample_index", "fresh_weight", "area")
         gu = GURecord(tree_id="T", axis_id="A", gu_ca=2, internode_count=3)
         assert gu.leaf_scar_count == 0
         assert gu == GURecord("T", "A", 2, 3, 0)
@@ -1055,8 +1105,9 @@ def json_dumps_tree(topology, ms):
     """Oracle: the document tree_to_json writes, built as dicts and lists
     and written by json.dumps; each measurement table an object of one
     array per key, rows sorted by their identity."""
-    internodes = sorted(ms.internodes, key=lambda r: (r.axis_id, r.gu_ca, r.rank_in_gu))
-    leaves = sorted(ms.leaves, key=lambda r: (r.axis_id, r.gu_ca, r.sample_index))
+    # Rows as tuples: tree_id, axis_id, gu_ca, rank or sample index, then the measurements.
+    internodes = sorted(rows_of(ms.internodes), key=itemgetter(1, 2, 3))
+    leaves = sorted(rows_of(ms.leaves), key=itemgetter(1, 2, 3))
     doc = {
         "tree_id": topology.tree_id,
         "age": topology.age,
@@ -1075,19 +1126,19 @@ def json_dumps_tree(topology, ms):
         ],
         "measurements": {
             "internodes": {
-                "axis_id": [r.axis_id for r in internodes],
-                "gu_ca": [r.gu_ca for r in internodes],
-                "rank_in_gu": [r.rank_in_gu for r in internodes],
-                "fresh_weight_g": [r.fresh_weight for r in internodes],
-                "length_cm": [r.length for r in internodes],
-                "diameter_mm": [r.diameter for r in internodes],
+                "axis_id": [r[1] for r in internodes],
+                "gu_ca": [r[2] for r in internodes],
+                "rank_in_gu": [r[3] for r in internodes],
+                "fresh_weight_g": [r[4] for r in internodes],
+                "length_cm": [r[5] for r in internodes],
+                "diameter_mm": [r[6] for r in internodes],
             },
             "leaves": {
-                "axis_id": [r.axis_id for r in leaves],
-                "gu_ca": [r.gu_ca for r in leaves],
-                "sample_index": [r.sample_index for r in leaves],
-                "fresh_weight_g": [r.fresh_weight for r in leaves],
-                "area_cm2": [r.area for r in leaves],
+                "axis_id": [r[1] for r in leaves],
+                "gu_ca": [r[2] for r in leaves],
+                "sample_index": [r[3] for r in leaves],
+                "fresh_weight_g": [r[4] for r in leaves],
+                "area_cm2": [r[5] for r in leaves],
             },
         },
     }
@@ -1123,11 +1174,12 @@ def documented_trees(draw):
         first[axis_id] = ins
     topo = build_topology(axes, gus)
     keys = st.tuples(st.sampled_from(ids), st.integers(1, age), st.integers(1, 3))
-    internodes = [InternodeRecord(tree_id, a, ca, k, *draw(st.tuples(ANY_VALUE, ANY_VALUE, ANY_VALUE)))
+    internodes = [(tree_id, a, ca, k, *draw(st.tuples(ANY_VALUE, ANY_VALUE, ANY_VALUE)))
                   for a, ca, k in draw(st.lists(keys, max_size=6))]
-    leaves = [LeafRecord(tree_id, a, ca, k, *draw(st.tuples(ANY_VALUE, ANY_VALUE)))
+    leaves = [(tree_id, a, ca, k, *draw(st.tuples(ANY_VALUE, ANY_VALUE)))
               for a, ca, k in draw(st.lists(keys, max_size=6))]
-    return topo, MeasurementSet(axes=axes, gus=gus, internodes=internodes, leaves=leaves)
+    return topo, MeasurementSet(axes=axes, gus=gus, internodes=measured("internodes", internodes),
+                                leaves=measured("leaves", leaves))
 
 
 class TestTreeJsonWriter:
@@ -1149,7 +1201,7 @@ class TestTreeJsonWriter:
     @pytest.mark.parametrize("value", [np.int64(3), np.float32(1.5), object(), b"1", 1j])
     def test_non_json_value_raises_type_error(self, value):
         topo, ms = simple_tree([1.0, 2.0])
-        ms.internodes[1] = ms.internodes[1]._replace(length=value)
+        column_of(ms, "internodes", "length_cm")[1] = value
         with pytest.raises(TypeError):
             json_dumps_tree(topo, ms)
         with pytest.raises(TypeError, match="is not JSON serializable"):
@@ -1157,7 +1209,7 @@ class TestTreeJsonWriter:
 
     def test_numpy_float64_written_as_float(self):
         topo, ms = simple_tree([1.0, 2.0])
-        ms.internodes[0] = ms.internodes[0]._replace(diameter=np.float64(0.1))
+        column_of(ms, "internodes", "diameter_mm")[0] = np.float64(0.1)
         assert tree_to_json(topo, ms) == json_dumps_tree(topo, ms)
 
 
@@ -1215,7 +1267,8 @@ class TestTreeJsonDocument:
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
         assert with_layout(json.loads(golden), layout) == json.loads(text)
         topology, ms = tree_from_json(golden)
-        assert tree_from_json(text) == (topology, ms)
+        again, again_ms = tree_from_json(text)
+        assert again == topology and table_rows(again_ms) == table_rows(ms)
         assert tree_to_json(*tree_from_json(text)) == golden
 
     @pytest.mark.parametrize("layout", LAYOUTS)
@@ -1238,7 +1291,7 @@ CYCLE = st.integers(1, 40)
 
 @st.composite
 def measurement_sets(draw):
-    """Records that parse_measurements accepts, in serialize_measurements's order."""
+    """Rows that parse_measurements accepts, in serialize_measurements's order."""
     axes = draw(st.lists(
         st.builds(AxisRecord, CSV_ID, CSV_ID, st.none() | PARENT_ID, st.none() | CYCLE),
         unique_by=lambda r: r[:2], max_size=4))
@@ -1248,16 +1301,17 @@ def measurement_sets(draw):
     # Each measurement row sits on a drawn GU: parse_measurements rejects any other.
     place = st.sampled_from([gu[:3] for gu in gus]) if gus else st.nothing()
     internodes = draw(st.lists(
-        st.builds(lambda gu, *cells: InternodeRecord(*gu, *cells),
+        st.builds(lambda gu, *cells: (*gu, *cells),
                   place, CYCLE, MEASURED, MEASURED, MEASURED),
         unique_by=lambda r: r[:4], max_size=4))
     leaves = draw(st.lists(
-        st.builds(lambda gu, *cells: LeafRecord(*gu, *cells),
+        st.builds(lambda gu, *cells: (*gu, *cells),
                   place, st.integers(1, 3), MEASURED, MEASURED),
         unique_by=lambda r: r[:4], max_size=4))
+    identity = itemgetter(slice(4))
     return MeasurementSet(axes=sorted(axes), gus=sorted(gus),
-                          internodes=sorted(internodes, key=lambda r: r[:4]),
-                          leaves=sorted(leaves, key=lambda r: r[:4]))
+                          internodes=measured("internodes", sorted(internodes, key=identity)),
+                          leaves=measured("leaves", sorted(leaves, key=identity)))
 
 
 class TestSerializeRoundTrip:
@@ -1270,7 +1324,7 @@ class TestSerializeRoundTrip:
                 paths[name].write_text(text, encoding="utf-8", newline="")
             again = parse_measurements(paths["axes"], paths["gus"],
                                        paths["internodes"], paths["leaves"])
-        assert again == ms
+        assert table_rows(again) == table_rows(ms)
 
     def test_id_with_comma_survives(self, tmp_path):
         ms = MeasurementSet(axes=[AxisRecord("T", "a,1", None, None)])

@@ -7,16 +7,17 @@ from hypothesis import example, given, strategies as st
 from fspm import (
     AxisRecord,
     GURecord,
-    InternodeRecord,
     assign_pa,
     build_topology,
     classify_axes,
     cluster_1d,
+    samples_by_gu,
     top_internode_weight,
 )
 from fspm.errors import (KTooLarge, MainAxisNotHeaviest, NoTerminalData, TreeMismatch,
                          ValidationError)
 from fspm.pa_classify import _BLOCK
+from test_ingest import measured
 
 
 def brute_force_wcss(values, k):
@@ -154,7 +155,12 @@ def block_sized_values(draw):
 
 
 def internode(axis_id, ca, rank, weight):
-    return InternodeRecord("T", axis_id, ca, rank, weight, 5.0, 4.0)
+    return ("T", axis_id, ca, rank, weight, 5.0, 4.0)
+
+
+def samples(t, internodes):
+    """The per-GU table of ``t`` with ``internodes`` and no leaf rows."""
+    return samples_by_gu(t, measured("internodes", internodes), measured("leaves", []))
 
 
 def tree_with_axes(layout):
@@ -173,12 +179,12 @@ class TestTopInternodeWeight:
         t = tree_with_axes({"A": (None, None, [1, 2])})
         records = [internode("A", 2, 1, 2.0), internode("A", 2, 2, 4.0),
                    internode("A", 1, 1, 9.0)]
-        assert top_internode_weight(t, records) == {"A": 3.0}
+        assert top_internode_weight(t, samples(t, records)) == {"A": 3.0}
 
     def test_single_gu_axis(self):
         t = tree_with_axes({"A": (None, None, [1])})
         records = [internode("A", 1, 1, 7.5)]
-        assert top_internode_weight(t, records) == {"A": 7.5}
+        assert top_internode_weight(t, samples(t, records)) == {"A": 7.5}
 
     def test_four_axis_hand_walk(self):
         t = tree_with_axes({
@@ -193,27 +199,27 @@ class TestTopInternodeWeight:
             internode("C", 3, 1, 1.0), internode("C", 3, 2, 2.0),
             internode("D", 3, 1, 6.0),
         ]
-        assert top_internode_weight(t, records) == {
+        assert top_internode_weight(t, samples(t, records)) == {
             "A": 11.0, "B": 4.0, "C": 1.5, "D": 6.0,
         }
 
     def test_no_terminal_data(self):
         t = tree_with_axes({"A": (None, None, [1, 2])})
         with pytest.raises(NoTerminalData):
-            top_internode_weight(t, [internode("A", 1, 1, 3.0)])
+            top_internode_weight(t, samples(t, [internode("A", 1, 1, 3.0)]))
 
     def test_record_of_another_tree_raises_tree_mismatch(self):
         # Pooled, U's 9.0 g internode would lift A's top weight to 6.0 g.
         t = tree_with_axes({"A": (None, None, [1])})
-        records = [internode("A", 1, 1, 3.0), internode("A", 1, 2, 9.0)._replace(tree_id="U")]
+        records = [internode("A", 1, 1, 3.0), ("U", *internode("A", 1, 2, 9.0)[1:])]
         with pytest.raises(TreeMismatch, match=r"^tree 'T': record \('A', ca 1\) is of tree 'U'$"):
-            top_internode_weight(t, records)
+            top_internode_weight(t, samples(t, records))
 
     def test_record_on_a_missing_gu_raises(self):
         t = tree_with_axes({"A": (None, None, [1])})
         records = [internode("A", 1, 1, 3.0), internode("B", 1, 1, 9.0)]
         with pytest.raises(ValidationError, match=r"^tree 'T': record references unknown GU \('B', ca 1\)$"):
-            top_internode_weight(t, records)
+            top_internode_weight(t, samples(t, records))
 
 
 class TestCluster1D:
@@ -398,13 +404,13 @@ class TestClassifyAxes:
             internode("B", 3, 1, 4.2),
             internode("C", 3, 1, 1.4),
         ]
-        pa_map, part = classify_axes(t, records, 3)
+        pa_map, part = classify_axes(t, samples(t, records), 3)
         assert pa_map == {"A": 1, "B": 2, "C": 3}
         assert part.k == 3
 
     def test_k_reduced_for_small_trees(self):
         t = tree_with_axes({"A": (None, None, [1]), "B": ("A", 1, [2])})
         records = [internode("A", 1, 1, 10.0), internode("B", 2, 1, 2.0)]
-        pa_map, part = classify_axes(t, records, 5)
+        pa_map, part = classify_axes(t, samples(t, records), 5)
         assert part.k == 2
         assert pa_map == {"A": 1, "B": 2}
