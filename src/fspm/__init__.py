@@ -55,10 +55,8 @@ from .pa_classify import (
 )
 from .topology import (
     Axis,
-    AxisRecord,
     GrowthRules,
     GrowthUnit,
-    GURecord,
     TreeTopology,
     build_topology,
     generate_topology,
@@ -69,9 +67,8 @@ from .topology import (
 __all__ = [
     "__version__",
     # topology
-    "Axis", "AxisRecord", "GrowthRules", "GrowthUnit", "GURecord",
-    "TreeTopology", "build_topology", "generate_topology", "organ_census",
-    "with_physio_ages",
+    "Axis", "GrowthRules", "GrowthUnit", "TreeTopology", "build_topology",
+    "generate_topology", "organ_census", "with_physio_ages",
     # ingest
     "MeasurementSet", "TargetSeries", "build_target_series", "parse_measurements",
     "samples_by_gu", "tree_from_json", "tree_to_json",

@@ -29,6 +29,7 @@ from .errors import (
     MissingPA,
     ValidationError,
     _given_once,
+    _json_key,
     _json_number,
     read_text,
     schema_errors,
@@ -107,16 +108,18 @@ class DirectParams:
 
         Raises:
             SchemaError: the text is not JSON, lacks a key, or holds a value
-                of the wrong type or range.
+                of the wrong type or range, or a PA key that is not an
+                integer >= 1 written as ``str`` writes it.
         """
         with schema_errors(source):
             doc = json.loads(text)
             return cls(
-                p_int={int(k): _json_number(v, f"p_int[{k!r}]")
+                p_int={_json_key(k, f"p_int[{k!r}]"): _json_number(v, f"p_int[{k!r}]")
                        for k, v in doc["p_int"].items()},
                 allometry={
-                    int(k): (_json_number(v["b"], f"allometry[{k!r}].b"),
-                             _json_number(v["beta"], f"allometry[{k!r}].beta"))
+                    _json_key(k, f"allometry[{k!r}]"): (
+                        _json_number(v["b"], f"allometry[{k!r}].b"),
+                        _json_number(v["beta"], f"allometry[{k!r}].beta"))
                     for k, v in doc["allometry"].items()
                 },
                 slw=_json_number(doc["slw"], "slw"),

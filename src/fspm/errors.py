@@ -168,6 +168,21 @@ def _json_number(value, where: str) -> float:
                          f"got an integer of {len(str(abs(value)))} digits") from None
 
 
+def _json_key(key: str, where: str) -> int:
+    """A PA, CA or cycle key of a JSON object as the integer >= 1 it names.
+
+    The key must be written as ``str`` writes the integer, so no two keys
+    name one: ``"01"``, ``" 2"``, ``"1_0"`` and ``"+1"`` name none.  Raises
+    ValueError, which :func:`schema_errors` reports with the file.
+    """
+    n = int(key) if key.isascii() and key.removeprefix("-").isdigit() else None
+    if n is None or str(n) != key:
+        raise ValueError(f"{where}: key {key!r} is not an integer as str() writes it")
+    if n < 1:
+        raise ValueError(f"{where}: PA, CA and cycle keys must be >= 1")
+    return n
+
+
 @contextlib.contextmanager
 def utf8_errors(source: str | Path) -> Iterator[None]:
     """Report bytes that are not UTF-8 as one SchemaError naming ``source``.

@@ -12,10 +12,10 @@ follow that declaration.  Columns are found by header name, once each, and
 may come in any order; blank lines are skipped.  Row and cell problems
 are reported with the file and the physical line the row ends on, so blank
 lines and quoted cells that span lines are counted; of several, the first
-row's is reported, and in a row the first column's.  Axis and GU rows
-become ``NamedTuple`` records, which :func:`build_topology` reads; internode
-and leaf rows are only ever held as columns, a :class:`ColumnTable` each,
-up to the per-GU table of :func:`samples_by_gu`.
+row's is reported, and in a row the first column's.  Every table's rows
+are only ever held as columns, a :class:`ColumnTable` each: the axis and
+GU tables up to :func:`build_topology`, the internode and leaf tables up
+to the per-GU table of :func:`samples_by_gu`.
 
 :func:`tree_to_json` builds the canonical tree document as dicts and lists
 and writes it with ``json.dumps(doc, sort_keys=True)``, on one line.  Axes
@@ -29,9 +29,11 @@ layouts apart by each table's JSON type.
 It checks every axis, GU and measurement cell by the rule of its CSV
 column.  A CSV cell is parsed
 and a JSON cell must already have the rule's type; both then go through the
-same column check.  Both readers then reject the first internode, else leaf,
-row on a GU its tree lacks, so a tree that :func:`parse_measurements`
-accepts comes back from its own document.  These two readers and
+same column check.  :func:`parse_measurements` rejects the first GU row on
+an axis its tree lacks (in the document a GU is nested in its axis); both
+readers then reject the first internode, else leaf, row on a GU its tree
+lacks, so a tree that :func:`parse_measurements` accepts comes back from
+its own document.  These two readers and
 :func:`samples_by_gu` run with the cyclic garbage collector paused.
 """
 from __future__ import annotations
@@ -51,10 +53,10 @@ from operator import attrgetter, eq, itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .errors import (DuplicateKey, InvalidParameter, MissingPA, SchemaError, TreeMismatch,
-                     UnitError, ValidationError, _json_number, read_text, schema_errors,
-                     utf8_errors)
-from .topology import Axis, AxisRecord, GrowthUnit, GURecord, TreeTopology, build_topology
+from .errors import (DanglingParent, DuplicateKey, InvalidParameter, MissingPA, SchemaError,
+                     TreeMismatch, UnitError, ValidationError, _json_key, _json_number,
+                     read_text, schema_errors, utf8_errors)
+from .topology import Axis, GrowthUnit, TreeTopology, build_topology
 
 logger = logging.getLogger(__name__)
 
@@ -65,8 +67,8 @@ def _collector_paused() -> Iterator[None]:
     (as a decorator, around its whole body).
 
     :func:`parse_measurements`, :func:`tree_from_json` and
-    :func:`samples_by_gu` build one tuple, dict or record per row and per
-    key and no reference cycles, so a collection run inside them frees
+    :func:`samples_by_gu` build one tuple or dict per row and per key and
+    no reference cycles, so a collection run inside them frees
     nothing they allocate; yet the collector is triggered by allocation
     counts and would run many times over a large tree.  It is disabled
     only if enabled, and enabled again however the call ends: a caller
@@ -87,8 +89,8 @@ def _collector_paused() -> Iterator[None]:
 
 # A plain class: a NamedTuple class costs more to create, at every import.
 class ColumnTable:
-    """An internode or leaf table: one sequence per CSV column of its table
-    in ``_TABLES``, in that order and all of one length; row ``i`` is entry
+    """A measurement table: one sequence per CSV column of its table in
+    ``_TABLES``, in that order and all of one length; row ``i`` is entry
     ``i`` of every column."""
 
     __slots__ = ("columns",)
@@ -107,32 +109,26 @@ def _no_rows(name: str) -> ColumnTable:
 
 @dataclass
 class MeasurementSet:
-    """Typed rows of the four measurement files.
+    """Typed rows of the four measurement files: a :class:`ColumnTable`
+    each, empty by default."""
 
-    ``axes`` and ``gus`` are lists of records; ``internodes`` and ``leaves``
-    are a :class:`ColumnTable` each, empty by default.
-    """
-
-    axes: list[AxisRecord] = field(default_factory=list)
-    gus: list[GURecord] = field(default_factory=list)
+    axes: ColumnTable = field(default_factory=partial(_no_rows, "axes"))
+    gus: ColumnTable = field(default_factory=partial(_no_rows, "gus"))
     internodes: ColumnTable = field(default_factory=partial(_no_rows, "internodes"))
     leaves: ColumnTable = field(default_factory=partial(_no_rows, "leaves"))
 
     def tree_ids(self) -> list[str]:
-        return sorted({r.tree_id for r in self.axes})
+        return sorted(set(self.axes.columns[0]))
 
     def for_tree(self, tree_id: str) -> "MeasurementSet":
-        def rows(name: str):
-            if name in ("axes", "gus"):
-                return [r for r in getattr(self, name) if r.tree_id == tree_id]
-            columns = getattr(self, name).columns
+        def rows(columns: list[Sequence]) -> ColumnTable:
             keep = list(map(eq, columns[0], repeat(tree_id)))
             return ColumnTable([list(compress(column, keep)) for column in columns])
 
-        return MeasurementSet(**{name: rows(name) for name in _TABLES})
+        return MeasurementSet(**{name: rows(getattr(self, name).columns) for name in _TABLES})
 
     def topology(self) -> TreeTopology:
-        return build_topology(self.axes, self.gus)
+        return build_topology(self.axes.columns, self.gus.columns)
 
 
 class _Rule:
@@ -148,10 +144,8 @@ class _Rule:
 class _Table:
     """One measurement table, as CSV file and as part of the tree document."""
 
-    def __init__(self, record: type | None, columns: Sequence[tuple[str, _Rule]], identity: int,
-                 duplicate: str, json_keys: tuple[str, ...] = (),
-                 fields: tuple[str, ...] = ()) -> None:
-        self.record = record  # whose fields are the columns; None: rows stay a ColumnTable
+    def __init__(self, columns: Sequence[tuple[str, _Rule]], identity: int, duplicate: str,
+                 json_keys: tuple[str, ...] = (), fields: tuple[str, ...] = ()) -> None:
         self.names, self.rules = zip(*columns)  # CSV columns and their rules
         self.identity = identity  # leading columns that identify a row
         self.duplicate = duplicate  # DuplicateKey text for a repeated identity
@@ -171,19 +165,19 @@ _MEASURED = _Rule(float)
 
 # The four tables, in the order parse_measurements takes their files.
 _TABLES = {
-    "axes": _Table(AxisRecord, (
+    "axes": _Table((
         ("tree_id", _TEXT), ("axis_id", _TEXT), ("parent_axis_id", _Rule(str, optional=True)),
         ("insertion_ca", _Rule(int, 1, MAX_CYCLE, optional=True)),
     ), 2, "axis {} declared twice"),
-    "gus": _Table(GURecord, (
+    "gus": _Table((
         ("tree_id", _TEXT), ("axis_id", _TEXT), ("gu_ca", _CYCLE), ("internode_count", _COUNT),
         ("leaf_scar_count", _Rule(int, 0)),
     ), 3, "GU {} declared twice", ("ca", "internode_count", "leaf_scar_count")),
-    "internodes": _Table(None, (
+    "internodes": _Table((
         ("tree_id", _TEXT), ("axis_id", _TEXT), ("gu_ca", _CYCLE), ("rank_in_gu", _COUNT),
         ("fresh_weight_g", _MEASURED), ("length_cm", _MEASURED), ("diameter_mm", _MEASURED),
     ), 4, "internode {} measured twice", fields=("fresh_weight", "length", "diameter")),
-    "leaves": _Table(None, (
+    "leaves": _Table((
         ("tree_id", _TEXT), ("axis_id", _TEXT), ("gu_ca", _CYCLE), ("sample_index", _Rule(int, 1, 3)),
         ("fresh_weight_g", _MEASURED), ("area_cm2", _MEASURED),
     ), 4, "leaf sample {} measured twice", fields=("fresh_weight", "area")),
@@ -259,9 +253,9 @@ def _column(cells: Sequence, rule: _Rule, text: bool) -> tuple[list, ValidationE
 
 
 def _records(table: _Table, columns: Sequence[Sequence], text: bool,
-             names: Sequence[str], where, unique: bool = False) -> list | ColumnTable:
-    """The rows of one table from its columns of cells: records, or for
-    internodes and leaves a :class:`ColumnTable` of the checked values.
+             names: Sequence[str], where, unique: bool = False) -> ColumnTable:
+    """The rows of one table from its columns of cells, a :class:`ColumnTable`
+    of the checked values.
 
     Of several bad cells the first in row order, then column order, is
     reported as ``"<where(row)>: column <names[i]>: ..."``.  With ``unique``
@@ -280,10 +274,7 @@ def _records(table: _Table, columns: Sequence[Sequence], text: bool,
         row, i = bad
         error = read[i][1]
         raise type(error)(f"{where(row)}: column {names[i]!r}: {error}")
-    if table.record is None:
-        return ColumnTable(values)
-    # The record's fields are the columns: ``_make`` without its length check.
-    return list(map(partial(tuple.__new__, table.record), zip(*values)))
+    return ColumnTable(values)
 
 
 def _sorted_rows(columns: list[Sequence], keys: list) -> list[Sequence]:
@@ -295,7 +286,7 @@ def _sorted_rows(columns: list[Sequence], keys: list) -> list[Sequence]:
     return [list(map(column.__getitem__, order)) for column in columns]
 
 
-def _csv_records(path: str | Path, table: _Table) -> list | ColumnTable:
+def _csv_records(path: str | Path, table: _Table) -> ColumnTable:
     """The rows of one measurement CSV file (see :func:`_records`); extra
     columns are ignored."""
     path = Path(path)
@@ -347,24 +338,35 @@ def parse_measurements(
 ) -> MeasurementSet:
     """Parse and validate the four measurement files.
 
-    Each file is checked on its own first; then every internode, then
-    leaf, row must sit on a GU of the GU file, as :func:`tree_from_json`
-    requires of a tree document.  Raises SchemaError for missing columns or
-    malformed cells, UnitError for out-of-range cells, DuplicateKey for
-    repeated identities and ValidationError for a row on a missing GU, each
-    with the offending file and line.
+    Each file is checked on its own first; then every GU row, of every
+    tree, must sit on an axis of the axes file, and every internode, then
+    leaf, row on a GU of the GU file, as :func:`tree_from_json` requires of
+    a tree document.  Raises SchemaError for missing columns or malformed
+    cells, UnitError for out-of-range cells, DuplicateKey for repeated
+    identities, DanglingParent for a GU row on a missing axis and
+    ValidationError for a measurement row on a missing GU, each with the
+    offending file and line.
     """
     paths = dict(zip(_TABLES, map(Path, (axes_path, gus_path, internodes_path, leaves_path))))
     ms = MeasurementSet(**{name: _csv_records(paths[name], table)
                            for name, table in _TABLES.items()})
-    _check_sampled_gus(ms, lambda name, row: f"{paths[name]}:{_line(paths[name], row)}")
+
+    def where(name: str, row: int) -> str:
+        return f"{paths[name]}:{_line(paths[name], row)}"
+
+    axes = set(zip(*ms.axes.columns[:2]))  # each axis's tree and id
+    for row, (tree_id, axis_id) in enumerate(zip(*ms.gus.columns[:2])):
+        if (tree_id, axis_id) not in axes:
+            raise DanglingParent(f"{where('gus', row)}: GU references unknown axis "
+                                 f"{axis_id!r} of tree {tree_id!r}")
+    _check_sampled_gus(ms, where)
     return ms
 
 
 def _check_sampled_gus(ms: MeasurementSet, where) -> None:
     """Raise ValidationError at the first internode, then leaf, row on a
     GU that ``ms.gus`` lacks, placed by ``where(table name, row)``."""
-    gus = set(map(itemgetter(0, 1, 2), ms.gus))  # each GU's tree, axis and cycle
+    gus = set(zip(*ms.gus.columns[:3]))  # each GU's tree, axis and cycle
     for name in ("internodes", "leaves"):
         columns = getattr(ms, name).columns[:3]
         if not gus.issuperset(zip(*columns)):
@@ -513,15 +515,14 @@ class TargetSeries:
 
         Raises:
             SchemaError: the text is not JSON, lacks a key, or holds a value
-                of the wrong type or range: a PA, CA or cycle key < 1, an
+                of the wrong type or range: a PA, CA or cycle key that is
+                not an integer >= 1 written as ``str`` writes it, an
                 ``n_internodes`` that is not an integer >= 1, or another
                 value that is not finite and >= 0 (zeros come from a trace
                 with no seed biomass) or is an integer no float can hold.
         """
 
-        def checked(where: str, keys: Sequence[int], record):
-            if min(keys) < 1:
-                raise InvalidParameter(f"{where}: PA, CA and cycle keys must be >= 1")
+        def checked(where: str, record):
             values = asdict(record)
             for name, value in values.items():
                 if name == "n_internodes":
@@ -539,10 +540,11 @@ class TargetSeries:
             doc = json.loads(text)
             entries = {}
             for key, val in doc["entries"].items():
-                pa, ca = map(int, key.split(","))
-                entries[(pa, ca)] = checked(f"entries[{key!r}]", (pa, ca), TargetEntry(**val))
+                where = f"entries[{key!r}]"
+                pa, ca = (_json_key(k, where) for k in key.split(","))
+                entries[(pa, ca)] = checked(where, TargetEntry(**val))
             cumulated = {
-                int(k): checked(f"cumulated[{k!r}]", (int(k),), CumEntry(**v))
+                _json_key(k, f"cumulated[{k!r}]"): checked(f"cumulated[{k!r}]", CumEntry(**v))
                 for k, v in doc["cumulated"].items()
             }
             return cls(tree_id=doc["tree_id"], entries=entries, cumulated=cumulated)

@@ -4,7 +4,8 @@ An axis is an ordered run of growth units (GUs), one per growth cycle; each
 GU carries a number of internodes, and every internode bears one blade.  Axes
 are ranked by a physiological age (PA, 1 = main stem) assigned after
 classification, while the chronological age (CA) of a GU is the cycle at
-which it appeared.  Topologies are immutable once built and safe to share
+which it appeared.  A measured tree is built from the columns of its axis
+and GU tables.  Topologies are immutable once built and safe to share
 across threads.
 """
 from __future__ import annotations
@@ -13,6 +14,7 @@ import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
+from numbers import Integral
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -37,25 +39,6 @@ DEFAULT_P_MAX = 5
 
 INTERNODE = "internode"
 BLADE = "blade"
-
-
-class AxisRecord(NamedTuple):
-    """One row of an axes file: identity and attachment of an axis."""
-
-    tree_id: str
-    axis_id: str
-    parent_axis_id: str | None
-    insertion_ca: int | None
-
-
-class GURecord(NamedTuple):
-    """One row of a GU file: organ counts of a single growth unit."""
-
-    tree_id: str
-    axis_id: str
-    gu_ca: int
-    internode_count: int
-    leaf_scar_count: int = 0
 
 
 @dataclass(frozen=True)
@@ -239,17 +222,19 @@ class TreeTopology:
         return ranges
 
 
-def build_topology(
-    axis_records: Sequence[AxisRecord], gu_records: Sequence[GURecord]
-) -> TreeTopology:
-    """Assemble and validate a single tree from axis and GU rows.
+def build_topology(axes: Sequence[Sequence], gus: Sequence[Sequence]) -> TreeTopology:
+    """Assemble and validate a single tree from the axis and GU tables.
 
-    Rows may arrive in any order; the result is canonical (axes sorted by id,
-    GUs by cycle) so identical record sets always produce identical trees.
-    Equal growth units of the tree are one (frozen) object.
+    ``axes`` and ``gus`` are the tables' columns in their CSV column order
+    (``tree_id, axis_id, parent_axis_id, insertion_ca`` and ``tree_id,
+    axis_id, gu_ca, internode_count, leaf_scar_count``), all of one length
+    in each table; row ``i`` is entry ``i`` of every column.  Rows may come
+    in any order; the result is canonical (axes sorted by id, GUs by cycle)
+    so identical row sets always produce identical trees.  Equal growth
+    units of the tree are one (frozen) object.
 
     The first broken rule is raised: the axis rules, then the GU row rules
-    in record order, then each axis's GU rules by axis id, then the
+    in row order, then each axis's GU rules by axis id, then the
     attachment rules by axis id.  Leaf scar counts that differ from the
     internode counts are logged axis by axis, before any later axis's fault.
 
@@ -260,82 +245,87 @@ def build_topology(
         NonContiguousCA: the GU cycle sequence of an axis has a gap.
         BadInsertion: a child does not attach to an existing parent GU, or
             its first GU is not at the insertion cycle or one cycle later.
-        DuplicateKey, InvalidTopology: identity or structural rule broken.
+        DuplicateKey, InvalidTopology: identity or structural rule broken,
+            or a table's columns differ in length.
     """
-    if not axis_records:
+    for name, columns in (("axis", axes), ("GU", gus)):
+        if len(set(map(len, columns))) > 1:  # zip would drop the longer columns' rows
+            raise InvalidTopology(f"{name} table columns differ in length: "
+                                  f"{[len(column) for column in columns]}")
+    if not axes[0]:
         raise InvalidTopology("no axis records")
-    tree_ids = {r.tree_id for r in axis_records} | {r.tree_id for r in gu_records}
+    tree_ids = set(axes[0]) | set(gus[0])
     if len(tree_ids) != 1:
         raise InvalidTopology(f"records span multiple trees: {sorted(tree_ids)}")
     tree_id = tree_ids.pop()
 
-    by_id: dict[str, AxisRecord] = {}
-    for rec in axis_records:
-        if rec.axis_id in by_id:
-            raise DuplicateKey(f"axis {rec.axis_id!r} declared twice")
-        by_id[rec.axis_id] = rec
+    by_id: dict[str, tuple[str | None, int | None]] = {}  # parent id and insertion cycle
+    for axis_id, parent_id, insertion_ca in zip(*axes[1:]):
+        if axis_id in by_id:
+            raise DuplicateKey(f"axis {axis_id!r} declared twice")
+        by_id[axis_id] = parent_id, insertion_ca
 
-    roots = [r for r in by_id.values() if r.parent_axis_id is None]
+    roots = [axis_id for axis_id, (parent_id, _) in by_id.items() if parent_id is None]
     if len(roots) != 1:
         raise InvalidTopology(
             f"tree {tree_id!r} must have exactly one root axis, found {len(roots)}"
         )
 
-    for rec in by_id.values():
-        if rec.parent_axis_id is not None and rec.parent_axis_id not in by_id:
+    for axis_id, (parent_id, _) in by_id.items():
+        if parent_id is not None and parent_id not in by_id:
             raise DanglingParent(
-                f"axis {rec.axis_id!r} names unknown parent {rec.parent_axis_id!r}"
+                f"axis {axis_id!r} names unknown parent {parent_id!r}"
             )
 
     # Parent links must form a tree rooted at the single root.  A walk ends
     # at an axis an earlier walk reached the root from; a loop reaches none.
     rooted: set[str] = set()
-    for rec in by_id.values():
-        seen = {rec.axis_id}
-        cur = rec.parent_axis_id
+    for axis_id, (cur, _) in by_id.items():
+        seen = {axis_id}
         while cur is not None and cur not in rooted:
             if cur in seen:
                 raise CycleDetected(f"parent links loop through axis {cur!r}")
             seen.add(cur)
-            cur = by_id[cur].parent_axis_id
+            cur = by_id[cur][0]
         rooted |= seen
 
-    axes = _assembled(by_id, gu_records)
-    age = max(axis.last_ca for axis in axes.values())
-    return TreeTopology(tree_id=tree_id, age=age, axes=axes)
+    axes_of = _assembled(by_id, gus)
+    age = max(axis.last_ca for axis in axes_of.values())
+    return TreeTopology(tree_id=tree_id, age=age, axes=axes_of)
 
 
 def _assembled(
-    by_id: Mapping[str, AxisRecord], gu_records: Sequence[GURecord]
+    by_id: Mapping[str, tuple[str | None, int | None]], gus: Sequence[Sequence]
 ) -> dict[str, Axis]:
-    """The axes of the GU rows, keyed by id in sorted order; raises the
-    first broken GU or attachment rule, in :func:`build_topology`'s order.
+    """The axes of the GU table ``gus`` (its columns), keyed by id in sorted
+    order; raises the first broken GU or attachment rule, in
+    :func:`build_topology`'s order.
 
     One sort groups the rows by axis and orders each axis's cycles, and an
     axis's cycles are checked against one ``range``.
     """
     try:
-        rows = sorted(gu_records, key=itemgetter(1, 2))  # by axis id, then cycle
+        rows = sorted(zip(*gus), key=itemgetter(1, 2))  # by axis id, then cycle
         groups = {axis_id: list(group) for axis_id, group in groupby(rows, key=itemgetter(1))}
         rows_hold = groups.keys() <= by_id.keys() and (not rows or (
-            min(map(itemgetter(2), rows)) >= 1 and min(map(itemgetter(3), rows)) >= 1))
+            min(gus[2]) >= 1 and min(gus[3]) >= 1))
     except TypeError:  # a cell that does not compare: its row's rule meets it
         rows_hold = False
     if not rows_hold:  # a column minimum cannot say which row broke it
-        for rec in gu_records:
-            if rec.axis_id not in by_id:
-                raise DanglingParent(f"GU references unknown axis {rec.axis_id!r}")
-            if rec.gu_ca < 1:
-                raise InvalidTopology(f"axis {rec.axis_id!r}: GU ca {rec.gu_ca} < 1")
-            if rec.internode_count < 1:
+        for _, axis_id, ca, count, _ in zip(*gus):
+            if axis_id not in by_id:
+                raise DanglingParent(f"GU references unknown axis {axis_id!r}")
+            if ca < 1:
+                raise InvalidTopology(f"axis {axis_id!r}: GU ca {ca} < 1")
+            if count < 1:
                 raise InvalidTopology(
-                    f"axis {rec.axis_id!r} GU ca {rec.gu_ca}: internode_count < 1"
+                    f"axis {axis_id!r} GU ca {ca}: internode_count < 1"
                 )
         # No row breaks a row rule, so a sort failed: it raises its TypeError again.
-        rows = sorted(gu_records, key=itemgetter(1, 2))
+        rows = sorted(zip(*gus), key=itemgetter(1, 2))
     key = itemgetter(2, 3, 4)  # ca, internode and leaf scar counts
     units = {k: GrowthUnit(*k) for k in set(map(key, rows))}  # equal GUs share one object
-    gus = list(map(units.__getitem__, map(key, rows)))
+    gu_objects = list(map(units.__getitem__, map(key, rows)))
     axes: dict[str, Axis] = {}
     done = 0  # rows of the axes whose GU rules hold
     cycle = itemgetter(2)
@@ -349,9 +339,7 @@ def _assembled(
             if cas[k] == cas[k - 1]:
                 raise DuplicateKey(f"axis {axis_id!r}: GU ca {cas[k]} declared twice")
             raise NonContiguousCA(f"axis {axis_id!r}: GU ca jumps from {cas[k - 1]} to {cas[k]}")
-        rec = by_id[axis_id]
-        axes[axis_id] = Axis(axis_id, rec.parent_axis_id, rec.insertion_ca,
-                             tuple(gus[done : done + len(cas)]))
+        axes[axis_id] = Axis(axis_id, *by_id[axis_id], tuple(gu_objects[done : done + len(cas)]))
         done += len(cas)
     if any(scars and scars != count for _, count, scars in units):
         _warn_scars(rows)
@@ -373,13 +361,15 @@ def _assembled(
     return axes
 
 
-def _warn_scars(rows: Sequence[GURecord]) -> None:
-    """One blade per internode is structural; leaf scars only flag odd rows."""
-    for g in rows:
-        if g.leaf_scar_count and g.leaf_scar_count != g.internode_count:
+def _warn_scars(rows: Sequence[tuple]) -> None:
+    """Log the GU rows, tuples in the GU table's column order, whose leaf
+    scars are not one per internode: one blade per internode is structural,
+    so scars only flag odd rows."""
+    for _, axis_id, ca, count, scars in rows:
+        if scars and scars != count:
             logger.warning(
                 "axis %s GU ca %d: %d leaf scars for %d internodes",
-                g.axis_id, g.gu_ca, g.leaf_scar_count, g.internode_count,
+                axis_id, ca, scars, count,
             )
 
 
@@ -389,10 +379,10 @@ def with_physio_ages(
     """Return a copy of the topology with physiological ages applied.
 
     This is the one place a PA map becomes PAs: later stages read
-    ``Axis.pa``.  The map must give every axis of the tree a PA in
-    1..p_max, the root PA 1, and name no axis the tree lacks (such a map
-    is another tree's); a child with a PA below its parent is a data
-    anomaly that is logged, not rejected.
+    ``Axis.pa``.  The map must give every axis of the tree an integer PA
+    (a ``bool`` is none) in 1..p_max, the root PA 1, and name no axis the
+    tree lacks (such a map is another tree's); a child with a PA below its
+    parent is a data anomaly that is logged, not rejected.
     """
     extra = sorted(set(pa_map) - set(t.axes))
     if extra:
@@ -402,7 +392,10 @@ def with_physio_ages(
         axis = t.axes[axis_id]
         if axis_id not in pa_map:
             raise MissingPA(f"axis {axis_id!r} has no PA assignment")
-        pa = int(pa_map[axis_id])
+        pa = pa_map[axis_id]
+        if not isinstance(pa, Integral) or isinstance(pa, bool):  # numpy integers are Integral
+            raise MissingPA(f"axis {axis_id!r}: PA must be an integer, got {pa!r}")
+        pa = int(pa)
         if not 1 <= pa <= p_max:
             raise MissingPA(f"axis {axis_id!r}: PA {pa} outside 1..{p_max}")
         if axis.is_root and pa != 1:
@@ -482,10 +475,6 @@ def generate_topology(
     """
     if age < 1:
         raise InvalidTopology("age must be >= 1")
-    axis_rows: list[AxisRecord] = []
-    gu_rows: list[GURecord] = []
-    pa_of: dict[str, int] = {}
-
     counter = 0
 
     def new_id() -> str:
@@ -497,18 +486,19 @@ def generate_topology(
     queue: list[tuple[str, str | None, int | None, int, int]] = [
         (new_id(), None, None, 1, 1)
     ]
-    head = 0
-    while head < len(queue):
-        axis_id, parent, ins_ca, pa, first_ca = queue[head]
-        head += 1
-        pa_of[axis_id] = pa
-        axis_rows.append(AxisRecord(tree_id, axis_id, parent, ins_ca))
-        n_int = rules.internodes(pa)
-        for ca in range(first_ca, age + 1):
-            gu_rows.append(GURecord(tree_id, axis_id, ca, n_int, n_int))
-            if pa < rules.p_max and ca + 1 <= age:
+    gu_axes, cycles, counts = [], [], []  # GU table columns after tree_id, bar the scars
+    for axis_id, _, _, pa, first_ca in queue:  # grows while it is walked
+        span = range(first_ca, age + 1)
+        gu_axes += [axis_id] * len(span)
+        cycles += span
+        counts += [rules.internodes(pa)] * len(span)
+        if pa < rules.p_max:
+            for ca in span[:-1]:  # a GU of the last cycle bears nothing
                 for _ in range(rules.branches(pa)):
                     queue.append((new_id(), axis_id, ca, pa + 1, ca + 1))
 
-    t = build_topology(axis_rows, gu_rows)
-    return with_physio_ages(t, pa_of, p_max=rules.p_max)
+    axis_ids, parents, insertions, pas, _ = zip(*queue)  # the axis table, bar tree_id
+    # One leaf scar per internode: the scar column is the count column.
+    t = build_topology([[tree_id] * len(queue), axis_ids, parents, insertions],
+                       [[tree_id] * len(gu_axes), gu_axes, cycles, counts, counts])
+    return with_physio_ages(t, dict(zip(axis_ids, pas)), p_max=rules.p_max)

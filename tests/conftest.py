@@ -7,14 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from fspm import (
-    AxisRecord,
-    DirectParams,
-    GURecord,
-    HiddenParams,
-    build_topology,
-    with_physio_ages,
-)
+from fspm import DirectParams, HiddenParams, with_physio_ages
+from test_ingest import topology_of
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -46,15 +40,15 @@ def hp_default() -> HiddenParams:
 def two_axis_tree(tree_id: str = "T"):
     """Root (PA1) with GUs at cycles 1..2, child (PA2) with one 4-internode GU at 2."""
     axes = [
-        AxisRecord(tree_id, "A1", None, None),
-        AxisRecord(tree_id, "A2", "A1", 1),
+        (tree_id, "A1", None, None),
+        (tree_id, "A2", "A1", 1),
     ]
     gus = [
-        GURecord(tree_id, "A1", 1, 3, 3),
-        GURecord(tree_id, "A1", 2, 5, 5),
-        GURecord(tree_id, "A2", 2, 4, 4),
+        (tree_id, "A1", 1, 3, 3),
+        (tree_id, "A1", 2, 5, 5),
+        (tree_id, "A2", 2, 4, 4),
     ]
-    t = build_topology(axes, gus)
+    t = topology_of(axes, gus)
     return with_physio_ages(t, {"A1": 1, "A2": 2})
 
 
@@ -67,6 +61,5 @@ def small_tree():
 def late_root():
     """One PA1 axis whose first GU is at cycle 2: on cycle 1 the seed mass
     finds no organ to take it."""
-    t = build_topology([AxisRecord("Z", "A1", None, None)],
-                       [GURecord("Z", "A1", 2, 2), GURecord("Z", "A1", 3, 1)])
+    t = topology_of([("Z", "A1", None, None)], [("Z", "A1", 2, 2), ("Z", "A1", 3, 1)])
     return with_physio_ages(t, {"A1": 1})

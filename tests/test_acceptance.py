@@ -40,6 +40,7 @@ from fspm import (
 from fspm.cli import main
 from fspm.errors import DuplicateKey, SchemaError, UnitError
 from fspm.export import export_skeleton
+from fspm.ingest import _TABLES
 
 DATA = Path(__file__).parent / "data"
 
@@ -315,7 +316,7 @@ def test_skeleton_export_counts_and_determinism():
             if kind == "internode"
         )
         # Independent oracle: raw internode_count column of gus.csv.
-        raw_total = sum(g.internode_count for g in sub.gus)
+        raw_total = sum(sub.gus.columns[_TABLES["gus"].names.index("internode_count")])
         assert census_total == raw_total
         assert len(rows) == census_total
 

@@ -121,6 +121,27 @@ class TestIngest:
             "in the header\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("row, tree_id", [
+        ("P1,zz,1,3,3", "P1"),  # the line named neither file nor line
+        ("P1,zz,1,3,3", "P2"),  # another tree's GU row went unchecked
+        ("ZZ,a000001,1,3,3", "P1"),  # a GU of a tree axes.csv lacks was dropped
+    ], ids=["own-tree", "other-tree", "undeclared-tree"])
+    def test_gu_on_an_unknown_axis_exits_1(self, tmp_path, capsys, row, tree_id):
+        src = tmp_path / "csv"
+        src.mkdir()
+        for name in ("axes", "gus", "internodes", "leaves"):
+            (src / f"{name}.csv").write_bytes((GROVE / f"{name}.csv").read_bytes())
+        with (src / "gus.csv").open("a") as fh:
+            fh.write(row + "\n")
+        out = tmp_path / f"{tree_id}.json"
+        capsys.readouterr()
+        assert run(*ingest_args(src, out, tree_id)) == 1
+        tree, axis = row.split(",")[:2]
+        assert capsys.readouterr().err == (
+            f"fspm ingest: {src / 'gus.csv'}:158: GU references unknown axis {axis!r} "
+            f"of tree {tree!r}\n")
+        assert not out.exists()
+
     def test_trees_in_one_directory_keep_a_manifest_each(self, tmp_path):
         for tree_id in ("P1", "P2"):
             assert run(*ingest_args(GROVE, tmp_path / f"{tree_id}.json", tree_id)) == 0
@@ -658,6 +679,29 @@ class TestBadInputFiles:
         err = self.one_error_line(capsys, argv)
         assert err.startswith(f"fspm simulate: {bad}: {message}")
         assert not (tmp_path / "sim" / "run_manifest.json").exists()
+
+    @pytest.mark.parametrize("which, key, message", [
+        ("params", "01", "p_int['01']: key '01' is not an integer as str() writes it"),
+        ("params", "1_0", "p_int['1_0']: key '1_0' is not an integer as str() writes it"),
+        ("targets", "01,1", "entries['01,1']: key '01' is not an integer as str() writes it"),
+        ("targets", " 1", "cumulated[' 1']: key ' 1' is not an integer as str() writes it"),
+    ])
+    def test_integer_key_not_written_as_str_writes_it(self, grove_pipeline, tmp_path, capsys,
+                                                      which, key, message):
+        # Read with int(), the key replaced the one str() writes, or named a PA of its own.
+        _, trees, params = grove_pipeline
+        tree, pa_map, targets = trees["P2"]
+        files = {"params": params, "targets": targets}
+        doc = json.loads(files[which].read_text())
+        table = {"01": "p_int", "1_0": "p_int", "01,1": "entries", " 1": "cumulated"}[key]
+        doc[table][key] = next(iter(doc[table].values()))
+        bad = files[which] = tmp_path / files[which].name
+        bad.write_text(json.dumps(doc))
+        argv = ["simulate", "--tree", tree, "--pa-map", pa_map, "--params", files["params"],
+                "--q0", 12.0, "--rp", 6.4, "--pc", 0.14, "--targets", files["targets"],
+                "--out", tmp_path / "sim"]
+        assert self.one_error_line(capsys, argv) == f"fspm simulate: {bad}: {message}"
+        assert not (tmp_path / "sim").exists()
 
     def test_targets_of_another_tree_write_nothing(self, grove_pipeline, tmp_path, capsys):
         _, trees, params = grove_pipeline

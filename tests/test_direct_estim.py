@@ -8,12 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fspm import (
-    AxisRecord,
     DirectParams,
-    GURecord,
     MeasurementSet,
     TreeTopology,
-    build_topology,
     estimate_direct_params,
     estimate_slw,
     fit_allometry,
@@ -29,7 +26,7 @@ from fspm.errors import (
     TreeMismatch,
     ValidationError,
 )
-from test_ingest import measured, rows_of
+from test_ingest import measured, rows_of, topology_of
 
 
 def leaf(weight, area, axis="A", ca=1, idx=1):
@@ -180,12 +177,12 @@ class TestEstimateSLW:
 
 def four_axis_fixture():
     """Two PA-1 and two PA-2 axes with records in their top GUs, classified."""
-    axes = [AxisRecord("T", "A", None, None), AxisRecord("T", "B", "A", 1),
-            AxisRecord("T", "C", "A", 1), AxisRecord("T", "D", "A", 2)]
-    gus = [GURecord("T", "A", 1, 2, 2), GURecord("T", "A", 2, 3, 3),
-           GURecord("T", "B", 2, 2, 2), GURecord("T", "C", 2, 2, 2),
-           GURecord("T", "D", 3, 2, 2)]
-    t = with_physio_ages(build_topology(axes, gus), {"A": 1, "B": 2, "C": 2, "D": 1})
+    axes = [("T", "A", None, None), ("T", "B", "A", 1),
+            ("T", "C", "A", 1), ("T", "D", "A", 2)]
+    gus = [("T", "A", 1, 2, 2), ("T", "A", 2, 3, 3),
+           ("T", "B", 2, 2, 2), ("T", "C", 2, 2, 2),
+           ("T", "D", 3, 2, 2)]
+    t = with_physio_ages(topology_of(axes, gus), {"A": 1, "B": 2, "C": 2, "D": 1})
 
     def rec(axis, ca, rank, w, l):
         return ("T", axis, ca, rank, w, l, 5.0)
@@ -202,7 +199,8 @@ def four_axis_fixture():
         leaf(15.0, 470.0, "D", 3),
         leaf(5.0, 160.0, "B", 2), leaf(5.5, 170.0, "C", 2),
     ]
-    return t, MeasurementSet(axes=axes, gus=gus, internodes=measured("internodes", internodes),
+    return t, MeasurementSet(axes=measured("axes", axes), gus=measured("gus", gus),
+                             internodes=measured("internodes", internodes),
                              leaves=measured("leaves", leaves))
 
 
@@ -254,10 +252,10 @@ class TestEstimateDirectParams:
         # E's top GU has no records: it leaves the sink and allometry fits
         # as it would if E were not there, and the log names it.
         t, ms = four_axis_fixture()
-        axes = ms.axes + [AxisRecord("T", "E", "A", 1)]
-        gus = ms.gus + [GURecord("T", "E", 2, 2, 2)]
+        axes = rows_of(ms.axes) + [("T", "E", "A", 1)]
+        gus = rows_of(ms.gus) + [("T", "E", 2, 2, 2)]
         pa = {axis.id: axis.pa for axis in t.axes.values()}
-        wide = with_physio_ages(build_topology(axes, gus), {**pa, "E": 2})
+        wide = with_physio_ages(topology_of(axes, gus), {**pa, "E": 2})
         with caplog.at_level("WARNING", logger="fspm.direct_estim"):
             got = estimate_direct_params([(wide, ms)])
         assert [r.getMessage() for r in caplog.records] == [
@@ -329,6 +327,20 @@ class TestEstimateDirectParams:
         text = '{"p_int": {"1": 0.5}, "allometry": {"1": {"b": 5.0, "beta": 0.3}}, "slw": NaN}'
         with pytest.raises(SchemaError, match="dp.json: slw must be > 0 and finite, got nan"):
             DirectParams.from_json(text, "dp.json")
+
+    @pytest.mark.parametrize("p_int, allometry, message", [
+        # int() read "01" as PA 1, whose sink it then replaced.
+        ('{"1": 0.5, "01": 0.9}', "{}", "p_int['01']: key '01' is not an integer as str() writes it"),
+        ('{"1_0": 0.5}', "{}", "p_int['1_0']: key '1_0' is not an integer as str() writes it"),
+        ('{" 2": 0.5}', "{}", "p_int[' 2']: key ' 2' is not an integer as str() writes it"),
+        ("{}", '{"-3": {"b": 5.0, "beta": 0.3}}', "allometry['-3']: PA, CA and cycle keys must be >= 1"),
+        ("{}", '{"0": {"b": 5.0, "beta": 0.3}}', "allometry['0']: PA, CA and cycle keys must be >= 1"),
+    ])
+    def test_pa_key_not_written_as_str_writes_it(self, p_int, allometry, message):
+        text = f'{{"p_int": {p_int}, "allometry": {allometry}, "slw": 0.03}}'
+        with pytest.raises(SchemaError) as info:
+            DirectParams.from_json(text, "dp.json")
+        assert str(info.value) == f"dp.json: {message}"
 
     def test_load_names_the_file(self, tmp_path):
         path = tmp_path / "direct_params.json"

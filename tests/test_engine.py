@@ -7,15 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fspm import (
-    AxisRecord,
     DirectParams,
-    GURecord,
     GrowthRules,
     HiddenParams,
     SimConfig,
     TreeTopology,
     analytic_organ_count,
-    build_topology,
     cohort_counts,
     generate_topology,
     internode_geometry,
@@ -34,6 +31,7 @@ from fspm.errors import (
     ValidationError,
     ZeroDemandWithBiomass,
 )
+from test_ingest import topology_of
 
 
 def assert_conserved(trace, hp, tol=1e-9):
@@ -66,16 +64,16 @@ def uneven_topology():
     above it.
     """
     axes = [
-        AxisRecord("U", "A1", None, None),
-        AxisRecord("U", "A2", "A1", 1),
-        AxisRecord("U", "A3", "A2", 2),
-        AxisRecord("U", "A4", "A1", 1),
+        ("U", "A1", None, None),
+        ("U", "A2", "A1", 1),
+        ("U", "A3", "A2", 2),
+        ("U", "A4", "A1", 1),
     ]
-    gus = [GURecord("U", "A1", ca, n) for ca, n in ((1, 2), (2, 2), (3, 1), (4, 1))]
-    gus += [GURecord("U", "A2", ca, 1) for ca in (1, 2, 3, 4)]
-    gus += [GURecord("U", "A3", ca, 2) for ca in (3, 4)]
-    gus += [GURecord("U", "A4", 2, 2)]
-    t = build_topology(axes, gus)
+    gus = [("U", "A1", ca, n) for ca, n in ((1, 2), (2, 2), (3, 1), (4, 1))]
+    gus += [("U", "A2", ca, 1) for ca in (1, 2, 3, 4)]
+    gus += [("U", "A3", ca, 2) for ca in (3, 4)]
+    gus += [("U", "A4", 2, 2)]
+    t = topology_of(axes, gus)
     return with_physio_ages(t, {"A1": 1, "A2": 2, "A3": 3, "A4": 2})
 
 
@@ -94,7 +92,7 @@ def uneven_trees(draw):
 
     def add(parent, insertion, first, last, pa):
         axis_id = f"x{len(axes):02d}"
-        axes.append(AxisRecord("H", axis_id, parent, insertion))
+        axes.append(("H", axis_id, parent, insertion))
         pa_map[axis_id] = pa
         queue.append((axis_id, first, last, pa))
 
@@ -103,12 +101,12 @@ def uneven_trees(draw):
     add("x00", 1, 2, draw(st.integers(2, age - 1)), 2)
     for axis_id, first, last, pa in queue:  # grows while it is walked
         for ca in range(first, last + 1):
-            gus.append(GURecord("H", axis_id, ca, draw(st.integers(1, 3))))
+            gus.append(("H", axis_id, ca, draw(st.integers(1, 3))))
             room = 2 if pa < 3 and len(axes) < 20 else 0
             for _ in range(draw(st.integers(0, room))):
                 start = draw(st.integers(ca, min(ca + 1, age)))
                 add(axis_id, ca, start, draw(st.integers(start, age)), pa + 1)
-    return with_physio_ages(build_topology(axes, gus), pa_map)
+    return with_physio_ages(topology_of(axes, gus), pa_map)
 
 
 def recursive_distal_functioning(topology, positions, cycle, t_f):
@@ -662,10 +660,10 @@ class TestUnevenTree:
         # blades of axis k and of every axis above it: depth - k of them.
         depth = 1_100
         ids = [f"x{k:05d}" for k in range(depth)]
-        axes = [AxisRecord("D", ids[0], None, None)]
-        axes += [AxisRecord("D", child, parent, 1) for parent, child in zip(ids, ids[1:])]
-        gus = [GURecord("D", axis_id, ca, 1, 1) for axis_id in ids for ca in (1, 2)]
-        t = with_physio_ages(build_topology(axes, gus), {i: 1 if i == ids[0] else 2 for i in ids})
+        axes = [("D", ids[0], None, None)]
+        axes += [("D", child, parent, 1) for parent, child in zip(ids, ids[1:])]
+        gus = [("D", axis_id, ca, 1, 1) for axis_id in ids for ca in (1, 2)]
+        t = with_physio_ages(topology_of(axes, gus), {i: 1 if i == ids[0] else 2 for i in ids})
         cfg = SimConfig(ring_mode="pipe")
         weights = _ring_weights(t, cfg)
         assert not weights[0].any()

@@ -8,9 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fspm import (
-    AxisRecord,
     DirectParams,
-    GURecord,
     GrowthRules,
     HiddenParams,
     SimConfig,
@@ -18,7 +16,6 @@ from fspm import (
     export_organs_csv,
     export_skeleton,
     export_trace_csv,
-    build_topology,
     generate_topology,
     organ_census,
     residuals,
@@ -32,6 +29,7 @@ from fspm.errors import InvalidParameter, TreeMismatch, ValidationError
 from fspm.export import _csv, _cross, build_skeleton
 from test_calibrate import acceptance_problem, doubled_init
 from test_engine import uneven_trees
+from test_ingest import topology_of
 
 FAMILIES = ("diameter_per_gu", "mass_per_gu", "cum_internode", "cum_blade")
 
@@ -410,11 +408,11 @@ def shuffled_uneven_trees(draw):
     t = draw(uneven_trees())
     ids = sorted(t.axes)
     new = dict(zip(ids, draw(st.permutations(ids))))
-    axes = [AxisRecord("H", new[a.id], new.get(a.parent_id), a.insertion_ca)
+    axes = [("H", new[a.id], new.get(a.parent_id), a.insertion_ca)
             for a in t.axes.values()]
-    gus = [GURecord("H", new[a.id], gu.ca, gu.internode_count)
+    gus = [("H", new[a.id], gu.ca, gu.internode_count)
            for a in t.axes.values() for gu in a.gus]
-    return with_physio_ages(build_topology(axes, gus), {new[a.id]: a.pa for a in t.axes.values()})
+    return with_physio_ages(topology_of(axes, gus), {new[a.id]: a.pa for a in t.axes.values()})
 
 
 class TestSkeletonBytes:

@@ -18,8 +18,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fspm import (
-    AxisRecord,
-    GURecord,
     MeasurementSet,
     TargetSeries,
     build_target_series,
@@ -43,9 +41,17 @@ DATA = Path(__file__).parent / "data"
 
 
 def measured(name: str, rows) -> ColumnTable:
-    """Measurement table ``name`` holding ``rows``, tuples in its CSV column order."""
+    """Measurement table ``name`` holding ``rows``, tuples in its CSV column
+    order; a GU row without its leaf scar count has none."""
+    if name == "gus":
+        rows = [(*row, 0)[:5] for row in rows]
     return ColumnTable([list(column) for column in zip(*rows)] or
                        [[] for _ in _TABLES[name].names])
+
+
+def topology_of(axes, gus) -> TreeTopology:
+    """build_topology of axis and GU rows, tuples as :func:`measured` takes them."""
+    return build_topology(measured("axes", axes).columns, measured("gus", gus).columns)
 
 
 def rows_of(table: ColumnTable) -> list[tuple]:
@@ -60,8 +66,7 @@ def column_of(ms: MeasurementSet, name: str, column: str):
 
 def table_rows(ms: MeasurementSet) -> dict[str, list]:
     """Every table of ``ms`` as a list of its rows, to compare."""
-    return {name: list(getattr(ms, name)) if table.record else rows_of(getattr(ms, name))
-            for name, table in _TABLES.items()}
+    return {name: rows_of(getattr(ms, name)) for name in _TABLES}
 
 
 def targets_of(ms: MeasurementSet, topology):
@@ -300,6 +305,21 @@ class TestParseMeasurements:
         assert type(info.value) is ValidationError
         assert str(info.value) == f"{tmp_path}/{message}"
 
+    @pytest.mark.parametrize("row", ["P1,zz,1,3,3", "ZZ,a000001,1,3,3"])
+    def test_gu_row_on_a_missing_axis(self, tmp_path, row):
+        # Checked for every tree before any measurement row: a GU row of a
+        # tree the axes file lacks was dropped unseen.
+        for csv_file in (DATA / "grove").iterdir():
+            (tmp_path / csv_file.name).write_bytes(csv_file.read_bytes())
+        for name, orphan in (("gus.csv", row), ("leaves.csv", "P2,zz,1,1,1.5,40.0")):
+            with (tmp_path / name).open("a") as fh:
+                fh.write(orphan + "\n")
+        with pytest.raises(DanglingParent) as info:
+            parse_measurements(*(tmp_path / f"{name}.csv" for name in _TABLES))
+        tree, axis = row.split(",")[:2]
+        assert str(info.value) == (f"{tmp_path}/gus.csv:158: GU references unknown axis "
+                                   f"{axis!r} of tree {tree!r}")
+
     @pytest.mark.parametrize("fixture", ["single", "grove"])
     def test_every_tree_round_trips_through_its_document(self, fixture):
         # What parse_measurements accepts, each tree's document gives back.
@@ -318,7 +338,7 @@ class TestParseMeasurements:
         paths = write_files(tmp_path, axes=axes)
         ms = parse_measurements(paths["axes"], paths["gus"],
                                 paths["internodes"], paths["leaves"])
-        assert ms.axes == [AxisRecord("T", "A", None, None)]
+        assert rows_of(ms.axes) == [("T", "A", None, None)]
 
     def test_required_column_repeated_in_header_schema_error(self, tmp_path):
         # Read by its last column, the repeat replaced every weight with 999.0.
@@ -379,9 +399,9 @@ class TestParseMeasurements:
 def simple_tree(records_weights, tree="T"):
     """One PA-1 axis, one GU per cycle, one internode per GU with given weights."""
     n = len(records_weights)
-    axes = [AxisRecord(tree, "A", None, None)]
-    gus = [GURecord(tree, "A", ca, 1, 1) for ca in range(1, n + 1)]
-    topo = with_physio_ages(build_topology(axes, gus), {"A": 1})
+    axes = [(tree, "A", None, None)]
+    gus = [(tree, "A", ca, 1, 1) for ca in range(1, n + 1)]
+    topo = with_physio_ages(topology_of(axes, gus), {"A": 1})
     internodes = [
         (tree, "A", ca, 1, w, 5.0, 4.0)
         for ca, w in enumerate(records_weights, start=1)
@@ -389,7 +409,8 @@ def simple_tree(records_weights, tree="T"):
     leaves = [
         (tree, "A", ca, 1, 1.0, 30.0) for ca in range(1, n + 1)
     ]
-    ms = MeasurementSet(axes=axes, gus=gus, internodes=measured("internodes", internodes),
+    ms = MeasurementSet(axes=measured("axes", axes), gus=measured("gus", gus),
+                        internodes=measured("internodes", internodes),
                         leaves=measured("leaves", leaves))
     return topo, ms
 
@@ -400,8 +421,8 @@ class TestBuildTargetSeries:
         internodes = [
             ("T", "A", 1, 1, 4.0, 5.0, 4.0),
         ]
-        ms.gus = [GURecord("T", "A", 1, 2, 2)]
-        topo = with_physio_ages(build_topology(ms.axes, ms.gus), {"A": 1})
+        ms.gus = measured("gus", [("T", "A", 1, 2, 2)])
+        topo = with_physio_ages(ms.topology(), {"A": 1})
         internodes.append(("T", "A", 1, 2, 6.0, 5.0, 4.0))
         ms.internodes = measured("internodes", internodes)
         ts = targets_of(ms, topo)
@@ -409,11 +430,11 @@ class TestBuildTargetSeries:
         assert ts.entries[(1, 1)].n_internodes == 2
 
     def test_gu_blade_mass_is_mean_leaf_times_count(self):
-        axes = [AxisRecord("T", "A", None, None)]
-        gus = [GURecord("T", "A", 1, 10, 10)]
-        topo = with_physio_ages(build_topology(axes, gus), {"A": 1})
+        axes = [("T", "A", None, None)]
+        gus = [("T", "A", 1, 10, 10)]
+        topo = with_physio_ages(topology_of(axes, gus), {"A": 1})
         ms = MeasurementSet(
-            axes=axes, gus=gus,
+            axes=measured("axes", axes), gus=measured("gus", gus),
             internodes=measured("internodes", [("T", "A", 1, r, 1.0, 5.0, 4.0)
                                                for r in range(1, 11)]),
             leaves=measured("leaves", [("T", "A", 1, s, 2.0, 60.0) for s in (1, 2, 3)]),
@@ -453,9 +474,9 @@ class TestBuildTargetSeries:
 
     def test_missing_pa(self):
         _, ms = simple_tree([1.0])
-        ms.axes.append(AxisRecord("T", "B", "A", 1))
-        ms.gus.append(GURecord("T", "B", 1, 1, 1))
-        topo = build_topology(ms.axes, ms.gus)
+        ms.axes = measured("axes", rows_of(ms.axes) + [("T", "B", "A", 1)])
+        ms.gus = measured("gus", rows_of(ms.gus) + [("T", "B", 1, 1, 1)])
+        topo = ms.topology()
         with pytest.raises(MissingPA, match="^axis 'A' has no PA; classify first$"):
             targets_of(ms, topo)
         # The topology is the one carrier of PA: classifying one axis is not enough.
@@ -542,6 +563,23 @@ class TestBuildTargetSeries:
             TargetSeries.load(path)
         assert str(info.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize("table, key", [
+        ("entries", "01,1"), ("entries", "1,1_0"), ("entries", "1, 1"), ("cumulated", " 1"),
+        ("cumulated", "+2"), ("cumulated", "1_0"),
+    ])
+    def test_integer_key_not_written_as_str_writes_it(self, tmp_path, table, key):
+        # int() read "01,1" as the group of "1,1" and let it replace that entry.
+        topo, ms = simple_tree([1.0, 2.0])
+        doc = json.loads(targets_of(ms, topo).to_json())
+        doc[table][key] = next(iter(doc[table].values()))
+        path = tmp_path / "targets.json"
+        path.write_text(json.dumps(doc))
+        bad = next(part for part in key.split(",") if part != "1")
+        with pytest.raises(SchemaError) as info:
+            TargetSeries.load(path)
+        assert str(info.value) == (f"{path}: {table}[{key!r}]: key {bad!r} is not an integer "
+                                   "as str() writes it")
+
     def test_zero_values_pass(self):
         # A trace with no seed biomass makes targets of zeros.
         topo, ms = simple_tree([1.0, 2.0])
@@ -559,16 +597,16 @@ def uneven_two_pa_tree(internodes=True, leaves=True):
     Missing on purpose: C's cycle-3 internodes (its group, PA2/CA3, has B's),
     the leaves of group PA2/CA2 (CA 2 has A's) and every leaf of CA 1.
     """
-    axes = [AxisRecord("T", "A", None, None), AxisRecord("T", "B", "A", 1),
-            AxisRecord("T", "C", "A", 2)]
-    gus = [GURecord("T", "A", ca, 2, 2) for ca in (1, 2, 3)]
-    gus += [GURecord("T", "B", 2, 1, 1), GURecord("T", "B", 3, 1, 1), GURecord("T", "C", 3, 1, 1)]
-    topo = with_physio_ages(build_topology(axes, gus), {"A": 1, "B": 2, "C": 2})
+    axes = [("T", "A", None, None), ("T", "B", "A", 1),
+            ("T", "C", "A", 2)]
+    gus = [("T", "A", ca, 2, 2) for ca in (1, 2, 3)]
+    gus += [("T", "B", 2, 1, 1), ("T", "B", 3, 1, 1), ("T", "C", 3, 1, 1)]
+    topo = with_physio_ages(topology_of(axes, gus), {"A": 1, "B": 2, "C": 2})
     weights = {("A", 1): [1.0, 3.0], ("A", 2): [2.0, 4.0], ("A", 3): [6.0],
                ("B", 2): [0.5], ("B", 3): [1.5]}
     blades = {("A", 2): [(2.0, 40.0), (4.0, 80.0)], ("A", 3): [(8.0, 160.0)],
               ("B", 3): [(1.0, 20.0)], ("C", 3): [(3.0, 60.0)]}
-    ms = MeasurementSet(axes=axes, gus=gus)
+    ms = MeasurementSet(axes=measured("axes", axes), gus=measured("gus", gus))
     if internodes:
         ms.internodes = measured("internodes", [
             ("T", a, ca, rank, w, 5.0, 4.0)
@@ -627,10 +665,10 @@ class TestSamplesByGU:
 
     @staticmethod
     def two_axis_tree():
-        axes = [AxisRecord("T", "B", "A", 1), AxisRecord("T", "A", None, None)]
-        gus = [GURecord("T", "A", 1, 2, 2), GURecord("T", "A", 2, 2, 2),
-               GURecord("T", "B", 2, 1, 1)]
-        return build_topology(axes, gus)  # unclassified: no PA is needed
+        axes = [("T", "B", "A", 1), ("T", "A", None, None)]
+        gus = [("T", "A", 1, 2, 2), ("T", "A", 2, 2, 2),
+               ("T", "B", 2, 1, 1)]
+        return topology_of(axes, gus)  # unclassified: no PA is needed
 
     def test_every_gu_in_topology_order_with_records_in_record_order(self):
         topo = self.two_axis_tree()
@@ -660,8 +698,8 @@ class TestSamplesByGU:
     def test_table_read_with_another_topology_raises_tree_mismatch(self, tree_id, gus):
         table = samples_by_gu(self.two_axis_tree(), measured("internodes", []),
                               measured("leaves", []))
-        axes = [AxisRecord(tree_id, "B", "A", 1), AxisRecord(tree_id, "A", None, None)]
-        other = build_topology(axes, [GURecord(tree_id, a, ca, 2, 2) for a, ca in gus])
+        axes = [(tree_id, "B", "A", 1), (tree_id, "A", None, None)]
+        other = topology_of(axes, [(tree_id, a, ca, 2, 2) for a, ca in gus])
         message = f"^GU table of tree 'T' does not match the GUs of tree '{tree_id}'$"
         for read in (table.per_gu, table.top_gus):
             with pytest.raises(TreeMismatch, match=message):
@@ -1069,34 +1107,23 @@ class TestCsvJsonParity:
         assert str(from_csv.value)[len(csv_where):] == str(from_json.value)[len(json_where):]
 
 
+    @pytest.mark.parametrize("fixture", ["single", "grove"])
+    def test_same_columns_of_every_table(self, fixture):
+        # Both readers hold all four tables as columns, each tree's alike.
+        d = DATA / fixture
+        ms = parse_measurements(*(d / f"{name}.csv" for name in _TABLES))
+        for tree_id in ms.tree_ids():
+            sub = ms.for_tree(tree_id)
+            doc = with_layout(json.loads(tree_to_json(sub.topology(), sub)), self.layout)
+            _, again = tree_from_json(json.dumps(doc), f"{tree_id}.json")
+            for name in _TABLES:
+                assert getattr(again, name).columns == getattr(sub, name).columns, name
+
+
 class TestCsvJsonParityInRows(TestCsvJsonParity):
     """The same, with the measurement tables of tree.json as lists of rows."""
 
     layout = "rows"
-
-
-class TestRecords:
-    RECORDS = [
-        AxisRecord("T", "A", None, None),
-        GURecord("T", "A", 1, 3, 3),
-    ]
-
-    @pytest.mark.parametrize("record", RECORDS)
-    def test_immutable(self, record):
-        with pytest.raises(AttributeError):
-            record.tree_id = "U"
-
-    @pytest.mark.parametrize("record", RECORDS)
-    def test_keyword_construction(self, record):
-        assert type(record)(**record._asdict()) == record
-
-    def test_fields_in_order_and_gu_default(self):
-        assert AxisRecord._fields == ("tree_id", "axis_id", "parent_axis_id", "insertion_ca")
-        assert GURecord._fields == (
-            "tree_id", "axis_id", "gu_ca", "internode_count", "leaf_scar_count")
-        gu = GURecord(tree_id="T", axis_id="A", gu_ca=2, internode_count=3)
-        assert gu.leaf_scar_count == 0
-        assert gu == GURecord("T", "A", 2, 3, 0)
 
 
 # -- the tree.json writer against json.dumps -----------------------------------
@@ -1162,23 +1189,24 @@ def documented_trees(draw):
     tree_id = draw(ANY_ID)
     age = draw(st.integers(1, 4))
     ids = draw(st.lists(ANY_ID, min_size=1, max_size=5, unique=True))
-    axes = [AxisRecord(tree_id, ids[0], None, None)]
-    gus = [GURecord(tree_id, ids[0], ca, draw(st.integers(1, 3)), draw(st.integers(0, 3)))
+    axes = [(tree_id, ids[0], None, None)]
+    gus = [(tree_id, ids[0], ca, draw(st.integers(1, 3)), draw(st.integers(0, 3)))
            for ca in range(1, age + 1)]
     first = {ids[0]: 1}
     for axis_id in ids[1:]:
         parent = draw(st.sampled_from(sorted(first)))
         ins = draw(st.integers(first[parent], age))
-        axes.append(AxisRecord(tree_id, axis_id, parent, ins))
-        gus += [GURecord(tree_id, axis_id, ca, 2, 2) for ca in range(ins, age + 1)]
+        axes.append((tree_id, axis_id, parent, ins))
+        gus += [(tree_id, axis_id, ca, 2, 2) for ca in range(ins, age + 1)]
         first[axis_id] = ins
-    topo = build_topology(axes, gus)
+    topo = topology_of(axes, gus)
     keys = st.tuples(st.sampled_from(ids), st.integers(1, age), st.integers(1, 3))
     internodes = [(tree_id, a, ca, k, *draw(st.tuples(ANY_VALUE, ANY_VALUE, ANY_VALUE)))
                   for a, ca, k in draw(st.lists(keys, max_size=6))]
     leaves = [(tree_id, a, ca, k, *draw(st.tuples(ANY_VALUE, ANY_VALUE)))
               for a, ca, k in draw(st.lists(keys, max_size=6))]
-    return topo, MeasurementSet(axes=axes, gus=gus, internodes=measured("internodes", internodes),
+    return topo, MeasurementSet(axes=measured("axes", axes), gus=measured("gus", gus),
+                                internodes=measured("internodes", internodes),
                                 leaves=measured("leaves", leaves))
 
 
@@ -1293,12 +1321,14 @@ CYCLE = st.integers(1, 40)
 def measurement_sets(draw):
     """Rows that parse_measurements accepts, in serialize_measurements's order."""
     axes = draw(st.lists(
-        st.builds(AxisRecord, CSV_ID, CSV_ID, st.none() | PARENT_ID, st.none() | CYCLE),
+        st.tuples(CSV_ID, CSV_ID, st.none() | PARENT_ID, st.none() | CYCLE),
         unique_by=lambda r: r[:2], max_size=4))
+    # Each GU row sits on a drawn axis, and each measurement row on a drawn
+    # GU: parse_measurements rejects any other.
+    axis = st.sampled_from([axis[:2] for axis in axes]) if axes else st.nothing()
     gus = draw(st.lists(
-        st.builds(GURecord, CSV_ID, CSV_ID, CYCLE, CYCLE, st.integers(0, 40)),
+        st.builds(lambda axis, *cells: (*axis, *cells), axis, CYCLE, CYCLE, st.integers(0, 40)),
         unique_by=lambda r: r[:3], max_size=4))
-    # Each measurement row sits on a drawn GU: parse_measurements rejects any other.
     place = st.sampled_from([gu[:3] for gu in gus]) if gus else st.nothing()
     internodes = draw(st.lists(
         st.builds(lambda gu, *cells: (*gu, *cells),
@@ -1309,7 +1339,7 @@ def measurement_sets(draw):
                   place, st.integers(1, 3), MEASURED, MEASURED),
         unique_by=lambda r: r[:4], max_size=4))
     identity = itemgetter(slice(4))
-    return MeasurementSet(axes=sorted(axes), gus=sorted(gus),
+    return MeasurementSet(axes=measured("axes", sorted(axes)), gus=measured("gus", sorted(gus)),
                           internodes=measured("internodes", sorted(internodes, key=identity)),
                           leaves=measured("leaves", sorted(leaves, key=identity)))
 
@@ -1327,6 +1357,6 @@ class TestSerializeRoundTrip:
         assert table_rows(again) == table_rows(ms)
 
     def test_id_with_comma_survives(self, tmp_path):
-        ms = MeasurementSet(axes=[AxisRecord("T", "a,1", None, None)])
+        ms = MeasurementSet(axes=measured("axes", [("T", "a,1", None, None)]))
         text = serialize_measurements(ms)["axes"]
         assert text == 'tree_id,axis_id,parent_axis_id,insertion_ca\nT,"a,1",,\n'

@@ -5,10 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from fspm import (
-    AxisRecord,
-    GURecord,
     assign_pa,
-    build_topology,
     classify_axes,
     cluster_1d,
     samples_by_gu,
@@ -17,7 +14,7 @@ from fspm import (
 from fspm.errors import (KTooLarge, MainAxisNotHeaviest, NoTerminalData, TreeMismatch,
                          ValidationError)
 from fspm.pa_classify import _BLOCK
-from test_ingest import measured
+from test_ingest import measured, topology_of
 
 
 def brute_force_wcss(values, k):
@@ -165,13 +162,13 @@ def samples(t, internodes):
 
 def tree_with_axes(layout):
     """layout: {axis_id: (parent, insertion_ca, [ca...])}"""
-    axes = [AxisRecord("T", aid, parent, ins) for aid, (parent, ins, _) in layout.items()]
+    axes = [("T", aid, parent, ins) for aid, (parent, ins, _) in layout.items()]
     gus = [
-        GURecord("T", aid, ca, 2, 2)
+        ("T", aid, ca, 2, 2)
         for aid, (_, _, cas) in layout.items()
         for ca in cas
     ]
-    return build_topology(axes, gus)
+    return topology_of(axes, gus)
 
 
 class TestTopInternodeWeight:

@@ -3,14 +3,14 @@ import random
 import time
 from contextlib import contextmanager
 from dataclasses import replace
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fspm import (
-    AxisRecord,
     GrowthRules,
-    GURecord,
     TreeTopology,
     build_topology,
     generate_topology,
@@ -29,21 +29,22 @@ from fspm.errors import (
     ValidationError,
 )
 from fspm.topology import Axis, GrowthUnit
+from test_ingest import topology_of
 
 logger = logging.getLogger("fspm.topology")  # where build_topology warns
 
 
 def axis(tree, aid, parent=None, ins=None):
-    return AxisRecord(tree, aid, parent, ins)
+    return (tree, aid, parent, ins)
 
 
 def gu(tree, aid, ca, n=1):
-    return GURecord(tree, aid, ca, n, n)
+    return (tree, aid, ca, n, n)
 
 
 class TestBuildTopology:
     def test_single_axis(self):
-        t = build_topology(
+        t = topology_of(
             [axis("T", "A")],
             [gu("T", "A", 1), gu("T", "A", 2), gu("T", "A", 3)],
         )
@@ -52,7 +53,7 @@ class TestBuildTopology:
         assert [g.ca for g in t.axes["A"].gus] == [1, 2, 3]
 
     def test_child_offset_by_one(self):
-        t = build_topology(
+        t = topology_of(
             [axis("T", "A"), axis("T", "B", "A", 2)],
             [gu("T", "A", 1), gu("T", "A", 2), gu("T", "B", 3)],
         )
@@ -61,7 +62,7 @@ class TestBuildTopology:
         assert t.children_of("B") == []
 
     def test_child_at_insertion_cycle_allowed(self):
-        t = build_topology(
+        t = topology_of(
             [axis("T", "A"), axis("T", "B", "A", 2)],
             [gu("T", "A", 1), gu("T", "A", 2), gu("T", "B", 2)],
         )
@@ -69,14 +70,14 @@ class TestBuildTopology:
 
     def test_dangling_parent(self):
         with pytest.raises(DanglingParent):
-            build_topology(
+            topology_of(
                 [axis("T", "A"), axis("T", "B", "Z", 1)],
                 [gu("T", "A", 1), gu("T", "B", 2)],
             )
 
     def test_cycle_detected(self):
         with pytest.raises(CycleDetected, match="^parent links loop through axis 'A'$"):
-            build_topology(
+            topology_of(
                 [axis("T", "R"), axis("T", "A", "B", 1), axis("T", "B", "A", 1)],
                 [gu("T", "R", 1), gu("T", "A", 1), gu("T", "B", 1)],
             )
@@ -86,7 +87,7 @@ class TestBuildTopology:
         records = [axis("T", "R"), axis("T", "C", "R", 1), axis("T", "D", "B", 1),
                    axis("T", "A", "B", 1), axis("T", "B", "A", 1)]
         with pytest.raises(CycleDetected, match="^parent links loop through axis 'B'$"):
-            build_topology(records, [gu("T", r.axis_id, 1) for r in records])
+            topology_of(records, [gu("T", r[1], 1) for r in records])
 
     def test_deep_chain_builds_in_linear_time(self):
         # Axis k bears axis k + 1.  A parent check that walked every axis
@@ -94,47 +95,47 @@ class TestBuildTopology:
         ids = [f"x{k:05d}" for k in range(10_000)]
         records = [axis("T", ids[0])] + [axis("T", c, p, 1) for p, c in zip(ids, ids[1:])]
         start = time.perf_counter()
-        t = build_topology(records, [gu("T", i, 1) for i in ids])
+        t = topology_of(records, [gu("T", i, 1) for i in ids])
         assert time.perf_counter() - start < 2.0
         assert len(t.axes) == len(ids)
 
     def test_non_contiguous_ca(self):
         with pytest.raises(NonContiguousCA):
-            build_topology([axis("T", "A")], [gu("T", "A", 1), gu("T", "A", 3)])
+            topology_of([axis("T", "A")], [gu("T", "A", 1), gu("T", "A", 3)])
 
     def test_duplicate_axis(self):
         with pytest.raises(DuplicateKey):
-            build_topology([axis("T", "A"), axis("T", "A")], [gu("T", "A", 1)])
+            topology_of([axis("T", "A"), axis("T", "A")], [gu("T", "A", 1)])
 
     def test_duplicate_gu(self):
         with pytest.raises(DuplicateKey):
-            build_topology([axis("T", "A")], [gu("T", "A", 1), gu("T", "A", 1)])
+            topology_of([axis("T", "A")], [gu("T", "A", 1), gu("T", "A", 1)])
 
     def test_multiple_roots(self):
         with pytest.raises(InvalidTopology):
-            build_topology(
+            topology_of(
                 [axis("T", "A"), axis("T", "B")],
                 [gu("T", "A", 1), gu("T", "B", 1)],
             )
 
     def test_bad_insertion_no_parent_gu(self):
         with pytest.raises(BadInsertion):
-            build_topology(
+            topology_of(
                 [axis("T", "A"), axis("T", "B", "A", 5)],
                 [gu("T", "A", 1), gu("T", "B", 2)],
             )
 
     def test_bad_insertion_offset(self):
         with pytest.raises(BadInsertion):
-            build_topology(
+            topology_of(
                 [axis("T", "A"), axis("T", "B", "A", 1)],
                 [gu("T", "A", 1), gu("T", "A", 2), gu("T", "A", 3), gu("T", "B", 4)],
             )
 
     def test_scar_mismatch_warns_without_changing_structure(self, caplog):
         with caplog.at_level("WARNING"):
-            t = build_topology(
-                [axis("T", "A")], [GURecord("T", "A", 1, 3, 5)]
+            t = topology_of(
+                [axis("T", "A")], [("T", "A", 1, 3, 5)]
             )
         assert t.axes["A"].gus[0].internode_count == 3
         assert any("leaf scars" in r.message for r in caplog.records)
@@ -145,14 +146,14 @@ class TestBuildTopology:
             gu("T", "A", 1, 2), gu("T", "A", 2, 3), gu("T", "A", 3, 1),
             gu("T", "B", 2, 4), gu("T", "C", 3, 2),
         ]
-        reference = build_topology(axes, gus)
+        reference = topology_of(axes, gus)
         rng = random.Random(7)
         for _ in range(5):
             shuffled_axes = axes[:]
             shuffled_gus = gus[:]
             rng.shuffle(shuffled_axes)
             rng.shuffle(shuffled_gus)
-            again = build_topology(shuffled_axes, shuffled_gus)
+            again = topology_of(shuffled_axes, shuffled_gus)
             assert again == reference
             assert again.axes == reference.axes
 
@@ -162,7 +163,7 @@ class TestBuildTopology:
         gus = [gu("T", "A", ca, 1) for ca in (1, 2, 3)]
         gus += [gu("T", "B", 1, 1), gu("T", "B", 2, 1), gu("T", "C", 3, 1),
                 gu("T", "D", 2, 1), gu("T", "E", 3, 1)]
-        t = build_topology(axes, gus)
+        t = topology_of(axes, gus)
         borne = {(a.id, g.ca): tuple(c.id for c in t.children_of(a.id) if c.insertion_ca == g.ca)
                  for a in t.axes.values() for g in a.gus}
         assert borne == {
@@ -170,10 +171,42 @@ class TestBuildTopology:
             ("B", 1): (), ("B", 2): ("E",), ("C", 3): (), ("D", 2): (), ("E", 3): (),
         }
 
+    @pytest.mark.parametrize("table", ["axis", "GU"])
+    def test_columns_of_unequal_length_rejected(self, table):
+        # zip would end at the shortest column and drop the other rows unseen.
+        axes = [["T", "T"], ["A", "B"], [None, "A"], [None, 1]]
+        gus = [["T", "T", "T"], ["A", "A", "B"], [1, 2, 2], [1, 1, 1], [1, 1, 1]]
+        (axes if table == "axis" else gus)[2].pop()
+        lengths = [2, 2, 1, 2] if table == "axis" else [3, 3, 2, 3, 3]
+        with pytest.raises(InvalidTopology,
+                           match=rf"^{table} table columns differ in length: \{lengths}$"):
+            build_topology(axes, gus)
+
+
+class AxisRow(NamedTuple):
+    """An axis row as the oracle reads it, by the names of its CSV columns."""
+
+    tree_id: str
+    axis_id: str
+    parent_axis_id: str | None
+    insertion_ca: int | None
+
+
+class GURow(NamedTuple):
+    """A GU row as the oracle reads it, by the names of its CSV columns."""
+
+    tree_id: str
+    axis_id: str
+    gu_ca: int
+    internode_count: int
+    leaf_scar_count: int
+
 
 def legacy_build_topology(axis_records, gu_records):
     """Oracle: build_topology as it was before GU rows were grouped by one
-    sort, every GU rule checked row by row; its body copied unchanged."""
+    sort, every GU rule checked row by row, and it read rows by field name
+    rather than columns; its body copied unchanged, rows given as
+    :class:`AxisRow` and :class:`GURow`."""
     if not axis_records:
         raise InvalidTopology("no axis records")
     tree_ids = {r.tree_id for r in axis_records} | {r.tree_id for r in gu_records}
@@ -181,7 +214,7 @@ def legacy_build_topology(axis_records, gu_records):
         raise InvalidTopology(f"records span multiple trees: {sorted(tree_ids)}")
     tree_id = tree_ids.pop()
 
-    by_id: dict[str, AxisRecord] = {}
+    by_id: dict[str, AxisRow] = {}
     for rec in axis_records:
         if rec.axis_id in by_id:
             raise DuplicateKey(f"axis {rec.axis_id!r} declared twice")
@@ -212,7 +245,7 @@ def legacy_build_topology(axis_records, gu_records):
             cur = by_id[cur].parent_axis_id
         rooted |= seen
 
-    gus_by_axis: dict[str, list[GURecord]] = {k: [] for k in by_id}
+    gus_by_axis: dict[str, list[GURow]] = {k: [] for k in by_id}
     for rec in gu_records:
         if rec.axis_id not in by_id:
             raise DanglingParent(f"GU references unknown axis {rec.axis_id!r}")
@@ -301,10 +334,10 @@ def record_sets(draw):
             ins = draw(st.integers(*spans[parent]))
             first = ins + draw(st.integers(0, 1))
         spans[axis_id] = (first, first + draw(st.integers(0, 3)))
-        axes.append(AxisRecord("T", axis_id, parent, ins))
+        axes.append(AxisRow("T", axis_id, parent, ins))
         for ca in range(spans[axis_id][0], spans[axis_id][1] + 1):
             count = draw(st.integers(1, 3))
-            gus.append(GURecord("T", axis_id, ca, count, draw(st.sampled_from([count, 0, 4]))))
+            gus.append(GURow("T", axis_id, ca, count, draw(st.sampled_from([count, 0, 4]))))
     # "valid" leaves the tree as it is, and so do faults that find no row.
     faults = draw(st.lists(st.sampled_from(FAULTS + ("valid",) * 6), min_size=1, max_size=2))
     for fault in faults:
@@ -345,12 +378,12 @@ def record_sets(draw):
         elif fault == "bad_count" and gus:
             gus[gu_at] = gus[gu_at]._replace(internode_count=draw(st.integers(-1, 0)))
         elif fault == "gu_of_unknown_axis":
-            gus.append(GURecord("T", "Z", 1, 1, 1))
+            gus.append(GURow("T", "Z", 1, 1, 1))
         elif fault == "repeat_axis" and axes:
             axes.append(axes[axis_at])
         elif fault == "second_root":
-            axes.append(AxisRecord("T", "R2", None, None))
-            gus.append(GURecord("T", "R2", 1, 1, 1))
+            axes.append(AxisRow("T", "R2", None, None))
+            gus.append(GURow("T", "R2", 1, 1, 1))
         elif fault == "dangling_parent" and axes:
             axes[axis_at] = axes[axis_at]._replace(parent_axis_id="Q", insertion_ca=1)
         elif fault == "loop" and axes:
@@ -402,11 +435,11 @@ class TestBuildTopologyOracle:
     @settings(max_examples=300)
     @given(record_sets())
     def test_same_tree_or_same_error_as_row_by_row_build(self, records):
-        assert outcome(build_topology, *records) == outcome(legacy_build_topology, *records)
+        assert outcome(topology_of, *records) == outcome(legacy_build_topology, *records)
 
 class TestOrganCensus:
     def test_single_axis_counts(self):
-        t = build_topology([axis("T", "A")], [gu("T", "A", 1, 10)])
+        t = topology_of([axis("T", "A")], [gu("T", "A", 1, 10)])
         t = with_physio_ages(t, {"A": 1})
         assert organ_census(t, 1) == {(1, "internode"): 10, (1, "blade"): 10}
 
@@ -437,7 +470,7 @@ class TestOrganCensus:
             organ_census(small_tree, 3)
 
     def test_requires_pa(self):
-        t = build_topology([axis("T", "A")], [gu("T", "A", 1)])
+        t = topology_of([axis("T", "A")], [gu("T", "A", 1)])
         with pytest.raises(MissingPA):
             organ_census(t, 1)
 
@@ -472,12 +505,23 @@ class TestWithPhysioAges:
                            match=r"^PA map axis 'A3' is not in tree 'T'$"):
             with_physio_ages(small_tree, {"A1": 1, "A2": 2, "A4": 2, "A3": 3})
 
+    @pytest.mark.parametrize("pa", [2.7, 2.0, "2", True])
+    def test_pa_that_is_no_integer_rejected(self, small_tree, pa):
+        # int() read 2.7 as PA 2, and took "2", 2.0 and True as PAs.
+        with pytest.raises(MissingPA, match=rf"^axis 'A2': PA must be an integer, got {pa!r}$"):
+            with_physio_ages(small_tree, {"A1": 1, "A2": pa})
+
+    def test_numpy_integer_pa_accepted(self, small_tree):
+        classified = with_physio_ages(small_tree, {"A1": np.int64(1), "A2": np.int32(2)})
+        assert [(a.id, a.pa, type(a.pa)) for a in classified.axes.values()] == [
+            ("A1", 1, int), ("A2", 2, int)]
+
     def test_root_must_be_pa1(self, small_tree):
         with pytest.raises(MissingPA):
             with_physio_ages(small_tree, {"A1": 2, "A2": 2})
 
     def test_child_below_parent_warns_not_raises(self, caplog):
-        t = build_topology(
+        t = topology_of(
             [axis("T", "A"), axis("T", "B", "A", 1), axis("T", "C", "B", 2)],
             [gu("T", "A", 1), gu("T", "A", 2), gu("T", "B", 2), gu("T", "B", 3),
              gu("T", "C", 3)],
