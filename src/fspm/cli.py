@@ -13,12 +13,15 @@ or option, or an output path that cannot be written), 2 convergence
 failure, 3 runtime model failure (such as biomass to allocate with no sink
 to take it, or a simulation failing inside the fit), each error reported in
 one line.
-Every command writes one manifest into the directory of its outputs:
-``run_manifest.json``, or ``<stem>.run_manifest.json`` beside the tree
-``<stem>.json`` of ``ingest`` and the skeleton ``<stem>.csv`` of
+Every command that exits 0 or 2 writes one manifest into the directory of
+its outputs: ``run_manifest.json``, or ``<stem>.run_manifest.json`` beside
+the tree ``<stem>.json`` of ``ingest`` and the skeleton ``<stem>.csv`` of
 ``export-skeleton``, so trees ingested or skeletons exported into one
-directory keep one each.  A manifest records the command's inputs and
-configuration, its elapsed time, the process's peak resident memory and the
+directory keep one each.  ``main`` derives it from the flags as the command
+resolved them (``ingest``'s tree id, the q0, rp and pc read from
+``--hidden``): its inputs are the files :data:`INPUT_FLAGS` name, its config
+hash covers the command and every other flag but a directory ``--out``.  It
+also records the elapsed time, the process's peak resident memory and the
 Python and numpy versions; outputs are written atomically (temp file +
 rename) so failures leave nothing partial.
 """
@@ -50,7 +53,7 @@ from .engine import (
     simulate,
     simulate_factored,
 )
-from .errors import FspmError, ValidationError, _json_number, read_text, schema_errors
+from .errors import FspmError, ValidationError, _json_loads, _json_number, read_text, schema_errors
 from .export import (
     export_fit_csv,
     export_organs_csv,
@@ -94,14 +97,34 @@ def _peak_rss_mb() -> float:
     return peak / 2**20 if sys.platform == "darwin" else peak / 2**10  # bytes / KiB
 
 
-def _write_manifest(
-    out_dir: Path, args: argparse.Namespace, inputs: list[str], config: dict,
-    name: str = "run_manifest.json",
-) -> None:
+# The flags that name an input file, by destination.
+INPUT_FLAGS = frozenset({"axes", "gus", "internodes", "leaves", "tree", "pa_map", "params",
+                         "hidden", "targets"})
+
+
+def _run_record(args: argparse.Namespace) -> tuple[Path, list[str], dict]:
+    """The manifest's path, inputs and config for ``args`` as the command
+    resolved them: the inputs are the files :data:`INPUT_FLAGS` name, the
+    config is ``command`` and every other flag but a directory ``--out``."""
+    out = Path(args.out)
+    inputs, config = [], {}
+    for name, value in vars(args).items():
+        if name in INPUT_FLAGS:
+            inputs += value if isinstance(value, list) else [value] if value else []
+        elif name not in ("func", "started", "out"):  # func and started are no flags
+            config[name] = value
+    if args.command in ("ingest", "export-skeleton"):  # --out names the one file written
+        config["out"] = out.name
+        return out.with_name(f"{out.stem}.run_manifest.json"), sorted(inputs), config
+    return out / "run_manifest.json", sorted(inputs), config
+
+
+def _write_manifest(args: argparse.Namespace) -> None:
+    path, inputs, config = _run_record(args)
     normalized = json.dumps(config, sort_keys=True)
     manifest = {
         "command": args.command,
-        "inputs": sorted(inputs),
+        "inputs": inputs,
         "config_hash": hashlib.sha256(normalized.encode()).hexdigest(),
         "seed": config.get("seed"),
         "tool_version": __version__,
@@ -111,7 +134,7 @@ def _write_manifest(
         "python_version": "%d.%d.%d" % sys.version_info[:3],
         "numpy_version": np.__version__,
     }
-    _atomic_write(out_dir / name, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,24 +175,16 @@ def _classified_trees(args) -> list[tuple[TreeTopology, MeasurementSet]]:
 def _cmd_ingest(args) -> int:
     ms = parse_measurements(args.axes, args.gus, args.internodes, args.leaves)
     ids = ms.tree_ids()
-    if args.tree_id is not None:
-        if args.tree_id not in ids:
-            raise ValidationError(f"tree {args.tree_id!r} not in files (have {ids})")
-        ids = [args.tree_id]
-    elif len(ids) != 1:
-        raise ValidationError(
-            f"files contain trees {ids}; pick one with --tree-id"
-        )
-    sub = ms.for_tree(ids[0])
+    if args.tree_id is None:
+        if len(ids) != 1:
+            raise ValidationError(f"files contain trees {ids}; pick one with --tree-id")
+        args.tree_id = ids[0]  # the manifest records the tree ingested
+    elif args.tree_id not in ids:
+        raise ValidationError(f"tree {args.tree_id!r} not in files (have {ids})")
+    sub = ms.for_tree(args.tree_id)
     topology = sub.topology()
     out = Path(args.out)
     _atomic_write(out, tree_to_json(topology, sub))
-    _write_manifest(
-        out.parent, args,
-        [args.axes, args.gus, args.internodes, args.leaves],
-        {"command": "ingest", "tree_id": ids[0], "out": out.name},
-        name=f"{out.stem}.run_manifest.json",
-    )
     logger.info("wrote %s (%d axes, age %d)", out, len(topology.axes), topology.age)
     return 0
 
@@ -182,8 +197,6 @@ def _cmd_classify_pa(args) -> int:
     out = Path(args.out)
     _atomic_write(out / "pa_map.json", pa_map_to_json(pa_map))
     _atomic_write(out / "targets.json", targets.to_json())
-    _write_manifest(out, args, [args.tree],
-                    {"command": "classify-pa", "k": args.k})
     return 0
 
 
@@ -191,8 +204,6 @@ def _cmd_estimate(args) -> int:
     dp, diagnostics = estimate_direct_params(_classified_trees(args))
     out = Path(args.out)
     _atomic_write(out / "direct_params.json", dp.to_json())
-    _write_manifest(out, args, list(args.tree) + list(args.pa_map),
-                    {"command": "estimate"})
     for pa, diag in sorted(diagnostics.items()):
         logger.info(
             "PA%d: sink p=%.4g (r2=%.4f, n=%d), allometry r2=%.4f (n=%d)",
@@ -208,42 +219,36 @@ def _sim_config(args) -> SimConfig:
 
 def _hidden_from_args(args, tree_id: str) -> HiddenParams:
     """--q0/--rp/--pc, each one not given read from --hidden's fit result,
-    whose q0 is read for tree ``tree_id``."""
-    q0, rp, pc = args.q0, args.rp, args.pc
+    whose q0 is read for tree ``tree_id``; set on ``args`` for the manifest."""
     if args.hidden:
         text = read_text(args.hidden)
         with schema_errors(args.hidden):
-            doc = json.loads(text)
+            doc = _json_loads(text)
             tree_q0 = {tid: _json_number(v, f"q0[{tid!r}]") for tid, v in doc["q0"].items()}
             file_rp, file_pc = _json_number(doc["rp"], "rp"), _json_number(doc["pc"], "pc")
-        rp = file_rp if rp is None else rp
-        pc = file_pc if pc is None else pc
-        if q0 is None:
+        args.rp = file_rp if args.rp is None else args.rp
+        args.pc = file_pc if args.pc is None else args.pc
+        if args.q0 is None:
             if tree_id not in tree_q0:
                 raise ValidationError(f"{args.hidden}: holds q0 for trees {sorted(tree_q0)}, "
                                       f"not for tree {tree_id!r}; pass --q0")
-            q0 = tree_q0[tree_id]
-    if None in (q0, rp, pc):
+            args.q0 = tree_q0[tree_id]
+    if None in (args.q0, args.rp, args.pc):
         raise ValidationError("give --hidden fit_result.json or all of --q0/--rp/--pc")
-    return HiddenParams(q0=q0, rp=rp, pc=pc)
+    return HiddenParams(q0=args.q0, rp=args.rp, pc=args.pc)
 
 
 def _run_model(args, cycles: int | None = None):
     """Simulate the model ``_add_model_flags`` names; returns the classified
-    topology, the trace, and the manifest's inputs (the files read) and
-    config (the flags and parameters used)."""
+    topology and the trace."""
     classified, _ = _classified(args.tree, args.pa_map)
     dp = DirectParams.load(args.params)
     hp = _hidden_from_args(args, classified.tree_id)
-    trace = simulate(hp, dp, classified, _sim_config(args), cycles=cycles)
-    config = {"command": args.command, "ring_mode": args.ring_mode,
-              "ring_demand": args.ring_demand, "q0": hp.q0, "rp": hp.rp, "pc": hp.pc}
-    inputs = [args.tree, args.pa_map, args.params] + ([args.hidden] if args.hidden else [])
-    return classified, trace, inputs, config
+    return classified, simulate(hp, dp, classified, _sim_config(args), cycles=cycles)
 
 
 def _cmd_simulate(args) -> int:
-    _, trace, inputs, config = _run_model(args, args.cycles)
+    _, trace = _run_model(args, args.cycles)
     targets = TargetSeries.load(args.targets) if args.targets else None
     fit_csvs = {} if targets is None else export_fit_csv(trace, targets)
     out = Path(args.out)
@@ -251,9 +256,6 @@ def _cmd_simulate(args) -> int:
     _atomic_write(out / "organs.csv", export_organs_csv(trace))
     for name, text in fit_csvs.items():
         _atomic_write(out / f"{name}.csv", text)
-    if targets is not None:
-        inputs.append(args.targets)
-    _write_manifest(out, args, inputs, {**config, "cycles": args.cycles})
     return 0
 
 
@@ -278,11 +280,6 @@ def _cmd_fit(args) -> int:
     result = fit_hidden(problem, init, options)
     out = Path(args.out)
     _atomic_write(out / "fit_result.json", result.to_json())
-    _write_manifest(out, args, list(args.tree) + list(args.pa_map) + [args.params], {
-        "command": "fit", "seed": args.seed, "n_starts": args.n_starts,
-        "init": [args.init_q0, args.init_rp, args.init_pc],
-        "ring_mode": args.ring_mode, "ring_demand": args.ring_demand,
-    })
     logger.info("fit: sse=%.6g converged=%s iterations=%d",
                 result.sse, result.converged, result.iterations)
     if result.degenerate_params:
@@ -293,11 +290,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_export_skeleton(args) -> int:
-    classified, trace, inputs, config = _run_model(args)
-    out = Path(args.out)
-    _atomic_write(out, export_skeleton(trace, classified, args.seed))
-    _write_manifest(out.parent, args, inputs, {**config, "seed": args.seed},
-                    name=f"{out.stem}.run_manifest.json")
+    classified, trace = _run_model(args)
+    _atomic_write(Path(args.out), export_skeleton(trace, classified, args.seed))
     return 0
 
 
@@ -328,10 +322,6 @@ def _cmd_bench(args) -> int:
     }
     out = Path(args.out)
     _atomic_write(out / "bench.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out, args, [], {
-        "command": "bench-substructure", "cycles": args.cycles,
-        "pmax": args.pmax, "branching": args.branching,
-    })
     print(
         f"factored: {organ_count} organs as {len(trace.cohorts)} cohorts "
         f"in {factored_seconds:.3f}s"
@@ -444,7 +434,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     args.started = time.perf_counter()
     try:
-        return args.func(args)
+        code = args.func(args)  # 0, or 2 for a fit that did not converge
+        _write_manifest(args)
+        return code
     # OSError: an input that cannot be read or an --out that cannot be written.
     except (ValidationError, OSError) as exc:
         print(f"fspm {args.command}: {exc}", file=sys.stderr)

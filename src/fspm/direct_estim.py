@@ -30,6 +30,7 @@ from .errors import (
     ValidationError,
     _given_once,
     _json_key,
+    _json_loads,
     _json_number,
     read_text,
     schema_errors,
@@ -112,7 +113,7 @@ class DirectParams:
                 integer >= 1 written as ``str`` writes it.
         """
         with schema_errors(source):
-            doc = json.loads(text)
+            doc = _json_loads(text)
             return cls(
                 p_int={_json_key(k, f"p_int[{k!r}]"): _json_number(v, f"p_int[{k!r}]")
                        for k, v in doc["p_int"].items()},

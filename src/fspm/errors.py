@@ -131,7 +131,8 @@ class TreeMismatch(ValidationError):
 def schema_errors(source: str) -> Iterator[None]:
     """Report a malformed JSON document as one SchemaError naming ``source``.
 
-    Covers invalid JSON, a missing key, and a value of the wrong type, form
+    Covers invalid JSON, arrays or objects nested too deeply for the decoder
+    (``RecursionError``), a missing key, and a value of the wrong type, form
     or range (``TypeError``, ``ValueError``, ``AttributeError``,
     ``InvalidParameter``).
     """
@@ -139,10 +140,28 @@ def schema_errors(source: str) -> Iterator[None]:
         yield
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{source}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise SchemaError(f"{source}: not valid JSON (nested too deeply to decode)") from None
     except KeyError as exc:
         raise SchemaError(f"{source}: missing key {exc}") from None
     except (TypeError, ValueError, AttributeError, InvalidParameter) as exc:
         raise SchemaError(f"{source}: {exc}") from None
+
+
+def _object_once(pairs: list[tuple[str, object]]) -> dict:
+    """The JSON object of ``pairs``; a key given twice in it raises ValueError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        key = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise ValueError(f"key {key!r} appears twice in one object")
+    return obj
+
+
+def _json_loads(text: str):
+    """``json.loads`` of ``text``, but a key repeated in one object raises
+    ValueError, which :func:`schema_errors` reports with the file."""
+    return json.loads(text, object_pairs_hook=_object_once)
 
 
 def _given_once(tree_ids: Sequence[str]) -> None:

@@ -54,8 +54,8 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .errors import (DanglingParent, DuplicateKey, InvalidParameter, MissingPA, SchemaError,
-                     TreeMismatch, UnitError, ValidationError, _json_key, _json_number,
-                     read_text, schema_errors, utf8_errors)
+                     TreeMismatch, UnitError, ValidationError, _json_key, _json_loads,
+                     _json_number, read_text, schema_errors, utf8_errors)
 from .topology import Axis, GrowthUnit, TreeTopology, build_topology
 
 logger = logging.getLogger(__name__)
@@ -288,20 +288,25 @@ def _sorted_rows(columns: list[Sequence], keys: list) -> list[Sequence]:
 
 def _csv_records(path: str | Path, table: _Table) -> ColumnTable:
     """The rows of one measurement CSV file (see :func:`_records`); extra
-    columns are ignored."""
+    columns are ignored.  A line the ``csv`` module cannot split, such as
+    one with a cell beyond its field size limit, raises SchemaError naming
+    the file and the line."""
     path = Path(path)
     with utf8_errors(path), path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{path}: empty file, header row required")
-        index = {name: i for i, name in enumerate(header)}
-        for name in table.names:
-            if name not in index:
-                raise SchemaError(f"{path}: missing column {name!r}")
-            if header.count(name) > 1:
-                raise SchemaError(f"{path}: column {name!r} appears twice in the header")
-        rows = list(map(tuple, filter(None, reader)))  # blank lines skipped
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: empty file, header row required")
+            index = {name: i for i, name in enumerate(header)}
+            for name in table.names:
+                if name not in index:
+                    raise SchemaError(f"{path}: missing column {name!r}")
+                if header.count(name) > 1:
+                    raise SchemaError(f"{path}: column {name!r} appears twice in the header")
+            rows = list(map(tuple, filter(None, reader)))  # blank lines skipped
+        except csv.Error as exc:
+            raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
     columns = [index[name] for name in table.names]
     width = max(columns) + 1
     short = None
@@ -537,7 +542,7 @@ class TargetSeries:
             return type(record)(**values)
 
         with schema_errors(source):
-            doc = json.loads(text)
+            doc = _json_loads(text)
             entries = {}
             for key, val in doc["entries"].items():
                 where = f"entries[{key!r}]"

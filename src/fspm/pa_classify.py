@@ -24,6 +24,7 @@ from .errors import (
     NoTerminalData,
     SchemaError,
     ValidationError,
+    _json_loads,
     schema_errors,
 )
 from .ingest import GUSamples
@@ -244,7 +245,7 @@ def pa_map_from_json(text: str, source: str = "PA map") -> dict[str, int]:
     1, and ``"main"``, ``Infinity`` or ``1e400`` fail the same way.
     """
     with schema_errors(source):
-        pa_map = dict(json.loads(text).items())  # a document that is no object fails here
+        pa_map = dict(_json_loads(text).items())  # a document that is no object fails here
     for axis_id, pa in pa_map.items():
         if type(pa) is not int:
             raise SchemaError(f"{source}: axis {axis_id!r}: PA must be an integer, got {pa!r}")

@@ -1,8 +1,11 @@
+import argparse
+import csv
 import hashlib
 import importlib
 import json
 import logging
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -17,7 +20,7 @@ from fspm import (
     tree_to_json,
 )
 from fspm import calibrate
-from fspm.cli import main
+from fspm.cli import _run_record, build_parser, main
 from fspm.errors import SimulationFailed, ValidationError, ZeroDemandWithBiomass
 from fspm.ingest import (MAX_CYCLE, MAX_INTERNODES_PER_GU, MeasurementSet, TargetSeries,
                          tree_from_json)
@@ -140,6 +143,22 @@ class TestIngest:
         assert capsys.readouterr().err == (
             f"fspm ingest: {src / 'gus.csv'}:158: GU references unknown axis {axis!r} "
             f"of tree {tree!r}\n")
+        assert not out.exists()
+
+    def test_cell_beyond_the_csv_field_limit_exits_1(self, tmp_path, capsys):
+        # Extra columns are ignored, but the csv module raised on a cell
+        # beyond its field size limit, and the run ended in a traceback.
+        src = tmp_path / "single"
+        shutil.copytree(SINGLE, src)
+        rows = (src / "gus.csv").read_text().splitlines(keepends=True)
+        rows[2] = rows[2].rstrip("\n") + "," + "x" * 200_000 + "\n"
+        (src / "gus.csv").write_text("".join(rows))
+        out = tmp_path / "tree.json"
+        capsys.readouterr()
+        assert run(*ingest_args(src, out)) == 1
+        assert capsys.readouterr().err == (
+            f"fspm ingest: {src / 'gus.csv'}:3: field larger than field limit "
+            f"({csv.field_size_limit()})\n")
         assert not out.exists()
 
     def test_trees_in_one_directory_keep_a_manifest_each(self, tmp_path):
@@ -339,6 +358,65 @@ class TestGrovePipeline:
             assert str(trees[tree_id][0]) in manifest["inputs"]
 
 
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    """The subcommands of ``build_parser()``, by name."""
+    return next(action.choices for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+class TestManifestRecord:
+    """A manifest is derived from the parsed flags alone: a file flag moves
+    its inputs, any other flag its config hash, except an --out directory,
+    which only places it."""
+
+    FILE_FLAGS = {"axes", "gus", "internodes", "leaves", "tree", "pa_map", "params", "hidden",
+                  "targets"}
+    OUT_FILE = {"ingest", "export-skeleton"}  # --out names the one file written
+
+    @staticmethod
+    def record(argv):
+        path, inputs, config = _run_record(build_parser().parse_args(argv))
+        digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
+        return path, inputs, digest
+
+    @staticmethod
+    def other_value(action, value) -> str:
+        """A command-line value for ``action`` that parses to other than ``value``."""
+        if action.choices:
+            return next(choice for choice in action.choices if choice != value)
+        if action.type in (int, float):
+            return "8" if value == 7 else "7"
+        return "other.csv"
+
+    @pytest.mark.parametrize("command", sorted(subcommands()))
+    def test_each_flag_moves_inputs_or_config(self, command):
+        flags = [action for action in subcommands()[command]._actions
+                 if action.option_strings and action.dest != "help"]
+        base = [command]
+        for action in flags:
+            if action.required:
+                base += [action.option_strings[0], "in.csv"]
+        base_args = build_parser().parse_args(base)
+        base_path, base_inputs, base_hash = self.record(base)
+        out = Path("in.csv")
+        assert base_path == (out.with_name("in.run_manifest.json") if command in self.OUT_FILE
+                             else out / "run_manifest.json")
+        for action in flags:
+            value = self.other_value(action, getattr(base_args, action.dest))
+            path, inputs, digest = self.record(base + [action.option_strings[0], value])
+            if action.dest in self.FILE_FLAGS:
+                assert inputs != base_inputs and digest == base_hash, action.dest
+            elif action.dest == "out" and command not in self.OUT_FILE:
+                assert (inputs, digest) == (base_inputs, base_hash)
+                assert path == Path(value) / "run_manifest.json"
+            else:
+                assert inputs == base_inputs and digest != base_hash, action.dest
+
+    def test_file_flags_are_flags_of_the_parser(self):
+        dests = {action.dest for sub in subcommands().values() for action in sub._actions}
+        assert self.FILE_FLAGS <= dests
+
+
 class TestSamplesAttachedOncePerTree:
     """Each command attaches a tree's measurement rows to its GUs once."""
 
@@ -502,6 +580,20 @@ class TestGroveFit:
         ]
         assert not (tmp_path / "fit").exists()
 
+    def test_manifest_inputs_are_the_files_read(self, grove_pipeline, tmp_path):
+        # The --targets files were read but not listed.
+        _, trees, params = grove_pipeline
+        out = tmp_path / "fit"
+        argv = ["fit", "--params", params, "--n-starts", 0, "--out", out]
+        inputs = [params]
+        for tree_id in ("P1", "P2"):
+            tree, pa_map, targets = trees[tree_id]
+            argv += ["--tree", tree, "--pa-map", pa_map, "--targets", targets]
+            inputs += [tree, pa_map, targets]
+        assert run(*argv) in (0, 2)
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["inputs"] == sorted(map(str, inputs))
+
     def test_manifest_records_run_costs(self, grove_pipeline, tmp_path):
         _, trees, params = grove_pipeline
         tree, pa_map, _ = trees["P2"]
@@ -617,6 +709,9 @@ class TestBadInputFiles:
                                   if k != "allometry"}), "missing key 'allometry'"),
         (lambda text: json.dumps({**json.loads(text), "p_int": [1, 2]}), "'items'"),
         (lambda text: "[]", "list indices"),
+        (lambda text: "[" * 100_000 + "]" * 100_000,
+         "not valid JSON (nested too deeply to decode)"),
+        (lambda text: text.replace("{", '{"slw": 1, ', 1), "key 'slw' appears twice in one object"),
     ])
     def test_bad_params_file(self, grove_pipeline, tmp_path, capsys, mangle, message):
         _, _, params = grove_pipeline
@@ -634,6 +729,10 @@ class TestBadInputFiles:
         ('{"q0": {"P2": 12.0}, "rp": 6.4}', "missing key 'pc'"),
         ('{"q0": 12.0, "rp": 6.4, "pc": 0.14}', "items"),
         ('{"q0": {"P2": 12.0}, "rp": "fast", "pc": 0.14}', "fast"),
+        pytest.param("[" * 100_000 + "]" * 100_000,
+                     "not valid JSON (nested too deeply to decode)", id="nested"),
+        ('{"q0": {"P2": 12.0, "P2": 9.0}, "rp": 6.4, "pc": 0.14}',
+         "key 'P2' appears twice in one object"),
     ])
     def test_bad_fit_result(self, grove_pipeline, tmp_path, capsys, doc, message):
         hidden = tmp_path / "fit_result.json"
@@ -666,6 +765,13 @@ class TestBadInputFiles:
         ("pa_map", lambda text: "[]", "'list' object has no attribute 'items'"),
         ("pa_map", lambda text: '{"a000001": "main"}',
          "axis 'a000001': PA must be an integer, got 'main'"),
+        *[(which, lambda text: "[" * 100_000 + "]" * 100_000,
+           "not valid JSON (nested too deeply to decode)")
+          for which in ("tree", "pa_map", "targets")],
+        ("pa_map", lambda text: text.replace("{", '{"note": 1, "note": 2, ', 1),
+         "key 'note' appears twice in one object"),
+        ("targets", lambda text: text.replace('"tree_id": ', '"tree_id": "U", "tree_id": '),
+         "key 'tree_id' appears twice in one object"),
     ])
     def test_bad_json_input(self, grove_pipeline, tmp_path, capsys, which, mangle, message):
         _, trees, params = grove_pipeline
@@ -1589,6 +1695,19 @@ class TestBench:
         doc = json.loads((out / "bench.json").read_text())
         assert doc["organ_count_analytic"] > doc["cohorts"]
         assert doc["factored_seconds"] < 5.0
+
+    def test_manifest_config_moves_with_each_flag(self, tmp_path):
+        # Runs of 664 and 1,992 organs, and runs of other seed masses,
+        # shared one config hash.
+        hashes, organs = [], []
+        for name, flags in {"base": [], "ipg": ["--internodes-per-gu", 3],
+                            "q0": ["--q0", 30]}.items():
+            out = tmp_path / name
+            assert run("bench-substructure", "--cycles", 6, *flags, "--out", out) == 0
+            hashes.append(json.loads((out / "run_manifest.json").read_text())["config_hash"])
+            organs.append(json.loads((out / "bench.json").read_text())["organ_count_analytic"])
+        assert len(set(hashes)) == 3
+        assert organs[0] < organs[1]
 
 
 class TestSharedParser:

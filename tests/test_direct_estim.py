@@ -302,6 +302,9 @@ class TestEstimateDirectParams:
          "dp.json: missing key 'beta'"),
         ('{"p_int": {"1": "heavy"}, "allometry": {}, "slw": 0.03}', "dp.json: "),
         ('{"p_int": {}, "allometry": {}, "slw": -1}', "dp.json: slw must be > 0"),
+        # Each object kept the last of the two values and dropped the first.
+        ('{"p_int": {"1": 0.5, "1": 0.9}, "allometry": {}, "slw": 0.03, "slw": 7}',
+         "^dp.json: key '1' appears twice in one object$"),
     ])
     def test_malformed_json_raises_schema_error(self, text, message):
         with pytest.raises(SchemaError, match=message):

@@ -521,6 +521,8 @@ class TestBuildTargetSeries:
         (lambda text: text[:40], "not valid JSON"),
         (lambda text: text.replace('"cumulated"', '"cum"'), "missing key 'cumulated'"),
         (lambda text: text.replace('"n_internodes"', '"count"'), ".*unexpected keyword"),
+        (lambda text: text.replace('"tree_id": ', '"tree_id": "U", "tree_id": '),
+         "key 'tree_id' appears twice in one object$"),
     ])
     def test_malformed_json_names_the_file(self, tmp_path, cut, message):
         topo, ms = simple_tree([1.0, 2.0])
@@ -818,8 +820,9 @@ class TestCollectorPause:
 
     def test_readers_run_no_collection(self, grove_p1):
         # The grove CSVs parsed, P1's document read and its rows attached
-        # to its GUs.  The parse alone leaves about 2,000 more objects that
-        # the collector tracks, past its default threshold of 700.
+        # to its GUs, under a first-generation threshold of 100 rather than
+        # the default 700: the readers' tracked allocations then pass it
+        # whatever count they start at, not only when it starts near 700.
         _, p1_text = grove_p1
         assert gc.isenabled()
 
@@ -828,9 +831,14 @@ class TestCollectorPause:
             topology, p1 = read_tree(p1_text, "P1.json")
             attach(topology, p1.internodes, p1.leaves)
 
-        assert collections_inside(READERS, lambda: read(*READERS)) == 0
-        # The same calls, unpaused, do run the collector: the check above can fail.
-        assert collections_inside(READERS, lambda: read(*map(inspect.unwrap, READERS))) > 0
+        threshold = gc.get_threshold()
+        gc.set_threshold(100, *threshold[1:])
+        try:
+            assert collections_inside(READERS, lambda: read(*READERS)) == 0
+            # The same calls, unpaused, do run the collector: the check above can fail.
+            assert collections_inside(READERS, lambda: read(*map(inspect.unwrap, READERS))) > 0
+        finally:
+            gc.set_threshold(*threshold)
 
     def test_readers_leave_no_cyclic_garbage(self, grove_p1):
         # So a pause frees nothing later that a collection inside would have.

@@ -11,9 +11,9 @@ from fspm import (
     samples_by_gu,
     top_internode_weight,
 )
-from fspm.errors import (KTooLarge, MainAxisNotHeaviest, NoTerminalData, TreeMismatch,
-                         ValidationError)
-from fspm.pa_classify import _BLOCK
+from fspm.errors import (KTooLarge, MainAxisNotHeaviest, NoTerminalData, SchemaError,
+                         TreeMismatch, ValidationError)
+from fspm.pa_classify import _BLOCK, pa_map_from_json
 from test_ingest import measured, topology_of
 
 
@@ -411,3 +411,11 @@ class TestClassifyAxes:
         pa_map, part = classify_axes(t, samples(t, records), 5)
         assert part.k == 2
         assert pa_map == {"A": 1, "B": 2}
+
+
+class TestPAMapJson:
+    def test_key_repeated_in_one_object(self):
+        # The map read axis 'a' as PA 2 and dropped its PA 1.
+        with pytest.raises(SchemaError) as info:
+            pa_map_from_json('{"a": 1, "a": 2}', "pa_map.json")
+        assert str(info.value) == "pa_map.json: key 'a' appears twice in one object"
